@@ -18,7 +18,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from . import bounds, engine, kernels, luckypairs
+from . import bounds, engine, luckypairs
 from .convexity import IDENTITY, convexity_order, parse_function
 from .core import OrderedSet, read_set, write_set
 from .errors import SumsetLabError
@@ -373,11 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
         "near-convex sets.",
     )
     _add_common_flags(parser, suppress=False)
-    parser.add_argument(
-        "--backend-info",
-        action="store_true",
-        help="print the selected convolution backend and exit",
-    )
 
     sub = parser.add_subparsers(dest="command")
 
@@ -451,9 +446,6 @@ _HANDLERS = {
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.backend_info:
-        print(f"convolution backend: {kernels.BACKEND}")
-        return 0
     if args.command is None:
         parser.print_help()
         return 2

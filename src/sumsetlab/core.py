@@ -36,10 +36,6 @@ DEFAULT_MEMORY_BUDGET = 2**32
 # used only for pre-allocation estimates.
 DICT_ENTRY_BYTES = 120
 
-# Dense convolution allocates (span) int64 slots; refuse when that is
-# far larger than the sparse work n_a * n_b would be.
-_DENSE_SPAN_FACTOR = 32
-
 
 def canon(x: Scalar) -> Scalar:
     """Collapse integral Fractions to int; reject non-rational input."""
@@ -225,41 +221,18 @@ class SparseCounts:
         return f"SparseCounts(<{n} values, mass {self.mass}>)"
 
 
-def convolve(
-    p: SparseCounts, q: SparseCounts, mem_limit: int | None = None
-) -> SparseCounts:
+def convolve(p: SparseCounts, q: SparseCounts) -> SparseCounts:
     """Exact convolution: entry at v gets sum_u p(u) * q(v - u).
 
-    Commutative and associative; total mass multiplies.  Integer-valued
-    inputs whose value span is modest go through the dense int64 kernel
-    (compiled when available), everything else through exact dict
-    accumulation.  ``mem_limit`` only steers the dense/sparse choice; it
-    never changes the result.
+    Commutative and associative; total mass multiplies.  The work is
+    done by the sparse kernel in :mod:`sumsetlab.kernels`.
     """
-    budget = DEFAULT_MEMORY_BUDGET if mem_limit is None else mem_limit
     if p.is_integer_valued and q.is_integer_valued:
-        work = len(p) * len(q)
-        span = (p.values[-1] + q.values[-1]) - (p.values[0] + q.values[0]) + 1
-        span_limit = min(budget // 16, _DENSE_SPAN_FACTOR * work)
-        values, counts = kernels.convolve_integer(
-            p.values,
-            p.counts,
-            q.values,
-            q.counts,
-            span_limit=span_limit,
-            mass_product=p.mass * q.mass,
-        )
-        return SparseCounts(values, counts)
-
-    acc: dict = {}
-    for v, c in p.items():
-        for w, d in q.items():
-            key = v + w
-            if key in acc:
-                acc[key] += c * d
-            else:
-                acc[key] = c * d
-    return SparseCounts.from_dict(acc)
+        kernel = kernels.convolve_integer
+    else:
+        kernel = kernels.convolve_exact
+    values, counts = kernel(p.values, p.counts, q.values, q.counts)
+    return SparseCounts(values, counts)
 
 
 def mass_of_squares(p: SparseCounts) -> int:

@@ -33,11 +33,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence, Union
 
-from . import kernels
 from .core import (
     DEFAULT_MEMORY_BUDGET,
     DICT_ENTRY_BYTES,
-    _DENSE_SPAN_FACTOR,
     OrderedSet,
     SparseCounts,
     convolve,
@@ -51,7 +49,8 @@ Signs = Union[str, Sequence[int], None]
 _ALGOS = ("auto", "naive", "mitm", "dense")
 
 # Relative per-operation cost units used by the auto planner: a Python
-# dict update is the unit; compiled/numpy element ops count as 1/50.
+# dict update is the unit; a numpy element op of the dense fold
+# (_plan_dense) counts as 1/50.
 _COMPILED_OP = 0.02
 _NAIVE_TUPLE = 3.0
 
@@ -143,30 +142,23 @@ def _leaf(A: OrderedSet) -> _Node:
     return _Node(len(A), A[0], A[-1], A.is_integer)
 
 
-def _join(p: _Node, q: _Node, budget: int) -> tuple[_Node, int, float]:
+def _join(p: _Node, q: _Node) -> tuple[_Node, int, float]:
     """Estimate (output node, bytes, cost) for convolving p with q."""
     work = p.entries * q.entries
     lo, hi = p.lo + q.lo, p.hi + q.hi
-    if p.integer and q.integer:
-        span = hi - lo + 1
-        out = min(work, span)
-        node = _Node(out, lo, hi, True)
-        span_limit = min(budget // 16, _DENSE_SPAN_FACTOR * work)
-        if kernels.BACKEND == "cython" and span <= span_limit:
-            return node, span * 8 + out * 16, work * _COMPILED_OP + span * _COMPILED_OP
-        return node, out * DICT_ENTRY_BYTES, float(work)
-    node = _Node(work, lo, hi, False)
-    return node, work * DICT_ENTRY_BYTES, float(work)
+    integer = p.integer and q.integer
+    out = min(work, hi - lo + 1) if integer else work
+    return _Node(out, lo, hi, integer), out * DICT_ENTRY_BYTES, float(work)
 
 
-def _plan_mitm(sets: Sequence[OrderedSet], budget: int) -> tuple[int, float]:
+def _plan_mitm(sets: Sequence[OrderedSet]) -> tuple[int, float]:
     def rec(lo: int, hi: int) -> tuple[_Node, int, float]:
         if hi - lo == 1:
             return _leaf(sets[lo]), 0, 0.0
         mid = (lo + hi + 1) // 2
         left, b1, c1 = rec(lo, mid)
         right, b2, c2 = rec(mid, hi)
-        node, b3, c3 = _join(left, right, budget)
+        node, b3, c3 = _join(left, right)
         return node, max(b1, b2, b3), c1 + c2 + c3
 
     _, peak, cost = rec(0, len(sets))
@@ -208,13 +200,13 @@ def _rep_naive(sets: Sequence[OrderedSet]) -> SparseCounts:
     return SparseCounts.from_dict(acc)
 
 
-def _rep_mitm(sets: Sequence[OrderedSet], budget: int) -> SparseCounts:
+def _rep_mitm(sets: Sequence[OrderedSet]) -> SparseCounts:
     if len(sets) == 1:
         return SparseCounts.from_set(sets[0])
     mid = (len(sets) + 1) // 2
-    left = _rep_mitm(sets[:mid], budget)
-    right = _rep_mitm(sets[mid:], budget)
-    return convolve(left, right, budget)
+    left = _rep_mitm(sets[:mid])
+    right = _rep_mitm(sets[mid:])
+    return convolve(left, right)
 
 
 def _rep_dense(sets: Sequence[OrderedSet]) -> SparseCounts:
@@ -287,7 +279,7 @@ def representation(
 
     plans = {
         "naive": _plan_naive(signed),
-        "mitm": _plan_mitm(signed, budget),
+        "mitm": _plan_mitm(signed),
         "dense": _plan_dense(signed),
     }
     if algo == "auto":
@@ -312,7 +304,7 @@ def representation(
     if algo == "naive":
         rep = _rep_naive(signed)
     elif algo == "mitm":
-        rep = _rep_mitm(signed, budget)
+        rep = _rep_mitm(signed)
     else:
         rep = _rep_dense(signed)
     _verify_representation(rep, signed)
@@ -335,7 +327,11 @@ def energy_T(
     total = mass_of_squares(rep)
     if len(sets) >= 1 and all(A == sets[0] for A in sets):
         n, k = len(sets[0]), len(sets)
-        assert n**k <= total <= n ** (2 * k - 1), "universal energy bounds violated"
+        if not n**k <= total <= n ** (2 * k - 1):
+            raise VerificationError(
+                f"energy {total} outside the universal bounds "
+                f"[{n}**{k}, {n}**{2 * k - 1}]"
+            )
     return total
 
 

@@ -1,45 +1,30 @@
-"""Integer convolution kernels with backend selection at import time.
+"""The exact sparse convolution kernel.
 
-Two interchangeable backends compute the sparse convolution of two
-integer-valued count sequences:
-
-* ``cython`` -- the compiled extension accumulates into a dense int64
-  array keyed by value offset (fast path for the 4-fold energy kernel);
-* ``python`` -- a dict-based sparse accumulation in pure Python.
-
-The compiled backend is used when it imported successfully and the
-environment variable ``SUMSETLAB_NO_EXT`` is unset.  Both backends
-return identical results; ``benchmarks/bench_kernels.py`` compares
-their throughput.
+Every convolution of two representation functions (``core.convolve``)
+runs through :func:`convolve_exact`: a dict accumulation over all pairs
+of entries, in arbitrary precision, so no value or count can overflow.
+(The ``dense`` algorithm of ``engine`` folds whole sets over a count
+array instead and does not convolve sparse counts.)
 """
 
 from __future__ import annotations
 
-import os
 from typing import Sequence
 
-try:  # pragma: no cover - exercised via BACKEND checks
-    from . import _kernel as _ext
-except ImportError:  # pragma: no cover
-    _ext = None
 
-if os.environ.get("SUMSETLAB_NO_EXT") == "1":
-    _ext = None
-
-BACKEND = "cython" if _ext is not None else "python"
-
-# int64 safety margin for the compiled kernel.
-_INT64_MAX = 2**63 - 1
-
-
-def convolve_integer_py(
-    av: Sequence[int],
+def convolve_exact(
+    av: Sequence,
     ac: Sequence[int],
-    bv: Sequence[int],
+    bv: Sequence,
     bc: Sequence[int],
-) -> tuple[list[int], list[int]]:
-    """Sparse convolution via dict accumulation (arbitrary precision)."""
-    acc: dict[int, int] = {}
+) -> tuple[list, list[int]]:
+    """Convolve two sparse count sequences exactly.
+
+    ``av``/``bv`` are the values (ints or Fractions), ``ac``/``bc`` their
+    counts.  Returns the sorted output values and their counts: the
+    entry at x is the sum of ``ac[i] * bc[j]`` over ``av[i] + bv[j] == x``.
+    """
+    acc: dict = {}
     for v, c in zip(av, ac):
         for w, d in zip(bv, bc):
             key = v + w
@@ -51,63 +36,15 @@ def convolve_integer_py(
     return values, [acc[v] for v in values]
 
 
-def convolve_integer_dense(
-    av: Sequence[int],
-    ac: Sequence[int],
-    bv: Sequence[int],
-    bc: Sequence[int],
-) -> tuple[list[int], list[int]]:
-    """Dense-offset convolution through the compiled kernel.
-
-    Preconditions (checked by :func:`dense_is_safe`): all values and the
-    total output mass fit comfortably in int64.
-    """
-    import numpy as np
-
-    lo = av[0] + bv[0]
-    hi = av[-1] + bv[-1]
-    span = hi - lo + 1
-    out = np.zeros(span, dtype=np.int64)
-    _ext.dense_accumulate(
-        np.asarray(av, dtype=np.int64),
-        np.asarray(ac, dtype=np.int64),
-        np.asarray(bv, dtype=np.int64),
-        np.asarray(bc, dtype=np.int64),
-        lo,
-        out,
-    )
-    nz = np.flatnonzero(out)
-    return (nz + lo).tolist(), out[nz].tolist()
-
-
-def dense_is_safe(av: Sequence[int], bv: Sequence[int], mass_product: int) -> bool:
-    """True when the int64 dense kernel cannot overflow on these inputs."""
-    if _ext is None:
-        return False
-    if mass_product > _INT64_MAX:
-        return False
-    lo = av[0] + bv[0]
-    hi = av[-1] + bv[-1]
-    return -_INT64_MAX < lo and hi < _INT64_MAX
-
-
 def convolve_integer(
     av: Sequence[int],
     ac: Sequence[int],
     bv: Sequence[int],
     bc: Sequence[int],
-    *,
-    span_limit: int,
-    mass_product: int,
 ) -> tuple[list[int], list[int]]:
-    """Convolve integer-valued counts, picking the best available path.
+    """:func:`convolve_exact` for integer-valued inputs.
 
-    ``span_limit`` caps the dense buffer length (derived from the memory
-    budget by the caller); inputs that exceed it, or that could overflow
-    int64, take the pure-Python sparse path instead.
+    A separate entry point so that per-layer traces (``e2ebench``) count
+    integer kernel work apart from the rational path of ``core.convolve``.
     """
-    if dense_is_safe(av, bv, mass_product):
-        span = (av[-1] + bv[-1]) - (av[0] + bv[0]) + 1
-        if span <= span_limit:
-            return convolve_integer_dense(av, ac, bv, bc)
-    return convolve_integer_py(av, ac, bv, bc)
+    return convolve_exact(av, ac, bv, bc)

@@ -210,11 +210,6 @@ class TestDeterminism:
         _, timed, _ = _run(capsys, "--timings", *base)
         assert "timing_ms" in timed
 
-    def test_backend_info(self, capsys):
-        code, out, _ = _run(capsys, "--backend-info")
-        assert code == 0
-        assert "convolution backend:" in out
-
 
 def test_no_command_prints_help(capsys):
     code, out, _ = _run(capsys)

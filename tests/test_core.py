@@ -20,7 +20,6 @@ from sumsetlab import (
     write_set,
 )
 from sumsetlab.core import count_in_halfopen, format_element, parse_element
-from sumsetlab.kernels import convolve_integer_dense, convolve_integer_py, BACKEND
 
 from conftest import brute_force_representation, random_integer_set
 
@@ -112,22 +111,6 @@ class TestConvolve:
             p, q, r = ps
             assert convolve(p, q) == convolve(q, p)
             assert convolve(convolve(p, q), r) == convolve(p, convolve(q, r))
-
-
-class TestKernelBackends:
-    def test_backends_agree(self, rng):
-        for _ in range(30):
-            a = random_integer_set(rng, rng.next_in(1, 12), spread=500)
-            b = random_integer_set(rng, rng.next_in(1, 12), spread=500)
-            av, ac = list(a.elements), [1] * len(a)
-            bv, bc = list(b.elements), [1] * len(b)
-            py = convolve_integer_py(av, ac, bv, bc)
-            if BACKEND == "cython":
-                ext = convolve_integer_dense(av, ac, bv, bc)
-                assert ext == py
-
-    def test_backend_selected(self):
-        assert BACKEND in ("cython", "python")
 
 
 class TestMassOfSquares:

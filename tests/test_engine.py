@@ -10,6 +10,7 @@ from sumsetlab import (
     InputError,
     OrderedSet,
     ResourceError,
+    VerificationError,
     doubling,
     energy_T,
     energy_cross,
@@ -23,6 +24,7 @@ from sumsetlab import (
     spectrum,
     verification,
 )
+from sumsetlab import engine
 from sumsetlab.engine import check_popular_bound, rich_tail, spectrum_of
 
 from conftest import (
@@ -129,6 +131,19 @@ class TestEnergy:
             want = brute_force_T(sets)
             for algo in ("naive", "mitm", "dense"):
                 assert energy_T(sets, algo=algo) == want
+
+    @pytest.mark.parametrize("algo", ["auto", "mitm", "dense", "naive"])
+    def test_values_beyond_int64(self, algo):
+        # Inputs past 2**63 whose pairwise sums are small: the four sums
+        # 1, 2, 6, 7 are distinct, so T = |A| * |B|.
+        A = OrderedSet([2**63 + 1, 2**63 + 2])
+        B = OrderedSet([-(2**63), -(2**63) + 5])
+        assert energy_T([A, B], algo=algo) == 4
+
+    def test_universal_bounds_violation_raises(self, monkeypatch):
+        monkeypatch.setattr(engine, "mass_of_squares", lambda rep: 0)
+        with pytest.raises(VerificationError):
+            energy_T([gen_interval(3)] * 2)
 
 
 class TestEnergyCross:
