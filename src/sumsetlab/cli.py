@@ -222,7 +222,9 @@ def _cmd_lucky(args, cfg: RunConfig) -> int:
     g = parse_function(args.g) if args.g else IDENTITY
     B_list = [B] * args.k
     g_list = [g] * args.k
-    rows = luckypairs.lucky_census(B_list, g_list, args.r, args.c)
+    rows = luckypairs.lucky_census(
+        B_list, g_list, args.r, args.c, algo=cfg.algo, mem_budget=cfg.mem_budget
+    )
     if cfg.fmt == "csv":
         emit(
             rows_csv(

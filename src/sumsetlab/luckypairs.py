@@ -21,12 +21,19 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Sequence
 
-from .convexity import FunctionSpec, evaluate
-from .core import OrderedSet, Scalar, count_in_halfopen
+from .convexity import FunctionSpec, evaluate, format_function
+from .core import (
+    DEFAULT_MEMORY_BUDGET,
+    DICT_ENTRY_BYTES,
+    OrderedSet,
+    Scalar,
+    count_in_halfopen,
+)
 from .engine import representation, signed_sumset
-from .errors import InputError
+from .errors import DomainError, InputError, ResourceError, VerificationError
 from .intmath import ceil_div, ceil_root
 
 
@@ -35,9 +42,13 @@ class TripleSumset:
 
     __slots__ = ("base", "values")
 
-    def __init__(self, B: OrderedSet) -> None:
+    def __init__(
+        self, B: OrderedSet, *, algo: str = "auto", mem_budget: int | None = None
+    ) -> None:
         self.base = B
-        self.values = signed_sumset([B, B, B], (1, 1, -1)).elements
+        self.values = signed_sumset(
+            [B, B, B], (1, 1, -1), algo=algo, mem_budget=mem_budget
+        ).elements
 
     def __len__(self) -> int:
         return len(self.values)
@@ -97,12 +108,19 @@ class GridPartition:
 
 
 def build_partition(
-    B_list: Sequence[OrderedSet], r: int, c: int = 4
+    B_list: Sequence[OrderedSet],
+    r: int,
+    c: int = 4,
+    *,
+    algo: str = "auto",
+    mem_budget: int | None = None,
 ) -> GridPartition:
     """Partition each B_i + B_i - B_i into t near-equal chunks.
 
-    For r < c**(k-1) the partition degenerates to a single cell per axis
-    and is returned with the ``degenerate`` flag set instead of raising.
+    Axes over equal sets share one AxisPartition, so each distinct
+    triple sumset is built once.  For r < c**(k-1) the partition
+    degenerates to a single cell per axis and is returned with the
+    ``degenerate`` flag set instead of raising.
     """
     k = len(B_list)
     if k < 2:
@@ -111,9 +129,11 @@ def build_partition(
         raise InputError("r and c must be positive")
     degenerate = r < c ** (k - 1)
     t = 1 if degenerate else cells_per_axis(r, k, c)
-    axes = []
+    by_set: dict[OrderedSet, AxisPartition] = {}
     for B in B_list:
-        triple = TripleSumset(B)
+        if B in by_set:
+            continue
+        triple = TripleSumset(B, algo=algo, mem_budget=mem_budget)
         values = triple.values
         m = len(values)
         tt = min(t, m)
@@ -122,8 +142,9 @@ def build_partition(
         for j in range(chunk, m, chunk):
             prev, nxt = values[j - 1], values[j]
             cuts.append(_midpoint(prev, nxt))
-        axes.append(AxisPartition(triple, tuple(cuts), len(cuts) + 1, chunk))
-    return GridPartition(tuple(axes), k, r, c, t, degenerate)
+        by_set[B] = AxisPartition(triple, tuple(cuts), len(cuts) + 1, chunk)
+    axes = tuple(by_set[B] for B in B_list)
+    return GridPartition(axes, k, r, c, t, degenerate)
 
 
 def _midpoint(a: Scalar, b: Scalar) -> Scalar:
@@ -234,34 +255,91 @@ def lucky_census(
     g_list: Sequence[FunctionSpec],
     r: int,
     c: int = 4,
+    *,
+    algo: str = "auto",
+    mem_budget: int | None = None,
 ) -> list[LuckyCensusRow]:
-    """Census over every sum in the dyadic richness class [r, 2r).
+    """Census over every sum in the dyadic richness class [r, 2r), in one pass.
+
+    Each g_i is evaluated once on B_i, and each element's interval index
+    is looked up once.  The first k-1 axes are folded into one table
+    mapping each partial sum to {cell prefix: multiplicity}; each rich
+    sum x then walks the last axis and looks up x - g_k(b_k) in it, so
+    no solution tuple is ever listed.  The multiplicities found for x
+    must add up to r_x from ``representation``, or VerificationError is
+    raised (always on).  The table's memory, prod_{i<k} |B_i| entries,
+    is estimated against the budget before it is built (ResourceError).
 
     The lower bound column is r_x - k * t**(k-1), the hyperplane-based
     guarantee (may be negative for thin sums; found pairs always meet it).
+    ``algo`` and ``mem_budget`` are passed to every representation.
     """
-    images = [
-        OrderedSet(sorted(evaluate(g, b) for b in B))
-        for g, B in zip(g_list, B_list)
+    if len(B_list) != len(g_list):
+        raise InputError("need one function per set")
+    images = [_injective_image(g, B) for g, B in zip(g_list, B_list)]
+    rep = representation(
+        [OrderedSet(sorted(image)) for image in images],
+        algo=algo,
+        mem_budget=mem_budget,
+    )
+    partition = build_partition(B_list, r, c, algo=algo, mem_budget=mem_budget)
+    rich = [(x, count) for x, count in rep.items() if r <= count < 2 * r]
+    if not rich:
+        return []
+    budget = DEFAULT_MEMORY_BUDGET if mem_budget is None else mem_budget
+    estimate = prod(len(B) for B in B_list[:-1]) * DICT_ENTRY_BYTES
+    if estimate > budget:
+        raise ResourceError(estimate, budget, "lucky census table")
+
+    # Per axis: (g_i(b), interval index of b) for every b in B_i.
+    axes = [
+        list(zip(image, map(ax.interval_index, B)))
+        for image, ax, B in zip(images, partition.axes, B_list)
     ]
-    rep = representation(images)
-    partition = build_partition(B_list, r, c)
+    # A cell is encoded as the mixed-radix integer of its interval indices.
+    table: dict = {0: {0: 1}}
+    for axis, ax in zip(axes[:-1], partition.axes):
+        folded: dict = {}
+        for s, cells in table.items():
+            for v, j in axis:
+                bucket = folded.setdefault(s + v, {})
+                for cell, m in cells.items():
+                    key = cell * ax.t + j
+                    bucket[key] = bucket.get(key, 0) + m
+        table = folded
+
     k = len(B_list)
+    t_last = partition.axes[-1].t
     guarantee_cells = k * partition.t ** (k - 1)
     rows = []
-    for x, count in rep.items():
-        if not r <= count < 2 * r:
-            continue
-        solutions = solution_tuples(B_list, g_list, x)
-        groups: dict[tuple[int, ...], int] = {}
-        for sol in solutions:
-            cell = partition.cell_of(sol)
-            groups[cell] = groups.get(cell, 0) + 1
+    for x, count in rich:
+        groups: dict[int, int] = {}
+        for v, j in axes[-1]:
+            cells = table.get(x - v)
+            if cells is None:
+                continue
+            for cell, m in cells.items():
+                key = cell * t_last + j
+                groups[key] = groups.get(key, 0) + m
+        total = sum(groups.values())
+        if total != count:
+            raise VerificationError(
+                f"lucky census found {total} solutions for {x}, "
+                f"representation counts {count}"
+            )
         found = sum(m * (m - 1) // 2 for m in groups.values())
         rows.append(
             LuckyCensusRow(x, count, found, count - guarantee_cells, len(groups))
         )
     return rows
+
+
+def _injective_image(g: FunctionSpec, B: OrderedSet) -> list:
+    """[g(b) for b in B], in the order of B; g must be injective on B."""
+    image = [evaluate(g, b) for b in B]
+    if len(set(image)) != len(image):
+        raise DomainError(f"map {format_function(g)} is not injective on its set")
+    return image
 
 
 # ---------------------------------------------------------------------------

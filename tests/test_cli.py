@@ -146,6 +146,27 @@ class TestLucky:
             assert int(pairs) >= int(lower)
             assert 4 <= int(r_x) < 8
 
+    @pytest.mark.parametrize(
+        "flags", [("--mem", "1000"), ("--algo", "naive", "--mem", "100000")]
+    )
+    def test_budget_exceeded_exits_2(self, capsys, flags):
+        code, out, err = _run(
+            capsys, *flags, "lucky", "--k", "3", "--r", "16",
+            "--family", "rsc:n=34,s=1,seed=1,gap=4",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and "exceeds budget" in err
+
+    def test_map_not_injective_exits_2(self, capsys):
+        code, _, err = _run(
+            capsys, "lucky", "--k", "2", "--r", "2", "--g", "poly:0,0,1",
+            "--family", "ap:n=5,base=-2",
+        )
+        assert code == 2
+        assert err == "error: map poly:0,0,1 is not injective on its set\n"
+
 
 class TestFit:
     def test_cubic(self, capsys):

@@ -8,8 +8,12 @@ from fractions import Fraction
 import pytest
 
 from sumsetlab import (
+    DomainError,
     InputError,
     OrderedSet,
+    ResourceError,
+    SparseCounts,
+    VerificationError,
     build_partition,
     count_between,
     diagonal_cover,
@@ -20,16 +24,18 @@ from sumsetlab import (
     lucky_pairs_for_sum,
     representation,
 )
-from sumsetlab.convexity import IDENTITY
+from sumsetlab import luckypairs
+from sumsetlab.convexity import IDENTITY, evaluate, parse_function
 from sumsetlab.intmath import ceil_div, ceil_root, iroot
 from sumsetlab.luckypairs import (
+    LuckyCensusRow,
     TripleSumset,
     cells_per_axis,
     smallest_positive_differences,
     solution_tuples,
     witness_cap,
 )
-from sumsetlab.families import SplitMix64
+from sumsetlab.families import SplitMix64, parse_family
 
 from conftest import random_integer_set
 
@@ -202,6 +208,110 @@ class TestLuckyPairs:
             assert row.r_x == rep.count_of(row.x)
             assert row.pairs_found >= row.lower_bound
             assert row.pairs_found >= row.r_x - row.occupied_cells
+
+
+def _census_by_tuples(B_list, g_list, r, c):
+    """Reference census: list every sum's solution tuples and bucket them
+    by cell, one sum at a time."""
+    images = [
+        OrderedSet(sorted(evaluate(g, b) for b in B)) for g, B in zip(g_list, B_list)
+    ]
+    rep = representation(images)
+    partition = build_partition(B_list, r, c)
+    k = len(B_list)
+    guarantee_cells = k * partition.t ** (k - 1)
+    rows = []
+    for x, count in rep.items():
+        if not r <= count < 2 * r:
+            continue
+        groups: dict[tuple[int, ...], int] = {}
+        for sol in solution_tuples(B_list, g_list, x):
+            cell = partition.cell_of(sol)
+            groups[cell] = groups.get(cell, 0) + 1
+        found = sum(m * (m - 1) // 2 for m in groups.values())
+        rows.append(
+            LuckyCensusRow(x, count, found, count - guarantee_cells, len(groups))
+        )
+    return rows
+
+
+# (map, base family, k values): integer, rational-image, decreasing,
+# rational-domain and root maps.
+_CENSUS_CASES = [
+    ("pow:1", "rsc:n=10,s=1,seed=3,gap=3", (2, 3, 4)),
+    ("poly:0,1/3,1/7", "rsc:n=7,s=1,seed=5,gap=2", (2, 3, 4)),
+    ("poly:0,-1", "rsc:n=10,s=2,seed=7,gap=2", (2, 3, 4)),
+    ("pow:2", "ap:n=8,base=1/2,step=1/2", (2, 3, 4)),
+    ("root:2", "power:n=12,m=2", (2, 3)),
+]
+
+
+class TestCensusDifferential:
+    @pytest.mark.parametrize("g_text,family,ks", _CENSUS_CASES)
+    def test_matches_per_sum_enumeration(self, g_text, family, ks):
+        B = parse_family(family, 0).generate()
+        g = parse_function(g_text)
+        for k in ks:
+            rows_seen = 0
+            # r = 1 and 2 are degenerate for c = 4 (r < c**(k-1)); 10**6
+            # is a class with no rich sums.
+            for c in (1, 4):
+                for r in (1, 2, 4, 8, 16, 10**6):
+                    want = _census_by_tuples([B] * k, [g] * k, r, c)
+                    got = lucky_census([B] * k, [g] * k, r, c)
+                    assert got == want, (k, c, r)
+                    rows_seen += len(got)
+            assert rows_seen > 0
+
+    def test_distinct_sets_per_axis(self):
+        B1 = parse_family("rsc:n=9,s=1,seed=1,gap=3", 0).generate()
+        B2 = parse_family("ap:n=7,base=1/2,step=1/3", 0).generate()
+        B3 = parse_family("power:n=8,m=2", 0).generate()
+        g_list = [IDENTITY, parse_function("poly:0,2"), parse_function("poly:1,-1")]
+        for r in (2, 4, 8):
+            for c in (1, 4):
+                want = _census_by_tuples([B1, B2, B3], g_list, r, c)
+                assert lucky_census([B1, B2, B3], g_list, r, c) == want
+
+    def test_equal_axes_share_one_partition(self):
+        B = gen_random_s_convex(12, 1, 2, 3)
+        part = build_partition([B] * 3, 8, 4)
+        assert part.axes[0] is part.axes[1] is part.axes[2]
+
+    def test_budget_covers_representation(self):
+        B = gen_random_s_convex(34, 1, 1, 4)
+        with pytest.raises(ResourceError):
+            lucky_census([B] * 3, [IDENTITY] * 3, 16, mem_budget=1000)
+        with pytest.raises(ResourceError):
+            lucky_census(
+                [B] * 3, [IDENTITY] * 3, 16, algo="naive", mem_budget=100000
+            )
+
+    def test_budget_covers_table(self):
+        # Representation and triple sumset need a few kB; the table of
+        # 6**3 partial sums needs 216 * DICT_ENTRY_BYTES.
+        B = gen_interval(6)
+        assert lucky_census([B] * 4, [IDENTITY] * 4, 8, mem_budget=200000)
+        with pytest.raises(ResourceError, match="lucky census table"):
+            lucky_census([B] * 4, [IDENTITY] * 4, 8, mem_budget=20000)
+
+    def test_count_mismatch_raises(self, monkeypatch):
+        real = luckypairs.representation
+
+        def inflated(sets, **kwargs):
+            rep = real(sets, **kwargs)
+            return SparseCounts(rep.values, [c + 1 for c in rep.counts])
+
+        monkeypatch.setattr(luckypairs, "representation", inflated)
+        B = gen_interval(8)
+        with pytest.raises(VerificationError):
+            lucky_census([B, B], [IDENTITY] * 2, 2)
+
+    def test_map_not_injective(self):
+        B = OrderedSet([-2, -1, 0, 1, 2])
+        with pytest.raises(DomainError) as info:
+            lucky_census([B, B], [parse_function("poly:0,0,1")] * 2, 2)
+        assert "poly:0,0,1 is not injective" in str(info.value)
 
 
 def _enumerate_cells(boundaries, C):
