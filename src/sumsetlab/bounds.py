@@ -27,6 +27,7 @@ from typing import Sequence
 from .convexity import delta_h
 from .core import OrderedSet
 from .engine import (
+    Spectrum,
     doubling,
     energy_T,
     energy_cross,
@@ -331,9 +332,9 @@ def _measure_row(bound: BoundSpec, spec: FamilySpec, mem_budget, signs) -> Verif
     q_kind = bound.quantity
     if q_kind.startswith("T") and q_kind[1:].isdigit():
         k = int(q_kind[1:])
-        rep = representation([A] * k, mem_budget=mem_budget)
-        q: object = sum(c * c for c in rep.counts)
-        extras["xr_constant"] = _xr_constant(rep, n, k)
+        sp = spectrum_of(representation([A] * k, mem_budget=mem_budget))
+        q: object = sp.total_T
+        extras["xr_constant"] = _xr_constant(sp, n)
     elif q_kind.startswith("card") and q_kind[4:].isdigit():
         k = int(q_kind[4:])
         pattern = signs if signs else _alternating(k)
@@ -365,11 +366,10 @@ def _measure_row(bound: BoundSpec, spec: FamilySpec, mem_budget, signs) -> Verif
     return VerifyRow(n, q, K, L, ratio, extras)
 
 
-def _xr_constant(rep, n: int, k: int) -> float:
+def _xr_constant(sp: Spectrum, n: int) -> float:
     """Measured constant in the rich-sum tail: max over dyadic classes of
     r**e * |X_r| / N**e' with e = 3, e' = 3 for pairs (reported for any k
     with the same normalization)."""
-    sp = spectrum_of(rep)
     return max(
         float(2**j) ** 3 * size / float(n) ** 3 for j, size in sp.classes
     )

@@ -272,7 +272,12 @@ def _cmd_fit(args, cfg: RunConfig) -> int:
 
 def _cmd_verify(args, cfg: RunConfig) -> int:
     started = time.monotonic()
-    grid = [int(x) for x in args.grid.split(",")]
+    try:
+        grid = [int(x) for x in args.grid.split(",")]
+    except ValueError:
+        raise SumsetLabError(
+            f"bad --grid {args.grid!r}, expected comma-separated integers"
+        )
     if args.bound == "eq13_tail":
         payload = bounds.heuristic_tail_report(
             args.family,

@@ -18,9 +18,11 @@ Containers:
 
 from __future__ import annotations
 
+import operator
 import re
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import islice, repeat
 from typing import Iterable, Iterator, Sequence, TextIO, Union
 
 from . import kernels
@@ -44,6 +46,24 @@ def canon(x: Scalar) -> Scalar:
     if isinstance(x, int):
         return x
     raise InputError(f"not an exact rational: {x!r}")
+
+
+def _increasing_canon(values: Iterable[Scalar], what: str) -> tuple[tuple, bool]:
+    """Canonicalise ``values`` and check they strictly increase.
+
+    Returns the values as a tuple and whether all of them are integers.
+    Each step is one builtin pass over the tuple.  ``canon`` leaves a
+    plain ``int`` unchanged, so it is mapped only when some value has
+    another type (Fraction, bool, or something to reject).
+    """
+    vals = tuple(values)
+    types = set(map(type, vals))
+    if not types <= {int}:
+        vals = tuple(map(canon, vals))
+        types = set(map(type, vals))
+    if not all(map(operator.lt, vals, islice(vals, 1, None))):
+        raise InputError(f"{what} must be strictly increasing")
+    return vals, all(issubclass(t, int) for t in types)
 
 
 _ELEMENT_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
@@ -70,19 +90,22 @@ def format_element(x: Scalar) -> str:
 
 
 class OrderedSet:
-    """A finite set of rationals stored as a strictly increasing tuple."""
+    """A finite set of rationals stored as a strictly increasing tuple.
+
+    Construction canonicalises every element with :func:`canon` (skipped
+    when all elements are plain ints, which it would leave unchanged),
+    then requires a non-empty, strictly increasing sequence.  Each check
+    is one builtin pass over the tuple; a failure raises InputError.
+    """
 
     __slots__ = ("elements", "_is_integer")
 
     def __init__(self, elements: Iterable[Scalar]) -> None:
-        elems = tuple(canon(x) for x in elements)
+        elems, is_integer = _increasing_canon(elements, "OrderedSet elements")
         if not elems:
             raise InputError("OrderedSet must be non-empty")
-        for a, b in zip(elems, elems[1:]):
-            if not a < b:
-                raise InputError("OrderedSet elements must be strictly increasing")
         self.elements = elems
-        self._is_integer = all(isinstance(x, int) for x in elems)
+        self._is_integer = is_integer
 
     @property
     def is_integer(self) -> bool:
@@ -140,7 +163,15 @@ def make_set(values: Iterable[Scalar]) -> OrderedSet:
 
 
 class SparseCounts:
-    """Sorted value -> multiplicity map with exact integer counts."""
+    """Sorted value -> multiplicity map with exact integer counts.
+
+    Construction checks, in this order and each as one builtin pass:
+    equal lengths, non-empty, values canonicalised as in
+    :class:`OrderedSet` and strictly increasing, counts integers (Python
+    or numpy integer scalars, taken through ``operator.index``; floats,
+    strings and Fractions are rejected, never truncated), counts >= 1.
+    A failure raises InputError.
+    """
 
     __slots__ = ("values", "counts", "_mass", "_is_integer")
 
@@ -149,17 +180,17 @@ class SparseCounts:
             raise InputError("values/counts length mismatch")
         if not values:
             raise InputError("SparseCounts must be non-empty")
-        vals = tuple(canon(v) for v in values)
-        for a, b in zip(vals, vals[1:]):
-            if not a < b:
-                raise InputError("SparseCounts values must be strictly increasing")
-        cnts = tuple(int(c) for c in counts)
-        if any(c < 1 for c in cnts):
+        vals, is_integer = _increasing_canon(values, "SparseCounts values")
+        try:
+            cnts = tuple(map(operator.index, counts))
+        except TypeError:
+            raise InputError("SparseCounts counts must be integers") from None
+        if min(cnts) < 1:
             raise InputError("SparseCounts counts must be positive")
         self.values = vals
         self.counts = cnts
         self._mass = sum(cnts)
-        self._is_integer = all(isinstance(v, int) for v in vals)
+        self._is_integer = is_integer
 
     @classmethod
     def from_dict(cls, mapping: dict) -> "SparseCounts":
@@ -237,14 +268,14 @@ def convolve(p: SparseCounts, q: SparseCounts) -> SparseCounts:
 
 def mass_of_squares(p: SparseCounts) -> int:
     """sum of count(v)**2 over all values; the 2nd-moment kernel."""
-    return sum(c * c for c in p.counts)
+    return sum(map(operator.mul, p.counts, p.counts))
 
 
 def moment_sum(p: SparseCounts, m: int) -> int:
     """sum of count(v)**m (exact, integer m >= 1)."""
     if m < 1:
         raise InputError("moment order must be >= 1")
-    return sum(c**m for c in p.counts)
+    return sum(map(pow, p.counts, repeat(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +285,17 @@ def moment_sum(p: SparseCounts, m: int) -> int:
 def read_set(source: Union[str, TextIO]) -> OrderedSet:
     """Read a set file (elements need not be sorted on disk)."""
     if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
-            return read_set(fh)
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                return read_set(fh)
+        except OSError as exc:
+            raise InputError(
+                f"cannot read set file {source!r}: {exc.strerror or exc}"
+            ) from None
+        except UnicodeDecodeError as exc:
+            raise InputError(
+                f"set file {source!r} is not UTF-8 text (byte {exc.start})"
+            ) from None
     values = []
     for line in source:
         line = line.strip()

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+from collections import Counter
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -119,8 +121,8 @@ def _verify_representation(rep: SparseCounts, sets: Sequence[OrderedSet]) -> Non
             f"representation mass {rep.mass} != product of sizes {expected}"
         )
     stats.mass_checks += 1
-    total = mass_of_squares(rep)
-    weighted = sum(4 ** (c.bit_length() - 1) for c in rep.counts)
+    sp = spectrum_of(rep)
+    total, weighted = sp.total_T, sp.weighted_sum()
     if not weighted <= total < 4 * weighted:
         raise VerificationError("dyadic spectrum sandwich violated")
     stats.sandwich_checks += 1
@@ -416,11 +418,8 @@ class Spectrum:
 
 
 def spectrum_of(rep: SparseCounts) -> Spectrum:
-    sizes: dict[int, int] = {}
-    for c in rep.counts:
-        j = c.bit_length() - 1
-        sizes[j] = sizes.get(j, 0) + 1
-    classes = tuple(sorted(sizes.items()))
+    sizes = Counter(map(int.bit_length, rep.counts))
+    classes = tuple(sorted((bits - 1, size) for bits, size in sizes.items()))
     return Spectrum(classes, mass_of_squares(rep))
 
 
@@ -437,7 +436,7 @@ def spectrum(
 
 def rich_tail(rep: SparseCounts, r: int) -> int:
     """|{x : r(x) >= r}|."""
-    return sum(1 for c in rep.counts if c >= r)
+    return sum(map(operator.ge, rep.counts, itertools.repeat(r)))
 
 
 def signed_sumset(

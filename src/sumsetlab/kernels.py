@@ -33,7 +33,7 @@ def convolve_exact(
             else:
                 acc[key] = c * d
     values = sorted(acc)
-    return values, [acc[v] for v in values]
+    return values, list(map(acc.__getitem__, values))
 
 
 def convolve_integer(

@@ -18,6 +18,7 @@ from typing import Any, Sequence
 
 from .core import OrderedSet, format_element
 from .engine import Spectrum
+from .errors import InputError
 
 
 def jsonable(value: Any) -> Any:
@@ -77,9 +78,12 @@ def _csv_cell(cell: Any) -> str:
 
 def file_digest(path: str) -> str:
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
+    try:
+        with open(path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 16), b""):
+                h.update(chunk)
+    except OSError as exc:
+        raise InputError(f"cannot read {path!r}: {exc.strerror or exc}") from None
     return h.hexdigest()
 
 

@@ -6,8 +6,9 @@ import json
 
 import pytest
 
-from sumsetlab import gen_random_s_convex, read_set
+from sumsetlab import InputError, gen_random_s_convex, read_set
 from sumsetlab.cli import run
+from sumsetlab.reporting import file_digest
 
 
 def _run(capsys, *argv):
@@ -212,6 +213,48 @@ class TestVerify:
             "--grid", "8,16",
         )
         assert code == 2
+
+
+def _not_utf8(tmp_path):
+    path = tmp_path / "latin1.set"
+    path.write_bytes(b"1\n2\n# caf\xe9\n")
+    return str(path)
+
+
+class TestUserErrors:
+    """Bad paths, undecodable files and malformed grids are user errors:
+    exit 2 with one `error:` line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            lambda tmp: ["energy", "--set", str(tmp / "missing.set")],
+            lambda tmp: ["energy", "--set", str(tmp)],
+            lambda tmp: ["energy", "--set", _not_utf8(tmp)],
+            lambda tmp: ["verify", "--bound", "T3", "--family", "interval",
+                         "--grid", "8,x"],
+            lambda tmp: ["verify", "--bound", "T3", "--family", "interval",
+                         "--grid", ""],
+        ],
+        ids=["missing", "directory", "not_utf8", "grid_8_x", "grid_empty"],
+    )
+    def test_exits_2_with_one_error_line(self, tmp_path, capsys, argv):
+        code, out, err = _run(capsys, *argv(tmp_path))
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+    def test_message_names_the_path(self, tmp_path, capsys):
+        path = str(tmp_path / "missing.set")
+        _, _, err = _run(capsys, "energy", "--set", path)
+        assert path in err
+
+    def test_digest_of_unreadable_path(self, tmp_path):
+        with pytest.raises(InputError, match="missing.set"):
+            file_digest(str(tmp_path / "missing.set"))
+        with pytest.raises(InputError):
+            file_digest(str(tmp_path))
 
 
 class TestDeterminism:

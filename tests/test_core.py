@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -151,6 +152,19 @@ class TestSparseCountsValidation:
     def test_count_of(self):
         p = SparseCounts([2, 4], [3, 5])
         assert p.count_of(2) == 3 and p.count_of(3) == 0
+
+    @pytest.mark.parametrize(
+        "counts", [[2.7, "3"], [2, 3.0], [1, "3"], [Fraction(4, 2), 1], [1, None]]
+    )
+    def test_non_integer_counts_rejected(self, counts):
+        with pytest.raises(InputError, match="^SparseCounts counts must be integers$"):
+            SparseCounts([1, 2], counts)
+
+    def test_integer_scalar_counts_accepted(self):
+        p = SparseCounts([1, 2, 3], [np.int64(2), 3, True])
+        assert p.counts == (2, 3, 1)
+        assert all(type(c) is int for c in p.counts)
+        assert p.mass == 6
 
 
 @given(

@@ -165,12 +165,17 @@ class TestLuckyPairs:
             B = gen_random_s_convex(48, 1, seed, 3)
             rep = representation([B, B])
             triple = TripleSumset(B)
+            partitions = {}  # one GridPartition per dyadic class r
             for x, r_x in rep.items():
                 j = r_x.bit_length() - 1
                 r = 2**j
                 if r < c:  # degenerate classes carry no guarantee
                     continue
-                pairs = lucky_pairs_for_sum([B, B], [IDENTITY] * 2, x, r, c)
+                if r not in partitions:
+                    partitions[r] = build_partition([B, B], r, c)
+                pairs = lucky_pairs_for_sum(
+                    [B, B], [IDENTITY] * 2, x, r, c, partition=partitions[r]
+                )
                 t = cells_per_axis(r, 2, c)
                 assert len(pairs) >= r_x - 2 * t
                 cap = witness_cap(len(triple), r, 2, c)

@@ -1,0 +1,254 @@
+"""Container checks and reductions against per-element reference loops.
+
+``OrderedSet``, ``SparseCounts`` and the reductions over representation
+functions run each check or sum as one builtin pass.  The oracles below
+are the per-element Python loops they replaced, kept verbatim except for
+one rule: a count must be an integer (Python int, bool or numpy integer
+scalar), where the loop used to truncate it with ``int()``.  Every input
+must get the same acceptance, the same InputError message and the same
+result from both.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sumsetlab import InputError, OrderedSet, SparseCounts, kernels
+from sumsetlab.core import mass_of_squares, moment_sum
+from sumsetlab.engine import rich_tail, spectrum_of
+
+
+# -- reference loops ---------------------------------------------------------
+
+
+def oracle_canon(x):
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int):
+        return x
+    raise InputError(f"not an exact rational: {x!r}")
+
+
+def oracle_ordered_set(elements):
+    elems = tuple(oracle_canon(x) for x in elements)
+    if not elems:
+        raise InputError("OrderedSet must be non-empty")
+    for a, b in zip(elems, elems[1:]):
+        if not a < b:
+            raise InputError("OrderedSet elements must be strictly increasing")
+    return elems, all(isinstance(x, int) for x in elems)
+
+
+def oracle_sparse_counts(values, counts):
+    if len(values) != len(counts):
+        raise InputError("values/counts length mismatch")
+    if not values:
+        raise InputError("SparseCounts must be non-empty")
+    vals = tuple(oracle_canon(v) for v in values)
+    for a, b in zip(vals, vals[1:]):
+        if not a < b:
+            raise InputError("SparseCounts values must be strictly increasing")
+    cnts = []
+    for c in counts:
+        if not hasattr(type(c), "__index__"):  # the one new rule
+            raise InputError("SparseCounts counts must be integers")
+        cnts.append(int(c))
+    if any(c < 1 for c in cnts):
+        raise InputError("SparseCounts counts must be positive")
+    return vals, tuple(cnts), sum(cnts), all(isinstance(v, int) for v in vals)
+
+
+def oracle_spectrum(counts):
+    sizes: dict[int, int] = {}
+    for c in counts:
+        j = c.bit_length() - 1
+        sizes[j] = sizes.get(j, 0) + 1
+    weighted = sum(4 ** (c.bit_length() - 1) for c in counts)
+    return tuple(sorted(sizes.items())), sum(c * c for c in counts), weighted
+
+
+def oracle_convolve(av, ac, bv, bc):
+    acc: dict = {}
+    for v, c in zip(av, ac):
+        for w, d in zip(bv, bc):
+            key = v + w
+            if key in acc:
+                acc[key] += c * d
+            else:
+                acc[key] = c * d
+    values = sorted(acc)
+    return values, [acc[v] for v in values]
+
+
+def outcome(fn, *args):
+    """("ok", result) or ("error", exception type, message)."""
+    try:
+        return ("ok", fn(*args))
+    except Exception as exc:  # compared, never swallowed
+        return ("error", type(exc), str(exc))
+
+
+# -- inputs -----------------------------------------------------------------
+
+BIG = 2**70
+
+rationals = st.one_of(
+    st.integers(-BIG, BIG),
+    st.integers(-5, 5),
+    st.integers(-BIG, BIG).map(Fraction),  # integral Fractions
+    st.fractions(max_denominator=10**3),
+    st.fractions(min_value=-(2**66), max_value=2**66, max_denominator=7),
+    st.booleans(),
+)
+non_rationals = st.sampled_from([1.5, 2.0, "3", None, np.int64(4)])
+count_items = st.one_of(
+    st.integers(-3, 3),
+    st.integers(2**63 - 2, BIG),
+    st.booleans(),
+    st.sampled_from(
+        [np.int64(5), np.uint8(0), 2.7, 3.0, "3", Fraction(4, 2), Fraction(1, 2)]
+    ),
+)
+
+
+@st.composite
+def value_lists(draw):
+    """Mostly strictly increasing lists; also raw draws (duplicates,
+    descending pairs) and lists with one non-rational element."""
+    vals = draw(st.lists(rationals, max_size=10))
+    if draw(st.booleans()):
+        vals = sorted(set(vals))
+    if draw(st.integers(0, 5)) == 0:
+        vals.insert(draw(st.integers(0, len(vals))), draw(non_rationals))
+    return vals
+
+
+@st.composite
+def values_and_counts(draw):
+    vals = draw(value_lists())
+    n = len(vals)
+    if draw(st.integers(0, 9)) == 0:
+        n = draw(st.integers(0, 11))
+    if draw(st.booleans()):
+        counts = draw(st.lists(st.integers(1, BIG), min_size=n, max_size=n))
+    else:
+        counts = draw(st.lists(count_items, min_size=n, max_size=n))
+    return vals, counts
+
+
+def typed(xs):
+    """Elements with their exact types: True and 1, or 2 and Fraction(2),
+    compare equal but are not interchangeable here."""
+    return tuple((type(x), x) for x in xs)
+
+
+# -- containers -------------------------------------------------------------
+
+
+@given(vals=value_lists(), as_generator=st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_ordered_set_matches_oracle(vals, as_generator):
+    arg = (x for x in vals) if as_generator else vals
+    want = outcome(oracle_ordered_set, list(vals))
+
+    def build(v):
+        A = OrderedSet(v)
+        return A.elements, A.is_integer
+
+    got = outcome(build, arg)
+    if want[0] == "error":
+        assert got == want
+        return
+    assert got[0] == "ok", got
+    assert typed(got[1][0]) == typed(want[1][0])
+    assert got[1][1] == want[1][1]
+
+
+@given(data=values_and_counts())
+@settings(max_examples=600, deadline=None)
+def test_sparse_counts_matches_oracle(data):
+    vals, counts = data
+    want = outcome(oracle_sparse_counts, vals, counts)
+
+    def build(v, c):
+        p = SparseCounts(v, c)
+        return p.values, p.counts, p.mass, p.is_integer_valued
+
+    got = outcome(build, vals, counts)
+    if want[0] == "error":
+        assert got == want
+        return
+    assert got[0] == "ok", got
+    for g, w in zip(got[1][:2], want[1][:2]):
+        assert typed(g) == typed(w)
+    assert got[1][2:] == want[1][2:]
+
+
+# -- reductions -------------------------------------------------------------
+
+
+@given(
+    counts=st.lists(
+        st.one_of(
+            st.integers(1, 40), st.integers(2**63 - 3, 2**63 + 3), st.integers(1, BIG)
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    r_extra=st.integers(-2, 2),
+)
+@settings(max_examples=300, deadline=None)
+def test_reductions_match_loops(counts, r_extra):
+    rep = SparseCounts(range(len(counts)), counts)
+    classes, total, weighted = oracle_spectrum(counts)
+    assert mass_of_squares(rep) == total
+    for m in (1, 2, 3, 5):
+        assert moment_sum(rep, m) == sum(c**m for c in counts)
+    sp = spectrum_of(rep)
+    assert sp.classes == classes
+    assert sp.total_T == total
+    assert sp.weighted_sum() == weighted
+    for r in {1, counts[0] + r_extra, max(counts), 2**63, BIG + 1}:
+        got = rich_tail(rep, r)
+        assert got == sum(1 for c in counts if c >= r)
+        assert type(got) is int
+
+
+@given(
+    a=st.dictionaries(
+        rationals.filter(lambda x: not isinstance(x, bool)),
+        st.integers(1, BIG),
+        min_size=1,
+        max_size=8,
+    ),
+    b=st.dictionaries(
+        st.integers(-BIG, BIG), st.integers(1, 2**64), min_size=1, max_size=8
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_convolve_exact_matches_loop(a, b):
+    av, bv = sorted(a), sorted(b)
+    args = (av, [a[v] for v in av], bv, [b[v] for v in bv])
+    assert kernels.convolve_exact(*args) == oracle_convolve(*args)
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        ([0], "SparseCounts counts must be positive"),
+        ([-1], "SparseCounts counts must be positive"),
+        ([2.7], "SparseCounts counts must be integers"),
+    ],
+)
+def test_count_errors_follow_value_errors(counts, message):
+    # Value checks run first: a bad value wins over a bad count.
+    increasing = "^SparseCounts values must be strictly increasing$"
+    with pytest.raises(InputError, match=increasing):
+        SparseCounts([2, 1], counts * 2)
+    with pytest.raises(InputError, match=f"^{message}$"):
+        SparseCounts([1], counts)
