@@ -239,7 +239,7 @@ class FitReport:
 def fit_exponent(points: Sequence[tuple[int, int]]) -> FitReport:
     """Least-squares slope of ln Q against ln N.
 
-    Needs at least 3 points with distinct N and Q >= 1.
+    Needs at least 3 points with distinct N >= 1 and Q >= 1.
     """
     pts = tuple((int(n), int(q)) for n, q in points)
     if len(pts) < 3:
@@ -247,6 +247,8 @@ def fit_exponent(points: Sequence[tuple[int, int]]) -> FitReport:
     ns = [n for n, _ in pts]
     if len(set(ns)) != len(ns):
         raise InputError("N values must be distinct")
+    if any(n < 1 for n in ns):
+        raise InputError("N values must be >= 1")
     if any(q < 1 for _, q in pts):
         raise InputError("Q values must be >= 1")
     xs = [log(n) for n, _ in pts]

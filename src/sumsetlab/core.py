@@ -309,8 +309,13 @@ def read_set(source: Union[str, TextIO]) -> OrderedSet:
 
 def write_set(A: OrderedSet, dest: Union[str, TextIO]) -> None:
     if isinstance(dest, str):
-        with open(dest, "w", encoding="utf-8") as fh:
-            write_set(A, fh)
+        try:
+            with open(dest, "w", encoding="utf-8") as fh:
+                write_set(A, fh)
+        except OSError as exc:
+            raise InputError(
+                f"cannot write set file {dest!r}: {exc.strerror or exc}"
+            ) from None
         return
     for x in A:
         dest.write(format_element(x) + "\n")

@@ -501,16 +501,11 @@ def popular_dyadic_class(
     by_class: dict[int, list] = {}
     for v, c in rep.items():
         by_class.setdefault(c.bit_length() - 1, []).append(v)
-    best: PopularClass | None = None
-    for j, values in sorted(by_class.items()):
-        delta = 2**j
-        score = len(values) * delta * delta
-        if best is None or score > best.score or (
-            score == best.score and delta > best.delta
-        ):
-            best = PopularClass(OrderedSet(sorted(values)), delta, score)
-    assert best is not None
-    return best
+    delta, values = max(
+        ((2**j, vals) for j, vals in by_class.items()),
+        key=lambda dv: (len(dv[1]) * dv[0] ** 2, dv[0]),
+    )
+    return PopularClass(OrderedSet(sorted(values)), delta, len(values) * delta**2)
 
 
 def popular_bound_factor(n: int) -> int:

@@ -128,6 +128,8 @@ class TestFitExponent:
             fit_exponent([(2, 8), (2, 9), (4, 64)])
         with pytest.raises(InputError):
             fit_exponent([(2, 0), (4, 64), (8, 512)])
+        with pytest.raises(InputError, match="N values must be >= 1"):
+            fit_exponent([(0, 5), (20, 5), (30, 7)])
 
 
 class TestInstantiate:

@@ -235,8 +235,15 @@ class TestUserErrors:
                          "--grid", "8,x"],
             lambda tmp: ["verify", "--bound", "T3", "--family", "interval",
                          "--grid", ""],
+            lambda tmp: ["--out", str(tmp / "no" / "x.json"), "energy",
+                         "--family", "interval:n=3"],
+            lambda tmp: ["--out", str(tmp), "energy", "--family", "interval:n=3"],
+            lambda tmp: ["gen", "interval:n=3", "--out", str(tmp / "no" / "x")],
+            lambda tmp: ["fit", "0:5", "20:5", "30:7"],
         ],
-        ids=["missing", "directory", "not_utf8", "grid_8_x", "grid_empty"],
+        ids=["missing", "directory", "not_utf8", "grid_8_x", "grid_empty",
+             "out_missing_dir", "out_directory", "gen_out_missing_dir",
+             "fit_n_zero"],
     )
     def test_exits_2_with_one_error_line(self, tmp_path, capsys, argv):
         code, out, err = _run(capsys, *argv(tmp_path))
@@ -248,6 +255,19 @@ class TestUserErrors:
     def test_message_names_the_path(self, tmp_path, capsys):
         path = str(tmp_path / "missing.set")
         _, _, err = _run(capsys, "energy", "--set", path)
+        assert path in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            lambda path: ["--out", path, "energy", "--family", "interval:n=3"],
+            lambda path: ["gen", "interval:n=3", "--out", path],
+        ],
+        ids=["report", "gen"],
+    )
+    def test_write_error_names_the_path(self, tmp_path, capsys, argv):
+        path = str(tmp_path / "no" / "x.out")
+        _, _, err = _run(capsys, *argv(path))
         assert path in err
 
     def test_digest_of_unreadable_path(self, tmp_path):

@@ -1,4 +1,4 @@
-"""Container checks and reductions against per-element reference loops.
+"""Containers, reductions and the convolution kernel against reference loops.
 
 ``OrderedSet``, ``SparseCounts`` and the reductions over representation
 functions run each check or sum as one builtin pass.  The oracles below
@@ -6,7 +6,8 @@ are the per-element Python loops they replaced, kept verbatim except for
 one rule: a count must be an integer (Python int, bool or numpy integer
 scalar), where the loop used to truncate it with ``int()``.  Every input
 must get the same acceptance, the same InputError message and the same
-result from both.
+result from both.  The kernel's self-convolution and common-denominator
+paths are checked against the plain all-pairs loop ``oracle_convolve``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumsetlab import InputError, OrderedSet, SparseCounts, kernels
-from sumsetlab.core import mass_of_squares, moment_sum
+from sumsetlab.core import convolve, mass_of_squares, moment_sum
 from sumsetlab.engine import rich_tail, spectrum_of
 
 
@@ -235,6 +236,90 @@ def test_convolve_exact_matches_loop(a, b):
     av, bv = sorted(a), sorted(b)
     args = (av, [a[v] for v in av], bv, [b[v] for v in bv])
     assert kernels.convolve_exact(*args) == oracle_convolve(*args)
+
+
+# -- the two kernel paths: self-convolution and a common denominator ---------
+
+PRIMES = [p for p in range(2, 2000) if all(p % q for q in range(2, int(p**0.5) + 1))]
+
+kernel_values = st.one_of(
+    rationals.filter(lambda x: not isinstance(x, bool)),
+    st.builds(Fraction, st.integers(-BIG, BIG), st.sampled_from(PRIMES)),
+)
+kernel_counts = st.dictionaries(
+    kernel_values, st.integers(1, BIG), min_size=1, max_size=10
+)
+
+
+def split(counts):
+    values = sorted(counts)
+    return values, [counts[v] for v in values]
+
+
+@given(a=kernel_counts, b=kernel_counts)
+@settings(max_examples=200, deadline=None)
+def test_convolve_exact_rational_both_sides(a, b):
+    args = (*split(a), *split(b))
+    assert kernels.convolve_exact(*args) == oracle_convolve(*args)
+
+
+@given(a=kernel_counts)
+@settings(max_examples=200, deadline=None)
+def test_self_convolution_matches_loop(a):
+    av, ac = split(a)
+    want = oracle_convolve(av, ac, av, ac)
+    assert kernels.convolve_exact(av, ac, av, ac) == want
+    assert kernels.convolve_exact(av, ac, list(av), list(ac)) == want
+    neg = ([-v for v in reversed(av)], ac[::-1])
+    twin = ([-v for v in reversed(av)], ac[::-1])
+    assert kernels.convolve_exact(*neg, *twin) == oracle_convolve(*neg, *twin)
+    # Equal values with another last count are not a self-convolution.
+    other = ac[:-1] + [ac[-1] + 1]
+    assert kernels.convolve_exact(av, ac, av, other) == oracle_convolve(
+        av, ac, av, other
+    )
+
+
+@given(
+    a=st.dictionaries(
+        st.integers(-BIG, BIG), st.integers(1, BIG), min_size=1, max_size=12
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_integer_self_convolution_matches_loop(a):
+    av, ac = split(a)
+    want = oracle_convolve(av, ac, av, ac)
+    assert kernels.convolve_integer(av, ac, av, ac) == want
+    assert kernels.convolve_integer(av, ac, list(av), list(ac)) == want
+    other = ac[:-1] + [ac[-1] + 1]
+    assert kernels.convolve_integer(av, ac, av, other) == oracle_convolve(
+        av, ac, av, other
+    )
+
+
+@given(a=kernel_counts)
+@settings(max_examples=100, deadline=None)
+def test_core_convolve_of_equal_operands(a):
+    p = SparseCounts(*split(a))
+    q = SparseCounts(*split(a))
+    want = SparseCounts(*oracle_convolve(p.values, p.counts, p.values, p.counts))
+    assert convolve(p, p) == convolve(p, q) == want
+    A = OrderedSet(p.values)
+    neg, twin = SparseCounts.from_set(A.negate()), SparseCounts.from_set(A.negate())
+    assert convolve(neg, twin) == SparseCounts(
+        *oracle_convolve(neg.values, neg.counts, neg.values, neg.counts)
+    )
+
+
+def test_many_prime_denominators():
+    av = [Fraction(i + 1, p) for i, p in enumerate(PRIMES[:150])]
+    av.sort()
+    ac = [i % 7 + 1 for i in range(len(av))]
+    bv = [Fraction(-(2**70) + i, p) for i, p in enumerate(PRIMES[150:300])]
+    bv.sort()
+    bc = [2**65 + i for i in range(len(bv))]
+    for args in ((av, ac, av, ac), (av, ac, bv, bc), (bv, bc, list(bv), list(bc))):
+        assert kernels.convolve_exact(*args) == oracle_convolve(*args)
 
 
 @pytest.mark.parametrize(
