@@ -20,10 +20,17 @@ from dataclasses import dataclass
 
 from . import bounds, engine, luckypairs
 from .convexity import IDENTITY, convexity_order, parse_function
-from .core import OrderedSet, read_set, write_set
+from .core import OrderedSet, check_set_destination, read_set, write_set
 from .errors import SumsetLabError
 from .families import format_family, parse_family
-from .reporting import emit, file_digest, render_json, rows_csv, spectrum_csv
+from .reporting import (
+    check_destination,
+    emit,
+    file_digest,
+    render_json,
+    rows_csv,
+    spectrum_csv,
+)
 
 
 @dataclass
@@ -104,17 +111,17 @@ def _cmd_analyze(args, cfg: RunConfig) -> int:
             rep = engine.doubling(A, pattern, algo=cfg.algo, mem_budget=cfg.mem_budget)
             entry[f"size[{pattern}]"] = rep.size
             entry[f"K[{pattern}]"] = rep.K
+        # engine.check_popular_bound, with the popular class found once.
         pop = engine.popular_dyadic_class(A, algo=cfg.algo, mem_budget=cfg.mem_budget)
-        e, bound, ok = engine.check_popular_bound(
-            A, algo=cfg.algo, mem_budget=cfg.mem_budget
-        )
+        e = engine.energy_T([A, A], algo=cfg.algo, mem_budget=cfg.mem_budget)
+        bound = engine.popular_bound_factor(len(A)) * pop.score
         entry["E"] = e
         entry["popular"] = {
             "delta": pop.delta,
             "class_size": len(pop.differences),
             "score": pop.score,
             "energy_bound": bound,
-            "bound_holds": ok,
+            "bound_holds": e <= bound,
         }
         entry["E3_diff"] = engine.moment(
             [A, A], 3, signs="+-", algo=cfg.algo, mem_budget=cfg.mem_budget
@@ -458,6 +465,11 @@ def run(argv=None) -> int:
         return 2
     try:
         cfg = _config(args)
+        # Fail on a destination that cannot be written before any work.
+        if args.command != "gen":
+            check_destination(cfg.out)
+        elif cfg.out:
+            check_set_destination(cfg.out)
         return _HANDLERS[args.command](args, cfg)
     except SumsetLabError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .core import OrderedSet, format_element
+from .core import OrderedSet, format_element, unwritable_reason
 from .engine import Spectrum
 from .errors import InputError
 
@@ -85,6 +85,16 @@ def file_digest(path: str) -> str:
     except OSError as exc:
         raise InputError(f"cannot read {path!r}: {exc.strerror or exc}") from None
     return h.hexdigest()
+
+
+def check_destination(out_path: str | None) -> None:
+    """Raise the InputError :func:`emit` would raise for ``out_path``
+    when :func:`core.unwritable_reason` already knows it."""
+    if out_path is None or out_path == "-":
+        return
+    reason = unwritable_reason(out_path)
+    if reason is not None:
+        raise InputError(f"cannot write {out_path!r}: {reason}")
 
 
 def emit(text: str, out_path: str | None) -> None:

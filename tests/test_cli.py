@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
-from sumsetlab import InputError, gen_random_s_convex, read_set
+import sumsetlab
+from sumsetlab import InputError, cli, engine, gen_random_s_convex, read_set
 from sumsetlab.cli import run
 from sumsetlab.reporting import file_digest
 
@@ -124,6 +129,16 @@ class TestSumsetDoubling:
         report = json.loads(out)["reports"][0]
         assert report["size"] == "28"
         assert report["K"] == "14/5"
+
+    def test_doubling_budget_exceeded_exits_2(self, capsys):
+        code, out, err = _run(
+            capsys, "--mem", "1000", "doubling", "--pattern", "++-",
+            "--family", "rsc:n=72,s=2,seed=1,gap=8",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: sumset support: estimated")
 
     def test_analyze(self, capsys):
         code, out, _ = _run(capsys, "analyze", "--family", "power:n=8,m=2")
@@ -270,6 +285,41 @@ class TestUserErrors:
         _, _, err = _run(capsys, *argv(path))
         assert path in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            lambda tmp: ["--out", str(tmp / "no" / "x.json"), "energy", "--k", "4",
+                         "--family", "rsc:n=38,s=3,seed=1,gap=64"],
+            lambda tmp: ["--out", str(tmp), "analyze", "--family", "interval:n=9"],
+            lambda tmp: ["gen", "interval:n=3", "--out", str(tmp / "no" / "x")],
+            lambda tmp: ["gen", "interval:n=3", "--out", str(tmp)],
+        ],
+        ids=["report_missing_dir", "report_directory", "gen_missing_dir",
+             "gen_directory"],
+    )
+    def test_unwritable_out_fails_before_any_work(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before --out was checked")
+
+        monkeypatch.setattr(engine, "representation", no_work)
+        monkeypatch.setattr(cli, "parse_family", no_work)
+        code, out, err = _run(capsys, *argv(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1
+        assert not (tmp_path / "no").exists()
+
+    def test_failed_command_leaves_out_untouched(self, tmp_path, capsys):
+        path = tmp_path / "old.json"
+        path.write_text("previous report\n")
+        code, _, _ = _run(
+            capsys, "--out", str(path), "energy", "--family", "nosuch:n=3"
+        )
+        assert code == 2
+        assert path.read_text() == "previous report\n"
+
     def test_digest_of_unreadable_path(self, tmp_path):
         with pytest.raises(InputError, match="missing.set"):
             file_digest(str(tmp_path / "missing.set"))
@@ -293,6 +343,39 @@ class TestDeterminism:
         assert "timing_ms" not in plain
         _, timed, _ = _run(capsys, "--timings", *base)
         assert "timing_ms" in timed
+
+
+def test_sparse_path_never_imports_numpy(tmp_path):
+    """numpy loads only for the dense fold: analyze of an int and a
+    rational set and a 4-fold energy that the planner sends to mitm
+    leave it unimported."""
+    script = textwrap.dedent(
+        """
+        import sys
+        from sumsetlab.cli import run
+
+        rat = "composed:f=poly:0,1/3,1/7,inner=rsc:n=32,s=2,seed=1,gap=8"
+        commands = [
+            ["--out", "int.set", "gen", "rsc:n=72,s=2,seed=1,gap=8"],
+            ["--out", "rat.set", "gen", rat],
+            ["--out", "an.json", "analyze", "--set", "int.set", "--set", "rat.set"],
+            ["--out", "t4.json", "energy", "--k", "4",
+             "--family", "rsc:n=38,s=3,seed=1,gap=64"],
+        ]
+        for argv in commands:
+            assert run(argv) == 0, argv
+        print("numpy" in sys.modules)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(sumsetlab.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+    assert (tmp_path / "an.json").read_text().count('"N"') == 2
 
 
 def test_no_command_prints_help(capsys):

@@ -10,6 +10,8 @@ from sumsetlab import (
     InputError,
     OrderedSet,
     ResourceError,
+    SparseCounts,
+    SplitMix64,
     VerificationError,
     doubling,
     energy_T,
@@ -17,6 +19,7 @@ from sumsetlab import (
     fractional_moment,
     gen_interval,
     gen_power,
+    gen_random_s_convex,
     moment,
     popular_dyadic_class,
     representation,
@@ -25,7 +28,9 @@ from sumsetlab import (
     verification,
 )
 from sumsetlab import engine
+from sumsetlab.bounds import verify_bound
 from sumsetlab.engine import check_popular_bound, rich_tail, spectrum_of
+from sumsetlab.luckypairs import TripleSumset
 
 from conftest import (
     brute_force_T,
@@ -262,6 +267,83 @@ class TestDoubling:
     def test_empty_pattern(self):
         with pytest.raises(InputError):
             doubling(gen_interval(3), "")
+
+
+class TestSupportPath:
+    """``doubling`` and ``signed_sumset`` under ``auto`` run the support
+    kernel: no counts, their own budget and verify-mode checks."""
+
+    @pytest.fixture
+    def sparse_counts_built(self, monkeypatch):
+        built = []
+        real = SparseCounts.__init__
+
+        def counting(self, values, counts):
+            built.append(len(values))
+            real(self, values, counts)
+
+        monkeypatch.setattr(SparseCounts, "__init__", counting)
+        return built
+
+    def test_auto_builds_no_sparse_counts(self, sparse_counts_built):
+        B = gen_random_s_convex(24, 2, 3, 8)
+        R = OrderedSet([Fraction(2, 7), Fraction(1, 3), 5])
+        doubling(B, "++-")
+        signed_sumset([B, R, B], "+-+")
+        TripleSumset(B)
+        TripleSumset(R)
+        for bound_id, s in (
+            ("card_main", 1), ("S66_diff", None), ("S66_sum", None),
+            ("S63_diff", None), ("S63_sum", None),
+        ):
+            verify_bound("power:m=2", bound_id, [8, 16], s=s)
+        assert sparse_counts_built == []
+        doubling(B, "++-", algo="mitm")
+        assert sparse_counts_built
+
+    def test_budget_covers_the_support(self):
+        B = gen_random_s_convex(72, 2, 1, 8)
+        with pytest.raises(ResourceError, match="^sumset support: estimated"):
+            doubling(B, "++-", mem_budget=1000)
+        with pytest.raises(ResourceError, match="^sumset support: estimated"):
+            signed_sumset([B, B], "+-", mem_budget=1000)
+
+    def test_takes_the_other_path_when_the_planned_one_does_not_fit(self):
+        rng = SplitMix64(5)
+        B = random_integer_set(rng, 30, spread=2**15)
+        bitset_bytes, fold_bytes, bitset = engine._plan_support([B, B], 1, False)
+        assert not bitset and bitset_bytes < fold_bytes
+        want = doubling(B, "+-", algo="mitm")
+        assert doubling(B, "+-", mem_budget=bitset_bytes) == want
+        with pytest.raises(ResourceError):
+            doubling(B, "+-", mem_budget=bitset_bytes - 1)
+
+    def test_explicit_algorithm_keeps_the_representation_route(self):
+        R = OrderedSet([Fraction(1, 3), 1, Fraction(5, 2)])
+        with pytest.raises(InputError, match="dense mode requires integer"):
+            doubling(R, "+-", algo="dense")
+        with pytest.raises(InputError, match="dense mode requires integer"):
+            signed_sumset([R, R], "+-", algo="dense")
+        with pytest.raises(ResourceError, match=r"^representation\[mitm\]"):
+            doubling(gen_interval(50), "++-", algo="mitm", mem_budget=1000)
+
+    def test_verify_mode_checks_the_size(self):
+        B = gen_power(12, 2)
+        with verification() as stats:
+            doubling(B, "++-")
+            signed_sumset([B, B], "+-")
+        assert stats.support_checks == 2
+        assert stats.mass_checks == 0
+
+    @pytest.mark.parametrize("size", [0, 3 * 6 - 3, 6**3 + 1])
+    def test_corrupted_size_raises(self, monkeypatch, size):
+        # |B+B-B| of 6 elements lies in [3 * 6 - 2, 6**3].
+        monkeypatch.setattr(engine.kernels, "support_size", lambda *args: size)
+        B = gen_power(6, 2)
+        assert doubling(B, "++-").size == size  # checked only in verify mode
+        with verification():
+            with pytest.raises(VerificationError, match="sumset size"):
+                doubling(B, "++-")
 
 
 class TestPopularClass:

@@ -7,11 +7,13 @@ one rule: a count must be an integer (Python int, bool or numpy integer
 scalar), where the loop used to truncate it with ``int()``.  Every input
 must get the same acceptance, the same InputError message and the same
 result from both.  The kernel's self-convolution and common-denominator
-paths are checked against the plain all-pairs loop ``oracle_convolve``.
+paths are checked against the plain all-pairs loop ``oracle_convolve``,
+and both paths of the support kernel against the counted representation.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +21,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumsetlab import InputError, OrderedSet, SparseCounts, kernels
+from sumsetlab import (
+    InputError,
+    OrderedSet,
+    SparseCounts,
+    doubling,
+    engine,
+    kernels,
+    representation,
+    signed_sumset,
+)
 from sumsetlab.core import convolve, mass_of_squares, moment_sum
 from sumsetlab.engine import rich_tail, spectrum_of
 
@@ -337,3 +348,108 @@ def test_count_errors_follow_value_errors(counts, message):
         SparseCounts([2, 1], counts * 2)
     with pytest.raises(InputError, match=f"^{message}$"):
         SparseCounts([1], counts)
+
+
+# -- the support kernel against the counted representation -------------------
+#
+# The support of A_1 +/- ... +/- A_k is the value list of the counted
+# representation function (``algo="mitm"``); ``doubling`` and
+# ``signed_sumset`` take the support kernel under ``algo="auto"``.
+
+ALL_PATTERNS = [
+    "".join(p) for k in range(1, 5) for p in itertools.product("+-", repeat=k)
+]
+
+support_elements = st.one_of(
+    st.integers(-40, 40),
+    st.integers(-BIG, BIG),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    st.builds(Fraction, st.integers(-BIG, BIG), st.sampled_from(PRIMES)),
+)
+support_sets = st.sets(support_elements, min_size=1, max_size=5).map(
+    lambda xs: OrderedSet(sorted(xs))
+)
+# Scaled spans below 2**12 bits: both kernel paths are cheap.
+narrow_sets = st.sets(
+    st.one_of(
+        st.integers(-60, 60),
+        st.builds(Fraction, st.integers(-200, 200), st.sampled_from([2, 3, 5, 7])),
+    ),
+    min_size=1,
+    max_size=5,
+).map(lambda xs: OrderedSet(sorted(xs)))
+
+
+def support_by_representation(sets, signs):
+    return representation(sets, signs=signs, algo="mitm").values
+
+
+@given(B=support_sets)
+@settings(max_examples=60, deadline=None)
+def test_doubling_matches_representation_on_every_pattern(B):
+    for pattern in ALL_PATTERNS:
+        got = doubling(B, pattern)
+        want = len(support_by_representation([B] * len(pattern), pattern))
+        assert got.size == want, pattern
+        assert got == doubling(B, pattern, algo="mitm")
+
+
+@given(sets=st.lists(support_sets, min_size=1, max_size=4), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_signed_sumset_matches_representation(sets, data):
+    tail = data.draw(st.text("+-", min_size=len(sets) - 1, max_size=len(sets) - 1))
+    signs = "+" + tail
+    got = signed_sumset(sets, signs)
+    assert got.elements == support_by_representation(sets, signs)
+    assert typed(got) == typed(signed_sumset(sets, signs, algo="mitm"))
+
+
+@given(sets=st.lists(narrow_sets, min_size=1, max_size=4), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_both_kernel_paths_match_representation(sets, data):
+    signs = [data.draw(st.sampled_from([1, -1])) for _ in sets]
+    values = [A.elements for A in sets]
+    den = kernels.common_denominator(values)
+    want = support_by_representation(sets, signs)
+    for bitset in (True, False):
+        assert kernels.support_values(values, signs, den, bitset) == list(want)
+        assert kernels.support_size(values, signs, den, bitset) == len(want)
+
+
+def test_planner_takes_the_bitset_on_an_interval():
+    B = OrderedSet(range(-(2**70), -(2**70) + 60))
+    sets, signs = [B, B, B], (1, 1, -1)
+    assert engine._plan_support(sets, 1, False)[2]
+    assert engine._plan_support(sets, 1, True)[2]
+    assert doubling(B, "++-").size == len(support_by_representation(sets, signs))
+    assert signed_sumset(sets, signs).elements == support_by_representation(
+        sets, signs
+    )
+
+
+@pytest.mark.parametrize(
+    "B",
+    [
+        OrderedSet([0, 2**70]),
+        OrderedSet([-(2**70), -5, 0, 3, 2**64 + 1]),
+        OrderedSet(sorted(Fraction(i + 1, p) for i, p in enumerate(PRIMES[:16]))),
+        OrderedSet([Fraction(-(2**66), 3), 0, 7, Fraction(2**65, 11)]),
+    ],
+    ids=["zero_and_2_70", "mixed_signs_past_2_64", "16_primes", "mixed_int_frac"],
+)
+def test_planner_takes_the_fold_on_wide_spans(B):
+    den = kernels.common_denominator([B.elements])
+    for pattern in ("+-", "++-", "+-+-"):
+        sets = [B] * len(pattern)
+        assert not engine._plan_support(sets, den, True)[2]
+        want = support_by_representation(sets, pattern)
+        assert doubling(B, pattern).size == len(want)
+        assert signed_sumset(sets, pattern).elements == want
+
+
+def test_singletons():
+    for x in (0, -(2**70), Fraction(-7, 3), 2**64 + 1):
+        A = OrderedSet([x])
+        for pattern in ALL_PATTERNS:
+            assert doubling(A, pattern).size == 1
+        assert signed_sumset([A, A, A], "+--").elements == (-x,)
