@@ -37,7 +37,13 @@ from .engine import (
     spectrum_of,
 )
 from .errors import InputError
-from .families import FamilySpec, format_family, generate, parse_family
+from .families import (
+    FamilySpec,
+    format_family,
+    gen_composed,
+    generate,
+    instantiate,
+)
 
 #: Slope tolerance used by every slope-within-bound flag.
 SLOPE_TOL = 0.1
@@ -80,25 +86,122 @@ class BoundSpec:
     params: dict = field(default_factory=dict)
 
 
-BOUND_IDS = (
-    "KG_energy",
-    "IKRT",
-    "T_main",
-    "card_main",
-    "T4_improved",
-    "T3",
-    "tail_14_3",
-    "E_cross_sqrtK",
-    "E_cross_K",
-    "T_near_convex",
-    "T_near_convex_sym",
-    "S66_diff",
-    "S66_sum",
-    "S66_energy",
-    "S63_diff",
-    "S63_sum",
-    "S63_energy",
-)
+def _ikrt(s: int | None, k: int | None) -> BoundSpec:
+    if k is None or k < 1:
+        raise InputError("IKRT needs k >= 1")
+    n = Fraction(2 * k - 2) + Fraction(1, 2 ** (k - 1))
+    return BoundSpec("IKRT", f"T{k}", "upper", n, params={"k": k})
+
+
+def _t_main(s: int | None, k: int | None) -> BoundSpec:
+    s = _need_s(s)
+    kk = 2**s
+    return BoundSpec(
+        "T_main", f"T{kk}", "upper", _t_main_exponent(s), params={"s": s, "k": kk}
+    )
+
+
+def _card_main(s: int | None, k: int | None) -> BoundSpec:
+    s = _need_s(s)
+    if s < 1:
+        raise InputError("card_main needs s >= 1")
+    kk = 2**s
+    return BoundSpec(
+        "card_main",
+        f"card{kk}",
+        "lower",
+        1 + s - alpha(s),
+        params={"s": s, "k": kk},
+    )
+
+
+def _t_near_convex(s: int | None, k: int | None) -> BoundSpec:
+    s = _need_s(s)
+    kk = 2**s
+    kexp = 2 - Fraction(2 + 2 * s - 2 * alpha(s), 2**s)
+    return BoundSpec(
+        "T_near_convex",
+        f"T{kk}",
+        "upper",
+        _t_main_exponent(s),
+        k_exponent=kexp,
+        doubling_pattern="++-",
+        per_factor=True,
+        params={"s": s, "k": kk},
+    )
+
+
+def _t_near_convex_sym(s: int | None, k: int | None) -> BoundSpec:
+    s = _need_s(s)
+    kk = 2**s
+    kexp = 2 ** (s + 1) - 2 - 2 * s + 2 * alpha(s)
+    return BoundSpec(
+        "T_near_convex_sym",
+        f"T{kk}",
+        "upper",
+        _t_main_exponent(s),
+        k_exponent=kexp,
+        doubling_pattern="++-",
+        params={"s": s, "k": kk},
+    )
+
+
+#: Every catalogued bound: a fixed BoundSpec, or a builder of (s, k) for
+#: the bounds indexed by the convexity parameter s (k = 2**s summands) or
+#: by the number of summands k.
+_CATALOGUE = {
+    "KG_energy": BoundSpec("KG_energy", "T2", "upper", Fraction(5, 2), params={"k": 2}),
+    "IKRT": _ikrt,
+    "T_main": _t_main,
+    "card_main": _card_main,
+    "T4_improved": BoundSpec(
+        "T4_improved", "T4", "upper", Fraction(4) + Fraction(24, 13), params={"k": 4}
+    ),
+    "T3": BoundSpec("T3", "T3", "upper", Fraction(4) + Fraction(1, 9), params={"k": 3}),
+    "tail_14_3": BoundSpec(
+        "tail_14_3",
+        "xr_tail3",
+        "upper",
+        Fraction(14, 3),
+        r_exponent=Fraction(-5, 2),
+        params={"k": 3},
+    ),
+    "E_cross_sqrtK": BoundSpec(
+        "E_cross_sqrtK",
+        "E_cross",
+        "upper",
+        Fraction(1),
+        k_exponent=Fraction(1, 2),
+        l_exponent=Fraction(3, 2),
+        doubling_pattern="++-",
+    ),
+    "E_cross_K": BoundSpec(
+        "E_cross_K",
+        "E_cross",
+        "upper",
+        Fraction(1),
+        k_exponent=Fraction(1),
+        l_exponent=Fraction(3, 2),
+        doubling_pattern="+-",
+    ),
+    "T_near_convex": _t_near_convex,
+    "T_near_convex_sym": _t_near_convex_sym,
+    "S66_diff": BoundSpec("S66_diff", "card_diff", "lower", Fraction(8, 5)),
+    "S66_sum": BoundSpec("S66_sum", "card_sum", "lower", Fraction(30, 19)),
+    "S66_energy": BoundSpec(
+        "S66_energy", "T2", "upper", Fraction(32, 13), params={"k": 2}
+    ),
+    "S63_diff": BoundSpec("S63_diff", "card_diff", "lower", 1 + Fraction(151, 234)),
+    # Recorded as printed in the source table; its own derivation gives
+    # 229/390, matching the printed decimal approximation.
+    "S63_sum": BoundSpec("S63_sum", "card_sum", "lower", 1 + Fraction(229, 309)),
+    # Decimal exponent as printed.
+    "S63_energy": BoundSpec(
+        "S63_energy", "T2", "upper", Fraction("2.4554"), params={"k": 2}
+    ),
+}
+
+BOUND_IDS = tuple(_CATALOGUE)
 
 
 def predicted(bound_id: str, s: int | None = None, k: int | None = None) -> BoundSpec:
@@ -107,111 +210,12 @@ def predicted(bound_id: str, s: int | None = None, k: int | None = None) -> Boun
     ``s`` parametrizes the convexity-indexed families (k = 2**s
     summands); ``k`` parametrizes the iterated two-summand chain.
     """
-    if bound_id == "KG_energy":
-        return BoundSpec("KG_energy", "T2", "upper", Fraction(5, 2), params={"k": 2})
-    if bound_id == "IKRT":
-        if k is None or k < 1:
-            raise InputError("IKRT needs k >= 1")
-        n = Fraction(2 * k - 2) + Fraction(1, 2 ** (k - 1))
-        return BoundSpec("IKRT", f"T{k}", "upper", n, params={"k": k})
-    if bound_id == "T_main":
-        s = _need_s(s)
-        kk = 2**s
-        return BoundSpec(
-            "T_main", f"T{kk}", "upper", _t_main_exponent(s), params={"s": s, "k": kk}
-        )
-    if bound_id == "card_main":
-        s = _need_s(s)
-        if s < 1:
-            raise InputError("card_main needs s >= 1")
-        kk = 2**s
-        return BoundSpec(
-            "card_main",
-            f"card{kk}",
-            "lower",
-            1 + s - alpha(s),
-            params={"s": s, "k": kk},
-        )
-    if bound_id == "T4_improved":
-        return BoundSpec(
-            "T4_improved", "T4", "upper", Fraction(4) + Fraction(24, 13), params={"k": 4}
-        )
-    if bound_id == "T3":
-        return BoundSpec("T3", "T3", "upper", Fraction(4) + Fraction(1, 9), params={"k": 3})
-    if bound_id == "tail_14_3":
-        return BoundSpec(
-            "tail_14_3",
-            "xr_tail3",
-            "upper",
-            Fraction(14, 3),
-            r_exponent=Fraction(-5, 2),
-            params={"k": 3},
-        )
-    if bound_id == "E_cross_sqrtK":
-        return BoundSpec(
-            "E_cross_sqrtK",
-            "E_cross",
-            "upper",
-            Fraction(1),
-            k_exponent=Fraction(1, 2),
-            l_exponent=Fraction(3, 2),
-            doubling_pattern="++-",
-        )
-    if bound_id == "E_cross_K":
-        return BoundSpec(
-            "E_cross_K",
-            "E_cross",
-            "upper",
-            Fraction(1),
-            k_exponent=Fraction(1),
-            l_exponent=Fraction(3, 2),
-            doubling_pattern="+-",
-        )
-    if bound_id == "T_near_convex":
-        s = _need_s(s)
-        kk = 2**s
-        kexp = 2 - Fraction(2 + 2 * s - 2 * alpha(s), 2**s)
-        return BoundSpec(
-            "T_near_convex",
-            f"T{kk}",
-            "upper",
-            _t_main_exponent(s),
-            k_exponent=kexp,
-            doubling_pattern="++-",
-            per_factor=True,
-            params={"s": s, "k": kk},
-        )
-    if bound_id == "T_near_convex_sym":
-        s = _need_s(s)
-        kk = 2**s
-        kexp = 2 ** (s + 1) - 2 - 2 * s + 2 * alpha(s)
-        return BoundSpec(
-            "T_near_convex_sym",
-            f"T{kk}",
-            "upper",
-            _t_main_exponent(s),
-            k_exponent=kexp,
-            doubling_pattern="++-",
-            params={"s": s, "k": kk},
-        )
-    if bound_id == "S66_diff":
-        return BoundSpec("S66_diff", "card_diff", "lower", Fraction(8, 5))
-    if bound_id == "S66_sum":
-        return BoundSpec("S66_sum", "card_sum", "lower", Fraction(30, 19))
-    if bound_id == "S66_energy":
-        return BoundSpec("S66_energy", "T2", "upper", Fraction(32, 13), params={"k": 2})
-    if bound_id == "S63_diff":
-        return BoundSpec("S63_diff", "card_diff", "lower", 1 + Fraction(151, 234))
-    if bound_id == "S63_sum":
-        # Recorded as printed in the source table; its own derivation
-        # gives 229/390, matching the printed decimal approximation.
-        return BoundSpec("S63_sum", "card_sum", "lower", 1 + Fraction(229, 309))
-    if bound_id == "S63_energy":
-        # Decimal exponent as printed.
-        return BoundSpec(
-            "S63_energy", "T2", "upper", Fraction("2.4554"), params={"k": 2}
-        )
-    raise InputError(f"unknown bound id {bound_id!r}")
+    entry = _CATALOGUE.get(bound_id)
+    if entry is None:
+        raise InputError(f"unknown bound id {bound_id!r}")
+    if isinstance(entry, BoundSpec):
+        return entry
+    return entry(s, k)
 
 
 def _need_s(s: int | None) -> int:
@@ -259,38 +263,6 @@ def fit_exponent(points: Sequence[tuple[int, int]]) -> FitReport:
 
 
 # ---------------------------------------------------------------------------
-# Family instantiation over an N grid.
-
-
-def instantiate(template: str, n: int, default_seed: int = 0) -> FamilySpec:
-    """Parse a family template, forcing its size parameter to n.
-
-    Works on templates with or without an existing n= (composed
-    templates get the size injected into the inner family).
-    """
-    head, _, rest = template.partition(":")
-    if head == "composed":
-        marker = ",inner="
-        cut = rest.find(marker)
-        if cut < 0:
-            raise InputError("composed template must contain ,inner=")
-        inner = _inject_n(rest[cut + len(marker):], n)
-        text = f"composed:{rest[:cut]}{marker}{inner}"
-    else:
-        text = _inject_n(template, n)
-    return parse_family(text, default_seed)
-
-
-def _inject_n(template: str, n: int) -> str:
-    head, sep, rest = template.partition(":")
-    if not sep or not rest:
-        return f"{head}:n={n}"
-    parts = [p for p in rest.split(",") if not p.startswith("n=")]
-    parts.insert(0, f"n={n}")
-    return f"{head}:{','.join(parts)}"
-
-
-# ---------------------------------------------------------------------------
 # Verification reports.
 
 
@@ -319,11 +291,11 @@ def _alternating(k: int) -> str:
 
 
 def _measure_row(bound: BoundSpec, spec: FamilySpec, mem_budget, signs) -> VerifyRow:
-    A = generate(spec)
     if spec.name == "composed":
         B = generate(spec.params["inner"])
+        A = gen_composed(spec.params["f"], B)
     else:
-        B = A
+        A = B = generate(spec)
     n = len(B)
     K = Fraction(1)
     if bound.k_exponent:
@@ -337,7 +309,7 @@ def _measure_row(bound: BoundSpec, spec: FamilySpec, mem_budget, signs) -> Verif
         sp = spectrum_of(representation([A] * k, mem_budget=mem_budget))
         q: object = sp.total_T
         extras["xr_constant"] = _xr_constant(sp, n)
-    elif q_kind.startswith("card") and q_kind[4:].isdigit():
+    elif _is_card_k(q_kind):
         k = int(q_kind[4:])
         pattern = signs if signs else _alternating(k)
         q = len(signed_sumset([A] * k, pattern, mem_budget=mem_budget))
@@ -366,6 +338,10 @@ def _measure_row(bound: BoundSpec, spec: FamilySpec, mem_budget, signs) -> Verif
     )
     ratio = float(q) / denom
     return VerifyRow(n, q, K, L, ratio, extras)
+
+
+def _is_card_k(quantity: str) -> bool:
+    return quantity.startswith("card") and quantity[4:].isdigit()
 
 
 def _xr_constant(sp: Spectrum, n: int) -> float:
@@ -400,6 +376,10 @@ def verify_bound(
     if quantity is not None and quantity != bound.quantity:
         raise InputError(
             f"bound {bound_id} measures {bound.quantity}, not {quantity}"
+        )
+    if signs and not _is_card_k(bound.quantity):
+        raise InputError(
+            f"bound {bound_id} measures {bound.quantity}, which takes no signs"
         )
     if len(n_grid) < 1:
         raise InputError("empty N grid")

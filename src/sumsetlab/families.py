@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .convexity import FunctionSpec, eval_fn, format_function, parse_function
 from .core import OrderedSet, Scalar, canon, format_element
@@ -147,18 +147,67 @@ def gen_composed(f: FunctionSpec, B: OrderedSet) -> OrderedSet:
 #   gap:dims=8x8,steps=1/1:1000/1,base=0
 #   composed:f=root:2,inner=power:n=64,m=2
 #
-# "rsc" abbreviates random_s_convex.  In a composed spec, everything
-# between "f=" and ",inner=" is the function text and everything after
-# "inner=" is the inner family (both may contain ':' and ',').
+# In a composed spec, everything between "f=" and ",inner=" is the
+# function text and everything after "inner=" is the inner family (both
+# may contain ':' and ',').
 
-_CANONICAL_NAMES = {
-    "interval": "interval",
-    "power": "power",
-    "ap": "ap",
-    "rsc": "random_s_convex",
-    "random_s_convex": "random_s_convex",
-    "gap": "gap",
-    "composed": "composed",
+
+class _Kind(NamedTuple):
+    """How one parameter value is read from and written to spec text."""
+
+    parse: Callable[[str], object]
+    wording: str  # completes "parameter <key> must be ..."
+    format: Callable[[object], str]
+
+
+_INT = _Kind(int, "an integer", str)
+_RATIONAL = _Kind(lambda t: canon(Fraction(t)), "a rational", format_element)
+_DIMS = _Kind(
+    lambda t: tuple(int(d) for d in t.split("x")),
+    "integers separated by 'x'",
+    lambda v: "x".join(str(d) for d in v),
+)
+_STEPS = _Kind(
+    lambda t: tuple(canon(Fraction(s)) for s in t.split(":")),
+    "rationals separated by ':'",
+    lambda v: ":".join(format_element(s) for s in v),
+)
+
+
+@dataclass(frozen=True)
+class _Family:
+    tag: str  # the name written in spec text
+    # (key, kind, default) in spec order; a default of None marks a
+    # required parameter.  The "seed" parameter lives in FamilySpec.seed
+    # and defaults to the caller's seed.
+    params: tuple
+    make: Callable[..., OrderedSet]  # called with the values in spec order
+
+
+#: Every family except "composed", keyed by its FamilySpec name.
+_FAMILIES = {
+    "interval": _Family("interval", (("n", _INT, None),), gen_interval),
+    "power": _Family("power", (("n", _INT, None), ("m", _INT, None)), gen_power),
+    "ap": _Family(
+        "ap",
+        (("n", _INT, None), ("base", _RATIONAL, 1), ("step", _RATIONAL, 1)),
+        gen_ap,
+    ),
+    "random_s_convex": _Family(
+        "rsc",
+        (("n", _INT, None), ("s", _INT, None), ("seed", _INT, None), ("gap", _INT, 8)),
+        gen_random_s_convex,
+    ),
+    "gap": _Family(
+        "gap",
+        (("dims", _DIMS, None), ("steps", _STEPS, None), ("base", _RATIONAL, 0)),
+        gen_gap,
+    ),
+}
+
+# Spec text may name a family by its tag or by its FamilySpec name.
+_NAMES = {
+    alias: name for name, fam in _FAMILIES.items() for alias in (name, fam.tag)
 }
 
 
@@ -175,134 +224,90 @@ class FamilySpec:
 
 
 def parse_family(text: str, default_seed: int = 0) -> FamilySpec:
-    head, _, rest = text.partition(":")
-    name = _CANONICAL_NAMES.get(head.strip())
+    return instantiate(text, None, default_seed)
+
+
+def instantiate(template: str, n: int | None, default_seed: int = 0) -> FamilySpec:
+    """Parse a family spec with its size parameter set to n.
+
+    The innermost family of a composed spec takes the size; an n= in the
+    text is replaced.  With n None this is parse_family.
+    """
+    head, _, rest = template.partition(":")
+    head = head.strip()
+    if head == "composed":
+        return _parse_composed(rest, n, default_seed)
+    name = _NAMES.get(head)
     if name is None:
         raise InputError(f"unknown family {head!r}")
-    if name == "composed":
-        return _parse_composed(rest, default_seed)
-    params: dict = {}
+    raw: dict = {}
     if rest:
         for part in rest.split(","):
             key, eq, value = part.partition("=")
             if not eq:
                 raise InputError(f"expected key=value, got {part!r}")
-            params[key.strip()] = value.strip()
-    return _build_spec(name, params, default_seed)
+            key = key.strip()
+            if key in raw:
+                raise InputError(f"family {name!r} repeats parameter {key}")
+            raw[key] = value.strip()
+    if n is not None:
+        raw["n"] = str(n)
+    family = _FAMILIES[name]
+    known = {key for key, _, _ in family.params}
+    for key in raw:
+        if key not in known:
+            raise InputError(f"family {name!r} has no parameter {key}")
+    params: dict = {}
+    for key, kind, default in family.params:
+        if key in raw:
+            try:
+                params[key] = kind.parse(raw[key])
+            except (ValueError, ZeroDivisionError) as exc:
+                raise InputError(f"parameter {key} must be {kind.wording}") from exc
+        elif default is not None:
+            params[key] = default
+        elif key != "seed":
+            raise InputError(f"family {name!r} needs parameter {key}")
+    seed = params.pop("seed", default_seed)
+    return FamilySpec(name, params, seed)
 
 
-def _parse_composed(rest: str, default_seed: int) -> FamilySpec:
+def _parse_composed(rest: str, n: int | None, default_seed: int) -> FamilySpec:
     if not rest.startswith("f="):
         raise InputError("composed spec must start with f=")
-    marker = ",inner="
-    cut = rest.find(marker)
-    if cut < 0:
+    fn_text, marker, inner_text = rest[2:].partition(",inner=")
+    if not marker:
         raise InputError("composed spec must contain ,inner=")
-    fn_text = rest[2:cut]
-    inner_text = rest[cut + len(marker):]
     fn = parse_function(fn_text)
-    inner = parse_family(inner_text, default_seed)
+    inner = instantiate(inner_text, n, default_seed)
     return FamilySpec("composed", {"f": fn, "inner": inner}, inner.seed)
 
 
-def _build_spec(name: str, raw: dict, default_seed: int) -> FamilySpec:
-    def need_int(key: str, default=None) -> int:
-        if key not in raw:
-            if default is None:
-                raise InputError(f"family {name!r} needs parameter {key}")
-            return default
-        try:
-            return int(raw[key])
-        except ValueError as exc:
-            raise InputError(f"parameter {key} must be an integer") from exc
-
-    def need_rational(key: str, default=None) -> Scalar:
-        if key not in raw:
-            if default is None:
-                raise InputError(f"family {name!r} needs parameter {key}")
-            return default
-        try:
-            return canon(Fraction(raw[key]))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"parameter {key} must be a rational") from exc
-
-    if name == "interval":
-        return FamilySpec(name, {"n": need_int("n")})
-    if name == "power":
-        return FamilySpec(name, {"n": need_int("n"), "m": need_int("m")})
-    if name == "ap":
-        return FamilySpec(
-            name,
-            {
-                "n": need_int("n"),
-                "base": need_rational("base", 1),
-                "step": need_rational("step", 1),
-            },
-        )
-    if name == "random_s_convex":
-        seed = need_int("seed", default_seed)
-        return FamilySpec(
-            name,
-            {
-                "n": need_int("n"),
-                "s": need_int("s"),
-                "gap": need_int("gap", 8),
-            },
-            seed,
-        )
-    if name == "gap":
-        if "dims" not in raw or "steps" not in raw:
-            raise InputError("gap family needs dims= and steps=")
-        try:
-            dims = tuple(int(d) for d in raw["dims"].split("x"))
-            steps = tuple(
-                canon(Fraction(s)) for s in raw["steps"].split(":")
-            )
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError("bad gap dims/steps") from exc
-        return FamilySpec(
-            name, {"dims": dims, "steps": steps, "base": need_rational("base", 0)}
-        )
-    raise InputError(f"unknown family {name!r}")
+def _values(spec: FamilySpec, family: _Family) -> list:
+    """The spec's parameter values in spec order."""
+    return [
+        spec.seed if key == "seed" else spec.params[key]
+        for key, _, _ in family.params
+    ]
 
 
 def generate(spec: FamilySpec) -> OrderedSet:
     p = spec.params
-    if spec.name == "interval":
-        return gen_interval(p["n"])
-    if spec.name == "power":
-        return gen_power(p["n"], p["m"])
-    if spec.name == "ap":
-        return gen_ap(p["n"], p["base"], p["step"])
-    if spec.name == "random_s_convex":
-        return gen_random_s_convex(p["n"], p["s"], spec.seed, p["gap"])
-    if spec.name == "gap":
-        return gen_gap(p["dims"], p["steps"], p["base"])
     if spec.name == "composed":
         return gen_composed(p["f"], generate(p["inner"]))
-    raise InputError(f"unknown family {spec.name!r}")
+    family = _FAMILIES[spec.name]
+    return family.make(*_values(spec, family))
 
 
 def format_family(spec: FamilySpec) -> str:
     """Canonical spec string (parses back to an equal spec)."""
     p = spec.params
-    if spec.name == "interval":
-        return f"interval:n={p['n']}"
-    if spec.name == "power":
-        return f"power:n={p['n']},m={p['m']}"
-    if spec.name == "ap":
-        return (
-            f"ap:n={p['n']},base={format_element(p['base'])},"
-            f"step={format_element(p['step'])}"
-        )
-    if spec.name == "random_s_convex":
-        return f"rsc:n={p['n']},s={p['s']},seed={spec.seed},gap={p['gap']}"
-    if spec.name == "gap":
-        dims = "x".join(str(d) for d in p["dims"])
-        steps = ":".join(format_element(s) for s in p["steps"])
-        return f"gap:dims={dims},steps={steps},base={format_element(p['base'])}"
     if spec.name == "composed":
         return (
             f"composed:f={format_function(p['f'])},inner={format_family(p['inner'])}"
         )
-    raise InputError(f"unknown family {spec.name!r}")
+    family = _FAMILIES[spec.name]
+    pairs = zip(family.params, _values(spec, family))
+    return f"{family.tag}:" + ",".join(
+        f"{key}={kind.format(value)}" for (key, kind, _), value in pairs
+    )

@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from sumsetlab import InputError, alpha, fit_exponent, gen_interval, predicted
+from sumsetlab import (
+    InputError,
+    alpha,
+    fit_exponent,
+    gen_interval,
+    gen_power,
+    predicted,
+)
 from sumsetlab.bounds import (
     BOUND_IDS,
     heuristic_tail_report,
@@ -15,6 +24,8 @@ from sumsetlab.bounds import (
 )
 from sumsetlab.engine import energy_T
 from sumsetlab.families import format_family
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 class TestAlpha:
@@ -94,6 +105,13 @@ class TestPredicted:
             assert b.id == bound_id
             assert b.direction in ("upper", "lower")
 
+    def test_readme_catalogue_names_every_bound(self):
+        section = README.read_text().split("## Bound catalogue", 1)[1]
+        section = section.split("\n## ", 1)[0]
+        rows = re.findall(r"^\| (.*?) \|", section, flags=re.M)
+        ids = [i for row in rows[2:] for i in re.findall(r"`(\w+)`", row)]
+        assert sorted(ids) == sorted(BOUND_IDS)
+
     def test_unknown_id(self):
         with pytest.raises(InputError):
             predicted("nonsense")
@@ -147,6 +165,13 @@ class TestInstantiate:
         assert format_family(spec) == "composed:f=root:2,inner=power:n=9,m=2"
         assert spec.generate() == gen_interval(9)
 
+    def test_nested_composed(self):
+        spec = instantiate("composed:f=pow:2,inner=composed:f=pow:1,inner=interval", 5)
+        assert format_family(spec) == (
+            "composed:f=pow:2,inner=composed:f=pow:1,inner=interval:n=5"
+        )
+        assert spec.generate() == gen_power(5, 2)
+
 
 class TestVerifyBound:
     def test_squares_energy_within_kg(self):
@@ -176,6 +201,20 @@ class TestVerifyBound:
     def test_quantity_mismatch(self):
         with pytest.raises(InputError):
             verify_bound("power:m=2", "KG_energy", [8, 16], quantity="T3")
+
+    def test_signs_only_for_signed_sumsets(self):
+        with pytest.raises(InputError, match="S66_diff measures card_diff"):
+            verify_bound("power:m=2", "S66_diff", [8, 16, 32], signs="++")
+        grid = [8, 16, 32]
+        cubes = [gen_power(n, 3).elements for n in grid]
+        plain = verify_bound("power:m=3", "card_main", grid, s=1)
+        signed = verify_bound("power:m=3", "card_main", grid, s=1, signs="++")
+        assert [row.q for row in plain.rows] == [
+            len({a - b for a in A for b in A}) for A in cubes
+        ]
+        assert [row.q for row in signed.rows] == [
+            len({a + b for a in A for b in A}) for A in cubes
+        ]
 
     def test_tail_quantity(self):
         report = verify_bound("power:m=3", "tail_14_3", [8, 16])

@@ -50,6 +50,13 @@ class TestGen:
         assert code == 2
         assert "error:" in err
 
+    def test_unknown_family_parameter_exits_2(self, capsys):
+        code, out, err = _run(
+            capsys, "energy", "--family", "rsc:n=10,s=2,gap=8,sed=3"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: family 'random_s_convex' has no parameter sed\n"
+
 
 class TestEnergy:
     def test_pair_energy_of_interval(self, tmp_path, capsys):

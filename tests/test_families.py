@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +21,26 @@ from sumsetlab import (
     parse_family,
 )
 from sumsetlab.convexity import IntegerPower, IntegerRoot
-from sumsetlab.families import FamilySpec, format_family, gen_ap, generate
+from sumsetlab.families import (
+    _FAMILIES,
+    FamilySpec,
+    format_family,
+    gen_ap,
+    generate,
+    instantiate,
+)
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# One spec per family, with every parameter given; the registry test below
+# fails when a family is added without an example here.
+EXAMPLES = {
+    "interval": "interval:n=7",
+    "power": "power:n=5,m=3",
+    "ap": "ap:n=6,base=-2,step=1/3",
+    "random_s_convex": "rsc:n=8,s=2,seed=7,gap=4",
+    "gap": "gap:dims=3x2,steps=1:100,base=1/2",
+}
 
 
 def _reference_splitmix(state: int, n: int) -> list[int]:
@@ -159,6 +180,9 @@ class TestFamilySpecs:
             "power:n=x,m=2",
             "gap:dims=3,steps=",
             "composed:f=root:2",  # missing inner
+            "rsc:n=10,s=2,gap=8,sed=3",  # unknown parameter
+            "power:n=5,m=2,n=7",  # repeated parameter
+            "gap:dims=4x4,steps=1:100,n=4",  # gap has no size parameter
         ):
             with pytest.raises(InputError):
                 parse_family(bad)
@@ -167,3 +191,38 @@ class TestFamilySpecs:
         s1 = FamilySpec("random_s_convex", {"n": 12, "s": 1, "gap": 8}, seed=5)
         s2 = FamilySpec("random_s_convex", {"n": 12, "s": 1, "gap": 8}, seed=5)
         assert generate(s1) == generate(s2)
+
+
+class TestRegistry:
+    def test_every_family_has_an_example(self):
+        assert set(EXAMPLES) == set(_FAMILIES)
+
+    @pytest.mark.parametrize("name", sorted(_FAMILIES))
+    def test_format_is_stable(self, name):
+        text = EXAMPLES[name]
+        spec = parse_family(text)
+        assert spec.name == name
+        assert format_family(spec) == text
+        assert parse_family(format_family(spec)) == spec
+        composed = parse_family(f"composed:f=pow:1,inner={text}")
+        assert format_family(composed) == f"composed:f=pow:1,inner={text}"
+
+    @pytest.mark.parametrize("name", sorted(_FAMILIES))
+    def test_instantiate_sets_n(self, name):
+        text = EXAMPLES[name]
+        if "n" not in {key for key, _, _ in _FAMILIES[name].params}:
+            with pytest.raises(InputError, match="has no parameter n"):
+                instantiate(text, 7)
+            return
+        spec = instantiate(text, 7)
+        assert spec.params["n"] == 7
+        assert len(generate(spec)) == 7
+        composed = instantiate(f"composed:f=pow:2,inner={text}", 7)
+        assert composed.params["inner"] == spec
+
+    def test_readme_table_names_every_family(self):
+        section = README.read_text().split("### Family specs", 1)[1]
+        table = section.split("\n\n", 2)[1]
+        heads = re.findall(r"^\| `(\w+):", table, flags=re.M)
+        tags = [fam.tag for fam in _FAMILIES.values()] + ["composed"]
+        assert sorted(heads) == sorted(tags)
