@@ -86,14 +86,14 @@ class BoundSpec:
     params: dict = field(default_factory=dict)
 
 
-def _ikrt(s: int | None, k: int | None) -> BoundSpec:
+def _ikrt(k: int | None) -> BoundSpec:
     if k is None or k < 1:
         raise InputError("IKRT needs k >= 1")
     n = Fraction(2 * k - 2) + Fraction(1, 2 ** (k - 1))
     return BoundSpec("IKRT", f"T{k}", "upper", n, params={"k": k})
 
 
-def _t_main(s: int | None, k: int | None) -> BoundSpec:
+def _t_main(s: int | None) -> BoundSpec:
     s = _need_s(s)
     kk = 2**s
     return BoundSpec(
@@ -101,7 +101,7 @@ def _t_main(s: int | None, k: int | None) -> BoundSpec:
     )
 
 
-def _card_main(s: int | None, k: int | None) -> BoundSpec:
+def _card_main(s: int | None) -> BoundSpec:
     s = _need_s(s)
     if s < 1:
         raise InputError("card_main needs s >= 1")
@@ -115,7 +115,7 @@ def _card_main(s: int | None, k: int | None) -> BoundSpec:
     )
 
 
-def _t_near_convex(s: int | None, k: int | None) -> BoundSpec:
+def _t_near_convex(s: int | None) -> BoundSpec:
     s = _need_s(s)
     kk = 2**s
     kexp = 2 - Fraction(2 + 2 * s - 2 * alpha(s), 2**s)
@@ -131,7 +131,7 @@ def _t_near_convex(s: int | None, k: int | None) -> BoundSpec:
     )
 
 
-def _t_near_convex_sym(s: int | None, k: int | None) -> BoundSpec:
+def _t_near_convex_sym(s: int | None) -> BoundSpec:
     s = _need_s(s)
     kk = 2**s
     kexp = 2 ** (s + 1) - 2 - 2 * s + 2 * alpha(s)
@@ -146,14 +146,14 @@ def _t_near_convex_sym(s: int | None, k: int | None) -> BoundSpec:
     )
 
 
-#: Every catalogued bound: a fixed BoundSpec, or a builder of (s, k) for
-#: the bounds indexed by the convexity parameter s (k = 2**s summands) or
-#: by the number of summands k.
+#: Every catalogued bound: a fixed BoundSpec, or the parameter it reads
+#: and its builder, for the bounds indexed by the convexity parameter s
+#: (k = 2**s summands) or by the number of summands k.
 _CATALOGUE = {
     "KG_energy": BoundSpec("KG_energy", "T2", "upper", Fraction(5, 2), params={"k": 2}),
-    "IKRT": _ikrt,
-    "T_main": _t_main,
-    "card_main": _card_main,
+    "IKRT": ("k", _ikrt),
+    "T_main": ("s", _t_main),
+    "card_main": ("s", _card_main),
     "T4_improved": BoundSpec(
         "T4_improved", "T4", "upper", Fraction(4) + Fraction(24, 13), params={"k": 4}
     ),
@@ -184,8 +184,8 @@ _CATALOGUE = {
         l_exponent=Fraction(3, 2),
         doubling_pattern="+-",
     ),
-    "T_near_convex": _t_near_convex,
-    "T_near_convex_sym": _t_near_convex_sym,
+    "T_near_convex": ("s", _t_near_convex),
+    "T_near_convex_sym": ("s", _t_near_convex_sym),
     "S66_diff": BoundSpec("S66_diff", "card_diff", "lower", Fraction(8, 5)),
     "S66_sum": BoundSpec("S66_sum", "card_sum", "lower", Fraction(30, 19)),
     "S66_energy": BoundSpec(
@@ -208,14 +208,16 @@ def predicted(bound_id: str, s: int | None = None, k: int | None = None) -> Boun
     """The exact exponents for a catalogued bound id.
 
     ``s`` parametrizes the convexity-indexed families (k = 2**s
-    summands); ``k`` parametrizes the iterated two-summand chain.
+    summands); ``k`` parametrizes the iterated two-summand chain.  A
+    bound ignores a parameter it does not read.
     """
     entry = _CATALOGUE.get(bound_id)
     if entry is None:
         raise InputError(f"unknown bound id {bound_id!r}")
     if isinstance(entry, BoundSpec):
         return entry
-    return entry(s, k)
+    param, build = entry
+    return build(s if param == "s" else k)
 
 
 def _need_s(s: int | None) -> int:
@@ -290,7 +292,9 @@ def _alternating(k: int) -> str:
     return "".join("+" if i % 2 == 0 else "-" for i in range(k))
 
 
-def _measure_row(bound: BoundSpec, spec: FamilySpec, mem_budget, signs) -> VerifyRow:
+def _measure_row(
+    bound: BoundSpec, spec: FamilySpec, mem_budget, signs, algo: str
+) -> VerifyRow:
     if spec.name == "composed":
         B = generate(spec.params["inner"])
         A = gen_composed(spec.params["f"], B)
@@ -299,30 +303,30 @@ def _measure_row(bound: BoundSpec, spec: FamilySpec, mem_budget, signs) -> Verif
     n = len(B)
     K = Fraction(1)
     if bound.k_exponent:
-        K = doubling(B, bound.doubling_pattern, mem_budget=mem_budget).K
+        K = doubling(B, bound.doubling_pattern, algo=algo, mem_budget=mem_budget).K
     L = len(A)
     extras: dict = {}
 
     q_kind = bound.quantity
     if q_kind.startswith("T") and q_kind[1:].isdigit():
         k = int(q_kind[1:])
-        sp = spectrum_of(representation([A] * k, mem_budget=mem_budget))
+        sp = spectrum_of(representation([A] * k, algo=algo, mem_budget=mem_budget))
         q: object = sp.total_T
         extras["xr_constant"] = _xr_constant(sp, n)
     elif _is_card_k(q_kind):
         k = int(q_kind[4:])
         pattern = signs if signs else _alternating(k)
-        q = len(signed_sumset([A] * k, pattern, mem_budget=mem_budget))
+        q = len(signed_sumset([A] * k, pattern, algo=algo, mem_budget=mem_budget))
     elif q_kind == "card_diff":
-        q = len(signed_sumset([A, A], "+-", mem_budget=mem_budget))
+        q = len(signed_sumset([A, A], "+-", algo=algo, mem_budget=mem_budget))
     elif q_kind == "card_sum":
-        q = len(signed_sumset([A, A], "++", mem_budget=mem_budget))
+        q = len(signed_sumset([A, A], "++", algo=algo, mem_budget=mem_budget))
     elif q_kind == "E_cross":
         C = A
-        q = energy_cross(A, C, mem_budget=mem_budget)
+        q = energy_cross(A, C, algo=algo, mem_budget=mem_budget)
         L = len(C)
     elif q_kind == "xr_tail3":
-        rep = representation([A] * 3, mem_budget=mem_budget)
+        rep = representation([A] * 3, algo=algo, mem_budget=mem_budget)
         sp = spectrum_of(rep)
         q = max(size * float(2**j) ** 2.5 for j, size in sp.classes)
     else:
@@ -363,6 +367,7 @@ def verify_bound(
     k: int | None = None,
     signs: str | None = None,
     default_seed: int = 0,
+    algo: str = "auto",
     mem_budget: int | None = None,
     tol: float = SLOPE_TOL,
 ) -> VerifyReport:
@@ -371,8 +376,15 @@ def verify_bound(
     Produces per-N rows (N, Q, K, L, ratio) plus flags: the monotone
     ratio trend in the bound's direction, and (for pure-N bounds) the
     fitted slope against the predicted exponent with tolerance ``tol``.
+    An ``s`` or ``k`` that the bound does not read is an InputError;
+    ``algo`` goes to every engine call.
     """
     bound = predicted(bound_id, s=s, k=k)
+    entry = _CATALOGUE[bound_id]
+    reads = None if isinstance(entry, BoundSpec) else entry[0]
+    for name, value in (("s", s), ("k", k)):
+        if value is not None and name != reads:
+            raise InputError(f"bound {bound_id} takes no parameter {name}")
     if quantity is not None and quantity != bound.quantity:
         raise InputError(
             f"bound {bound_id} measures {bound.quantity}, not {quantity}"
@@ -386,7 +398,7 @@ def verify_bound(
     rows = []
     for n in sorted(n_grid):
         spec = instantiate(family_template, n, default_seed)
-        rows.append(_measure_row(bound, spec, mem_budget, signs))
+        rows.append(_measure_row(bound, spec, mem_budget, signs, algo))
 
     ratios = [row.ratio for row in rows]
     flags: dict = {
@@ -431,19 +443,20 @@ def heuristic_tail_report(
     signs: str = "+-+-",
     h_sample: Sequence[int] = (1, 2, 3),
     default_seed: int = 0,
+    algo: str = "auto",
     mem_budget: int | None = None,
 ) -> dict:
     per_n = []
     for n in sorted(n_grid):
         spec = instantiate(family_template, n, default_seed)
         A = generate(spec)
-        rep = representation([A] * 4, signs=signs, mem_budget=mem_budget)
+        rep = representation([A] * 4, signs=signs, algo=algo, mem_budget=mem_budget)
         e_hat = 0
         for h in h_sample:
             if h >= len(A):
                 continue
             D = delta_h(A, h).as_set()
-            e_hat = max(e_hat, energy_T([D, D], mem_budget=mem_budget))
+            e_hat = max(e_hat, energy_T([D, D], algo=algo, mem_budget=mem_budget))
         max_ratio = 0.0
         max_r = rep.max_count()
         r = 1

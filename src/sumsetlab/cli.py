@@ -286,10 +286,14 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
             f"bad --grid {args.grid!r}, expected comma-separated integers"
         )
     if args.bound == "eq13_tail":
+        for name in ("signs", "s", "k"):
+            if getattr(args, name) is not None:
+                raise SumsetLabError(f"bound eq13_tail takes no parameter {name}")
         payload = bounds.heuristic_tail_report(
             args.family,
             grid,
             default_seed=cfg.seed,
+            algo=cfg.algo,
             mem_budget=cfg.mem_budget,
         )
         payload["op"] = "verify"
@@ -305,6 +309,7 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
         k=args.k,
         signs=args.signs,
         default_seed=cfg.seed,
+        algo=cfg.algo,
         mem_budget=cfg.mem_budget,
     )
     if cfg.fmt == "csv":

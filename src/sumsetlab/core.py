@@ -111,7 +111,7 @@ class OrderedSet:
 
     @property
     def is_integer(self) -> bool:
-        """True when every element is an integer (enables dense kernels)."""
+        """True when every element is an integer."""
         return self._is_integer
 
     def __len__(self) -> int:
@@ -258,13 +258,9 @@ def convolve(p: SparseCounts, q: SparseCounts) -> SparseCounts:
     """Exact convolution: entry at v gets sum_u p(u) * q(v - u).
 
     Commutative and associative; total mass multiplies.  The work is
-    done by the sparse kernel in :mod:`sumsetlab.kernels`.
+    done by :func:`sumsetlab.kernels.convolve_exact`.
     """
-    if p.is_integer_valued and q.is_integer_valued:
-        kernel = kernels.convolve_integer
-    else:
-        kernel = kernels.convolve_exact
-    values, counts = kernel(p.values, p.counts, q.values, q.counts)
+    values, counts = kernels.convolve_exact(p.values, p.counts, q.values, q.counts)
     return SparseCounts(values, counts)
 
 

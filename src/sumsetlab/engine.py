@@ -6,13 +6,18 @@ the product of the set sizes.  Energies (second moments), higher
 moments and rich-sum spectra are derived from it with exact integer
 arithmetic.
 
-Three interchangeable algorithms compute the representation function:
+``representation`` signs and scales its inputs once: each set becomes
+the increasing list of its values times the common denominator of all
+sets, negated where its sign is -1 (``kernels.signed_scaled``).  The
+planner and three interchangeable algorithms run on those int lists,
+and the result is mapped back and wrapped in one ``SparseCounts``:
 
 * ``naive`` -- enumerate all tuples (the N**k expansion);
-* ``mitm``  -- balanced convolution tree: convolve the representation
-  functions of the two halves;
-* ``dense`` -- integer-only folding over a dense count array keyed by
-  value offset.
+* ``mitm``  -- balanced convolution tree: ``kernels.convolve_integer``
+  of the two halves' (values, counts) lists;
+* ``dense`` -- one fold over a numpy count array keyed by value offset,
+  in int64 while the mass (which bounds every count) is below 2**63 and
+  in Python ints (``dtype=object``) beyond; integer-valued sets only.
 
 ``auto`` selects by estimated cost.  All modes agree exactly and are
 cross-checked in the test suite.  Operations estimate their memory
@@ -49,7 +54,6 @@ from .core import (
     DICT_ENTRY_BYTES,
     OrderedSet,
     SparseCounts,
-    convolve,
     mass_of_squares,
     moment_sum,
 )
@@ -93,11 +97,6 @@ def parse_signs(signs: Signs, k: int) -> tuple[int, ...]:
     if len(out) != k:
         raise InputError(f"expected {k} signs, got {len(out)}")
     return out
-
-
-def apply_signs(sets: Sequence[OrderedSet], signs: Signs) -> list[OrderedSet]:
-    eps = parse_signs(signs, len(sets))
-    return [A if e == 1 else A.negate() for A, e in zip(sets, eps)]
 
 
 # ---------------------------------------------------------------------------
@@ -165,61 +164,61 @@ def _verify_support(size: int, sets: Sequence[OrderedSet]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Planning: entry estimates and memory/cost estimates per algorithm.
+# Planning: entry estimates and memory/cost estimates per algorithm, read
+# from the signed int lists the algorithms run on and their common
+# denominator ``den`` (1 exactly when every set is integer-valued).
 
 
 @dataclass(frozen=True)
 class _Node:
     entries: int
-    lo: object
-    hi: object
-    integer: bool
-
-
-def _leaf(A: OrderedSet) -> _Node:
-    return _Node(len(A), A[0], A[-1], A.is_integer)
+    # The number of integers from the least sum to the greatest: a cap
+    # on the distinct sums.  math.inf when some summand set holds a
+    # non-integer, which leaves ``entries`` uncapped.
+    span: Union[int, float]
 
 
 def _join(p: _Node, q: _Node) -> tuple[_Node, int, float]:
     """Estimate (output node, bytes, cost) for convolving p with q."""
     work = p.entries * q.entries
-    lo, hi = p.lo + q.lo, p.hi + q.hi
-    integer = p.integer and q.integer
-    out = min(work, hi - lo + 1) if integer else work
-    return _Node(out, lo, hi, integer), out * DICT_ENTRY_BYTES, float(work)
+    span = p.span + q.span - 1
+    out = min(work, span)
+    return _Node(out, span), out * DICT_ENTRY_BYTES, float(work)
 
 
-def _plan_mitm(sets: Sequence[OrderedSet]) -> tuple[int, float]:
+def _plan_mitm(lists: Sequence[list[int]], den: int) -> tuple[int, float]:
     def rec(lo: int, hi: int) -> tuple[_Node, int, float]:
         if hi - lo == 1:
-            return _leaf(sets[lo]), 0, 0.0
+            vals = lists[lo]
+            # A set of integers: its scaled values are multiples of den.
+            if den == 1 or not any(x % den for x in vals):
+                return _Node(len(vals), (vals[-1] - vals[0]) // den + 1), 0, 0.0
+            return _Node(len(vals), math.inf), 0, 0.0
         mid = (lo + hi + 1) // 2
         left, b1, c1 = rec(lo, mid)
         right, b2, c2 = rec(mid, hi)
         node, b3, c3 = _join(left, right)
         return node, max(b1, b2, b3), c1 + c2 + c3
 
-    _, peak, cost = rec(0, len(sets))
+    _, peak, cost = rec(0, len(lists))
     return peak, cost
 
 
-def _plan_naive(sets: Sequence[OrderedSet]) -> tuple[int, float]:
-    mass = 1
-    for A in sets:
-        mass *= len(A)
-    if all(A.is_integer for A in sets):
-        span = sum(A[-1] for A in sets) - sum(A[0] for A in sets) + 1
-        out = min(mass, span)
-    else:
-        out = mass
+def _span(lists: Sequence[list[int]]) -> int:
+    return sum(v[-1] for v in lists) - sum(v[0] for v in lists) + 1
+
+
+def _plan_naive(lists: Sequence[list[int]], den: int) -> tuple[int, float]:
+    mass = math.prod(map(len, lists))
+    out = min(mass, _span(lists)) if den == 1 else mass
     return out * DICT_ENTRY_BYTES, mass * _NAIVE_TUPLE
 
 
-def _plan_dense(sets: Sequence[OrderedSet]) -> tuple[int, float]:
-    if not all(A.is_integer for A in sets):
+def _plan_dense(lists: Sequence[list[int]], den: int) -> tuple[int, float]:
+    if den != 1:
         return -1, math.inf
-    span = sum(A[-1] for A in sets) - sum(A[0] for A in sets) + 1
-    fold_elems = span * sum(len(A) for A in sets[1:])
+    span = _span(lists)
+    fold_elems = span * sum(map(len, lists[1:]))
     return span * 16, fold_elems * _COMPILED_OP
 
 
@@ -253,67 +252,42 @@ def _plan_support(
 # The three representation algorithms.
 
 
-def _rep_naive(sets: Sequence[OrderedSet]) -> SparseCounts:
-    acc: dict = {}
-    for tup in itertools.product(*(A.elements for A in sets)):
-        s = sum(tup)
-        if s in acc:
-            acc[s] += 1
-        else:
-            acc[s] = 1
-    return SparseCounts.from_dict(acc)
+def _rep_naive(lists: Sequence[list[int]]) -> tuple[list[int], list[int]]:
+    acc = Counter(map(sum, itertools.product(*lists)))
+    values = sorted(acc)
+    return values, list(map(acc.__getitem__, values))
 
 
-def _rep_mitm(sets: Sequence[OrderedSet]) -> SparseCounts:
-    if len(sets) == 1:
-        return SparseCounts.from_set(sets[0])
-    mid = (len(sets) + 1) // 2
-    left = _rep_mitm(sets[:mid])
-    right = _rep_mitm(sets[mid:])
-    return convolve(left, right)
+def _rep_mitm(lists: Sequence[list[int]]) -> tuple[list[int], list[int]]:
+    if len(lists) == 1:
+        return lists[0], [1] * len(lists[0])
+    mid = (len(lists) + 1) // 2
+    return kernels.convolve_integer(*_rep_mitm(lists[:mid]), *_rep_mitm(lists[mid:]))
 
 
-def _rep_dense(sets: Sequence[OrderedSet]) -> SparseCounts:
-    if not all(A.is_integer for A in sets):
-        raise InputError("dense mode requires integer-valued sets")
-    mass = 1
-    for A in sets:
-        mass *= len(A)
-    first = sets[0]
+def _rep_dense(lists: Sequence[list[int]]) -> tuple[list[int], list[int]]:
+    import numpy as np
+
+    # No count exceeds the mass: int64 holds every count below 2**63,
+    # Python ints (dtype=object) hold them beyond.
+    dtype = np.int64 if math.prod(map(len, lists)) < 2**63 else object
+    first = lists[0]
     cur_lo = first[0]
-    if mass < 2**62 and abs(sum(A[0] for A in sets)) < 2**62 and abs(
-        sum(A[-1] for A in sets)
-    ) < 2**62:
-        import numpy as np
-
-        cur = np.zeros(first[-1] - first[0] + 1, dtype=np.int64)
-        for a in first:
-            cur[a - cur_lo] = 1
-        for A in sets[1:]:
-            new_lo = cur_lo + A[0]
-            new = np.zeros(cur.shape[0] + (A[-1] - A[0]), dtype=np.int64)
-            for a in A:
-                off = cur_lo + a - new_lo
-                new[off : off + cur.shape[0]] += cur
-            cur, cur_lo = new, new_lo
-        nz = np.flatnonzero(cur)
-        return SparseCounts((nz + cur_lo).tolist(), cur[nz].tolist())
-
-    # Arbitrary-precision fallback for masses beyond int64 (rare).
-    row = [0] * (first[-1] - first[0] + 1)
+    cur = np.zeros(first[-1] - cur_lo + 1, dtype=dtype)
     for a in first:
-        row[a - cur_lo] = 1
-    for A in sets[1:]:
-        new_lo = cur_lo + A[0]
-        new = [0] * (len(row) + (A[-1] - A[0]))
-        for a in A:
-            off = cur_lo + a - new_lo
-            for i, c in enumerate(row):
-                if c:
-                    new[off + i] += c
-        row, cur_lo = new, new_lo
-    values = [cur_lo + i for i, c in enumerate(row) if c]
-    return SparseCounts(values, [c for c in row if c])
+        cur[a - cur_lo] = 1
+    for vals in lists[1:]:
+        new = np.zeros(cur.shape[0] + (vals[-1] - vals[0]), dtype=dtype)
+        for a in vals:
+            off = a - vals[0]
+            new[off : off + cur.shape[0]] += cur
+        cur, cur_lo = new, cur_lo + vals[0]
+    nz = np.flatnonzero(cur)
+    if -(2**63) <= cur_lo and cur_lo + cur.shape[0] <= 2**63:
+        values = (nz + cur_lo).tolist()
+    else:
+        values = [cur_lo + i for i in nz.tolist()]
+    return values, cur[nz].tolist()
 
 
 def representation(
@@ -334,17 +308,20 @@ def representation(
     if algo not in _ALGOS:
         raise InputError(f"unknown algorithm {algo!r}")
     budget = DEFAULT_MEMORY_BUDGET if mem_budget is None else mem_budget
-    signed = apply_signs(sets, signs)
+    eps = parse_signs(signs, len(sets))
+    elements = [A.elements for A in sets]
+    den = kernels.common_denominator(elements)
+    lists = kernels.signed_scaled(elements, eps, den)
 
-    if len(signed) == 1:
-        rep = SparseCounts.from_set(signed[0])
-        _verify_representation(rep, signed)
+    if len(lists) == 1:
+        rep = SparseCounts(kernels.unscaled(lists[0], den), [1] * len(lists[0]))
+        _verify_representation(rep, sets)
         return rep
 
     plans = {
-        "naive": _plan_naive(signed),
-        "mitm": _plan_mitm(signed),
-        "dense": _plan_dense(signed),
+        "naive": _plan_naive(lists, den),
+        "mitm": _plan_mitm(lists, den),
+        "dense": _plan_dense(lists, den),
     }
     if algo == "auto":
         feasible = {
@@ -366,12 +343,13 @@ def representation(
             raise ResourceError(bytes_, budget, f"representation[{algo}]")
 
     if algo == "naive":
-        rep = _rep_naive(signed)
+        values, counts = _rep_naive(lists)
     elif algo == "mitm":
-        rep = _rep_mitm(signed)
+        values, counts = _rep_mitm(lists)
     else:
-        rep = _rep_dense(signed)
-    _verify_representation(rep, signed)
+        values, counts = _rep_dense(lists)
+    rep = SparseCounts(kernels.unscaled(values, den), counts)
+    _verify_representation(rep, sets)
     return rep
 
 

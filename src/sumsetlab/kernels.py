@@ -1,23 +1,24 @@
 """The exact kernels: sparse convolution and sumset support.
 
-Every convolution of two representation functions (``core.convolve``)
-runs through one integer loop: a dict accumulation over pairs of
-entries, in arbitrary precision, so no value or count can overflow.
-Two rules cut the work per exact count:
+Every kernel works on plain lists of ints.  Its caller signs and scales
+each input set once: :func:`common_denominator` is the lcm ``den`` of
+all denominators, and :func:`signed_scaled` turns each set into the
+increasing list of its values times ``den``, negated where its sign is
+-1.  ``den > 0``, so the order is kept; :func:`unscaled` maps each
+output x back to ``Fraction(x, den)`` (the int x when ``den == 1``).
+No Fraction is added or hashed per pair.
 
-* Self-convolution.  When both operands are equal (compared by value,
-  so ``[-A, -A]`` qualifies too), only the pairs i <= j are walked:
-  c_i**2 is added at 2*v_i and 2*c_i*c_j at v_i + v_j off the diagonal.
-* Rationals.  :func:`convolve_exact` scales every value to an integer
-  over one common denominator ``den`` (the lcm of all denominators),
-  runs the integer loop and maps each output x back to
-  ``Fraction(x, den)``.  ``den > 0``, so the order is kept; no Fraction
-  is added or hashed per pair.
+:func:`convolve_integer` is the one convolution loop: a dict
+accumulation over pairs of entries, in arbitrary precision, so no value
+or count can overflow.  When both operands are equal (compared by
+value, so ``[-A, -A]`` qualifies too), only the pairs i <= j are walked:
+c_i**2 is added at 2*v_i and 2*c_i*c_j at v_i + v_j off the diagonal.
+:func:`convolve_exact` is that loop for sequences of rationals: scale,
+convolve, unscale.
 
 The support kernel (:func:`support_size`, :func:`support_values`)
-computes the set A_1 +/- ... +/- A_k without any counts, after the same
-scaling to integers over ``den``.  It takes one of two paths, chosen by
-the caller (``engine._plan_support``):
+computes the set A_1 +/- ... +/- A_k without any counts.  It takes one
+of two paths, chosen by the caller (``engine._plan_support``):
 
 * Bitset.  Each partial sumset is one big int whose bit i stands for
   the value lo + i; adding a set ORs the mask shifted by each element.
@@ -38,13 +39,53 @@ from math import lcm
 from typing import Iterable, Sequence
 
 
-def _convolve_ints(
+# ---------------------------------------------------------------------------
+# Signs and denominators, applied once per input set.
+
+
+def common_denominator(value_lists: Iterable[Sequence]) -> int:
+    """The lcm of the denominators of every value (1 for ints)."""
+    return lcm(*{x.denominator for x in chain.from_iterable(value_lists)})
+
+
+def _scaled(values: Sequence, den: int) -> list[int]:
+    """``values`` times ``den``, as ints (``den`` must be a common denominator)."""
+    return [x.numerator * (den // x.denominator) for x in values]
+
+
+def signed_scaled(
+    value_lists: Sequence[Sequence], signs: Sequence[int], den: int
+) -> list[list[int]]:
+    """Each set scaled by ``den``, negated where its sign is -1; each
+    result is increasing."""
+    out = []
+    for vals, e in zip(value_lists, signs):
+        ints = _scaled(vals, den)
+        out.append(ints if e == 1 else [-x for x in reversed(ints)])
+    return out
+
+
+def unscaled(values: list[int], den: int) -> list:
+    """Map scaled values back: ``Fraction(x, den)``, or x when ``den == 1``."""
+    return values if den == 1 else [Fraction(x, den) for x in values]
+
+
+# ---------------------------------------------------------------------------
+# Sparse convolution.
+
+
+def convolve_integer(
     av: Sequence[int],
     ac: Sequence[int],
     bv: Sequence[int],
     bc: Sequence[int],
 ) -> tuple[list[int], list[int]]:
-    """The integer loop behind both entry points."""
+    """Convolve two sparse count sequences of integer values.
+
+    ``av``/``bv`` are the values, ``ac``/``bc`` their counts.
+    Returns the sorted output values and their counts: the entry at x is
+    the sum of ``ac[i] * bc[j]`` over ``av[i] + bv[j] == x``.
+    """
     acc: dict = {}
     if av == bv and ac == bc:
         # Each unordered pair once: entry i meets the entries before it
@@ -76,54 +117,18 @@ def _convolve_ints(
     return values, list(map(acc.__getitem__, values))
 
 
-def common_denominator(value_lists: Iterable[Sequence]) -> int:
-    """The lcm of the denominators of every value (1 for ints)."""
-    return lcm(*{x.denominator for x in chain.from_iterable(value_lists)})
-
-
-def _scaled(values: Sequence, den: int) -> list[int]:
-    """``values`` times ``den``, as ints (``den`` must be a common denominator)."""
-    return [x.numerator * (den // x.denominator) for x in values]
-
-
-def _unscaled(values: list[int], den: int) -> list:
-    return values if den == 1 else [Fraction(x, den) for x in values]
-
-
 def convolve_exact(
     av: Sequence,
     ac: Sequence[int],
     bv: Sequence,
     bc: Sequence[int],
 ) -> tuple[list, list[int]]:
-    """Convolve two sparse count sequences exactly.
-
-    ``av``/``bv`` are the values (ints or Fractions), ``ac``/``bc`` their
-    counts.  Returns the sorted output values and their counts: the
-    entry at x is the sum of ``ac[i] * bc[j]`` over ``av[i] + bv[j] == x``.
-
-    The values are scaled to integers over the lcm ``den`` of their
-    denominators and convolved by the integer loop (over i <= j when both
-    operands are equal); each output x is returned as ``Fraction(x, den)``,
-    or as the int x when ``den == 1``.
-    """
+    """:func:`convolve_integer` for values that are ints or Fractions:
+    scaled over their common denominator, convolved, and mapped back by
+    :func:`unscaled`."""
     den = common_denominator((av, bv))
-    values, counts = _convolve_ints(_scaled(av, den), ac, _scaled(bv, den), bc)
-    return _unscaled(values, den), counts
-
-
-def convolve_integer(
-    av: Sequence[int],
-    ac: Sequence[int],
-    bv: Sequence[int],
-    bc: Sequence[int],
-) -> tuple[list[int], list[int]]:
-    """:func:`convolve_exact` for integer-valued inputs.
-
-    A separate entry point so that per-layer traces (``e2ebench``) count
-    integer kernel work apart from the rational path of ``core.convolve``.
-    """
-    return _convolve_ints(av, ac, bv, bc)
+    values, counts = convolve_integer(_scaled(av, den), ac, _scaled(bv, den), bc)
+    return unscaled(values, den), counts
 
 
 # ---------------------------------------------------------------------------
@@ -132,18 +137,6 @@ def convolve_integer(
 # bytes.translate table turning binary digits into 0/1 bytes, so that a
 # digit string can drive itertools.compress.
 _DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _signed_scaled(
-    value_lists: Sequence[Sequence], signs: Sequence[int], den: int
-) -> list[list[int]]:
-    """Each set scaled by ``den``, negated where its sign is -1; each
-    result is increasing."""
-    out = []
-    for vals, e in zip(value_lists, signs):
-        ints = _scaled(vals, den)
-        out.append(ints if e == 1 else [-x for x in reversed(ints)])
-    return out
 
 
 def _bitset(lists: list[list[int]]) -> tuple[int, int]:
@@ -181,7 +174,7 @@ def support_size(
     ``signs`` holds +1/-1 per set; ``den`` is their common denominator
     (:func:`common_denominator`); ``bitset`` picks the path.
     """
-    lists = _signed_scaled(value_lists, signs, den)
+    lists = signed_scaled(value_lists, signs, den)
     if bitset:
         return _bitset(lists)[1].bit_count()
     return len(_fold(lists))
@@ -196,11 +189,11 @@ def support_values(
     """The sorted elements of A_1 +/- ... +/- A_k, as in
     :func:`support_size`; each is ``Fraction(x, den)`` for a scaled sum x,
     or the int x when ``den == 1``."""
-    lists = _signed_scaled(value_lists, signs, den)
+    lists = signed_scaled(value_lists, signs, den)
     if bitset:
         lo, mask = _bitset(lists)
         digits = bin(mask)[:1:-1].encode().translate(_DIGIT_FLAGS)
         values = list(compress(range(lo, lo + len(digits)), digits))
     else:
         values = sorted(_fold(lists))
-    return _unscaled(values, den)
+    return unscaled(values, den)

@@ -236,6 +236,75 @@ class TestVerify:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--algo", "dense", "verify", "--bound", "KG_energy", "--family",
+              "composed:f=poly:0,1/2,inner=interval", "--grid", "4,8,16"],
+             "dense mode requires integer-valued sets"),
+            (["--algo", "dense", "verify", "--bound", "eq13_tail", "--family",
+              "composed:f=poly:0,1/2,inner=interval", "--grid", "4,8"],
+             "dense mode requires integer-valued sets"),
+            (["--algo", "naive", "--mem", "3000", "verify", "--bound", "T3",
+              "--family", "power:m=2", "--grid", "8,9,10"],
+             "representation[naive]: estimated 22800 bytes exceeds budget 3000"),
+            (["--algo", "naive", "--mem", "3000", "verify", "--bound",
+              "eq13_tail", "--family", "power:m=2", "--grid", "8,9"],
+             "representation[naive]: estimated 30360 bytes exceeds budget 3000"),
+        ],
+        ids=["dense_rational", "dense_rational_tail", "naive_budget",
+             "naive_budget_tail"],
+    )
+    def test_honours_algo(self, capsys, argv, message):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("algo", ["naive", "mitm", "dense"])
+    def test_explicit_algo_gives_the_auto_report(self, capsys, algo):
+        argv = ("verify", "--bound", "T3", "--family", "power:m=2",
+                "--grid", "8,12,16")
+        tail = ("verify", "--bound", "eq13_tail", "--family", "power:m=2",
+                "--grid", "8,12")
+        for command in (argv, tail):
+            want = _run(capsys, *command)
+            assert _run(capsys, "--algo", algo, *command) == want
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--bound", "KG_energy", "--k", "7", "--s", "3"],
+             "bound KG_energy takes no parameter s"),
+            (["--bound", "KG_energy", "--k", "2"],
+             "bound KG_energy takes no parameter k"),
+            (["--bound", "T_main", "--s", "1", "--k", "9"],
+             "bound T_main takes no parameter k"),
+            (["--bound", "IKRT", "--k", "3", "--s", "1"],
+             "bound IKRT takes no parameter s"),
+            (["--bound", "eq13_tail", "--signs", "+-+-"],
+             "bound eq13_tail takes no parameter signs"),
+            (["--bound", "eq13_tail", "--s", "1"],
+             "bound eq13_tail takes no parameter s"),
+            (["--bound", "eq13_tail", "--k", "4"],
+             "bound eq13_tail takes no parameter k"),
+        ],
+        ids=["KG_s_k", "KG_k", "T_main_k", "IKRT_s", "tail_signs", "tail_s",
+             "tail_k"],
+    )
+    def test_parameter_the_bound_does_not_read_exits_2(self, capsys, argv, message):
+        code, out, err = _run(
+            capsys, "verify", *argv, "--family", "power:m=2", "--grid", "8,16,32"
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_parameters_the_bound_reads_are_accepted(self, capsys):
+        for argv in (["--bound", "T_main", "--s", "1"],
+                     ["--bound", "IKRT", "--k", "2"]):
+            code, out, _ = _run(
+                capsys, "verify", *argv, "--family", "power:m=2",
+                "--grid", "8,16,32",
+            )
+            assert code in (0, 1) and json.loads(out)["op"] == "verify"
+
 
 def _not_utf8(tmp_path):
     path = tmp_path / "latin1.set"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -101,6 +102,47 @@ class TestRepresentation:
         sets = [random_integer_set(rng, rng.next_in(1, 6)) for _ in range(3)]
         rep = representation(sets)
         assert rep.mass == len(sets[0]) * len(sets[1]) * len(sets[2])
+
+    @pytest.mark.parametrize("algo", ["auto", "naive", "mitm", "dense"])
+    def test_builds_one_container(self, monkeypatch, algo):
+        built = []
+        real = SparseCounts.__init__
+
+        def counting(self, values, counts):
+            built.append(len(values))
+            real(self, values, counts)
+
+        monkeypatch.setattr(SparseCounts, "__init__", counting)
+        A = gen_interval(5)
+        R = OrderedSet([Fraction(-1, 3), Fraction(1, 2), 2])
+        cases = [([A] * k, "+" * k) for k in (2, 3, 4, 5)]
+        cases += [([A, A, A], "-+-"), ([A, A, A, A], "+-+-")]
+        if algo != "dense":
+            cases += [([A, R, A], "+-+"), ([R] * 4, "----")]
+        for sets, signs in cases:
+            built.clear()
+            rep = representation(sets, signs=signs, algo=algo)
+            assert built == [len(rep)], (sets, signs)
+
+    def test_mitm_estimate_caps_integer_subtrees(self):
+        # [Z, Z] is integer-valued: its 100 * 100 pairs give at most the
+        # 199 sums 0..198.  With Q the tree is rational, so the final join
+        # is charged all 199 * 20 pairs: 120 bytes each.
+        Z = gen_interval(100)
+        Q = OrderedSet([Fraction(i, 3) for i in range(1, 40, 2)])
+        with pytest.raises(ResourceError) as exc:
+            representation([Z, Z, Q], algo="mitm", mem_budget=1000)
+        assert exc.value.estimated_bytes == 199 * 20 * 120
+
+    @pytest.mark.parametrize("k", [62, 63, 64, 70])
+    def test_dense_past_int64_mass(self, k):
+        # Mass 2**k: from k = 63 on, the fold runs over Python ints.
+        sets = [OrderedSet([0, 1])] * k
+        rep = representation(sets, algo="dense")
+        assert rep == representation(sets, algo="mitm")
+        assert rep.values == tuple(range(k + 1))
+        assert rep.counts == tuple(math.comb(k, j) for j in range(k + 1))
+        assert rep.mass == 2**k
 
 
 class TestEnergy:

@@ -34,6 +34,8 @@ from sumsetlab import (
 from sumsetlab.core import convolve, mass_of_squares, moment_sum
 from sumsetlab.engine import rich_tail, spectrum_of
 
+from conftest import brute_force_representation
+
 
 # -- reference loops ---------------------------------------------------------
 
@@ -453,3 +455,42 @@ def test_singletons():
         for pattern in ALL_PATTERNS:
             assert doubling(A, pattern).size == 1
         assert signed_sumset([A, A, A], "+--").elements == (-x,)
+
+
+# -- representation against brute force --------------------------------------
+#
+# Every algorithm on signed sets, against the sums of all tuples of the
+# negated sets (``conftest.brute_force_representation``).  Each set sits
+# at one base, near 0, +/-2**63 or +/-2**64, and spans at most about 80,
+# so ``dense`` fits whenever every value is an integer.
+
+REP_BASES = [0, 2**63 - 40, -(2**63) - 40, 2**64 - 40, -(2**64) - 40]
+
+
+@st.composite
+def based_sets(draw):
+    base = draw(st.sampled_from(REP_BASES))
+    ints = st.integers(0, 80)
+    fracs = st.builds(Fraction, st.integers(0, 240), st.sampled_from([2, 3, 5, 7]))
+    kind = draw(st.sampled_from(["int", "frac", "mixed"]))
+    offsets = {"int": ints, "frac": fracs, "mixed": st.one_of(ints, fracs)}[kind]
+    elements = draw(st.sets(offsets, min_size=1, max_size=4))
+    return OrderedSet(sorted(base + x for x in elements))
+
+
+@given(
+    sets=st.lists(based_sets(), min_size=1, max_size=4, unique=True),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_representation_matches_brute_force(sets, data):
+    signs = data.draw(st.text("+-", min_size=len(sets), max_size=len(sets)))
+    negated = [A if e == "+" else A.negate() for A, e in zip(sets, signs)]
+    want = brute_force_representation(negated)
+    algos = ["auto", "naive", "mitm"]
+    if all(A.is_integer for A in sets):
+        algos.append("dense")
+    for algo in algos:
+        rep = representation(sets, signs=signs, algo=algo)
+        assert dict(rep.items()) == want, algo
+        assert typed(rep.values) == typed(map(oracle_canon, sorted(want))), algo
