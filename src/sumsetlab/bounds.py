@@ -32,7 +32,6 @@ from .engine import (
     energy_T,
     energy_cross,
     representation,
-    rich_tail,
     signed_sumset,
     spectrum_of,
 )
@@ -446,6 +445,13 @@ def heuristic_tail_report(
     algo: str = "auto",
     mem_budget: int | None = None,
 ) -> dict:
+    # E_hat needs a gap set Delta_h A with h < N.
+    for n in n_grid:
+        if n <= min(h_sample):
+            raise InputError(
+                f"eq13_tail samples gap sets Delta_h A with h < N, "
+                f"so it needs N > {min(h_sample)}, got N = {n}"
+            )
     per_n = []
     for n in sorted(n_grid):
         spec = instantiate(family_template, n, default_seed)
@@ -457,15 +463,14 @@ def heuristic_tail_report(
                 continue
             D = delta_h(A, h).as_set()
             e_hat = max(e_hat, energy_T([D, D], algo=algo, mem_budget=mem_budget))
+        # |{x : r(x) >= 2**j}| is the size of the classes j and above.
+        sizes = dict(spectrum_of(rep).classes)
         max_ratio = 0.0
-        max_r = rep.max_count()
-        r = 1
-        while r <= max_r:
-            tail = rich_tail(rep, r)
-            if tail:
-                ratio = tail * float(r) ** (7.0 / 3.0) / (float(n) ** 4 * e_hat)
-                max_ratio = max(max_ratio, ratio)
-            r *= 2
+        tail = 0
+        for j in range(max(sizes), -1, -1):
+            tail += sizes.get(j, 0)
+            ratio = tail * float(2**j) ** (7.0 / 3.0) / (float(n) ** 4 * e_hat)
+            max_ratio = max(max_ratio, ratio)
         per_n.append(
             {"N": n, "family": format_family(spec), "E_hat": e_hat, "max_ratio": max_ratio}
         )

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import bounds, engine, luckypairs
 from .convexity import IDENTITY, convexity_order, parse_function
-from .core import OrderedSet, check_set_destination, read_set, write_set
+from .core import OrderedSet, check_set_destination, moment_sum, read_set, write_set
 from .errors import SumsetLabError
 from .families import format_family, parse_family
 from .reporting import (
@@ -111,8 +111,11 @@ def _cmd_analyze(args, cfg: RunConfig) -> int:
             rep = engine.doubling(A, pattern, algo=cfg.algo, mem_budget=cfg.mem_budget)
             entry[f"size[{pattern}]"] = rep.size
             entry[f"K[{pattern}]"] = rep.K
-        # engine.check_popular_bound, with the popular class found once.
-        pop = engine.popular_dyadic_class(A, algo=cfg.algo, mem_budget=cfg.mem_budget)
+        # engine.check_popular_bound, with the popular class found once;
+        # E3_diff is read from the same r_{A-A}.
+        pop, diff = engine._popular_class_and_differences(
+            A, algo=cfg.algo, mem_budget=cfg.mem_budget
+        )
         e = engine.energy_T([A, A], algo=cfg.algo, mem_budget=cfg.mem_budget)
         bound = engine.popular_bound_factor(len(A)) * pop.score
         entry["E"] = e
@@ -123,9 +126,7 @@ def _cmd_analyze(args, cfg: RunConfig) -> int:
             "energy_bound": bound,
             "bound_holds": e <= bound,
         }
-        entry["E3_diff"] = engine.moment(
-            [A, A], 3, signs="+-", algo=cfg.algo, mem_budget=cfg.mem_budget
-        )
+        entry["E3_diff"] = moment_sum(diff, 3)
         reports.append(entry)
     _finish({"op": "analyze", "reports": reports}, started, cfg)
     return 0

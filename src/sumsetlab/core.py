@@ -14,6 +14,17 @@ Containers:
   the representation-function type.  Convolution of two
   ``SparseCounts`` realises the additivity of representation counts:
   ``r_{A+B}(x) = sum_y r_A(y) * r_B(x - y)``.
+
+A ``SparseCounts`` built from two numpy int64 arrays (the dense fold of
+``engine.representation`` hands over its values and counts this way)
+keeps private copies of the arrays and builds its ``values``/``counts``
+tuples only when one is read.  Only this class and
+:func:`mass_of_squares` read the count array:
+``SparseCounts.dyadic_classes`` by integer comparisons against the
+powers of two, the sum of squares by an int64 dot product only while
+``max(c) * mass < 2**63``, which bounds every partial sum, and a Python
+int sum otherwise.  numpy is imported only in the array branch of
+``dyadic_classes``, which nothing but a numpy array reaches.
 """
 
 from __future__ import annotations
@@ -23,6 +34,7 @@ import operator
 import os
 import re
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from fractions import Fraction
 from itertools import islice, repeat
 from typing import Iterable, Iterator, Sequence, TextIO, Union
@@ -39,6 +51,11 @@ DEFAULT_MEMORY_BUDGET = 2**32
 # Rough per-entry cost of a Python dict holding scalar keys and counts,
 # used only for pre-allocation estimates.
 DICT_ENTRY_BYTES = 120
+
+
+def _is_int64_vector(x) -> bool:
+    """True for a 1-d numpy int64 array, found without importing numpy."""
+    return getattr(x, "dtype", None) == "int64" and x.ndim == 1
 
 
 def canon(x: Scalar) -> Scalar:
@@ -173,14 +190,25 @@ class SparseCounts:
     or numpy integer scalars, taken through ``operator.index``; floats,
     strings and Fractions are rejected, never truncated), counts >= 1.
     A failure raises InputError.
+
+    Given two 1-d numpy int64 arrays, the same checks run as array
+    operations (the dtype makes every count an integer) and copies of
+    the arrays are kept, so later writes to the caller's arrays change
+    nothing here: ``values`` and ``counts`` become tuples of Python ints
+    on first read.
     """
 
-    __slots__ = ("values", "counts", "_mass", "_is_integer")
+    __slots__ = (
+        "_values", "_counts", "_value_array", "_count_array", "_mass", "_is_integer"
+    )
 
     def __init__(self, values: Sequence[Scalar], counts: Sequence[int]) -> None:
+        if _is_int64_vector(values) and _is_int64_vector(counts):
+            self._init_arrays(values, counts)
+            return
         if len(values) != len(counts):
             raise InputError("values/counts length mismatch")
-        if not values:
+        if not len(values):
             raise InputError("SparseCounts must be non-empty")
         vals, is_integer = _increasing_canon(values, "SparseCounts values")
         try:
@@ -189,10 +217,41 @@ class SparseCounts:
             raise InputError("SparseCounts counts must be integers") from None
         if min(cnts) < 1:
             raise InputError("SparseCounts counts must be positive")
-        self.values = vals
-        self.counts = cnts
+        self._values = vals
+        self._counts = cnts
+        self._value_array = self._count_array = None
         self._mass = sum(cnts)
         self._is_integer = is_integer
+
+    def _init_arrays(self, values, counts) -> None:
+        if len(values) != len(counts):
+            raise InputError("values/counts length mismatch")
+        if not len(values):
+            raise InputError("SparseCounts must be non-empty")
+        if not (values[1:] > values[:-1]).all():
+            raise InputError("SparseCounts values must be strictly increasing")
+        if counts.min() < 1:
+            raise InputError("SparseCounts counts must be positive")
+        # The int64 sum cannot wrap while max * length < 2**63.
+        if int(counts.max()) * len(counts) < 2**63:
+            self._mass = int(counts.sum())
+        else:
+            self._mass = sum(counts.tolist())
+        self._values = self._counts = None
+        self._value_array, self._count_array = values.copy(), counts.copy()
+        self._is_integer = True
+
+    @property
+    def values(self) -> tuple:
+        if self._values is None:
+            self._values = tuple(self._value_array.tolist())
+        return self._values
+
+    @property
+    def counts(self) -> tuple:
+        if self._counts is None:
+            self._counts = tuple(self._count_array.tolist())
+        return self._counts
 
     @classmethod
     def from_dict(cls, mapping: dict) -> "SparseCounts":
@@ -218,7 +277,7 @@ class SparseCounts:
         return self._is_integer
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self._counts if self._count_array is None else self._count_array)
 
     def items(self) -> Iterator[tuple[Scalar, int]]:
         return zip(self.values, self.counts)
@@ -231,6 +290,21 @@ class SparseCounts:
 
     def max_count(self) -> int:
         return max(self.counts)
+
+    def dyadic_classes(self) -> tuple[tuple[int, int], ...]:
+        """(j, |{v : 2**j <= count(v) < 2**(j+1)}|) for each non-empty
+        class, j increasing."""
+        c = self._count_array
+        if c is None:
+            sizes = Counter(map(int.bit_length, self._counts))
+            return tuple(sorted((bits - 1, size) for bits, size in sizes.items()))
+        import numpy as np
+
+        # The bit length of c is the number of powers 2**0 .. 2**62 <= c:
+        # integer comparisons only.
+        powers = np.left_shift(1, np.arange(63, dtype=np.int64))
+        sizes = np.bincount(np.searchsorted(powers, c, side="right"))
+        return tuple((int(b) - 1, int(sizes[b])) for b in np.flatnonzero(sizes))
 
     def support(self) -> OrderedSet:
         """The set of values carrying positive count."""
@@ -247,7 +321,7 @@ class SparseCounts:
         return hash((self.values, self.counts))
 
     def __repr__(self) -> str:
-        n = len(self.values)
+        n = len(self)
         if n <= 6:
             body = ", ".join(f"{format_element(v)}:{c}" for v, c in self.items())
             return f"SparseCounts({{{body}}})"
@@ -265,7 +339,15 @@ def convolve(p: SparseCounts, q: SparseCounts) -> SparseCounts:
 
 
 def mass_of_squares(p: SparseCounts) -> int:
-    """sum of count(v)**2 over all values; the 2nd-moment kernel."""
+    """sum of count(v)**2 over all values; the 2nd-moment kernel.
+
+    On an int64 count array this is one dot product, taken only while
+    max(c) * mass < 2**63: that product bounds the sum and each partial
+    sum, so the int64 accumulator cannot wrap.
+    """
+    c = p._count_array
+    if c is not None and int(c.max()) * p.mass < 2**63:
+        return int(c.dot(c))
     return sum(map(operator.mul, p.counts, p.counts))
 
 

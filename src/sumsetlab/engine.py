@@ -18,11 +18,20 @@ and the result is mapped back and wrapped in one ``SparseCounts``:
 * ``dense`` -- one fold over a numpy count array keyed by value offset,
   in int64 while the mass (which bounds every count) is below 2**63 and
   in Python ints (``dtype=object``) beyond; integer-valued sets only.
+  An int64 fold whose values fit int64 hands its nonzero values and
+  counts to ``SparseCounts`` as two arrays, which it keeps: tuples are
+  built only when a caller reads them.
 
-``auto`` selects by estimated cost.  All modes agree exactly and are
+``auto`` selects by estimated cost; one set (k = 1) is planned and
+checked against the budget like several.  All modes agree exactly and are
 cross-checked in the test suite.  Operations estimate their memory
 before allocating and raise ResourceError when the configured budget
 (default 4 GiB) would be exceeded.
+
+``spectrum_of`` reduces an array-backed result without building its
+tuples: its bit classes (``SparseCounts.dyadic_classes``) and sum of
+squares (``core.mass_of_squares``) read the int64 counts in ``core``,
+with integer operations only, and return Python ints.
 
 Sumsets and their sizes (``signed_sumset``, ``doubling``) need no
 counts.  Under ``auto`` they come from the support kernel
@@ -190,10 +199,14 @@ def _plan_mitm(lists: Sequence[list[int]], den: int) -> tuple[int, float]:
     def rec(lo: int, hi: int) -> tuple[_Node, int, float]:
         if hi - lo == 1:
             vals = lists[lo]
+            # A leaf is the whole result when k = 1; for k >= 2 every join
+            # outputs at least as many entries, so this never sets the peak.
+            leaf_bytes = len(vals) * DICT_ENTRY_BYTES
             # A set of integers: its scaled values are multiples of den.
             if den == 1 or not any(x % den for x in vals):
-                return _Node(len(vals), (vals[-1] - vals[0]) // den + 1), 0, 0.0
-            return _Node(len(vals), math.inf), 0, 0.0
+                span = (vals[-1] - vals[0]) // den + 1
+                return _Node(len(vals), span), leaf_bytes, 0.0
+            return _Node(len(vals), math.inf), leaf_bytes, 0.0
         mid = (lo + hi + 1) // 2
         left, b1, c1 = rec(lo, mid)
         right, b2, c2 = rec(mid, hi)
@@ -265,7 +278,9 @@ def _rep_mitm(lists: Sequence[list[int]]) -> tuple[list[int], list[int]]:
     return kernels.convolve_integer(*_rep_mitm(lists[:mid]), *_rep_mitm(lists[mid:]))
 
 
-def _rep_dense(lists: Sequence[list[int]]) -> tuple[list[int], list[int]]:
+def _rep_dense(lists: Sequence[list[int]]) -> tuple[Sequence[int], Sequence[int]]:
+    """The nonzero entries of the fold: two int64 arrays when the counts
+    and values fit int64, else two lists of Python ints."""
     import numpy as np
 
     # No count exceeds the mass: int64 holds every count below 2**63,
@@ -283,11 +298,16 @@ def _rep_dense(lists: Sequence[list[int]]) -> tuple[list[int], list[int]]:
             new[off : off + cur.shape[0]] += cur
         cur, cur_lo = new, cur_lo + vals[0]
     nz = np.flatnonzero(cur)
+    counts = cur[nz]
     if -(2**63) <= cur_lo and cur_lo + cur.shape[0] <= 2**63:
-        values = (nz + cur_lo).tolist()
+        values = nz + cur_lo
+        if dtype is np.int64:
+            # Both int64: SparseCounts keeps the arrays.
+            return values, counts
+        values = values.tolist()
     else:
         values = [cur_lo + i for i in nz.tolist()]
-    return values, cur[nz].tolist()
+    return values, counts.tolist()
 
 
 def representation(
@@ -312,11 +332,6 @@ def representation(
     elements = [A.elements for A in sets]
     den = kernels.common_denominator(elements)
     lists = kernels.signed_scaled(elements, eps, den)
-
-    if len(lists) == 1:
-        rep = SparseCounts(kernels.unscaled(lists[0], den), [1] * len(lists[0]))
-        _verify_representation(rep, sets)
-        return rep
 
     plans = {
         "naive": _plan_naive(lists, den),
@@ -458,9 +473,7 @@ class Spectrum:
 
 
 def spectrum_of(rep: SparseCounts) -> Spectrum:
-    sizes = Counter(map(int.bit_length, rep.counts))
-    classes = tuple(sorted((bits - 1, size) for bits, size in sizes.items()))
-    return Spectrum(classes, mass_of_squares(rep))
+    return Spectrum(rep.dyadic_classes(), mass_of_squares(rep))
 
 
 def spectrum(
@@ -580,6 +593,14 @@ def popular_dyadic_class(
     included) for the dyadic class with maximal |D| * Delta**2; ties go
     to the larger Delta.
     """
+    return _popular_class_and_differences(A, algo=algo, mem_budget=mem_budget)[0]
+
+
+def _popular_class_and_differences(
+    A: OrderedSet, *, algo: str = "auto", mem_budget: int | None = None
+) -> tuple[PopularClass, SparseCounts]:
+    """:func:`popular_dyadic_class` of A together with the r_{A-A} it was
+    read from, for callers that need more from r_{A-A}."""
     if len(A) < 2:
         raise InputError("popular class needs at least 2 elements")
     rep = representation([A, A], signs=(1, -1), algo=algo, mem_budget=mem_budget)
@@ -590,7 +611,8 @@ def popular_dyadic_class(
         ((2**j, vals) for j, vals in by_class.items()),
         key=lambda dv: (len(dv[1]) * dv[0] ** 2, dv[0]),
     )
-    return PopularClass(OrderedSet(sorted(values)), delta, len(values) * delta**2)
+    pop = PopularClass(OrderedSet(sorted(values)), delta, len(values) * delta**2)
+    return pop, rep
 
 
 def popular_bound_factor(n: int) -> int:

@@ -230,3 +230,40 @@ class TestHeuristicTail:
         for row in report["per_N"]:
             assert row["E_hat"] >= 1
             assert row["max_ratio"] > 0
+
+    @pytest.mark.parametrize(
+        "family, grid",
+        [("power:m=3", [8, 16]), ("rsc:s=1,seed=2,gap=4", [6, 12, 20]),
+         ("interval", [2, 3, 30])],
+    )
+    def test_tails_from_the_spectrum_match_the_rich_tail_loop(self, family, grid):
+        from sumsetlab import engine
+        from sumsetlab.convexity import delta_h
+        from sumsetlab.families import generate
+
+        report = heuristic_tail_report(family, grid)
+        for n, row in zip(grid, report["per_N"]):
+            A = generate(instantiate(family, n))
+            rep = engine.representation([A] * 4, signs="+-+-")
+            e_hat = max(
+                energy_T([delta_h(A, h).as_set()] * 2) for h in (1, 2, 3) if h < n
+            )
+            want, r = 0.0, 1
+            while r <= rep.max_count():
+                tail = engine.rich_tail(rep, r)
+                ratio = tail * float(r) ** (7.0 / 3.0) / (float(n) ** 4 * e_hat)
+                want = max(want, ratio)
+                r *= 2
+            assert row["E_hat"] == e_hat
+            assert row["max_ratio"] == want
+
+    @pytest.mark.parametrize("grid", [[1], [8, 1, 16], [0, 4]])
+    def test_n_without_a_gap_set_is_rejected_before_any_work(self, grid, monkeypatch):
+        from sumsetlab import bounds
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(bounds, "representation", no_work)
+        with pytest.raises(InputError, match=r"needs N > 1, got N = [01]$"):
+            heuristic_tail_report("interval", grid)

@@ -90,6 +90,21 @@ class TestEnergy:
         assert code == 2
         assert "exceeds budget" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--mem", "1000", "energy", "--family", "interval:n=200000"],
+             "representation: estimated 3200000 bytes exceeds budget 1000"),
+            (["--algo", "dense", "energy", "--family",
+              "composed:f=poly:0,1/2,inner=interval:n=4"],
+             "dense mode requires integer-valued sets"),
+        ],
+        ids=["budget", "dense_rational"],
+    )
+    def test_one_set_is_planned_like_several(self, capsys, argv, message):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_env_var_overrides_mem(self, capsys, monkeypatch):
         monkeypatch.setenv("SUMSETLAB_MEM", "5000")
         code, _, err = _run(
@@ -153,6 +168,27 @@ class TestSumsetDoubling:
         report = json.loads(out)["reports"][0]
         assert report["convexity_order"] == "1"
         assert report["popular"]["bound_holds"] is True
+
+    def test_analyze_counts_each_set_once_per_key(self, capsys, monkeypatch):
+        # r_{A-A} serves the popular class and E3_diff, r_{A+A} serves E.
+        keys = []
+        real = engine.representation
+
+        def counting(sets, **kwargs):
+            signs = engine.parse_signs(kwargs.get("signs"), len(sets))
+            keys.append((tuple(sets), signs))
+            return real(sets, **kwargs)
+
+        monkeypatch.setattr(engine, "representation", counting)
+        families = ("power:n=8,m=2", "rsc:n=12,s=2,seed=1,gap=4")
+        code, out, _ = _run(
+            capsys, "analyze", "--family", families[0], "--family", families[1]
+        )
+        assert code == 0
+        assert len(keys) == 4 == len(set(keys))
+        monkeypatch.undo()
+        for (sets, _), report in zip(keys[::2], json.loads(out)["reports"]):
+            assert report["E3_diff"] == str(engine.moment(sets, 3, signs="+-"))
 
 
 class TestLucky:
@@ -331,10 +367,12 @@ class TestUserErrors:
             lambda tmp: ["--out", str(tmp), "energy", "--family", "interval:n=3"],
             lambda tmp: ["gen", "interval:n=3", "--out", str(tmp / "no" / "x")],
             lambda tmp: ["fit", "0:5", "20:5", "30:7"],
+            lambda tmp: ["verify", "--bound", "eq13_tail", "--family",
+                         "interval", "--grid", "1,2,3"],
         ],
         ids=["missing", "directory", "not_utf8", "grid_8_x", "grid_empty",
              "out_missing_dir", "out_directory", "gen_out_missing_dir",
-             "fit_n_zero"],
+             "fit_n_zero", "tail_n_one"],
     )
     def test_exits_2_with_one_error_line(self, tmp_path, capsys, argv):
         code, out, err = _run(capsys, *argv(tmp_path))

@@ -14,6 +14,7 @@ and both paths of the support kernel against the counted representation.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -494,3 +495,163 @@ def test_representation_matches_brute_force(sets, data):
         rep = representation(sets, signs=signs, algo=algo)
         assert dict(rep.items()) == want, algo
         assert typed(rep.values) == typed(map(oracle_canon, sorted(want))), algo
+
+
+# -- dense results kept as int64 arrays, against mitm -----------------------
+#
+# ``algo="dense"`` hands ``SparseCounts`` two int64 arrays when the counts
+# and values fit; ``spectrum_of`` and ``mass_of_squares`` then read the
+# count array.  Everything a caller can read must equal the tuple-backed
+# ``mitm`` result, as Python ints.
+
+
+def readings(rep):
+    """Everything a caller reads from a representation function."""
+    top = rep.max_count()
+    return {
+        "items": list(rep.items()),
+        "len": len(rep),
+        "hash": hash(rep),
+        "repr": repr(rep),
+        "mass": rep.mass,
+        "squares": mass_of_squares(rep),
+        "moments": [moment_sum(rep, m) for m in (1, 3)],
+        "spectrum": spectrum_of(rep),
+        "tails": [rich_tail(rep, r) for r in (-(2**70), 1, 2, top // 3, top, top + 1)],
+        "max": top,
+    }
+
+
+def python_ints(x):
+    """Every int inside x is a Python int (no numpy scalar leaked out)."""
+    if isinstance(x, dict):
+        return all(map(python_ints, x.values()))
+    if isinstance(x, (list, tuple)):
+        return all(map(python_ints, x))
+    if hasattr(x, "classes"):
+        return python_ints([x.classes, x.total_T])
+    return type(x) in (int, str)
+
+
+# Values at small offsets, near the edge of int64 and beyond it: k-fold
+# sums past +/-2**63 keep the list path, the rest keep the arrays.
+dense_bases = st.sampled_from([0, 2**61, -(2**61), 2**62 - 40, -(2**63) + 40])
+dense_sets = st.sets(st.integers(-30, 30), min_size=1, max_size=6)
+
+
+@given(
+    sets=st.lists(dense_sets, min_size=2, max_size=5), data=st.data()
+)
+@settings(max_examples=60, deadline=None)
+def test_dense_arrays_read_like_mitm(sets, data):
+    base = data.draw(dense_bases)
+    sets = [OrderedSet(sorted(base + x for x in xs)) for xs in sets]
+    for signs in itertools.product((1, -1), repeat=len(sets)):
+        dense = representation(sets, signs=signs, algo="dense")
+        mitm = representation(sets, signs=signs, algo="mitm")
+        assert dense == mitm
+        got = readings(dense)
+        assert got == readings(mitm)
+        assert python_ints(got)
+
+
+@pytest.mark.parametrize(
+    "k, storage",
+    [(32, "int64 dot"), (33, "Python sum"), (34, "Python sum"),
+     (64, "object fold"), (70, "object fold")],
+)
+def test_dense_reductions_at_the_int64_limits(k, storage):
+    # [{0, 1}] * k has counts C(k, j), mass 2**k and sum of squares
+    # C(2k, k).  max(c) * mass is just below 2**63 at k = 32 and just
+    # above at k = 33; at k = 34 the sum of squares itself passes 2**63.
+    # From k = 63 on the fold runs over Python ints and keeps no array.
+    sets = [OrderedSet([0, 1])] * k
+    dense = representation(sets, algo="dense")
+    c = dense._count_array
+    if storage == "object fold":
+        assert c is None
+    else:
+        assert (int(c.max()) * dense.mass < 2**63) == (storage == "int64 dot")
+    got = readings(dense)
+    assert got == readings(representation(sets, algo="mitm"))
+    assert python_ints(got)
+    assert got["squares"] == math.comb(2 * k, k)
+
+
+class _NoToList(np.ndarray):
+    def tolist(self):
+        raise AssertionError("ndarray.tolist called")
+
+
+def test_reductions_of_a_dense_result_build_no_lists(monkeypatch):
+    fold = engine._rep_dense
+
+    def guarded(lists):
+        values, counts = fold(lists)
+        return values.view(_NoToList), counts.view(_NoToList)
+
+    monkeypatch.setattr(engine, "_rep_dense", guarded)
+    A = OrderedSet(range(0, 120, 3))
+    rep = representation([A] * 4, algo="dense")
+    assert isinstance(rep._count_array, _NoToList)
+    readings_without_tuples = (spectrum_of(rep), mass_of_squares(rep), len(rep), rep.mass)
+    assert python_ints(readings_without_tuples)
+    with pytest.raises(AssertionError, match="tolist"):
+        rep.counts
+
+
+@pytest.mark.parametrize(
+    "values, counts",
+    [
+        ([1, 2], [1]),
+        ([], []),
+        ([2, 1], [1, 1]),
+        ([1, 1], [1, 1]),
+        ([1, 2], [1, 0]),
+        ([1, 2], [-3, 1]),
+        ([2, 1], [0, 0]),
+    ],
+    ids=["lengths", "empty", "decreasing", "repeated", "zero", "negative",
+         "value_first"],
+)
+def test_array_checks_match_list_checks(values, counts):
+    with pytest.raises(InputError) as listed:
+        SparseCounts(values, counts)
+    with pytest.raises(InputError) as arrays:
+        SparseCounts(np.array(values, dtype=np.int64), np.array(counts, dtype=np.int64))
+    assert str(arrays.value) == str(listed.value)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.uint64, np.float64])
+def test_other_arrays_take_the_list_checks(dtype):
+    # Only int64 arrays are kept; other arrays are checked element by
+    # element, so their numpy scalars are rejected as values.
+    values = np.array([1, 2], dtype=dtype)
+    with pytest.raises(InputError) as arrays:
+        SparseCounts(values, np.array([1, 1]))
+    with pytest.raises(InputError) as listed:
+        SparseCounts(list(values), [1, 1])
+    assert str(arrays.value) == str(listed.value)
+    assert str(arrays.value).startswith("not an exact rational")
+
+
+def test_arrays_are_copied_on_construction():
+    # Writes to the caller's arrays afterwards change neither the
+    # readings nor their agreement with the cached mass.
+    values = np.array([0, 1, 5], dtype=np.int64)
+    counts = np.array([3, 1, 2], dtype=np.int64)
+    p = SparseCounts(values, counts)
+    values[:] = [7, 8, 9]
+    counts[:] = 1
+    q = SparseCounts([0, 1, 5], [3, 1, 2])
+    assert (p, hash(p), p.mass, p.max_count(), spectrum_of(p)) == (
+        q, hash(q), q.mass, q.max_count(), spectrum_of(q)
+    )
+
+
+def test_array_mass_past_int64():
+    # Counts that fit int64 whose sum does not: the mass is a Python sum.
+    p = SparseCounts(np.array([0, 1], dtype=np.int64), np.array([2**62, 2**62]))
+    assert p.mass == 2**63 and type(p.mass) is int
+    assert mass_of_squares(p) == 2**125
+    assert p == SparseCounts([0, 1], [2**62, 2**62])

@@ -29,3 +29,49 @@ def test_target_resolves(module, attr):
         # The tracer wraps a method on the class that defines it.
         assert name in vars(owner), f"{module}.{attr}"
     assert callable(getattr(owner, name, None)), f"{module}.{attr}"
+
+
+@pytest.mark.parametrize("read", ["reduced", "materialised"])
+def test_every_dense_result_goes_through_the_traced_fold(monkeypatch, read):
+    """The tracer counts ``engine.algo.dense`` and ``engine.dense.cells``
+    from calls to ``engine._rep_dense(lists)``: every dense result, read
+    as a spectrum or as tuples, must come from one such call with the
+    signed int lists.  The hook is installed as the tracer installs it,
+    by replacing the module attribute."""
+    from sumsetlab import OrderedSet, engine, gen_random_s_convex, kernels
+    from sumsetlab import representation
+    from sumsetlab.engine import spectrum_of
+
+    layer, _, _, counter = next(t for t in TARGETS if t[2] == "_rep_dense")
+    tracer = _tracer["Tracer"]()
+    seen = []
+    fold = engine._rep_dense
+
+    def spy(lists):
+        seen.append(lists)
+        return fold(lists)
+
+    monkeypatch.setattr(engine, "_rep_dense", tracer.wrap(layer, spy, counter))
+    A = gen_random_s_convex(24, 1, 3, 4)
+    R = OrderedSet([-4, 0, 1, 9])
+    # auto takes dense on [A]*4 and [A]*3, as on t4_dense and lucky_k3.
+    cases = [([A] * 4, None, "auto"), ([A] * 3, None, "auto"),
+             ([R, A, R], "+-+", "dense"), ([R], "-", "dense")]
+    for sets, signs, algo in cases:
+        rep = representation(sets, signs=signs, algo=algo)
+        want = representation(sets, signs=signs, algo="mitm")
+        if read == "reduced":
+            assert spectrum_of(rep) == spectrum_of(want)
+        else:
+            assert list(rep.items()) == list(want.items())
+    assert seen == [
+        kernels.signed_scaled(
+            [S.elements for S in sets], engine.parse_signs(signs, len(sets)), 1
+        )
+        for sets, signs, _ in cases
+    ]
+    metrics = tracer.metrics()
+    assert metrics["engine.algo.dense"] == len(cases)
+    # The cell counter read its arguments without error.
+    assert metrics["trace.missing_hooks"] == 0
+    assert metrics["engine.dense.cells"] > 0
