@@ -111,12 +111,13 @@ def _cmd_analyze(args, cfg: RunConfig) -> int:
             rep = engine.doubling(A, pattern, algo=cfg.algo, mem_budget=cfg.mem_budget)
             entry[f"size[{pattern}]"] = rep.size
             entry[f"K[{pattern}]"] = rep.K
-        # engine.check_popular_bound, with the popular class found once;
-        # E3_diff is read from the same r_{A-A}.
-        pop, diff = engine._popular_class_and_differences(
-            A, algo=cfg.algo, mem_budget=cfg.mem_budget
+        # engine.check_popular_bound; E and E3_diff are read from the same
+        # r_{A-A}.
+        diff = engine.representation(
+            [A, A], signs="+-", algo=cfg.algo, mem_budget=cfg.mem_budget
         )
-        e = engine.energy_T([A, A], algo=cfg.algo, mem_budget=cfg.mem_budget)
+        pop = engine.popular_class_of(diff)
+        e = engine.energy_of(diff, [A, A])
         bound = engine.popular_bound_factor(len(A)) * pop.score
         entry["E"] = e
         entry["popular"] = {

@@ -31,7 +31,12 @@ before allocating and raise ResourceError when the configured budget
 ``spectrum_of`` reduces an array-backed result without building its
 tuples: its bit classes (``SparseCounts.dyadic_classes``) and sum of
 squares (``core.mass_of_squares``) read the int64 counts in ``core``,
-with integer operations only, and return Python ints.
+with integer operations only, and return Python ints.  ``energy_of``
+and ``popular_class_of`` are the other reductions of a given result:
+the sum of squares with the universal-bounds check, and the popular
+dyadic class, picked from the bit classes of r_{A-A}.  The energy
+E(A) = sum r_{A-A}(d)**2 and the popular-class bound
+(``check_popular_bound``) are both read from one r_{A-A}.
 
 Sumsets and their sizes (``signed_sumset``, ``doubling``) need no
 counts.  Under ``auto`` they come from the support kernel
@@ -381,8 +386,15 @@ def energy_T(
 ) -> int:
     """Number of 2k-tuples with equal k-fold sums (exact)."""
     rep = representation(sets, signs=signs, algo=algo, mem_budget=mem_budget)
+    return energy_of(rep, sets)
+
+
+def energy_of(rep: SparseCounts, sets: Sequence[OrderedSet]) -> int:
+    """Sum of r(x)**2 over the representation ``rep`` of ``sets`` under
+    any signs; checked against the universal bounds when the sets are
+    equal."""
     total = mass_of_squares(rep)
-    if len(sets) >= 1 and all(A == sets[0] for A in sets):
+    if sets and all(A == sets[0] for A in sets):
         n, k = len(sets[0]), len(sets)
         if not n**k <= total <= n ** (2 * k - 1):
             raise VerificationError(
@@ -465,12 +477,6 @@ class Spectrum:
     def weighted_sum(self) -> int:
         return sum(4**j * size for j, size in self.classes)
 
-    def size_of(self, j: int) -> int:
-        for jj, size in self.classes:
-            if jj == j:
-                return size
-        return 0
-
 
 def spectrum_of(rep: SparseCounts) -> Spectrum:
     return Spectrum(rep.dyadic_classes(), mass_of_squares(rep))
@@ -534,6 +540,8 @@ def signed_sumset(
     ``auto`` runs the support kernel; an explicit algorithm takes the
     support of its representation function.
     """
+    if not sets:
+        raise InputError("need at least one set")
     eps = parse_signs(signs, len(sets))
     if eps[0] != 1:
         raise InputError("sign patterns are normalized to start with +")
@@ -589,30 +597,24 @@ class PopularClass:
 def popular_dyadic_class(
     A: OrderedSet, *, algo: str = "auto", mem_budget: int | None = None
 ) -> PopularClass:
-    """Scan the difference representation r_{A-A} (zero and both signs
-    included) for the dyadic class with maximal |D| * Delta**2; ties go
-    to the larger Delta.
+    """The popular dyadic class of r_{A-A} (:func:`popular_class_of`)."""
+    diff = representation([A, A], signs=(1, -1), algo=algo, mem_budget=mem_budget)
+    return popular_class_of(diff)
+
+
+def popular_class_of(diff: SparseCounts) -> PopularClass:
+    """The dyadic class of the difference representation ``diff`` =
+    r_{A-A} (zero and both signs included) with maximal |D| * Delta**2;
+    ties go to the larger Delta.
     """
-    return _popular_class_and_differences(A, algo=algo, mem_budget=mem_budget)[0]
-
-
-def _popular_class_and_differences(
-    A: OrderedSet, *, algo: str = "auto", mem_budget: int | None = None
-) -> tuple[PopularClass, SparseCounts]:
-    """:func:`popular_dyadic_class` of A together with the r_{A-A} it was
-    read from, for callers that need more from r_{A-A}."""
-    if len(A) < 2:
+    # r_{A-A} has mass |A|**2.
+    if diff.mass < 4:
         raise InputError("popular class needs at least 2 elements")
-    rep = representation([A, A], signs=(1, -1), algo=algo, mem_budget=mem_budget)
-    by_class: dict[int, list] = {}
-    for v, c in rep.items():
-        by_class.setdefault(c.bit_length() - 1, []).append(v)
-    delta, values = max(
-        ((2**j, vals) for j, vals in by_class.items()),
-        key=lambda dv: (len(dv[1]) * dv[0] ** 2, dv[0]),
-    )
-    pop = PopularClass(OrderedSet(sorted(values)), delta, len(values) * delta**2)
-    return pop, rep
+    j, size = max(diff.dyadic_classes(), key=lambda js: (js[1] * 4 ** js[0], js[0]))
+    lo, hi = 2**j, 2 ** (j + 1)
+    # diff.items() runs in increasing value order.
+    values = OrderedSet([v for v, c in diff.items() if lo <= c < hi])
+    return PopularClass(values, lo, size * lo**2)
 
 
 def popular_bound_factor(n: int) -> int:
@@ -624,8 +626,9 @@ def popular_bound_factor(n: int) -> int:
 def check_popular_bound(
     A: OrderedSet, *, algo: str = "auto", mem_budget: int | None = None
 ) -> tuple[int, int, bool]:
-    """Return (E(A), bound, E <= bound) for the popular-class bound."""
-    pop = popular_dyadic_class(A, algo=algo, mem_budget=mem_budget)
-    e = energy_T([A, A], algo=algo, mem_budget=mem_budget)
-    bound = popular_bound_factor(len(A)) * pop.score
+    """Return (E(A), bound, E <= bound) for the popular-class bound, both
+    read from one r_{A-A}: E(A) is the sum of its squared counts."""
+    diff = representation([A, A], signs=(1, -1), algo=algo, mem_budget=mem_budget)
+    bound = popular_bound_factor(len(A)) * popular_class_of(diff).score
+    e = energy_of(diff, [A, A])
     return e, bound, e <= bound

@@ -30,9 +30,3 @@ def ceil_root(n: int, k: int) -> int:
     """Smallest integer m with m**k >= n (n >= 0)."""
     r = iroot(n, k)
     return r if r**k >= n else r + 1
-
-
-def is_perfect_power(n: int, k: int) -> bool:
-    if n < 0:
-        return False
-    return iroot(n, k) ** k == n

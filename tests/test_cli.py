@@ -11,7 +11,14 @@ import textwrap
 import pytest
 
 import sumsetlab
-from sumsetlab import InputError, cli, engine, gen_random_s_convex, read_set
+from sumsetlab import (
+    InputError,
+    VerificationError,
+    cli,
+    engine,
+    gen_random_s_convex,
+    read_set,
+)
 from sumsetlab.cli import run
 from sumsetlab.reporting import file_digest
 
@@ -170,7 +177,7 @@ class TestSumsetDoubling:
         assert report["popular"]["bound_holds"] is True
 
     def test_analyze_counts_each_set_once_per_key(self, capsys, monkeypatch):
-        # r_{A-A} serves the popular class and E3_diff, r_{A+A} serves E.
+        # One r_{A-A} per set serves the popular class, E and E3_diff.
         keys = []
         real = engine.representation
 
@@ -185,10 +192,23 @@ class TestSumsetDoubling:
             capsys, "analyze", "--family", families[0], "--family", families[1]
         )
         assert code == 0
-        assert len(keys) == 4 == len(set(keys))
+        assert len(keys) == 2 == len(set(keys))
         monkeypatch.undo()
-        for (sets, _), report in zip(keys[::2], json.loads(out)["reports"]):
+        for (sets, _), report in zip(keys, json.loads(out)["reports"]):
             assert report["E3_diff"] == str(engine.moment(sets, 3, signs="+-"))
+
+    @pytest.mark.parametrize("squares", [8, 28])
+    def test_energy_outside_universal_bounds(self, capsys, monkeypatch, squares):
+        # E of a 3-element set lies in [3**2, 3**3] = [9, 27].
+        monkeypatch.setattr(engine, "mass_of_squares", lambda rep: squares)
+        A = sumsetlab.gen_interval(3)
+        with pytest.raises(VerificationError, match="outside the universal bounds"):
+            engine.energy_T([A, A])
+        code, out, err = _run(capsys, "analyze", "--family", "interval:n=3")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: energy {squares} outside the universal bounds [3**2, 3**3]\n"
+        )
 
 
 class TestLucky:
@@ -369,10 +389,12 @@ class TestUserErrors:
             lambda tmp: ["fit", "0:5", "20:5", "30:7"],
             lambda tmp: ["verify", "--bound", "eq13_tail", "--family",
                          "interval", "--grid", "1,2,3"],
+            lambda tmp: ["sumset", "--k", "0", "--family", "interval:n=3"],
+            lambda tmp: ["analyze", "--family", "interval:n=1"],
         ],
         ids=["missing", "directory", "not_utf8", "grid_8_x", "grid_empty",
              "out_missing_dir", "out_directory", "gen_out_missing_dir",
-             "fit_n_zero", "tail_n_one"],
+             "fit_n_zero", "tail_n_one", "sumset_k_zero", "analyze_n_one"],
     )
     def test_exits_2_with_one_error_line(self, tmp_path, capsys, argv):
         code, out, err = _run(capsys, *argv(tmp_path))
@@ -380,6 +402,19 @@ class TestUserErrors:
         assert out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sumset", "--k", "0", "--family", "interval:n=3"],
+             "need at least one set"),
+            (["analyze", "--family", "interval:n=1"],
+             "popular class needs at least 2 elements"),
+        ],
+        ids=["sumset_k_zero", "analyze_n_one"],
+    )
+    def test_empty_and_singleton_inputs(self, capsys, argv, message):
+        assert _run(capsys, *argv) == (2, "", f"error: {message}\n")
 
     def test_message_names_the_path(self, tmp_path, capsys):
         path = str(tmp_path / "missing.set")

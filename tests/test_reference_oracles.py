@@ -9,6 +9,8 @@ must get the same acceptance, the same InputError message and the same
 result from both.  The kernel's self-convolution and common-denominator
 paths are checked against the plain all-pairs loop ``oracle_convolve``,
 and both paths of the support kernel against the counted representation.
+The popular dyadic class, read from the bit classes of r_{A-A}, is
+checked against the dict-of-lists scan it replaced.
 """
 
 from __future__ import annotations
@@ -27,15 +29,22 @@ from sumsetlab import (
     OrderedSet,
     SparseCounts,
     doubling,
+    energy_T,
     engine,
     kernels,
+    popular_dyadic_class,
     representation,
     signed_sumset,
 )
 from sumsetlab.core import convolve, mass_of_squares, moment_sum
-from sumsetlab.engine import rich_tail, spectrum_of
+from sumsetlab.engine import (
+    check_popular_bound,
+    popular_bound_factor,
+    rich_tail,
+    spectrum_of,
+)
 
-from conftest import brute_force_representation
+from conftest import brute_force_T, brute_force_representation
 
 
 # -- reference loops ---------------------------------------------------------
@@ -655,3 +664,69 @@ def test_array_mass_past_int64():
     assert p.mass == 2**63 and type(p.mass) is int
     assert mass_of_squares(p) == 2**125
     assert p == SparseCounts([0, 1], [2**62, 2**62])
+
+
+# -- popular class against the dict-of-lists scan ----------------------------
+#
+# ``engine.popular_class_of`` picks the class from
+# ``SparseCounts.dyadic_classes`` and gathers its values in one pass.  The
+# oracle is the scan it replaced: every difference appended to the list of
+# its bit class, on the brute-force r_{A-A}.
+
+
+def oracle_popular_class(diff):
+    """(differences, delta, score) of the class maximizing |D| * Delta**2
+    in the difference counts ``diff``; ties go to the larger Delta."""
+    by_class = {}
+    for v, c in diff.items():
+        by_class.setdefault(c.bit_length() - 1, []).append(v)
+    delta, values = max(
+        ((2**j, vals) for j, vals in by_class.items()),
+        key=lambda dv: (len(dv[1]) * dv[0] ** 2, dv[0]),
+    )
+    return tuple(sorted(map(oracle_canon, values))), delta, len(values) * delta**2
+
+
+@st.composite
+def popular_sets(draw):
+    base = draw(st.sampled_from(REP_BASES))
+    ints = st.integers(0, 120)
+    fracs = st.builds(Fraction, st.integers(0, 360), st.sampled_from([2, 3, 5, 7]))
+    kind = draw(st.sampled_from(["int", "frac", "mixed"]))
+    offsets = {"int": ints, "frac": fracs, "mixed": st.one_of(ints, fracs)}[kind]
+    elements = draw(st.sets(offsets, min_size=2, max_size=30))
+    return OrderedSet(sorted(base + x for x in elements))
+
+
+def check_popular_class(A, want):
+    algos = ["auto", "naive", "mitm"] + (["dense"] if A.is_integer else [])
+    for algo in algos:
+        pop = popular_dyadic_class(A, algo=algo)
+        got = (typed(pop.differences.elements), pop.delta, pop.score)
+        assert got == (typed(want[0]), *want[1:]), algo
+        e, bound, ok = check_popular_bound(A, algo=algo)
+        # E read from r_{A-A} against E built from r_{A+A}.
+        assert e == energy_T([A, A], algo=algo) == brute_force_T([A, A]), algo
+        assert (bound, ok) == (popular_bound_factor(len(A)) * pop.score, e <= bound)
+
+
+@given(A=popular_sets())
+@settings(max_examples=200, deadline=None)
+def test_popular_class_matches_dict_scan(A):
+    diff = brute_force_representation([A, A.negate()])
+    check_popular_class(A, oracle_popular_class(diff))
+
+
+@pytest.mark.parametrize(
+    "A",
+    [OrderedSet([0, 1, 4, 5]), OrderedSet([Fraction(x, 3) for x in (0, 1, 4, 5)])],
+    ids=["int", "frac"],
+)
+def test_popular_class_tie_goes_to_the_larger_delta(A):
+    # r_{A-A}: 0 -> 4; +-1, +-4 -> 2; +-3, +-5 -> 1.  The classes with
+    # Delta = 4 and Delta = 2 both score 16.
+    sp = engine.spectrum([A, A], signs="+-")
+    assert sp.classes == ((0, 4), (1, 4), (2, 1))
+    diff = brute_force_representation([A, A.negate()])
+    assert oracle_popular_class(diff) == ((0,), 4, 16)
+    check_popular_class(A, ((0,), 4, 16))
