@@ -25,6 +25,14 @@ powers of two, the sum of squares by an int64 dot product only while
 ``max(c) * mass < 2**63``, which bounds every partial sum, and a Python
 int sum otherwise.  numpy is imported only in the array branch of
 ``dyadic_classes``, which nothing but a numpy array reaches.
+
+A ``SparseCounts`` built from a dict value -> count (a sparse kernel's
+accumulator, which ``engine.representation`` hands over whole) keeps the
+dict and sorts it into the ``values``/``counts`` tuples only when one is
+read.  The order-free reductions (``mass_of_squares``, ``moment_sum``,
+``dyadic_classes``, ``max_count``, and in ``engine`` ``rich_tail`` and
+``fractional_moment``) read :meth:`SparseCounts.unordered_counts`, so
+they never sort it.
 """
 
 from __future__ import annotations
@@ -67,22 +75,41 @@ def canon(x: Scalar) -> Scalar:
     raise InputError(f"not an exact rational: {x!r}")
 
 
-def _increasing_canon(values: Iterable[Scalar], what: str) -> tuple[tuple, bool]:
-    """Canonicalise ``values`` and check they strictly increase.
+def _canonical(vals: Sequence[Scalar]) -> tuple[Sequence[Scalar], bool]:
+    """``vals`` canonicalised, and whether all of them are integers.
 
-    Returns the values as a tuple and whether all of them are integers.
-    Each step is one builtin pass over the tuple.  ``canon`` leaves a
-    plain ``int`` unchanged, so it is mapped only when some value has
-    another type (Fraction, bool, or something to reject).
+    ``canon`` leaves a plain ``int`` unchanged, so it is mapped (into a
+    tuple) only when some value has another type (Fraction, bool, or
+    something to reject); otherwise ``vals`` itself is returned.
     """
-    vals = tuple(values)
     types = set(map(type, vals))
     if not types <= {int}:
         vals = tuple(map(canon, vals))
         types = set(map(type, vals))
+    return vals, all(issubclass(t, int) for t in types)
+
+
+def _increasing_canon(values: Iterable[Scalar], what: str) -> tuple[tuple, bool]:
+    """Canonicalise ``values`` and check they strictly increase.
+
+    Returns the values as a tuple and whether all of them are integers.
+    Each step is one builtin pass over the tuple.
+    """
+    vals, is_integer = _canonical(tuple(values))
     if not all(map(operator.lt, vals, islice(vals, 1, None))):
         raise InputError(f"{what} must be strictly increasing")
-    return vals, all(issubclass(t, int) for t in types)
+    return vals, is_integer
+
+
+def _integer_counts(counts: Iterable) -> tuple[int, ...]:
+    """``counts`` as a tuple of Python ints, each at least 1."""
+    try:
+        cnts = tuple(map(operator.index, counts))
+    except TypeError:
+        raise InputError("SparseCounts counts must be integers") from None
+    if min(cnts) < 1:
+        raise InputError("SparseCounts counts must be positive")
+    return cnts
 
 
 _ELEMENT_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
@@ -196,32 +223,52 @@ class SparseCounts:
     the arrays are kept, so later writes to the caller's arrays change
     nothing here: ``values`` and ``counts`` become tuples of Python ints
     on first read.
+
+    Given a dict value -> count in any order as ``values``, and no
+    ``counts``, the same checks run on its keys and counts (a dict holds
+    each value once) and the dict itself is kept, not copied: callers
+    hand over a dict they no longer change (:meth:`from_dict` copies).
+    It is sorted into the two tuples when either is first read.
     """
 
     __slots__ = (
-        "_values", "_counts", "_value_array", "_count_array", "_mass", "_is_integer"
+        "_values", "_counts", "_mapping", "_value_array", "_count_array", "_mass",
+        "_is_integer",
     )
 
-    def __init__(self, values: Sequence[Scalar], counts: Sequence[int]) -> None:
+    def __init__(
+        self, values: Union[Sequence[Scalar], dict], counts: Sequence[int] | None = None
+    ) -> None:
+        self._mapping = self._value_array = self._count_array = None
         if _is_int64_vector(values) and _is_int64_vector(counts):
             self._init_arrays(values, counts)
+            return
+        if counts is None and isinstance(values, dict):
+            self._init_mapping(values)
             return
         if len(values) != len(counts):
             raise InputError("values/counts length mismatch")
         if not len(values):
             raise InputError("SparseCounts must be non-empty")
         vals, is_integer = _increasing_canon(values, "SparseCounts values")
-        try:
-            cnts = tuple(map(operator.index, counts))
-        except TypeError:
-            raise InputError("SparseCounts counts must be integers") from None
-        if min(cnts) < 1:
-            raise InputError("SparseCounts counts must be positive")
+        cnts = _integer_counts(counts)
         self._values = vals
         self._counts = cnts
-        self._value_array = self._count_array = None
         self._mass = sum(cnts)
         self._is_integer = is_integer
+
+    def _init_mapping(self, mapping: dict) -> None:
+        if not mapping:
+            raise InputError("SparseCounts must be non-empty")
+        keys, self._is_integer = _canonical(mapping)
+        if keys is not mapping or not set(map(type, mapping.values())) <= {int}:
+            # Some key or count is not a plain int: one canonical copy.
+            mapping = dict(zip(keys, _integer_counts(mapping.values())))
+        elif min(mapping.values()) < 1:
+            raise InputError("SparseCounts counts must be positive")
+        self._mapping = mapping
+        self._values = self._counts = None
+        self._mass = sum(mapping.values())
 
     def _init_arrays(self, values, counts) -> None:
         if len(values) != len(counts):
@@ -241,22 +288,42 @@ class SparseCounts:
         self._value_array, self._count_array = values.copy(), counts.copy()
         self._is_integer = True
 
+    def _sort_mapping(self) -> None:
+        mapping = self._mapping
+        values = sorted(mapping)
+        self._values = tuple(values)
+        self._counts = tuple(map(mapping.__getitem__, values))
+        self._mapping = None
+
     @property
     def values(self) -> tuple:
         if self._values is None:
-            self._values = tuple(self._value_array.tolist())
+            if self._mapping is not None:
+                self._sort_mapping()
+            else:
+                self._values = tuple(self._value_array.tolist())
         return self._values
 
     @property
     def counts(self) -> tuple:
         if self._counts is None:
-            self._counts = tuple(self._count_array.tolist())
+            if self._mapping is not None:
+                self._sort_mapping()
+            else:
+                self._counts = tuple(self._count_array.tolist())
         return self._counts
+
+    def unordered_counts(self) -> Iterable[int]:
+        """The counts in no particular order, each once: a kept dict's
+        counts as they are, else :attr:`counts`.  For reductions that do
+        not depend on order, which then never sort a kept dict."""
+        if self._mapping is not None:
+            return self._mapping.values()
+        return self.counts
 
     @classmethod
     def from_dict(cls, mapping: dict) -> "SparseCounts":
-        values = sorted(mapping)
-        return cls(values, [mapping[v] for v in values])
+        return cls(dict(mapping))
 
     @classmethod
     def from_set(cls, A: OrderedSet) -> "SparseCounts":
@@ -277,6 +344,8 @@ class SparseCounts:
         return self._is_integer
 
     def __len__(self) -> int:
+        if self._mapping is not None:
+            return len(self._mapping)
         return len(self._counts if self._count_array is None else self._count_array)
 
     def items(self) -> Iterator[tuple[Scalar, int]]:
@@ -289,14 +358,14 @@ class SparseCounts:
         return 0
 
     def max_count(self) -> int:
-        return max(self.counts)
+        return max(self.unordered_counts())
 
     def dyadic_classes(self) -> tuple[tuple[int, int], ...]:
         """(j, |{v : 2**j <= count(v) < 2**(j+1)}|) for each non-empty
         class, j increasing."""
         c = self._count_array
         if c is None:
-            sizes = Counter(map(int.bit_length, self._counts))
+            sizes = Counter(map(int.bit_length, self.unordered_counts()))
             return tuple(sorted((bits - 1, size) for bits, size in sizes.items()))
         import numpy as np
 
@@ -348,14 +417,15 @@ def mass_of_squares(p: SparseCounts) -> int:
     c = p._count_array
     if c is not None and int(c.max()) * p.mass < 2**63:
         return int(c.dot(c))
-    return sum(map(operator.mul, p.counts, p.counts))
+    counts = p.unordered_counts()
+    return sum(map(operator.mul, counts, counts))
 
 
 def moment_sum(p: SparseCounts, m: int) -> int:
     """sum of count(v)**m (exact, integer m >= 1)."""
     if m < 1:
         raise InputError("moment order must be >= 1")
-    return sum(map(pow, p.counts, repeat(m)))
+    return sum(map(pow, p.unordered_counts(), repeat(m)))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,12 @@ and the result is mapped back and wrapped in one ``SparseCounts``:
 
 * ``naive`` -- enumerate all tuples (the N**k expansion);
 * ``mitm``  -- balanced convolution tree: ``kernels.convolve_integer``
-  of the two halves' (values, counts) lists;
+  of the two halves' (values, counts) lists.  A node of j copies of one
+  list (``[A] * k`` under one sign) is instead one
+  ``kernels.self_sum_counts`` over the j-multisets of the list wherever
+  the planner (``_mitm_estimate``) finds that cheaper than splitting it;
+  either way such a node is estimated at no more entries than there are
+  j-multisets;
 * ``dense`` -- one fold over a numpy count array keyed by value offset,
   in int64 while the mass (which bounds every count) is below 2**63 and
   in Python ints (``dtype=object``) beyond; integer-valued sets only.
@@ -26,7 +31,16 @@ and the result is mapped back and wrapped in one ``SparseCounts``:
 checked against the budget like several.  All modes agree exactly and are
 cross-checked in the test suite.  Operations estimate their memory
 before allocating and raise ResourceError when the configured budget
-(default 4 GiB) would be exceeded.
+(default 4 GiB) would be exceeded.  Every result's mass is checked
+against the product of the set sizes, in every run (VerificationError).
+
+A sparse kernel that returns its ``Counter`` (``naive``, and the
+multiset node of ``mitm`` at the root) hands it to ``SparseCounts``
+whole: it is sorted only when read in order.  The order-free reductions
+(``energy_of``, ``moment``, ``spectrum_of``, ``rich_tail``,
+``fractional_moment``) read its counts unsorted, so ``energy`` of
+``[A] * k`` never sorts r_{kA}.  Rational results (den > 1) are mapped
+back to Fractions at once, as before.
 
 ``spectrum_of`` reduces an array-backed result without building its
 tuples: its bit classes (``SparseCounts.dyadic_classes``) and sum of
@@ -60,7 +74,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from . import kernels
 from .core import (
@@ -82,6 +96,14 @@ _ALGOS = ("auto", "naive", "mitm", "dense")
 # (_plan_dense) counts as 1/50.
 _COMPILED_OP = 0.02
 _NAIVE_TUPLE = 3.0
+# One j-multiset of kernels.self_sum_counts, the mitm node for j copies
+# of one list (_mitm_estimate), in units of a dict-loop pair as _join
+# charges them.  Fitted on a 2-core Xeon, Python 3.11 (best of 3; 41
+# rsc sets, s = 1, 2, 3, N = 12..48, j = 2..5): the kernel's time per
+# multiset over the split tree's time per unit of its estimated cost
+# gave a median of 2.44, quartiles 1.75 and 3.42 (lowest at odd j, whose
+# last join is no squaring).
+_MULTISET_ITEM = 2.4
 
 # Sumset support (_plan_support): the bitset path is taken when the bits
 # it shifts and ORs number fewer than _BITS_PER_PAIR times the pairs the
@@ -146,13 +168,7 @@ def _verify_representation(rep: SparseCounts, sets: Sequence[OrderedSet]) -> Non
     stats = _verify_ctx.get()
     if stats is None:
         return
-    expected = 1
-    for A in sets:
-        expected *= len(A)
-    if rep.mass != expected:
-        raise VerificationError(
-            f"representation mass {rep.mass} != product of sizes {expected}"
-        )
+    # representation has already checked the mass, in every run.
     stats.mass_checks += 1
     sp = spectrum_of(rep)
     total, weighted = sp.total_T, sp.weighted_sum()
@@ -200,25 +216,43 @@ def _join(p: _Node, q: _Node) -> tuple[_Node, int, float]:
     return _Node(out, span), out * DICT_ENTRY_BYTES, float(work)
 
 
-def _plan_mitm(lists: Sequence[list[int]], den: int) -> tuple[int, float]:
-    def rec(lo: int, hi: int) -> tuple[_Node, int, float]:
-        if hi - lo == 1:
-            vals = lists[lo]
-            # A leaf is the whole result when k = 1; for k >= 2 every join
-            # outputs at least as many entries, so this never sets the peak.
-            leaf_bytes = len(vals) * DICT_ENTRY_BYTES
-            # A set of integers: its scaled values are multiples of den.
-            if den == 1 or not any(x % den for x in vals):
-                span = (vals[-1] - vals[0]) // den + 1
-                return _Node(len(vals), span), leaf_bytes, 0.0
-            return _Node(len(vals), math.inf), leaf_bytes, 0.0
-        mid = (lo + hi + 1) // 2
-        left, b1, c1 = rec(lo, mid)
-        right, b2, c2 = rec(mid, hi)
-        node, b3, c3 = _join(left, right)
-        return node, max(b1, b2, b3), c1 + c2 + c3
+def _mitm_estimate(
+    lists: Sequence[list[int]], den: int
+) -> tuple[_Node, int, float, bool]:
+    """(output node, peak bytes, cost, multiset) of ``_rep_mitm`` on
+    ``lists``: ``multiset`` is True when the lists are j >= 2 copies of
+    one list and ``kernels.self_sum_counts`` costs less than splitting
+    them into two halves and joining."""
+    if len(lists) == 1:
+        vals = lists[0]
+        # A leaf is the whole result when k = 1; for k >= 2 every join
+        # outputs at least as many entries, so this never sets the peak.
+        leaf_bytes = len(vals) * DICT_ENTRY_BYTES
+        # A set of integers: its scaled values are multiples of den.
+        if den == 1 or not any(x % den for x in vals):
+            span = (vals[-1] - vals[0]) // den + 1
+            return _Node(len(vals), span), leaf_bytes, 0.0, False
+        return _Node(len(vals), math.inf), leaf_bytes, 0.0, False
+    mid = (len(lists) + 1) // 2
+    left, b1, c1, _ = _mitm_estimate(lists[:mid], den)
+    right, b2, c2, _ = _mitm_estimate(lists[mid:], den)
+    node, b3, c3 = _join(left, right)
+    split_cost = c1 + c2 + c3
+    if any(vals != lists[0] for vals in lists):
+        return node, max(b1, b2, b3), split_cost, False
+    # j copies of one n-element list: at most one sum per j-multiset,
+    # whichever way they are computed.
+    n, j = len(lists[0]), len(lists)
+    multisets = math.comb(n + j - 1, j)
+    node = _Node(min(multisets, node.span), node.span)
+    out_bytes = node.entries * DICT_ENTRY_BYTES
+    if multisets * _MULTISET_ITEM < split_cost:
+        return node, out_bytes, multisets * _MULTISET_ITEM, True
+    return node, max(b1, b2, out_bytes), split_cost, False
 
-    _, peak, cost = rec(0, len(lists))
+
+def _plan_mitm(lists: Sequence[list[int]], den: int) -> tuple[int, float]:
+    _, peak, cost, _ = _mitm_estimate(lists, den)
     return peak, cost
 
 
@@ -270,17 +304,28 @@ def _plan_support(
 # The three representation algorithms.
 
 
-def _rep_naive(lists: Sequence[list[int]]) -> tuple[list[int], list[int]]:
+# Each returns (values, counts) of the result: two sorted sequences, or a
+# kernel's Counter in no order with its values() view.
+
+
+def _rep_naive(lists: Sequence[list[int]]) -> tuple[Counter, Iterable[int]]:
     acc = Counter(map(sum, itertools.product(*lists)))
-    values = sorted(acc)
-    return values, list(map(acc.__getitem__, values))
+    return acc, acc.values()
 
 
-def _rep_mitm(lists: Sequence[list[int]]) -> tuple[list[int], list[int]]:
+def _rep_mitm(
+    lists: Sequence[list[int]], den: int
+) -> tuple[Iterable[int], Iterable[int]]:
     if len(lists) == 1:
         return lists[0], [1] * len(lists[0])
+    if _mitm_estimate(lists, den)[3]:
+        acc = kernels.self_sum_counts(lists[0], len(lists))
+        return acc, acc.values()
     mid = (len(lists) + 1) // 2
-    return kernels.convolve_integer(*_rep_mitm(lists[:mid]), *_rep_mitm(lists[mid:]))
+    left = _rep_mitm(lists[:mid], den)
+    # Equal halves are computed once; the kernel then walks pairs i <= j.
+    right = left if lists[mid:] == lists[:mid] else _rep_mitm(lists[mid:], den)
+    return kernels.convolve_integer(*left, *right)
 
 
 def _rep_dense(lists: Sequence[list[int]]) -> tuple[Sequence[int], Sequence[int]]:
@@ -365,10 +410,21 @@ def representation(
     if algo == "naive":
         values, counts = _rep_naive(lists)
     elif algo == "mitm":
-        values, counts = _rep_mitm(lists)
+        values, counts = _rep_mitm(lists, den)
     else:
         values, counts = _rep_dense(lists)
-    rep = SparseCounts(kernels.unscaled(values, den), counts)
+    if isinstance(values, dict):
+        # A kernel's Counter: kept whole, sorted only when read in order.
+        if den > 1:
+            values = {Fraction(x, den): c for x, c in values.items()}
+        rep = SparseCounts(values, None)
+    else:
+        rep = SparseCounts(kernels.unscaled(values, den), counts)
+    mass = math.prod(map(len, lists))
+    if rep.mass != mass:
+        raise VerificationError(
+            f"representation mass {rep.mass} != product of sizes {mass}"
+        )
     _verify_representation(rep, sets)
     return rep
 
@@ -455,7 +511,8 @@ def fractional_moment(
     if not 0 < pf < 2:
         raise InputError("fractional moment exponent p must lie in (0, 2)")
     rep = representation(sets, signs=signs, algo=algo, mem_budget=mem_budget)
-    return math.fsum(float(c) ** (1.0 + pf) for c in rep.counts)
+    # fsum is correctly rounded, so the order of the counts cannot matter.
+    return math.fsum(float(c) ** (1.0 + pf) for c in rep.unordered_counts())
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +552,7 @@ def spectrum(
 
 def rich_tail(rep: SparseCounts, r: int) -> int:
     """|{x : r(x) >= r}|."""
-    return sum(map(operator.ge, rep.counts, itertools.repeat(r)))
+    return sum(map(operator.ge, rep.unordered_counts(), itertools.repeat(r)))
 
 
 def _support(

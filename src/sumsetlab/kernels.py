@@ -11,10 +11,23 @@ No Fraction is added or hashed per pair.
 :func:`convolve_integer` is the one convolution loop: a dict
 accumulation over pairs of entries, in arbitrary precision, so no value
 or count can overflow.  When both operands are equal (compared by
-value, so ``[-A, -A]`` qualifies too), only the pairs i <= j are walked:
+value, so ``[-A, -A]`` qualifies too; a ``Counter`` and its ``values()``
+view only as the same objects), only the pairs i <= j are walked:
 c_i**2 is added at 2*v_i and 2*c_i*c_j at v_i + v_j off the diagonal.
 :func:`convolve_exact` is that loop for sequences of rationals: scale,
 convolve, unscale.
+
+:func:`self_sum_counts` is r_{jA} of one list A without any convolution.
+Every j-multiset of A is r distinct elements taken m_1, ..., m_r times,
+for a composition m of j, and stands for j!/(m_1! ... m_r!) ordered
+tuples; there are C(|A|+j-1, j) multisets.  The j-subsets (all m_i = 1,
+most of the multisets once |A| is well above j) are one builtin
+``Counter`` over ``itertools.combinations(A, j)``, weighted by j! in
+place.  Every other composition streams the sums over
+``itertools.combinations(A, r)`` into it, one dict update each (an
+``itemgetter`` repeats each element m_i times before the ``sum``).  The
+result is that accumulator, in no order: callers sort it only when they
+read it in order.
 
 The support kernel (:func:`support_size`, :func:`support_values`)
 computes the set A_1 +/- ... +/- A_k without any counts.  It takes one
@@ -33,9 +46,11 @@ array instead and does not convolve sparse counts.)
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from itertools import chain, compress
-from math import lcm
+from itertools import chain, combinations, compress, repeat
+from math import factorial, lcm, prod
+from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
 
@@ -129,6 +144,29 @@ def convolve_exact(
     den = common_denominator((av, bv))
     values, counts = convolve_integer(_scaled(av, den), ac, _scaled(bv, den), bc)
     return unscaled(values, den), counts
+
+
+def self_sum_counts(values: Sequence[int], j: int) -> Counter:
+    """r_{jA} of the distinct ints A = ``values``, j >= 1: the count at x
+    is the number of ordered j-tuples of A summing to x.  The Counter is
+    returned in no particular order.
+    """
+    # The compositions with j parts are all ones: the j-subsets, each
+    # j! tuples.  They are the accumulator, weighted in place (setting a
+    # key already present never resizes, so iterating meanwhile is safe).
+    acc = Counter(map(sum, combinations(values, j)))
+    dict.update(acc, zip(acc, map(mul, acc.values(), repeat(factorial(j)))))
+    # Every other composition repeats some element; its sums stream into
+    # the accumulator one by one, so no second dict is built.
+    get = acc.get
+    for r in range(1, min(j, len(values) + 1)):
+        for cuts in combinations(range(1, j), r - 1):
+            parts = [b - a for a, b in zip((0, *cuts), (*cuts, j))]
+            weight = factorial(j) // prod(map(factorial, parts))
+            picks = itemgetter(*[i for i, m in enumerate(parts) for _ in range(m)])
+            for x in map(sum, map(picks, combinations(values, r))):
+                acc[x] = get(x, 0) + weight
+    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,16 @@ class TestEnergy:
         assert code == 2
         assert "exceeds budget" in err
 
+    def test_t4_fits_a_budget_above_its_result(self, capsys):
+        # r_{4A} has about 100k entries (12 MB at the planner's 120 bytes
+        # each); the estimate used to be 176 MB, so this exited 2.
+        code, out, err = _run(
+            capsys, "--mem", "100000000", "energy", "--k", "4",
+            "--family", "rsc:n=38,s=3,seed=0,gap=64",
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["T"] == "47002410"
+
     @pytest.mark.parametrize(
         "argv, message",
         [

@@ -28,8 +28,9 @@ from sumsetlab import (
     spectrum,
     verification,
 )
-from sumsetlab import engine
+from sumsetlab import engine, kernels
 from sumsetlab.bounds import verify_bound
+from sumsetlab.core import mass_of_squares
 from sumsetlab.engine import check_popular_bound, rich_tail, spectrum_of
 from sumsetlab.luckypairs import TripleSumset
 
@@ -134,6 +135,32 @@ class TestRepresentation:
             representation([Z, Z, Q], algo="mitm", mem_budget=1000)
         assert exc.value.estimated_bytes == 199 * 20 * 120
 
+    @pytest.mark.parametrize("kernel", ["self_sum_counts", "convolve_integer"])
+    def test_mass_is_checked_outside_verification(self, monkeypatch, kernel):
+        # The kernel loses one entry; representation raises in a normal
+        # run, without verification().
+        real = getattr(kernels, kernel)
+        calls = []
+
+        def drop_first_sum(values, j):
+            calls.append(kernel)
+            acc = real(values, j)
+            del acc[next(iter(acc))]
+            return acc
+
+        def drop_first_entry(*args):
+            calls.append(kernel)
+            values, counts = real(*args)
+            return values[1:], counts[1:]
+
+        fake = drop_first_sum if kernel == "self_sum_counts" else drop_first_entry
+        monkeypatch.setattr(kernels, kernel, fake)
+        A = gen_random_s_convex(12, 3, 1, 64)
+        sets = [A] * 4 if kernel == "self_sum_counts" else [A, gen_power(9, 2)]
+        with pytest.raises(VerificationError, match="representation mass"):
+            representation(sets, algo="mitm")
+        assert calls == [kernel]
+
     @pytest.mark.parametrize("k", [62, 63, 64, 70])
     def test_dense_past_int64_mass(self, k):
         # Mass 2**k: from k = 63 on, the fold runs over Python ints.
@@ -143,6 +170,59 @@ class TestRepresentation:
         assert rep.values == tuple(range(k + 1))
         assert rep.counts == tuple(math.comb(k, j) for j in range(k + 1))
         assert rep.mass == 2**k
+
+
+class TestPlanner:
+    """The algorithm ``auto`` takes, and the kernel ``mitm`` runs, on the
+    benchmark's inputs: wide-gap 3-convex T4 (the multiset kernel), the
+    1-convex T4 grid and the k = 3 census sets (dense)."""
+
+    @staticmethod
+    def taken(monkeypatch, targets, sets, **kwargs):
+        seen = set()
+        for owner, name in targets:
+            real = getattr(owner, name)
+
+            def spy(*args, real=real, name=name):
+                seen.add(name)
+                return real(*args)
+
+            monkeypatch.setattr(owner, name, spy)
+        representation(sets, **kwargs)
+        return seen
+
+    ALGOS = [(engine, "_rep_naive"), (engine, "_rep_mitm"), (engine, "_rep_dense")]
+    KERNELS = [(kernels, "self_sum_counts"), (kernels, "convolve_integer")]
+
+    @pytest.mark.parametrize(
+        "n, s, gap, k, algo",
+        [(38, 3, 64, 4, "_rep_mitm")]
+        + [(n, 1, 4, 4, "_rep_dense") for n in (48, 96, 144, 192)]
+        + [(34, 1, 4, 3, "_rep_dense")],
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_auto_choice(self, monkeypatch, n, s, gap, k, algo, seed):
+        A = gen_random_s_convex(n, s, seed, gap)
+        assert self.taken(monkeypatch, self.ALGOS, [A] * k) == {algo}
+
+    def test_wide_gap_t4_is_one_multiset_node(self, monkeypatch):
+        A = gen_random_s_convex(38, 3, 0, 64)
+        assert self.taken(monkeypatch, self.KERNELS, [A] * 4) == {"self_sum_counts"}
+
+    def test_interval_t4_takes_the_tree(self, monkeypatch):
+        # C(103, 4) multisets against 199**2 pairs for the last join.
+        sets = [gen_interval(100)] * 4
+        seen = self.taken(monkeypatch, self.KERNELS, sets, algo="mitm")
+        assert seen == {"convolve_integer"}
+
+    def test_t4_estimate_is_capped_by_the_multisets(self):
+        # About 100k distinct sums, from C(41, 4) = 101,270 multisets: the
+        # estimate is 101,270 entries, not the 38**4 pairs of the last join.
+        A = gen_random_s_convex(38, 3, 0, 64)
+        lists = [list(A.elements)] * 4
+        assert engine._plan_mitm(lists, 1)[0] == math.comb(41, 4) * 120
+        rep = representation([A] * 4, mem_budget=100_000_000)
+        assert mass_of_squares(rep) == 47002410
 
 
 class TestEnergy:

@@ -506,6 +506,99 @@ def test_representation_matches_brute_force(sets, data):
         assert typed(rep.values) == typed(map(oracle_canon, sorted(want))), algo
 
 
+# -- one set repeated: the multiset kernel, and results sorted when read ----
+#
+# ``[A] * k`` under one sign is k copies of one signed list, which ``mitm``
+# may hand to ``kernels.self_sum_counts``.  A kernel's Counter becomes a
+# ``SparseCounts`` that sorts it only when read in order; every reading
+# must equal the eagerly sorted container's, and the order-free reductions
+# must not sort at all.
+
+
+def order_free_readings(rep):
+    top = rep.max_count()
+    return {
+        "len": len(rep),
+        "mass": rep.mass,
+        "squares": mass_of_squares(rep),
+        "moments": [moment_sum(rep, m) for m in (1, 3)],
+        "spectrum": spectrum_of(rep),
+        "tails": [rich_tail(rep, r) for r in (1, 2, top // 3, top, top + 1)],
+        "max": top,
+    }
+
+
+def _no_sort(self):
+    raise AssertionError("a kept dict was sorted")
+
+
+@given(A=based_sets(), k=st.integers(1, 6), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_repeated_set_matches_brute_force(A, k, data):
+    pattern = data.draw(st.sampled_from(["+", "-", "mixed"]))
+    if pattern == "mixed":
+        signs = data.draw(st.text("+-", min_size=k, max_size=k))
+    else:
+        signs = pattern * k
+    negated = [A if e == "+" else A.negate() for e in signs]
+    want = brute_force_representation(negated)
+    eager = SparseCounts(sorted(want), [want[v] for v in sorted(want)])
+    if len(set(signs)) == 1:
+        # The kernel itself, on the signed and scaled list.
+        den = kernels.common_denominator([A.elements])
+        sign = 1 if signs[0] == "+" else -1
+        (scaled,) = kernels.signed_scaled([A.elements], [sign], den)
+        sums = kernels.self_sum_counts(scaled, k)
+        assert {Fraction(x, den): c for x, c in sums.items()} == want
+    algos = ["auto", "naive", "mitm"] + (["dense"] if A.is_integer else [])
+    for algo in algos:
+        # A kept dict (naive always, mitm at a multiset node), or tuples.
+        result = representation([A] * k, signs=signs, algo=algo)
+        lazy = (SparseCounts(dict(want), None), result)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(SparseCounts, "_sort_mapping", _no_sort)
+            for rep in lazy:
+                assert order_free_readings(rep) == order_free_readings(eager), algo
+            got = engine.fractional_moment([A] * k, 0.5, signs=signs, algo=algo)
+            assert got == math.fsum(float(c) ** 1.5 for c in eager.counts), algo
+        for rep in lazy:
+            assert (rep.values, rep.counts) == (eager.values, eager.counts), algo
+            assert typed(rep.values) == typed(eager.values), algo
+            assert readings(rep) == readings(eager), algo
+            assert rep == eager and hash(rep) == hash(eager), algo
+
+
+@pytest.mark.parametrize(
+    "mapping",
+    [{}, {1: 0}, {1: 2, 2: -3}, {1: 1.5}, {1: Fraction(1)}, {0.5: 1}, {"1": 1}],
+    ids=["empty", "zero", "negative", "float_count", "fraction_count",
+         "float_value", "string_value"],
+)
+def test_mapping_checks_match_list_checks(mapping):
+    values = list(mapping)
+    with pytest.raises(InputError) as listed:
+        SparseCounts(values, [mapping[v] for v in values])
+    with pytest.raises(InputError) as kept:
+        SparseCounts(dict(mapping), None)
+    assert str(kept.value) == str(listed.value)
+
+
+def test_mapping_values_are_canonicalised():
+    mapping = {Fraction(4, 2): 3, Fraction(1, 2): 1, -1: True, 7: np.int64(2)}
+    rep = SparseCounts(mapping, None)
+    assert rep == SparseCounts([-1, Fraction(1, 2), 2, 7], [1, 1, 3, 2])
+    assert typed(rep.values) == typed((-1, Fraction(1, 2), 2, 7))
+    assert typed(rep.counts) == typed((1, 1, 3, 2))
+    assert not rep.is_integer_valued and rep.mass == 7
+
+
+def test_from_dict_copies():
+    mapping = {3: 1, 1: 2}
+    rep = SparseCounts.from_dict(mapping)
+    mapping[2] = 5
+    assert dict(rep.items()) == {1: 2, 3: 1} and rep.mass == 3
+
+
 # -- dense results kept as int64 arrays, against mitm -----------------------
 #
 # ``algo="dense"`` hands ``SparseCounts`` two int64 arrays when the counts
