@@ -4,10 +4,10 @@ Commands: gen, analyze, energy, spectrum, sumset, doubling, lucky, fit,
 verify.  Global flags: --mem, --algo, --format, --out, --seed,
 --timings.  The environment variable SUMSETLAB_MEM overrides --mem.
 
-Exit codes: 0 success, 1 a verification flag failed, 2 input or
-resource errors.  Reports are byte-identical across identical
-invocations; --timings adds a wall-clock field and is off by default
-for that reason.
+Exit codes: 0 success, 1 a verification flag failed, 2 usage, input
+or resource errors, each reported on one ``error:`` line.  Reports are
+byte-identical across identical invocations; --timings adds a
+wall-clock field and is off by default for that reason.
 """
 
 from __future__ import annotations
@@ -353,6 +353,14 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise SumsetLabError, so that ``run``
+    reports them on one line; subparsers are built from the same class."""
+
+    def error(self, message: str):
+        raise SumsetLabError(message)
+
+
 def _add_common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     """Global flags, accepted both before and after the subcommand.
 
@@ -388,7 +396,7 @@ def _add_common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sumsetlab",
         description="Exact additive-energy laboratory for convex and "
         "near-convex sets.",
@@ -466,11 +474,11 @@ _HANDLERS = {
 
 def run(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_help()
-        return 2
     try:
+        args = parser.parse_args(argv)
+        if args.command is None:
+            parser.print_help()
+            return 2
         cfg = _config(args)
         # Fail on a destination that cannot be written before any work.
         if args.command != "gen":

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .core import OrderedSet, Scalar, canon
+from .core import OrderedSet, Scalar, canon, format_element
 from .errors import DomainError, InputError, Unsupported
 from .intmath import iroot
 
@@ -87,9 +87,11 @@ def convexity_order(A: OrderedSet) -> ConvexityOrder:
     Level j is the consecutive-difference sequence of level j-1 (level 0
     is the set itself).  Checking a level needs at least two terms; if
     the rows shrink below that while every check so far passed, the scan
-    is saturated at the last verified level.
+    is saturated at the last verified level.  The scan reads the stored
+    ints: scaling by the positive denominator keeps every level's
+    monotonicity.
     """
-    row = list(A.elements)
+    row = A.ints
     level = 0
     while True:
         nxt = [b - a for a, b in zip(row, row[1:])]
@@ -156,8 +158,7 @@ def exact_root(x: Scalar, m: int) -> Scalar:
     x = canon(x)
     if m == 1:
         return x
-    num = x if isinstance(x, int) else x.numerator
-    den = 1 if isinstance(x, int) else x.denominator
+    num, den = x.numerator, x.denominator
     sign = 1
     if num < 0:
         if m % 2 == 0:
@@ -307,10 +308,7 @@ def _parse_index(rest: str, text: str) -> int:
 
 def format_function(f: FunctionSpec) -> str:
     if isinstance(f, Polynomial):
-        return "poly:" + ",".join(
-            str(c) if isinstance(c, int) else f"{c.numerator}/{c.denominator}"
-            for c in f.coefficients
-        )
+        return "poly:" + ",".join(map(format_element, f.coefficients))
     if isinstance(f, IntegerPower):
         return f"pow:{f.exponent}"
     if isinstance(f, IntegerRoot):

@@ -2,35 +2,43 @@
 
 Every element is an exact rational.  The scalar type is
 :class:`fractions.Fraction` (re-exported as ``Rational``); integral
-values are canonicalised to plain ``int`` so that the integer fast
-paths can recognise them cheaply.  ``Fraction`` and ``int`` hash and
-compare consistently, so the two may be mixed freely inside a
-container.
+values are canonicalised to plain ``int``.  ``Fraction`` and ``int``
+hash and compare consistently, so callers may mix the two freely.
 
-Containers:
+Both containers hold their values as strictly increasing ints over one
+denominator: the value x / ``den`` for each int x, with ``den >= 1``.
+``den`` is reduced once, at construction, so that gcd(den, all ints) =
+1: equal sets hold equal data, and a container is integer-valued exactly
+when ``den == 1``.  The kernels and the engine read these ints; they
+rescale only when two operands' denominators differ (:func:`common_ints`).
 
-* :class:`OrderedSet` -- a strictly increasing tuple of rationals.
+* :class:`OrderedSet` -- a finite set of rationals in increasing order.
 * :class:`SparseCounts` -- a sorted association value -> multiplicity,
   the representation-function type.  Convolution of two
   ``SparseCounts`` realises the additivity of representation counts:
   ``r_{A+B}(x) = sum_y r_A(y) * r_B(x - y)``.
 
+A container built from a caller's values keeps their canonical tuple as
+its elements, so exact element types (a bool stays a bool) do not
+change; an integer set's ints are that same tuple.  A container built
+from ints over ``den > 1`` (an engine result) builds its elements, each
+the int x // den or ``Fraction(x, den)``, only when they are first read.
+
 A ``SparseCounts`` built from two numpy int64 arrays (the dense fold of
 ``engine.representation`` hands over its values and counts this way)
-keeps private copies of the arrays and builds its ``values``/``counts``
-tuples only when one is read.  Only this class and
-:func:`mass_of_squares` read the count array:
-``SparseCounts.dyadic_classes`` by integer comparisons against the
-powers of two, the sum of squares by an int64 dot product only while
+keeps private copies of the arrays and builds its tuples only when one
+is read.  Only this class and :func:`mass_of_squares` read the count
+array: ``SparseCounts.dyadic_classes`` by integer comparisons against
+the powers of two, the sum of squares by an int64 dot product only while
 ``max(c) * mass < 2**63``, which bounds every partial sum, and a Python
 int sum otherwise.  numpy is imported only in the array branch of
 ``dyadic_classes``, which nothing but a numpy array reaches.
 
-A ``SparseCounts`` built from a dict value -> count (a sparse kernel's
+A ``SparseCounts`` built from a dict int -> count (a sparse kernel's
 accumulator, which ``engine.representation`` hands over whole) keeps the
-dict and sorts it into the ``values``/``counts`` tuples only when one is
-read.  The order-free reductions (``mass_of_squares``, ``moment_sum``,
-``dyadic_classes``, ``max_count``, and in ``engine`` ``rich_tail`` and
+dict and sorts it into tuples only when one is read.  The order-free
+reductions (``mass_of_squares``, ``moment_sum``, ``dyadic_classes``,
+``max_count``, and in ``engine`` ``rich_tail`` and
 ``fractional_moment``) read :meth:`SparseCounts.unordered_counts`, so
 they never sort it.
 """
@@ -45,6 +53,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
 from itertools import islice, repeat
+from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence, TextIO, Union
 
 from . import kernels
@@ -112,6 +121,33 @@ def _integer_counts(counts: Iterable) -> tuple[int, ...]:
     return cnts
 
 
+def _over_den(vals: Iterable, is_integer: bool, den: int) -> tuple[Iterable, int]:
+    """The canonical values ``vals`` (a tuple, or a dict's int keys), each
+    divided by ``den``, as (ints, d) with gcd(d, all ints) = 1.
+
+    Rational values are first scaled by the lcm of their denominators.
+    Integer values over den 1 are returned as they are, with no pass.
+    """
+    if type(den) is not int or den < 1:
+        raise InputError(f"den must be a positive int, got {den!r}")
+    if not is_integer:
+        d = lcm(*{x.denominator for x in vals})
+        vals = tuple([x.numerator * (d // x.denominator) for x in vals])
+        den *= d
+    g = gcd(den, *vals) if den > 1 else 1
+    if g > 1:
+        vals, den = tuple([x // g for x in vals]), den // g
+    return vals, den
+
+
+def _rationals(ints: tuple, den: int) -> tuple:
+    """The values x / ``den`` of ``ints``, canonical: each the int
+    x // den or ``Fraction(x, den)``; ``ints`` itself when den == 1."""
+    if den == 1:
+        return ints
+    return tuple([x // den if x % den == 0 else Fraction(x, den) for x in ints])
+
+
 _ELEMENT_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 
@@ -136,30 +172,48 @@ def format_element(x: Scalar) -> str:
 
 
 class OrderedSet:
-    """A finite set of rationals stored as a strictly increasing tuple.
+    """A finite, non-empty set of rationals: {x / den : x in ints}.
 
-    Construction canonicalises every element with :func:`canon` (skipped
-    when all elements are plain ints, which it would leave unchanged),
-    then requires a non-empty, strictly increasing sequence.  Each check
-    is one builtin pass over the tuple; a failure raises InputError.
+    ``ints`` is a strictly increasing tuple of ints and ``den`` >= 1 is
+    reduced so that gcd(den, all ints) = 1, so equal sets hold equal
+    (ints, den).  ``elements`` is the set as a strictly increasing tuple
+    of canonical rationals.
+
+    Built from elements (``den`` 1, the default), each is canonicalised
+    with :func:`canon` (skipped when all are plain ints, which it would
+    leave unchanged), and the tuple must be non-empty and strictly
+    increasing.  Each check is one builtin pass; a failure raises
+    InputError.  That canonical tuple is kept as ``elements``; for an
+    integer set it is ``ints`` too, otherwise ``den`` is the lcm of the
+    denominators and ``ints`` the elements times ``den``.
+
+    Built from ints over ``den`` > 1 (the engine's sumsets), the same
+    checks run on the ints, ``den`` is reduced, and ``elements`` is built
+    when first read.
     """
 
-    __slots__ = ("elements", "_is_integer")
+    __slots__ = ("ints", "den", "_elements")
 
-    def __init__(self, elements: Iterable[Scalar]) -> None:
+    def __init__(self, elements: Iterable[Scalar], *, den: int = 1) -> None:
         elems, is_integer = _increasing_canon(elements, "OrderedSet elements")
         if not elems:
             raise InputError("OrderedSet must be non-empty")
-        self.elements = elems
-        self._is_integer = is_integer
+        self.ints, self.den = _over_den(elems, is_integer, den)
+        self._elements = elems if den == 1 else None
+
+    @property
+    def elements(self) -> tuple:
+        if self._elements is None:
+            self._elements = _rationals(self.ints, self.den)
+        return self._elements
 
     @property
     def is_integer(self) -> bool:
         """True when every element is an integer."""
-        return self._is_integer
+        return self.den == 1
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.ints)
 
     def __iter__(self) -> Iterator[Scalar]:
         return iter(self.elements)
@@ -169,19 +223,21 @@ class OrderedSet:
 
     def __contains__(self, x) -> bool:
         i = bisect_left(self.elements, x)
-        return i < len(self.elements) and self.elements[i] == x
+        return i < len(self) and self.elements[i] == x
 
     def index(self, x: Scalar) -> int:
         i = bisect_left(self.elements, x)
-        if i == len(self.elements) or self.elements[i] != x:
+        if i == len(self) or self.elements[i] != x:
             raise KeyError(x)
         return i
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, OrderedSet) and self.elements == other.elements
+        return isinstance(other, OrderedSet) and (self.ints, self.den) == (
+            other.ints, other.den
+        )
 
     def __hash__(self) -> int:
-        return hash(self.elements)
+        return hash((self.ints, self.den))
 
     def __repr__(self) -> str:
         if len(self) <= 8:
@@ -193,7 +249,7 @@ class OrderedSet:
 
     def negate(self) -> "OrderedSet":
         """{-a : a in A}."""
-        return OrderedSet([-x for x in reversed(self.elements)])
+        return OrderedSet([-x for x in reversed(self.ints)], den=self.den)
 
 
 def make_set(values: Iterable[Scalar]) -> OrderedSet:
@@ -208,66 +264,92 @@ def make_set(values: Iterable[Scalar]) -> OrderedSet:
     return OrderedSet(vals)
 
 
+def common_ints(
+    containers: Sequence[Union[OrderedSet, "SparseCounts"]],
+) -> tuple[list[Sequence[int]], int]:
+    """The ints of each container over their common denominator, and
+    that denominator: the lcm D of their dens.  A container whose den is
+    D gives its stored ints; the others are multiplied by D // den."""
+    den = lcm(*{c.den for c in containers})
+    return [
+        c.ints if c.den == den else tuple([x * (den // c.den) for x in c.ints])
+        for c in containers
+    ], den
+
+
 class SparseCounts:
     """Sorted value -> multiplicity map with exact integer counts.
+
+    The values are held as an :class:`OrderedSet` holds its elements:
+    strictly increasing ``ints`` over a reduced ``den``, read as the
+    canonical rationals ``values``.
 
     Construction checks, in this order and each as one builtin pass:
     equal lengths, non-empty, values canonicalised as in
     :class:`OrderedSet` and strictly increasing, counts integers (Python
     or numpy integer scalars, taken through ``operator.index``; floats,
     strings and Fractions are rejected, never truncated), counts >= 1.
-    A failure raises InputError.
+    A failure raises InputError.  Values given over ``den`` 1 (the
+    default) are kept as ``values``; ints over ``den`` > 1 (the engine's
+    results) are reduced, and ``values`` is built when first read.
 
-    Given two 1-d numpy int64 arrays, the same checks run as array
+    Given two 1-d numpy int64 arrays (and ``den`` 1), the same checks run as array
     operations (the dtype makes every count an integer) and copies of
     the arrays are kept, so later writes to the caller's arrays change
-    nothing here: ``values`` and ``counts`` become tuples of Python ints
+    nothing here: ``ints`` and ``counts`` become tuples of Python ints
     on first read.
 
     Given a dict value -> count in any order as ``values``, and no
     ``counts``, the same checks run on its keys and counts (a dict holds
-    each value once) and the dict itself is kept, not copied: callers
-    hand over a dict they no longer change (:meth:`from_dict` copies).
-    It is sorted into the two tuples when either is first read.
+    each value once).  A dict of plain int keys and counts is kept, not
+    copied: callers hand over a dict they no longer change
+    (:meth:`from_dict` copies).  It is sorted into the tuples when either
+    is first read.  Any other dict is sorted at once.
     """
 
     __slots__ = (
-        "_values", "_counts", "_mapping", "_value_array", "_count_array", "_mass",
-        "_is_integer",
+        "den", "_ints", "_values", "_counts", "_mapping", "_value_array",
+        "_count_array", "_mass",
     )
 
     def __init__(
-        self, values: Union[Sequence[Scalar], dict], counts: Sequence[int] | None = None
+        self, values: Union[Sequence[Scalar], dict], counts=None, *, den: int = 1
     ) -> None:
         self._mapping = self._value_array = self._count_array = None
-        if _is_int64_vector(values) and _is_int64_vector(counts):
+        self._ints = self._values = self._counts = None
+        if den == 1 and _is_int64_vector(values) and _is_int64_vector(counts):
             self._init_arrays(values, counts)
             return
         if counts is None and isinstance(values, dict):
-            self._init_mapping(values)
-            return
+            lists = self._init_mapping(values, den)
+            if lists is None:
+                return
+            values, counts = lists
         if len(values) != len(counts):
             raise InputError("values/counts length mismatch")
         if not len(values):
             raise InputError("SparseCounts must be non-empty")
         vals, is_integer = _increasing_canon(values, "SparseCounts values")
-        cnts = _integer_counts(counts)
-        self._values = vals
-        self._counts = cnts
-        self._mass = sum(cnts)
-        self._is_integer = is_integer
+        self._counts = _integer_counts(counts)
+        self._mass = sum(self._counts)
+        self._ints, self.den = _over_den(vals, is_integer, den)
+        self._values = vals if den == 1 else None
 
-    def _init_mapping(self, mapping: dict) -> None:
+    def _init_mapping(self, mapping: dict, den: int) -> tuple[list, list] | None:
+        """Keep ``mapping``, or, when some key or count is not a plain int,
+        return it sorted as (values, counts) lists for the list checks."""
         if not mapping:
             raise InputError("SparseCounts must be non-empty")
-        keys, self._is_integer = _canonical(mapping)
+        keys = _canonical(mapping)[0]
         if keys is not mapping or not set(map(type, mapping.values())) <= {int}:
-            # Some key or count is not a plain int: one canonical copy.
-            mapping = dict(zip(keys, _integer_counts(mapping.values())))
-        elif min(mapping.values()) < 1:
+            values = sorted(keys)
+            return values, list(map(mapping.__getitem__, values))
+        if min(mapping.values()) < 1:
             raise InputError("SparseCounts counts must be positive")
+        keys, self.den = _over_den(mapping, True, den)
+        if keys is not mapping:
+            mapping = dict(zip(keys, mapping.values()))
         self._mapping = mapping
-        self._values = self._counts = None
         self._mass = sum(mapping.values())
 
     def _init_arrays(self, values, counts) -> None:
@@ -284,24 +366,29 @@ class SparseCounts:
             self._mass = int(counts.sum())
         else:
             self._mass = sum(counts.tolist())
-        self._values = self._counts = None
         self._value_array, self._count_array = values.copy(), counts.copy()
-        self._is_integer = True
+        self.den = 1
 
     def _sort_mapping(self) -> None:
         mapping = self._mapping
-        values = sorted(mapping)
-        self._values = tuple(values)
-        self._counts = tuple(map(mapping.__getitem__, values))
+        ints = sorted(mapping)
+        self._ints = tuple(ints)
+        self._counts = tuple(map(mapping.__getitem__, ints))
         self._mapping = None
+
+    @property
+    def ints(self) -> tuple:
+        if self._ints is None:
+            if self._mapping is not None:
+                self._sort_mapping()
+            else:
+                self._ints = tuple(self._value_array.tolist())
+        return self._ints
 
     @property
     def values(self) -> tuple:
         if self._values is None:
-            if self._mapping is not None:
-                self._sort_mapping()
-            else:
-                self._values = tuple(self._value_array.tolist())
+            self._values = _rationals(self.ints, self.den)
         return self._values
 
     @property
@@ -341,7 +428,7 @@ class SparseCounts:
 
     @property
     def is_integer_valued(self) -> bool:
-        return self._is_integer
+        return self.den == 1
 
     def __len__(self) -> int:
         if self._mapping is not None:
@@ -353,7 +440,7 @@ class SparseCounts:
 
     def count_of(self, value: Scalar) -> int:
         i = bisect_left(self.values, value)
-        if i < len(self.values) and self.values[i] == value:
+        if i < len(self) and self.values[i] == value:
             return self.counts[i]
         return 0
 
@@ -376,18 +463,20 @@ class SparseCounts:
         return tuple((int(b) - 1, int(sizes[b])) for b in np.flatnonzero(sizes))
 
     def support(self) -> OrderedSet:
-        """The set of values carrying positive count."""
-        return OrderedSet(self.values)
+        """The set of values carrying positive count: built from the ints
+        until the values are read (or given), so that their types carry
+        over."""
+        if self._values is None:
+            return OrderedSet(self.ints, den=self.den)
+        return OrderedSet(self._values)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SparseCounts)
-            and self.values == other.values
-            and self.counts == other.counts
-        )
+        return isinstance(other, SparseCounts) and (
+            self.ints, self.den, self.counts
+        ) == (other.ints, other.den, other.counts)
 
     def __hash__(self) -> int:
-        return hash((self.values, self.counts))
+        return hash((self.ints, self.den, self.counts))
 
     def __repr__(self) -> str:
         n = len(self)
@@ -401,10 +490,12 @@ def convolve(p: SparseCounts, q: SparseCounts) -> SparseCounts:
     """Exact convolution: entry at v gets sum_u p(u) * q(v - u).
 
     Commutative and associative; total mass multiplies.  The work is
-    done by :func:`sumsetlab.kernels.convolve_exact`.
+    :func:`sumsetlab.kernels.convolve_integer` on the operands' ints over
+    their common denominator (:func:`common_ints`).
     """
-    values, counts = kernels.convolve_exact(p.values, p.counts, q.values, q.counts)
-    return SparseCounts(values, counts)
+    (av, bv), den = common_ints([p, q])
+    values, counts = kernels.convolve_integer(av, p.counts, bv, q.counts)
+    return SparseCounts(values, counts, den=den)
 
 
 def mass_of_squares(p: SparseCounts) -> int:

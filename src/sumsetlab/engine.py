@@ -6,11 +6,12 @@ the product of the set sizes.  Energies (second moments), higher
 moments and rich-sum spectra are derived from it with exact integer
 arithmetic.
 
-``representation`` signs and scales its inputs once: each set becomes
-the increasing list of its values times the common denominator of all
-sets, negated where its sign is -1 (``kernels.signed_scaled``).  The
-planner and three interchangeable algorithms run on those int lists,
-and the result is mapped back and wrapped in one ``SparseCounts``:
+``representation`` reads each set's stored ints over the sets' common
+denominator (``core.common_ints``, which rescales only sets whose
+denominators differ from it), negated and reversed where its sign is
+-1.  The planner and three interchangeable algorithms run on those int
+sequences, and the result's ints are handed with that denominator to
+one ``SparseCounts``, which reduces it:
 
 * ``naive`` -- enumerate all tuples (the N**k expansion);
 * ``mitm``  -- balanced convolution tree: ``kernels.convolve_integer``
@@ -39,8 +40,9 @@ multiset node of ``mitm`` at the root) hands it to ``SparseCounts``
 whole: it is sorted only when read in order.  The order-free reductions
 (``energy_of``, ``moment``, ``spectrum_of``, ``rich_tail``,
 ``fractional_moment``) read its counts unsorted, so ``energy`` of
-``[A] * k`` never sorts r_{kA}.  Rational results (den > 1) are mapped
-back to Fractions at once, as before.
+``[A] * k`` never sorts r_{kA}.  Neither ``representation`` nor the
+support path builds a Fraction: a rational result's values are built
+only when a caller reads them.
 
 ``spectrum_of`` reduces an array-backed result without building its
 tuples: its bit classes (``SparseCounts.dyadic_classes``) and sum of
@@ -54,11 +56,12 @@ E(A) = sum r_{A-A}(d)**2 and the popular-class bound
 
 Sumsets and their sizes (``signed_sumset``, ``doubling``) need no
 counts.  Under ``auto`` they come from the support kernel
-(``kernels.support_size`` / ``support_values``), which ``_plan_support``
-sends down its bitset or its int-set fold path and charges against the
-memory budget; an explicit algorithm takes the support of its
-representation function instead, which is how the tests cross-check
-the kernel.
+(``kernels.support_size`` / ``support_values``) on the same signed
+ints, which ``_plan_support`` sends down its bitset or its int-set fold
+path and charges against the memory budget; a sumset is the kernel's
+ints with their denominator in one ``OrderedSet``.  An explicit
+algorithm takes the support of its representation function instead,
+which is how the tests cross-check the kernel.
 
 Everything here is pure and deterministic; independent computations can
 run concurrently with bit-identical results.
@@ -82,6 +85,7 @@ from .core import (
     DICT_ENTRY_BYTES,
     OrderedSet,
     SparseCounts,
+    common_ints,
     mass_of_squares,
     moment_sum,
 )
@@ -135,6 +139,19 @@ def parse_signs(signs: Signs, k: int) -> tuple[int, ...]:
     return out
 
 
+def _signed_ints(
+    sets: Sequence[OrderedSet], eps: Sequence[int]
+) -> tuple[list[Sequence[int]], int]:
+    """Each set's ints over the sets' common denominator, negated and
+    reversed where its sign is -1 (so each stays increasing), and that
+    denominator."""
+    lists, den = common_ints(sets)
+    return [
+        ints if e == 1 else tuple(map(operator.neg, reversed(ints)))
+        for ints, e in zip(lists, eps)
+    ], den
+
+
 # ---------------------------------------------------------------------------
 # Verify mode: cross-checks embedded in the hot paths, activated by the
 # `verification()` context.  Checks raise VerificationError on failure.
@@ -183,9 +200,7 @@ def _verify_support(size: int, sets: Sequence[OrderedSet]) -> None:
     if stats is None:
         return
     lower = sum(len(A) for A in sets) - (len(sets) - 1)
-    upper = 1
-    for A in sets:
-        upper *= len(A)
+    upper = math.prod(map(len, sets))
     if not lower <= size <= upper:
         raise VerificationError(
             f"sumset size {size} outside [{lower}, {upper}]"
@@ -195,8 +210,8 @@ def _verify_support(size: int, sets: Sequence[OrderedSet]) -> None:
 
 # ---------------------------------------------------------------------------
 # Planning: entry estimates and memory/cost estimates per algorithm, read
-# from the signed int lists the algorithms run on and their common
-# denominator ``den`` (1 exactly when every set is integer-valued).
+# from the signed ints the algorithms run on and their common denominator
+# ``den`` (1 exactly when every set is integer-valued).
 
 
 @dataclass(frozen=True)
@@ -217,7 +232,7 @@ def _join(p: _Node, q: _Node) -> tuple[_Node, int, float]:
 
 
 def _mitm_estimate(
-    lists: Sequence[list[int]], den: int
+    lists: Sequence[Sequence[int]], den: int
 ) -> tuple[_Node, int, float, bool]:
     """(output node, peak bytes, cost, multiset) of ``_rep_mitm`` on
     ``lists``: ``multiset`` is True when the lists are j >= 2 copies of
@@ -229,10 +244,9 @@ def _mitm_estimate(
         # outputs at least as many entries, so this never sets the peak.
         leaf_bytes = len(vals) * DICT_ENTRY_BYTES
         # A set of integers: its scaled values are multiples of den.
-        if den == 1 or not any(x % den for x in vals):
-            span = (vals[-1] - vals[0]) // den + 1
-            return _Node(len(vals), span), leaf_bytes, 0.0, False
-        return _Node(len(vals), math.inf), leaf_bytes, 0.0, False
+        integer = den == 1 or not any(x % den for x in vals)
+        span = (vals[-1] - vals[0]) // den + 1 if integer else math.inf
+        return _Node(len(vals), span), leaf_bytes, 0.0, False
     mid = (len(lists) + 1) // 2
     left, b1, c1, _ = _mitm_estimate(lists[:mid], den)
     right, b2, c2, _ = _mitm_estimate(lists[mid:], den)
@@ -251,22 +265,22 @@ def _mitm_estimate(
     return node, max(b1, b2, out_bytes), split_cost, False
 
 
-def _plan_mitm(lists: Sequence[list[int]], den: int) -> tuple[int, float]:
+def _plan_mitm(lists: Sequence[Sequence[int]], den: int) -> tuple[int, float]:
     _, peak, cost, _ = _mitm_estimate(lists, den)
     return peak, cost
 
 
-def _span(lists: Sequence[list[int]]) -> int:
+def _span(lists: Sequence[Sequence[int]]) -> int:
     return sum(v[-1] for v in lists) - sum(v[0] for v in lists) + 1
 
 
-def _plan_naive(lists: Sequence[list[int]], den: int) -> tuple[int, float]:
+def _plan_naive(lists: Sequence[Sequence[int]], den: int) -> tuple[int, float]:
     mass = math.prod(map(len, lists))
     out = min(mass, _span(lists)) if den == 1 else mass
     return out * DICT_ENTRY_BYTES, mass * _NAIVE_TUPLE
 
 
-def _plan_dense(lists: Sequence[list[int]], den: int) -> tuple[int, float]:
+def _plan_dense(lists: Sequence[Sequence[int]], den: int) -> tuple[int, float]:
     if den != 1:
         return -1, math.inf
     span = _span(lists)
@@ -275,24 +289,24 @@ def _plan_dense(lists: Sequence[list[int]], den: int) -> tuple[int, float]:
 
 
 def _plan_support(
-    sets: Sequence[OrderedSet], den: int, elements: bool
+    lists: Sequence[Sequence[int]], elements: bool
 ) -> tuple[int, int, bool]:
     """(bitset bytes, fold bytes, bitset preferred) for the support of
-    the sets scaled by their common denominator ``den``.
+    the sets whose ints over one denominator are ``lists``.
 
     The partial sumsets are walked as the kernel folds them: each one
     spans the scaled spans added so far and holds at most
     min(product of sizes, span) sums.  Decoding the elements adds two
     bytes per bit of span and one output entry per sum to the bitset.
     """
-    span = int((sets[0][-1] - sets[0][0]) * den) + 1
-    out = len(sets[0])
+    span = lists[0][-1] - lists[0][0] + 1
+    out = len(lists[0])
     pairs = bits = 0
-    for A in sets[1:]:
-        pairs += out * len(A)
-        span += int((A[-1] - A[0]) * den)
-        bits += len(A) * span
-        out = min(out * len(A), span)
+    for ints in lists[1:]:
+        pairs += out * len(ints)
+        span += ints[-1] - ints[0]
+        bits += len(ints) * span
+        out = min(out * len(ints), span)
     fold_bytes = out * DICT_ENTRY_BYTES
     bitset_bytes = span // 8
     if elements:
@@ -308,13 +322,13 @@ def _plan_support(
 # kernel's Counter in no order with its values() view.
 
 
-def _rep_naive(lists: Sequence[list[int]]) -> tuple[Counter, Iterable[int]]:
+def _rep_naive(lists: Sequence[Sequence[int]]) -> tuple[Counter, Iterable[int]]:
     acc = Counter(map(sum, itertools.product(*lists)))
     return acc, acc.values()
 
 
 def _rep_mitm(
-    lists: Sequence[list[int]], den: int
+    lists: Sequence[Sequence[int]], den: int
 ) -> tuple[Iterable[int], Iterable[int]]:
     if len(lists) == 1:
         return lists[0], [1] * len(lists[0])
@@ -328,7 +342,7 @@ def _rep_mitm(
     return kernels.convolve_integer(*left, *right)
 
 
-def _rep_dense(lists: Sequence[list[int]]) -> tuple[Sequence[int], Sequence[int]]:
+def _rep_dense(lists: Sequence[Sequence[int]]) -> tuple[Sequence[int], Sequence[int]]:
     """The nonzero entries of the fold: two int64 arrays when the counts
     and values fit int64, else two lists of Python ints."""
     import numpy as np
@@ -378,10 +392,7 @@ def representation(
     if algo not in _ALGOS:
         raise InputError(f"unknown algorithm {algo!r}")
     budget = DEFAULT_MEMORY_BUDGET if mem_budget is None else mem_budget
-    eps = parse_signs(signs, len(sets))
-    elements = [A.elements for A in sets]
-    den = kernels.common_denominator(elements)
-    lists = kernels.signed_scaled(elements, eps, den)
+    lists, den = _signed_ints(sets, parse_signs(signs, len(sets)))
 
     plans = {
         "naive": _plan_naive(lists, den),
@@ -415,11 +426,8 @@ def representation(
         values, counts = _rep_dense(lists)
     if isinstance(values, dict):
         # A kernel's Counter: kept whole, sorted only when read in order.
-        if den > 1:
-            values = {Fraction(x, den): c for x, c in values.items()}
-        rep = SparseCounts(values, None)
-    else:
-        rep = SparseCounts(kernels.unscaled(values, den), counts)
+        counts = None
+    rep = SparseCounts(values, counts, den=den)
     mass = math.prod(map(len, lists))
     if rep.mass != mass:
         raise VerificationError(
@@ -560,27 +568,26 @@ def _support(
     eps: tuple[int, ...],
     mem_budget: int | None,
     elements: bool,
-) -> Union[int, list]:
+) -> Union[int, OrderedSet]:
     """The support of A_1 +/- ... +/- A_k from the support kernel, never
-    counted: its sorted elements when ``elements``, else its size.
+    counted: the set when ``elements``, else its size.
 
     Raises ResourceError (before allocating) when neither kernel path
     fits the budget; the planner's choice is kept whenever it fits.
     """
     budget = DEFAULT_MEMORY_BUDGET if mem_budget is None else mem_budget
-    values = [A.elements for A in sets]
-    den = kernels.common_denominator(values)
-    bitset_bytes, fold_bytes, bitset = _plan_support(sets, den, elements)
+    lists, den = _signed_ints(sets, eps)
+    bitset_bytes, fold_bytes, bitset = _plan_support(lists, elements)
     need = {True: bitset_bytes, False: fold_bytes}
     if need[bitset] > budget:
         bitset = not bitset
     if need[bitset] > budget:
         raise ResourceError(min(need.values()), budget, "sumset support")
     if elements:
-        out = kernels.support_values(values, eps, den, bitset)
+        out = kernels.support_values(lists, bitset)
         _verify_support(len(out), sets)
-        return out
-    size = kernels.support_size(values, eps, den, bitset)
+        return OrderedSet(out, den=den)
+    size = kernels.support_size(lists, bitset)
     _verify_support(size, sets)
     return size
 
@@ -603,7 +610,7 @@ def signed_sumset(
     if eps[0] != 1:
         raise InputError("sign patterns are normalized to start with +")
     if algo == "auto":
-        return OrderedSet(_support(sets, eps, mem_budget, elements=True))
+        return _support(sets, eps, mem_budget, elements=True)
     rep = representation(sets, signs=eps, algo=algo, mem_budget=mem_budget)
     return rep.support()
 
@@ -669,9 +676,9 @@ def popular_class_of(diff: SparseCounts) -> PopularClass:
         raise InputError("popular class needs at least 2 elements")
     j, size = max(diff.dyadic_classes(), key=lambda js: (js[1] * 4 ** js[0], js[0]))
     lo, hi = 2**j, 2 ** (j + 1)
-    # diff.items() runs in increasing value order.
-    values = OrderedSet([v for v, c in diff.items() if lo <= c < hi])
-    return PopularClass(values, lo, size * lo**2)
+    # diff.ints run in increasing order.
+    ints = [x for x, c in zip(diff.ints, diff.counts) if lo <= c < hi]
+    return PopularClass(OrderedSet(ints, den=diff.den), lo, size * lo**2)
 
 
 def popular_bound_factor(n: int) -> int:

@@ -1,12 +1,11 @@
 """The exact kernels: sparse convolution and sumset support.
 
-Every kernel works on plain lists of ints.  Its caller signs and scales
-each input set once: :func:`common_denominator` is the lcm ``den`` of
-all denominators, and :func:`signed_scaled` turns each set into the
-increasing list of its values times ``den``, negated where its sign is
--1.  ``den > 0``, so the order is kept; :func:`unscaled` maps each
-output x back to ``Fraction(x, den)`` (the int x when ``den == 1``).
-No Fraction is added or hashed per pair.
+Every kernel works on plain sequences of ints: the ints of
+``OrderedSet`` and ``SparseCounts`` over one common denominator
+(``core.common_ints``), negated and reversed where a set's sign is -1.
+Scaling by a positive denominator keeps the order, so a kernel's
+output ints are the scaled results; its caller hands them, with that
+denominator, straight to one container.
 
 :func:`convolve_integer` is the one convolution loop: a dict
 accumulation over pairs of entries, in arbitrary precision, so no value
@@ -14,8 +13,6 @@ or count can overflow.  When both operands are equal (compared by
 value, so ``[-A, -A]`` qualifies too; a ``Counter`` and its ``values()``
 view only as the same objects), only the pairs i <= j are walked:
 c_i**2 is added at 2*v_i and 2*c_i*c_j at v_i + v_j off the diagonal.
-:func:`convolve_exact` is that loop for sequences of rationals: scale,
-convolve, unscale.
 
 :func:`self_sum_counts` is r_{jA} of one list A without any convolution.
 Every j-multiset of A is r distinct elements taken m_1, ..., m_r times,
@@ -30,8 +27,8 @@ result is that accumulator, in no order: callers sort it only when they
 read it in order.
 
 The support kernel (:func:`support_size`, :func:`support_values`)
-computes the set A_1 +/- ... +/- A_k without any counts.  It takes one
-of two paths, chosen by the caller (``engine._plan_support``):
+computes the set A_1 + ... + A_k of signed lists without any counts.
+It takes one of two paths, chosen by the caller (``engine._plan_support``):
 
 * Bitset.  Each partial sumset is one big int whose bit i stands for
   the value lo + i; adding a set ORs the mask shifted by each element.
@@ -47,42 +44,10 @@ array instead and does not convolve sparse counts.)
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
-from itertools import chain, combinations, compress, repeat
-from math import factorial, lcm, prod
+from itertools import combinations, compress, repeat
+from math import factorial, prod
 from operator import itemgetter, mul
-from typing import Iterable, Sequence
-
-
-# ---------------------------------------------------------------------------
-# Signs and denominators, applied once per input set.
-
-
-def common_denominator(value_lists: Iterable[Sequence]) -> int:
-    """The lcm of the denominators of every value (1 for ints)."""
-    return lcm(*{x.denominator for x in chain.from_iterable(value_lists)})
-
-
-def _scaled(values: Sequence, den: int) -> list[int]:
-    """``values`` times ``den``, as ints (``den`` must be a common denominator)."""
-    return [x.numerator * (den // x.denominator) for x in values]
-
-
-def signed_scaled(
-    value_lists: Sequence[Sequence], signs: Sequence[int], den: int
-) -> list[list[int]]:
-    """Each set scaled by ``den``, negated where its sign is -1; each
-    result is increasing."""
-    out = []
-    for vals, e in zip(value_lists, signs):
-        ints = _scaled(vals, den)
-        out.append(ints if e == 1 else [-x for x in reversed(ints)])
-    return out
-
-
-def unscaled(values: list[int], den: int) -> list:
-    """Map scaled values back: ``Fraction(x, den)``, or x when ``den == 1``."""
-    return values if den == 1 else [Fraction(x, den) for x in values]
+from typing import Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -132,20 +97,6 @@ def convolve_integer(
     return values, list(map(acc.__getitem__, values))
 
 
-def convolve_exact(
-    av: Sequence,
-    ac: Sequence[int],
-    bv: Sequence,
-    bc: Sequence[int],
-) -> tuple[list, list[int]]:
-    """:func:`convolve_integer` for values that are ints or Fractions:
-    scaled over their common denominator, convolved, and mapped back by
-    :func:`unscaled`."""
-    den = common_denominator((av, bv))
-    values, counts = convolve_integer(_scaled(av, den), ac, _scaled(bv, den), bc)
-    return unscaled(values, den), counts
-
-
 def self_sum_counts(values: Sequence[int], j: int) -> Counter:
     """r_{jA} of the distinct ints A = ``values``, j >= 1: the count at x
     is the number of ordered j-tuples of A summing to x.  The Counter is
@@ -177,14 +128,10 @@ def self_sum_counts(values: Sequence[int], j: int) -> Counter:
 _DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _bitset(lists: list[list[int]]) -> tuple[int, int]:
+def _bitset(lists: Sequence[Sequence[int]]) -> tuple[int, int]:
     """(lo, mask): bit i of ``mask`` is set iff lo + i is a sum."""
-    first = lists[0]
-    lo = first[0]
-    mask = 0
-    for a in first:
-        mask |= 1 << (a - lo)
-    for vals in lists[1:]:
+    lo, mask = 0, 1  # the sumset of no sets: {0}
+    for vals in lists:
         base = vals[0]
         acc = 0
         for a in vals:
@@ -193,7 +140,7 @@ def _bitset(lists: list[list[int]]) -> tuple[int, int]:
     return lo, mask
 
 
-def _fold(lists: list[list[int]]) -> set[int]:
+def _fold(lists: Sequence[Sequence[int]]) -> set[int]:
     """The set of sums, one translate of the partial sumset per element."""
     sums = set(lists[0])
     for vals in lists[1:]:
@@ -201,37 +148,18 @@ def _fold(lists: list[list[int]]) -> set[int]:
     return sums
 
 
-def support_size(
-    value_lists: Sequence[Sequence],
-    signs: Sequence[int],
-    den: int,
-    bitset: bool,
-) -> int:
-    """|A_1 +/- ... +/- A_k| for increasing value sequences.
-
-    ``signs`` holds +1/-1 per set; ``den`` is their common denominator
-    (:func:`common_denominator`); ``bitset`` picks the path.
-    """
-    lists = signed_scaled(value_lists, signs, den)
+def support_size(lists: Sequence[Sequence[int]], bitset: bool) -> int:
+    """|A_1 + ... + A_k| for the increasing int sequences ``lists``;
+    ``bitset`` picks the path."""
     if bitset:
         return _bitset(lists)[1].bit_count()
     return len(_fold(lists))
 
 
-def support_values(
-    value_lists: Sequence[Sequence],
-    signs: Sequence[int],
-    den: int,
-    bitset: bool,
-) -> list:
-    """The sorted elements of A_1 +/- ... +/- A_k, as in
-    :func:`support_size`; each is ``Fraction(x, den)`` for a scaled sum x,
-    or the int x when ``den == 1``."""
-    lists = signed_scaled(value_lists, signs, den)
+def support_values(lists: Sequence[Sequence[int]], bitset: bool) -> list[int]:
+    """The sorted elements of A_1 + ... + A_k, as in :func:`support_size`."""
     if bitset:
         lo, mask = _bitset(lists)
         digits = bin(mask)[:1:-1].encode().translate(_DIGIT_FLAGS)
-        values = list(compress(range(lo, lo + len(digits)), digits))
-    else:
-        values = sorted(_fold(lists))
-    return unscaled(values, den)
+        return list(compress(range(lo, lo + len(digits)), digits))
+    return sorted(_fold(lists))

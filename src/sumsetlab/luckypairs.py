@@ -30,6 +30,7 @@ from .core import (
     DICT_ENTRY_BYTES,
     OrderedSet,
     Scalar,
+    canon,
     count_in_halfopen,
 )
 from .engine import representation, signed_sumset
@@ -148,8 +149,7 @@ def build_partition(
 
 
 def _midpoint(a: Scalar, b: Scalar) -> Scalar:
-    mid = Fraction(a + b, 2)
-    return mid.numerator if mid.denominator == 1 else mid
+    return canon(Fraction(a + b, 2))
 
 
 @dataclass(frozen=True)

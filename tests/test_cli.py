@@ -426,6 +426,23 @@ class TestUserErrors:
     def test_empty_and_singleton_inputs(self, capsys, argv, message):
         assert _run(capsys, *argv) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["energy", "--k", "x", "--family", "interval:n=3"],
+             "argument --k: invalid int value: 'x'"),
+            (["lucky", "--family", "interval:n=3"],
+             "the following arguments are required: --r"),
+            (["energy", "--family", "interval:n=3", "--bogus"],
+             "unrecognized arguments: --bogus"),
+            (["verify", "--bound", "T3", "--family", "interval", "--grid", "-1,2"],
+             "argument --grid: expected one argument"),
+        ],
+        ids=["k_not_int", "lucky_without_r", "unknown_flag", "grid_negative"],
+    )
+    def test_usage_errors_fit_on_one_line(self, capsys, argv, message):
+        assert _run(capsys, *argv) == (2, "", f"error: {message}\n")
+
     def test_message_names_the_path(self, tmp_path, capsys):
         path = str(tmp_path / "missing.set")
         _, _, err = _run(capsys, "energy", "--set", path)

@@ -89,6 +89,19 @@ class TestConvexityOrder:
                 A = gen_random_s_convex(24, s, seed, 6)
                 assert convexity_order(A).is_at_least(s)
 
+    @pytest.mark.parametrize("den", [2, 7, 21, 2**64 + 13])
+    def test_rational_images_keep_the_order(self, den):
+        # x -> x/den + 1/3 is increasing and affine, so every difference
+        # level keeps its monotonicity: the scan of the stored ints over
+        # the set's denominator must give the integer set's order.
+        for seed in range(5):
+            for s in range(4):
+                A = gen_random_s_convex(16, s, seed, 6)
+                R = OrderedSet([Fraction(x, den) + Fraction(1, 3) for x in A])
+                assert not R.is_integer
+                got, want = convexity_order(R), convexity_order(A)
+                assert (got.level, got.saturated) == (want.level, want.saturated)
+
 
 class TestEvalFn:
     def test_square_image(self):

@@ -109,9 +109,9 @@ class TestRepresentation:
         built = []
         real = SparseCounts.__init__
 
-        def counting(self, values, counts):
+        def counting(self, values, counts, **kwargs):
             built.append(len(values))
-            real(self, values, counts)
+            real(self, values, counts, **kwargs)
 
         monkeypatch.setattr(SparseCounts, "__init__", counting)
         A = gen_interval(5)
@@ -400,9 +400,9 @@ class TestSupportPath:
         built = []
         real = SparseCounts.__init__
 
-        def counting(self, values, counts):
+        def counting(self, values, counts, **kwargs):
             built.append(len(values))
-            real(self, values, counts)
+            real(self, values, counts, **kwargs)
 
         monkeypatch.setattr(SparseCounts, "__init__", counting)
         return built
@@ -433,7 +433,8 @@ class TestSupportPath:
     def test_takes_the_other_path_when_the_planned_one_does_not_fit(self):
         rng = SplitMix64(5)
         B = random_integer_set(rng, 30, spread=2**15)
-        bitset_bytes, fold_bytes, bitset = engine._plan_support([B, B], 1, False)
+        lists = [list(B.elements)] * 2
+        bitset_bytes, fold_bytes, bitset = engine._plan_support(lists, False)
         assert not bitset and bitset_bytes < fold_bytes
         want = doubling(B, "+-", algo="mitm")
         assert doubling(B, "+-", mem_budget=bitset_bytes) == want

@@ -6,9 +6,10 @@ are the per-element Python loops they replaced, kept verbatim except for
 one rule: a count must be an integer (Python int, bool or numpy integer
 scalar), where the loop used to truncate it with ``int()``.  Every input
 must get the same acceptance, the same InputError message and the same
-result from both.  The kernel's self-convolution and common-denominator
-paths are checked against the plain all-pairs loop ``oracle_convolve``,
-and both paths of the support kernel against the counted representation.
+result from both.  ``core.convolve`` (the kernel's self-convolution, and
+operands over different denominators) is checked against the plain
+all-pairs loop ``oracle_convolve``, and both paths of the support kernel
+against the counted representation.
 The popular dyadic class, read from the bit classes of r_{A-A}, is
 checked against the dict-of-lists scan it replaced.
 """
@@ -36,6 +37,8 @@ from sumsetlab import (
     representation,
     signed_sumset,
 )
+from sumsetlab import core
+from sumsetlab.convexity import convexity_order
 from sumsetlab.core import convolve, mass_of_squares, moment_sum
 from sumsetlab.engine import (
     check_popular_bound,
@@ -107,6 +110,25 @@ def oracle_convolve(av, ac, bv, bc):
                 acc[key] = c * d
     values = sorted(acc)
     return values, [acc[v] for v in values]
+
+
+def convolved(av, ac, bv, bc):
+    """``core.convolve`` of the two count sequences, as the oracle's
+    (values, counts) lists; its values must be canonical."""
+    r = convolve(SparseCounts(av, ac), SparseCounts(bv, bc))
+    assert typed(r.values) == typed(map(oracle_canon, r.values))
+    return list(r.values), list(r.counts)
+
+
+def scaled_lists(sets, signs):
+    """(lists, den): each set's elements times the lcm ``den`` of all
+    denominators, negated where its sign is -1, in increasing order."""
+    den = math.lcm(*(Fraction(x).denominator for A in sets for x in A.elements))
+    lists = [
+        sorted(int(e * x * den) for x in A.elements)
+        for A, e in zip(sets, engine.parse_signs(signs, len(sets)))
+    ]
+    return lists, den
 
 
 def outcome(fn, *args):
@@ -258,7 +280,7 @@ def test_reductions_match_loops(counts, r_extra):
 def test_convolve_exact_matches_loop(a, b):
     av, bv = sorted(a), sorted(b)
     args = (av, [a[v] for v in av], bv, [b[v] for v in bv])
-    assert kernels.convolve_exact(*args) == oracle_convolve(*args)
+    assert convolved(*args) == oracle_convolve(*args)
 
 
 # -- the two kernel paths: self-convolution and a common denominator ---------
@@ -283,7 +305,7 @@ def split(counts):
 @settings(max_examples=200, deadline=None)
 def test_convolve_exact_rational_both_sides(a, b):
     args = (*split(a), *split(b))
-    assert kernels.convolve_exact(*args) == oracle_convolve(*args)
+    assert convolved(*args) == oracle_convolve(*args)
 
 
 @given(a=kernel_counts)
@@ -291,16 +313,17 @@ def test_convolve_exact_rational_both_sides(a, b):
 def test_self_convolution_matches_loop(a):
     av, ac = split(a)
     want = oracle_convolve(av, ac, av, ac)
-    assert kernels.convolve_exact(av, ac, av, ac) == want
-    assert kernels.convolve_exact(av, ac, list(av), list(ac)) == want
+    p = SparseCounts(av, ac)
+    square = convolve(p, p)
+    assert (list(square.values), list(square.counts)) == want
+    assert convolved(av, ac, av, ac) == want
+    assert convolved(av, ac, list(av), list(ac)) == want
     neg = ([-v for v in reversed(av)], ac[::-1])
     twin = ([-v for v in reversed(av)], ac[::-1])
-    assert kernels.convolve_exact(*neg, *twin) == oracle_convolve(*neg, *twin)
+    assert convolved(*neg, *twin) == oracle_convolve(*neg, *twin)
     # Equal values with another last count are not a self-convolution.
     other = ac[:-1] + [ac[-1] + 1]
-    assert kernels.convolve_exact(av, ac, av, other) == oracle_convolve(
-        av, ac, av, other
-    )
+    assert convolved(av, ac, av, other) == oracle_convolve(av, ac, av, other)
 
 
 @given(
@@ -342,7 +365,7 @@ def test_many_prime_denominators():
     bv.sort()
     bc = [2**65 + i for i in range(len(bv))]
     for args in ((av, ac, av, ac), (av, ac, bv, bc), (bv, bc, list(bv), list(bc))):
-        assert kernels.convolve_exact(*args) == oracle_convolve(*args)
+        assert convolved(*args) == oracle_convolve(*args)
 
 
 @pytest.mark.parametrize(
@@ -420,19 +443,19 @@ def test_signed_sumset_matches_representation(sets, data):
 @settings(max_examples=150, deadline=None)
 def test_both_kernel_paths_match_representation(sets, data):
     signs = [data.draw(st.sampled_from([1, -1])) for _ in sets]
-    values = [A.elements for A in sets]
-    den = kernels.common_denominator(values)
-    want = support_by_representation(sets, signs)
+    lists, den = scaled_lists(sets, signs)
+    want = [int(x * den) for x in support_by_representation(sets, signs)]
     for bitset in (True, False):
-        assert kernels.support_values(values, signs, den, bitset) == list(want)
-        assert kernels.support_size(values, signs, den, bitset) == len(want)
+        assert kernels.support_values(lists, bitset) == want
+        assert kernels.support_size(lists, bitset) == len(want)
 
 
 def test_planner_takes_the_bitset_on_an_interval():
     B = OrderedSet(range(-(2**70), -(2**70) + 60))
     sets, signs = [B, B, B], (1, 1, -1)
-    assert engine._plan_support(sets, 1, False)[2]
-    assert engine._plan_support(sets, 1, True)[2]
+    lists, _ = scaled_lists(sets, signs)
+    assert engine._plan_support(lists, False)[2]
+    assert engine._plan_support(lists, True)[2]
     assert doubling(B, "++-").size == len(support_by_representation(sets, signs))
     assert signed_sumset(sets, signs).elements == support_by_representation(
         sets, signs
@@ -450,10 +473,9 @@ def test_planner_takes_the_bitset_on_an_interval():
     ids=["zero_and_2_70", "mixed_signs_past_2_64", "16_primes", "mixed_int_frac"],
 )
 def test_planner_takes_the_fold_on_wide_spans(B):
-    den = kernels.common_denominator([B.elements])
     for pattern in ("+-", "++-", "+-+-"):
         sets = [B] * len(pattern)
-        assert not engine._plan_support(sets, den, True)[2]
+        assert not engine._plan_support(scaled_lists(sets, pattern)[0], True)[2]
         want = support_by_representation(sets, pattern)
         assert doubling(B, pattern).size == len(want)
         assert signed_sumset(sets, pattern).elements == want
@@ -545,9 +567,7 @@ def test_repeated_set_matches_brute_force(A, k, data):
     eager = SparseCounts(sorted(want), [want[v] for v in sorted(want)])
     if len(set(signs)) == 1:
         # The kernel itself, on the signed and scaled list.
-        den = kernels.common_denominator([A.elements])
-        sign = 1 if signs[0] == "+" else -1
-        (scaled,) = kernels.signed_scaled([A.elements], [sign], den)
+        (scaled,), den = scaled_lists([A], signs[0])
         sums = kernels.self_sum_counts(scaled, k)
         assert {Fraction(x, den): c for x, c in sums.items()} == want
     algos = ["auto", "naive", "mitm"] + (["dense"] if A.is_integer else [])
@@ -823,3 +843,95 @@ def test_popular_class_tie_goes_to_the_larger_delta(A):
     diff = brute_force_representation([A, A.negate()])
     assert oracle_popular_class(diff) == ((0,), 4, 16)
     check_popular_class(A, ((0,), 4, 16))
+
+
+# -- one canonical form from every construction path -------------------------
+#
+# A set the engine computes (ints over a reduced denominator) must equal
+# the set a caller builds from the brute-force values: in value, in hash
+# and in exact element types.  A rational set whose elements are all
+# integers comes back integer, which ``algo="dense"`` accepts; the
+# ``by_set`` dict of ``build_partition`` and the ``A == sets[0]`` check of
+# ``energy_of`` depend on this.
+
+
+@st.composite
+def canonical_sets(draw):
+    base = draw(st.sampled_from(REP_BASES))
+    ints = st.integers(0, 60)
+    fracs = st.builds(Fraction, st.integers(0, 240), st.sampled_from(PRIMES[:8]))
+    halves = ints.map(lambda x: x + Fraction(1, 2))
+    kind = draw(st.sampled_from(["int", "frac", "mixed", "halves"]))
+    offsets = {
+        "int": ints, "frac": fracs, "mixed": st.one_of(ints, fracs), "halves": halves
+    }[kind]
+    elements = draw(st.sets(offsets, min_size=1, max_size=4))
+    return OrderedSet(sorted(base + x for x in elements))
+
+
+def check_canonical(got, values):
+    want = OrderedSet(sorted(set(values)))
+    assert got == want and hash(got) == hash(want)
+    assert typed(got.elements) == typed(want.elements)
+    assert got.is_integer == all(Fraction(x).denominator == 1 for x in values)
+    if got.is_integer:
+        dense = representation([got, got], signs="+-", algo="dense")
+        assert dense == representation([want, want], signs="+-", algo="mitm")
+
+
+@given(sets=st.lists(canonical_sets(), min_size=1, max_size=3), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_every_path_gives_one_canonical_form(sets, data):
+    tail = data.draw(st.text("+-", min_size=len(sets) - 1, max_size=len(sets) - 1))
+    signs = "+" + tail
+    signed = [
+        [x if e == "+" else -x for x in A.elements] for A, e in zip(sets, signs)
+    ]
+    sums = list(map(sum, itertools.product(*signed)))
+    check_canonical(signed_sumset(sets, signs), sums)
+    algos = ["naive", "mitm"] + (["dense"] if all(A.is_integer for A in sets) else [])
+    for algo in algos:
+        check_canonical(representation(sets, signs=signs, algo=algo).support(), sums)
+    A = sets[0]
+    check_canonical(A.negate(), [-x for x in A.elements])
+    diff = {}
+    for a, b in itertools.product(A.elements, repeat=2):
+        diff[a - b] = diff.get(a - b, 0) + 1
+    if len(A) >= 2:
+        pop = engine.popular_class_of(representation([A, A], signs="+-"))
+        check_canonical(pop.differences, oracle_popular_class(diff)[0])
+
+
+def test_rational_sets_with_integer_sums_come_back_integer():
+    A = OrderedSet([Fraction(1, 2), Fraction(3, 2)])
+    B = OrderedSet([Fraction(1, 2), Fraction(5, 2)])
+    rep = representation([A, B])
+    assert rep.is_integer_valued and typed(rep.values) == typed((1, 2, 3, 4))
+    for S in (signed_sumset([A, B], "++"), signed_sumset([A, B], "++", algo="mitm"),
+              rep.support()):
+        assert S == OrderedSet([1, 2, 3, 4]) and S.is_integer
+        assert typed(S.elements) == typed((1, 2, 3, 4))
+        assert representation([S, S], algo="dense") == representation([S, S])
+
+
+def test_rational_results_build_no_values_until_read(monkeypatch):
+    # The engine runs on the stored ints: no value of a rational result
+    # (an int or a Fraction) is built until a caller reads it.
+    A = OrderedSet([Fraction(1, 3), Fraction(1, 2), 2])
+    B = OrderedSet([Fraction(-2, 7), 5, Fraction(21, 4)])
+
+    def unread(ints, den):
+        raise AssertionError("values built before they were read")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(core, "_rationals", unread)
+        rep = representation([A, B, A], signs="+-+")
+        diff = representation([A, A], signs="+-")
+        S = signed_sumset([A, B], "+-")
+        pop = engine.popular_class_of(diff)
+        read = (len(rep), rep.mass, spectrum_of(rep), len(S), S.is_integer,
+                len(pop.differences), engine.energy_of(diff, [A, A]),
+                doubling(B, "++-").size, convexity_order(B).level)
+    assert dict(rep.items()) == brute_force_representation([A, B.negate(), A])
+    assert S == OrderedSet(sorted({a - b for a in A for b in B}))
+    assert read[3:5] == (len(S.elements), False)

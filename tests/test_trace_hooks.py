@@ -38,7 +38,7 @@ def test_every_dense_result_goes_through_the_traced_fold(monkeypatch, read):
     as a spectrum or as tuples, must come from one such call with the
     signed int lists.  The hook is installed as the tracer installs it,
     by replacing the module attribute."""
-    from sumsetlab import OrderedSet, engine, gen_random_s_convex, kernels
+    from sumsetlab import OrderedSet, engine, gen_random_s_convex
     from sumsetlab import representation
     from sumsetlab.engine import spectrum_of
 
@@ -64,10 +64,11 @@ def test_every_dense_result_goes_through_the_traced_fold(monkeypatch, read):
             assert spectrum_of(rep) == spectrum_of(want)
         else:
             assert list(rep.items()) == list(want.items())
-    assert seen == [
-        kernels.signed_scaled(
-            [S.elements for S in sets], engine.parse_signs(signs, len(sets)), 1
-        )
+    assert [list(map(list, lists)) for lists in seen] == [
+        [
+            sorted(e * x for x in S.elements)
+            for S, e in zip(sets, engine.parse_signs(signs, len(sets)))
+        ]
         for sets, signs, _ in cases
     ]
     metrics = tracer.metrics()
