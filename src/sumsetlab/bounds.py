@@ -302,7 +302,7 @@ def _measure_row(
     n = len(B)
     K = Fraction(1)
     if bound.k_exponent:
-        K = doubling(B, bound.doubling_pattern, algo=algo, mem_budget=mem_budget).K
+        K = doubling(B, bound.doubling_pattern, mem_budget=mem_budget).K
     L = len(A)
     extras: dict = {}
 
@@ -315,11 +315,11 @@ def _measure_row(
     elif _is_card_k(q_kind):
         k = int(q_kind[4:])
         pattern = signs if signs else _alternating(k)
-        q = len(signed_sumset([A] * k, pattern, algo=algo, mem_budget=mem_budget))
+        q = len(signed_sumset([A] * k, pattern, mem_budget=mem_budget))
     elif q_kind == "card_diff":
-        q = len(signed_sumset([A, A], "+-", algo=algo, mem_budget=mem_budget))
+        q = len(signed_sumset([A, A], "+-", mem_budget=mem_budget))
     elif q_kind == "card_sum":
-        q = len(signed_sumset([A, A], "++", algo=algo, mem_budget=mem_budget))
+        q = len(signed_sumset([A, A], "++", mem_budget=mem_budget))
     elif q_kind == "E_cross":
         C = A
         q = energy_cross(A, C, algo=algo, mem_budget=mem_budget)
@@ -361,22 +361,20 @@ def verify_bound(
     bound_id: str,
     n_grid: Sequence[int],
     *,
-    quantity: str | None = None,
     s: int | None = None,
     k: int | None = None,
     signs: str | None = None,
     default_seed: int = 0,
     algo: str = "auto",
     mem_budget: int | None = None,
-    tol: float = SLOPE_TOL,
 ) -> VerifyReport:
     """Evaluate a catalogued bound on a family over an N grid.
 
     Produces per-N rows (N, Q, K, L, ratio) plus flags: the monotone
     ratio trend in the bound's direction, and (for pure-N bounds) the
-    fitted slope against the predicted exponent with tolerance ``tol``.
-    An ``s`` or ``k`` that the bound does not read is an InputError;
-    ``algo`` goes to every engine call.
+    fitted slope against the predicted exponent with tolerance
+    ``SLOPE_TOL``.  An ``s`` or ``k`` that the bound does not read is an
+    InputError; ``algo`` goes to every representation.
     """
     bound = predicted(bound_id, s=s, k=k)
     entry = _CATALOGUE[bound_id]
@@ -384,10 +382,6 @@ def verify_bound(
     for name, value in (("s", s), ("k", k)):
         if value is not None and name != reads:
             raise InputError(f"bound {bound_id} takes no parameter {name}")
-    if quantity is not None and quantity != bound.quantity:
-        raise InputError(
-            f"bound {bound_id} measures {bound.quantity}, not {quantity}"
-        )
     if signs and not _is_card_k(bound.quantity):
         raise InputError(
             f"bound {bound_id} measures {bound.quantity}, which takes no signs"
@@ -418,9 +412,9 @@ def verify_bound(
     if pure_n and len(rows) >= 3 and all(isinstance(r.q, int) for r in rows):
         slope = fit_exponent([(r.n, r.q) for r in rows]).slope
         if bound.direction == "upper":
-            flags["slope_within_bound"] = slope <= float(bound.n_exponent) + tol
+            flags["slope_within_bound"] = slope <= float(bound.n_exponent) + SLOPE_TOL
         else:
-            flags["slope_within_bound"] = slope >= float(bound.n_exponent) - tol
+            flags["slope_within_bound"] = slope >= float(bound.n_exponent) - SLOPE_TOL
 
     passed = all(v for key, v in flags.items() if isinstance(v, bool))
     return VerifyReport(
@@ -434,31 +428,33 @@ def verify_bound(
 # supremum over all lower-order convex sets, so this is reported with a
 # heuristic marker and never asserted.
 
+_TAIL_SIGNS = "+-+-"
+
 
 def heuristic_tail_report(
     family_template: str,
     n_grid: Sequence[int],
     *,
-    signs: str = "+-+-",
-    h_sample: Sequence[int] = (1, 2, 3),
     default_seed: int = 0,
     algo: str = "auto",
     mem_budget: int | None = None,
 ) -> dict:
     # E_hat needs a gap set Delta_h A with h < N.
     for n in n_grid:
-        if n <= min(h_sample):
+        if n <= 1:
             raise InputError(
                 f"eq13_tail samples gap sets Delta_h A with h < N, "
-                f"so it needs N > {min(h_sample)}, got N = {n}"
+                f"so it needs N > 1, got N = {n}"
             )
     per_n = []
     for n in sorted(n_grid):
         spec = instantiate(family_template, n, default_seed)
         A = generate(spec)
-        rep = representation([A] * 4, signs=signs, algo=algo, mem_budget=mem_budget)
+        rep = representation(
+            [A] * 4, signs=_TAIL_SIGNS, algo=algo, mem_budget=mem_budget
+        )
         e_hat = 0
-        for h in h_sample:
+        for h in (1, 2, 3):
             if h >= len(A):
                 continue
             D = delta_h(A, h).as_set()
@@ -474,4 +470,4 @@ def heuristic_tail_report(
         per_n.append(
             {"N": n, "family": format_family(spec), "E_hat": e_hat, "max_ratio": max_ratio}
         )
-    return {"heuristic": True, "signs": signs, "per_N": per_n}
+    return {"heuristic": True, "signs": _TAIL_SIGNS, "per_N": per_n}

@@ -108,7 +108,7 @@ def _cmd_analyze(args, cfg: RunConfig) -> int:
             "max": A[-1],
         }
         for pattern in ("+-", "++", "++-"):
-            rep = engine.doubling(A, pattern, algo=cfg.algo, mem_budget=cfg.mem_budget)
+            rep = engine.doubling(A, pattern, mem_budget=cfg.mem_budget)
             entry[f"size[{pattern}]"] = rep.size
             entry[f"K[{pattern}]"] = rep.K
         # engine.check_popular_bound; E and E3_diff are read from the same
@@ -187,9 +187,7 @@ def _cmd_sumset(args, cfg: RunConfig) -> int:
     started = time.monotonic()
     sets, provenance = _sets_for_energy(args, cfg)
     signs = args.signs or "+" * len(sets)
-    result = engine.signed_sumset(
-        sets, signs, algo=cfg.algo, mem_budget=cfg.mem_budget
-    )
+    result = engine.signed_sumset(sets, signs, mem_budget=cfg.mem_budget)
     payload = {
         "op": "sumset",
         "inputs": provenance,
@@ -207,9 +205,7 @@ def _cmd_doubling(args, cfg: RunConfig) -> int:
     loaded = _load_inputs(args, cfg)
     reports = []
     for A, provenance in loaded:
-        rep = engine.doubling(
-            A, args.pattern, algo=cfg.algo, mem_budget=cfg.mem_budget
-        )
+        rep = engine.doubling(A, args.pattern, mem_budget=cfg.mem_budget)
         reports.append(
             {
                 "input": provenance,

@@ -55,13 +55,12 @@ E(A) = sum r_{A-A}(d)**2 and the popular-class bound
 (``check_popular_bound``) are both read from one r_{A-A}.
 
 Sumsets and their sizes (``signed_sumset``, ``doubling``) need no
-counts.  Under ``auto`` they come from the support kernel
+counts and take no algorithm: they come from the support kernel
 (``kernels.support_size`` / ``support_values``) on the same signed
 ints, which ``_plan_support`` sends down its bitset or its int-set fold
 path and charges against the memory budget; a sumset is the kernel's
-ints with their denominator in one ``OrderedSet``.  An explicit
-algorithm takes the support of its representation function instead,
-which is how the tests cross-check the kernel.
+ints with their denominator in one ``OrderedSet``.  The tests
+cross-check it against the support of ``representation``.
 
 Everything here is pure and deterministic; independent computations can
 run concurrently with bit-identical results.
@@ -593,26 +592,15 @@ def _support(
 
 
 def signed_sumset(
-    sets: Sequence[OrderedSet],
-    signs: Signs,
-    *,
-    algo: str = "auto",
-    mem_budget: int | None = None,
+    sets: Sequence[OrderedSet], signs: Signs, *, mem_budget: int | None = None
 ) -> OrderedSet:
-    """The set {e_1 a_1 + ... + e_k a_k}; first sign must be +1.
-
-    ``auto`` runs the support kernel; an explicit algorithm takes the
-    support of its representation function.
-    """
+    """The set {e_1 a_1 + ... + e_k a_k}; first sign must be +1."""
     if not sets:
         raise InputError("need at least one set")
     eps = parse_signs(signs, len(sets))
     if eps[0] != 1:
         raise InputError("sign patterns are normalized to start with +")
-    if algo == "auto":
-        return _support(sets, eps, mem_budget, elements=True)
-    rep = representation(sets, signs=eps, algo=algo, mem_budget=mem_budget)
-    return rep.support()
+    return _support(sets, eps, mem_budget, elements=True)
 
 
 @dataclass(frozen=True)
@@ -625,27 +613,13 @@ class DoublingReport:
 
 
 def doubling(
-    B: OrderedSet,
-    pattern: str,
-    *,
-    algo: str = "auto",
-    mem_budget: int | None = None,
+    B: OrderedSet, pattern: str, *, mem_budget: int | None = None
 ) -> DoublingReport:
-    """Exact |B +/- B +/- ... +/- B| and K = size / |B| for a sign string.
-
-    ``auto`` runs the support kernel; an explicit algorithm counts the
-    support of its representation function.
-    """
+    """Exact |B +/- B +/- ... +/- B| and K = size / |B| for a sign string."""
     if not pattern:
         raise InputError("pattern must have length >= 1")
     eps = parse_signs(pattern, len(pattern))
-    sets = [B] * len(eps)
-    if algo == "auto":
-        size = _support(sets, eps, mem_budget, elements=False)
-    else:
-        size = len(
-            representation(sets, signs=eps, algo=algo, mem_budget=mem_budget)
-        )
+    size = _support([B] * len(eps), eps, mem_budget, elements=False)
     return DoublingReport(pattern, size, Fraction(size, len(B)))
 
 

@@ -43,13 +43,10 @@ class TripleSumset:
 
     __slots__ = ("base", "values")
 
-    def __init__(
-        self, B: OrderedSet, *, algo: str = "auto", mem_budget: int | None = None
-    ) -> None:
+    def __init__(self, B: OrderedSet, *, mem_budget: int | None = None) -> None:
         self.base = B
-        self.values = signed_sumset(
-            [B, B, B], (1, 1, -1), algo=algo, mem_budget=mem_budget
-        ).elements
+        triple = signed_sumset([B, B, B], (1, 1, -1), mem_budget=mem_budget)
+        self.values = triple.elements
 
     def __len__(self) -> int:
         return len(self.values)
@@ -113,7 +110,6 @@ def build_partition(
     r: int,
     c: int = 4,
     *,
-    algo: str = "auto",
     mem_budget: int | None = None,
 ) -> GridPartition:
     """Partition each B_i + B_i - B_i into t near-equal chunks.
@@ -124,17 +120,14 @@ def build_partition(
     ``degenerate`` flag set instead of raising.
     """
     k = len(B_list)
-    if k < 2:
-        raise InputError("cell partitions need at least 2 axes")
-    if r < 1 or c < 1:
-        raise InputError("r and c must be positive")
+    _check_grid(k, r, c)
     degenerate = r < c ** (k - 1)
     t = 1 if degenerate else cells_per_axis(r, k, c)
     by_set: dict[OrderedSet, AxisPartition] = {}
     for B in B_list:
         if B in by_set:
             continue
-        triple = TripleSumset(B, algo=algo, mem_budget=mem_budget)
+        triple = TripleSumset(B, mem_budget=mem_budget)
         values = triple.values
         m = len(values)
         tt = min(t, m)
@@ -146,6 +139,13 @@ def build_partition(
         by_set[B] = AxisPartition(triple, tuple(cuts), len(cuts) + 1, chunk)
     axes = tuple(by_set[B] for B in B_list)
     return GridPartition(axes, k, r, c, t, degenerate)
+
+
+def _check_grid(k: int, r: int, c: int) -> None:
+    if k < 2:
+        raise InputError("cell partitions need at least 2 axes")
+    if r < 1 or c < 1:
+        raise InputError("r and c must be positive")
 
 
 def _midpoint(a: Scalar, b: Scalar) -> Scalar:
@@ -169,15 +169,13 @@ def solution_tuples(
     """All (b_1, ..., b_k) with g_1(b_1) + ... + g_k(b_k) = x.
 
     Enumerates the first k-1 axes with partial-sum range pruning and
-    resolves the last axis by exact inverse lookup (g_k is monotone, so
-    its values on B_k are distinct).
+    resolves the last axis by exact inverse lookup.  Every g_i must be
+    injective on B_i (DomainError), as in ``lucky_census``.
     """
     if len(B_list) != len(g_list):
         raise InputError("need one function per set")
-    images = [[evaluate(g, b) for b in B] for g, B in zip(g_list, B_list)]
-    last_inverse = {v: b for v, b in zip(images[-1], B_list[-1])}
-    if len(last_inverse) != len(B_list[-1]):
-        raise InputError("map is not injective on its set")
+    images = [_injective_image(g, B) for g, B in zip(g_list, B_list)]
+    last_inverse = dict(zip(images[-1], B_list[-1]))
     mins = [min(img) for img in images]
     maxs = [max(img) for img in images]
     suffix_min = [sum(mins[i:]) for i in range(len(B_list) + 1)]
@@ -272,17 +270,19 @@ def lucky_census(
 
     The lower bound column is r_x - k * t**(k-1), the hyperplane-based
     guarantee (may be negative for thin sums; found pairs always meet it).
-    ``algo`` and ``mem_budget`` are passed to every representation.
+    ``algo`` selects the algorithm of the representation; ``mem_budget``
+    covers it, the triple sumsets and the table.
     """
     if len(B_list) != len(g_list):
         raise InputError("need one function per set")
+    _check_grid(len(B_list), r, c)
     images = [_injective_image(g, B) for g, B in zip(g_list, B_list)]
     rep = representation(
         [OrderedSet(sorted(image)) for image in images],
         algo=algo,
         mem_budget=mem_budget,
     )
-    partition = build_partition(B_list, r, c, algo=algo, mem_budget=mem_budget)
+    partition = build_partition(B_list, r, c, mem_budget=mem_budget)
     rich = [(x, count) for x, count in rep.items() if r <= count < 2 * r]
     if not rich:
         return []

@@ -198,7 +198,7 @@ def test_c06_pair_energy_desk_check(capsys):
     families = ["power:m=2"] + [f"rsc:s=1,seed={seed},gap=4" for seed in range(20)]
     with verification() as stats:
         for family in families:
-            report = verify_bound(family, "KG_energy", grid, tol=SLOPE_TOL)
+            report = verify_bound(family, "KG_energy", grid)
             assert report.slope is not None and report.slope <= 2.5 + SLOPE_TOL
             assert report.flags["ratio_nonincreasing"], family
             assert report.passed

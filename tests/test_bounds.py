@@ -198,9 +198,15 @@ class TestVerifyBound:
         assert "ratio_nondecreasing" in report.flags
         assert report.flags["slope_within_bound"]  # |A-A| of squares ~ N**2
 
-    def test_quantity_mismatch(self):
-        with pytest.raises(InputError):
-            verify_bound("power:m=2", "KG_energy", [8, 16], quantity="T3")
+    def test_options_that_are_constants_are_rejected(self):
+        for call in (
+            lambda: verify_bound("power:m=2", "KG_energy", [8, 16], quantity="T2"),
+            lambda: verify_bound("power:m=2", "KG_energy", [8, 16], tol=0.1),
+            lambda: heuristic_tail_report("power:m=2", [8], signs="+-+-"),
+            lambda: heuristic_tail_report("power:m=2", [8], h_sample=(1,)),
+        ):
+            with pytest.raises(TypeError):
+                call()
 
     def test_signs_only_for_signed_sumsets(self):
         with pytest.raises(InputError, match="S66_diff measures card_diff"):

@@ -170,14 +170,16 @@ class TestSumsetDoubling:
         assert report["K"] == "14/5"
 
     def test_doubling_budget_exceeded_exits_2(self, capsys):
-        code, out, err = _run(
-            capsys, "--mem", "1000", "doubling", "--pattern", "++-",
-            "--family", "rsc:n=72,s=2,seed=1,gap=8",
-        )
-        assert code == 2
-        assert out == ""
-        assert err.count("\n") == 1
-        assert err.startswith("error: sumset support: estimated")
+        # A sumset size takes no algorithm: --algo does not change its budget.
+        for algo in ((), ("--algo", "naive")):
+            code, out, err = _run(
+                capsys, *algo, "--mem", "1000", "doubling", "--pattern", "++-",
+                "--family", "rsc:n=72,s=2,seed=1,gap=8",
+            )
+            assert code == 2
+            assert out == ""
+            assert err.count("\n") == 1
+            assert err.startswith("error: sumset support: estimated")
 
     def test_analyze(self, capsys):
         code, out, _ = _run(capsys, "analyze", "--family", "power:n=8,m=2")
@@ -327,13 +329,33 @@ class TestVerify:
 
     @pytest.mark.parametrize("algo", ["naive", "mitm", "dense"])
     def test_explicit_algo_gives_the_auto_report(self, capsys, algo):
-        argv = ("verify", "--bound", "T3", "--family", "power:m=2",
-                "--grid", "8,12,16")
-        tail = ("verify", "--bound", "eq13_tail", "--family", "power:m=2",
-                "--grid", "8,12")
-        for command in (argv, tail):
+        verify = ("verify", "--family", "power:m=2", "--grid", "8,12,16")
+        commands = (
+            (*verify, "--bound", "T3"),
+            ("verify", "--bound", "eq13_tail", "--family", "power:m=2",
+             "--grid", "8,12"),
+            (*verify, "--bound", "card_main", "--s", "1"),
+            (*verify, "--bound", "E_cross_sqrtK"),
+            ("sumset", "--k", "3", "--signs", "++-", "--elements",
+             "--family", "rsc:n=12,s=2,seed=1,gap=4"),
+            ("doubling", "--pattern", "+-+", "--family", "power:n=9,m=3"),
+            ("analyze", "--family", "power:n=8,m=2",
+             "--family", "rsc:n=12,s=2,seed=1,gap=4"),
+            ("lucky", "--k", "3", "--r", "4", "--family", "rsc:n=16,s=1,seed=3,gap=2"),
+        )
+        for command in commands:
             want = _run(capsys, *command)
-            assert _run(capsys, "--algo", algo, *command) == want
+            assert want[0] == 0
+            assert _run(capsys, "--algo", algo, *command) == want, command
+
+    def test_sumsets_of_rational_sets_take_no_algorithm(self, capsys):
+        # --algo picks a representation algorithm; a sumset has none, so
+        # dense, which needs integer-valued sets, does not apply to it.
+        argv = ("sumset", "--k", "3", "--signs", "++-", "--elements",
+                "--family", "composed:f=poly:0,1/2,inner=interval:n=8")
+        want = _run(capsys, *argv)
+        assert want[0] == 0
+        assert _run(capsys, "--algo", "dense", *argv) == want
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -32,7 +32,7 @@ from sumsetlab import engine, kernels
 from sumsetlab.bounds import verify_bound
 from sumsetlab.core import mass_of_squares
 from sumsetlab.engine import check_popular_bound, rich_tail, spectrum_of
-from sumsetlab.luckypairs import TripleSumset
+from sumsetlab.luckypairs import TripleSumset, build_partition
 
 from conftest import (
     brute_force_T,
@@ -392,8 +392,8 @@ class TestDoubling:
 
 
 class TestSupportPath:
-    """``doubling`` and ``signed_sumset`` under ``auto`` run the support
-    kernel: no counts, their own budget and verify-mode checks."""
+    """``doubling`` and ``signed_sumset`` run the support kernel: no
+    counts, their own budget and verify-mode checks."""
 
     @pytest.fixture
     def sparse_counts_built(self, monkeypatch):
@@ -420,8 +420,6 @@ class TestSupportPath:
         ):
             verify_bound("power:m=2", bound_id, [8, 16], s=s)
         assert sparse_counts_built == []
-        doubling(B, "++-", algo="mitm")
-        assert sparse_counts_built
 
     def test_budget_covers_the_support(self):
         B = gen_random_s_convex(72, 2, 1, 8)
@@ -436,19 +434,21 @@ class TestSupportPath:
         lists = [list(B.elements)] * 2
         bitset_bytes, fold_bytes, bitset = engine._plan_support(lists, False)
         assert not bitset and bitset_bytes < fold_bytes
-        want = doubling(B, "+-", algo="mitm")
-        assert doubling(B, "+-", mem_budget=bitset_bytes) == want
+        want = len(representation([B, B], signs="+-", algo="mitm").support())
+        assert doubling(B, "+-", mem_budget=bitset_bytes).size == want
         with pytest.raises(ResourceError):
             doubling(B, "+-", mem_budget=bitset_bytes - 1)
 
-    def test_explicit_algorithm_keeps_the_representation_route(self):
-        R = OrderedSet([Fraction(1, 3), 1, Fraction(5, 2)])
-        with pytest.raises(InputError, match="dense mode requires integer"):
-            doubling(R, "+-", algo="dense")
-        with pytest.raises(InputError, match="dense mode requires integer"):
-            signed_sumset([R, R], "+-", algo="dense")
-        with pytest.raises(ResourceError, match=r"^representation\[mitm\]"):
-            doubling(gen_interval(50), "++-", algo="mitm", mem_budget=1000)
+    def test_sumsets_take_no_algorithm(self):
+        B = gen_interval(5)
+        for call in (
+            lambda: doubling(B, "+-", algo="mitm"),
+            lambda: signed_sumset([B, B], "+-", algo="mitm"),
+            lambda: TripleSumset(B, algo="mitm"),
+            lambda: build_partition([B, B], 4, algo="mitm"),
+        ):
+            with pytest.raises(TypeError, match="algo"):
+                call()
 
     def test_verify_mode_checks_the_size(self):
         B = gen_power(12, 2)

@@ -146,6 +146,20 @@ class TestSolutionTuples:
         sols = solution_tuples([A] * 3, [IDENTITY] * 3, 6)
         assert len(sols) == 7
 
+    def test_every_axis_must_be_injective(self):
+        # x**2 takes the value 1 twice on the first axis.
+        B_list = [OrderedSet([-1, 1, 2]), OrderedSet([1, 2, 3])]
+        g_list = [parse_function("poly:0,0,1"), parse_function("pow:1")]
+        errors = []
+        for call in (
+            lambda: solution_tuples(B_list, g_list, 3),
+            lambda: lucky_census(B_list, g_list, 1),
+        ):
+            with pytest.raises(DomainError) as info:
+                call()
+            errors.append(str(info.value))
+        assert errors == ["map poly:0,0,1 is not injective on its set"] * 2
+
 
 class TestLuckyPairs:
     def test_unrepresentable_sum(self):
@@ -311,6 +325,27 @@ class TestCensusDifferential:
         B = gen_interval(8)
         with pytest.raises(VerificationError):
             lucky_census([B, B], [IDENTITY] * 2, 2)
+
+    @pytest.mark.parametrize(
+        "k, r, c, message",
+        [
+            (1, 2, 4, "cell partitions need at least 2 axes"),
+            (2, 0, 4, "r and c must be positive"),
+            (2, 2, 0, "r and c must be positive"),
+        ],
+        ids=["one_axis", "r_zero", "c_zero"],
+    )
+    def test_bad_grid_is_rejected_before_any_work(
+        self, monkeypatch, k, r, c, message
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(luckypairs, "representation", no_work)
+        monkeypatch.setattr(luckypairs, "evaluate", no_work)
+        B = gen_interval(8)
+        with pytest.raises(InputError, match=f"^{message}$"):
+            lucky_census([B] * k, [IDENTITY] * k, r, c)
 
     def test_map_not_injective(self):
         B = OrderedSet([-2, -1, 0, 1, 2])
