@@ -4,8 +4,17 @@ Commands: gen, analyze, energy, spectrum, sumset, doubling, lucky, fit,
 verify.  Global flags: --mem, --algo, --format, --out, --seed,
 --timings.  The environment variable SUMSETLAB_MEM overrides --mem.
 
-Exit codes: 0 success, 1 a verification flag failed, 2 usage, input
-or resource errors, each reported on one ``error:`` line.  Reports are
+Each handler computes and returns its report; ``run`` presents it.  A
+report is the JSON payload plus a zero-argument renderer of its CSV form,
+or None for a command that has none (only spectrum, lucky and verify of
+a catalogued bound have one).  ``run`` renders the format asked for,
+adds ``timing_ms`` to JSON under --timings, emits the text and picks the
+exit code.  gen returns nothing: its output is the set file it writes.
+
+Exit codes: 0 success, 1 a report with ``passed: false`` (a verify
+flag failed), 2 usage, input or resource errors, each reported on one
+``error:`` line; --format csv on a command without a CSV form is one
+of them.  --out - writes to stdout, for gen too.  Reports are
 byte-identical across identical invocations; --timings adds a
 wall-clock field and is off by default for that reason.
 """
@@ -16,7 +25,7 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass
+from typing import Callable
 
 from . import bounds, engine, luckypairs
 from .convexity import IDENTITY, convexity_order, parse_function
@@ -33,30 +42,7 @@ from .reporting import (
 )
 
 
-@dataclass
-class RunConfig:
-    mem_budget: int
-    algo: str
-    fmt: str
-    out: str | None
-    seed: int
-    timings: bool
-
-
-def _config(args: argparse.Namespace) -> RunConfig:
-    mem = args.mem
-    env = os.environ.get("SUMSETLAB_MEM")
-    if env is not None:
-        try:
-            mem = int(env)
-        except ValueError:
-            raise SumsetLabError(f"SUMSETLAB_MEM must be an integer, got {env!r}")
-    if mem <= 0:
-        raise SumsetLabError("memory budget must be positive")
-    return RunConfig(mem, args.algo, args.format, args.out, args.seed, args.timings)
-
-
-def _load_inputs(args: argparse.Namespace, cfg: RunConfig):
+def _load_inputs(args: argparse.Namespace):
     """Collect (OrderedSet, provenance) pairs from --set/--family flags."""
     loaded: list[tuple[OrderedSet, dict]] = []
     for path in args.set or []:
@@ -64,38 +50,27 @@ def _load_inputs(args: argparse.Namespace, cfg: RunConfig):
             (read_set(path), {"file": path, "sha256": file_digest(path)})
         )
     for text in args.family or []:
-        spec = parse_family(text, cfg.seed)
+        spec = parse_family(text, args.seed)
         loaded.append((spec.generate(), {"family": format_family(spec)}))
     if not loaded:
         raise SumsetLabError("no input sets: pass --set or --family")
     return loaded
 
 
-def _finish(payload: dict, started: float, cfg: RunConfig) -> None:
-    if cfg.timings:
-        payload["timing_ms"] = round((time.monotonic() - started) * 1000.0, 3)
-    emit(render_json(payload), cfg.out)
-
-
 # ---------------------------------------------------------------------------
-# Subcommand handlers (each returns the process exit code).
+# Subcommand handlers: each returns its (payload, csv renderer) report.
 
 
-def _cmd_gen(args, cfg: RunConfig) -> int:
-    spec = parse_family(args.family_spec, cfg.seed)
+def _cmd_gen(args) -> None:
+    spec = parse_family(args.family_spec, args.seed)
     A = spec.generate()
-    if args.out:
-        write_set(A, args.out)
-    else:
-        write_set(A, sys.stdout)
+    write_set(A, args.out or sys.stdout)
     order = convexity_order(A)
     print(f"# N={len(A)} convexity_order={order}", file=sys.stderr)
-    return 0
 
 
-def _cmd_analyze(args, cfg: RunConfig) -> int:
-    started = time.monotonic()
-    sets = _load_inputs(args, cfg)
+def _cmd_analyze(args) -> tuple[dict, None]:
+    sets = _load_inputs(args)
     reports = []
     for A, provenance in sets:
         order = convexity_order(A)
@@ -108,13 +83,13 @@ def _cmd_analyze(args, cfg: RunConfig) -> int:
             "max": A[-1],
         }
         for pattern in ("+-", "++", "++-"):
-            rep = engine.doubling(A, pattern, mem_budget=cfg.mem_budget)
+            rep = engine.doubling(A, pattern, mem_budget=args.mem)
             entry[f"size[{pattern}]"] = rep.size
             entry[f"K[{pattern}]"] = rep.K
         # engine.check_popular_bound; E and E3_diff are read from the same
         # r_{A-A}.
         diff = engine.representation(
-            [A, A], signs="+-", algo=cfg.algo, mem_budget=cfg.mem_budget
+            [A, A], signs="+-", algo=args.algo, mem_budget=args.mem
         )
         pop = engine.popular_class_of(diff)
         e = engine.energy_of(diff, [A, A])
@@ -129,12 +104,11 @@ def _cmd_analyze(args, cfg: RunConfig) -> int:
         }
         entry["E3_diff"] = moment_sum(diff, 3)
         reports.append(entry)
-    _finish({"op": "analyze", "reports": reports}, started, cfg)
-    return 0
+    return {"op": "analyze", "reports": reports}, None
 
 
-def _sets_for_energy(args, cfg: RunConfig):
-    loaded = _load_inputs(args, cfg)
+def _sets_for_energy(args):
+    loaded = _load_inputs(args)
     if args.k is not None:
         if len(loaded) != 1:
             raise SumsetLabError("--k replicates a single input set")
@@ -142,52 +116,44 @@ def _sets_for_energy(args, cfg: RunConfig):
     return [A for A, _ in loaded], [p for _, p in loaded]
 
 
-def _cmd_energy(args, cfg: RunConfig) -> int:
-    started = time.monotonic()
-    sets, provenance = _sets_for_energy(args, cfg)
+def _cmd_energy(args) -> tuple[dict, None]:
+    sets, provenance = _sets_for_energy(args)
     total = engine.energy_T(
-        sets, signs=args.signs, algo=cfg.algo, mem_budget=cfg.mem_budget
+        sets, signs=args.signs, algo=args.algo, mem_budget=args.mem
     )
     payload = {
         "op": "energy",
         "inputs": provenance,
         "k": len(sets),
         "signs": args.signs or "+" * len(sets),
-        "algo": cfg.algo,
+        "algo": args.algo,
         "T": total,
     }
-    _finish(payload, started, cfg)
-    return 0
+    return payload, None
 
 
-def _cmd_spectrum(args, cfg: RunConfig) -> int:
-    started = time.monotonic()
-    sets, provenance = _sets_for_energy(args, cfg)
+def _cmd_spectrum(args) -> tuple[dict, Callable[[], str]]:
+    sets, provenance = _sets_for_energy(args)
     sp = engine.spectrum(
-        sets, signs=args.signs, algo=cfg.algo, mem_budget=cfg.mem_budget
+        sets, signs=args.signs, algo=args.algo, mem_budget=args.mem
     )
-    if cfg.fmt == "csv":
-        emit(spectrum_csv(sp), cfg.out)
-        return 0
     payload = {
         "op": "spectrum",
         "inputs": provenance,
         "k": len(sets),
         "signs": args.signs or "+" * len(sets),
-        "algo": cfg.algo,
+        "algo": args.algo,
         "classes": [{"j": j, "size": size} for j, size in sp.classes],
         "T": sp.total_T,
         "weighted_sum": sp.weighted_sum(),
     }
-    _finish(payload, started, cfg)
-    return 0
+    return payload, lambda: spectrum_csv(sp)
 
 
-def _cmd_sumset(args, cfg: RunConfig) -> int:
-    started = time.monotonic()
-    sets, provenance = _sets_for_energy(args, cfg)
+def _cmd_sumset(args) -> tuple[dict, None]:
+    sets, provenance = _sets_for_energy(args)
     signs = args.signs or "+" * len(sets)
-    result = engine.signed_sumset(sets, signs, mem_budget=cfg.mem_budget)
+    result = engine.signed_sumset(sets, signs, mem_budget=args.mem)
     payload = {
         "op": "sumset",
         "inputs": provenance,
@@ -196,16 +162,14 @@ def _cmd_sumset(args, cfg: RunConfig) -> int:
     }
     if args.elements:
         payload["elements"] = result
-    _finish(payload, started, cfg)
-    return 0
+    return payload, None
 
 
-def _cmd_doubling(args, cfg: RunConfig) -> int:
-    started = time.monotonic()
-    loaded = _load_inputs(args, cfg)
+def _cmd_doubling(args) -> tuple[dict, None]:
+    loaded = _load_inputs(args)
     reports = []
     for A, provenance in loaded:
-        rep = engine.doubling(A, args.pattern, mem_budget=cfg.mem_budget)
+        rep = engine.doubling(A, args.pattern, mem_budget=args.mem)
         reports.append(
             {
                 "input": provenance,
@@ -214,13 +178,11 @@ def _cmd_doubling(args, cfg: RunConfig) -> int:
                 "K": rep.K,
             }
         )
-    _finish({"op": "doubling", "reports": reports}, started, cfg)
-    return 0
+    return {"op": "doubling", "reports": reports}, None
 
 
-def _cmd_lucky(args, cfg: RunConfig) -> int:
-    started = time.monotonic()
-    loaded = _load_inputs(args, cfg)
+def _cmd_lucky(args) -> tuple[dict, Callable[[], str]]:
+    loaded = _load_inputs(args)
     if len(loaded) != 1:
         raise SumsetLabError("lucky censuses take exactly one base set")
     B, provenance = loaded[0]
@@ -228,20 +190,8 @@ def _cmd_lucky(args, cfg: RunConfig) -> int:
     B_list = [B] * args.k
     g_list = [g] * args.k
     rows = luckypairs.lucky_census(
-        B_list, g_list, args.r, args.c, algo=cfg.algo, mem_budget=cfg.mem_budget
+        B_list, g_list, args.r, args.c, algo=args.algo, mem_budget=args.mem
     )
-    if cfg.fmt == "csv":
-        emit(
-            rows_csv(
-                ("x", "r_x", "pairs_found", "lower_bound", "occupied_cells"),
-                [
-                    (row.x, row.r_x, row.pairs_found, row.lower_bound, row.occupied_cells)
-                    for row in rows
-                ],
-            ),
-            cfg.out,
-        )
-        return 0
     payload = {
         "op": "lucky",
         "input": provenance,
@@ -250,12 +200,16 @@ def _cmd_lucky(args, cfg: RunConfig) -> int:
         "c": args.c,
         "rows": rows,
     }
-    _finish(payload, started, cfg)
-    return 0
+    return payload, lambda: rows_csv(
+        ("x", "r_x", "pairs_found", "lower_bound", "occupied_cells"),
+        [
+            (row.x, row.r_x, row.pairs_found, row.lower_bound, row.occupied_cells)
+            for row in rows
+        ],
+    )
 
 
-def _cmd_fit(args, cfg: RunConfig) -> int:
-    started = time.monotonic()
+def _cmd_fit(args) -> tuple[dict, None]:
     points = []
     for pair in args.point:
         n_text, _, q_text = pair.partition(":")
@@ -271,12 +225,10 @@ def _cmd_fit(args, cfg: RunConfig) -> int:
         "intercept": report.intercept,
         "max_abs_residual": report.max_abs_residual,
     }
-    _finish(payload, started, cfg)
-    return 0
+    return payload, None
 
 
-def _cmd_verify(args, cfg: RunConfig) -> int:
-    started = time.monotonic()
+def _cmd_verify(args) -> tuple[dict, Callable[[], str] | None]:
     try:
         grid = [int(x) for x in args.grid.split(",")]
     except ValueError:
@@ -290,15 +242,14 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
         payload = bounds.heuristic_tail_report(
             args.family,
             grid,
-            default_seed=cfg.seed,
-            algo=cfg.algo,
-            mem_budget=cfg.mem_budget,
+            default_seed=args.seed,
+            algo=args.algo,
+            mem_budget=args.mem,
         )
         payload["op"] = "verify"
         payload["bound_id"] = "eq13_tail"
         payload["family"] = args.family
-        _finish(payload, started, cfg)
-        return 0
+        return payload, None
     report = bounds.verify_bound(
         args.family,
         args.bound,
@@ -306,19 +257,10 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
         s=args.s,
         k=args.k,
         signs=args.signs,
-        default_seed=cfg.seed,
-        algo=cfg.algo,
-        mem_budget=cfg.mem_budget,
+        default_seed=args.seed,
+        algo=args.algo,
+        mem_budget=args.mem,
     )
-    if cfg.fmt == "csv":
-        emit(
-            rows_csv(
-                ("N", "Q", "K", "L", "ratio"),
-                [(r.n, r.q, r.K, r.L, r.ratio) for r in report.rows],
-            ),
-            cfg.out,
-        )
-        return 0 if report.passed else 1
     payload = {
         "op": "verify",
         "bound_id": report.bound.id,
@@ -342,8 +284,10 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
         "flags": report.flags,
         "passed": report.passed,
     }
-    _finish(payload, started, cfg)
-    return 0 if report.passed else 1
+    return payload, lambda: rows_csv(
+        ("N", "Q", "K", "L", "ratio"),
+        [(r.n, r.q, r.K, r.L, r.ratio) for r in report.rows],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +316,7 @@ def _add_common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     )
     parser.add_argument(
         "--algo",
-        choices=("auto", "naive", "mitm", "dense"),
+        choices=engine._ALGOS,
         default=dflt("auto"),
         help="representation algorithm",
     )
@@ -475,13 +419,37 @@ def run(argv=None) -> int:
         if args.command is None:
             parser.print_help()
             return 2
-        cfg = _config(args)
+        env = os.environ.get("SUMSETLAB_MEM")
+        if env is not None:
+            try:
+                args.mem = int(env)
+            except ValueError:
+                raise SumsetLabError(f"SUMSETLAB_MEM must be an integer, got {env!r}")
+        if args.mem <= 0:
+            raise SumsetLabError("memory budget must be positive")
+        # "-" is stdout for every command, gen's set file included.
+        if args.out == "-":
+            args.out = None
         # Fail on a destination that cannot be written before any work.
         if args.command != "gen":
-            check_destination(cfg.out)
-        elif cfg.out:
-            check_set_destination(cfg.out)
-        return _HANDLERS[args.command](args, cfg)
+            check_destination(args.out)
+        elif args.out:
+            check_set_destination(args.out)
+        started = time.monotonic()
+        report = _HANDLERS[args.command](args)
+        if report is None:  # gen wrote its set file itself
+            return 0
+        payload, csv = report
+        if args.format == "json":
+            if args.timings:
+                payload["timing_ms"] = round((time.monotonic() - started) * 1000.0, 3)
+            text = render_json(payload)
+        elif csv is None:
+            raise SumsetLabError(f"{args.command} has no csv format")
+        else:
+            text = csv()
+        emit(text, args.out)
+        return 1 if payload.get("passed") is False else 0
     except SumsetLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -52,6 +52,16 @@ class TestGen:
         with open(path) as fh:
             assert fh.read() == "1\n2\n3\n"
 
+    @pytest.mark.parametrize("flags", [(), ("--format", "csv")], ids=["json", "csv"])
+    def test_out_dash_is_stdout(self, tmp_path, capsys, monkeypatch, flags):
+        # gen has no report, so --format does not apply to it.
+        monkeypatch.chdir(tmp_path)
+        code, out, err = _run(capsys, *flags, "--out", "-", "gen", "interval:n=3")
+        assert code == 0
+        assert out == "1\n2\n3\n"
+        assert "convexity_order" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_family_exits_2(self, capsys):
         code, _, err = _run(capsys, "gen", "power:n=5")
         assert code == 2
@@ -289,6 +299,14 @@ class TestVerify:
         assert code == 1
         assert json.loads(out)["passed"] is False
 
+    def test_failing_bound_exits_1_in_csv(self, capsys):
+        code, out, _ = _run(
+            capsys, "--format", "csv", "verify", "--bound", "KG_energy",
+            "--family", "interval", "--grid", "16,32,64",
+        )
+        assert code == 1
+        assert out.splitlines()[0] == "N,Q,K,L,ratio"
+
     def test_heuristic_tail(self, capsys):
         code, out, _ = _run(
             capsys, "verify", "--bound", "eq13_tail", "--family", "power:m=3",
@@ -465,6 +483,25 @@ class TestUserErrors:
     def test_usage_errors_fit_on_one_line(self, capsys, argv, message):
         assert _run(capsys, *argv) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["energy", "--k", "2", "--family", "interval:n=3"],
+            ["sumset", "--k", "2", "--family", "interval:n=3"],
+            ["doubling", "--family", "interval:n=5"],
+            ["analyze", "--family", "interval:n=5"],
+            ["fit", "8:512", "16:4096", "32:32768"],
+            ["verify", "--bound", "eq13_tail", "--family", "power:m=3",
+             "--grid", "8,16"],
+        ],
+        ids=["energy", "sumset", "doubling", "analyze", "fit", "verify_tail"],
+    )
+    def test_csv_of_a_command_without_one_exits_2(self, tmp_path, capsys, argv):
+        path = tmp_path / "report.csv"
+        code, out, err = _run(capsys, "--format", "csv", "--out", str(path), *argv)
+        assert (code, out, err) == (2, "", f"error: {argv[0]} has no csv format\n")
+        assert not path.exists()
+
     def test_message_names_the_path(self, tmp_path, capsys):
         path = str(tmp_path / "missing.set")
         _, _, err = _run(capsys, "energy", "--set", path)
@@ -541,6 +578,21 @@ class TestDeterminism:
         assert "timing_ms" not in plain
         _, timed, _ = _run(capsys, "--timings", *base)
         assert "timing_ms" in timed
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--k", "2", "--family", "interval:n=4"],
+            ["lucky", "--r", "4", "--family", "rsc:n=16,s=1,seed=3,gap=2"],
+            ["verify", "--bound", "KG_energy", "--family", "interval",
+             "--grid", "16,32,64"],
+        ],
+        ids=["spectrum", "lucky", "verify"],
+    )
+    def test_timing_never_in_csv(self, capsys, argv):
+        plain = _run(capsys, "--format", "csv", *argv)
+        assert plain[1].count("\n") > 1
+        assert _run(capsys, "--timings", "--format", "csv", *argv) == plain
 
 
 def test_sparse_path_never_imports_numpy(tmp_path):
