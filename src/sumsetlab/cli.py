@@ -14,9 +14,11 @@ exit code.  gen returns nothing: its output is the set file it writes.
 Exit codes: 0 success, 1 a report with ``passed: false`` (a verify
 flag failed), 2 usage, input or resource errors, each reported on one
 ``error:`` line; --format csv on a command without a CSV form is one
-of them.  --out - writes to stdout, for gen too.  Reports are
-byte-identical across identical invocations; --timings adds a
-wall-clock field and is off by default for that reason.
+of them, and so is an --out that cannot be written (an empty path
+included), found before any work.  --out - writes to stdout, for gen
+too.  Reports are byte-identical across identical invocations;
+--timings adds a wall-clock field and is off by default for that
+reason.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Callable
 
 from . import bounds, engine, luckypairs
 from .convexity import IDENTITY, convexity_order, parse_function
-from .core import OrderedSet, check_set_destination, moment_sum, read_set, write_set
+from .core import DEFAULT_MEMORY_BUDGET, OrderedSet, moment_sum, read_set, write_set
 from .errors import SumsetLabError
 from .families import format_family, parse_family
 from .reporting import (
@@ -312,7 +314,8 @@ def _add_common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
         return argparse.SUPPRESS if suppress else value
 
     parser.add_argument(
-        "--mem", type=int, default=dflt(2**32), help="memory budget in bytes"
+        "--mem", type=int, default=dflt(DEFAULT_MEMORY_BUDGET),
+        help="memory budget in bytes",
     )
     parser.add_argument(
         "--algo",
@@ -431,10 +434,7 @@ def run(argv=None) -> int:
         if args.out == "-":
             args.out = None
         # Fail on a destination that cannot be written before any work.
-        if args.command != "gen":
-            check_destination(args.out)
-        elif args.out:
-            check_set_destination(args.out)
+        check_destination(args.out)
         started = time.monotonic()
         report = _HANDLERS[args.command](args)
         if report is None:  # gen wrote its set file itself

@@ -189,11 +189,9 @@ def evaluate(f: FunctionSpec, x: Scalar) -> Scalar:
 def eval_fn(f: FunctionSpec, B: OrderedSet) -> OrderedSet:
     """The image set f(B); requires f exact and strictly monotone on B."""
     image = [evaluate(f, b) for b in B]
-    inc = all(a < b for a, b in zip(image, image[1:]))
-    dec = all(a > b for a, b in zip(image, image[1:]))
-    if not (inc or dec):
+    if not _strictly_monotone(image):
         raise DomainError(f"{format_function(f)} is not strictly monotone on this set")
-    if dec:
+    if image[0] > image[-1]:
         image.reverse()
     return OrderedSet(image)
 

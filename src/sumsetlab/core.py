@@ -550,25 +550,17 @@ def read_set(source: Union[str, TextIO]) -> OrderedSet:
 
 def unwritable_reason(path: str) -> str | None:
     """Why opening ``path`` for writing would fail, found without opening
-    or creating it: the path is a directory, or its parent directory is
-    missing.  None when neither holds (the open may still fail later, for
-    example on permissions)."""
+    or creating it: the path is empty or a directory, or its parent
+    directory is missing.  None when none holds (the open may still fail
+    later, for example on permissions)."""
     if os.path.isdir(path):
         return os.strerror(errno.EISDIR)
     parent = os.path.dirname(path) or "."
-    if not os.path.exists(parent):
+    if not path or not os.path.exists(parent):
         return os.strerror(errno.ENOENT)
     if not os.path.isdir(parent):
         return os.strerror(errno.ENOTDIR)
     return None
-
-
-def check_set_destination(dest: str) -> None:
-    """Raise the InputError :func:`write_set` would raise for ``dest``
-    when :func:`unwritable_reason` already knows it."""
-    reason = unwritable_reason(dest)
-    if reason is not None:
-        raise InputError(f"cannot write set file {dest!r}: {reason}")
 
 
 def write_set(A: OrderedSet, dest: Union[str, TextIO]) -> None:

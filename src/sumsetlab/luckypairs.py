@@ -25,26 +25,18 @@ from math import prod
 from typing import Sequence
 
 from .convexity import FunctionSpec, evaluate, format_function
-from .core import (
-    DEFAULT_MEMORY_BUDGET,
-    DICT_ENTRY_BYTES,
-    OrderedSet,
-    Scalar,
-    canon,
-    count_in_halfopen,
-)
-from .engine import representation, signed_sumset
-from .errors import DomainError, InputError, ResourceError, VerificationError
+from .core import DICT_ENTRY_BYTES, OrderedSet, Scalar, canon, count_in_halfopen
+from .engine import choose, representation, signed_sumset
+from .errors import DomainError, InputError, VerificationError
 from .intmath import ceil_div, ceil_root
 
 
 class TripleSumset:
     """B + B - B with half-open interval counting by binary search."""
 
-    __slots__ = ("base", "values")
+    __slots__ = ("values",)
 
     def __init__(self, B: OrderedSet, *, mem_budget: int | None = None) -> None:
-        self.base = B
         triple = signed_sumset([B, B, B], (1, 1, -1), mem_budget=mem_budget)
         self.values = triple.elements
 
@@ -86,7 +78,6 @@ class AxisPartition:
     sumset: TripleSumset
     cuts: tuple
     t: int
-    capacity: int
 
     def interval_index(self, value: Scalar) -> int:
         return bisect_left(self.cuts, value)
@@ -136,7 +127,7 @@ def build_partition(
         for j in range(chunk, m, chunk):
             prev, nxt = values[j - 1], values[j]
             cuts.append(_midpoint(prev, nxt))
-        by_set[B] = AxisPartition(triple, tuple(cuts), len(cuts) + 1, chunk)
+        by_set[B] = AxisPartition(triple, tuple(cuts), len(cuts) + 1)
     axes = tuple(by_set[B] for B in B_list)
     return GridPartition(axes, k, r, c, t, degenerate)
 
@@ -212,9 +203,10 @@ def lucky_pairs_for_sum(
 
     Every returned pair satisfies both lucky-pair conditions: the two
     tuples solve the sum equation for x, and each per-axis witness
-    n_{B_i}(b_i, b_i') stays within the partition's interval capacity
-    (hence within ceil(c * |B_i+B_i-B_i| / r**(1/(k-1)))).  A sum with
-    r_x solutions yields at least r_x - (occupied cells) pairs.
+    n_{B_i}(b_i, b_i') is at most the number of triple-sumset elements in
+    one interval of the partition (hence within ceil(c * |B_i+B_i-B_i| /
+    r**(1/(k-1)))).  A sum with r_x solutions yields at least
+    r_x - (occupied cells) pairs.
     """
     solutions = solution_tuples(B_list, g_list, x)
     if not solutions:
@@ -286,10 +278,8 @@ def lucky_census(
     rich = [(x, count) for x, count in rep.items() if r <= count < 2 * r]
     if not rich:
         return []
-    budget = DEFAULT_MEMORY_BUDGET if mem_budget is None else mem_budget
-    estimate = prod(len(B) for B in B_list[:-1]) * DICT_ENTRY_BYTES
-    if estimate > budget:
-        raise ResourceError(estimate, budget, "lucky census table")
+    table_bytes = prod(len(B) for B in B_list[:-1]) * DICT_ENTRY_BYTES
+    choose({"table": (table_bytes, 0)}, "auto", mem_budget, "lucky census table")
 
     # Per axis: (g_i(b), interval index of b) for every b in B_i.
     axes = [

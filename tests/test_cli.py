@@ -528,9 +528,12 @@ class TestUserErrors:
             lambda tmp: ["--out", str(tmp), "analyze", "--family", "interval:n=9"],
             lambda tmp: ["gen", "interval:n=3", "--out", str(tmp / "no" / "x")],
             lambda tmp: ["gen", "interval:n=3", "--out", str(tmp)],
+            lambda tmp: ["--out", "", "energy", "--k", "4",
+                         "--family", "rsc:n=38,s=3,seed=1,gap=64"],
+            lambda tmp: ["gen", "interval:n=3", "--out", ""],
         ],
         ids=["report_missing_dir", "report_directory", "gen_missing_dir",
-             "gen_directory"],
+             "gen_directory", "report_empty", "gen_empty"],
     )
     def test_unwritable_out_fails_before_any_work(
         self, tmp_path, capsys, monkeypatch, argv

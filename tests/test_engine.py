@@ -30,7 +30,7 @@ from sumsetlab import (
 )
 from sumsetlab import engine, kernels
 from sumsetlab.bounds import verify_bound
-from sumsetlab.core import mass_of_squares
+from sumsetlab.core import DEFAULT_MEMORY_BUDGET, mass_of_squares
 from sumsetlab.engine import check_popular_bound, rich_tail, spectrum_of
 from sumsetlab.luckypairs import TripleSumset, build_partition
 
@@ -223,6 +223,57 @@ class TestPlanner:
         assert engine._plan_mitm(lists, 1)[0] == math.comb(41, 4) * 120
         rep = representation([A] * 4, mem_budget=100_000_000)
         assert mass_of_squares(rep) == 47002410
+
+
+class TestChoose:
+    """The one path-and-budget rule, on made-up (bytes, cost) tables."""
+
+    PLANS = {"a": (500, 9.0), "b": (100, 3.0), "c": (-1, 0.0), "d": (200, 5.0)}
+
+    @staticmethod
+    def choose(plans, budget, algo="auto"):
+        return engine.choose(plans, algo, budget, "x")
+
+    @staticmethod
+    def error(estimate, budget, what="x"):
+        return pytest.raises(
+            ResourceError,
+            match=rf"^{what}: estimated {estimate} bytes exceeds budget {budget}$",
+        )
+
+    def test_cheapest_fitting_candidate(self):
+        assert self.choose(self.PLANS, 1000) == "b"
+        assert self.choose(self.PLANS, 100) == "b"
+        # b does not fit: d is the cheapest that does.
+        assert self.choose({**self.PLANS, "b": (2000, 3.0)}, 1000) == "d"
+
+    def test_tie_goes_to_the_first_listed(self):
+        assert self.choose({"b": (100, 3.0), "d": (200, 3.0)}, 1000) == "b"
+        assert self.choose({"d": (200, 3.0), "b": (100, 3.0)}, 1000) == "d"
+
+    def test_inapplicable_candidate_is_skipped(self):
+        # c is the cheapest but does not apply.
+        plans = {"c": (-1, 0.0), "a": (500, 9.0)}
+        assert self.choose(plans, 1000) == "a"
+        with self.error(500, 499):
+            self.choose(plans, 499)
+
+    def test_explicit_algorithm_is_the_only_candidate(self):
+        assert self.choose(self.PLANS, 1000, algo="a") == "a"
+        with self.error(500, 400, what=r"x\[a\]"):
+            self.choose(self.PLANS, 400, algo="a")
+
+    def test_least_bytes_when_nothing_fits(self):
+        with self.error(100, 99) as exc:
+            self.choose(self.PLANS, 99)
+        assert (exc.value.estimated_bytes, exc.value.budget_bytes) == (100, 99)
+
+    def test_default_budget(self):
+        budget = DEFAULT_MEMORY_BUDGET
+        plans = {"a": (budget + 1, 0.0), "b": (budget, 1.0)}
+        assert self.choose(plans, None) == "b"
+        with self.error(budget + 1, budget, what=r"x\[a\]"):
+            self.choose(plans, None, algo="a")
 
 
 class TestEnergy:
@@ -432,8 +483,10 @@ class TestSupportPath:
         rng = SplitMix64(5)
         B = random_integer_set(rng, 30, spread=2**15)
         lists = [list(B.elements)] * 2
-        bitset_bytes, fold_bytes, bitset = engine._plan_support(lists, False)
-        assert not bitset and bitset_bytes < fold_bytes
+        plans = engine._plan_support(lists, False)
+        bitset_bytes, fold_bytes = plans["bitset"][0], plans["fold"][0]
+        assert engine.choose(plans, "auto", None, "") == "fold"
+        assert bitset_bytes < fold_bytes
         want = len(representation([B, B], signs="+-", algo="mitm").support())
         assert doubling(B, "+-", mem_budget=bitset_bytes).size == want
         with pytest.raises(ResourceError):

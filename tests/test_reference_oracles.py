@@ -449,12 +449,18 @@ def test_both_kernel_paths_match_representation(sets, data):
         assert kernels.support_size(lists, bitset) == len(want)
 
 
+def _preferred_path(lists, elements):
+    """The support path the planner prefers by cost, under a budget that
+    both paths fit."""
+    return engine.choose(engine._plan_support(lists, elements), "auto", 2**300, "")
+
+
 def test_planner_takes_the_bitset_on_an_interval():
     B = OrderedSet(range(-(2**70), -(2**70) + 60))
     sets, signs = [B, B, B], (1, 1, -1)
     lists, _ = scaled_lists(sets, signs)
-    assert engine._plan_support(lists, False)[2]
-    assert engine._plan_support(lists, True)[2]
+    assert _preferred_path(lists, False) == "bitset"
+    assert _preferred_path(lists, True) == "bitset"
     assert doubling(B, "++-").size == len(support_by_representation(sets, signs))
     assert signed_sumset(sets, signs).elements == support_by_representation(
         sets, signs
@@ -474,7 +480,7 @@ def test_planner_takes_the_bitset_on_an_interval():
 def test_planner_takes_the_fold_on_wide_spans(B):
     for pattern in ("+-", "++-", "+-+-"):
         sets = [B] * len(pattern)
-        assert not engine._plan_support(scaled_lists(sets, pattern)[0], True)[2]
+        assert _preferred_path(scaled_lists(sets, pattern)[0], True) == "fold"
         want = support_by_representation(sets, pattern)
         assert doubling(B, pattern).size == len(want)
         assert signed_sumset(sets, pattern).elements == want
