@@ -9,21 +9,28 @@ report is the JSON payload plus a zero-argument renderer of its CSV form,
 or None for a command that has none (only spectrum, lucky and verify of
 a catalogued bound have one).  ``run`` renders the format asked for,
 adds ``timing_ms`` to JSON under --timings, emits the text and picks the
-exit code.  gen returns nothing: its output is the set file it writes.
+exit code.  gen returns nothing: it renders its set file with
+``write_set`` and hands it to ``emit`` itself.  Every report and set
+file leaves through ``reporting.emit``.
 
 Exit codes: 0 success, 1 a report with ``passed: false`` (a verify
 flag failed), 2 usage, input or resource errors, each reported on one
 ``error:`` line; --format csv on a command without a CSV form is one
-of them, and so is an --out that cannot be written (an empty path
-included), found before any work.  --out - writes to stdout, for gen
-too.  Reports are byte-identical across identical invocations;
---timings adds a wall-clock field and is off by default for that
-reason.
+of them, and so is an --out the OS refuses (an empty path, a missing
+directory, a directory, a name that is too long), found by
+``reporting.check_destination`` before any work, with one wording for
+every command.  So is a closed stdout: one closed at start fails that
+check with ``error: cannot write to stdout: Bad file descriptor``, and
+``main`` turns a pipe whose reader has gone into ``error: cannot write
+to stdout: Broken pipe``.  --out - writes to stdout, for gen too.
+Reports are byte-identical across identical invocations; --timings adds
+a wall-clock field and is off by default for that reason.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 import time
@@ -35,6 +42,7 @@ from .core import DEFAULT_MEMORY_BUDGET, OrderedSet, moment_sum, read_set, write
 from .errors import SumsetLabError
 from .families import format_family, parse_family
 from .reporting import (
+    cannot_write,
     check_destination,
     emit,
     file_digest,
@@ -66,7 +74,11 @@ def _load_inputs(args: argparse.Namespace):
 def _cmd_gen(args) -> None:
     spec = parse_family(args.family_spec, args.seed)
     A = spec.generate()
-    write_set(A, args.out or sys.stdout)
+    buf = io.StringIO()
+    write_set(A, buf)
+    text = buf.getvalue()
+    del buf  # freed before emit encodes the text: one copy less at peak
+    emit(text, args.out)
     order = convexity_order(A)
     print(f"# N={len(A)} convexity_order={order}", file=sys.stderr)
 
@@ -437,7 +449,7 @@ def run(argv=None) -> int:
         check_destination(args.out)
         started = time.monotonic()
         report = _HANDLERS[args.command](args)
-        if report is None:  # gen wrote its set file itself
+        if report is None:  # gen emitted its set file itself
             return 0
         payload, csv = report
         if args.format == "json":
@@ -456,7 +468,17 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        if sys.stdout is not None:  # None when started with stdout closed
+            sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # The reader is gone: point stdout at devnull so that the flush
+        # at interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: {cannot_write(None, exc)}", file=sys.stderr)
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

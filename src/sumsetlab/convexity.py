@@ -242,38 +242,6 @@ def _poly_sub(p: Polynomial, q: Polynomial) -> Polynomial:
     return Polynomial(tuple(a - b for a, b in zip(pc, qc)))
 
 
-def poly_derivative(p: Polynomial) -> Polynomial:
-    c = p.coefficients
-    if len(c) == 1:
-        return Polynomial((0,))
-    return Polynomial(tuple(i * c[i] for i in range(1, len(c))))
-
-
-def certify_positive_derivatives(
-    f: FunctionSpec, order: int, lo: Scalar, hi: Scalar
-) -> bool:
-    """Sound, conservative certificate that f', f'', ..., f^(order) are
-    all strictly positive on [lo, hi].
-
-    Checks signs at both endpoints and at every integer grid point in
-    between, plus an all-coefficients-nonnegative shortcut.  A ``True``
-    can be trusted for generator selection; a ``False`` is inconclusive.
-    """
-    poly = as_polynomial(f)
-    d = poly
-    for _ in range(order):
-        d = poly_derivative(d)
-        if all(c >= 0 for c in d.coefficients) and any(
-            c > 0 for c in d.coefficients
-        ) and lo > 0:
-            continue
-        points = [lo, hi]
-        points.extend(range(int(lo) + 1, int(hi) + 1))
-        if any(evaluate(d, x) <= 0 for x in points):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Textual form used by the CLI: "poly:c0,c1,...,cd", "pow:m", "root:m".
 

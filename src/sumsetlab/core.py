@@ -45,9 +45,7 @@ they never sort it.
 
 from __future__ import annotations
 
-import errno
 import operator
-import os
 import re
 from bisect import bisect_left, bisect_right
 from collections import Counter
@@ -548,31 +546,8 @@ def read_set(source: Union[str, TextIO]) -> OrderedSet:
     return make_set(values)
 
 
-def unwritable_reason(path: str) -> str | None:
-    """Why opening ``path`` for writing would fail, found without opening
-    or creating it: the path is empty or a directory, or its parent
-    directory is missing.  None when none holds (the open may still fail
-    later, for example on permissions)."""
-    if os.path.isdir(path):
-        return os.strerror(errno.EISDIR)
-    parent = os.path.dirname(path) or "."
-    if not path or not os.path.exists(parent):
-        return os.strerror(errno.ENOENT)
-    if not os.path.isdir(parent):
-        return os.strerror(errno.ENOTDIR)
-    return None
-
-
-def write_set(A: OrderedSet, dest: Union[str, TextIO]) -> None:
-    if isinstance(dest, str):
-        try:
-            with open(dest, "w", encoding="utf-8") as fh:
-                write_set(A, fh)
-        except OSError as exc:
-            raise InputError(
-                f"cannot write set file {dest!r}: {exc.strerror or exc}"
-            ) from None
-        return
+def write_set(A: OrderedSet, dest: TextIO) -> None:
+    """Write one element per line to the text stream ``dest``."""
     for x in A:
         dest.write(format_element(x) + "\n")
 

@@ -9,14 +9,16 @@ identical bytes.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .core import OrderedSet, format_element, unwritable_reason
+from .core import OrderedSet, format_element
 from .engine import Spectrum
 from .errors import InputError
 
@@ -87,24 +89,48 @@ def file_digest(path: str) -> str:
     return h.hexdigest()
 
 
+def cannot_write(out_path: str | None, exc: OSError) -> InputError:
+    """The one wording of a failed write, to ``out_path`` or, when it is
+    None, to stdout."""
+    where = "to stdout" if out_path is None else repr(out_path)
+    return InputError(f"cannot write {where}: {exc.strerror or exc}")
+
+
 def check_destination(out_path: str | None) -> None:
-    """Raise the InputError :func:`emit` would raise for ``out_path``
-    when :func:`core.unwritable_reason` already knows it."""
-    if out_path is None or out_path == "-":
+    """Raise, before any work, the InputError :func:`emit` would raise
+    for ``out_path``, by asking the OS.  None is stdout, which fails only
+    when the process started with it closed (``sys.stdout`` is None).
+
+    A missing path is created with ``open(path, "x")`` and removed
+    again; an existing regular file or directory is opened for
+    appending, so nothing is truncated.  Any other existing file (a
+    FIFO, ``/dev/null``, a dangling symlink) is left to :func:`emit`, so
+    that it is opened only once.
+    """
+    if out_path is None:
+        if sys.stdout is None:
+            raise cannot_write(None, OSError(errno.EBADF, os.strerror(errno.EBADF)))
         return
-    reason = unwritable_reason(out_path)
-    if reason is not None:
-        raise InputError(f"cannot write {out_path!r}: {reason}")
+    try:
+        if not os.path.lexists(out_path):
+            open(out_path, "x").close()
+            os.remove(out_path)
+        elif os.path.isfile(out_path) or os.path.isdir(out_path):
+            open(out_path, "a").close()
+    except OSError as exc:
+        raise cannot_write(out_path, exc) from None
 
 
 def emit(text: str, out_path: str | None) -> None:
-    if out_path is None or out_path == "-":
+    """Write ``text`` to stdout when ``out_path`` is None, else replace
+    the file at ``out_path`` with it.  This is the only writer of
+    reports and set files; a failed open or write raises the same
+    InputError as :func:`check_destination`."""
+    if out_path is None:
         sys.stdout.write(text)
-    else:
-        try:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise InputError(
-                f"cannot write {out_path!r}: {exc.strerror or exc}"
-            ) from None
+        return
+    try:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise cannot_write(out_path, exc) from None

@@ -29,6 +29,28 @@ def _run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _cli_subprocess(argv, unbuffered, **kwargs):
+    """Run the CLI in a child process with stderr captured; ``kwargs``
+    set up its stdout."""
+    src = os.path.dirname(os.path.dirname(sumsetlab.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    return subprocess.run(
+        [sys.executable, "-m", "sumsetlab.cli", *argv],
+        stderr=subprocess.PIPE, env=env, text=True, timeout=120, **kwargs,
+    )
+
+
+def _assert_one_error(done, line):
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    errors = [x for x in done.stderr.splitlines() if x.startswith("error:")]
+    assert errors == [line]
+    assert done.stderr.endswith(line + "\n")
+
+
 class TestGen:
     def test_roundtrip(self, tmp_path, capsys):
         path = str(tmp_path / "a.set")
@@ -531,9 +553,13 @@ class TestUserErrors:
             lambda tmp: ["--out", "", "energy", "--k", "4",
                          "--family", "rsc:n=38,s=3,seed=1,gap=64"],
             lambda tmp: ["gen", "interval:n=3", "--out", ""],
+            lambda tmp: ["--out", str(tmp / ("x" * 300)), "energy", "--k", "4",
+                         "--family", "rsc:n=38,s=3,seed=1,gap=64"],
+            lambda tmp: ["gen", "interval:n=3", "--out", str(tmp / ("x" * 300))],
         ],
         ids=["report_missing_dir", "report_directory", "gen_missing_dir",
-             "gen_directory", "report_empty", "gen_empty"],
+             "gen_directory", "report_empty", "gen_empty",
+             "report_name_too_long", "gen_name_too_long"],
     )
     def test_unwritable_out_fails_before_any_work(
         self, tmp_path, capsys, monkeypatch, argv
@@ -547,7 +573,15 @@ class TestUserErrors:
         assert code == 2
         assert out == ""
         assert err.startswith("error: cannot write ") and err.count("\n") == 1
-        assert not (tmp_path / "no").exists()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_name_too_long_has_one_wording(self, tmp_path, capsys):
+        path = str(tmp_path / ("x" * 300))
+        for argv in (["energy", "--k", "2", "--family", "interval:n=4"],
+                     ["gen", "interval:n=3"]):
+            code, out, err = _run(capsys, "--out", path, *argv)
+            assert (code, out) == (2, "")
+            assert err == f"error: cannot write {path!r}: File name too long\n"
 
     def test_failed_command_leaves_out_untouched(self, tmp_path, capsys):
         path = tmp_path / "old.json"
@@ -557,6 +591,66 @@ class TestUserErrors:
         )
         assert code == 2
         assert path.read_text() == "previous report\n"
+
+    def test_failed_command_leaves_no_new_out(self, tmp_path, capsys):
+        path = tmp_path / "new.json"
+        code, _, _ = _run(
+            capsys, "--out", str(path), "energy", "--family", "nosuch:n=3"
+        )
+        assert code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_to_a_device_is_written(self, capsys):
+        code, out, err = _run(
+            capsys, "--out", os.devnull, "energy", "--k", "2",
+            "--family", "interval:n=4",
+        )
+        assert (code, out, err) == (0, "", "")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["energy", "--k", "2", "--family", "interval:n=10"],
+            ["--out", "-", "gen", "interval:n=10"],
+        ],
+        ids=["report", "gen"],
+    )
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_exits_2_with_one_line(self, argv, unbuffered):
+        # The reader is gone before the first write, so the failure does
+        # not depend on timing.  Buffered, it surfaces at the final flush;
+        # unbuffered, at the write itself.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = _cli_subprocess(argv, unbuffered, stdout=write_end)
+        finally:
+            os.close(write_end)
+        _assert_one_error(done, "error: cannot write to stdout: Broken pipe")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["energy", "--k", "2", "--family", "interval:n=4"],
+            ["--out", "-", "gen", "interval:n=4"],
+        ],
+        ids=["report", "gen"],
+    )
+    def test_stdout_closed_at_start_exits_2_with_one_line(self, argv):
+        # Python sets sys.stdout to None when fd 1 is closed at start.
+        done = _cli_subprocess(argv, "", preexec_fn=lambda: os.close(1))
+        _assert_one_error(
+            done, "error: cannot write to stdout: Bad file descriptor"
+        )
+
+    def test_stdout_closed_at_start_does_not_stop_out(self, tmp_path):
+        path = tmp_path / "e.json"
+        done = _cli_subprocess(
+            ["--out", str(path), "energy", "--k", "2", "--family", "interval:n=4"],
+            "", preexec_fn=lambda: os.close(1),
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert json.loads(path.read_text())["T"] == "44"
 
     def test_digest_of_unreadable_path(self, tmp_path):
         with pytest.raises(InputError, match="missing.set"):
