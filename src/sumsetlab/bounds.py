@@ -92,57 +92,36 @@ def _ikrt(k: int | None) -> BoundSpec:
     return BoundSpec("IKRT", f"T{k}", "upper", n, params={"k": k})
 
 
-def _t_main(s: int | None) -> BoundSpec:
-    s = _need_s(s)
-    kk = 2**s
-    return BoundSpec(
-        "T_main", f"T{kk}", "upper", _t_main_exponent(s), params={"s": s, "k": kk}
-    )
+def _need_s(s: int | None) -> int:
+    if s is None or s < 0:
+        raise InputError("this bound needs a convexity parameter s >= 0")
+    return s
 
 
-def _card_main(s: int | None) -> BoundSpec:
-    s = _need_s(s)
-    if s < 1:
-        raise InputError("card_main needs s >= 1")
-    kk = 2**s
-    return BoundSpec(
-        "card_main",
-        f"card{kk}",
-        "lower",
-        1 + s - alpha(s),
-        params={"s": s, "k": kk},
-    )
+def _t_main_exponent(s: int) -> Fraction:
+    return 2 ** (s + 1) - 1 - s + alpha(s)
 
 
-def _t_near_convex(s: int | None) -> BoundSpec:
-    s = _need_s(s)
-    kk = 2**s
-    kexp = 2 - Fraction(2 + 2 * s - 2 * alpha(s), 2**s)
-    return BoundSpec(
-        "T_near_convex",
-        f"T{kk}",
-        "upper",
-        _t_main_exponent(s),
-        k_exponent=kexp,
-        doubling_pattern="++-",
-        per_factor=True,
-        params={"s": s, "k": kk},
-    )
+def _by_s(bound_id, quantity, direction, n_exp, k_exp=None, least=0, **fields):
+    """The catalogue row of a bound indexed by the convexity parameter s.
 
+    Its builder measures ``quantity`` with k = 2**s summands, takes the
+    N and K exponents as functions of s (no K exponent when ``k_exp`` is
+    None) and needs s >= ``least``; ``fields`` are the other BoundSpec
+    fields.
+    """
 
-def _t_near_convex_sym(s: int | None) -> BoundSpec:
-    s = _need_s(s)
-    kk = 2**s
-    kexp = 2 ** (s + 1) - 2 - 2 * s + 2 * alpha(s)
-    return BoundSpec(
-        "T_near_convex_sym",
-        f"T{kk}",
-        "upper",
-        _t_main_exponent(s),
-        k_exponent=kexp,
-        doubling_pattern="++-",
-        params={"s": s, "k": kk},
-    )
+    def build(s: int | None) -> BoundSpec:
+        s = _need_s(s)
+        if s < least:
+            raise InputError(f"{bound_id} needs s >= {least}")
+        k_exponent = Fraction(0) if k_exp is None else k_exp(s)
+        return BoundSpec(
+            bound_id, f"{quantity}{2**s}", direction, n_exp(s), k_exponent,
+            params={"s": s, "k": 2**s}, **fields,
+        )
+
+    return "s", build
 
 
 #: Every catalogued bound: a fixed BoundSpec, or the parameter it reads
@@ -151,8 +130,10 @@ def _t_near_convex_sym(s: int | None) -> BoundSpec:
 _CATALOGUE = {
     "KG_energy": BoundSpec("KG_energy", "T2", "upper", Fraction(5, 2), params={"k": 2}),
     "IKRT": ("k", _ikrt),
-    "T_main": ("s", _t_main),
-    "card_main": ("s", _card_main),
+    "T_main": _by_s("T_main", "T", "upper", _t_main_exponent),
+    "card_main": _by_s(
+        "card_main", "card", "lower", lambda s: 1 + s - alpha(s), least=1
+    ),
     "T4_improved": BoundSpec(
         "T4_improved", "T4", "upper", Fraction(4) + Fraction(24, 13), params={"k": 4}
     ),
@@ -183,8 +164,16 @@ _CATALOGUE = {
         l_exponent=Fraction(3, 2),
         doubling_pattern="+-",
     ),
-    "T_near_convex": ("s", _t_near_convex),
-    "T_near_convex_sym": ("s", _t_near_convex_sym),
+    "T_near_convex": _by_s(
+        "T_near_convex", "T", "upper", _t_main_exponent,
+        lambda s: 2 - Fraction(2 + 2 * s - 2 * alpha(s), 2**s),
+        doubling_pattern="++-", per_factor=True,
+    ),
+    "T_near_convex_sym": _by_s(
+        "T_near_convex_sym", "T", "upper", _t_main_exponent,
+        lambda s: 2 ** (s + 1) - 2 - 2 * s + 2 * alpha(s),
+        doubling_pattern="++-",
+    ),
     "S66_diff": BoundSpec("S66_diff", "card_diff", "lower", Fraction(8, 5)),
     "S66_sum": BoundSpec("S66_sum", "card_sum", "lower", Fraction(30, 19)),
     "S66_energy": BoundSpec(
@@ -217,16 +206,6 @@ def predicted(bound_id: str, s: int | None = None, k: int | None = None) -> Boun
         return entry
     param, build = entry
     return build(s if param == "s" else k)
-
-
-def _need_s(s: int | None) -> int:
-    if s is None or s < 0:
-        raise InputError("this bound needs a convexity parameter s >= 0")
-    return s
-
-
-def _t_main_exponent(s: int) -> Fraction:
-    return 2 ** (s + 1) - 1 - s + alpha(s)
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +300,7 @@ def _measure_row(
     elif q_kind == "card_sum":
         q = len(signed_sumset([A, A], "++", mem_budget=mem_budget))
     elif q_kind == "E_cross":
-        C = A
-        q = energy_cross(A, C, algo=algo, mem_budget=mem_budget)
-        L = len(C)
+        q = energy_cross(A, A, algo=algo, mem_budget=mem_budget)
     elif q_kind == "xr_tail3":
         rep = representation([A] * 3, algo=algo, mem_budget=mem_budget)
         sp = spectrum_of(rep)

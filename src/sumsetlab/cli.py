@@ -4,7 +4,8 @@ Commands: gen, analyze, energy, spectrum, sumset, doubling, lucky, fit,
 verify.  Global flags: --mem, --algo, --format, --out, --seed,
 --timings.  The environment variable SUMSETLAB_MEM overrides --mem.
 
-Each handler computes and returns its report; ``run`` presents it.  A
+Each subparser names its handler, which computes and returns its
+report; ``run`` calls the handler and presents the report.  A
 report is the JSON payload plus a zero-argument renderer of its CSV form,
 or None for a command that has none (only spectrum, lucky and verify of
 a catalogued bound have one).  ``run`` renders the format asked for,
@@ -17,7 +18,8 @@ Exit codes: 0 success, 1 a report with ``passed: false`` (a verify
 flag failed), 2 usage, input or resource errors, each reported on one
 ``error:`` line; --format csv on a command without a CSV form is one
 of them, and so is an --out the OS refuses (an empty path, a missing
-directory, a directory, a name that is too long), found by
+directory, a directory, a name that is too long, a symlink into a
+missing directory), found by
 ``reporting.check_destination`` before any work, with one wording for
 every command.  So is a closed stdout: one closed at start fails that
 check with ``error: cannot write to stdout: Bad file descriptor``, and
@@ -360,27 +362,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command")
 
-    def add_sub(name: str, helptext: str) -> argparse.ArgumentParser:
+    def add_sub(name: str, helptext: str, handler) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         _add_common_flags(p, suppress=True)
+        p.set_defaults(handler=handler)
         return p
 
     def add_set_args(p):
         p.add_argument("--set", action="append", help="set file (repeatable)")
         p.add_argument("--family", action="append", help="family spec (repeatable)")
 
-    p_gen = add_sub("gen", "generate a family into a set file")
+    p_gen = add_sub("gen", "generate a family into a set file", _cmd_gen)
     p_gen.add_argument("family_spec")
 
-    p_an = add_sub("analyze", "convexity and doubling summary")
+    p_an = add_sub("analyze", "convexity and doubling summary", _cmd_analyze)
     add_set_args(p_an)
 
-    for name, helptext in (
-        ("energy", "k-fold additive energy"),
-        ("spectrum", "dyadic richness spectrum"),
-        ("sumset", "signed sumset size"),
+    for name, helptext, handler in (
+        ("energy", "k-fold additive energy", _cmd_energy),
+        ("spectrum", "dyadic richness spectrum", _cmd_spectrum),
+        ("sumset", "signed sumset size", _cmd_sumset),
     ):
-        p = add_sub(name, helptext)
+        p = add_sub(name, helptext, handler)
         add_set_args(p)
         p.add_argument("--k", type=int, default=None, help="replicate one set k times")
         p.add_argument("--signs", default=None, help="sign pattern like ++-")
@@ -389,21 +392,21 @@ def build_parser() -> argparse.ArgumentParser:
                 "--elements", action="store_true", help="include the elements"
             )
 
-    p_db = add_sub("doubling", "patterned self-sumset size and K")
+    p_db = add_sub("doubling", "patterned self-sumset size and K", _cmd_doubling)
     add_set_args(p_db)
     p_db.add_argument("--pattern", default="++-")
 
-    p_lucky = add_sub("lucky", "lucky-pair census for a richness class")
+    p_lucky = add_sub("lucky", "lucky-pair census for a richness class", _cmd_lucky)
     add_set_args(p_lucky)
     p_lucky.add_argument("--k", type=int, default=2)
     p_lucky.add_argument("--r", type=int, required=True, help="dyadic class floor")
     p_lucky.add_argument("--c", type=int, default=4, help="partition constant")
     p_lucky.add_argument("--g", default=None, help="monotone map (default identity)")
 
-    p_fit = add_sub("fit", "log-log slope of N:Q points")
+    p_fit = add_sub("fit", "log-log slope of N:Q points", _cmd_fit)
     p_fit.add_argument("point", nargs="+", help="points as N:Q")
 
-    p_ver = add_sub("verify", "evaluate a catalogued growth bound")
+    p_ver = add_sub("verify", "evaluate a catalogued growth bound", _cmd_verify)
     p_ver.add_argument("--bound", required=True)
     p_ver.add_argument("--family", required=True)
     p_ver.add_argument("--grid", required=True, help="comma-separated N values")
@@ -412,19 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--signs", default=None)
 
     return parser
-
-
-_HANDLERS = {
-    "gen": _cmd_gen,
-    "analyze": _cmd_analyze,
-    "energy": _cmd_energy,
-    "spectrum": _cmd_spectrum,
-    "sumset": _cmd_sumset,
-    "doubling": _cmd_doubling,
-    "lucky": _cmd_lucky,
-    "fit": _cmd_fit,
-    "verify": _cmd_verify,
-}
 
 
 def run(argv=None) -> int:
@@ -448,7 +438,7 @@ def run(argv=None) -> int:
         # Fail on a destination that cannot be written before any work.
         check_destination(args.out)
         started = time.monotonic()
-        report = _HANDLERS[args.command](args)
+        report = args.handler(args)
         if report is None:  # gen emitted its set file itself
             return 0
         payload, csv = report

@@ -10,6 +10,8 @@ are pairwise distinct for every h.
 Function specs are the exact, monotone maps used to build image sets:
 polynomials, integer powers x**m, and integer roots x**(1/m) (the root
 is only defined on elements that are exact m-th powers of rationals).
+Each kind carries its own evaluation ``at``, text form ``text`` and
+polynomial form ``polynomial`` (a root has none and raises Unsupported).
 """
 
 from __future__ import annotations
@@ -125,6 +127,18 @@ class Polynomial:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
+    def at(self, x: Scalar) -> Scalar:
+        acc: Scalar = 0
+        for c in reversed(self.coefficients):
+            acc = acc * x + c
+        return canon(acc)
+
+    def text(self) -> str:
+        return "poly:" + ",".join(map(format_element, self.coefficients))
+
+    def polynomial(self) -> Polynomial:
+        return self
+
 
 @dataclass(frozen=True)
 class IntegerPower:
@@ -136,6 +150,15 @@ class IntegerPower:
         if self.exponent < 1:
             raise InputError("power exponent must be >= 1")
 
+    def at(self, x: Scalar) -> Scalar:
+        return canon(x**self.exponent)
+
+    def text(self) -> str:
+        return f"pow:{self.exponent}"
+
+    def polynomial(self) -> Polynomial:
+        return Polynomial((0,) * self.exponent + (1,))
+
 
 @dataclass(frozen=True)
 class IntegerRoot:
@@ -146,6 +169,15 @@ class IntegerRoot:
     def __post_init__(self) -> None:
         if self.index < 1:
             raise InputError("root index must be >= 1")
+
+    def at(self, x: Scalar) -> Scalar:
+        return exact_root(x, self.index)
+
+    def text(self) -> str:
+        return f"root:{self.index}"
+
+    def polynomial(self) -> Polynomial:
+        raise Unsupported("discrete derivative of a root spec is not polynomial")
 
 
 FunctionSpec = Union[Polynomial, IntegerPower, IntegerRoot]
@@ -173,17 +205,7 @@ def exact_root(x: Scalar, m: int) -> Scalar:
 
 def evaluate(f: FunctionSpec, x: Scalar) -> Scalar:
     """Evaluate f at an exact rational point (exactly, or DomainError)."""
-    x = canon(x)
-    if isinstance(f, Polynomial):
-        acc: Scalar = 0
-        for c in reversed(f.coefficients):
-            acc = acc * x + c
-        return canon(acc)
-    if isinstance(f, IntegerPower):
-        return canon(x**f.exponent)
-    if isinstance(f, IntegerRoot):
-        return exact_root(x, f.index)
-    raise Unsupported(f"unknown function spec {f!r}")
+    return f.at(canon(x))
 
 
 def eval_fn(f: FunctionSpec, B: OrderedSet) -> OrderedSet:
@@ -196,14 +218,6 @@ def eval_fn(f: FunctionSpec, B: OrderedSet) -> OrderedSet:
     return OrderedSet(image)
 
 
-def as_polynomial(f: FunctionSpec) -> Polynomial:
-    if isinstance(f, Polynomial):
-        return f
-    if isinstance(f, IntegerPower):
-        return Polynomial((0,) * f.exponent + (1,))
-    raise Unsupported(f"{format_function(f)} has no polynomial form")
-
-
 def discrete_derivative_fn(f: FunctionSpec, h: Scalar) -> Polynomial:
     """The map x -> f(x+h) - f(x); polynomials drop one degree.
 
@@ -213,12 +227,8 @@ def discrete_derivative_fn(f: FunctionSpec, h: Scalar) -> Polynomial:
     h = canon(h)
     if h == 0:
         raise InputError("shift h must be nonzero")
-    if isinstance(f, IntegerRoot):
-        raise Unsupported("discrete derivative of a root spec is not polynomial")
-    poly = as_polynomial(f)
-    shifted = _compose_shift(poly, h)
-    diff = _poly_sub(shifted, poly)
-    return diff
+    poly = f.polynomial()
+    return _poly_sub(_compose_shift(poly, h), poly)
 
 
 def _compose_shift(p: Polynomial, h: Scalar) -> Polynomial:
@@ -273,10 +283,4 @@ def _parse_index(rest: str, text: str) -> int:
 
 
 def format_function(f: FunctionSpec) -> str:
-    if isinstance(f, Polynomial):
-        return "poly:" + ",".join(map(format_element, f.coefficients))
-    if isinstance(f, IntegerPower):
-        return f"pow:{f.exponent}"
-    if isinstance(f, IntegerRoot):
-        return f"root:{f.index}"
-    raise Unsupported(f"unknown function spec {f!r}")
+    return f.text()

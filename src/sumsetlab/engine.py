@@ -184,7 +184,7 @@ def verification() -> Iterator[VerifyStats]:
         _verify_ctx.reset(token)
 
 
-def _verify_representation(rep: SparseCounts, sets: Sequence[OrderedSet]) -> None:
+def _verify_representation(rep: SparseCounts) -> None:
     stats = _verify_ctx.get()
     if stats is None:
         return
@@ -445,7 +445,7 @@ def representation(
         raise VerificationError(
             f"representation mass {rep.mass} != product of sizes {mass}"
         )
-    _verify_representation(rep, sets)
+    _verify_representation(rep)
     return rep
 
 

@@ -102,10 +102,12 @@ def check_destination(out_path: str | None) -> None:
     when the process started with it closed (``sys.stdout`` is None).
 
     A missing path is created with ``open(path, "x")`` and removed
-    again; an existing regular file or directory is opened for
+    again.  A dangling symlink is opened for appending, as :func:`emit`
+    would write through it, and the target this creates is removed
+    again.  An existing regular file or directory is opened for
     appending, so nothing is truncated.  Any other existing file (a
-    FIFO, ``/dev/null``, a dangling symlink) is left to :func:`emit`, so
-    that it is opened only once.
+    FIFO, ``/dev/null``) is left to :func:`emit`, so that it is opened
+    only once.
     """
     if out_path is None:
         if sys.stdout is None:
@@ -115,6 +117,9 @@ def check_destination(out_path: str | None) -> None:
         if not os.path.lexists(out_path):
             open(out_path, "x").close()
             os.remove(out_path)
+        elif not os.path.exists(out_path):  # a dangling symlink
+            open(out_path, "a").close()
+            os.remove(os.path.realpath(out_path))
         elif os.path.isfile(out_path) or os.path.isdir(out_path):
             open(out_path, "a").close()
     except OSError as exc:

@@ -112,6 +112,57 @@ class TestPredicted:
         ids = [i for row in rows[2:] for i in re.findall(r"`(\w+)`", row)]
         assert sorted(ids) == sorted(BOUND_IDS)
 
+    # (id, s or k, quantity, direction, n_exponent, k_exponent,
+    #  doubling_pattern, per_factor, params), recorded before the
+    #  s-indexed rows shared one builder.
+    INDEXED = [
+        ("T_main", 0, "T1", "upper", "1", "0", "", False, {"s": 0, "k": 1}),
+        ("T_main", 1, "T2", "upper", "5/2", "0", "", False, {"s": 1, "k": 2}),
+        ("T_main", 2, "T4", "upper", "6", "0", "", False, {"s": 2, "k": 4}),
+        ("T_main", 3, "T8", "upper", "107/8", "0", "", False, {"s": 3, "k": 8}),
+        ("T_main", 4, "T16", "upper", "229/8", "0", "", False, {"s": 4, "k": 16}),
+        ("card_main", 1, "card2", "lower", "3/2", "0", "", False, {"s": 1, "k": 2}),
+        ("card_main", 2, "card4", "lower", "2", "0", "", False, {"s": 2, "k": 4}),
+        ("card_main", 3, "card8", "lower", "21/8", "0", "", False, {"s": 3, "k": 8}),
+        ("card_main", 4, "card16", "lower", "27/8", "0", "", False,
+         {"s": 4, "k": 16}),
+        ("T_near_convex", 0, "T1", "upper", "1", "0", "++-", True, {"s": 0, "k": 1}),
+        ("T_near_convex", 1, "T2", "upper", "5/2", "1/2", "++-", True,
+         {"s": 1, "k": 2}),
+        ("T_near_convex", 2, "T4", "upper", "6", "1", "++-", True, {"s": 2, "k": 4}),
+        ("T_near_convex", 3, "T8", "upper", "107/8", "43/32", "++-", True,
+         {"s": 3, "k": 8}),
+        ("T_near_convex", 4, "T16", "upper", "229/8", "101/64", "++-", True,
+         {"s": 4, "k": 16}),
+        ("T_near_convex_sym", 0, "T1", "upper", "1", "0", "++-", False,
+         {"s": 0, "k": 1}),
+        ("T_near_convex_sym", 1, "T2", "upper", "5/2", "1", "++-", False,
+         {"s": 1, "k": 2}),
+        ("T_near_convex_sym", 2, "T4", "upper", "6", "4", "++-", False,
+         {"s": 2, "k": 4}),
+        ("T_near_convex_sym", 3, "T8", "upper", "107/8", "43/4", "++-", False,
+         {"s": 3, "k": 8}),
+        ("T_near_convex_sym", 4, "T16", "upper", "229/8", "101/4", "++-", False,
+         {"s": 4, "k": 16}),
+        ("IKRT", 1, "T1", "upper", "1", "0", "", False, {"k": 1}),
+        ("IKRT", 2, "T2", "upper", "5/2", "0", "", False, {"k": 2}),
+        ("IKRT", 3, "T3", "upper", "17/4", "0", "", False, {"k": 3}),
+        ("IKRT", 4, "T4", "upper", "49/8", "0", "", False, {"k": 4}),
+        ("IKRT", 5, "T5", "upper", "129/16", "0", "", False, {"k": 5}),
+    ]
+
+    @pytest.mark.parametrize(
+        "row", INDEXED, ids=[f"{row[0]}-{row[1]}" for row in INDEXED]
+    )
+    def test_indexed_rows(self, row):
+        bound_id, index, quantity, direction, n_exp, k_exp, pattern, per, params = row
+        by = {"k": index} if bound_id == "IKRT" else {"s": index}
+        b = predicted(bound_id, **by)
+        assert (b.id, b.quantity, b.direction) == (bound_id, quantity, direction)
+        assert (b.n_exponent, b.k_exponent) == (Fraction(n_exp), Fraction(k_exp))
+        assert type(b.n_exponent) is type(b.k_exponent) is Fraction
+        assert (b.doubling_pattern, b.per_factor, b.params) == (pattern, per, params)
+
     def test_unknown_id(self):
         with pytest.raises(InputError):
             predicted("nonsense")

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +24,8 @@ from sumsetlab import (
 )
 from sumsetlab.cli import run
 from sumsetlab.reporting import file_digest
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _run(capsys, *argv):
@@ -41,6 +46,17 @@ def _cli_subprocess(argv, unbuffered, **kwargs):
         [sys.executable, "-m", "sumsetlab.cli", *argv],
         stderr=subprocess.PIPE, env=env, text=True, timeout=120, **kwargs,
     )
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Make any work a command starts fail the test."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    monkeypatch.setattr(engine, "representation", fail)
+    monkeypatch.setattr(cli, "parse_family", fail)
 
 
 def _assert_one_error(done, line):
@@ -414,9 +430,13 @@ class TestVerify:
              "bound eq13_tail takes no parameter s"),
             (["--bound", "eq13_tail", "--k", "4"],
              "bound eq13_tail takes no parameter k"),
+            (["--bound", "card_main", "--s", "0"], "card_main needs s >= 1"),
+            (["--bound", "T_main"],
+             "this bound needs a convexity parameter s >= 0"),
+            (["--bound", "IKRT"], "IKRT needs k >= 1"),
         ],
         ids=["KG_s_k", "KG_k", "T_main_k", "IKRT_s", "tail_signs", "tail_s",
-             "tail_k"],
+             "tail_k", "card_main_s0", "T_main_no_s", "IKRT_no_k"],
     )
     def test_parameter_the_bound_does_not_read_exits_2(self, capsys, argv, message):
         code, out, err = _run(
@@ -562,18 +582,43 @@ class TestUserErrors:
              "report_name_too_long", "gen_name_too_long"],
     )
     def test_unwritable_out_fails_before_any_work(
-        self, tmp_path, capsys, monkeypatch, argv
+        self, tmp_path, capsys, no_work, argv
     ):
-        def no_work(*args, **kwargs):
-            raise AssertionError("work started before --out was checked")
-
-        monkeypatch.setattr(engine, "representation", no_work)
-        monkeypatch.setattr(cli, "parse_family", no_work)
         code, out, err = _run(capsys, *argv(tmp_path))
         assert code == 2
         assert out == ""
         assert err.startswith("error: cannot write ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+    def test_symlink_into_a_missing_directory_fails_before_any_work(
+        self, tmp_path, capsys, monkeypatch, no_work
+    ):
+        monkeypatch.chdir(tmp_path)
+        os.symlink("missing/target", "dangling")
+        code, out, err = _run(
+            capsys, "--out", "dangling", "energy", "--k", "4",
+            "--family", "rsc:n=38,s=3,seed=1,gap=64",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: cannot write 'dangling': No such file or directory\n"
+        assert os.listdir(tmp_path) == ["dangling"]
+
+    def test_symlink_into_a_directory_is_written_through(self, tmp_path, capsys):
+        (tmp_path / "d").mkdir()
+        link = tmp_path / "link"
+        link.symlink_to("d/target")  # relative to the link, not the cwd
+        code, _, _ = _run(
+            capsys, "--out", str(link), "energy", "--family", "nosuch:n=3"
+        )
+        assert code == 2
+        assert link.is_symlink() and list((tmp_path / "d").iterdir()) == []
+        code, out, err = _run(
+            capsys, "--out", str(link), "energy", "--k", "2",
+            "--family", "interval:n=4",
+        )
+        assert (code, out, err) == (0, "", "")
+        assert link.is_symlink()
+        assert json.loads((tmp_path / "d" / "target").read_text())["T"] == "44"
 
     def test_name_too_long_has_one_wording(self, tmp_path, capsys):
         path = str(tmp_path / ("x" * 300))
@@ -723,6 +768,20 @@ def test_sparse_path_never_imports_numpy(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
     assert (tmp_path / "an.json").read_text().count('"N"') == 2
+
+
+def test_docs_name_every_subcommand():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    names = list(sub.choices)
+    listed = re.search(r"^Commands: (.*?)\.\s", cli.__doc__, re.M | re.S).group(1)
+    assert [name.strip() for name in listed.split(",")] == names
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    shown = {
+        line.split()[1] for line in block.splitlines() if line.startswith("sumsetlab ")
+    }
+    assert shown == set(names)
 
 
 def test_no_command_prints_help(capsys):

@@ -1,0 +1,125 @@
+"""Digest the CLI's output on a fixed list of commands.
+
+Runs ``sumsetlab.cli.run`` in this process on every argv of ``COMMANDS``
+and prints one line per command: the exit code, a SHA-256 prefix of
+stdout and of stderr, and the argv.  The last line is a digest of all
+of them.  Two trees whose totals match wrote the same bytes and exit
+codes on every command, so a change meant to keep reports unchanged can
+be checked against its parent:
+
+    python3 tools/report_digest.py                          # this tree
+    PYTHONPATH=<other tree>/src python3 tools/report_digest.py
+
+The package is imported from ``PYTHONPATH`` when it is there, else
+from this tree's ``src``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+from pathlib import Path
+
+# Last on the path, so that a tree named in PYTHONPATH comes first.
+sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
+
+from sumsetlab.bounds import BOUND_IDS  # noqa: E402
+from sumsetlab.cli import run  # noqa: E402
+
+INT_FAMILY = "power:m=2"
+RAT_FAMILY = "composed:f=poly:0,1/2,inner=power:m=2"
+GRID = ["--grid", "8,16,32"]
+
+#: The parameter each s- or k-indexed bound reads, as verify flags.
+BOUND_PARAMS = {
+    "IKRT": ["--k", "3"],
+    "T_main": ["--s", "2"],
+    "card_main": ["--s", "2"],
+    "T_near_convex": ["--s", "1"],
+    "T_near_convex_sym": ["--s", "1"],
+}
+
+CSV = ["--format", "csv"]
+
+COMMANDS = [
+    [],
+    ["--help"],
+    ["gen", "power:n=12,m=3"],
+    ["gen", "composed:f=root:2,inner=power:n=8,m=2"],
+    ["analyze", "--family", "rsc:n=24,s=2,seed=3,gap=8",
+     "--family", "composed:f=poly:0,1/2,inner=interval:n=12"],
+    ["energy", "--k", "2", "--family", "power:n=16,m=2"],
+    ["energy", "--k", "3", "--signs", "++-",
+     "--family", "composed:f=poly:0,1/2,inner=interval:n=10"],
+    ["spectrum", "--k", "2", "--family", "power:n=16,m=3"],
+    ["spectrum", "--k", "2", "--family", "power:n=16,m=3", *CSV],
+    ["sumset", "--k", "3", "--signs", "+-+", "--elements",
+     "--family", "power:n=12,m=2"],
+    ["doubling", "--pattern", "++-", "--family", "rsc:n=20,s=1,seed=2,gap=4",
+     "--family", "composed:f=pow:2,inner=interval:n=9"],
+    ["lucky", "--r", "4", "--family", "rsc:n=24,s=1,seed=3,gap=4"],
+    ["lucky", "--r", "4", "--family", "rsc:n=24,s=1,seed=3,gap=4", *CSV],
+    ["lucky", "--k", "3", "--r", "2", "--g", "pow:2",
+     "--family", "interval:n=10", *CSV],
+    ["fit", "16:25666", "32:219902", "64:1895554"],
+    *(
+        ["verify", "--bound", bound, *BOUND_PARAMS.get(bound, []),
+         "--family", family, *GRID, *fmt]
+        for bound in BOUND_IDS
+        for family in (INT_FAMILY, RAT_FAMILY)
+        for fmt in ([], CSV)
+    ),
+    *(
+        ["verify", "--bound", "eq13_tail", "--family", family, *GRID]
+        for family in (INT_FAMILY, RAT_FAMILY)
+    ),
+    # Parameter errors: each exits 2 with the bound's own message.
+    *(
+        ["verify", "--bound", bound, *params, "--family", INT_FAMILY, *GRID]
+        for bound, params in (
+            ("card_main", ["--s", "0"]),
+            ("T_main", []),
+            ("T_main", ["--s", "-1"]),
+            ("T_near_convex", []),
+            ("T_near_convex_sym", ["--s", "-2"]),
+            ("IKRT", []),
+            ("IKRT", ["--k", "0"]),
+            ("T_main", ["--s", "1", "--k", "9"]),
+            ("KG_energy", ["--k", "2"]),
+            ("IKRT", ["--k", "3", "--s", "1"]),
+            ("eq13_tail", ["--s", "1"]),
+            ("nosuch", []),
+        )
+    ),
+    ["energy", "--k", "2", "--family", "power:n=8,m=2", *CSV],
+]
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
+
+
+def run_one(argv: list[str]) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(list(argv))
+        except SystemExit as exc:  # --help
+            code = exc.code
+    return f"{code} {digest(out.getvalue())} {digest(err.getvalue())}  {' '.join(argv)}"
+
+
+def main() -> int:
+    os.environ.pop("SUMSETLAB_MEM", None)
+    os.environ["COLUMNS"] = "80"  # argparse wraps help text to the terminal
+    lines = [run_one(argv) for argv in COMMANDS]
+    print("\n".join(lines))
+    print(f"total {len(lines)} commands {digest(chr(10).join(lines))}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
