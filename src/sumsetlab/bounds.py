@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import log
 from typing import Sequence
 
-from .convexity import delta_h
+from .convexity import delta_h, eval_fn
 from .core import OrderedSet
 from .engine import (
     Spectrum,
@@ -39,7 +39,6 @@ from .errors import InputError
 from .families import (
     FamilySpec,
     format_family,
-    gen_composed,
     generate,
     instantiate,
 )
@@ -275,7 +274,7 @@ def _measure_row(
 ) -> VerifyRow:
     if spec.name == "composed":
         B = generate(spec.params["inner"])
-        A = gen_composed(spec.params["f"], B)
+        A = eval_fn(spec.params["f"], B)
     else:
         A = B = generate(spec)
     n = len(B)

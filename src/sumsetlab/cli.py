@@ -42,7 +42,7 @@ from . import bounds, engine, luckypairs
 from .convexity import IDENTITY, convexity_order, parse_function
 from .core import DEFAULT_MEMORY_BUDGET, OrderedSet, moment_sum, read_set, write_set
 from .errors import SumsetLabError
-from .families import format_family, parse_family
+from .families import format_family, generate, parse_family
 from .reporting import (
     cannot_write,
     check_destination,
@@ -63,7 +63,7 @@ def _load_inputs(args: argparse.Namespace):
         )
     for text in args.family or []:
         spec = parse_family(text, args.seed)
-        loaded.append((spec.generate(), {"family": format_family(spec)}))
+        loaded.append((generate(spec), {"family": format_family(spec)}))
     if not loaded:
         raise SumsetLabError("no input sets: pass --set or --family")
     return loaded
@@ -74,8 +74,7 @@ def _load_inputs(args: argparse.Namespace):
 
 
 def _cmd_gen(args) -> None:
-    spec = parse_family(args.family_spec, args.seed)
-    A = spec.generate()
+    A = generate(parse_family(args.family_spec, args.seed))
     buf = io.StringIO()
     write_set(A, buf)
     text = buf.getvalue()

@@ -33,9 +33,6 @@ class DifferenceSequence:
     h: int
     all_distinct: bool
 
-    def __len__(self) -> int:
-        return len(self.terms)
-
     def as_set(self) -> OrderedSet:
         return OrderedSet(sorted(set(self.terms)))
 
@@ -123,10 +120,6 @@ class Polynomial:
             coeffs = (0,)
         object.__setattr__(self, "coefficients", coeffs)
 
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
     def at(self, x: Scalar) -> Scalar:
         acc: Scalar = 0
         for c in reversed(self.coefficients):
@@ -212,7 +205,7 @@ def eval_fn(f: FunctionSpec, B: OrderedSet) -> OrderedSet:
     """The image set f(B); requires f exact and strictly monotone on B."""
     image = [evaluate(f, b) for b in B]
     if not _strictly_monotone(image):
-        raise DomainError(f"{format_function(f)} is not strictly monotone on this set")
+        raise DomainError(f"{f.text()} is not strictly monotone on this set")
     if image[0] > image[-1]:
         image.reverse()
     return OrderedSet(image)
@@ -280,7 +273,3 @@ def _parse_index(rest: str, text: str) -> int:
         return int(rest)
     except ValueError as exc:
         raise InputError(f"bad exponent in {text!r}") from exc
-
-
-def format_function(f: FunctionSpec) -> str:
-    return f.text()

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import operator
 import re
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from itertools import islice, repeat
@@ -415,17 +415,14 @@ class SparseCounts:
         """Representation function of a single set: every count is 1."""
         return cls(A.elements, [1] * len(A))
 
-    @classmethod
-    def point(cls, value: Scalar = 0, count: int = 1) -> "SparseCounts":
-        return cls([value], [count])
-
     @property
     def mass(self) -> int:
         """Total multiplicity; multiplies under convolution."""
         return self._mass
 
     @property
-    def is_integer_valued(self) -> bool:
+    def is_integer(self) -> bool:
+        """True when every value is an integer."""
         return self.den == 1
 
     def __len__(self) -> int:
@@ -550,10 +547,3 @@ def write_set(A: OrderedSet, dest: TextIO) -> None:
     """Write one element per line to the text stream ``dest``."""
     for x in A:
         dest.write(format_element(x) + "\n")
-
-
-def count_in_halfopen(values: Sequence[Scalar], lo: Scalar, hi: Scalar) -> int:
-    """|{v in values : lo < v <= hi}| for a sorted sequence."""
-    if hi < lo:
-        lo, hi = hi, lo
-    return bisect_right(values, hi) - bisect_right(values, lo)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
-from .convexity import FunctionSpec, eval_fn, format_function, parse_function
+from .convexity import eval_fn, parse_function
 from .core import OrderedSet, Scalar, canon, format_element
 from .errors import InputError
 
@@ -134,11 +134,6 @@ def gen_gap(
     return OrderedSet(sorted(values))
 
 
-def gen_composed(f: FunctionSpec, B: OrderedSet) -> OrderedSet:
-    """The image f(B); exactness and monotonicity checked by eval_fn."""
-    return eval_fn(f, B)
-
-
 # ---------------------------------------------------------------------------
 # Family specs and their textual form.
 #
@@ -219,9 +214,6 @@ class FamilySpec:
     params: dict = field(default_factory=dict)
     seed: int = 0
 
-    def generate(self) -> OrderedSet:
-        return generate(self)
-
 
 def parse_family(text: str, default_seed: int = 0) -> FamilySpec:
     return instantiate(text, None, default_seed)
@@ -294,7 +286,7 @@ def _values(spec: FamilySpec, family: _Family) -> list:
 def generate(spec: FamilySpec) -> OrderedSet:
     p = spec.params
     if spec.name == "composed":
-        return gen_composed(p["f"], generate(p["inner"]))
+        return eval_fn(p["f"], generate(p["inner"]))
     family = _FAMILIES[spec.name]
     return family.make(*_values(spec, family))
 
@@ -303,9 +295,7 @@ def format_family(spec: FamilySpec) -> str:
     """Canonical spec string (parses back to an equal spec)."""
     p = spec.params
     if spec.name == "composed":
-        return (
-            f"composed:f={format_function(p['f'])},inner={format_family(p['inner'])}"
-        )
+        return f"composed:f={p['f'].text()},inner={format_family(p['inner'])}"
     family = _FAMILIES[spec.name]
     pairs = zip(family.params, _values(spec, family))
     return f"{family.tag}:" + ",".join(

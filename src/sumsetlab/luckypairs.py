@@ -18,14 +18,14 @@ never floating point, so results reproduce across platforms.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from typing import Sequence
 
-from .convexity import FunctionSpec, evaluate, format_function
-from .core import DICT_ENTRY_BYTES, OrderedSet, Scalar, canon, count_in_halfopen
+from .convexity import FunctionSpec, evaluate
+from .core import DICT_ENTRY_BYTES, OrderedSet, Scalar, canon
 from .engine import choose, representation, signed_sumset
 from .errors import DomainError, InputError, VerificationError
 from .intmath import ceil_div, ceil_root
@@ -44,13 +44,11 @@ class TripleSumset:
         return len(self.values)
 
     def count_between(self, b: Scalar, b_prime: Scalar) -> int:
-        """Elements of B+B-B in (min, max] of the two endpoints."""
-        return count_in_halfopen(self.values, b, b_prime)
-
-
-def count_between(B: OrderedSet, b: Scalar, b_prime: Scalar) -> int:
-    """Convenience wrapper building the triple sumset on the fly."""
-    return TripleSumset(B).count_between(b, b_prime)
+        """Elements of B+B-B in the half-open interval (lo, hi], where lo
+        and hi are the smaller and the larger endpoint: the order of the
+        endpoints does not matter, and equal endpoints count 0."""
+        lo, hi = min(b, b_prime), max(b, b_prime)
+        return bisect_right(self.values, hi) - bisect_right(self.values, lo)
 
 
 def cells_per_axis(r: int, k: int, c: int) -> int:
@@ -86,9 +84,6 @@ class AxisPartition:
 @dataclass(frozen=True)
 class GridPartition:
     axes: tuple[AxisPartition, ...]
-    k: int
-    r: int
-    c: int
     t: int
     degenerate: bool
 
@@ -126,10 +121,10 @@ def build_partition(
         cuts = []
         for j in range(chunk, m, chunk):
             prev, nxt = values[j - 1], values[j]
-            cuts.append(_midpoint(prev, nxt))
+            cuts.append(canon(Fraction(prev + nxt, 2)))
         by_set[B] = AxisPartition(triple, tuple(cuts), len(cuts) + 1)
     axes = tuple(by_set[B] for B in B_list)
-    return GridPartition(axes, k, r, c, t, degenerate)
+    return GridPartition(axes, t, degenerate)
 
 
 def _check_grid(k: int, r: int, c: int) -> None:
@@ -137,10 +132,6 @@ def _check_grid(k: int, r: int, c: int) -> None:
         raise InputError("cell partitions need at least 2 axes")
     if r < 1 or c < 1:
         raise InputError("r and c must be positive")
-
-
-def _midpoint(a: Scalar, b: Scalar) -> Scalar:
-    return canon(Fraction(a + b, 2))
 
 
 @dataclass(frozen=True)
@@ -328,7 +319,7 @@ def _injective_image(g: FunctionSpec, B: OrderedSet) -> list:
     """[g(b) for b in B], in the order of B; g must be injective on B."""
     image = [evaluate(g, b) for b in B]
     if len(set(image)) != len(image):
-        raise DomainError(f"map {format_function(g)} is not injective on its set")
+        raise DomainError(f"map {g.text()} is not injective on its set")
     return image
 
 

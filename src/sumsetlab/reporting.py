@@ -55,11 +55,10 @@ def render_json(payload: dict) -> str:
 
 def spectrum_csv(sp: Spectrum) -> str:
     """CSV rows (j, r_lo, r_hi, size) for the dyadic classes."""
-    out = io.StringIO()
-    out.write("j,r_lo,r_hi,size\n")
-    for j, size in sp.classes:
-        out.write(f"{j},{2**j},{2**(j+1)},{size}\n")
-    return out.getvalue()
+    return rows_csv(
+        ("j", "r_lo", "r_hi", "size"),
+        [(j, 2**j, 2 ** (j + 1), size) for j, size in sp.classes],
+    )
 
 
 def rows_csv(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:

@@ -23,7 +23,7 @@ from sumsetlab.bounds import (
     verify_bound,
 )
 from sumsetlab.engine import energy_T
-from sumsetlab.families import format_family
+from sumsetlab.families import format_family, generate
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -214,14 +214,14 @@ class TestInstantiate:
     def test_composed(self):
         spec = instantiate("composed:f=root:2,inner=power:m=2", 9)
         assert format_family(spec) == "composed:f=root:2,inner=power:n=9,m=2"
-        assert spec.generate() == gen_interval(9)
+        assert generate(spec) == gen_interval(9)
 
     def test_nested_composed(self):
         spec = instantiate("composed:f=pow:2,inner=composed:f=pow:1,inner=interval", 5)
         assert format_family(spec) == (
             "composed:f=pow:2,inner=composed:f=pow:1,inner=interval:n=5"
         )
-        assert spec.generate() == gen_power(5, 2)
+        assert generate(spec) == gen_power(5, 2)
 
 
 class TestVerifyBound:
@@ -231,6 +231,22 @@ class TestVerifyBound:
         assert report.slope is not None and report.slope < 2.6
         assert report.flags["ratio_nonincreasing"]
         assert all(row.extras["xr_constant"] > 0 for row in report.rows)
+
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_per_factor_k_exponent_applies_to_every_factor(self, s):
+        """T_near_convex's K exponent applies to each of its 2**s factors;
+        times 2**s it is T_near_convex_sym's exponent, so the rows agree."""
+        grid = [8, 12, 16]
+        per = verify_bound("power:m=2", "T_near_convex", grid, s=s)
+        sym = verify_bound("power:m=2", "T_near_convex_sym", grid, s=s)
+        k_total = per.bound.k_exponent * 2**s
+        assert per.bound.per_factor and k_total == sym.bound.k_exponent
+        for row, sym_row in zip(per.rows, sym.rows):
+            assert row.ratio == sym_row.ratio
+            denom = float(row.K) ** float(k_total) * float(row.n) ** float(
+                per.bound.n_exponent
+            )
+            assert row.ratio == pytest.approx(row.q / denom, rel=1e-12)
 
     def test_interval_energy_breaks_kg_slope(self):
         # The integer interval is not convex; its pair energy grows ~N**3.

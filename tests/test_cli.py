@@ -519,11 +519,37 @@ class TestUserErrors:
              "unrecognized arguments: --bogus"),
             (["verify", "--bound", "T3", "--family", "interval", "--grid", "-1,2"],
              "argument --grid: expected one argument"),
+            (["energy", "--k", "2", "--family", "interval:n=3",
+              "--family", "interval:n=4"],
+             "--k replicates a single input set"),
+            (["lucky", "--r", "2", "--family", "interval:n=3",
+              "--family", "interval:n=4"],
+             "lucky censuses take exactly one base set"),
+            (["energy", "--k", "2"], "no input sets: pass --set or --family"),
+            (["--mem", "0", "energy", "--k", "2", "--family", "interval:n=3"],
+             "memory budget must be positive"),
+            (["energy", "--signs", "+x", "--k", "2", "--family", "interval:n=3"],
+             "bad sign character in '+x'"),
+            (["sumset", "--signs", "++-", "--family", "interval:n=3",
+              "--family", "interval:n=4"],
+             "expected 2 signs, got 3"),
+            (["sumset", "--signs=-+", "--k", "2", "--family", "interval:n=3"],
+             "sign patterns are normalized to start with +"),
+            (["lucky", "--r", "2", "--g", "poly:1/0", "--family", "interval:n=3"],
+             "bad polynomial coefficients in 'poly:1/0'"),
         ],
-        ids=["k_not_int", "lucky_without_r", "unknown_flag", "grid_negative"],
+        ids=["k_not_int", "lucky_without_r", "unknown_flag", "grid_negative",
+             "energy_k_two_sets", "lucky_two_sets", "no_inputs", "mem_zero",
+             "bad_sign", "sign_count", "sign_not_plus_first", "bad_polynomial"],
     )
     def test_usage_errors_fit_on_one_line(self, capsys, argv, message):
         assert _run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    def test_bad_memory_variable_fits_on_one_line(self, capsys, monkeypatch):
+        monkeypatch.setenv("SUMSETLAB_MEM", "abc")
+        argv = ["energy", "--k", "2", "--family", "interval:n=3"]
+        message = "error: SUMSETLAB_MEM must be an integer, got 'abc'\n"
+        assert _run(capsys, *argv) == (2, "", message)
 
     @pytest.mark.parametrize(
         "argv",

@@ -22,11 +22,7 @@ from sumsetlab import (
     gen_random_s_convex,
     parse_function,
 )
-from sumsetlab.convexity import (
-    evaluate,
-    exact_root,
-    format_function,
-)
+from sumsetlab.convexity import evaluate, exact_root
 from sumsetlab.families import SplitMix64
 
 
@@ -214,7 +210,7 @@ class TestFunctionText:
 
     def test_roundtrip(self):
         for text in ("pow:3", "root:2", "poly:0,1/2,3"):
-            assert format_function(parse_function(text)) == text
+            assert parse_function(text).text() == text
 
     def test_bad_specs(self):
         for bad in ("pow:x", "root:", "poly:", "spline:3"):

@@ -70,6 +70,13 @@ class TestRepresentation:
             }
             assert reps["naive"] == reps["mitm"] == reps["dense"]
             assert dict(reps["naive"].items()) == brute_force_representation(sets)
+        # Eight copies of one set: mitm splits the root, and each half of
+        # four copies squares an unsorted multiset Counter, whose
+        # self-join meets diagonal keys that are already present.
+        sets = [gen_random_s_convex(12, 1, 2, 2)] * 8
+        assert representation(sets, algo="mitm") == representation(
+            sets, algo="dense"
+        )
 
     def test_modes_agree_rational(self, rng):
         for _ in range(8):

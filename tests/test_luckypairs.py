@@ -15,7 +15,6 @@ from sumsetlab import (
     SparseCounts,
     VerificationError,
     build_partition,
-    count_between,
     diagonal_cover,
     gen_interval,
     gen_random_s_convex,
@@ -35,7 +34,7 @@ from sumsetlab.luckypairs import (
     solution_tuples,
     witness_cap,
 )
-from sumsetlab.families import SplitMix64, parse_family
+from sumsetlab.families import SplitMix64, generate, parse_family
 
 from conftest import random_integer_set
 
@@ -64,21 +63,21 @@ class TestIntMath:
 
 class TestCountBetween:
     def test_equal_endpoints(self):
-        B = gen_interval(5)
-        assert count_between(B, 3, 3) == 0
+        triple = TripleSumset(gen_interval(5))
+        assert triple.count_between(3, 3) == 0
 
     def test_interval_example(self):
         # [5]+[5]-[5] is the integer interval [-3, 9]
-        B = gen_interval(5)
-        assert count_between(B, 1, 3) == 2
+        triple = TripleSumset(gen_interval(5))
+        assert triple.count_between(1, 3) == 2
 
     def test_outside_hull_counts_everything(self):
-        B = gen_interval(5)
-        assert count_between(B, -100, 100) == 13  # |[-3, 9]| = 13
+        triple = TripleSumset(gen_interval(5))
+        assert triple.count_between(-100, 100) == 13  # |[-3, 9]| = 13
 
     def test_order_insensitive(self):
-        B = gen_interval(5)
-        assert count_between(B, 3, 1) == count_between(B, 1, 3)
+        triple = TripleSumset(gen_interval(5))
+        assert triple.count_between(3, 1) == triple.count_between(1, 3)
 
 
 class TestBuildPartition:
@@ -268,7 +267,7 @@ _CENSUS_CASES = [
 class TestCensusDifferential:
     @pytest.mark.parametrize("g_text,family,ks", _CENSUS_CASES)
     def test_matches_per_sum_enumeration(self, g_text, family, ks):
-        B = parse_family(family, 0).generate()
+        B = generate(parse_family(family, 0))
         g = parse_function(g_text)
         for k in ks:
             rows_seen = 0
@@ -283,9 +282,9 @@ class TestCensusDifferential:
             assert rows_seen > 0
 
     def test_distinct_sets_per_axis(self):
-        B1 = parse_family("rsc:n=9,s=1,seed=1,gap=3", 0).generate()
-        B2 = parse_family("ap:n=7,base=1/2,step=1/3", 0).generate()
-        B3 = parse_family("power:n=8,m=2", 0).generate()
+        B1 = generate(parse_family("rsc:n=9,s=1,seed=1,gap=3", 0))
+        B2 = generate(parse_family("ap:n=7,base=1/2,step=1/3", 0))
+        B3 = generate(parse_family("power:n=8,m=2", 0))
         g_list = [IDENTITY, parse_function("poly:0,2"), parse_function("poly:1,-1")]
         for r in (2, 4, 8):
             for c in (1, 4):

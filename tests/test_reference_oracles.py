@@ -223,7 +223,7 @@ def test_sparse_counts_matches_oracle(data):
 
     def build(v, c):
         p = SparseCounts(v, c)
-        return p.values, p.counts, p.mass, p.is_integer_valued
+        return p.values, p.counts, p.mass, p.is_integer
 
     got = outcome(build, vals, counts)
     if want[0] == "error":
@@ -614,7 +614,7 @@ def test_mapping_values_are_canonicalised():
     assert rep == SparseCounts([-1, Fraction(1, 2), 2, 7], [1, 1, 3, 2])
     assert typed(rep.values) == typed((-1, Fraction(1, 2), 2, 7))
     assert typed(rep.counts) == typed((1, 1, 3, 2))
-    assert not rep.is_integer_valued and rep.mass == 7
+    assert not rep.is_integer and rep.mass == 7
 
 
 def test_from_dict_copies():
@@ -911,7 +911,7 @@ def test_rational_sets_with_integer_sums_come_back_integer():
     A = OrderedSet([Fraction(1, 2), Fraction(3, 2)])
     B = OrderedSet([Fraction(1, 2), Fraction(5, 2)])
     rep = representation([A, B])
-    assert rep.is_integer_valued and typed(rep.values) == typed((1, 2, 3, 4))
+    assert rep.is_integer and typed(rep.values) == typed((1, 2, 3, 4))
     naive = representation([A, B], algo="naive")
     for S in (signed_sumset([A, B], "++"), naive.support(), rep.support()):
         assert S == OrderedSet([1, 2, 3, 4]) and S.is_integer
