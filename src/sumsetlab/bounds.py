@@ -350,7 +350,8 @@ def verify_bound(
     ratio trend in the bound's direction, and (for pure-N bounds) the
     fitted slope against the predicted exponent with tolerance
     ``SLOPE_TOL``.  An ``s`` or ``k`` that the bound does not read is an
-    InputError; ``algo`` goes to every representation.
+    InputError, and so is a row whose quantity or constant leaves the
+    float range; ``algo`` goes to every representation.
     """
     bound = predicted(bound_id, s=s, k=k)
     entry = _CATALOGUE[bound_id]
@@ -367,7 +368,13 @@ def verify_bound(
     rows = []
     for n in sorted(n_grid):
         spec = instantiate(family_template, n, default_seed)
-        rows.append(_measure_row(bound, spec, mem_budget, signs, algo))
+        try:
+            rows.append(_measure_row(bound, spec, mem_budget, signs, algo))
+        except OverflowError:
+            raise InputError(
+                f"bound {bound_id} at N = {n}: a quantity or constant "
+                "leaves the float range"
+            ) from None
 
     ratios = [row.ratio for row in rows]
     flags: dict = {

@@ -8,11 +8,13 @@ Each subparser names its handler, which computes and returns its
 report; ``run`` calls the handler and presents the report.  A
 report is the JSON payload plus a zero-argument renderer of its CSV form,
 or None for a command that has none (only spectrum, lucky and verify of
-a catalogued bound have one).  ``run`` renders the format asked for,
-adds ``timing_ms`` to JSON under --timings, emits the text and picks the
-exit code.  gen returns nothing: it renders its set file with
-``write_set`` and hands it to ``emit`` itself.  Every report and set
-file leaves through ``reporting.emit``.
+a catalogued bound have one).  Handlers pass the library's result
+dataclasses through instead of copying them field by field.  ``run``
+adds ``op``, which is the subcommand, to every payload, renders the
+format asked for, adds ``timing_ms`` to JSON under --timings, emits the
+text and picks the exit code.  gen returns nothing: it renders its set
+file with ``write_set`` and hands it to ``emit`` itself.  Every report
+and set file leaves through ``reporting.emit``.
 
 Exit codes: 0 success, 1 a report with ``passed: false`` (a verify
 flag failed), 2 usage, input or resource errors, each reported on one
@@ -36,6 +38,8 @@ import io
 import os
 import sys
 import time
+from dataclasses import asdict, fields
+from operator import attrgetter
 from typing import Callable
 
 from . import bounds, engine, luckypairs
@@ -98,9 +102,9 @@ def _cmd_analyze(args) -> tuple[dict, None]:
             "max": A[-1],
         }
         for pattern in ("+-", "++", "++-"):
-            rep = engine.doubling(A, pattern, mem_budget=args.mem)
-            entry[f"size[{pattern}]"] = rep.size
-            entry[f"K[{pattern}]"] = rep.K
+            rep = asdict(engine.doubling(A, pattern, mem_budget=args.mem))
+            del rep["pattern"]  # named by the key instead
+            entry.update({f"{name}[{pattern}]": value for name, value in rep.items()})
         # engine.check_popular_bound; E and E3_diff are read from the same
         # r_{A-A}.
         diff = engine.representation(
@@ -119,44 +123,38 @@ def _cmd_analyze(args) -> tuple[dict, None]:
         }
         entry["E3_diff"] = moment_sum(diff, 3)
         reports.append(entry)
-    return {"op": "analyze", "reports": reports}, None
+    return {"reports": reports}, None
 
 
 def _sets_for_energy(args):
+    """The input sets, replicated under --k, and the report fields that
+    name them: ``inputs`` and ``signs``."""
     loaded = _load_inputs(args)
     if args.k is not None:
         if len(loaded) != 1:
             raise SumsetLabError("--k replicates a single input set")
         loaded = loaded * args.k
-    return [A for A, _ in loaded], [p for _, p in loaded]
+    sets = [A for A, _ in loaded]
+    header = {"inputs": [p for _, p in loaded], "signs": args.signs or "+" * len(sets)}
+    return sets, header
 
 
 def _cmd_energy(args) -> tuple[dict, None]:
-    sets, provenance = _sets_for_energy(args)
+    sets, header = _sets_for_energy(args)
     total = engine.energy_T(
         sets, signs=args.signs, algo=args.algo, mem_budget=args.mem
     )
-    payload = {
-        "op": "energy",
-        "inputs": provenance,
-        "k": len(sets),
-        "signs": args.signs or "+" * len(sets),
-        "algo": args.algo,
-        "T": total,
-    }
-    return payload, None
+    return {**header, "k": len(sets), "algo": args.algo, "T": total}, None
 
 
 def _cmd_spectrum(args) -> tuple[dict, Callable[[], str]]:
-    sets, provenance = _sets_for_energy(args)
+    sets, header = _sets_for_energy(args)
     sp = engine.spectrum(
         sets, signs=args.signs, algo=args.algo, mem_budget=args.mem
     )
     payload = {
-        "op": "spectrum",
-        "inputs": provenance,
+        **header,
         "k": len(sets),
-        "signs": args.signs or "+" * len(sets),
         "algo": args.algo,
         "classes": [{"j": j, "size": size} for j, size in sp.classes],
         "T": sp.total_T,
@@ -166,15 +164,9 @@ def _cmd_spectrum(args) -> tuple[dict, Callable[[], str]]:
 
 
 def _cmd_sumset(args) -> tuple[dict, None]:
-    sets, provenance = _sets_for_energy(args)
-    signs = args.signs or "+" * len(sets)
-    result = engine.signed_sumset(sets, signs, mem_budget=args.mem)
-    payload = {
-        "op": "sumset",
-        "inputs": provenance,
-        "signs": signs,
-        "size": len(result),
-    }
+    sets, header = _sets_for_energy(args)
+    result = engine.signed_sumset(sets, header["signs"], mem_budget=args.mem)
+    payload = {**header, "size": len(result)}
     if args.elements:
         payload["elements"] = result
     return payload, None
@@ -185,15 +177,8 @@ def _cmd_doubling(args) -> tuple[dict, None]:
     reports = []
     for A, provenance in loaded:
         rep = engine.doubling(A, args.pattern, mem_budget=args.mem)
-        reports.append(
-            {
-                "input": provenance,
-                "pattern": rep.pattern,
-                "size": rep.size,
-                "K": rep.K,
-            }
-        )
-    return {"op": "doubling", "reports": reports}, None
+        reports.append({"input": provenance, **asdict(rep)})
+    return {"reports": reports}, None
 
 
 def _cmd_lucky(args) -> tuple[dict, Callable[[], str]]:
@@ -208,20 +193,15 @@ def _cmd_lucky(args) -> tuple[dict, Callable[[], str]]:
         B_list, g_list, args.r, args.c, algo=args.algo, mem_budget=args.mem
     )
     payload = {
-        "op": "lucky",
         "input": provenance,
         "k": args.k,
         "r": args.r,
         "c": args.c,
         "rows": rows,
     }
-    return payload, lambda: rows_csv(
-        ("x", "r_x", "pairs_found", "lower_bound", "occupied_cells"),
-        [
-            (row.x, row.r_x, row.pairs_found, row.lower_bound, row.occupied_cells)
-            for row in rows
-        ],
-    )
+    columns = [f.name for f in fields(luckypairs.LuckyCensusRow)]
+    cells = attrgetter(*columns)
+    return payload, lambda: rows_csv(columns, [cells(row) for row in rows])
 
 
 def _cmd_fit(args) -> tuple[dict, None]:
@@ -233,14 +213,7 @@ def _cmd_fit(args) -> tuple[dict, None]:
         except ValueError:
             raise SumsetLabError(f"bad point {pair!r}, expected N:Q")
     report = bounds.fit_exponent(points)
-    payload = {
-        "op": "fit",
-        "points": [{"N": n, "Q": q} for n, q in report.points],
-        "slope": report.slope,
-        "intercept": report.intercept,
-        "max_abs_residual": report.max_abs_residual,
-    }
-    return payload, None
+    return {**asdict(report), "points": [{"N": n, "Q": q} for n, q in points]}, None
 
 
 def _cmd_verify(args) -> tuple[dict, Callable[[], str] | None]:
@@ -250,6 +223,7 @@ def _cmd_verify(args) -> tuple[dict, Callable[[], str] | None]:
         raise SumsetLabError(
             f"bad --grid {args.grid!r}, expected comma-separated integers"
         )
+    header = {"bound_id": args.bound, "family": args.family}
     if args.bound == "eq13_tail":
         for name in ("signs", "s", "k"):
             if getattr(args, name) is not None:
@@ -261,10 +235,7 @@ def _cmd_verify(args) -> tuple[dict, Callable[[], str] | None]:
             algo=args.algo,
             mem_budget=args.mem,
         )
-        payload["op"] = "verify"
-        payload["bound_id"] = "eq13_tail"
-        payload["family"] = args.family
-        return payload, None
+        return {**payload, **header}, None
     report = bounds.verify_bound(
         args.family,
         args.bound,
@@ -276,33 +247,23 @@ def _cmd_verify(args) -> tuple[dict, Callable[[], str] | None]:
         algo=args.algo,
         mem_budget=args.mem,
     )
+    columns = ("N", "Q", "K", "L", "ratio")
+    table = [(r.n, r.q, r.K, r.L, r.ratio) for r in report.rows]
     payload = {
-        "op": "verify",
-        "bound_id": report.bound.id,
+        **header,
         "quantity": report.bound.quantity,
         "direction": report.bound.direction,
         "n_exponent": float(report.bound.n_exponent),
-        "family": report.family,
         "N_grid": grid,
         "per_N": [
-            {
-                "N": r.n,
-                "Q": r.q,
-                "K": r.K,
-                "L": r.L,
-                "ratio": r.ratio,
-                **r.extras,
-            }
-            for r in report.rows
+            {**dict(zip(columns, cells)), **r.extras}
+            for cells, r in zip(table, report.rows)
         ],
         "slope": report.slope,
         "flags": report.flags,
         "passed": report.passed,
     }
-    return payload, lambda: rows_csv(
-        ("N", "Q", "K", "L", "ratio"),
-        [(r.n, r.q, r.K, r.L, r.ratio) for r in report.rows],
-    )
+    return payload, lambda: rows_csv(columns, table)
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +402,7 @@ def run(argv=None) -> int:
         if report is None:  # gen emitted its set file itself
             return 0
         payload, csv = report
+        payload["op"] = args.command
         if args.format == "json":
             if args.timings:
                 payload["timing_ms"] = round((time.monotonic() - started) * 1000.0, 3)

@@ -95,14 +95,17 @@ from .core import (
 from .errors import InputError, ResourceError, VerificationError
 
 Signs = Union[str, Sequence[int], None]
+# A planner cost: exact, or math.inf for a candidate that does not apply.
+Cost = Union[int, Fraction, float]
 
 _ALGOS = ("auto", "naive", "mitm", "dense")
 
 # Relative per-operation cost units used by the auto planner: a Python
 # dict update is the unit; a numpy element op of the dense fold
-# (_plan_dense) counts as 1/50.
-_COMPILED_OP = 0.02
-_NAIVE_TUPLE = 3.0
+# (_plan_dense) counts as 1/50.  Every estimate is an exact int or
+# Fraction, so costs far past the float range still compare exactly.
+_COMPILED_OP = Fraction(1, 50)
+_NAIVE_TUPLE = 3
 # One j-multiset of kernels.self_sum_counts, the mitm node for j copies
 # of one list (_mitm_estimate), in units of a dict-loop pair as _join
 # charges them.  Fitted on a 2-core Xeon, Python 3.11 (best of 3; 41
@@ -110,7 +113,7 @@ _NAIVE_TUPLE = 3.0
 # multiset over the split tree's time per unit of its estimated cost
 # gave a median of 2.44, quartiles 1.75 and 3.42 (lowest at odd j, whose
 # last join is no squaring).
-_MULTISET_ITEM = 2.4
+_MULTISET_ITEM = Fraction(12, 5)
 
 # Sumset support (_plan_support): the bitset path is taken when the bits
 # it shifts and ORs number fewer than _BITS_PER_PAIR times the pairs the
@@ -226,17 +229,17 @@ class _Node:
     span: Union[int, float]
 
 
-def _join(p: _Node, q: _Node) -> tuple[_Node, int, float]:
+def _join(p: _Node, q: _Node) -> tuple[_Node, int, int]:
     """Estimate (output node, bytes, cost) for convolving p with q."""
     work = p.entries * q.entries
     span = p.span + q.span - 1
     out = min(work, span)
-    return _Node(out, span), out * DICT_ENTRY_BYTES, float(work)
+    return _Node(out, span), out * DICT_ENTRY_BYTES, work
 
 
 def _mitm_estimate(
     lists: Sequence[Sequence[int]], den: int
-) -> tuple[_Node, int, float, bool]:
+) -> tuple[_Node, int, Cost, bool]:
     """(output node, peak bytes, cost, multiset) of ``_rep_mitm`` on
     ``lists``: ``multiset`` is True when the lists are j >= 2 copies of
     one list and ``kernels.self_sum_counts`` costs less than splitting
@@ -249,7 +252,7 @@ def _mitm_estimate(
         # A set of integers: its scaled values are multiples of den.
         integer = den == 1 or not any(x % den for x in vals)
         span = (vals[-1] - vals[0]) // den + 1 if integer else math.inf
-        return _Node(len(vals), span), leaf_bytes, 0.0, False
+        return _Node(len(vals), span), leaf_bytes, 0, False
     mid = (len(lists) + 1) // 2
     left, b1, c1, _ = _mitm_estimate(lists[:mid], den)
     right, b2, c2, _ = _mitm_estimate(lists[mid:], den)
@@ -268,7 +271,7 @@ def _mitm_estimate(
     return node, max(b1, b2, out_bytes), split_cost, False
 
 
-def _plan_mitm(lists: Sequence[Sequence[int]], den: int) -> tuple[int, float]:
+def _plan_mitm(lists: Sequence[Sequence[int]], den: int) -> tuple[int, Cost]:
     _, peak, cost, _ = _mitm_estimate(lists, den)
     return peak, cost
 
@@ -277,13 +280,13 @@ def _span(lists: Sequence[Sequence[int]]) -> int:
     return sum(v[-1] for v in lists) - sum(v[0] for v in lists) + 1
 
 
-def _plan_naive(lists: Sequence[Sequence[int]], den: int) -> tuple[int, float]:
+def _plan_naive(lists: Sequence[Sequence[int]], den: int) -> tuple[int, Cost]:
     mass = math.prod(map(len, lists))
     out = min(mass, _span(lists)) if den == 1 else mass
     return out * DICT_ENTRY_BYTES, mass * _NAIVE_TUPLE
 
 
-def _plan_dense(lists: Sequence[Sequence[int]], den: int) -> tuple[int, float]:
+def _plan_dense(lists: Sequence[Sequence[int]], den: int) -> tuple[int, Cost]:
     if den != 1:
         return -1, math.inf
     span = _span(lists)
@@ -324,7 +327,7 @@ def _plan_support(
 
 
 def choose(
-    plans: dict[str, tuple[int, float]],
+    plans: dict[str, tuple[int, Cost]],
     algo: str,
     mem_budget: int | None,
     what: str,

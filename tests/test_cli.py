@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -169,6 +172,31 @@ class TestEnergy:
     def test_one_set_is_planned_like_several(self, capsys, argv, message):
         code, out, err = _run(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "family", ["interval:n=2", "ap:n=2,base=1/2"], ids=["integer", "rational"]
+    )
+    def test_cost_estimates_past_the_float_range(self, capsys, family):
+        # The naive estimate charges 2**1100 tuples; float costs overflowed.
+        code, out, err = _run(capsys, "energy", "--k", "1100", "--family", family)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["T"] == str(math.comb(2200, 1100))
+
+    @pytest.mark.parametrize(
+        "algo, message",
+        [
+            ("auto", "representation: estimated 2553616 bytes"),
+            ("mitm", "representation[mitm]: estimated 19152120 bytes"),
+            ("dense", "representation[dense]: estimated 2553616 bytes"),
+        ],
+        ids=["auto", "mitm", "dense"],
+    )
+    def test_budget_check_past_the_float_range(self, capsys, algo, message):
+        # C(799, 400) multisets: every plan is estimated, whatever --algo.
+        argv = ["--algo", algo, "--mem", "100000", "energy", "--k", "400",
+                "--family", "interval:n=400"]
+        error = f"error: {message} exceeds budget 100000\n"
+        assert _run(capsys, *argv) == (2, "", error)
 
     def test_env_var_overrides_mem(self, capsys, monkeypatch):
         monkeypatch.setenv("SUMSETLAB_MEM", "5000")
@@ -442,6 +470,20 @@ class TestVerify:
         code, out, err = _run(
             capsys, "verify", *argv, "--family", "power:m=2", "--grid", "8,16,32"
         )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--bound", "T_main", "--s", "9", "--grid", "2,3"],
+             "bound T_main at N = 2: a quantity or constant leaves the float range"),
+            (["--bound", "IKRT", "--k", "400", "--grid", "2,3,4"],
+             "bound IKRT at N = 2: a quantity or constant leaves the float range"),
+        ],
+        ids=["T_main_s9", "IKRT_k400"],
+    )
+    def test_value_past_the_float_range_exits_2(self, capsys, argv, message):
+        code, out, err = _run(capsys, "verify", *argv, "--family", "interval")
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_parameters_the_bound_reads_are_accepted(self, capsys):
@@ -761,6 +803,56 @@ class TestDeterminism:
         plain = _run(capsys, "--format", "csv", *argv)
         assert plain[1].count("\n") > 1
         assert _run(capsys, "--timings", "--format", "csv", *argv) == plain
+
+
+class TestReportFields:
+    """Each report field is declared once: ``op`` by ``run``, and a CSV
+    from the same columns and cells as its JSON rows."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--family", "interval:n=6"],
+            ["energy", "--k", "2", "--family", "interval:n=4"],
+            ["spectrum", "--k", "2", "--family", "interval:n=4"],
+            ["sumset", "--k", "2", "--family", "interval:n=4"],
+            ["doubling", "--family", "interval:n=4"],
+            ["lucky", "--r", "2", "--family", "interval:n=8"],
+            ["fit", "8:512", "16:4096", "32:32768"],
+            ["verify", "--bound", "KG_energy", "--family", "power:m=2",
+             "--grid", "8,16,32"],
+            ["verify", "--bound", "eq13_tail", "--family", "power:m=2",
+             "--grid", "8,16"],
+        ],
+        ids=["analyze", "energy", "spectrum", "sumset", "doubling", "lucky", "fit",
+             "verify", "verify_tail"],
+    )
+    def test_op_is_the_subcommand(self, capsys, argv):
+        code, out, _ = _run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["op"] == argv[0]
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["lucky", "--r", "4", "--family", "rsc:n=24,s=1,seed=3,gap=4"],
+             "rows"),
+            (["verify", "--bound", "T_main", "--s", "1",
+              "--family", "composed:f=poly:0,1/2,inner=power:m=2",
+              "--grid", "8,16,32"], "per_N"),
+        ],
+        ids=["lucky", "verify"],
+    )
+    def test_csv_rows_are_the_json_rows(self, capsys, argv, key):
+        code, out, _ = _run(capsys, *argv)
+        rows = json.loads(out)[key]
+        csv_code, text, _ = _run(capsys, "--format", "csv", *argv)
+        table = list(csv.DictReader(io.StringIO(text)))
+        assert csv_code == code
+        assert len(table) == len(rows) > 1
+        for line, row in zip(table, rows):
+            cells = {c: v if isinstance(v, str) else repr(v) for c, v in row.items()}
+            assert line == {c: cells[c] for c in line}
 
 
 def test_sparse_path_never_imports_numpy(tmp_path):

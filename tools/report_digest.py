@@ -31,6 +31,7 @@ from sumsetlab.cli import run  # noqa: E402
 
 INT_FAMILY = "power:m=2"
 RAT_FAMILY = "composed:f=poly:0,1/2,inner=power:m=2"
+RAT_SET = "composed:f=poly:0,1/2,inner=power:n=8,m=2"
 GRID = ["--grid", "8,16,32"]
 
 #: The parameter each s- or k-indexed bound reads, as verify flags.
@@ -95,6 +96,18 @@ COMMANDS = [
         )
     ),
     ["energy", "--k", "2", "--family", "power:n=8,m=2", *CSV],
+    # Report shapes assembled in cli: the inputs/signs header of energy,
+    # spectrum and sumset, the fit and lucky rows, eq13_tail without CSV.
+    *(
+        [op, *signs, "--family", "power:n=10,m=2", "--family", RAT_SET]
+        for op in ("energy", "spectrum")
+        for signs in (["--signs", "+-"], [])
+    ),
+    ["sumset", "--k", "2", "--family", "power:n=12,m=3"],
+    ["sumset", "--family", "power:n=10,m=2", "--family", RAT_SET],
+    ["fit", "8:300", "16:2600", "32:21000", "64:170000"],
+    ["lucky", "--r", "2", "--family", "composed:f=poly:0,1/3,inner=interval:n=12"],
+    ["verify", "--bound", "eq13_tail", "--family", INT_FAMILY, *GRID, *CSV],
 ]
 
 
