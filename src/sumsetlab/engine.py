@@ -14,13 +14,15 @@ sequences, and the result's ints are handed with that denominator to
 one ``SparseCounts``, which reduces it:
 
 * ``naive`` -- enumerate all tuples (the N**k expansion);
-* ``mitm``  -- balanced convolution tree: ``kernels.convolve_integer``
-  of the two halves' (values, counts) lists.  A node of j copies of one
-  list (``[A] * k`` under one sign) is instead one
+* ``mitm``  -- run the plan tree that ``_mitm_tree`` builds and prices
+  in one recursion.  Each node is a leaf, a join of its two halves
+  (``kernels.convolve_integer`` of their (values, counts) lists), or, for
+  j copies of one list (``[A] * k`` under one sign), one
   ``kernels.self_sum_counts`` over the j-multisets of the list wherever
-  the planner (``_mitm_estimate``) finds that cheaper than splitting it;
-  either way such a node is estimated at no more entries than there are
-  j-multisets;
+  that is estimated cheaper than splitting it; either way such a node is
+  estimated at no more entries than there are j-multisets.  Equal halves
+  share one node, which ``_rep_mitm`` computes once: it only executes
+  the plan and prices nothing;
 * ``dense`` -- one fold over a numpy count array keyed by value offset,
   in int64 while the mass (which bounds every count) is below 2**63 and
   in Python ints (``dtype=object``) beyond; integer-valued sets only.
@@ -28,16 +30,20 @@ one ``SparseCounts``, which reduces it:
   counts to ``SparseCounts`` as two arrays, which it keeps: tuples are
   built only when a caller reads them.
 
-One rule picks every budgeted path, in ``choose``: each candidate is
-estimated as (bytes, cost) before anything is allocated, ``auto`` takes
-the cheapest whose bytes fit the memory budget (default 4 GiB), ties
-going to the candidate listed first, an explicit algorithm is the only
-candidate, and ResourceError is raised when nothing fits.  It serves
-the representation algorithms, the support kernel's two paths and the
-lucky census table (``luckypairs``).  One set (k = 1) is planned and
-checked against the budget like several.  All modes agree exactly and
-are cross-checked in the test suite.  Every result's mass is checked
-against the product of the set sizes, in every run (VerificationError).
+Every budgeted path is one row, ``(bytes, cost, run)``, from a
+``_plan_*`` function: its estimate, made before anything is allocated,
+and the zero-argument call that executes the path.  One rule picks the
+row, in ``choose``, which reads only the estimates: ``auto`` takes the
+cheapest candidate whose bytes fit the memory budget (default 4 GiB),
+ties going to the candidate listed first, an explicit algorithm is the
+only candidate, and ResourceError is raised when nothing fits.  The
+caller then runs the row it names.  Rows serve the representation
+algorithms and the support kernel's two paths; the lucky census table
+(``luckypairs``) hands ``choose`` a bare (bytes, cost).  One set (k = 1)
+is planned and checked against the budget like several.  All modes
+agree exactly and are cross-checked in the test suite.  Every result's
+mass is checked against the product of the set sizes, in every run
+(VerificationError).
 
 A sparse kernel that returns its ``Counter`` (``naive``, and the
 multiset node of ``mitm`` at the root) hands it to ``SparseCounts``
@@ -61,10 +67,10 @@ E(A) = sum r_{A-A}(d)**2 and the popular-class bound
 Sumsets and their sizes (``signed_sumset``, ``doubling``) need no
 counts and take no algorithm: they come from the support kernel
 (``kernels.support_size`` / ``support_values``) on the same signed
-ints, down its int-set fold or its bitset path as ``choose`` picks from
-the estimates of ``_plan_support``; a sumset is the kernel's ints with
-their denominator in one ``OrderedSet``.  The tests
-cross-check it against the support of ``representation``.
+ints, down its int-set fold or its bitset path: the ``_plan_support``
+row that ``choose`` picks; a sumset is the kernel's ints with their
+denominator in one ``OrderedSet``.  The tests cross-check it against
+the support of ``representation``.
 
 Everything here is pure and deterministic; independent computations can
 run concurrently with bit-identical results.
@@ -80,7 +86,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Sequence, Union
 
 from . import kernels
 from .core import (
@@ -97,6 +103,10 @@ from .errors import InputError, ResourceError, VerificationError
 Signs = Union[str, Sequence[int], None]
 # A planner cost: exact, or math.inf for a candidate that does not apply.
 Cost = Union[int, Fraction, float]
+# A planner row: the (bytes, cost) estimate of one path and the call that
+# runs it.  The call looks up what it runs when planned or run, never at
+# import: tests and the benchmark's tracer replace module attributes.
+Row = tuple[int, Cost, Callable[[], Any]]
 
 _ALGOS = ("auto", "naive", "mitm", "dense")
 
@@ -107,8 +117,8 @@ _ALGOS = ("auto", "naive", "mitm", "dense")
 _COMPILED_OP = Fraction(1, 50)
 _NAIVE_TUPLE = 3
 # One j-multiset of kernels.self_sum_counts, the mitm node for j copies
-# of one list (_mitm_estimate), in units of a dict-loop pair as _join
-# charges them.  Fitted on a 2-core Xeon, Python 3.11 (best of 3; 41
+# of one list (_mitm_tree), in units of a dict-loop pair as a join is
+# charged them.  Fitted on a 2-core Xeon, Python 3.11 (best of 3; 41
 # rsc sets, s = 1, 2, 3, N = 12..48, j = 2..5): the kernel's time per
 # multiset over the split tree's time per unit of its estimated cost
 # gave a median of 2.44, quartiles 1.75 and 3.42 (lowest at odd j, whose
@@ -215,91 +225,89 @@ def _verify_support(size: int, sets: Sequence[OrderedSet]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Planning: entry estimates and memory/cost estimates per algorithm, read
-# from the signed ints the algorithms run on and their common denominator
-# ``den`` (1 exactly when every set is integer-valued).
+# Planning: one row per path, its memory/cost estimate and the call that
+# runs it, read from the signed ints the algorithms run on and their
+# common denominator ``den`` (1 exactly when every set is integer-valued).
 
 
 @dataclass(frozen=True)
-class _Node:
+class _MitmNode:
+    """A node of the mitm plan over ``k`` lists: its estimated entries,
+    and the peak bytes and cost of computing it.  A node with ``halves``
+    joins them, one node twice when the halves are equal; a node without
+    is a leaf (k = 1) or one ``kernels.self_sum_counts`` of k copies of
+    one list."""
+
+    k: int
     entries: int
     # The number of integers from the least sum to the greatest: a cap
     # on the distinct sums.  math.inf when some summand set holds a
     # non-integer, which leaves ``entries`` uncapped.
     span: Union[int, float]
+    bytes: int
+    cost: Cost
+    halves: tuple[_MitmNode, _MitmNode] | None = None
 
 
-def _join(p: _Node, q: _Node) -> tuple[_Node, int, int]:
-    """Estimate (output node, bytes, cost) for convolving p with q."""
-    work = p.entries * q.entries
-    span = p.span + q.span - 1
-    out = min(work, span)
-    return _Node(out, span), out * DICT_ENTRY_BYTES, work
-
-
-def _mitm_estimate(
-    lists: Sequence[Sequence[int]], den: int
-) -> tuple[_Node, int, Cost, bool]:
-    """(output node, peak bytes, cost, multiset) of ``_rep_mitm`` on
-    ``lists``: ``multiset`` is True when the lists are j >= 2 copies of
-    one list and ``kernels.self_sum_counts`` costs less than splitting
-    them into two halves and joining."""
+def _mitm_tree(lists: Sequence[Sequence[int]], den: int) -> _MitmNode:
+    """The mitm plan of ``lists``: their two halves joined, or, for j >= 2
+    copies of one list, one multiset node where that costs less.  A join
+    is charged all p * q pairs of its halves, a shared half included."""
     if len(lists) == 1:
         vals = lists[0]
-        # A leaf is the whole result when k = 1; for k >= 2 every join
-        # outputs at least as many entries, so this never sets the peak.
-        leaf_bytes = len(vals) * DICT_ENTRY_BYTES
         # A set of integers: its scaled values are multiples of den.
         integer = den == 1 or not any(x % den for x in vals)
         span = (vals[-1] - vals[0]) // den + 1 if integer else math.inf
-        return _Node(len(vals), span), leaf_bytes, 0, False
-    mid = (len(lists) + 1) // 2
-    left, b1, c1, _ = _mitm_estimate(lists[:mid], den)
-    right, b2, c2, _ = _mitm_estimate(lists[mid:], den)
-    node, b3, c3 = _join(left, right)
-    split_cost = c1 + c2 + c3
-    if any(vals != lists[0] for vals in lists):
-        return node, max(b1, b2, b3), split_cost, False
-    # j copies of one n-element list: at most one sum per j-multiset,
-    # whichever way they are computed.
-    n, j = len(lists[0]), len(lists)
-    multisets = math.comb(n + j - 1, j)
-    node = _Node(min(multisets, node.span), node.span)
-    out_bytes = node.entries * DICT_ENTRY_BYTES
-    if multisets * _MULTISET_ITEM < split_cost:
-        return node, out_bytes, multisets * _MULTISET_ITEM, True
-    return node, max(b1, b2, out_bytes), split_cost, False
+        # A leaf is the whole result when k = 1; for k >= 2 every join
+        # outputs at least as many entries, so this never sets the peak.
+        return _MitmNode(1, len(vals), span, len(vals) * DICT_ENTRY_BYTES, 0)
+    k, mid = len(lists), (len(lists) + 1) // 2
+    left = _mitm_tree(lists[:mid], den)
+    right = left if lists[mid:] == lists[:mid] else _mitm_tree(lists[mid:], den)
+    pairs = left.entries * right.entries
+    span = left.span + right.span - 1
+    entries, cost = min(pairs, span), left.cost + right.cost + pairs
+    if all(vals == lists[0] for vals in lists):
+        # j copies of one n-element list: at most one sum per j-multiset,
+        # whichever way they are computed.
+        multisets = math.comb(len(lists[0]) + k - 1, k)
+        entries = min(multisets, span)
+        if multisets * _MULTISET_ITEM < cost:
+            out_bytes = entries * DICT_ENTRY_BYTES
+            return _MitmNode(k, entries, span, out_bytes, multisets * _MULTISET_ITEM)
+    peak = max(left.bytes, right.bytes, entries * DICT_ENTRY_BYTES)
+    return _MitmNode(k, entries, span, peak, cost, (left, right))
 
 
-def _plan_mitm(lists: Sequence[Sequence[int]], den: int) -> tuple[int, Cost]:
-    _, peak, cost, _ = _mitm_estimate(lists, den)
-    return peak, cost
+def _plan_mitm(lists: Sequence[Sequence[int]], den: int) -> Row:
+    plan = _mitm_tree(lists, den)
+    return plan.bytes, plan.cost, lambda: _rep_mitm(lists, plan)
 
 
 def _span(lists: Sequence[Sequence[int]]) -> int:
     return sum(v[-1] for v in lists) - sum(v[0] for v in lists) + 1
 
 
-def _plan_naive(lists: Sequence[Sequence[int]], den: int) -> tuple[int, Cost]:
+def _plan_naive(lists: Sequence[Sequence[int]], den: int) -> Row:
     mass = math.prod(map(len, lists))
     out = min(mass, _span(lists)) if den == 1 else mass
-    return out * DICT_ENTRY_BYTES, mass * _NAIVE_TUPLE
+    return out * DICT_ENTRY_BYTES, mass * _NAIVE_TUPLE, lambda: _rep_naive(lists)
 
 
-def _plan_dense(lists: Sequence[Sequence[int]], den: int) -> tuple[int, Cost]:
+def _plan_dense(lists: Sequence[Sequence[int]], den: int) -> Row:
     if den != 1:
-        return -1, math.inf
+        return -1, math.inf, lambda: _rep_dense(lists)
     span = _span(lists)
     fold_elems = span * sum(map(len, lists[1:]))
-    return span * 16, fold_elems * _COMPILED_OP
+    return span * 16, fold_elems * _COMPILED_OP, lambda: _rep_dense(lists)
 
 
-def _plan_support(
-    lists: Sequence[Sequence[int]], elements: bool
-) -> dict[str, tuple[int, int]]:
+def _plan_support(lists: Sequence[Sequence[int]], elements: bool) -> dict[str, Row]:
     """The support kernel's two paths for the sets whose ints over one
-    denominator are ``lists``, as a ``choose`` table: (bytes, cost) of
-    the int-set fold, listed first, and of the bitset.  The fold costs
+    denominator are ``lists``, as a ``choose`` table: the row of the
+    int-set fold, listed first, and of the bitset, each running
+    ``kernels.support_values`` when ``elements``, else
+    ``kernels.support_size``, down its path.  The fold costs
     ``_BITS_PER_PAIR`` per pair it adds and the bitset one per bit it
     shifts and ORs, so a tie goes to the fold.
 
@@ -320,21 +328,23 @@ def _plan_support(
     bitset_bytes = span // 8
     if elements:
         bitset_bytes += 2 * span + fold_bytes
+    kernel = kernels.support_values if elements else kernels.support_size
     return {
-        "fold": (fold_bytes, _BITS_PER_PAIR * pairs),
-        "bitset": (bitset_bytes, bits),
+        "fold": (fold_bytes, _BITS_PER_PAIR * pairs, lambda: kernel(lists, False)),
+        "bitset": (bitset_bytes, bits, lambda: kernel(lists, True)),
     }
 
 
 def choose(
-    plans: dict[str, tuple[int, Cost]],
+    plans: dict[str, Row | tuple[int, Cost]],
     algo: str,
     mem_budget: int | None,
     what: str,
 ) -> str:
     """The path a budgeted computation runs, picked from ``plans``, which
-    maps each candidate to its estimated (bytes, cost); negative bytes
-    mean the candidate does not apply.
+    maps each candidate to its row or its bare (bytes, cost); only the
+    estimate is read, and negative bytes mean the candidate does not
+    apply.
 
     Under ``"auto"`` the cheapest candidate whose bytes fit the budget
     (default ``DEFAULT_MEMORY_BUDGET``) is returned, ties going to the
@@ -345,9 +355,9 @@ def choose(
     budget = DEFAULT_MEMORY_BUDGET if mem_budget is None else mem_budget
     if algo != "auto":
         plans, what = {algo: plans[algo]}, f"{what}[{algo}]"
-    fits = [name for name, (bytes_, _) in plans.items() if 0 <= bytes_ <= budget]
+    fits = [name for name, (bytes_, *_) in plans.items() if 0 <= bytes_ <= budget]
     if not fits:
-        least = min(bytes_ for bytes_, _ in plans.values() if bytes_ >= 0)
+        least = min(bytes_ for bytes_, *_ in plans.values() if bytes_ >= 0)
         raise ResourceError(least, budget, what)
     return min(fits, key=lambda name: plans[name][1])
 
@@ -366,18 +376,19 @@ def _rep_naive(lists: Sequence[Sequence[int]]) -> tuple[Counter, Iterable[int]]:
 
 
 def _rep_mitm(
-    lists: Sequence[Sequence[int]], den: int
+    lists: Sequence[Sequence[int]], plan: _MitmNode
 ) -> tuple[Iterable[int], Iterable[int]]:
-    if len(lists) == 1:
+    """Run the mitm plan of ``lists`` (``_mitm_tree``) as it stands."""
+    if plan.halves:
+        left, right = plan.halves
+        a = _rep_mitm(lists[: left.k], left)
+        # A shared half is computed once; the kernel then walks pairs i <= j.
+        b = a if right is left else _rep_mitm(lists[left.k :], right)
+        return kernels.convolve_integer(*a, *b)
+    if plan.k == 1:
         return lists[0], [1] * len(lists[0])
-    if _mitm_estimate(lists, den)[3]:
-        acc = kernels.self_sum_counts(lists[0], len(lists))
-        return acc, acc.values()
-    mid = (len(lists) + 1) // 2
-    left = _rep_mitm(lists[:mid], den)
-    # Equal halves are computed once; the kernel then walks pairs i <= j.
-    right = left if lists[mid:] == lists[:mid] else _rep_mitm(lists[mid:], den)
-    return kernels.convolve_integer(*left, *right)
+    acc = kernels.self_sum_counts(lists[0], plan.k)
+    return acc, acc.values()
 
 
 def _rep_dense(lists: Sequence[Sequence[int]]) -> tuple[Sequence[int], Sequence[int]]:
@@ -415,11 +426,11 @@ def representation(
 ) -> SparseCounts:
     """Exact representation function of A_1 +/- ... +/- A_k.
 
-    The algorithm is picked by ``choose`` from the estimates of mitm,
-    dense and naive, listed in that order so that a tie in cost goes to
-    the first: the cheapest that fits the budget under ``"auto"``, else
-    the one requested.  Raises ResourceError (before allocating) when
-    none fits.
+    The algorithm is picked by ``choose`` from the rows of mitm, dense
+    and naive, listed in that order so that a tie in cost goes to the
+    first: the cheapest that fits the budget under ``"auto"``, else the
+    one requested; its row then runs.  Raises ResourceError (before
+    allocating) when none fits.
     """
     if not sets:
         raise InputError("need at least one set")
@@ -433,12 +444,7 @@ def representation(
     }
     if algo == "dense" and plans["dense"][0] < 0:
         raise InputError("dense mode requires integer-valued sets")
-    # Names resolved per call: tests and the benchmark's tracer replace them.
-    values, counts = {
-        "mitm": lambda: _rep_mitm(lists, den),
-        "dense": lambda: _rep_dense(lists),
-        "naive": lambda: _rep_naive(lists),
-    }[choose(plans, algo, mem_budget, "representation")]()
+    values, counts = plans[choose(plans, algo, mem_budget, "representation")][2]()
     if isinstance(values, dict):
         # A kernel's Counter: kept whole, sorted only when read in order.
         counts = None
@@ -587,20 +593,15 @@ def _support(
     """The support of A_1 +/- ... +/- A_k from the support kernel, never
     counted: the set when ``elements``, else its size.
 
-    ``choose`` picks the fold or the bitset path from ``_plan_support``:
-    the cheaper one that fits the budget, the fold on a tie.  Raises
+    ``choose`` picks the fold or the bitset row of ``_plan_support``: the
+    cheaper one that fits the budget, the fold on a tie.  Raises
     ResourceError (before allocating) when neither fits.
     """
     lists, den = _signed_ints(sets, eps)
     plans = _plan_support(lists, elements)
-    bitset = choose(plans, "auto", mem_budget, "sumset support") == "bitset"
-    if elements:
-        out = kernels.support_values(lists, bitset)
-        _verify_support(len(out), sets)
-        return OrderedSet(out, den=den)
-    size = kernels.support_size(lists, bitset)
-    _verify_support(size, sets)
-    return size
+    out = plans[choose(plans, "auto", mem_budget, "sumset support")][2]()
+    _verify_support(len(out) if elements else out, sets)
+    return OrderedSet(out, den=den) if elements else out
 
 
 def signed_sumset(

@@ -28,7 +28,9 @@ read it in order.
 
 The support kernel (:func:`support_size`, :func:`support_values`)
 computes the set A_1 + ... + A_k of signed lists without any counts.
-It takes one of two paths, chosen by the caller (``engine._plan_support``):
+It takes one of two paths, named by its ``bitset`` argument: each is one
+row of ``engine._plan_support``, and the row that ``engine.choose``
+picks makes the call.
 
 * Bitset.  Each partial sumset is one big int whose bit i stands for
   the value lo + i; adding a set ORs the mask shifted by each element.

@@ -34,6 +34,8 @@ class TestAlpha:
         assert alpha(1) == Fraction(1, 2)
         assert alpha(2) == 1
         assert alpha(3) == Fraction(11, 8)
+        with pytest.raises(InputError, match="s must be >= 0"):
+            alpha(-1)
 
     def test_closed_form(self):
         for s in range(21):
@@ -274,6 +276,10 @@ class TestVerifyBound:
         ):
             with pytest.raises(TypeError):
                 call()
+
+    def test_empty_grid_is_rejected(self):
+        with pytest.raises(InputError, match="^empty N grid$"):
+            verify_bound("power:m=2", "KG_energy", [])
 
     def test_signs_only_for_signed_sumsets(self):
         with pytest.raises(InputError, match="S66_diff measures card_diff"):

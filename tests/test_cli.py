@@ -23,6 +23,7 @@ from sumsetlab import (
     cli,
     engine,
     gen_random_s_convex,
+    kernels,
     read_set,
 )
 from sumsetlab.cli import run
@@ -296,6 +297,74 @@ class TestSumsetDoubling:
         assert (code, out) == (2, "")
         assert err == (
             f"error: energy {squares} outside the universal bounds [3**2, 3**3]\n"
+        )
+
+
+SQUARES = ["--family", "power:n=12,m=2"]
+CUBES = ["--family", "power:n=64,m=3"]
+
+
+class TestPlannedRows:
+    """The row each budgeted command runs, on the commands that
+    ``tools/report_digest.py`` digests for it: the representation
+    algorithm, the support path, or nothing before a ``--mem`` error."""
+
+    @staticmethod
+    def rows_run(monkeypatch, capsys, argv):
+        rows = []
+        for name in ("_rep_naive", "_rep_mitm", "_rep_dense"):
+            real = getattr(engine, name)
+
+            def spy(*args, real=real, name=name):
+                rows.append(name.removeprefix("_rep_"))
+                return real(*args)
+
+            monkeypatch.setattr(engine, name, spy)
+        real_support = kernels.support_values
+
+        def support(lists, bitset):
+            rows.append("bitset" if bitset else "fold")
+            return real_support(lists, bitset)
+
+        monkeypatch.setattr(kernels, "support_values", support)
+        code, _, err = _run(capsys, *argv)
+        return code, err, rows
+
+    @pytest.mark.parametrize(
+        "argv, rows, error",
+        [
+            (["--algo", algo, "energy", "--k", "3", *SQUARES], [algo], "")
+            for algo in ("naive", "mitm", "dense")
+        ]
+        + [
+            (["--algo", "dense", "energy", "--k", "2", "--family",
+              "composed:f=poly:0,1/2,inner=power:n=8,m=2"], [],
+             "dense mode requires integer-valued sets"),
+            (["--mem", "1000", "energy", "--k", "4", *CUBES], [],
+             "representation: estimated 16777168 bytes exceeds budget 1000"),
+            (["--algo", "mitm", "--mem", "1000", "energy", "--k", "3", *CUBES], [],
+             "representation[mitm]: estimated 5491200 bytes exceeds budget 1000"),
+            (["--mem", "1000", "sumset", "--k", "3", *CUBES], [],
+             "sumset support: estimated 31457280 bytes exceeds budget 1000"),
+            # The census representation and the partition's triple sumset
+            # fit; the census table does not.
+            (["--mem", "5000", "lucky", "--k", "3", "--r", "2", "--g", "pow:2",
+              "--family", "interval:n=10"], ["dense", "bitset"],
+             "lucky census table: estimated 12000 bytes exceeds budget 5000"),
+            (["sumset", "--k", "2", "--elements", "--family", "power:n=10,m=8"],
+             ["fold"], ""),
+            (["sumset", "--k", "3", "--elements", "--family", "interval:n=40"],
+             ["bitset"], ""),
+        ],
+        ids=["naive", "mitm", "dense", "dense_rational", "mem_auto", "mem_mitm",
+             "mem_support", "mem_census_table", "elements_fold",
+             "elements_bitset"],
+    )
+    def test_digested_command_runs_its_row(self, monkeypatch, capsys, argv, rows,
+                                           error):
+        code, err, ran = self.rows_run(monkeypatch, capsys, argv)
+        assert (code, err, ran) == (
+            (2, f"error: {error}\n", rows) if error else (0, "", rows)
         )
 
 
@@ -579,10 +648,31 @@ class TestUserErrors:
              "sign patterns are normalized to start with +"),
             (["lucky", "--r", "2", "--g", "poly:1/0", "--family", "interval:n=3"],
              "bad polynomial coefficients in 'poly:1/0'"),
+            # Family parameter guards.
+            (["gen", "interval:n=0"], "interval length must be >= 1"),
+            (["gen", "power:n=3,m=0"], "gen_power needs n >= 1 and m >= 1"),
+            (["gen", "ap:n=3,step=0"], "gen_ap needs n >= 1 and step > 0"),
+            (["gen", "rsc:n=5,s=-1"], "convexity order must be >= 0"),
+            (["gen", "rsc:n=5,s=1,gap=0"], "gap bound must be >= 1"),
+            (["gen", "gap:dims=2,steps=1:1"],
+             "dims and steps must be non-empty and matched"),
+            (["gen", "gap:dims=0x2,steps=1:1"], "every dim must be >= 1"),
+            (["gen", "gap:dims=2x2,steps=0:1"], "every step must be positive"),
+            (["gen", "interval:n"], "expected key=value, got 'n'"),
+            (["gen", "composed:g=pow:2,inner=interval:n=3"],
+             "composed spec must start with f="),
+            (["gen", "composed:f=pow:0,inner=interval:n=3"],
+             "power exponent must be >= 1"),
+            (["gen", "composed:f=root:0,inner=interval:n=3"],
+             "root index must be >= 1"),
         ],
         ids=["k_not_int", "lucky_without_r", "unknown_flag", "grid_negative",
              "energy_k_two_sets", "lucky_two_sets", "no_inputs", "mem_zero",
-             "bad_sign", "sign_count", "sign_not_plus_first", "bad_polynomial"],
+             "bad_sign", "sign_count", "sign_not_plus_first", "bad_polynomial",
+             "interval_n_zero", "power_m_zero", "ap_step_zero", "rsc_s_negative",
+             "rsc_gap_zero", "gap_unmatched", "gap_dim_zero", "gap_step_zero",
+             "spec_without_value", "composed_without_f", "composed_pow_zero",
+             "composed_root_zero"],
     )
     def test_usage_errors_fit_on_one_line(self, capsys, argv, message):
         assert _run(capsys, *argv) == (2, "", f"error: {message}\n")

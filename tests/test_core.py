@@ -54,6 +54,10 @@ class TestOrderedSet:
         with pytest.raises(InputError):
             OrderedSet([2, 1])
 
+    def test_den_must_be_a_positive_int(self):
+        with pytest.raises(InputError, match="^den must be a positive int, got 0$"):
+            OrderedSet([1], den=0)
+
     def test_contains_and_index(self):
         A = OrderedSet([1, 4, 9])
         assert 4 in A and 5 not in A

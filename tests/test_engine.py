@@ -30,7 +30,7 @@ from sumsetlab import (
 )
 from sumsetlab import engine, kernels
 from sumsetlab.bounds import verify_bound
-from sumsetlab.core import DEFAULT_MEMORY_BUDGET, mass_of_squares
+from sumsetlab.core import DEFAULT_MEMORY_BUDGET, mass_of_squares, moment_sum
 from sumsetlab.engine import check_popular_bound, rich_tail, spectrum_of
 from sumsetlab.luckypairs import TripleSumset, build_partition
 
@@ -56,6 +56,8 @@ class TestRepresentation:
         A = OrderedSet([1, 4, 9])
         rep = representation([A])
         assert dict(rep.items()) == {1: 1, 4: 1, 9: 1}
+        with pytest.raises(InputError, match="need at least one set"):
+            representation([])
 
     def test_modes_agree_integer(self, rng):
         for _ in range(15):
@@ -94,6 +96,8 @@ class TestRepresentation:
         A = gen_interval(3)
         rep = representation([A, A], signs="+-")
         assert dict(rep.items()) == {-2: 1, -1: 2, 0: 3, 1: 2, 2: 1}
+        with pytest.raises(InputError, match=r"signs must be \+1 or -1"):
+            engine.parse_signs([1, 2], 2)
 
     def test_budget_exceeded(self):
         A = gen_power(64, 3)
@@ -105,6 +109,8 @@ class TestRepresentation:
         A = gen_power(32, 2)
         with pytest.raises(ResourceError):
             representation([A] * 3, algo="naive", mem_budget=1_000)
+        with pytest.raises(InputError, match="unknown algorithm 'fast'"):
+            representation([A], algo="fast")
 
     def test_mass_is_product(self, rng):
         sets = [random_integer_set(rng, rng.next_in(1, 6)) for _ in range(3)]
@@ -230,6 +236,102 @@ class TestPlanner:
         assert engine._plan_mitm(lists, 1)[0] == math.comb(41, 4) * 120
         rep = representation([A] * 4, mem_budget=100_000_000)
         assert mass_of_squares(rep) == 47002410
+
+
+class TestMitmPlan:
+    """``mitm`` runs the tree ``_plan_mitm`` priced, built once per call:
+    one kernel call per node, and a half shared by both sides of a join
+    computed once and passed to the join as the same objects."""
+
+    @staticmethod
+    def kernel_calls(monkeypatch, sets, signs=None, algo="mitm"):
+        calls = []
+        for name in ("self_sum_counts", "convolve_integer"):
+            real = getattr(kernels, name)
+
+            def spy(*args, real=real, name=name):
+                out = real(*args)
+                calls.append((name, args, out))
+                return out
+
+            monkeypatch.setattr(kernels, name, spy)
+        rep = representation(sets, signs=signs, algo=algo)
+        monkeypatch.undo()
+        check = "dense" if all(A.is_integer for A in sets) else "naive"
+        assert rep == representation(sets, signs=signs, algo=check)
+        return calls
+
+    @staticmethod
+    def leaf(A):
+        """A leaf's (values, counts), as lists."""
+        return [list(A.ints), [1] * len(A)]
+
+    @staticmethod
+    def joins_itself(args):
+        return args[0] is args[2] and args[1] is args[3]
+
+    def test_multiset_root_is_one_kernel_call(self, monkeypatch):
+        A = gen_random_s_convex(38, 3, 0, 64)
+        calls = self.kernel_calls(monkeypatch, [A] * 4, algo="auto")
+        assert [(name, args) for name, args, _ in calls] == [
+            ("self_sum_counts", (A.ints, 4))
+        ]
+
+    def test_shared_half_is_joined_with_itself(self, monkeypatch):
+        I = gen_interval(100)
+        (n1, a1, r1), (n2, a2, _) = self.kernel_calls(monkeypatch, [I] * 4)
+        assert n1 == n2 == "convolve_integer"
+        # [I, I] joins the leaf I with itself; the root joins that result,
+        # computed once, with itself.
+        assert self.joins_itself(a1) and list(map(list, a1[:2])) == self.leaf(I)
+        assert self.joins_itself(a2) and a2[0] is r1[0] and a2[1] is r1[1]
+
+    def test_equal_halves_of_distinct_sets_are_shared(self, monkeypatch):
+        A, B = gen_power(9, 2), gen_interval(7)
+        (n1, a1, r1), (n2, a2, _) = self.kernel_calls(monkeypatch, [A, B, A, B])
+        assert n1 == n2 == "convolve_integer"
+        assert list(map(list, a1)) == [*self.leaf(A), *self.leaf(B)]
+        assert self.joins_itself(a2) and a2[0] is r1[0] and a2[1] is r1[1]
+
+    def test_unequal_halves_are_joined_in_order(self, monkeypatch):
+        A, B, C = gen_power(9, 2), gen_interval(7), OrderedSet([-5, 0, 3])
+        (n1, a1, r1), (n2, a2, _) = self.kernel_calls(monkeypatch, [A, B, C])
+        assert n1 == n2 == "convolve_integer"
+        assert list(map(list, a1)) == [*self.leaf(A), *self.leaf(B)]
+        assert a2[0] is r1[0] and a2[1] is r1[1]
+        assert list(map(list, a2[2:])) == self.leaf(C)
+
+    def test_rational_difference_is_one_join(self, monkeypatch):
+        # Over the common denominator 6: A is 2, 3, 12 and -A is -12, -3, -2.
+        A = OrderedSet([Fraction(1, 3), Fraction(1, 2), 2])
+        calls = self.kernel_calls(monkeypatch, [A, A], signs="+-", algo="auto")
+        assert [(name, list(map(list, args))) for name, args, _ in calls] == [
+            ("convolve_integer", [[2, 3, 12], [1, 1, 1], [-12, -3, -2], [1, 1, 1]])
+        ]
+
+    @pytest.mark.parametrize(
+        "A, k, nodes",
+        [
+            (gen_random_s_convex(38, 3, 0, 64), 4, 3),
+            (gen_interval(100), 4, 3),
+            (gen_interval(30), 8, 4),
+            (gen_interval(6), 16, 5),
+        ],
+        ids=["rsc38x4", "interval100x4", "interval30x8", "interval6x16"],
+    )
+    def test_one_plan_per_call(self, monkeypatch, A, k, nodes):
+        # k copies: one node per power-of-two run of copies, each planned
+        # once, whichever kernel the root takes.
+        built = []
+        real = engine._MitmNode
+
+        def node(*args):
+            built.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(engine, "_MitmNode", node)
+        representation([A] * k, algo="mitm")
+        assert len(built) == nodes and built[-1] == k
 
 
 class TestChoose:
@@ -358,6 +460,8 @@ class TestMoments:
     def test_third_moment(self):
         A = gen_interval(2)  # r_{A+A} = {2:1, 3:2, 4:1}
         assert moment([A, A], 3) == 10
+        with pytest.raises(InputError, match="moment order must be >= 1"):
+            moment_sum(representation([A, A]), 0)
 
     def test_m2_equals_energy(self, rng):
         A = random_integer_set(rng, 8)

@@ -108,6 +108,23 @@ COMMANDS = [
     ["fit", "8:300", "16:2600", "32:21000", "64:170000"],
     ["lucky", "--r", "2", "--family", "composed:f=poly:0,1/3,inner=interval:n=12"],
     ["verify", "--bound", "eq13_tail", "--family", INT_FAMILY, *GRID, *CSV],
+    # Each budgeted path: every representation algorithm asked for by
+    # name, the dense refusal of a rational set, one --mem failure per
+    # budgeted computation, and sumset elements down the fold and down
+    # the bitset.
+    *(
+        ["--algo", algo, "energy", "--k", "3", "--family", "power:n=12,m=2"]
+        for algo in ("naive", "mitm", "dense")
+    ),
+    ["--algo", "dense", "energy", "--k", "2", "--family", RAT_SET],
+    ["--mem", "1000", "energy", "--k", "4", "--family", "power:n=64,m=3"],
+    ["--algo", "mitm", "--mem", "1000", "energy", "--k", "3",
+     "--family", "power:n=64,m=3"],
+    ["--mem", "1000", "sumset", "--k", "3", "--family", "power:n=64,m=3"],
+    ["--mem", "5000", "lucky", "--k", "3", "--r", "2", "--g", "pow:2",
+     "--family", "interval:n=10"],
+    ["sumset", "--k", "2", "--elements", "--family", "power:n=10,m=8"],
+    ["sumset", "--k", "3", "--elements", "--family", "interval:n=40"],
 ]
 
 
