@@ -34,6 +34,7 @@ a wall-clock field and is off by default for that reason.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import os
 import sys
@@ -312,7 +313,10 @@ def _add_common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it as it
+    was, since every default is immutable and ``append`` copies its own."""
     parser = _Parser(
         prog="sumsetlab",
         description="Exact additive-energy laboratory for convex and "

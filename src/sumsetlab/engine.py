@@ -23,12 +23,16 @@ one ``SparseCounts``, which reduces it:
   estimated at no more entries than there are j-multisets.  Equal halves
   share one node, which ``_rep_mitm`` computes once: it only executes
   the plan and prices nothing;
-* ``dense`` -- one fold over a numpy count array keyed by value offset,
-  in int64 while the mass (which bounds every count) is below 2**63 and
-  in Python ints (``dtype=object``) beyond; integer-valued sets only.
-  An int64 fold whose values fit int64 hands its nonzero values and
-  counts to ``SparseCounts`` as two arrays, which it keeps: tuples are
-  built only when a caller reads them.
+* ``dense`` -- one fold over a numpy count array keyed by value offset;
+  integer-valued sets only.  Each step adds one shifted copy of the
+  counts per value of the next set, so every count and partial sum of
+  the step is at most the current maximum count times that set's size:
+  the step runs in the narrowest of uint8, uint16, uint32 and int64
+  that holds this bound, so no add can wrap, and in Python ints
+  (``dtype=object``) beyond, where the fold then stays.  A fixed-width
+  fold whose values fit int64 hands its nonzero values and counts, only
+  those widened to int64, to ``SparseCounts`` as two arrays, which it
+  keeps: tuples are built only when a caller reads them.
 
 Every budgeted path is one row, ``(bytes, cost, run)``, from a
 ``_plan_*`` function: its estimate, made before anything is allocated,
@@ -393,27 +397,38 @@ def _rep_mitm(
 
 def _rep_dense(lists: Sequence[Sequence[int]]) -> tuple[Sequence[int], Sequence[int]]:
     """The nonzero entries of the fold: two int64 arrays when the counts
-    and values fit int64, else two lists of Python ints."""
+    and values fit int64, else two lists of Python ints.
+
+    A step adds one shifted copy of the counts per value of the next
+    set, all non-negative, so the current maximum count times that
+    set's size bounds every partial sum and every new count.  The step
+    runs in the narrowest of uint8, uint16, uint32 and int64 whose
+    maximum is at least that bound, so no add can wrap, and in Python
+    ints (``dtype=object``) past int64, where the fold stays.
+    """
     import numpy as np
 
-    # No count exceeds the mass: int64 holds every count below 2**63,
-    # Python ints (dtype=object) hold them beyond.
-    dtype = np.int64 if math.prod(map(len, lists)) < 2**63 else object
     first = lists[0]
     cur_lo = first[0]
-    cur = np.zeros(first[-1] - cur_lo + 1, dtype=dtype)
+    cur = np.zeros(first[-1] - cur_lo + 1, dtype=np.uint8)
     for a in first:
         cur[a - cur_lo] = 1
     for vals in lists[1:]:
-        new = np.zeros(cur.shape[0] + (vals[-1] - vals[0]), dtype=dtype)
+        if cur.dtype != object:
+            bound = int(cur.max()) * len(vals)
+            widths = ("uint8", "uint16", "uint32", "int64")
+            fits = (w for w in widths if np.iinfo(w).max >= bound)
+            cur = cur.astype(next(fits, object), copy=False)
+        new = np.zeros(cur.shape[0] + (vals[-1] - vals[0]), dtype=cur.dtype)
         for a in vals:
             off = a - vals[0]
             new[off : off + cur.shape[0]] += cur
         cur, cur_lo = new, cur_lo + vals[0]
     nz = np.flatnonzero(cur)
-    if dtype is np.int64 and -(2**63) <= cur_lo and cur_lo + cur.shape[0] <= 2**63:
-        # Both int64: SparseCounts keeps the arrays.
-        return nz + cur_lo, cur[nz]
+    if cur.dtype != object and -(2**63) <= cur_lo and cur_lo + cur.shape[0] <= 2**63:
+        # Both int64: SparseCounts keeps the arrays.  Only the nonzero
+        # counts are widened, never the whole span.
+        return nz + cur_lo, cur[nz].astype(np.int64, copy=False)
     return [cur_lo + i for i in nz.tolist()], cur[nz].tolist()
 
 

@@ -19,6 +19,7 @@ seed 0 (first three outputs): 0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4,
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
@@ -260,6 +261,9 @@ def instantiate(template: str, n: int | None, default_seed: int = 0) -> FamilySp
             params[key] = default
         elif key != "seed":
             raise InputError(f"family {name!r} needs parameter {key}")
+    # A size past sys.maxsize indexes no sequence.
+    if params.get("n", 0) > sys.maxsize:
+        raise InputError(f"family size n must be at most {sys.maxsize}")
     seed = params.pop("seed", default_seed)
     return FamilySpec(name, params, seed)
 

@@ -659,6 +659,8 @@ class TestUserErrors:
             (["gen", "gap:dims=0x2,steps=1:1"], "every dim must be >= 1"),
             (["gen", "gap:dims=2x2,steps=0:1"], "every step must be positive"),
             (["gen", "interval:n"], "expected key=value, got 'n'"),
+            (["gen", "interval:n=99999999999999999999999"],
+             f"family size n must be at most {sys.maxsize}"),
             (["gen", "composed:g=pow:2,inner=interval:n=3"],
              "composed spec must start with f="),
             (["gen", "composed:f=pow:0,inner=interval:n=3"],
@@ -671,8 +673,8 @@ class TestUserErrors:
              "bad_sign", "sign_count", "sign_not_plus_first", "bad_polynomial",
              "interval_n_zero", "power_m_zero", "ap_step_zero", "rsc_s_negative",
              "rsc_gap_zero", "gap_unmatched", "gap_dim_zero", "gap_step_zero",
-             "spec_without_value", "composed_without_f", "composed_pow_zero",
-             "composed_root_zero"],
+             "spec_without_value", "interval_n_past_maxsize", "composed_without_f",
+             "composed_pow_zero", "composed_root_zero"],
     )
     def test_usage_errors_fit_on_one_line(self, capsys, argv, message):
         assert _run(capsys, *argv) == (2, "", f"error: {message}\n")
@@ -878,6 +880,24 @@ class TestDeterminism:
         assert "timing_ms" not in plain
         _, timed, _ = _run(capsys, "--timings", *base)
         assert "timing_ms" in timed
+
+    def test_cached_parser_runs_like_a_fresh_one(self, capsys, monkeypatch):
+        # A usage error, a command, the same command with other flags
+        # (--family appends) and the first again.
+        sequence = [
+            ["energy", "--k", "x", "--family", "interval:n=3"],
+            ["energy", "--family", "interval:n=3", "--family", "power:n=4,m=2"],
+            ["--algo", "dense", "energy", "--signs", "+-", "--mem", "100000",
+             "--family", "interval:n=5", "--family", "interval:n=3"],
+            ["energy", "--family", "interval:n=3", "--family", "power:n=4,m=2"],
+        ]
+        assert cli.build_parser() is cli.build_parser()
+        cached = [_run(capsys, *argv) for argv in sequence]
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = [_run(capsys, *argv) for argv in sequence]
+        assert cached == fresh
+        assert [code for code, _, _ in cached] == [2, 0, 0, 0]
+        assert cached[3] == cached[1] != cached[2]
 
     @pytest.mark.parametrize(
         "argv",

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sumsetlab import (
@@ -176,13 +177,60 @@ class TestRepresentation:
 
     @pytest.mark.parametrize("k", [62, 63, 64, 70])
     def test_dense_past_int64_mass(self, k):
-        # Mass 2**k: from k = 63 on, the fold runs over Python ints.
+        # Mass 2**k: past 2**63 from k = 63 on, while the counts C(k, j)
+        # keep the fold in int64 up to k = 66 (TestDenseWidths).
         sets = [OrderedSet([0, 1])] * k
         rep = representation(sets, algo="dense")
         assert rep == representation(sets, algo="mitm")
         assert rep.values == tuple(range(k + 1))
         assert rep.counts == tuple(math.comb(k, j) for j in range(k + 1))
         assert rep.mass == 2**k
+
+
+def _interval_counts(m: int, k: int) -> tuple[int, ...]:
+    """r_{kI} for I = [1, m], from its closed form: the coefficients of
+    ((1 - t**m) / (1 - t))**k, by inclusion-exclusion."""
+    return tuple(
+        sum(
+            (-1) ** j * math.comb(k, j) * math.comb(x - j * m + k - 1, k - 1)
+            for j in range(x // m + 1)
+        )
+        for x in range(k * (m - 1) + 1)
+    )
+
+
+class TestDenseWidths:
+    """The dense fold on both sides of each switch of its count width.
+    The last step of [1, m] * k has the bound m for k = 2, m * m for
+    k = 3, and 2 * C(k - 1, (k - 1) // 2) for m = 2."""
+
+    @pytest.mark.parametrize(
+        "m, k, width",
+        [
+            (255, 2, "uint8"), (256, 2, "uint16"),
+            (255, 3, "uint16"), (256, 3, "uint32"),
+            (2, 34, "uint32"), (2, 35, "int64"),
+            (2, 66, "int64"), (2, 67, "object"),
+        ],
+    )
+    def test_fold_is_exact_at_each_width_switch(self, monkeypatch, m, k, width):
+        zeros, widths = np.zeros, []
+
+        def spy(shape, dtype):
+            widths.append(np.dtype(dtype).name)
+            return zeros(shape, dtype=dtype)
+
+        sets = [gen_interval(m)] * k
+        monkeypatch.setattr(np, "zeros", spy)
+        rep = representation(sets, algo="dense")
+        monkeypatch.undo()
+        assert len(widths) == k and widths[-1] == width
+        assert rep == representation(sets, algo="mitm")
+        assert rep.counts == _interval_counts(m, k)
+        if width == "object":
+            assert rep._count_array is None
+        else:
+            assert rep._count_array.dtype == np.int64
 
 
 class TestPlanner:

@@ -687,13 +687,15 @@ def test_dense_arrays_read_like_mitm(sets, data):
 @pytest.mark.parametrize(
     "k, storage",
     [(32, "int64 dot"), (33, "Python sum"), (34, "Python sum"),
-     (64, "object fold"), (70, "object fold")],
+     (64, "Python sum"), (70, "object fold")],
 )
 def test_dense_reductions_at_the_int64_limits(k, storage):
     # [{0, 1}] * k has counts C(k, j), mass 2**k and sum of squares
     # C(2k, k).  max(c) * mass is just below 2**63 at k = 32 and just
     # above at k = 33; at k = 34 the sum of squares itself passes 2**63.
-    # From k = 63 on the fold runs over Python ints and keeps no array.
+    # The fold stays in int64 while 2 * C(k - 1, (k - 1) // 2) < 2**63,
+    # up to k = 66; from k = 67 on it runs over Python ints and keeps no
+    # array.
     sets = [OrderedSet([0, 1])] * k
     dense = representation(sets, algo="dense")
     c = dense._count_array
