@@ -28,6 +28,7 @@ from .convexity import delta_h, eval_fn
 from .core import OrderedSet
 from .engine import (
     Spectrum,
+    check_copies,
     doubling,
     energy_T,
     energy_cross,
@@ -365,6 +366,9 @@ def verify_bound(
         )
     if len(n_grid) < 1:
         raise InputError("empty N grid")
+    # Held at once: [A] * k, its sign string, and representation's or the
+    # sumset's signs and two int lists.
+    check_copies(bound.params.get("k", 2), 5, mem_budget)
     rows = []
     for n in sorted(n_grid):
         spec = instantiate(family_template, n, default_seed)

@@ -134,6 +134,9 @@ def _sets_for_energy(args):
     if args.k is not None:
         if len(loaded) != 1:
             raise SumsetLabError("--k replicates a single input set")
+        # Held at once: sets, inputs, and representation's signs and two
+        # int lists.
+        engine.check_copies(args.k, 5, args.mem)
         loaded = loaded * args.k
     sets = [A for A, _ in loaded]
     header = {"inputs": [p for _, p in loaded], "signs": args.signs or "+" * len(sets)}
@@ -188,6 +191,9 @@ def _cmd_lucky(args) -> tuple[dict, Callable[[], str]]:
         raise SumsetLabError("lucky censuses take exactly one base set")
     B, provenance = loaded[0]
     g = parse_function(args.g) if args.g else IDENTITY
+    # Held at once: B_list, g_list, the census's images and their sets,
+    # and representation's signs and two int lists.
+    engine.check_copies(args.k, 7, args.mem)
     B_list = [B] * args.k
     g_list = [g] * args.k
     rows = luckypairs.lucky_census(

@@ -36,14 +36,18 @@ one ``SparseCounts``, which reduces it:
 
 Every budgeted path is one row, ``(bytes, cost, run)``, from a
 ``_plan_*`` function: its estimate, made before anything is allocated,
-and the zero-argument call that executes the path.  One rule picks the
-row, in ``choose``, which reads only the estimates: ``auto`` takes the
-cheapest candidate whose bytes fit the memory budget (default 4 GiB),
-ties going to the candidate listed first, an explicit algorithm is the
-only candidate, and ResourceError is raised when nothing fits.  The
-caller then runs the row it names.  Rows serve the representation
-algorithms and the support kernel's two paths; the lucky census table
-(``luckypairs``) hands ``choose`` a bare (bytes, cost).  One set (k = 1)
+and the zero-argument call that executes the path.  A table holds only
+the rows that can run: ``representation`` lists mitm always, dense when
+every set is integer-valued, and naive only when it is asked for by
+name.  One rule picks the row, in ``choose``, which reads only the
+estimates: ``auto`` takes the cheapest candidate whose bytes fit the
+memory budget (default 4 GiB), ties going to the candidate listed
+first, an explicit algorithm is the only candidate, and ResourceError
+is raised when nothing fits.  The caller then runs the row it names.
+Rows serve the representation algorithms and the support kernel's two
+paths; the lucky census table (``luckypairs``) and ``check_copies``,
+which ``cli`` and ``bounds`` call before they build k copies of a set,
+hand ``choose`` a bare (bytes, cost).  One set (k = 1)
 is planned and checked against the budget like several.  All modes
 agree exactly and are cross-checked in the test suite.  Every result's
 mass is checked against the product of the set sizes, in every run
@@ -105,8 +109,8 @@ from .core import (
 from .errors import InputError, ResourceError, VerificationError
 
 Signs = Union[str, Sequence[int], None]
-# A planner cost: exact, or math.inf for a candidate that does not apply.
-Cost = Union[int, Fraction, float]
+# A planner cost, exact.
+Cost = Union[int, Fraction]
 # A planner row: the (bytes, cost) estimate of one path and the call that
 # runs it.  The call looks up what it runs when planned or run, never at
 # import: tests and the benchmark's tracer replace module attributes.
@@ -119,7 +123,6 @@ _ALGOS = ("auto", "naive", "mitm", "dense")
 # (_plan_dense) counts as 1/50.  Every estimate is an exact int or
 # Fraction, so costs far past the float range still compare exactly.
 _COMPILED_OP = Fraction(1, 50)
-_NAIVE_TUPLE = 3
 # One j-multiset of kernels.self_sum_counts, the mitm node for j copies
 # of one list (_mitm_tree), in units of a dict-loop pair as a join is
 # charged them.  Fitted on a 2-core Xeon, Python 3.11 (best of 3; 41
@@ -295,12 +298,10 @@ def _span(lists: Sequence[Sequence[int]]) -> int:
 def _plan_naive(lists: Sequence[Sequence[int]], den: int) -> Row:
     mass = math.prod(map(len, lists))
     out = min(mass, _span(lists)) if den == 1 else mass
-    return out * DICT_ENTRY_BYTES, mass * _NAIVE_TUPLE, lambda: _rep_naive(lists)
+    return out * DICT_ENTRY_BYTES, mass, lambda: _rep_naive(lists)
 
 
-def _plan_dense(lists: Sequence[Sequence[int]], den: int) -> Row:
-    if den != 1:
-        return -1, math.inf, lambda: _rep_dense(lists)
+def _plan_dense(lists: Sequence[Sequence[int]]) -> Row:
     span = _span(lists)
     fold_elems = span * sum(map(len, lists[1:]))
     return span * 16, fold_elems * _COMPILED_OP, lambda: _rep_dense(lists)
@@ -346,9 +347,8 @@ def choose(
     what: str,
 ) -> str:
     """The path a budgeted computation runs, picked from ``plans``, which
-    maps each candidate to its row or its bare (bytes, cost); only the
-    estimate is read, and negative bytes mean the candidate does not
-    apply.
+    maps each candidate that can run to its row or its bare (bytes,
+    cost); only the estimate is read.
 
     Under ``"auto"`` the cheapest candidate whose bytes fit the budget
     (default ``DEFAULT_MEMORY_BUDGET``) is returned, ties going to the
@@ -359,11 +359,19 @@ def choose(
     budget = DEFAULT_MEMORY_BUDGET if mem_budget is None else mem_budget
     if algo != "auto":
         plans, what = {algo: plans[algo]}, f"{what}[{algo}]"
-    fits = [name for name, (bytes_, *_) in plans.items() if 0 <= bytes_ <= budget]
+    fits = [name for name, (bytes_, *_) in plans.items() if bytes_ <= budget]
     if not fits:
-        least = min(bytes_ for bytes_, *_ in plans.values() if bytes_ >= 0)
-        raise ResourceError(least, budget, what)
+        raise ResourceError(min(bytes_ for bytes_, *_ in plans.values()), budget, what)
     return min(fits, key=lambda name: plans[name][1])
+
+
+def check_copies(k: int, lists: int, mem_budget: int | None) -> None:
+    """Charge the budget, before any is built, for ``lists`` lists of
+    ``k`` references each held at once, 8 bytes a reference: the k
+    copies of one set that a k-fold computation passes down.  Raises
+    ResourceError when they do not fit."""
+    bytes_ = 8 * lists * max(k, 0)
+    choose({"copies": (bytes_, 0)}, "auto", mem_budget, f"{k} copies of the set")
 
 
 # ---------------------------------------------------------------------------
@@ -441,24 +449,25 @@ def representation(
 ) -> SparseCounts:
     """Exact representation function of A_1 +/- ... +/- A_k.
 
-    The algorithm is picked by ``choose`` from the rows of mitm, dense
-    and naive, listed in that order so that a tie in cost goes to the
-    first: the cheapest that fits the budget under ``"auto"``, else the
-    one requested; its row then runs.  Raises ResourceError (before
-    allocating) when none fits.
+    The algorithm is picked by ``choose`` from the rows that can run:
+    mitm, then dense for integer-valued sets, so that a tie in cost goes
+    to mitm, and naive only when requested.  Under ``"auto"`` the
+    cheapest that fits the budget is taken, else the one requested; its
+    row then runs.  Raises ResourceError (before allocating) when none
+    fits.
     """
     if not sets:
         raise InputError("need at least one set")
     if algo not in _ALGOS:
         raise InputError(f"unknown algorithm {algo!r}")
     lists, den = _signed_ints(sets, parse_signs(signs, len(sets)))
-    plans = {
-        "mitm": _plan_mitm(lists, den),
-        "dense": _plan_dense(lists, den),
-        "naive": _plan_naive(lists, den),
-    }
-    if algo == "dense" and plans["dense"][0] < 0:
+    plans = {"mitm": _plan_mitm(lists, den)}
+    if den == 1:
+        plans["dense"] = _plan_dense(lists)
+    elif algo == "dense":
         raise InputError("dense mode requires integer-valued sets")
+    if algo == "naive":
+        plans["naive"] = _plan_naive(lists, den)
     values, counts = plans[choose(plans, algo, mem_budget, "representation")][2]()
     if isinstance(values, dict):
         # A kernel's Counter: kept whole, sorted only when read in order.

@@ -62,19 +62,14 @@ def spectrum_csv(sp: Spectrum) -> str:
 
 
 def rows_csv(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
+    """One CSV line per row, each cell its ``str``: for a Fraction that is
+    ``format_element``'s "p/q" (an int when the denominator is 1), for a
+    float its shortest round-trip repr."""
     out = io.StringIO()
     out.write(",".join(header) + "\n")
     for row in rows:
-        out.write(",".join(_csv_cell(cell) for cell in row) + "\n")
+        out.write(",".join(map(str, row)) + "\n")
     return out.getvalue()
-
-
-def _csv_cell(cell: Any) -> str:
-    if isinstance(cell, Fraction):
-        return format_element(cell)
-    if isinstance(cell, float):
-        return repr(cell)
-    return str(cell)
 
 
 def file_digest(path: str) -> str:

@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,8 @@ from sumsetlab import (
     read_set,
 )
 from sumsetlab.cli import run
-from sumsetlab.reporting import file_digest
+from sumsetlab.core import format_element
+from sumsetlab.reporting import file_digest, rows_csv
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -679,6 +681,35 @@ class TestUserErrors:
     def test_usage_errors_fit_on_one_line(self, capsys, argv, message):
         assert _run(capsys, *argv) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "argv, k, estimate",
+        [
+            (["energy", "--k", "100", "--family", "interval:n=1"], 100, 4000),
+            (["sumset", "--k", "100", "--family", "interval:n=1"], 100, 4000),
+            (["lucky", "--k", "100", "--r", "4", "--family", "interval:n=3"],
+             100, 5600),
+            (["verify", "--bound", "IKRT", "--k", "100", "--family", "interval",
+              "--grid", "2,3,4"], 100, 4000),
+            (["verify", "--bound", "card_main", "--s", "7", "--family", "interval",
+              "--grid", "2,3,4"], 128, 5120),
+        ],
+        ids=["energy", "sumset", "lucky", "verify_T", "verify_card"],
+    )
+    def test_copies_are_charged_before_they_are_built(self, capsys, monkeypatch,
+                                                       argv, k, estimate):
+        # Under a budget that the k copies' references alone exceed, the
+        # engine never reads the sets.
+        read = []
+        real = engine._signed_ints
+        monkeypatch.setattr(
+            engine, "_signed_ints", lambda *a: read.append(a) or real(*a)
+        )
+        message = f"error: {k} copies of the set: estimated {estimate} bytes"
+        assert _run(capsys, "--mem", "1000", *argv) == (
+            2, "", f"{message} exceeds budget 1000\n"
+        )
+        assert read == []
+
     def test_bad_memory_variable_fits_on_one_line(self, capsys, monkeypatch):
         monkeypatch.setenv("SUMSETLAB_MEM", "abc")
         argv = ["energy", "--k", "2", "--family", "interval:n=3"]
@@ -963,6 +994,18 @@ class TestReportFields:
         for line, row in zip(table, rows):
             cells = {c: v if isinstance(v, str) else repr(v) for c, v in row.items()}
             assert line == {c: cells[c] for c in line}
+
+    def test_csv_cells_keep_their_report_forms(self):
+        # Every cell is written as its str: a Fraction as format_element
+        # writes it, a float as its repr.
+        fractions = [Fraction(1, 2), Fraction(4, 2), Fraction(-7, 3), Fraction(0)]
+        floats = [0.1, 1e300, -0.0, 2.5e-7, float("inf")]
+        ints = [2**70, -(2**63), 0]
+        row = [*fractions, *floats, *ints, True]
+        expected = [*map(format_element, fractions), *map(repr, floats),
+                    *map(format_element, ints), "True"]
+        text = rows_csv([f"c{i}" for i in range(len(row))], [row, row])
+        assert text.splitlines()[1:] == [",".join(expected)] * 2
 
 
 def test_sparse_path_never_imports_numpy(tmp_path):

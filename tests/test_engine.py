@@ -385,7 +385,7 @@ class TestMitmPlan:
 class TestChoose:
     """The one path-and-budget rule, on made-up (bytes, cost) tables."""
 
-    PLANS = {"a": (500, 9.0), "b": (100, 3.0), "c": (-1, 0.0), "d": (200, 5.0)}
+    PLANS = {"a": (500, 9.0), "b": (100, 3.0), "d": (200, 5.0)}
 
     @staticmethod
     def choose(plans, budget, algo="auto"):
@@ -408,13 +408,6 @@ class TestChoose:
         assert self.choose({"b": (100, 3.0), "d": (200, 3.0)}, 1000) == "b"
         assert self.choose({"d": (200, 3.0), "b": (100, 3.0)}, 1000) == "d"
 
-    def test_inapplicable_candidate_is_skipped(self):
-        # c is the cheapest but does not apply.
-        plans = {"c": (-1, 0.0), "a": (500, 9.0)}
-        assert self.choose(plans, 1000) == "a"
-        with self.error(500, 499):
-            self.choose(plans, 499)
-
     def test_explicit_algorithm_is_the_only_candidate(self):
         assert self.choose(self.PLANS, 1000, algo="a") == "a"
         with self.error(500, 400, what=r"x\[a\]"):
@@ -431,6 +424,80 @@ class TestChoose:
         assert self.choose(plans, None) == "b"
         with self.error(budget + 1, budget, what=r"x\[a\]"):
             self.choose(plans, None, algo="a")
+
+
+class TestPlanTable:
+    """``representation`` hands ``choose`` only the rows that can run:
+    mitm always, dense when every set is integer-valued, naive only when
+    it is named."""
+
+    A = gen_interval(5)
+    R = OrderedSet([Fraction(-1, 3), Fraction(1, 2), 2])
+    ALGOS = ["auto", "naive", "mitm", "dense"]
+
+    @staticmethod
+    def spy(monkeypatch, name):
+        """Record the arguments of every call to ``engine.<name>``."""
+        calls = []
+        real = getattr(engine, name)
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(engine, name, spy)
+        return calls
+
+    @pytest.mark.parametrize(
+        "algo, integer, rows",
+        [pytest.param(algo, True, ["mitm", "dense"], id=f"{algo}-integer")
+         for algo in ALGOS]
+        + [pytest.param(algo, False, ["mitm"], id=f"{algo}-rational")
+           for algo in ("auto", "naive", "mitm")],
+    )
+    def test_table_holds_the_rows_that_can_run(self, monkeypatch, algo, integer, rows):
+        tables = self.spy(monkeypatch, "choose")
+        sets = [self.A] * 3 if integer else [self.A, self.R, self.A]
+        representation(sets, signs="+-+", algo=algo)
+        (plans, *_), = tables
+        assert list(plans) == rows + ["naive"] * (algo == "naive")
+        assert all(bytes_ >= 0 for bytes_, *_ in plans.values())
+
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_rational_sets_never_plan_dense(self, monkeypatch, algo):
+        calls = self.spy(monkeypatch, "_plan_dense")
+        for sets in ([self.R, self.R], [self.A, self.R], [self.R]):
+            if algo == "dense":
+                with pytest.raises(
+                    InputError, match="^dense mode requires integer-valued sets$"
+                ):
+                    representation(sets, signs="-" * len(sets), algo=algo)
+            else:
+                representation(sets, signs="-" * len(sets), algo=algo)
+        assert calls == []
+        representation([self.A, self.A], algo=algo)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_naive_is_planned_only_when_named(self, monkeypatch, algo):
+        calls = self.spy(monkeypatch, "_plan_naive")
+        cases = [[self.A] * 3, [self.A, gen_power(4, 2)], [self.A]]
+        if algo != "dense":
+            cases += [[self.R, self.A], [self.R] * 2]
+        for sets in cases:
+            representation(sets, algo=algo)
+        assert len(calls) == (len(cases) if algo == "naive" else 0)
+
+    def test_one_element_chain_takes_mitm(self, monkeypatch):
+        # Mass 1: naive enumerates one tuple, but auto no longer weighs it;
+        # the chain is rational, so mitm is the only row.
+        sets = [OrderedSet([Fraction(j, 3)]) for j in (1, 2, 4, 5, 7)]
+        ran = {name: self.spy(monkeypatch, name) for name in ("_rep_mitm", "_rep_naive")}
+        rep = representation(sets, signs="+-++-")
+        assert ran["_rep_mitm"] and ran["_rep_naive"] == []
+        monkeypatch.undo()
+        assert rep == representation(sets, signs="+-++-", algo="naive")
+        assert dict(rep.items()) == {Fraction(1, 3): 1}
 
 
 class TestEnergy:

@@ -1,22 +1,40 @@
-"""Digest the planner's estimates and choices on seeded random inputs.
+"""Digest the planner's tables and choices on seeded random inputs.
 
-For each input it records the (bytes, cost) estimate of ``_plan_mitm``,
-``_plan_dense`` and ``_plan_naive``, of both ``_plan_support`` tables,
-and the path ``choose`` picks from them (or its ResourceError) under the
-budgets None, 10**4 and 10**6, for ``auto`` and for each algorithm asked
-for by name.  It prints one line: the number of inputs and a digest of
-all of it.  Two trees that print the same line plan alike, so a change
-meant to keep every estimate and choice can be checked against its
-parent:
+For each input, ``engine.representation`` is called under ``auto``,
+``mitm``, ``dense`` and ``naive``, and the support path
+(``engine._support``, for the size and for the elements) once, each
+under the budgets None, 10**4 and 10**6.  ``engine.choose`` is replaced
+by a spy: it records the table the caller hands it and the path it
+picks, or its ResourceError, then stops the call, so nothing runs.  An
+InputError raised before choosing (dense on a rational set) is recorded
+in place of the pick.
 
-    python3 tools/plan_digest.py [N]                          # this tree
-    PYTHONPATH=<other tree>/src python3 tools/plan_digest.py [N]
+It prints one digest per part, then the number of inputs and a digest
+of all parts:
+
+    mitm     the mitm row's (bytes, cost)
+    dense    the dense row's (bytes, cost), on inputs where it can run
+    naive    the naive row's bytes (no choice reads its cost)
+    support  both support tables' rows
+    picks    every pick, ResourceError and InputError
+
+A row with negative bytes cannot run and is left out, so a tree whose
+tables still list such rows compares too; only the first two entries of
+a row are read, so do trees whose rows are bare (bytes, cost) pairs.
+Two trees that print the same lines plan alike, so a change meant to
+keep every estimate and choice can be checked against its parent:
+
+    python3 tools/plan_digest.py [N] [--each]                  # this tree
+    PYTHONPATH=<other tree>/src python3 tools/plan_digest.py [N] [--each]
+
+With ``--each`` it prints instead one line per input, its index and a
+short digest of each part, so that ``diff`` of two trees' outputs names
+the inputs that differ and where.
 
 Inputs have k = 1..9 summands, integer and rational sets of 1..12
 elements, the same set repeated, a few sets alternating (some equal by
 value but distinct objects) or all different, under random signs.  N
-defaults to 20,000.  Only the first two entries of a planner's row are
-read, so trees whose rows are bare (bytes, cost) pairs compare too.
+defaults to 20,000.
 """
 
 from __future__ import annotations
@@ -31,9 +49,11 @@ from pathlib import Path
 sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
 
 from sumsetlab import OrderedSet, engine  # noqa: E402
-from sumsetlab.errors import ResourceError  # noqa: E402
+from sumsetlab.errors import InputError, ResourceError  # noqa: E402
 
 BUDGETS = (None, 10**4, 10**6)
+ALGOS = ("auto", "mitm", "dense", "naive")
+PARTS = ("mitm", "dense", "naive", "support", "picks")
 
 
 def random_set(rng: random.Random) -> OrderedSet:
@@ -63,43 +83,78 @@ def random_input(rng: random.Random) -> tuple[list[OrderedSet], tuple[int, ...]]
     return sets, signs
 
 
-def picked(plans: dict, algo: str, budget: int | None, what: str) -> str:
+class Chosen(Exception):
+    """Raised by the spy on ``choose``: the table it was handed and its
+    answer.  Nothing after the choice runs."""
+
+
+def _spy(real):
+    def choose(plans, algo, mem_budget, what):
+        table = {name: tuple(row[:2]) for name, row in plans.items()}
+        try:
+            pick = real(plans, algo, mem_budget, what)
+        except ResourceError as exc:
+            pick = str(exc)
+        raise Chosen(table, pick)
+
+    return choose
+
+
+def handed(call, *args, **kwargs) -> tuple[dict, str]:
+    """The table ``call`` hands ``choose`` and the pick, or no table and
+    the InputError raised before choosing."""
     try:
-        return engine.choose(plans, algo, budget, what)
-    except ResourceError as exc:
-        return str(exc)
+        call(*args, **kwargs)
+    except Chosen as chosen:
+        return chosen.args
+    except InputError as exc:
+        return {}, f"InputError: {exc}"
+    raise AssertionError("the call did not reach choose")
 
 
-def planned(sets: list[OrderedSet], signs: tuple[int, ...]) -> list[str]:
-    lists, den = engine._signed_ints(sets, signs)
-    plans = {
-        name: plan(lists, den)[:2]
-        for name, plan in (("mitm", engine._plan_mitm), ("dense", engine._plan_dense),
-                           ("naive", engine._plan_naive))
-    }
-    supports = [
-        {name: row[:2] for name, row in engine._plan_support(lists, elements).items()}
-        for elements in (False, True)
-    ]
-    out = [repr(plans), *map(repr, supports)]
+def planned(sets: list[OrderedSet], signs: tuple[int, ...]) -> dict[str, str]:
+    """Each part's text for one input."""
+    rows: dict[str, set] = {name: set() for name in PARTS[:-1]}
+    picks = []
     for budget in BUDGETS:
-        for algo in ("auto", "mitm", "dense", "naive"):
-            # representation refuses dense on a rational set before choosing.
-            if algo == "dense" and plans["dense"][0] < 0:
-                out.append("dense n/a")
-            else:
-                out.append(picked(plans, algo, budget, "representation"))
-        out += [picked(table, "auto", budget, "sumset support") for table in supports]
-    return out
+        for algo in ALGOS:
+            table, pick = handed(
+                engine.representation, sets, signs=signs, algo=algo, mem_budget=budget
+            )
+            picks.append(pick)
+            for name, (bytes_, cost) in table.items():
+                if bytes_ >= 0:
+                    rows[name].add(repr(bytes_ if name == "naive" else (bytes_, cost)))
+        for elements in (False, True):
+            table, pick = handed(engine._support, sets, signs, budget, elements)
+            picks.append(pick)
+            rows["support"].add(repr((elements, table)))
+    parts = {name: "\n".join(sorted(seen)) for name, seen in rows.items()}
+    parts["picks"] = "\n".join(picks)
+    return parts
 
 
 def main() -> int:
-    n = int(sys.argv[1]) if len(sys.argv) > 1 else 20_000
+    args = sys.argv[1:]
+    each = "--each" in args
+    args = [a for a in args if a != "--each"]
+    n = int(args[0]) if args else 20_000
     rng = random.Random(20261018)
-    digest = hashlib.sha256()
-    for _ in range(n):
-        digest.update("\n".join(planned(*random_input(rng))).encode())
-    print(f"{n} inputs {digest.hexdigest()[:16]}")
+    digests = {name: hashlib.sha256() for name in PARTS}
+    engine.choose = _spy(engine.choose)
+    for i in range(n):
+        parts = planned(*random_input(rng))
+        if each:
+            short = (hashlib.sha256(parts[name].encode()).hexdigest()[:8] for name in PARTS)
+            print(i, *short)
+        for name in PARTS:
+            digests[name].update(parts[name].encode() + b"\0")
+    if not each:
+        total = hashlib.sha256()
+        for name in PARTS:
+            print(f"{name:8} {digests[name].hexdigest()[:16]}")
+            total.update(digests[name].digest())
+        print(f"{n} inputs {total.hexdigest()[:16]}")
     return 0
 
 
