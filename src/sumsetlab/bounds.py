@@ -14,6 +14,14 @@ trend is monotone in the bound's direction, and whether the fitted
 log-log slope of Q stays within the predicted exponent (tolerance 0.1,
 pinned).  Measured constants are reported, never asserted against the
 hidden ones.
+
+Each quantity is read from the public engine entry that computes exactly
+it: the T rows and the tails from ``engine.spectrum``, the sumset sizes
+(the card rows) and doubling constants from ``engine.doubling``, the
+size-only support path that never builds the sumset's elements, and the
+cross energy from ``engine.energy_cross``.  So this module builds no
+representation and no sumset, and a new way for the engine to compute a
+quantity reaches every bound without a change here.
 """
 
 from __future__ import annotations
@@ -32,9 +40,8 @@ from .engine import (
     doubling,
     energy_T,
     energy_cross,
-    representation,
-    signed_sumset,
-    spectrum_of,
+    parse_signs,
+    spectrum,
 )
 from .errors import InputError
 from .families import (
@@ -288,22 +295,21 @@ def _measure_row(
     q_kind = bound.quantity
     if q_kind.startswith("T") and q_kind[1:].isdigit():
         k = int(q_kind[1:])
-        sp = spectrum_of(representation([A] * k, algo=algo, mem_budget=mem_budget))
+        sp = spectrum([A] * k, algo=algo, mem_budget=mem_budget)
         q: object = sp.total_T
         extras["xr_constant"] = _xr_constant(sp, n)
     elif _is_card_k(q_kind):
         k = int(q_kind[4:])
         pattern = signs if signs else _alternating(k)
-        q = len(signed_sumset([A] * k, pattern, mem_budget=mem_budget))
+        q = doubling(A, pattern, mem_budget=mem_budget).size
     elif q_kind == "card_diff":
-        q = len(signed_sumset([A, A], "+-", mem_budget=mem_budget))
+        q = doubling(A, "+-", mem_budget=mem_budget).size
     elif q_kind == "card_sum":
-        q = len(signed_sumset([A, A], "++", mem_budget=mem_budget))
+        q = doubling(A, "++", mem_budget=mem_budget).size
     elif q_kind == "E_cross":
         q = energy_cross(A, A, algo=algo, mem_budget=mem_budget)
     elif q_kind == "xr_tail3":
-        rep = representation([A] * 3, algo=algo, mem_budget=mem_budget)
-        sp = spectrum_of(rep)
+        sp = spectrum([A] * 3, algo=algo, mem_budget=mem_budget)
         q = max(size * float(2**j) ** 2.5 for j, size in sp.classes)
     else:
         raise InputError(f"unknown quantity {q_kind!r}")
@@ -353,6 +359,11 @@ def verify_bound(
     ``SLOPE_TOL``.  An ``s`` or ``k`` that the bound does not read is an
     InputError, and so is a row whose quantity or constant leaves the
     float range; ``algo`` goes to every representation.
+
+    ``signs`` (card<k> bounds only; default alternating) is checked once,
+    before any row: it must hold k signs and start with +, else
+    InputError (``expected 4 signs, got 2``, ``sign patterns are
+    normalized to start with +``).
     """
     bound = predicted(bound_id, s=s, k=k)
     entry = _CATALOGUE[bound_id]
@@ -367,8 +378,11 @@ def verify_bound(
     if len(n_grid) < 1:
         raise InputError("empty N grid")
     # Held at once: [A] * k, its sign string, and representation's or the
-    # sumset's signs and two int lists.
+    # support's signs and two int lists.
     check_copies(bound.params.get("k", 2), 5, mem_budget)
+    # doubling reads k from the pattern and takes a leading -.
+    if signs and parse_signs(signs, bound.params["k"])[0] != 1:
+        raise InputError("sign patterns are normalized to start with +")
     rows = []
     for n in sorted(n_grid):
         spec = instantiate(family_template, n, default_seed)
@@ -437,9 +451,7 @@ def heuristic_tail_report(
     for n in sorted(n_grid):
         spec = instantiate(family_template, n, default_seed)
         A = generate(spec)
-        rep = representation(
-            [A] * 4, signs=_TAIL_SIGNS, algo=algo, mem_budget=mem_budget
-        )
+        sp = spectrum([A] * 4, signs=_TAIL_SIGNS, algo=algo, mem_budget=mem_budget)
         e_hat = 0
         for h in (1, 2, 3):
             if h >= len(A):
@@ -447,7 +459,7 @@ def heuristic_tail_report(
             D = delta_h(A, h).as_set()
             e_hat = max(e_hat, energy_T([D, D], algo=algo, mem_budget=mem_budget))
         # |{x : r(x) >= 2**j}| is the size of the classes j and above.
-        sizes = dict(spectrum_of(rep).classes)
+        sizes = dict(sp.classes)
         max_ratio = 0.0
         tail = 0
         for j in range(max(sizes), -1, -1):

@@ -9,9 +9,12 @@ arithmetic.
 ``representation`` reads each set's stored ints over the sets' common
 denominator (``core.common_ints``, which rescales only sets whose
 denominators differ from it), negated and reversed where its sign is
--1.  The planner and three interchangeable algorithms run on those int
-sequences, and the result's ints are handed with that denominator to
-one ``SparseCounts``, which reduces it:
+-1.  Each distinct set object is rescaled and negated once, so the k
+copies of ``[A] * k`` share one tuple per sign; beyond those they hold
+only the references that ``check_copies`` charges.  The planner and three
+interchangeable algorithms run on those int sequences, and the result's
+ints are handed with that denominator to one ``SparseCounts``, which
+reduces it:
 
 * ``naive`` -- enumerate all tuples (the N**k expansion);
 * ``mitm``  -- run the plan tree that ``_mitm_tree`` builds and prices
@@ -167,12 +170,13 @@ def _signed_ints(
 ) -> tuple[list[Sequence[int]], int]:
     """Each set's ints over the sets' common denominator, negated and
     reversed where its sign is -1 (so each stays increasing), and that
-    denominator."""
+    denominator.  Each distinct int sequence is negated once, so that the
+    copies of a repeated set share one tuple."""
     lists, den = common_ints(sets)
-    return [
-        ints if e == 1 else tuple(map(operator.neg, reversed(ints)))
-        for ints, e in zip(lists, eps)
-    ], den
+    negated = {id(ints): ints for ints, e in zip(lists, eps) if e == -1}
+    for key, ints in negated.items():
+        negated[key] = tuple(map(operator.neg, reversed(ints)))
+    return [ints if e == 1 else negated[id(ints)] for ints, e in zip(lists, eps)], den
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +528,8 @@ def energy_cross(
     total = energy_T([A, C], algo=algo, mem_budget=mem_budget)
     stats = _verify_ctx.get()
     if stats is not None:
-        ea = mass_of_squares(representation([A, A], algo=algo, mem_budget=mem_budget))
-        ec = mass_of_squares(representation([C, C], algo=algo, mem_budget=mem_budget))
+        ea = energy_T([A, A], algo=algo, mem_budget=mem_budget)
+        ec = energy_T([C, C], algo=algo, mem_budget=mem_budget)
         if total * total > ea * ec:
             raise VerificationError("Cauchy-Schwarz cross bound violated")
         stats.cauchy_schwarz_checks += 1

@@ -17,14 +17,14 @@ c_i**2 is added at 2*v_i and 2*c_i*c_j at v_i + v_j off the diagonal.
 :func:`self_sum_counts` is r_{jA} of one list A without any convolution.
 Every j-multiset of A is r distinct elements taken m_1, ..., m_r times,
 for a composition m of j, and stands for j!/(m_1! ... m_r!) ordered
-tuples; there are C(|A|+j-1, j) multisets.  The j-subsets (all m_i = 1,
-most of the multisets once |A| is well above j) are one builtin
-``Counter`` over ``itertools.combinations(A, j)``, weighted by j! in
-place.  Every other composition streams the sums over
-``itertools.combinations(A, r)`` into it, one dict update each (an
-``itemgetter`` repeats each element m_i times before the ``sum``).  The
-result is that accumulator, in no order: callers sort it only when they
-read it in order.
+tuples, read from one table of 0!, ..., j! per call; there are
+C(|A|+j-1, j) multisets.  The j-subsets (all m_i = 1, most of the
+multisets once |A| is well above j) are one builtin ``Counter`` over
+``itertools.combinations(A, j)``, weighted by j! in place.  Every other
+composition streams the sums over ``itertools.combinations(A, r)``
+into it, one dict update each (an ``itemgetter`` repeats each element
+m_i times before the ``sum``).  The result is that accumulator, in no
+order: callers sort it only when they read it in order.
 
 The support kernel (:func:`support_size`, :func:`support_values`)
 computes the set A_1 + ... + A_k of signed lists without any counts.
@@ -46,8 +46,8 @@ array instead and does not convolve sparse counts.)
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations, compress, repeat
-from math import factorial, prod
+from itertools import accumulate, combinations, compress, repeat
+from math import prod
 from operator import itemgetter, mul
 from typing import Sequence
 
@@ -104,18 +104,20 @@ def self_sum_counts(values: Sequence[int], j: int) -> Counter:
     is the number of ordered j-tuples of A summing to x.  The Counter is
     returned in no particular order.
     """
+    # 0!, 1!, ..., j!, for every composition's weight.
+    fact = list(accumulate(range(1, j + 1), mul, initial=1))
     # The compositions with j parts are all ones: the j-subsets, each
     # j! tuples.  They are the accumulator, weighted in place (setting a
     # key already present never resizes, so iterating meanwhile is safe).
     acc = Counter(map(sum, combinations(values, j)))
-    dict.update(acc, zip(acc, map(mul, acc.values(), repeat(factorial(j)))))
+    dict.update(acc, zip(acc, map(mul, acc.values(), repeat(fact[j]))))
     # Every other composition repeats some element; its sums stream into
     # the accumulator one by one, so no second dict is built.
     get = acc.get
     for r in range(1, min(j, len(values) + 1)):
         for cuts in combinations(range(1, j), r - 1):
             parts = [b - a for a, b in zip((0, *cuts), (*cuts, j))]
-            weight = factorial(j) // prod(map(factorial, parts))
+            weight = fact[j] // prod(map(fact.__getitem__, parts))
             picks = itemgetter(*[i for i, m in enumerate(parts) for _ in range(m)])
             for x in map(sum, map(picks, combinations(values, r))):
                 acc[x] = get(x, 0) + weight

@@ -300,6 +300,52 @@ class TestVerifyBound:
         assert all(row.ratio > 0 for row in report.rows)
         assert report.slope is None  # not a pure-N integer quantity
 
+    @pytest.mark.parametrize(
+        "bound, s, pattern",
+        [("card_main", 1, "+-"), ("card_main", 2, "+-+-"), ("S66_diff", None, "+-"),
+         ("S66_sum", None, "++"), ("S63_diff", None, "+-"), ("S63_sum", None, "++")],
+    )
+    def test_card_rows_take_the_size_only_support_path(
+        self, monkeypatch, bound, s, pattern
+    ):
+        from sumsetlab import kernels
+
+        decoded = []
+        real = kernels.support_values
+        monkeypatch.setattr(
+            kernels, "support_values", lambda *a: decoded.append(a) or real(*a)
+        )
+        grid = [8, 12, 16]
+        report = verify_bound("power:m=3", bound, grid, s=s)
+        assert decoded == []
+        want = []
+        for n in grid:
+            A, sums = gen_power(n, 3).elements, {0}
+            for sign in pattern:
+                e = 1 if sign == "+" else -1
+                sums = {x + e * a for x in sums for a in A}
+            want.append(len(sums))
+        assert [row.q for row in report.rows] == want
+
+    @pytest.mark.parametrize("bound, k", [("T4_improved", 4), ("tail_14_3", 3),
+                                          ("eq13_tail", 4)])
+    def test_spectrum_rows_read_one_spectrum_per_n(self, monkeypatch, bound, k):
+        from sumsetlab import bounds, engine
+
+        calls = []
+
+        def spy(sets, **kwargs):
+            calls.append(len(sets))
+            return engine.spectrum(sets, **kwargs)
+
+        monkeypatch.setattr(bounds, "spectrum", spy)
+        grid = [8, 12, 16]
+        if bound == "eq13_tail":
+            heuristic_tail_report("power:m=3", grid)
+        else:
+            verify_bound("power:m=3", bound, grid)
+        assert calls == [k] * len(grid)
+
 
 class TestHeuristicTail:
     def test_report_shape(self):
@@ -343,6 +389,6 @@ class TestHeuristicTail:
         def no_work(*args, **kwargs):
             raise AssertionError("work started")
 
-        monkeypatch.setattr(bounds, "representation", no_work)
+        monkeypatch.setattr(bounds, "spectrum", no_work)
         with pytest.raises(InputError, match=r"needs N > 1, got N = [01]$"):
             heuristic_tail_report("interval", grid)

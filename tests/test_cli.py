@@ -557,6 +557,15 @@ class TestVerify:
         code, out, err = _run(capsys, "verify", *argv, "--family", "interval")
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    def test_card_rows_are_budgeted_as_sizes(self, capsys):
+        # The size-only support path fits a budget that the sumset's
+        # elements would not.
+        argv = ("verify", "--bound", "S66_diff", "--family", "power:m=2",
+                "--grid", "8,16,32")
+        want = _run(capsys, *argv)
+        assert want[0] == 0
+        assert _run(capsys, "--mem", "1000", *argv) == want
+
     def test_parameters_the_bound_reads_are_accepted(self, capsys):
         for argv in (["--bound", "T_main", "--s", "1"],
                      ["--bound", "IKRT", "--k", "2"]):
@@ -648,6 +657,12 @@ class TestUserErrors:
              "expected 2 signs, got 3"),
             (["sumset", "--signs=-+", "--k", "2", "--family", "interval:n=3"],
              "sign patterns are normalized to start with +"),
+            (["verify", "--bound", "card_main", "--s", "2", "--signs=-+-+",
+              "--family", "power:m=2", "--grid", "8,16,32"],
+             "sign patterns are normalized to start with +"),
+            (["verify", "--bound", "card_main", "--s", "2", "--signs=+-",
+              "--family", "power:m=2", "--grid", "8,16,32"],
+             "expected 4 signs, got 2"),
             (["lucky", "--r", "2", "--g", "poly:1/0", "--family", "interval:n=3"],
              "bad polynomial coefficients in 'poly:1/0'"),
             # Family parameter guards.
@@ -672,7 +687,8 @@ class TestUserErrors:
         ],
         ids=["k_not_int", "lucky_without_r", "unknown_flag", "grid_negative",
              "energy_k_two_sets", "lucky_two_sets", "no_inputs", "mem_zero",
-             "bad_sign", "sign_count", "sign_not_plus_first", "bad_polynomial",
+             "bad_sign", "sign_count", "sign_not_plus_first",
+             "verify_sign_not_plus_first", "verify_sign_count", "bad_polynomial",
              "interval_n_zero", "power_m_zero", "ap_step_zero", "rsc_s_negative",
              "rsc_gap_zero", "gap_unmatched", "gap_dim_zero", "gap_step_zero",
              "spec_without_value", "interval_n_past_maxsize", "composed_without_f",

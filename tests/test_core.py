@@ -68,6 +68,11 @@ class TestOrderedSet:
     def test_negate(self):
         assert OrderedSet([1, 4, 9]).negate().elements == (-9, -4, -1)
 
+    def test_repr_lists_a_short_set_and_elides_a_long_one(self):
+        assert repr(OrderedSet([Fraction(1, 2), 1, 4])) == "OrderedSet({1/2, 1, 4})"
+        long = OrderedSet(range(1, 10))
+        assert repr(long) == "OrderedSet({1, 2, 3, ... (9 elements)})"
+
 
 class TestConvolve:
     def test_binomial(self):
@@ -163,6 +168,11 @@ class TestSparseCountsValidation:
     def test_non_integer_counts_rejected(self, counts):
         with pytest.raises(InputError, match="^SparseCounts counts must be integers$"):
             SparseCounts([1, 2], counts)
+
+    def test_counts_of_a_kept_dict_read_before_its_values(self):
+        p = SparseCounts({9: 2, 1: 5, 4: 1})
+        assert p.counts == (5, 1, 2)
+        assert p.ints == (1, 4, 9)
 
     def test_integer_scalar_counts_accepted(self):
         p = SparseCounts([1, 2, 3], [np.int64(2), 3, True])

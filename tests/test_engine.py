@@ -500,6 +500,52 @@ class TestPlanTable:
         assert dict(rep.items()) == {Fraction(1, 3): 1}
 
 
+class TestInputConversion:
+    """Each distinct input set is rescaled and negated once, however
+    many copies of it a computation passes down."""
+
+    A = gen_interval(10000)
+    R = OrderedSet([Fraction(1, 3), Fraction(2, 3), 1])
+
+    def test_copies_share_one_negated_tuple(self):
+        lists, den = engine._signed_ints([self.A] * 500, (1, -1) * 250)
+        assert den == 1
+        assert all(ints is self.A.ints for ints in lists[::2])
+        assert all(ints is lists[1] for ints in lists[1::2])
+        assert lists[1] == tuple(-x for x in reversed(self.A.ints))
+
+    def test_equal_distinct_sets_are_each_converted(self):
+        B = gen_interval(10000)
+        lists, _ = engine._signed_ints([self.A, B, self.R], (-1, -1, 1))
+        assert lists[0] == lists[1] and lists[0] is not lists[1]
+
+    @pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, -1)])
+    def test_a_repeated_input_peaks_below_one_mib(self, signs):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            lists, den = engine._signed_ints([self.A, self.R] * 200, signs * 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert den == 3 and len({id(ints) for ints in lists}) == 2
+        assert peak < 2**20
+
+
+class TestSelfSumCounts:
+    def test_factorials_are_computed_once_per_call(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            kernels, "factorial", lambda n: calls.append(n) or math.factorial(n),
+            raising=False,
+        )
+        values, j = [0, 1, 3, 7], 6
+        got = kernels.self_sum_counts(values, j)
+        assert len(calls) <= j + 1
+        assert dict(got) == brute_force_representation([OrderedSet(values)] * j)
+
+
 class TestEnergy:
     def test_k1_is_size(self):
         A = OrderedSet([3, 7, 20])

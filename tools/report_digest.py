@@ -95,6 +95,16 @@ COMMANDS = [
             ("nosuch", []),
         )
     ),
+    # A card row at k = 8, and the sign patterns it refuses.
+    *(
+        ["verify", "--bound", "card_main", "--s", "3", "--family", family, *GRID]
+        for family in (INT_FAMILY, RAT_FAMILY)
+    ),
+    *(
+        ["verify", "--bound", "card_main", "--s", "2", signs,
+         "--family", INT_FAMILY, *GRID]
+        for signs in ("--signs=-+-+", "--signs=+-")
+    ),
     ["energy", "--k", "2", "--family", "power:n=8,m=2", *CSV],
     # Report shapes assembled in cli: the inputs/signs header of energy,
     # spectrum and sumset, the fit and lucky rows, eq13_tail without CSV.
