@@ -267,15 +267,12 @@ def common_ints(
 ) -> tuple[list[Sequence[int]], int]:
     """The ints of each container over their common denominator, and
     that denominator: the lcm D of their dens.  A container whose den is
-    D gives its stored ints; the others are multiplied by D // den, each
-    distinct object once, so that its copies share one tuple."""
-    distinct = {id(c): c for c in containers}
-    den = lcm(*{c.den for c in distinct.values()})
-    ints = {
-        key: c.ints if c.den == den else tuple([x * (den // c.den) for x in c.ints])
-        for key, c in distinct.items()
-    }
-    return [ints[id(c)] for c in containers], den
+    D gives its stored ints; the others are multiplied by D // den."""
+    den = lcm(*{c.den for c in containers})
+    return [
+        c.ints if c.den == den else tuple([x * (den // c.den) for x in c.ints])
+        for c in containers
+    ], den
 
 
 class SparseCounts:

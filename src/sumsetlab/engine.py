@@ -9,9 +9,10 @@ arithmetic.
 ``representation`` reads each set's stored ints over the sets' common
 denominator (``core.common_ints``, which rescales only sets whose
 denominators differ from it), negated and reversed where its sign is
--1.  Each distinct set object is rescaled and negated once, so the k
-copies of ``[A] * k`` share one tuple per sign; beyond those they hold
-only the references that ``check_copies`` charges.  The planner and three
+-1.  The k copies of ``[A] * k`` share A's stored ints, and each
+distinct int sequence is negated once, so they share one tuple per sign;
+beyond those they hold only the references that ``check_copies``
+charges.  The planner and three
 interchangeable algorithms run on those int sequences, and the result's
 ints are handed with that denominator to one ``SparseCounts``, which
 reduces it:

@@ -501,11 +501,10 @@ class TestPlanTable:
 
 
 class TestInputConversion:
-    """Each distinct input set is rescaled and negated once, however
-    many copies of it a computation passes down."""
+    """Each distinct int sequence is negated once, however many copies
+    of it a computation passes down."""
 
     A = gen_interval(10000)
-    R = OrderedSet([Fraction(1, 3), Fraction(2, 3), 1])
 
     def test_copies_share_one_negated_tuple(self):
         lists, den = engine._signed_ints([self.A] * 500, (1, -1) * 250)
@@ -514,9 +513,9 @@ class TestInputConversion:
         assert all(ints is lists[1] for ints in lists[1::2])
         assert lists[1] == tuple(-x for x in reversed(self.A.ints))
 
-    def test_equal_distinct_sets_are_each_converted(self):
+    def test_equal_distinct_sets_are_each_negated(self):
         B = gen_interval(10000)
-        lists, _ = engine._signed_ints([self.A, B, self.R], (-1, -1, 1))
+        lists, _ = engine._signed_ints([self.A, B], (-1, -1))
         assert lists[0] == lists[1] and lists[0] is not lists[1]
 
     @pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, -1)])
@@ -525,25 +524,37 @@ class TestInputConversion:
 
         tracemalloc.start()
         try:
-            lists, den = engine._signed_ints([self.A, self.R] * 200, signs * 200)
+            lists, den = engine._signed_ints([self.A] * 400, signs * 200)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert den == 3 and len({id(ints) for ints in lists}) == 2
+        assert den == 1 and len({id(ints) for ints in lists}) == len(set(signs))
         assert peak < 2**20
 
 
 class TestSelfSumCounts:
-    def test_factorials_are_computed_once_per_call(self, monkeypatch):
+    def test_no_factorial_is_computed_per_composition(self, monkeypatch):
+        # Count math.factorial however the kernel would reach it: through
+        # the math module, or through a name bound in kernels.
         calls = []
-        monkeypatch.setattr(
-            kernels, "factorial", lambda n: calls.append(n) or math.factorial(n),
-            raising=False,
-        )
+        real = math.factorial
+
+        def spy(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(math, "factorial", spy)
+        monkeypatch.setattr(kernels, "factorial", spy, raising=False)
         values, j = [0, 1, 3, 7], 6
         got = kernels.self_sum_counts(values, j)
-        assert len(calls) <= j + 1
+        assert calls == []
+        monkeypatch.undo()
         assert dict(got) == brute_force_representation([OrderedSet(values)] * j)
+
+    def test_large_j_gives_binomial_counts(self):
+        j = 300
+        got = kernels.self_sum_counts([0, 1], j)
+        assert dict(got) == {x: math.comb(j, x) for x in range(j + 1)}
 
 
 class TestEnergy:
