@@ -18,13 +18,14 @@ and set file leaves through ``reporting.emit``.
 
 Exit codes: 0 success, 1 a report with ``passed: false`` (a verify
 flag failed), 2 usage, input or resource errors, each reported on one
-``error:`` line; --format csv on a command without a CSV form is one
-of them, and so is an --out the OS refuses (an empty path, a missing
+``error:`` line.  Two of them are found before any work, with one
+wording for every command: --format csv on a command without a CSV
+form, decided from the subcommand (and verify's --bound) by
+``_has_csv``, and an --out the OS refuses (an empty path, a missing
 directory, a directory, a name that is too long, a symlink into a
-missing directory), found by
-``reporting.check_destination`` before any work, with one wording for
-every command.  So is a closed stdout: one closed at start fails that
-check with ``error: cannot write to stdout: Bad file descriptor``, and
+missing directory), found by ``reporting.check_destination``.  So is a
+closed stdout: one closed at start fails that check with
+``error: cannot write to stdout: Bad file descriptor``, and
 ``main`` turns a pipe whose reader has gone into ``error: cannot write
 to stdout: Broken pipe``.  --out - writes to stdout, for gen too.
 Reports are byte-identical across identical invocations; --timings adds
@@ -169,11 +170,11 @@ def _cmd_spectrum(args) -> tuple[dict, Callable[[], str]]:
 
 def _cmd_sumset(args) -> tuple[dict, None]:
     sets, header = _sets_for_energy(args)
+    if not args.elements:
+        size = engine.sumset_size(sets, header["signs"], mem_budget=args.mem)
+        return {**header, "size": size}, None
     result = engine.signed_sumset(sets, header["signs"], mem_budget=args.mem)
-    payload = {**header, "size": len(result)}
-    if args.elements:
-        payload["elements"] = result
-    return payload, None
+    return {**header, "size": len(result), "elements": result}, None
 
 
 def _cmd_doubling(args) -> tuple[dict, None]:
@@ -387,6 +388,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _has_csv(args: argparse.Namespace) -> bool:
+    """Whether ``--format csv`` can run: spectrum, lucky and verify of a
+    catalogued bound render CSV, and gen ignores the format."""
+    if args.command == "verify":
+        return args.bound != "eq13_tail"
+    return args.command in ("gen", "spectrum", "lucky")
+
+
 def run(argv=None) -> int:
     parser = build_parser()
     try:
@@ -405,8 +414,11 @@ def run(argv=None) -> int:
         # "-" is stdout for every command, gen's set file included.
         if args.out == "-":
             args.out = None
-        # Fail on a destination that cannot be written before any work.
+        # Fail on a destination that cannot be written, or on a format the
+        # report does not have, before any work.
         check_destination(args.out)
+        if args.format == "csv" and not _has_csv(args):
+            raise SumsetLabError(f"{args.command} has no csv format")
         started = time.monotonic()
         report = args.handler(args)
         if report is None:  # gen emitted its set file itself
@@ -417,8 +429,6 @@ def run(argv=None) -> int:
             if args.timings:
                 payload["timing_ms"] = round((time.monotonic() - started) * 1000.0, 3)
             text = render_json(payload)
-        elif csv is None:
-            raise SumsetLabError(f"{args.command} has no csv format")
         else:
             text = csv()
         emit(text, args.out)

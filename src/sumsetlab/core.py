@@ -35,8 +35,9 @@ int sum otherwise.  numpy is imported only in the array branch of
 ``dyadic_classes``, which nothing but a numpy array reaches.
 
 A ``SparseCounts`` built from a dict int -> count (a sparse kernel's
-accumulator, which ``engine.representation`` hands over whole) keeps the
-dict and sorts it into tuples only when one is read.  The order-free
+result, which ``engine.representation`` and :func:`convolve` hand over
+whole) keeps the dict and sorts it into tuples only when one is read:
+it is the one place that sorts a kernel's output.  The order-free
 reductions (``mass_of_squares``, ``moment_sum``, ``dyadic_classes``,
 ``max_count``, and in ``engine`` ``rich_tail`` and
 ``fractional_moment``) read :meth:`SparseCounts.unordered_counts`, so
@@ -485,12 +486,13 @@ def convolve(p: SparseCounts, q: SparseCounts) -> SparseCounts:
     """Exact convolution: entry at v gets sum_u p(u) * q(v - u).
 
     Commutative and associative; total mass multiplies.  The work is
-    :func:`sumsetlab.kernels.convolve_integer` on the operands' ints over
-    their common denominator (:func:`common_ints`).
+    :func:`sumsetlab.kernels.convolve_integer` of the operands' count
+    dicts, keyed by their ints over their common denominator
+    (:func:`common_ints`); the result keeps the kernel's dict.
     """
     (av, bv), den = common_ints([p, q])
-    values, counts = kernels.convolve_integer(av, p.counts, bv, q.counts)
-    return SparseCounts(values, counts, den=den)
+    acc = kernels.convolve_integer(dict(zip(av, p.counts)), dict(zip(bv, q.counts)))
+    return SparseCounts(acc, den=den)
 
 
 def mass_of_squares(p: SparseCounts) -> int:

@@ -17,16 +17,17 @@ interchangeable algorithms run on those int sequences, and the result's
 ints are handed with that denominator to one ``SparseCounts``, which
 reduces it:
 
-* ``naive`` -- enumerate all tuples (the N**k expansion);
+* ``naive`` -- enumerate all tuples (the N**k expansion) into one
+  ``Counter``;
 * ``mitm``  -- run the plan tree that ``_mitm_tree`` builds and prices
-  in one recursion.  Each node is a leaf, a join of its two halves
-  (``kernels.convolve_integer`` of their (values, counts) lists), or, for
-  j copies of one list (``[A] * k`` under one sign), one
-  ``kernels.self_sum_counts`` over the j-multisets of the list wherever
-  that is estimated cheaper than splitting it; either way such a node is
-  estimated at no more entries than there are j-multisets.  Equal halves
-  share one node, which ``_rep_mitm`` computes once: it only executes
-  the plan and prices nothing;
+  in one recursion.  Each node is a count dict {int: count}: a leaf
+  (each int once), a join of its two halves (``kernels.convolve_integer``
+  of their dicts), or, for j copies of one list (``[A] * k`` under one
+  sign), one ``kernels.self_sum_counts`` over the j-multisets of the list
+  wherever that is estimated cheaper than splitting it; either way such
+  a node is estimated at no more entries than there are j-multisets.
+  Equal halves share one node, which ``_rep_mitm`` computes once: it only
+  executes the plan and prices nothing;
 * ``dense`` -- one fold over a numpy count array keyed by value offset;
   integer-valued sets only.  Each step adds one shifted copy of the
   counts per value of the next set, so every count and partial sum of
@@ -40,10 +41,11 @@ reduces it:
 
 Every budgeted path is one row, ``(bytes, cost, run)``, from a
 ``_plan_*`` function: its estimate, made before anything is allocated,
-and the zero-argument call that executes the path.  A table holds only
-the rows that can run: ``representation`` lists mitm always, dense when
-every set is integer-valued, and naive only when it is asked for by
-name.  One rule picks the row, in ``choose``, which reads only the
+and the zero-argument call that executes the path and returns the
+result's (values, counts) as ``SparseCounts`` takes them.  A table
+holds only the rows that can run: ``representation`` lists mitm always,
+dense when every set is integer-valued, and naive only when it is asked
+for by name.  One rule picks the row, in ``choose``, which reads only the
 estimates: ``auto`` takes the cheapest candidate whose bytes fit the
 memory budget (default 4 GiB), ties going to the candidate listed
 first, an explicit algorithm is the only candidate, and ResourceError
@@ -57,14 +59,14 @@ agree exactly and are cross-checked in the test suite.  Every result's
 mass is checked against the product of the set sizes, in every run
 (VerificationError).
 
-A sparse kernel that returns its ``Counter`` (``naive``, and the
-multiset node of ``mitm`` at the root) hands it to ``SparseCounts``
-whole: it is sorted only when read in order.  The order-free reductions
+The sparse algorithms (``naive`` and ``mitm``) hand the count dict of
+their result to ``SparseCounts`` whole, as its values with no counts:
+it is sorted only when read in order.  The order-free reductions
 (``energy_of``, ``moment``, ``spectrum_of``, ``rich_tail``,
-``fractional_moment``) read its counts unsorted, so ``energy`` of
-``[A] * k`` never sorts r_{kA}.  Neither ``representation`` nor the
-support path builds a Fraction: a rational result's values are built
-only when a caller reads them.
+``fractional_moment``) read its counts unsorted, so ``energy`` never
+sorts a sparse r_{kA}, whether its root is a multiset node or a join.
+Neither ``representation`` nor the support path builds a Fraction: a
+rational result's values are built only when a caller reads them.
 
 ``spectrum_of`` reduces an array-backed result without building its
 tuples: its bit classes (``SparseCounts.dyadic_classes``) and sum of
@@ -76,11 +78,12 @@ dyadic class, picked from the bit classes of r_{A-A}.  The energy
 E(A) = sum r_{A-A}(d)**2 and the popular-class bound
 (``check_popular_bound``) are both read from one r_{A-A}.
 
-Sumsets and their sizes (``signed_sumset``, ``doubling``) need no
-counts and take no algorithm: they come from the support kernel
-(``kernels.support_size`` / ``support_values``) on the same signed
-ints, down its int-set fold or its bitset path: the ``_plan_support``
-row that ``choose`` picks; a sumset is the kernel's ints with their
+Sumsets and their sizes (``signed_sumset``, ``sumset_size``,
+``doubling``) need no counts and take no algorithm: they come from the
+support kernel (``kernels.support_size`` / ``support_values``) on the
+same signed ints, down its int-set fold or its bitset path: the
+``_plan_support`` row that ``choose`` picks.  A size is counted without
+building any element; a sumset is the kernel's ints with their
 denominator in one ``OrderedSet``.  The tests cross-check it against
 the support of ``representation``.
 
@@ -98,7 +101,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Iterator, Sequence, Union
+from typing import Any, Callable, Iterator, Sequence, Union
 
 from . import kernels
 from .core import (
@@ -293,7 +296,7 @@ def _mitm_tree(lists: Sequence[Sequence[int]], den: int) -> _MitmNode:
 
 def _plan_mitm(lists: Sequence[Sequence[int]], den: int) -> Row:
     plan = _mitm_tree(lists, den)
-    return plan.bytes, plan.cost, lambda: _rep_mitm(lists, plan)
+    return plan.bytes, plan.cost, lambda: (_rep_mitm(lists, plan), None)
 
 
 def _span(lists: Sequence[Sequence[int]]) -> int:
@@ -303,7 +306,7 @@ def _span(lists: Sequence[Sequence[int]]) -> int:
 def _plan_naive(lists: Sequence[Sequence[int]], den: int) -> Row:
     mass = math.prod(map(len, lists))
     out = min(mass, _span(lists)) if den == 1 else mass
-    return out * DICT_ENTRY_BYTES, mass, lambda: _rep_naive(lists)
+    return out * DICT_ENTRY_BYTES, mass, lambda: (_rep_naive(lists), None)
 
 
 def _plan_dense(lists: Sequence[Sequence[int]]) -> Row:
@@ -383,29 +386,26 @@ def check_copies(k: int, lists: int, mem_budget: int | None) -> None:
 # The three representation algorithms.
 
 
-# Each returns (values, counts) of the result: two sorted sequences, or a
-# kernel's Counter in no order with its values() view.
+# The sparse algorithms return the result's count dict {int: count}, in
+# no order; dense returns its sorted values and counts.
 
 
-def _rep_naive(lists: Sequence[Sequence[int]]) -> tuple[Counter, Iterable[int]]:
-    acc = Counter(map(sum, itertools.product(*lists)))
-    return acc, acc.values()
+def _rep_naive(lists: Sequence[Sequence[int]]) -> Counter:
+    return Counter(map(sum, itertools.product(*lists)))
 
 
-def _rep_mitm(
-    lists: Sequence[Sequence[int]], plan: _MitmNode
-) -> tuple[Iterable[int], Iterable[int]]:
+def _rep_mitm(lists: Sequence[Sequence[int]], plan: _MitmNode) -> dict:
     """Run the mitm plan of ``lists`` (``_mitm_tree``) as it stands."""
     if plan.halves:
         left, right = plan.halves
         a = _rep_mitm(lists[: left.k], left)
-        # A shared half is computed once; the kernel then walks pairs i <= j.
+        # A shared half is computed once; the kernel walks the pairs i <= j
+        # of any two equal operands.
         b = a if right is left else _rep_mitm(lists[left.k :], right)
-        return kernels.convolve_integer(*a, *b)
+        return kernels.convolve_integer(a, b)
     if plan.k == 1:
-        return lists[0], [1] * len(lists[0])
-    acc = kernels.self_sum_counts(lists[0], plan.k)
-    return acc, acc.values()
+        return dict.fromkeys(lists[0], 1)
+    return kernels.self_sum_counts(lists[0], plan.k)
 
 
 def _rep_dense(lists: Sequence[Sequence[int]]) -> tuple[Sequence[int], Sequence[int]]:
@@ -474,9 +474,6 @@ def representation(
     if algo == "naive":
         plans["naive"] = _plan_naive(lists, den)
     values, counts = plans[choose(plans, algo, mem_budget, "representation")][2]()
-    if isinstance(values, dict):
-        # A kernel's Counter: kept whole, sorted only when read in order.
-        counts = None
     rep = SparseCounts(values, counts, den=den)
     mass = math.prod(map(len, lists))
     if rep.mass != mass:
@@ -633,16 +630,30 @@ def _support(
     return OrderedSet(out, den=den) if elements else out
 
 
-def signed_sumset(
-    sets: Sequence[OrderedSet], signs: Signs, *, mem_budget: int | None = None
-) -> OrderedSet:
-    """The set {e_1 a_1 + ... + e_k a_k}; first sign must be +1."""
+def _sumset_signs(sets: Sequence[OrderedSet], signs: Signs) -> tuple[int, ...]:
+    """The sign tuple of a signed sumset of ``sets``: at least one set,
+    one sign each, the first +1."""
     if not sets:
         raise InputError("need at least one set")
     eps = parse_signs(signs, len(sets))
     if eps[0] != 1:
         raise InputError("sign patterns are normalized to start with +")
-    return _support(sets, eps, mem_budget, elements=True)
+    return eps
+
+
+def signed_sumset(
+    sets: Sequence[OrderedSet], signs: Signs, *, mem_budget: int | None = None
+) -> OrderedSet:
+    """The set {e_1 a_1 + ... + e_k a_k}; first sign must be +1."""
+    return _support(sets, _sumset_signs(sets, signs), mem_budget, elements=True)
+
+
+def sumset_size(
+    sets: Sequence[OrderedSet], signs: Signs, *, mem_budget: int | None = None
+) -> int:
+    """|{e_1 a_1 + ... + e_k a_k}|, as :func:`signed_sumset` checks it,
+    from the size-only support path: no element is built."""
+    return _support(sets, _sumset_signs(sets, signs), mem_budget, elements=False)
 
 
 @dataclass(frozen=True)

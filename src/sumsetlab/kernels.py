@@ -1,18 +1,20 @@
 """The exact kernels: sparse convolution and sumset support.
 
-Every kernel works on plain sequences of ints: the ints of
-``OrderedSet`` and ``SparseCounts`` over one common denominator
-(``core.common_ints``), negated and reversed where a set's sign is -1.
-Scaling by a positive denominator keeps the order, so a kernel's
-output ints are the scaled results; its caller hands them, with that
-denominator, straight to one container.
+Every kernel works on the ints of ``OrderedSet`` and ``SparseCounts``
+over one common denominator (``core.common_ints``), negated and
+reversed where a set's sign is -1.  Scaling by a positive denominator
+keeps the order, so a kernel's output ints are the scaled results; its
+caller hands them, with that denominator, straight to one container.
+The sparse kernels take and return count dicts {int: count} in no
+order: ``SparseCounts`` keeps such a dict and sorts it only when a
+caller reads it in order.
 
 :func:`convolve_integer` is the one convolution loop: a dict
 accumulation over pairs of entries, in arbitrary precision, so no value
 or count can overflow.  When both operands are equal (compared by
-value, so ``[-A, -A]`` qualifies too; a ``Counter`` and its ``values()``
-view only as the same objects), only the pairs i <= j are walked:
-c_i**2 is added at 2*v_i and 2*c_i*c_j at v_i + v_j off the diagonal.
+value, so the two halves of ``[A, -A, -A, A]`` qualify though they are
+computed apart), only the pairs i <= j are walked: c_i**2 is added at
+2*v_i and 2*c_i*c_j at v_i + v_j off the diagonal.
 
 :func:`self_sum_counts` is r_{jA} of one list A without any convolution.
 Every j-multiset of A is r distinct elements taken m_1, ..., m_r times,
@@ -23,8 +25,7 @@ multisets once |A| is well above j) are one builtin ``Counter`` over
 ``itertools.combinations(A, j)``, weighted by j! in place.  Every other
 composition streams the sums over ``itertools.combinations(A, r)``
 into it, one dict update each (an ``itemgetter`` repeats each element
-m_i times before the ``sum``).  The result is that accumulator, in no
-order: callers sort it only when they read it in order.
+m_i times before the ``sum``).  The result is that accumulator.
 
 The support kernel (:func:`support_size`, :func:`support_values`)
 computes the set A_1 + ... + A_k of signed lists without any counts.
@@ -56,24 +57,18 @@ from typing import Sequence
 # Sparse convolution.
 
 
-def convolve_integer(
-    av: Sequence[int],
-    ac: Sequence[int],
-    bv: Sequence[int],
-    bc: Sequence[int],
-) -> tuple[list[int], list[int]]:
-    """Convolve two sparse count sequences of integer values.
+def convolve_integer(a: dict, b: dict) -> dict:
+    """Convolve two sparse count dicts {value: count} of integer values.
 
-    ``av``/``bv`` are the values, ``ac``/``bc`` their counts.
-    Returns the sorted output values and their counts: the entry at x is
-    the sum of ``ac[i] * bc[j]`` over ``av[i] + bv[j] == x``.
+    Returns the dict, in no order, whose count at x is the sum of
+    ``a[v] * b[w]`` over ``v + w == x``.
     """
     acc: dict = {}
-    if av == bv and ac == bc:
+    if a == b:
         # Each unordered pair once: entry i meets the entries before it
         # (twice the product), then itself (the square).
         seen: list = []
-        for v, c in zip(av, ac):
+        for v, c in a.items():
             c2 = c + c
             for w, d in seen:
                 key = v + w
@@ -88,15 +83,14 @@ def convolve_integer(
                 acc[key] = c * c
             seen.append((v, c))
     else:
-        for v, c in zip(av, ac):
-            for w, d in zip(bv, bc):
+        for v, c in a.items():
+            for w, d in b.items():
                 key = v + w
                 if key in acc:
                     acc[key] += c * d
                 else:
                     acc[key] = c * d
-    values = sorted(acc)
-    return values, list(map(acc.__getitem__, values))
+    return acc
 
 
 def self_sum_counts(values: Sequence[int], j: int) -> Counter:

@@ -137,6 +137,24 @@ class TestEnergy:
         assert code == 0
         assert json.loads(out)["T"] == "19"
 
+    def test_commuted_join_root_writes_the_dense_bytes(self, monkeypatch, capsys):
+        # Under +--+ the mitm root joins r_{A-A} with r_{-A+A}: two equal
+        # dicts computed apart, which the kernel joins as equal operands.
+        argv = ["energy", "--k", "4", "--signs", "+--+",
+                "--family", "rsc:n=24,s=3,seed=1,gap=64"]
+        real, joins = kernels.convolve_integer, []
+        monkeypatch.setattr(
+            kernels, "convolve_integer", lambda *a: joins.append(a) or real(*a)
+        )
+        code, out, err = _run(capsys, "--algo", "mitm", *argv)
+        monkeypatch.undo()
+        assert len(joins) == 3
+        left, right = joins[-1]
+        assert left == right and left is not right
+        dense = _run(capsys, "--algo", "dense", *argv)
+        assert out.count('"algo": "mitm"') == 1
+        assert (code, out.replace('"algo": "mitm"', '"algo": "dense"'), err) == dense
+
     def test_budget_exceeded_exits_2(self, capsys):
         code, _, err = _run(
             capsys,
@@ -238,6 +256,31 @@ class TestSumsetDoubling:
         )
         assert code == 0
         assert json.loads(out)["size"] == "17"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--k", "4", "--signs", "+-+-", "--family", "rsc:n=24,s=2,seed=0,gap=8"],
+            ["--k", "2", "--family", "power:n=10,m=8"],
+            ["--family", "power:n=10,m=2",
+             "--family", "composed:f=poly:0,1/2,inner=power:n=8,m=2"],
+        ],
+        ids=["bitset", "fold", "rational_pair"],
+    )
+    def test_size_without_elements_builds_no_element(self, monkeypatch, capsys,
+                                                     argv):
+        # The size-only support path: nothing decodes or sorts the sums.
+        real, decoded = kernels.support_values, []
+        monkeypatch.setattr(
+            kernels, "support_values", lambda *a: decoded.append(a) or real(*a)
+        )
+        code, out, err = _run(capsys, "sumset", *argv)
+        assert (code, err, decoded) == (0, "", [])
+        monkeypatch.undo()
+        _, full, _ = _run(capsys, "sumset", "--elements", *argv)
+        report, elements = json.loads(out), json.loads(full)
+        assert report["size"] == elements["size"] == str(len(elements["elements"]))
+        assert report == {k: v for k, v in elements.items() if k != "elements"}
 
     def test_doubling(self, capsys):
         code, out, _ = _run(
@@ -346,7 +389,11 @@ class TestPlannedRows:
              "representation: estimated 16777168 bytes exceeds budget 1000"),
             (["--algo", "mitm", "--mem", "1000", "energy", "--k", "3", *CUBES], [],
              "representation[mitm]: estimated 5491200 bytes exceeds budget 1000"),
+            # The size path's least estimate is its bitset; the elements
+            # add two bytes per bit of span and one entry per sum.
             (["--mem", "1000", "sumset", "--k", "3", *CUBES], [],
+             "sumset support: estimated 98303 bytes exceeds budget 1000"),
+            (["--mem", "1000", "sumset", "--k", "3", "--elements", *CUBES], [],
              "sumset support: estimated 31457280 bytes exceeds budget 1000"),
             # The census representation and the partition's triple sumset
             # fit; the census table does not.
@@ -359,8 +406,8 @@ class TestPlannedRows:
              ["bitset"], ""),
         ],
         ids=["naive", "mitm", "dense", "dense_rational", "mem_auto", "mem_mitm",
-             "mem_support", "mem_census_table", "elements_fold",
-             "elements_bitset"],
+             "mem_support", "mem_support_elements", "mem_census_table",
+             "elements_fold", "elements_bitset"],
     )
     def test_digested_command_runs_its_row(self, monkeypatch, capsys, argv, rows,
                                            error):
@@ -750,6 +797,23 @@ class TestUserErrors:
         code, out, err = _run(capsys, "--format", "csv", "--out", str(path), *argv)
         assert (code, out, err) == (2, "", f"error: {argv[0]} has no csv format\n")
         assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["energy", "--k", "4", "--family", "rsc:n=38,s=3,seed=0,gap=64"],
+            ["analyze", "--family", "interval:n=5"],
+            ["verify", "--bound", "eq13_tail", "--family", "power:m=3",
+             "--grid", "8,16"],
+        ],
+        ids=["energy", "analyze", "verify_tail"],
+    )
+    def test_csv_error_comes_before_any_work(self, monkeypatch, capsys, argv):
+        calls = []
+        monkeypatch.setattr(engine, "representation", lambda *a, **k: calls.append(a))
+        code, out, err = _run(capsys, "--format", "csv", *argv)
+        assert (code, out, err) == (2, "", f"error: {argv[0]} has no csv format\n")
+        assert calls == []
 
     def test_message_names_the_path(self, tmp_path, capsys):
         path = str(tmp_path / "missing.set")

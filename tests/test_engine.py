@@ -151,24 +151,18 @@ class TestRepresentation:
 
     @pytest.mark.parametrize("kernel", ["self_sum_counts", "convolve_integer"])
     def test_mass_is_checked_outside_verification(self, monkeypatch, kernel):
-        # The kernel loses one entry; representation raises in a normal
-        # run, without verification().
+        # The kernel's count dict loses one entry; representation raises
+        # in a normal run, without verification().
         real = getattr(kernels, kernel)
         calls = []
 
-        def drop_first_sum(values, j):
+        def drop_first_entry(*args):
             calls.append(kernel)
-            acc = real(values, j)
+            acc = real(*args)
             del acc[next(iter(acc))]
             return acc
 
-        def drop_first_entry(*args):
-            calls.append(kernel)
-            values, counts = real(*args)
-            return values[1:], counts[1:]
-
-        fake = drop_first_sum if kernel == "self_sum_counts" else drop_first_entry
-        monkeypatch.setattr(kernels, kernel, fake)
+        monkeypatch.setattr(kernels, kernel, drop_first_entry)
         A = gen_random_s_convex(12, 3, 1, 64)
         sets = [A] * 4 if kernel == "self_sum_counts" else [A, gen_power(9, 2)]
         with pytest.raises(VerificationError, match="representation mass"):
@@ -288,8 +282,9 @@ class TestPlanner:
 
 class TestMitmPlan:
     """``mitm`` runs the tree ``_plan_mitm`` priced, built once per call:
-    one kernel call per node, and a half shared by both sides of a join
-    computed once and passed to the join as the same objects."""
+    one kernel call per node, each on count dicts, and a half shared by
+    both sides of a join computed once and passed to the join as the same
+    dict."""
 
     @staticmethod
     def kernel_calls(monkeypatch, sets, signs=None, algo="mitm"):
@@ -311,12 +306,13 @@ class TestMitmPlan:
 
     @staticmethod
     def leaf(A):
-        """A leaf's (values, counts), as lists."""
-        return [list(A.ints), [1] * len(A)]
+        """A leaf's count dict: each int once."""
+        return dict.fromkeys(A.ints, 1)
 
     @staticmethod
     def joins_itself(args):
-        return args[0] is args[2] and args[1] is args[3]
+        """Both operands of a join are equal count dicts."""
+        return args[0] == args[1]
 
     def test_multiset_root_is_one_kernel_call(self, monkeypatch):
         A = gen_random_s_convex(38, 3, 0, 64)
@@ -331,31 +327,53 @@ class TestMitmPlan:
         assert n1 == n2 == "convolve_integer"
         # [I, I] joins the leaf I with itself; the root joins that result,
         # computed once, with itself.
-        assert self.joins_itself(a1) and list(map(list, a1[:2])) == self.leaf(I)
-        assert self.joins_itself(a2) and a2[0] is r1[0] and a2[1] is r1[1]
+        assert self.joins_itself(a1) and a1[0] == self.leaf(I)
+        assert self.joins_itself(a2) and a2[0] is a2[1] is r1
 
     def test_equal_halves_of_distinct_sets_are_shared(self, monkeypatch):
         A, B = gen_power(9, 2), gen_interval(7)
         (n1, a1, r1), (n2, a2, _) = self.kernel_calls(monkeypatch, [A, B, A, B])
         assert n1 == n2 == "convolve_integer"
-        assert list(map(list, a1)) == [*self.leaf(A), *self.leaf(B)]
-        assert self.joins_itself(a2) and a2[0] is r1[0] and a2[1] is r1[1]
+        assert a1 == (self.leaf(A), self.leaf(B))
+        assert self.joins_itself(a2) and a2[0] is a2[1] is r1
 
     def test_unequal_halves_are_joined_in_order(self, monkeypatch):
         A, B, C = gen_power(9, 2), gen_interval(7), OrderedSet([-5, 0, 3])
         (n1, a1, r1), (n2, a2, _) = self.kernel_calls(monkeypatch, [A, B, C])
         assert n1 == n2 == "convolve_integer"
-        assert list(map(list, a1)) == [*self.leaf(A), *self.leaf(B)]
-        assert a2[0] is r1[0] and a2[1] is r1[1]
-        assert list(map(list, a2[2:])) == self.leaf(C)
+        assert a1 == (self.leaf(A), self.leaf(B))
+        assert a2[0] is r1 and a2[1] == self.leaf(C)
 
     def test_rational_difference_is_one_join(self, monkeypatch):
         # Over the common denominator 6: A is 2, 3, 12 and -A is -12, -3, -2.
         A = OrderedSet([Fraction(1, 3), Fraction(1, 2), 2])
         calls = self.kernel_calls(monkeypatch, [A, A], signs="+-", algo="auto")
-        assert [(name, list(map(list, args))) for name, args, _ in calls] == [
-            ("convolve_integer", [[2, 3, 12], [1, 1, 1], [-12, -3, -2], [1, 1, 1]])
+        assert [(name, args) for name, args, _ in calls] == [
+            ("convolve_integer", ({2: 1, 3: 1, 12: 1}, {-12: 1, -3: 1, -2: 1}))
         ]
+
+    @pytest.mark.parametrize("read", ["ints", "counts"])
+    def test_join_root_keeps_the_kernel_dict(self, monkeypatch, read):
+        # The root's dict is handed to SparseCounts unsorted; the reductions
+        # read it as it is, and only an ordered read sorts it.
+        sets = [gen_interval(100)] * 4
+        roots = []
+        real = kernels.convolve_integer
+
+        def spy(*args):
+            roots.append(real(*args))
+            return roots[-1]
+
+        monkeypatch.setattr(kernels, "convolve_integer", spy)
+        rep = representation(sets, algo="mitm")
+        assert rep._mapping is roots[-1]
+        assert (rep._ints, rep._counts) == (None, None)
+        assert spectrum_of(rep) == spectrum_of(representation(sets, algo="dense"))
+        assert rep._mapping is roots[-1]
+        getattr(rep, read)
+        assert rep._mapping is None
+        assert rep.ints == tuple(range(4, 401))
+        assert rep.counts == _interval_counts(100, 4)
 
     @pytest.mark.parametrize(
         "A, k, nodes",

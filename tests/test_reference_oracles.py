@@ -334,12 +334,15 @@ def test_self_convolution_matches_loop(a):
 @settings(max_examples=100, deadline=None)
 def test_integer_self_convolution_matches_loop(a):
     av, ac = split(a)
-    want = oracle_convolve(av, ac, av, ac)
-    assert kernels.convolve_integer(av, ac, av, ac) == want
-    assert kernels.convolve_integer(av, ac, list(av), list(ac)) == want
-    other = ac[:-1] + [ac[-1] + 1]
-    assert kernels.convolve_integer(av, ac, av, other) == oracle_convolve(
-        av, ac, av, other
+    want = dict(zip(*oracle_convolve(av, ac, av, ac)))
+    assert kernels.convolve_integer(a, a) == want
+    # Equal by value: a copy, and the same entries inserted in reverse.
+    assert kernels.convolve_integer(a, dict(a)) == want
+    assert kernels.convolve_integer(a, dict(reversed(a.items()))) == want
+    # Equal values with another last count are not a self-convolution.
+    other = {**a, av[-1]: ac[-1] + 1}
+    assert kernels.convolve_integer(a, other) == dict(
+        zip(*oracle_convolve(av, ac, av, [*ac[:-1], ac[-1] + 1]))
     )
 
 

@@ -135,6 +135,24 @@ COMMANDS = [
      "--family", "interval:n=10"],
     ["sumset", "--k", "2", "--elements", "--family", "power:n=10,m=8"],
     ["sumset", "--k", "3", "--elements", "--family", "interval:n=40"],
+    # mitm roots that join two halves: one shared node under +-+-, two
+    # equal dicts computed apart under +--+.
+    *(
+        ["--algo", "mitm", "energy", "--k", "4", "--signs", signs,
+         "--family", "rsc:n=24,s=3,seed=1,gap=64"]
+        for signs in ("+-+-", "+--+")
+    ),
+    # Sumset sizes of distinct sets, down the bitset, the fold, and the
+    # bitset with a rational set.
+    ["sumset", "--family", "interval:n=40", "--family", "rsc:n=30,s=1,seed=2,gap=4",
+     "--family", "power:n=12,m=2"],
+    ["sumset", "--signs", "+-", "--family", "power:n=10,m=8",
+     "--family", "power:n=9,m=7"],
+    ["sumset", "--signs", "+-+", "--family", "rsc:n=20,s=2,seed=1,gap=64",
+     "--family", "interval:n=30", "--family", RAT_SET],
+    # --format csv on commands without a CSV form.
+    ["--format", "csv", "energy", "--k", "4", "--family", "rsc:n=38,s=3,seed=0,gap=64"],
+    ["--format", "csv", "analyze", "--family", "rsc:n=24,s=2,seed=3,gap=8"],
 ]
 
 
