@@ -136,7 +136,11 @@ _COMPILED_OP = Fraction(1, 50)
 # rsc sets, s = 1, 2, 3, N = 12..48, j = 2..5): the kernel's time per
 # multiset over the split tree's time per unit of its estimated cost
 # gave a median of 2.44, quartiles 1.75 and 3.42 (lowest at odd j, whose
-# last join is no squaring).
+# last join is no squaring).  Re-run for the streamed kernel (the split
+# tree as planned below the root; 147 points, leaving out those past 10**6
+# multisets or 3 * 10**6 units of split cost): median 2.33, quartiles 1.34
+# and 3.96, against 3.43, 1.94 and 4.01 for the kernel before it on the
+# same points.  The constant is left for the planner refit.
 _MULTISET_ITEM = Fraction(12, 5)
 
 # Sumset support (_plan_support): the bitset path is taken when the bits

@@ -18,14 +18,25 @@ computed apart), only the pairs i <= j are walked: c_i**2 is added at
 
 :func:`self_sum_counts` is r_{jA} of one list A without any convolution.
 Every j-multiset of A is r distinct elements taken m_1, ..., m_r times,
-for a composition m of j, and stands for j!/(m_1! ... m_r!) ordered
-tuples, read from one table of 0!, ..., j! per call; there are
-C(|A|+j-1, j) multisets.  The j-subsets (all m_i = 1, most of the
-multisets once |A| is well above j) are one builtin ``Counter`` over
-``itertools.combinations(A, j)``, weighted by j! in place.  Every other
-composition streams the sums over ``itertools.combinations(A, r)``
-into it, one dict update each (an ``itemgetter`` repeats each element
-m_i times before the ``sum``).  The result is that accumulator.
+for a composition m of j, and stands for the multinomial j!/(m_1! ...
+m_r!) of ordered tuples, the product of the binomials C(m_t + ... + m_r,
+m_t), so no factorial is computed; there are C(|A|+j-1, j) multisets.
+The compositions are walked depth first from their last part.  The sums
+of the parts placed so far, over their increasing index tuples, are kept
+in one list whose least index falls, so that those past an index p are
+a prefix of it.  The next part m goes on each p before that prefix: one
+add of m*A[p] per sum, streamed by ``map`` and ``chain`` with no Python
+bytecode per sum.  A list is kept only while it holds at most an eighth
+of the entries the result can hold (its multisets, or the span of jA
+where that is smaller), so that the kept lists stay a small share of
+the bytes the plan charges for the result; past that, the remaining
+parts of each composition are summed whole on their index tuples, and
+each such sum is added to the kept list's prefix past its last index.  Where all of A is used, the last part lies on
+index 0 and meets one tuple, which is set directly.  Every other
+composition is merged into one accumulator, a ``Counter``, in one
+``dict.update`` over its sums paired with their new counts
+(``itertools.tee``), each key read just before it is set.  The result is
+that accumulator.
 
 The support kernel (:func:`support_size`, :func:`support_values`)
 computes the set A_1 + ... + A_k of signed lists without any counts.
@@ -47,10 +58,10 @@ array instead and does not convolve sparse counts.)
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate, combinations, compress, repeat
-from math import prod
-from operator import itemgetter, mul
-from typing import Sequence
+from itertools import chain, combinations, compress, repeat, tee
+from math import comb
+from operator import add, mul
+from typing import Iterator, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -94,28 +105,76 @@ def convolve_integer(a: dict, b: dict) -> dict:
 
 
 def self_sum_counts(values: Sequence[int], j: int) -> Counter:
-    """r_{jA} of the distinct ints A = ``values``, j >= 1: the count at x
-    is the number of ordered j-tuples of A summing to x.  The Counter is
-    returned in no particular order.
+    """r_{jA} of the distinct ints A = ``values``, |A| >= 1 and j >= 1: the
+    count at x is the number of ordered j-tuples of A summing to x.  The
+    Counter is returned in no particular order.
     """
-    # 0!, 1!, ..., j!, for every composition's weight.
-    fact = list(accumulate(range(1, j + 1), mul, initial=1))
-    # The compositions with j parts are all ones: the j-subsets, each
-    # j! tuples.  They are the accumulator, weighted in place (setting a
-    # key already present never resizes, so iterating meanwhile is safe).
-    acc = Counter(map(sum, combinations(values, j)))
-    dict.update(acc, zip(acc, map(mul, acc.values(), repeat(fact[j]))))
-    # Every other composition repeats some element; its sums stream into
-    # the accumulator one by one, so no second dict is built.
-    get = acc.get
-    for r in range(1, min(j, len(values) + 1)):
-        for cuts in combinations(range(1, j), r - 1):
-            parts = [b - a for a, b in zip((0, *cuts), (*cuts, j))]
-            weight = fact[j] // prod(map(fact.__getitem__, parts))
-            picks = itemgetter(*[i for i, m in enumerate(parts) for _ in range(m)])
-            for x in map(sum, map(picks, combinations(values, r))):
-                acc[x] = get(x, 0) + weight
-    return acc
+    walk = _Compositions(values, j)
+    walk.place([0], 0, (), 0, 1)
+    return walk.acc
+
+
+class _Compositions:
+    """The depth-first walk of :func:`self_sum_counts` over the
+    compositions of j, each merged into ``acc``.  It recurses through
+    ``self``, not through a closure that refers to itself, so that no
+    reference cycle holds ``acc`` once the caller drops it."""
+
+    def __init__(self, values: Sequence[int], j: int) -> None:
+        self.values, self.j, self.n = values, j, len(values)
+        self.backwards = values[::-1]
+        # The sums of c parts are kept while they number at most an eighth
+        # of the entries the result can hold: its multisets, or the span
+        # of jA.
+        span = j * (values[-1] - values[0]) + 1
+        self.keep = min(comb(self.n + j - 1, j), span) // 8
+        self.acc: Counter = Counter()
+
+    def ahead(self, head: Sequence[int], tail: list, c: int) -> Iterator[int]:
+        """The sums of the parts ``head`` on each increasing index tuple,
+        each before every tuple of ``tail`` past it: one add per sum."""
+        n, h = self.n, len(head)
+        pasts = map(tail.__getitem__, map(slice, map(comb, range(c, n - h + 1), repeat(c))))
+        if h == 1:
+            firsts = map(mul, self.backwards[c:], repeat(head[0]))
+        else:
+            # Taken largest index first, so that the comb(i, h - 1) head
+            # tuples ending at i come together, for i from n - 1 - c down.
+            picks = combinations(self.backwards[c:], h)
+            firsts = map(sum, map(map, repeat(mul), picks, repeat(head[::-1])))
+            groups = map(comb, range(n - 1 - c, h - 2, -1), repeat(h - 1))
+            pasts = chain.from_iterable(map(repeat, pasts, groups))
+        return chain.from_iterable(map(map, repeat(add), map(repeat, firsts), pasts))
+
+    def place(self, tail: list, c: int, head: tuple, s: int, weight: int) -> None:
+        """Merge every composition of j that ends in the parts placed so
+        far, which total s.  The last c of them are summed in ``tail`` over
+        the increasing index c-tuples, least index descending, so that
+        those whose least index is above p are the first comb(n - 1 - p,
+        c); the parts ``head`` before them are not summed yet.  ``weight``
+        is the multinomial of all of them."""
+        rest, room = self.j - s, self.n - c - len(head)
+        if room == 1 and not head:
+            # The last part can go only on index 0, before (1, ..., n - 1).
+            x = rest * self.values[0] + tail[0]
+            self.acc[x] = self.acc.get(x, 0) + weight * comb(self.j, rest)
+            return
+        deeper = not head and comb(self.n, c + 1) <= self.keep
+        # With one index left for the parts still to place, the next is
+        # the last: m = rest.
+        for m in range(rest if room == 1 else 1, rest + 1):
+            w = weight * comb(s + m, m)
+            if m == rest:
+                # One dict.update merges the composition: each key is read
+                # just before it is set, so a sum that repeats within it
+                # is counted each time.
+                keys, again = tee(self.ahead((m, *head), tail, c))
+                get = self.acc.get
+                dict.update(self.acc, zip(keys, map(add, map(get, again, repeat(0)), repeat(w))))
+            elif not deeper:
+                self.place(tail, c, (m, *head), s + m, w)
+            else:
+                self.place(list(self.ahead((m,), tail, c)), c + 1, (), s + m, w)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +33,7 @@ from sumsetlab import (
 )
 from sumsetlab import engine, kernels
 from sumsetlab.bounds import verify_bound
-from sumsetlab.core import DEFAULT_MEMORY_BUDGET, mass_of_squares, moment_sum
+from sumsetlab.core import DEFAULT_MEMORY_BUDGET, common_ints, mass_of_squares, moment_sum
 from sumsetlab.engine import check_popular_bound, rich_tail, spectrum_of
 from sumsetlab.luckypairs import TripleSumset, build_partition
 
@@ -573,6 +575,105 @@ class TestSelfSumCounts:
         j = 300
         got = kernels.self_sum_counts([0, 1], j)
         assert dict(got) == {x: math.comb(j, x) for x in range(j + 1)}
+
+    @staticmethod
+    def brute_force(values, j):
+        """r_{jA} as a Counter over itertools.product, one copy at a time."""
+        counts = Counter({0: 1})
+        for _ in range(j):
+            step = Counter()
+            for (x, c), v in itertools.product(counts.items(), values):
+                step[x + v] += c
+            counts = step
+        return counts
+
+    @staticmethod
+    def lists(n):
+        """Increasing int lists of n elements: a small span based at 0 and
+        near +-2**63 and +-2**64, one spread wide enough that few sums
+        coincide, one negated, and a rational set's scaled ints."""
+        rng = SplitMix64(n)
+        small = sorted(random_integer_set(rng, n, spread=20).elements)
+        wide = sorted(random_integer_set(rng, n, spread=2**40).elements)
+        rational = OrderedSet(sorted({Fraction(x, 3) + Fraction(1, 2 + x % 2) for x in range(n)}))
+        (scaled,), den = common_ints([rational])
+        assert len(scaled) == n and den > 1
+        yield from (
+            [base + x for x in small]
+            for base in (0, 2**63 - 21, -(2**63) + 1, 2**64 - 21, -(2**64))
+        )
+        yield wide
+        yield [-x for x in reversed(wide)]
+        yield list(scaled)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 12])
+    def test_every_n_and_j_matches_brute_force(self, n, monkeypatch):
+        # Spread sums keep every list of partial sums; a small span keeps
+        # few, and sums the remaining parts whole (through combinations).
+        whole = []
+        real = kernels.combinations
+
+        def spy(*args):
+            whole.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(kernels, "combinations", spy)
+        paths = set()
+        for values in self.lists(n):
+            for j in range(1, 10):
+                # The oracle walks n times its distinct sums per copy.
+                span = j * (values[-1] - values[0]) + 1
+                if min(math.comb(n + j - 1, j), span) * n > 200_000:
+                    continue
+                whole.clear()
+                got = kernels.self_sum_counts(tuple(values), j)
+                assert got == self.brute_force(values, j), (values, j)
+                assert sum(got.values()) == n**j
+                paths.add(bool(whole))
+        assert paths == ({False} if n == 1 else {False, True})
+
+    def test_leaves_no_reference_cycle(self):
+        # A cycle would hold the result until the cyclic collector runs,
+        # which the kernel, allocating ints, hardly triggers: a process
+        # running many commands would hold several results at once.
+        import gc
+
+        gc.collect()
+        gc.disable()
+        try:
+            kernels.self_sum_counts(tuple(range(0, 300, 7)), 4)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_huge_j_of_one_element_peaks_under_two_mib(self):
+        # No table of factorials: one composition, (j), of weight 1.
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            got = kernels.self_sum_counts([0], 10_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == {0: 1}
+        assert peak < 2**21
+
+    @pytest.mark.parametrize("n, k", [(38, 4), (24, 5), (12, 8)])
+    def test_multiset_root_peaks_within_its_plan(self, n, k):
+        import tracemalloc
+
+        A = gen_random_s_convex(n, 3, 0, 64)
+        lists, den = engine._signed_ints([A] * k, (1,) * k)
+        plan = engine._mitm_tree(lists, den)
+        assert plan.halves is None and plan.k == k
+        tracemalloc.start()
+        try:
+            representation([A] * k, algo="mitm")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= plan.bytes
 
 
 class TestEnergy:

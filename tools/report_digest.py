@@ -150,6 +150,20 @@ COMMANDS = [
      "--family", "power:n=9,m=7"],
     ["sumset", "--signs", "+-+", "--family", "rsc:n=20,s=2,seed=1,gap=64",
      "--family", "interval:n=30", "--family", RAT_SET],
+    # Multiset roots: j copies of one set run as one kernel call, from
+    # many elements and few copies to few elements and many copies,
+    # negated, and rational.
+    *(
+        ["energy", "--k", k, "--family", family]
+        for k, family in (
+            ("8", "rsc:n=12,s=3,seed=0,gap=64"),
+            ("9", "rsc:n=10,s=3,seed=0,gap=64"),
+            ("2000", "interval:n=2"),
+            ("4", "composed:f=poly:0,1/2,inner=power:n=30,m=2"),
+        )
+    ),
+    ["--algo", "mitm", "energy", "--k", "12", "--family", "rsc:n=8,s=3,seed=0,gap=64"],
+    ["energy", "--k", "4", "--signs=----", "--family", "rsc:n=38,s=3,seed=0,gap=64"],
     # --format csv on commands without a CSV form.
     ["--format", "csv", "energy", "--k", "4", "--family", "rsc:n=38,s=3,seed=0,gap=64"],
     ["--format", "csv", "analyze", "--family", "rsc:n=24,s=2,seed=3,gap=8"],
