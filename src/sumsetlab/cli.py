@@ -439,6 +439,11 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
+    # Exact integers of any length: lift CPython's limit on int/str
+    # conversion (4,300 digits), process-wide, so here and not in run().
+    # Python 3.10 before 3.10.7 has no limit and no setter.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         code = run()
         if sys.stdout is not None:  # None when started with stdout closed

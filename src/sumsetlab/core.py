@@ -24,15 +24,17 @@ change; an integer set's ints are that same tuple.  A container built
 from ints over ``den > 1`` (an engine result) builds its elements, each
 the int x // den or ``Fraction(x, den)``, only when they are first read.
 
-A ``SparseCounts`` built from two numpy int64 arrays (the dense fold of
-``engine.representation`` hands over its values and counts this way)
-keeps private copies of the arrays and builds its tuples only when one
-is read.  Only this class and :func:`mass_of_squares` read the count
-array: ``SparseCounts.dyadic_classes`` by integer comparisons against
+A ``SparseCounts`` built from two numpy int64 arrays, ints over any
+``den`` (the dense fold of ``engine.representation`` hands over its
+values and counts this way), reduces ``den`` as above, keeps private
+copies of the arrays and builds its tuples only when one is read.
+Only this class and :func:`mass_of_squares` read the count array:
+``SparseCounts.dyadic_classes`` by integer comparisons against
 the powers of two, the sum of squares by an int64 dot product only while
 ``max(c) * mass < 2**63``, which bounds every partial sum, and a Python
-int sum otherwise.  numpy is imported only in the array branch of
-``dyadic_classes``, which nothing but a numpy array reaches.
+int sum otherwise.  numpy is imported only in the array branches of
+``dyadic_classes`` and of the ``den`` reduction, which nothing but a
+numpy array reaches.
 
 A ``SparseCounts`` built from a dict int -> count (a sparse kernel's
 result, which ``engine.representation`` and :func:`convolve` hand over
@@ -292,11 +294,12 @@ class SparseCounts:
     default) are kept as ``values``; ints over ``den`` > 1 (the engine's
     results) are reduced, and ``values`` is built when first read.
 
-    Given two 1-d numpy int64 arrays (and ``den`` 1), the same checks run as array
-    operations (the dtype makes every count an integer) and copies of
-    the arrays are kept, so later writes to the caller's arrays change
-    nothing here: ``ints`` and ``counts`` become tuples of Python ints
-    on first read.
+    Given two 1-d numpy int64 arrays, of ints over any ``den``, the same
+    checks run as array operations (the dtype makes every count an
+    integer), ``den`` is reduced as for ints, and copies of the arrays
+    are kept, so later writes to the caller's arrays change nothing
+    here: ``ints`` and ``counts`` become tuples of Python ints on first
+    read.
 
     Given a dict value -> count in any order as ``values``, and no
     ``counts``, the same checks run on its keys and counts (a dict holds
@@ -316,8 +319,8 @@ class SparseCounts:
     ) -> None:
         self._mapping = self._value_array = self._count_array = None
         self._ints = self._values = self._counts = None
-        if den == 1 and _is_int64_vector(values) and _is_int64_vector(counts):
-            self._init_arrays(values, counts)
+        if _is_int64_vector(values) and _is_int64_vector(counts):
+            self._init_arrays(values, counts, den)
             return
         if counts is None and isinstance(values, dict):
             lists = self._init_mapping(values, den)
@@ -351,7 +354,7 @@ class SparseCounts:
         self._mapping = mapping
         self._mass = sum(mapping.values())
 
-    def _init_arrays(self, values, counts) -> None:
+    def _init_arrays(self, values, counts, den: int) -> None:
         if len(values) != len(counts):
             raise InputError("values/counts length mismatch")
         if not len(values):
@@ -365,8 +368,18 @@ class SparseCounts:
             self._mass = int(counts.sum())
         else:
             self._mass = sum(counts.tolist())
+        if den != 1:
+            import numpy as np
+
+            # den reduced by _over_den against the gcd of the ints, taken
+            # over their absolute values as uint64, where |-2**63| fits.
+            ints_gcd = int(np.gcd.reduce(np.abs(values).view(np.uint64)))
+            g = den // _over_den((ints_gcd,), True, den)[1]
+            # A g past int64 divides only 0 and -2**63 (then g = 2**63):
+            # the shift floors both as // g does.
+            values, den = (values // g if g < 2**63 else values >> 63), den // g
         self._value_array, self._count_array = values.copy(), counts.copy()
-        self.den = 1
+        self.den = den
 
     def _sort_mapping(self) -> None:
         mapping = self._mapping

@@ -28,28 +28,30 @@ reduces it:
   a node is estimated at no more entries than there are j-multisets.
   Equal halves share one node, which ``_rep_mitm`` computes once: it only
   executes the plan and prices nothing;
-* ``dense`` -- one fold over a numpy count array keyed by value offset;
-  integer-valued sets only.  Each step adds one shifted copy of the
-  counts per value of the next set, so every count and partial sum of
-  the step is at most the current maximum count times that set's size:
-  the step runs in the narrowest of uint8, uint16, uint32 and int64
-  that holds this bound, so no add can wrap, and in Python ints
-  (``dtype=object``) beyond, where the fold then stays.  A fixed-width
-  fold whose values fit int64 hands its nonzero values and counts, only
-  those widened to int64, to ``SparseCounts`` as two arrays, which it
-  keeps: tuples are built only when a caller reads them.
+* ``dense`` -- one fold over a numpy count array keyed by int offset,
+  for every input: a rational set is its ints over ``den`` here, as for
+  the other two, and the fold costs their scaled span.  Each step adds
+  one shifted copy of the counts per value of the next set, so every
+  count and partial sum of the step is at most the current maximum
+  count times that set's size: the step runs in the narrowest of uint8,
+  uint16, uint32 and int64 that holds this bound, so no add can wrap,
+  and in Python ints (``dtype=object``) beyond, where the fold then
+  stays.  A fixed-width fold whose values fit int64 hands its nonzero
+  values and counts, only those widened to int64, to ``SparseCounts``
+  as two arrays over ``den``, which it keeps: tuples are built only
+  when a caller reads them.
 
 Every budgeted path is one row, ``(bytes, cost, run)``, from a
 ``_plan_*`` function: its estimate, made before anything is allocated,
 and the zero-argument call that executes the path and returns the
 result's (values, counts) as ``SparseCounts`` takes them.  A table
-holds only the rows that can run: ``representation`` lists mitm always,
-dense when every set is integer-valued, and naive only when it is asked
-for by name.  One rule picks the row, in ``choose``, which reads only the
-estimates: ``auto`` takes the cheapest candidate whose bytes fit the
-memory budget (default 4 GiB), ties going to the candidate listed
-first, an explicit algorithm is the only candidate, and ResourceError
-is raised when nothing fits.  The caller then runs the row it names.
+holds only the rows that can run: ``representation`` lists mitm and
+dense always, and naive only when it is asked for by name.  One rule
+picks the row, in ``choose``, which reads only the estimates: ``auto``
+takes the cheapest candidate whose bytes fit the memory budget (default
+4 GiB), ties going to the candidate listed first, an explicit algorithm
+is the only candidate, and ResourceError is raised when nothing fits.
+The caller then runs the row it names.
 Rows serve the representation algorithms and the support kernel's two
 paths; the lucky census table (``luckypairs``) and ``check_copies``,
 which ``cli`` and ``bounds`` call before they build k copies of a set,
@@ -307,9 +309,9 @@ def _span(lists: Sequence[Sequence[int]]) -> int:
     return sum(v[-1] for v in lists) - sum(v[0] for v in lists) + 1
 
 
-def _plan_naive(lists: Sequence[Sequence[int]], den: int) -> Row:
+def _plan_naive(lists: Sequence[Sequence[int]]) -> Row:
     mass = math.prod(map(len, lists))
-    out = min(mass, _span(lists)) if den == 1 else mass
+    out = min(mass, _span(lists))
     return out * DICT_ENTRY_BYTES, mass, lambda: (_rep_naive(lists), None)
 
 
@@ -459,8 +461,9 @@ def representation(
     """Exact representation function of A_1 +/- ... +/- A_k.
 
     The algorithm is picked by ``choose`` from the rows that can run:
-    mitm, then dense for integer-valued sets, so that a tie in cost goes
-    to mitm, and naive only when requested.  Under ``"auto"`` the
+    mitm, then dense, so that a tie in cost goes to mitm, and naive only
+    when requested; each runs on the sets' ints over their common
+    denominator, rational sets included.  Under ``"auto"`` the
     cheapest that fits the budget is taken, else the one requested; its
     row then runs.  Raises ResourceError (before allocating) when none
     fits.
@@ -470,13 +473,9 @@ def representation(
     if algo not in _ALGOS:
         raise InputError(f"unknown algorithm {algo!r}")
     lists, den = _signed_ints(sets, parse_signs(signs, len(sets)))
-    plans = {"mitm": _plan_mitm(lists, den)}
-    if den == 1:
-        plans["dense"] = _plan_dense(lists)
-    elif algo == "dense":
-        raise InputError("dense mode requires integer-valued sets")
+    plans = {"mitm": _plan_mitm(lists, den), "dense": _plan_dense(lists)}
     if algo == "naive":
-        plans["naive"] = _plan_naive(lists, den)
+        plans["naive"] = _plan_naive(lists)
     values, counts = plans[choose(plans, algo, mem_budget, "representation")][2]()
     rep = SparseCounts(values, counts, den=den)
     mass = math.prod(map(len, lists))

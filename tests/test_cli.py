@@ -106,6 +106,25 @@ class TestGen:
         assert "convexity_order" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_integers_past_4300_digits_round_trip(self, tmp_path):
+        # 10**5000 has 5,001 digits, past CPython's default limit on
+        # int/str conversion, which the console entry lifts (and this
+        # process keeps: the digits are compared as text).
+        path, ten = str(tmp_path / "F.set"), "1" + "0" * 5000
+        done = _cli_subprocess(["--out", path, "gen", "power:n=10,m=5000"], "")
+        assert done.returncode == 0
+        assert done.stderr == "# N=10 convexity_order=saturated(8)\n"
+        with open(path) as fh:
+            lines = fh.read().split()
+        assert len(lines) == 10 and (lines[0], lines[-1]) == ("1", ten)
+        reports = {}
+        for argv in (["analyze", "--set", path], ["energy", "--k", "2", "--set", path]):
+            done = _cli_subprocess(argv, "", stdout=subprocess.PIPE)
+            assert (done.returncode, done.stderr) == (0, "")
+            reports[argv[0]] = json.loads(done.stdout)
+        assert reports["analyze"]["reports"][0]["max"] == ten
+        assert reports["energy"]["T"] == "190"
+
     def test_bad_family_exits_2(self, capsys):
         code, _, err = _run(capsys, "gen", "power:n=5")
         assert code == 2
@@ -184,15 +203,20 @@ class TestEnergy:
         [
             (["--mem", "1000", "energy", "--family", "interval:n=200000"],
              "representation: estimated 3200000 bytes exceeds budget 1000"),
+            # A rational set runs dense too, and gives the auto T.
             (["--algo", "dense", "energy", "--family",
-              "composed:f=poly:0,1/2,inner=interval:n=4"],
-             "dense mode requires integer-valued sets"),
+              "composed:f=poly:0,1/2,inner=interval:n=4"], None),
         ],
         ids=["budget", "dense_rational"],
     )
     def test_one_set_is_planned_like_several(self, capsys, argv, message):
         code, out, err = _run(capsys, *argv)
-        assert (code, out, err) == (2, "", f"error: {message}\n")
+        if message is None:
+            auto = _run(capsys, *argv[2:])
+            assert (code, err) == auto[::2] == (0, "")
+            assert json.loads(out)["T"] == json.loads(auto[1])["T"]
+        else:
+            assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "family", ["interval:n=2", "ap:n=2,base=1/2"], ids=["integer", "rational"]
@@ -383,8 +407,7 @@ class TestPlannedRows:
         ]
         + [
             (["--algo", "dense", "energy", "--k", "2", "--family",
-              "composed:f=poly:0,1/2,inner=power:n=8,m=2"], [],
-             "dense mode requires integer-valued sets"),
+              "composed:f=poly:0,1/2,inner=power:n=8,m=2"], ["dense"], ""),
             (["--mem", "1000", "energy", "--k", "4", *CUBES], [],
              "representation: estimated 16777168 bytes exceeds budget 1000"),
             (["--algo", "mitm", "--mem", "1000", "energy", "--k", "3", *CUBES], [],
@@ -510,11 +533,9 @@ class TestVerify:
         "argv, message",
         [
             (["--algo", "dense", "verify", "--bound", "KG_energy", "--family",
-              "composed:f=poly:0,1/2,inner=interval", "--grid", "4,8,16"],
-             "dense mode requires integer-valued sets"),
+              "composed:f=poly:0,1/2,inner=interval", "--grid", "4,8,16"], None),
             (["--algo", "dense", "verify", "--bound", "eq13_tail", "--family",
-              "composed:f=poly:0,1/2,inner=interval", "--grid", "4,8"],
-             "dense mode requires integer-valued sets"),
+              "composed:f=poly:0,1/2,inner=interval", "--grid", "4,8"], None),
             (["--algo", "naive", "--mem", "3000", "verify", "--bound", "T3",
               "--family", "power:m=2", "--grid", "8,9,10"],
              "representation[naive]: estimated 22800 bytes exceeds budget 3000"),
@@ -525,9 +546,20 @@ class TestVerify:
         ids=["dense_rational", "dense_rational_tail", "naive_budget",
              "naive_budget_tail"],
     )
-    def test_honours_algo(self, capsys, argv, message):
-        code, out, err = _run(capsys, *argv)
-        assert (code, out, err) == (2, "", f"error: {message}\n")
+    def test_honours_algo(self, monkeypatch, capsys, argv, message):
+        if message is not None:
+            code, out, err = _run(capsys, *argv)
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+            return
+        # Dense on a rational family: the mitm report and exit code (1
+        # where the bound fails), with no mitm run.
+        want = _run(capsys, "--algo", "mitm", *argv[2:])
+
+        def no_mitm(*args):
+            raise AssertionError("mitm ran under --algo dense")
+
+        monkeypatch.setattr(engine, "_rep_mitm", no_mitm)
+        assert want[2] == "" and _run(capsys, *argv) == want
 
     @pytest.mark.parametrize("algo", ["naive", "mitm", "dense"])
     def test_explicit_algo_gives_the_auto_report(self, capsys, algo):
@@ -552,7 +584,7 @@ class TestVerify:
 
     def test_sumsets_of_rational_sets_take_no_algorithm(self, capsys):
         # --algo picks a representation algorithm; a sumset has none, so
-        # dense, which needs integer-valued sets, does not apply to it.
+        # it reads no --algo, dense included.
         argv = ("sumset", "--k", "3", "--signs", "++-", "--elements",
                 "--family", "composed:f=poly:0,1/2,inner=interval:n=8")
         want = _run(capsys, *argv)

@@ -88,12 +88,15 @@ class TestRepresentation:
             sets = [random_rational_set(rng, rng.next_in(1, 6)) for _ in range(2)]
             naive = representation(sets, algo="naive")
             mitm = representation(sets, algo="mitm")
-            assert naive == mitm
+            dense = representation(sets, algo="dense")
+            assert naive == mitm == dense
 
-    def test_dense_rejects_rationals(self):
+    def test_dense_runs_on_rationals(self):
+        # The fold runs on the ints over the common denominator 2, {1, 2}.
         A = OrderedSet([Fraction(1, 2), 1])
-        with pytest.raises(InputError):
-            representation([A, A], algo="dense")
+        rep = representation([A, A], algo="dense")
+        assert dict(rep.items()) == {1: 1, Fraction(3, 2): 2, 2: 1}
+        assert rep.den == 2 and rep == representation([A, A], algo="mitm")
 
     def test_signs(self):
         A = gen_interval(3)
@@ -134,8 +137,7 @@ class TestRepresentation:
         R = OrderedSet([Fraction(-1, 3), Fraction(1, 2), 2])
         cases = [([A] * k, "+" * k) for k in (2, 3, 4, 5)]
         cases += [([A, A, A], "-+-"), ([A, A, A, A], "+-+-")]
-        if algo != "dense":
-            cases += [([A, R, A], "+-+"), ([R] * 4, "----")]
+        cases += [([A, R, A], "+-+"), ([R] * 4, "----")]
         for sets, signs in cases:
             built.clear()
             rep = representation(sets, signs=signs, algo=algo)
@@ -302,8 +304,7 @@ class TestMitmPlan:
             monkeypatch.setattr(kernels, name, spy)
         rep = representation(sets, signs=signs, algo=algo)
         monkeypatch.undo()
-        check = "dense" if all(A.is_integer for A in sets) else "naive"
-        assert rep == representation(sets, signs=signs, algo=check)
+        assert rep == representation(sets, signs=signs, algo="dense")
         return calls
 
     @staticmethod
@@ -349,7 +350,7 @@ class TestMitmPlan:
     def test_rational_difference_is_one_join(self, monkeypatch):
         # Over the common denominator 6: A is 2, 3, 12 and -A is -12, -3, -2.
         A = OrderedSet([Fraction(1, 3), Fraction(1, 2), 2])
-        calls = self.kernel_calls(monkeypatch, [A, A], signs="+-", algo="auto")
+        calls = self.kernel_calls(monkeypatch, [A, A], signs="+-")
         assert [(name, args) for name, args, _ in calls] == [
             ("convolve_integer", ({2: 1, 3: 1, 12: 1}, {-12: 1, -3: 1, -2: 1}))
         ]
@@ -448,8 +449,8 @@ class TestChoose:
 
 class TestPlanTable:
     """``representation`` hands ``choose`` only the rows that can run:
-    mitm always, dense when every set is integer-valued, naive only when
-    it is named."""
+    mitm and dense for every input, rational sets included, naive only
+    when it is named."""
 
     A = gen_interval(5)
     R = OrderedSet([Fraction(-1, 3), Fraction(1, 2), 2])
@@ -469,51 +470,47 @@ class TestPlanTable:
         return calls
 
     @pytest.mark.parametrize(
-        "algo, integer, rows",
-        [pytest.param(algo, True, ["mitm", "dense"], id=f"{algo}-integer")
-         for algo in ALGOS]
-        + [pytest.param(algo, False, ["mitm"], id=f"{algo}-rational")
-           for algo in ("auto", "naive", "mitm")],
+        "algo, kind", itertools.product(ALGOS, ["integer", "rational"])
     )
-    def test_table_holds_the_rows_that_can_run(self, monkeypatch, algo, integer, rows):
+    def test_table_holds_the_rows_that_can_run(self, monkeypatch, algo, kind):
         tables = self.spy(monkeypatch, "choose")
-        sets = [self.A] * 3 if integer else [self.A, self.R, self.A]
+        sets = [self.A] * 3 if kind == "integer" else [self.A, self.R, self.A]
         representation(sets, signs="+-+", algo=algo)
         (plans, *_), = tables
-        assert list(plans) == rows + ["naive"] * (algo == "naive")
+        assert list(plans) == ["mitm", "dense"] + ["naive"] * (algo == "naive")
         assert all(bytes_ >= 0 for bytes_, *_ in plans.values())
 
     @pytest.mark.parametrize("algo", ALGOS)
-    def test_rational_sets_never_plan_dense(self, monkeypatch, algo):
+    def test_every_input_plans_dense(self, monkeypatch, algo):
+        # Dense is planned on the ints over the common denominator, 6
+        # when R is among the sets, as every other row is.
         calls = self.spy(monkeypatch, "_plan_dense")
-        for sets in ([self.R, self.R], [self.A, self.R], [self.R]):
-            if algo == "dense":
-                with pytest.raises(
-                    InputError, match="^dense mode requires integer-valued sets$"
-                ):
-                    representation(sets, signs="-" * len(sets), algo=algo)
-            else:
-                representation(sets, signs="-" * len(sets), algo=algo)
-        assert calls == []
-        representation([self.A, self.A], algo=algo)
-        assert len(calls) == 1
+        cases = ([self.R, self.R], [self.A, self.R], [self.R], [self.A, self.A])
+        reps = [
+            representation(sets, signs="-" * len(sets), algo=algo) for sets in cases
+        ]
+        assert calls == [
+            (engine._signed_ints(sets, (-1,) * len(sets))[0],) for sets in cases
+        ]
+        monkeypatch.undo()
+        for sets, rep in zip(cases, reps):
+            assert rep == representation(sets, signs="-" * len(sets), algo="naive")
 
     @pytest.mark.parametrize("algo", ALGOS)
     def test_naive_is_planned_only_when_named(self, monkeypatch, algo):
         calls = self.spy(monkeypatch, "_plan_naive")
-        cases = [[self.A] * 3, [self.A, gen_power(4, 2)], [self.A]]
-        if algo != "dense":
-            cases += [[self.R, self.A], [self.R] * 2]
+        cases = [[self.A] * 3, [self.A, gen_power(4, 2)], [self.A], [self.R, self.A],
+                 [self.R] * 2]
         for sets in cases:
             representation(sets, algo=algo)
         assert len(calls) == (len(cases) if algo == "naive" else 0)
 
     def test_one_element_chain_takes_mitm(self, monkeypatch):
-        # Mass 1: naive enumerates one tuple, but auto no longer weighs it;
-        # the chain is rational, so mitm is the only row.
+        # Mass 1: naive enumerates one tuple, but is never weighed against
+        # the row that is named.
         sets = [OrderedSet([Fraction(j, 3)]) for j in (1, 2, 4, 5, 7)]
         ran = {name: self.spy(monkeypatch, name) for name in ("_rep_mitm", "_rep_naive")}
-        rep = representation(sets, signs="+-++-")
+        rep = representation(sets, signs="+-++-", algo="mitm")
         assert ran["_rep_mitm"] and ran["_rep_naive"] == []
         monkeypatch.undo()
         assert rep == representation(sets, signs="+-++-", algo="naive")

@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 from sumsetlab import (
     InputError,
     OrderedSet,
+    ResourceError,
     SparseCounts,
     doubling,
     energy_T,
@@ -502,7 +503,8 @@ def test_singletons():
 # Every algorithm on signed sets, against the sums of all tuples of the
 # negated sets (``conftest.brute_force_representation``).  Each set sits
 # at one base, near 0, +/-2**63 or +/-2**64, and spans at most about 80,
-# so ``dense`` fits whenever every value is an integer.
+# so ``dense`` fits: a rational set's scaled span is at most 210 times
+# that.
 
 REP_BASES = [0, 2**63 - 40, -(2**63) - 40, 2**64 - 40, -(2**64) - 40]
 
@@ -527,10 +529,7 @@ def test_representation_matches_brute_force(sets, data):
     signs = data.draw(st.text("+-", min_size=len(sets), max_size=len(sets)))
     negated = [A if e == "+" else A.negate() for A, e in zip(sets, signs)]
     want = brute_force_representation(negated)
-    algos = ["auto", "naive", "mitm"]
-    if all(A.is_integer for A in sets):
-        algos.append("dense")
-    for algo in algos:
+    for algo in ("auto", "naive", "mitm", "dense"):
         rep = representation(sets, signs=signs, algo=algo)
         assert dict(rep.items()) == want, algo
         assert typed(rep.values) == typed(map(oracle_canon, sorted(want))), algo
@@ -578,8 +577,7 @@ def test_repeated_set_matches_brute_force(A, k, data):
         (scaled,), den = scaled_lists([A], signs[0])
         sums = kernels.self_sum_counts(scaled, k)
         assert {Fraction(x, den): c for x, c in sums.items()} == want
-    algos = ["auto", "naive", "mitm"] + (["dense"] if A.is_integer else [])
-    for algo in algos:
+    for algo in ("auto", "naive", "mitm", "dense"):
         # A kept dict (naive always, mitm at a multiset node), or tuples.
         result = representation([A] * k, signs=signs, algo=algo)
         lazy = (SparseCounts(dict(want), None), result)
@@ -734,26 +732,105 @@ def test_reductions_of_a_dense_result_build_no_lists(monkeypatch):
         rep.counts
 
 
-@pytest.mark.parametrize(
-    "values, counts",
-    [
-        ([1, 2], [1]),
-        ([], []),
-        ([2, 1], [1, 1]),
-        ([1, 1], [1, 1]),
-        ([1, 2], [1, 0]),
-        ([1, 2], [-3, 1]),
-        ([2, 1], [0, 0]),
-    ],
-    ids=["lengths", "empty", "decreasing", "repeated", "zero", "negative",
-         "value_first"],
-)
+BAD_ARRAYS = {
+    "lengths": ([1, 2], [1]),
+    "empty": ([], []),
+    "decreasing": ([2, 1], [1, 1]),
+    "repeated": ([1, 1], [1, 1]),
+    "zero": ([1, 2], [1, 0]),
+    "negative": ([1, 2], [-3, 1]),
+    "value_first": ([2, 1], [0, 0]),
+}
+
+
+@pytest.mark.parametrize("values, counts", BAD_ARRAYS.values(), ids=BAD_ARRAYS)
 def test_array_checks_match_list_checks(values, counts):
     with pytest.raises(InputError) as listed:
         SparseCounts(values, counts)
     with pytest.raises(InputError) as arrays:
         SparseCounts(np.array(values, dtype=np.int64), np.array(counts, dtype=np.int64))
     assert str(arrays.value) == str(listed.value)
+
+
+@pytest.mark.parametrize(
+    "values, counts, den",
+    [(*bad, 6) for bad in BAD_ARRAYS.values()]
+    + [([1, 2], [1, 1], bad) for bad in (0, -6, 6.0)],
+    ids=[*BAD_ARRAYS, "den_0", "den_negative", "den_float"],
+)
+def test_array_checks_over_a_denominator(values, counts, den):
+    with pytest.raises(InputError) as listed:
+        SparseCounts(values, counts, den=den)
+    with pytest.raises(InputError) as arrays:
+        SparseCounts(
+            np.array(values, dtype=np.int64), np.array(counts, dtype=np.int64), den=den
+        )
+    assert str(arrays.value) == str(listed.value)
+
+
+@pytest.mark.parametrize(
+    "values, den",
+    [
+        ([2, 6, 10], 2),
+        ([2, 6, 10], 4),
+        ([-6, 3, 9], 5),
+        ([-(2**63), -6, 4], 6),
+        ([-(2**63), 2**62], 3 * 2**61),
+        ([-(2**63), 0], 2**63),
+        ([-(2**63)], 3 * 2**63),
+        ([0], 2**64),
+    ],
+    ids=["to_1", "partly", "coprime", "min_partly", "min_power", "min_to_1",
+         "min_past_int64", "zero_past_int64"],
+)
+def test_arrays_over_a_denominator_equal_lists(values, den):
+    # den is reduced as for lists, gcd(den, all ints) = 1, at -2**63 and
+    # for dens past int64 too, and the arrays are kept.
+    counts = list(range(1, len(values) + 1))
+    arrays = SparseCounts(
+        np.array(values, dtype=np.int64), np.array(counts, dtype=np.int64), den=den
+    )
+    listed = SparseCounts(values, counts, den=den)
+    assert arrays._count_array is not None
+    for name in ("den", "ints", "counts"):
+        assert getattr(arrays, name) == getattr(listed, name), name
+    assert typed(arrays.values) == typed(listed.values)
+    assert arrays == listed and hash(arrays) == hash(listed)
+    assert readings(arrays) == readings(listed)
+    assert python_ints([arrays.den, arrays.ints, arrays.counts])
+
+
+def test_dense_past_int64_over_a_denominator(monkeypatch):
+    # Over den 3 the sums of A + A are about 3 * 2**63: the fold hands
+    # them over as lists, which SparseCounts reduces like arrays.
+    A = OrderedSet([2**62 + Fraction(1, 3), 2**62 + Fraction(2, 3)])
+    handed = []
+    fold = engine._rep_dense
+
+    def spy(lists):
+        handed.append(fold(lists))
+        return handed[-1]
+
+    monkeypatch.setattr(engine, "_rep_dense", spy)
+    rep = representation([A, A], algo="dense")
+    ((values, counts),) = handed
+    assert type(values) is list and rep._count_array is None
+    assert rep.den == 3 and rep == representation([A, A], algo="mitm")
+    sums = [2**63 + Fraction(2, 3), 2**63 + 1, 2**63 + Fraction(4, 3)]
+    assert dict(rep.items()) == dict(zip(sums, [1, 2, 1]))
+
+
+@pytest.mark.parametrize(
+    "b, total", [(Fraction(-1, 2**63) - 1, -1), (Fraction(-1, 2**63), 0)]
+)
+def test_dense_over_a_denominator_past_int64(b, total):
+    # Over den 2**63 the one sum is -2**63 or 0, whose gcd with den is
+    # 2**63 or den itself: the fold's arrays are kept, reduced to den 1.
+    sets = [OrderedSet([Fraction(1, 2**63)]), OrderedSet([b])]
+    dense = representation(sets, algo="dense")
+    assert dense._count_array is not None and dense.den == 1
+    assert dense == representation(sets, algo="mitm")
+    assert typed(dense.values) == typed((total,))
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.uint64, np.float64])
@@ -824,8 +901,7 @@ def popular_sets(draw):
 
 
 def check_popular_class(A, want):
-    algos = ["auto", "naive", "mitm"] + (["dense"] if A.is_integer else [])
-    for algo in algos:
+    for algo in ("auto", "naive", "mitm", "dense"):
         pop = popular_dyadic_class(A, algo=algo)
         got = (typed(pop.differences.elements), pop.delta, pop.score)
         assert got == (typed(want[0]), *want[1:]), algo
@@ -901,9 +977,16 @@ def test_every_path_gives_one_canonical_form(sets, data):
     ]
     sums = list(map(sum, itertools.product(*signed)))
     check_canonical(signed_sumset(sets, signs), sums)
-    algos = ["naive", "mitm"] + (["dense"] if all(A.is_integer for A in sets) else [])
-    for algo in algos:
-        check_canonical(representation(sets, signs=signs, algo=algo).support(), sums)
+    for algo in ("naive", "mitm", "dense"):
+        # Denominators up to 19 each put the common one up to 9699690, so
+        # the span dense folds can pass 10**9: past a 64 MiB estimate it
+        # must raise, before allocating, and is not run.
+        try:
+            rep = representation(sets, signs=signs, algo=algo, mem_budget=2**26)
+        except ResourceError as exc:
+            assert algo == "dense" and exc.estimated_bytes > 2**26
+            continue
+        check_canonical(rep.support(), sums)
     A = sets[0]
     check_canonical(A.negate(), [-x for x in A.elements])
     diff = {}

@@ -6,14 +6,15 @@ For each input, ``engine.representation`` is called under ``auto``,
 under the budgets None, 10**4 and 10**6.  ``engine.choose`` is replaced
 by a spy: it records the table the caller hands it and the path it
 picks, or its ResourceError, then stops the call, so nothing runs.  An
-InputError raised before choosing (dense on a rational set) is recorded
-in place of the pick.
+InputError raised before choosing is recorded in place of the pick:
+none is raised on these inputs, but trees before dense ran on rational
+sets refused it there, and their digests compare too.
 
 It prints one digest per part, then the number of inputs and a digest
 of all parts:
 
     mitm     the mitm row's (bytes, cost)
-    dense    the dense row's (bytes, cost), on inputs where it can run
+    dense    the dense row's (bytes, cost)
     naive    the naive row's bytes (no choice reads its cost)
     support  both support tables' rows
     picks    every pick, ResourceError and InputError

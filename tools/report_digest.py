@@ -119,7 +119,7 @@ COMMANDS = [
     ["lucky", "--r", "2", "--family", "composed:f=poly:0,1/3,inner=interval:n=12"],
     ["verify", "--bound", "eq13_tail", "--family", INT_FAMILY, *GRID, *CSV],
     # Each budgeted path: every representation algorithm asked for by
-    # name, the dense refusal of a rational set, one --mem failure per
+    # name, dense on a rational set, one --mem failure per
     # budgeted computation, and sumset elements down the fold and down
     # the bitset.
     *(
