@@ -25,25 +25,28 @@ from ints over ``den > 1`` (an engine result) builds its elements, each
 the int x // den or ``Fraction(x, den)``, only when they are first read.
 
 A ``SparseCounts`` built from two numpy int64 arrays, ints over any
-``den`` (the dense fold of ``engine.representation`` hands over its
-values and counts this way), reduces ``den`` as above, keeps private
-copies of the arrays and builds its tuples only when one is read.
-Only this class and :func:`mass_of_squares` read the count array:
-``SparseCounts.dyadic_classes`` by integer comparisons against
-the powers of two, the sum of squares by an int64 dot product only while
+``den``, reduces ``den`` as above, keeps private copies of the arrays
+and builds its tuples only when one is read.  One built from a range of
+consecutive ints and a numpy count array of any integer width, zeros
+meaning absent (the dense fold of ``engine.representation`` hands over
+its array this way, as it stands), keeps that array.  Only this class,
+:func:`rich_tail` and :func:`mass_of_squares` read a count array, the same way whether or
+not it holds zeros: ``len`` counts its nonzero cells,
+``SparseCounts.dyadic_classes`` compares it against each power of two
+up to its maximum, :func:`rich_tail` against the clamped threshold, and
+:func:`mass_of_squares` takes an int64 dot product only while
 ``max(c) * mass < 2**63``, which bounds every partial sum, and a Python
-int sum otherwise.  numpy is imported only in the array branches of
-``dyadic_classes`` and of the ``den`` reduction, which nothing but a
-numpy array reaches.
+int sum otherwise.  Only the first read of the ints or counts gathers
+the nonzero cells.  numpy is imported only in these array branches,
+which nothing but a numpy array reaches.
 
 A ``SparseCounts`` built from a dict int -> count (a sparse kernel's
 result, which ``engine.representation`` and :func:`convolve` hand over
 whole) keeps the dict and sorts it into tuples only when one is read:
 it is the one place that sorts a kernel's output.  The order-free
 reductions (``mass_of_squares``, ``moment_sum``, ``dyadic_classes``,
-``max_count``, and in ``engine`` ``rich_tail`` and
-``fractional_moment``) read :meth:`SparseCounts.unordered_counts`, so
-they never sort it.
+``max_count``, ``rich_tail``, and in ``engine`` ``fractional_moment``)
+read :meth:`SparseCounts.unordered_counts`, so they never sort it.
 """
 
 from __future__ import annotations
@@ -74,6 +77,20 @@ DICT_ENTRY_BYTES = 120
 def _is_int64_vector(x) -> bool:
     """True for a 1-d numpy int64 array, found without importing numpy."""
     return getattr(x, "dtype", None) == "int64" and x.ndim == 1
+
+
+def _is_int_vector(x) -> bool:
+    """True for a 1-d numpy array of any integer width, found without
+    importing numpy."""
+    return getattr(getattr(x, "dtype", None), "kind", None) in ("i", "u") and x.ndim == 1
+
+
+def _array_mass(c) -> int:
+    """The sum of the numpy count array ``c``, exact: numpy's sum cannot
+    wrap while max * length < 2**63."""
+    if int(c.max(initial=0)) * len(c) < 2**63:
+        return int(c.sum())
+    return sum(c.tolist())
 
 
 def canon(x: Scalar) -> Scalar:
@@ -157,19 +174,25 @@ def parse_element(text: str) -> Scalar:
     text = text.strip()
     if not _ELEMENT_RE.match(text):
         raise InputError(f"malformed element {text!r} (expected integer or p/q)")
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise InputError(f"zero denominator in {text!r}")
-        return canon(Fraction(int(num), int(den)))
-    return int(text)
+    try:
+        if "/" not in text:
+            return int(text)
+        num, den = map(int, text.split("/"))
+    except ValueError as exc:  # past the caller's int/str digit limit
+        raise InputError(str(exc)) from None
+    if den == 0:
+        raise InputError(f"zero denominator in {text!r}")
+    return canon(Fraction(num, den))
 
 
 def format_element(x: Scalar) -> str:
     x = canon(x)
-    if isinstance(x, int):
-        return str(x)
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        if isinstance(x, int):
+            return str(x)
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError as exc:  # past the caller's int/str digit limit
+        raise InputError(str(exc)) from None
 
 
 class OrderedSet:
@@ -301,6 +324,16 @@ class SparseCounts:
     here: ``ints`` and ``counts`` become tuples of Python ints on first
     read.
 
+    Given a ``range`` of consecutive ints within int64 as ``values`` and
+    a 1-d numpy array of any integer width as ``counts``, each value
+    paired with the count at its offset, the counts may hold zeros,
+    which mark values that are absent.  The checks are equal lengths,
+    step 1 within int64, counts >= 0, and a positive mass (non-empty).
+    ``den`` is reduced against the range's first int and the offsets of
+    the nonzero counts, keeping every g-th count; the array is kept, not
+    copied (the dense fold hands over an array it no longer changes),
+    and its nonzero cells are gathered into the tuples on first read.
+
     Given a dict value -> count in any order as ``values``, and no
     ``counts``, the same checks run on its keys and counts (a dict holds
     each value once).  A dict of plain int keys and counts is kept, not
@@ -319,6 +352,9 @@ class SparseCounts:
     ) -> None:
         self._mapping = self._value_array = self._count_array = None
         self._ints = self._values = self._counts = None
+        if type(values) is range and _is_int_vector(counts):
+            self._init_fold(values, counts, den)
+            return
         if _is_int64_vector(values) and _is_int64_vector(counts):
             self._init_arrays(values, counts, den)
             return
@@ -363,11 +399,7 @@ class SparseCounts:
             raise InputError("SparseCounts values must be strictly increasing")
         if counts.min() < 1:
             raise InputError("SparseCounts counts must be positive")
-        # The int64 sum cannot wrap while max * length < 2**63.
-        if int(counts.max()) * len(counts) < 2**63:
-            self._mass = int(counts.sum())
-        else:
-            self._mass = sum(counts.tolist())
+        self._mass = _array_mass(counts)
         if den != 1:
             import numpy as np
 
@@ -381,6 +413,29 @@ class SparseCounts:
         self._value_array, self._count_array = values.copy(), counts.copy()
         self.den = den
 
+    def _init_fold(self, values: range, counts, den: int) -> None:
+        if len(values) != len(counts):
+            raise InputError("values/counts length mismatch")
+        lo = values.start
+        if values.step != 1 or lo < -(2**63) or values.stop > 2**63:
+            raise InputError("SparseCounts range values must step by 1 within int64")
+        if counts.min(initial=0) < 0:
+            raise InputError("SparseCounts counts must be non-negative")
+        self._mass = _array_mass(counts)
+        if not self._mass:
+            raise InputError("SparseCounts must be non-empty")
+        if den != 1:
+            import numpy as np
+
+            # Every g dividing lo and the nonzero offsets keeps its values
+            # on every g-th cell, a view.  A g of at least the length
+            # leaves one nonzero cell, the first.
+            offsets_gcd = int(np.gcd.reduce(np.flatnonzero(counts)))
+            g = den // _over_den((lo, offsets_gcd), True, den)[1]
+            counts, lo, den = counts[:: min(g, len(counts))], lo // g, den // g
+        self._value_array = range(lo, lo + len(counts))
+        self._count_array, self.den = counts, den
+
     def _sort_mapping(self) -> None:
         mapping = self._mapping
         ints = sorted(mapping)
@@ -388,13 +443,24 @@ class SparseCounts:
         self._counts = tuple(map(mapping.__getitem__, ints))
         self._mapping = None
 
+    def _build_tuples(self) -> None:
+        """Sort a kept dict, or convert the arrays, into the tuples: of a
+        range, the ints and counts of the nonzero cells."""
+        if self._mapping is not None:
+            self._sort_mapping()
+            return
+        values, counts = self._value_array, self._count_array
+        if type(values) is range:
+            import numpy as np
+
+            nonzero = np.flatnonzero(counts)
+            values, counts = nonzero + values.start, counts[nonzero]
+        self._ints, self._counts = tuple(values.tolist()), tuple(counts.tolist())
+
     @property
     def ints(self) -> tuple:
         if self._ints is None:
-            if self._mapping is not None:
-                self._sort_mapping()
-            else:
-                self._ints = tuple(self._value_array.tolist())
+            self._build_tuples()
         return self._ints
 
     @property
@@ -406,10 +472,7 @@ class SparseCounts:
     @property
     def counts(self) -> tuple:
         if self._counts is None:
-            if self._mapping is not None:
-                self._sort_mapping()
-            else:
-                self._counts = tuple(self._count_array.tolist())
+            self._build_tuples()
         return self._counts
 
     def unordered_counts(self) -> Iterable[int]:
@@ -440,9 +503,13 @@ class SparseCounts:
         return self.den == 1
 
     def __len__(self) -> int:
+        if self._counts is not None:
+            return len(self._counts)
         if self._mapping is not None:
             return len(self._mapping)
-        return len(self._counts if self._count_array is None else self._count_array)
+        import numpy as np
+
+        return int(np.count_nonzero(self._count_array))
 
     def items(self) -> Iterator[tuple[Scalar, int]]:
         return zip(self.values, self.counts)
@@ -454,7 +521,8 @@ class SparseCounts:
         return 0
 
     def max_count(self) -> int:
-        return max(self.unordered_counts())
+        c = self._count_array
+        return max(self.unordered_counts()) if c is None else int(c.max())
 
     def dyadic_classes(self) -> tuple[tuple[int, int], ...]:
         """(j, |{v : 2**j <= count(v) < 2**(j+1)}|) for each non-empty
@@ -465,11 +533,12 @@ class SparseCounts:
             return tuple(sorted((bits - 1, size) for bits, size in sizes.items()))
         import numpy as np
 
-        # The bit length of c is the number of powers 2**0 .. 2**62 <= c:
-        # integer comparisons only.
-        powers = np.left_shift(1, np.arange(63, dtype=np.int64))
-        sizes = np.bincount(np.searchsorted(powers, c, side="right"))
-        return tuple((int(b) - 1, int(sizes[b])) for b in np.flatnonzero(sizes))
+        # at_least[j]: the counts >= 2**j, by integer comparisons only, each
+        # power within c's width; zeros never count.
+        bits = self.max_count().bit_length()
+        at_least = [int(np.count_nonzero(c >= 1 << j)) for j in range(bits)] + [0]
+        sizes = map(operator.sub, at_least, at_least[1:])
+        return tuple((j, size) for j, size in enumerate(sizes) if size)
 
     def support(self) -> OrderedSet:
         """The set of values carrying positive count: built from the ints
@@ -511,15 +580,34 @@ def convolve(p: SparseCounts, q: SparseCounts) -> SparseCounts:
 def mass_of_squares(p: SparseCounts) -> int:
     """sum of count(v)**2 over all values; the 2nd-moment kernel.
 
-    On an int64 count array this is one dot product, taken only while
+    On a count array this is one dot product in int64, taken only while
     max(c) * mass < 2**63: that product bounds the sum and each partial
-    sum, so the int64 accumulator cannot wrap.
+    sum, so the accumulator cannot wrap, and every count, so casting it
+    to int64 is exact.  numpy casts in buffers: the array is not widened
+    whole.
     """
     c = p._count_array
     if c is not None and int(c.max()) * p.mass < 2**63:
-        return int(c.dot(c))
+        import numpy as np
+
+        return int(np.einsum("i,i", c, c, dtype=np.int64, casting="unsafe"))
     counts = p.unordered_counts()
     return sum(map(operator.mul, counts, counts))
+
+
+def rich_tail(p: SparseCounts, r: int) -> int:
+    """|{x : r(x) >= r}|.
+
+    On a count array ``r`` is first clamped to at least 1, so that zeros
+    never count, and compared only when it is at most max(c), so within
+    c's width."""
+    c = p._count_array
+    if c is None:
+        return sum(map(operator.ge, p.unordered_counts(), repeat(r)))
+    import numpy as np
+
+    r = max(r, 1)
+    return int(np.count_nonzero(c >= r)) if r <= int(c.max()) else 0
 
 
 def moment_sum(p: SparseCounts, m: int) -> int:

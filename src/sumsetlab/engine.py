@@ -36,10 +36,12 @@ reduces it:
   count times that set's size: the step runs in the narrowest of uint8,
   uint16, uint32 and int64 that holds this bound, so no add can wrap,
   and in Python ints (``dtype=object``) beyond, where the fold then
-  stays.  A fixed-width fold whose values fit int64 hands its nonzero
-  values and counts, only those widened to int64, to ``SparseCounts``
-  as two arrays over ``den``, which it keeps: tuples are built only
-  when a caller reads them.
+  stays.  A fixed-width fold whose values fit int64 hands its count
+  array to ``SparseCounts`` as it stands, with the range of its values
+  and ``den``: at its last width, zeros included, neither gathered,
+  widened nor copied.  The container keeps it, every reduction reads it
+  in place, and the nonzero cells are gathered into tuples only when a
+  caller reads them.
 
 Every budgeted path is one row, ``(bytes, cost, run)``, from a
 ``_plan_*`` function: its estimate, made before anything is allocated,
@@ -72,7 +74,7 @@ rational result's values are built only when a caller reads them.
 
 ``spectrum_of`` reduces an array-backed result without building its
 tuples: its bit classes (``SparseCounts.dyadic_classes``) and sum of
-squares (``core.mass_of_squares``) read the int64 counts in ``core``,
+squares (``core.mass_of_squares``) read the count array in ``core``,
 with integer operations only, and return Python ints.  ``energy_of``
 and ``popular_class_of`` are the other reductions of a given result:
 the sum of squares with the universal-bounds check, and the popular
@@ -114,6 +116,7 @@ from .core import (
     common_ints,
     mass_of_squares,
     moment_sum,
+    rich_tail,
 )
 from .errors import InputError, ResourceError, VerificationError
 
@@ -393,7 +396,8 @@ def check_copies(k: int, lists: int, mem_budget: int | None) -> None:
 
 
 # The sparse algorithms return the result's count dict {int: count}, in
-# no order; dense returns its sorted values and counts.
+# no order; dense returns the range of its values and its count array,
+# zeros included, or, past int64, its nonzero values and counts.
 
 
 def _rep_naive(lists: Sequence[Sequence[int]]) -> Counter:
@@ -415,8 +419,10 @@ def _rep_mitm(lists: Sequence[Sequence[int]], plan: _MitmNode) -> dict:
 
 
 def _rep_dense(lists: Sequence[Sequence[int]]) -> tuple[Sequence[int], Sequence[int]]:
-    """The nonzero entries of the fold: two int64 arrays when the counts
-    and values fit int64, else two lists of Python ints.
+    """The fold as ``SparseCounts`` takes it: the range of its values and
+    its count array, zeros and width as they stand, when the values fit
+    int64 and the width is fixed; else the nonzero entries as two lists
+    of Python ints.
 
     A step adds one shifted copy of the counts per value of the next
     set, all non-negative, so the current maximum count times that
@@ -442,12 +448,12 @@ def _rep_dense(lists: Sequence[Sequence[int]]) -> tuple[Sequence[int], Sequence[
         for a in vals:
             off = a - vals[0]
             new[off : off + cur.shape[0]] += cur
-        cur, cur_lo = new, cur_lo + vals[0]
-    nz = np.flatnonzero(cur)
+        # Only cur names the fold, so that the next step's widening frees
+        # the array it copies before that step allocates its own.
+        cur, cur_lo, new = new, cur_lo + vals[0], None
     if cur.dtype != object and -(2**63) <= cur_lo and cur_lo + cur.shape[0] <= 2**63:
-        # Both int64: SparseCounts keeps the arrays.  Only the nonzero
-        # counts are widened, never the whole span.
-        return nz + cur_lo, cur[nz].astype(np.int64, copy=False)
+        return range(cur_lo, cur_lo + cur.shape[0]), cur
+    nz = np.flatnonzero(cur)
     return [cur_lo + i for i in nz.tolist()], cur[nz].tolist()
 
 
@@ -606,11 +612,6 @@ def spectrum(
 ) -> Spectrum:
     rep = representation(sets, signs=signs, algo=algo, mem_budget=mem_budget)
     return spectrum_of(rep)
-
-
-def rich_tail(rep: SparseCounts, r: int) -> int:
-    """|{x : r(x) >= r}|."""
-    return sum(map(operator.ge, rep.unordered_counts(), itertools.repeat(r)))
 
 
 def _support(

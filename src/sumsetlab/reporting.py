@@ -50,7 +50,10 @@ def jsonable(value: Any) -> Any:
 
 
 def render_json(payload: dict) -> str:
-    return json.dumps(jsonable(payload), sort_keys=True, indent=2) + "\n"
+    try:
+        return json.dumps(jsonable(payload), sort_keys=True, indent=2) + "\n"
+    except ValueError as exc:  # an int past the caller's int/str digit limit
+        raise InputError(str(exc)) from None
 
 
 def spectrum_csv(sp: Spectrum) -> str:
@@ -67,8 +70,11 @@ def rows_csv(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     float its shortest round-trip repr."""
     out = io.StringIO()
     out.write(",".join(header) + "\n")
-    for row in rows:
-        out.write(",".join(map(str, row)) + "\n")
+    try:
+        for row in rows:
+            out.write(",".join(map(str, row)) + "\n")
+    except ValueError as exc:  # an int past the caller's int/str digit limit
+        raise InputError(str(exc)) from None
     return out.getvalue()
 
 

@@ -34,6 +34,12 @@ from sumsetlab.reporting import file_digest, rows_csv
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+# Python 3.10 before 3.10.7 has no limit on int/str conversion.
+DIGIT_LIMIT = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit"
+)
+
+
 def _run(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
@@ -124,6 +130,54 @@ class TestGen:
             reports[argv[0]] = json.loads(done.stdout)
         assert reports["analyze"]["reports"][0]["max"] == ten
         assert reports["energy"]["T"] == "190"
+
+    @DIGIT_LIMIT
+    def test_set_file_past_4300_digits_reads_back(self, tmp_path):
+        # Written by the console entry, read by read_set in a second
+        # process that lifts the limit as cli.main does, so that this one
+        # keeps it.
+        path = str(tmp_path / "F.set")
+        done = _cli_subprocess(["gen", "power:n=10,m=5000", "--out", path], "")
+        assert done.returncode == 0
+        read = (
+            "import sys; sys.set_int_max_str_digits(0)\n"
+            "from sumsetlab.core import read_set\n"
+            f"A = read_set({path!r})\n"
+            "print(A.elements == tuple(i**5000 for i in range(1, 11)))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sumsetlab.__file__))}
+        done = subprocess.run(
+            [sys.executable, "-c", read], capture_output=True, text=True, env=env,
+            timeout=120,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "True\n", "")
+
+    @DIGIT_LIMIT
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--out", "{out}", "gen", "power:n=10,m=5000"],
+            ["--out", "{out}", "analyze", "--family", "power:n=10,m=5000"],
+            ["--out", "{out}", "--format", "csv", "lucky", "--r", "2",
+             "--family", "power:n=10,m=5000"],
+            ["--out", "{out}", "energy", "--k", "2", "--set", "{big}"],
+        ],
+        ids=["write_set", "json", "csv", "read_set"],
+    )
+    def test_run_in_process_keeps_its_digit_limit(self, tmp_path, capsys, argv):
+        # cli.run converts under its caller's limit: an integer past it is
+        # one error line and exit 2, and nothing is written.
+        big, out = tmp_path / "big.set", tmp_path / "out"
+        big.write_text("1" + "0" * 5000 + "\n")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, stdout, err = _run(capsys, *(a.format(out=out, big=big) for a in argv))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, stdout) == (2, "")
+        assert re.fullmatch(r"error: Exceeds the limit \(4300 digits\)[^\n]*\n", err)
+        assert not out.exists()
 
     def test_bad_family_exits_2(self, capsys):
         code, _, err = _run(capsys, "gen", "power:n=5")

@@ -129,7 +129,7 @@ class TestRepresentation:
         real = SparseCounts.__init__
 
         def counting(self, values, counts, **kwargs):
-            built.append(len(values))
+            built.append(self)
             real(self, values, counts, **kwargs)
 
         monkeypatch.setattr(SparseCounts, "__init__", counting)
@@ -141,7 +141,7 @@ class TestRepresentation:
         for sets, signs in cases:
             built.clear()
             rep = representation(sets, signs=signs, algo=algo)
-            assert built == [len(rep)], (sets, signs)
+            assert len(built) == 1 and built[0] is rep, (sets, signs)
 
     def test_mitm_estimate_caps_integer_subtrees(self):
         # [Z, Z] is integer-valued: its 100 * 100 pairs give at most the
@@ -225,10 +225,34 @@ class TestDenseWidths:
         assert len(widths) == k and widths[-1] == width
         assert rep == representation(sets, algo="mitm")
         assert rep.counts == _interval_counts(m, k)
+        # The container keeps the fold's array at its last width.
         if width == "object":
             assert rep._count_array is None
         else:
-            assert rep._count_array.dtype == np.int64
+            assert rep._count_array.dtype == width
+
+
+    @pytest.mark.parametrize(
+        "A, width",
+        [(gen_random_s_convex(192, 1, 7, 4), "uint16"), (gen_interval(2000), "int64")],
+        ids=["rsc192", "interval2000"],
+    )
+    def test_fold_peaks_within_its_plan(self, A, width):
+        # numpy is imported with this module, so the peak is the fold's:
+        # its two widest arrays, the kept one included, never a gathered,
+        # widened or copied one.  Planned at 16 bytes per cell of span.
+        import tracemalloc
+
+        lists, _ = engine._signed_ints([A] * 4, (1,) * 4)
+        planned = engine._plan_dense(lists)[0]
+        tracemalloc.start()
+        try:
+            rep = representation([A] * 4, algo="dense")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep._count_array.dtype == width
+        assert peak <= planned
 
 
 class TestPlanner:

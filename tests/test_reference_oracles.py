@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -720,16 +721,101 @@ def test_reductions_of_a_dense_result_build_no_lists(monkeypatch):
 
     def guarded(lists):
         values, counts = fold(lists)
-        return values.view(_NoToList), counts.view(_NoToList)
+        return values, counts.view(_NoToList)
 
     monkeypatch.setattr(engine, "_rep_dense", guarded)
     A = OrderedSet(range(0, 120, 3))
     rep = representation([A] * 4, algo="dense")
+    # The fold's own array, zeros included, is kept.
     assert isinstance(rep._count_array, _NoToList)
-    readings_without_tuples = (spectrum_of(rep), mass_of_squares(rep), len(rep), rep.mass)
+    assert rep._count_array.size > len(rep)
+    top = rep.max_count()
+    readings_without_tuples = (
+        spectrum_of(rep), mass_of_squares(rep), len(rep), rep.mass, top,
+        [rich_tail(rep, r) for r in (-(2**70), 0, 1, 2, top // 3, top, top + 1, 2**70)],
+    )
     assert python_ints(readings_without_tuples)
     with pytest.raises(AssertionError, match="tolist"):
         rep.counts
+
+
+def _count_array(dtype, bits, top_bit):
+    """Zeros and the counts 2**b - 1 and 2**b for b = 1 .. top_bit that
+    lie below 2**bits: with top_bit = bits, up to the width's largest
+    count, so 2**62 and 2**63 - 1 in int64."""
+    counts = [c for b in range(1, top_bit + 1) for c in (0, 2**b - 1, 2**b)]
+    return np.array([c for c in counts if c < 2**bits], dtype=dtype)
+
+
+@pytest.mark.parametrize("top", ["narrow", "full"])
+@pytest.mark.parametrize(
+    "dtype, bits", [("uint8", 8), ("uint16", 16), ("uint32", 32), ("int64", 63)]
+)
+def test_count_array_reductions_are_exact(dtype, bits, top):
+    # A kept fold array at each width, zeros included: the bit classes are
+    # the bit lengths of the nonzero counts, and the sum of squares is
+    # Python's, down the int64 dot (narrow, and full up to uint16) and
+    # down the Python sum (full uint32 and int64).
+    c = _count_array(dtype, bits, bits if top == "full" else 7)
+    rep = SparseCounts(range(-5, -5 + len(c)), c)
+    nonzero = [int(x) for x in c if x]
+    assert (max(nonzero) * sum(nonzero) < 2**63) == (top == "narrow" or bits <= 16)
+    sizes = Counter(map(int.bit_length, nonzero))
+    assert rep.dyadic_classes() == tuple(sorted((b - 1, n) for b, n in sizes.items()))
+    assert mass_of_squares(rep) == sum(x * x for x in nonzero)
+    listed = SparseCounts([v for v, x in zip(range(-5, -5 + len(c)), c) if x], nonzero)
+    assert readings(rep) == readings(listed)
+    assert python_ints(readings(rep))
+    with engine.verification() as stats:
+        engine._verify_representation(rep)
+    assert stats.sandwich_checks == 1
+
+
+BAD_FOLDS = {
+    "lengths": (range(3), [1, 2]),
+    "step": (range(0, 4, 2), [1, 1]),
+    "below_int64": (range(-(2**63) - 1, -(2**63) + 1), [1, 1]),
+    "above_int64": (range(2**63 - 1, 2**63 + 1), [1, 1]),
+    "negative": (range(2), [2, -1]),
+    "all_zero": (range(2), [0, 0]),
+    "empty": (range(0), []),
+}
+
+
+@pytest.mark.parametrize("values, counts", BAD_FOLDS.values(), ids=BAD_FOLDS)
+def test_fold_checks(values, counts):
+    with pytest.raises(InputError, match="SparseCounts|values/counts"):
+        SparseCounts(values, np.array(counts, dtype=np.int64))
+
+
+@pytest.mark.parametrize(
+    "values, den",
+    [
+        ([2, 6, 10], 2),
+        ([2, 6, 10], 4),
+        ([-6, 3, 9], 5),
+        ([-(2**63), -(2**63) + 6], 6),
+        ([-(2**63), -(2**63) + 2], 2**63),
+        ([-(2**63)], 3 * 2**63),
+        ([0], 2**64),
+        ([2**63 - 8, 2**63 - 4], 8),
+    ],
+    ids=["to_1", "partly", "coprime", "min_partly", "min_to_2", "min_past_int64",
+         "zero_past_int64", "max_partly"],
+)
+def test_fold_over_a_denominator_equals_lists(values, den):
+    # The fold's den reduction (gcd over its first int and the nonzero
+    # offsets, keeping every g-th cell) is the lists' reduction.
+    counts = list(range(1, len(values) + 1))
+    cells = np.zeros(values[-1] - values[0] + 1, dtype=np.uint8)
+    cells[[v - values[0] for v in values]] = counts
+    fold = SparseCounts(range(values[0], values[-1] + 1), cells, den=den)
+    listed = SparseCounts(values, counts, den=den)
+    assert fold._count_array is not None
+    for name in ("den", "ints", "counts"):
+        assert getattr(fold, name) == getattr(listed, name), name
+    assert typed(fold.values) == typed(listed.values)
+    assert readings(fold) == readings(listed)
 
 
 BAD_ARRAYS = {

@@ -33,6 +33,7 @@ INT_FAMILY = "power:m=2"
 RAT_FAMILY = "composed:f=poly:0,1/2,inner=power:m=2"
 RAT_SET = "composed:f=poly:0,1/2,inner=power:n=8,m=2"
 GRID = ["--grid", "8,16,32"]
+DENSE_SET = "rsc:n=192,s=1,seed=7,gap=4"
 
 #: The parameter each s- or k-indexed bound reads, as verify flags.
 BOUND_PARAMS = {
@@ -167,6 +168,16 @@ COMMANDS = [
     # --format csv on commands without a CSV form.
     ["--format", "csv", "energy", "--k", "4", "--family", "rsc:n=38,s=3,seed=0,gap=64"],
     ["--format", "csv", "analyze", "--family", "rsc:n=24,s=2,seed=3,gap=8"],
+    # Dense folds kept whole by the result, at the widths they end in
+    # (uint16, int64, Python ints) and over a denominator.
+    *(
+        ["--algo", "dense", "spectrum", "--k", "4", "--family", DENSE_SET, *fmt]
+        for fmt in ([], CSV)
+    ),
+    ["--algo", "dense", "spectrum", "--k", "40", "--family", "interval:n=2"],
+    ["--algo", "dense", "energy", "--k", "70", "--family", "interval:n=2"],
+    ["--algo", "dense", "spectrum", "--k", "4",
+     "--family", "composed:f=poly:0,1/2,inner=rsc:n=96,s=1,seed=7,gap=4"],
 ]
 
 
