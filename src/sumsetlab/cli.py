@@ -46,7 +46,9 @@ from typing import Callable
 
 from . import bounds, engine, luckypairs
 from .convexity import IDENTITY, convexity_order, parse_function
-from .core import DEFAULT_MEMORY_BUDGET, OrderedSet, moment_sum, read_set, write_set
+from .core import (
+    DEFAULT_MEMORY_BUDGET, OrderedSet, conversion_error, moment_sum, read_set, write_set,
+)
 from .errors import SumsetLabError
 from .families import format_family, generate, parse_family
 from .reporting import (
@@ -218,8 +220,8 @@ def _cmd_fit(args) -> tuple[dict, None]:
         n_text, _, q_text = pair.partition(":")
         try:
             points.append((int(n_text), int(q_text)))
-        except ValueError:
-            raise SumsetLabError(f"bad point {pair!r}, expected N:Q")
+        except ValueError as exc:
+            raise conversion_error(exc, f"bad point {pair!r}, expected N:Q") from None
     report = bounds.fit_exponent(points)
     return {**asdict(report), "points": [{"N": n, "Q": q} for n, q in points]}, None
 
@@ -227,10 +229,9 @@ def _cmd_fit(args) -> tuple[dict, None]:
 def _cmd_verify(args) -> tuple[dict, Callable[[], str] | None]:
     try:
         grid = [int(x) for x in args.grid.split(",")]
-    except ValueError:
-        raise SumsetLabError(
-            f"bad --grid {args.grid!r}, expected comma-separated integers"
-        )
+    except ValueError as exc:
+        expected = f"bad --grid {args.grid!r}, expected comma-separated integers"
+        raise conversion_error(exc, expected) from None
     header = {"bound_id": args.bound, "family": args.family}
     if args.bound == "eq13_tail":
         for name in ("signs", "s", "k"):

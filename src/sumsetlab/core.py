@@ -24,20 +24,24 @@ change; an integer set's ints are that same tuple.  A container built
 from ints over ``den > 1`` (an engine result) builds its elements, each
 the int x // den or ``Fraction(x, den)``, only when they are first read.
 
-A ``SparseCounts`` built from two numpy int64 arrays, ints over any
-``den``, reduces ``den`` as above, keeps private copies of the arrays
-and builds its tuples only when one is read.  One built from a range of
-consecutive ints and a numpy count array of any integer width, zeros
-meaning absent (the dense fold of ``engine.representation`` hands over
-its array this way, as it stands), keeps that array.  Only this class,
-:func:`rich_tail` and :func:`mass_of_squares` read a count array, the same way whether or
-not it holds zeros: ``len`` counts its nonzero cells,
+A ``SparseCounts`` takes one of three forms, one per producer: value
+and count sequences (callers, and the dense fold past int64), a count
+dict (the sparse kernels) or a range with a count array (the dense
+fold within int64).
+
+Built from a range of consecutive ints and a numpy count array of any
+integer width, zeros meaning absent (the dense fold of
+``engine.representation`` hands over its array this way, as it stands),
+a ``SparseCounts`` keeps that array and the range's first int.  Only
+this class, :func:`rich_tail` and :func:`mass_of_squares` read a count
+array: ``len`` counts its nonzero cells,
 ``SparseCounts.dyadic_classes`` compares it against each power of two
-up to its maximum, :func:`rich_tail` against the clamped threshold, and
+up to its maximum, :func:`rich_tail` against the clamped threshold,
 :func:`mass_of_squares` takes an int64 dot product only while
 ``max(c) * mass < 2**63``, which bounds every partial sum, and a Python
-int sum otherwise.  Only the first read of the ints or counts gathers
-the nonzero cells.  numpy is imported only in these array branches,
+int sum otherwise, and ``unordered_counts`` takes its nonzero cells.
+Only the first read of the ints or counts gathers the nonzero cells
+with their values.  numpy is imported only in these array branches,
 which nothing but a numpy array reaches.
 
 A ``SparseCounts`` built from a dict int -> count (a sparse kernel's
@@ -72,11 +76,6 @@ DEFAULT_MEMORY_BUDGET = 2**32
 # Rough per-entry cost of a Python dict holding scalar keys and counts,
 # used only for pre-allocation estimates.
 DICT_ENTRY_BYTES = 120
-
-
-def _is_int64_vector(x) -> bool:
-    """True for a 1-d numpy int64 array, found without importing numpy."""
-    return getattr(x, "dtype", None) == "int64" and x.ndim == 1
 
 
 def _is_int_vector(x) -> bool:
@@ -183,6 +182,15 @@ def parse_element(text: str) -> Scalar:
     if den == 0:
         raise InputError(f"zero denominator in {text!r}")
     return canon(Fraction(num, den))
+
+
+def conversion_error(exc: Exception, message: str) -> InputError:
+    """The error for text that ``int`` or ``Fraction`` rejected with
+    ``exc``: its own one-line message when the text passed the caller's
+    int/str digit limit, else ``message``, which says the text is
+    malformed."""
+    limit = str(exc).startswith("Exceeds the limit")
+    return InputError(str(exc) if limit else message)
 
 
 def format_element(x: Scalar) -> str:
@@ -317,13 +325,6 @@ class SparseCounts:
     default) are kept as ``values``; ints over ``den`` > 1 (the engine's
     results) are reduced, and ``values`` is built when first read.
 
-    Given two 1-d numpy int64 arrays, of ints over any ``den``, the same
-    checks run as array operations (the dtype makes every count an
-    integer), ``den`` is reduced as for ints, and copies of the arrays
-    are kept, so later writes to the caller's arrays change nothing
-    here: ``ints`` and ``counts`` become tuples of Python ints on first
-    read.
-
     Given a ``range`` of consecutive ints within int64 as ``values`` and
     a 1-d numpy array of any integer width as ``counts``, each value
     paired with the count at its offset, the counts may hold zeros,
@@ -333,6 +334,8 @@ class SparseCounts:
     the nonzero counts, keeping every g-th count; the array is kept, not
     copied (the dense fold hands over an array it no longer changes),
     and its nonzero cells are gathered into the tuples on first read.
+    A numpy array of values in any other form takes the sequence
+    checks, which reject its numpy scalars.
 
     Given a dict value -> count in any order as ``values``, and no
     ``counts``, the same checks run on its keys and counts (a dict holds
@@ -343,20 +346,17 @@ class SparseCounts:
     """
 
     __slots__ = (
-        "den", "_ints", "_values", "_counts", "_mapping", "_value_array",
-        "_count_array", "_mass",
+        "den", "_ints", "_values", "_counts", "_mapping", "_lo", "_count_array",
+        "_mass",
     )
 
     def __init__(
         self, values: Union[Sequence[Scalar], dict], counts=None, *, den: int = 1
     ) -> None:
-        self._mapping = self._value_array = self._count_array = None
+        self._mapping = self._count_array = None
         self._ints = self._values = self._counts = None
         if type(values) is range and _is_int_vector(counts):
             self._init_fold(values, counts, den)
-            return
-        if _is_int64_vector(values) and _is_int64_vector(counts):
-            self._init_arrays(values, counts, den)
             return
         if counts is None and isinstance(values, dict):
             lists = self._init_mapping(values, den)
@@ -390,29 +390,6 @@ class SparseCounts:
         self._mapping = mapping
         self._mass = sum(mapping.values())
 
-    def _init_arrays(self, values, counts, den: int) -> None:
-        if len(values) != len(counts):
-            raise InputError("values/counts length mismatch")
-        if not len(values):
-            raise InputError("SparseCounts must be non-empty")
-        if not (values[1:] > values[:-1]).all():
-            raise InputError("SparseCounts values must be strictly increasing")
-        if counts.min() < 1:
-            raise InputError("SparseCounts counts must be positive")
-        self._mass = _array_mass(counts)
-        if den != 1:
-            import numpy as np
-
-            # den reduced by _over_den against the gcd of the ints, taken
-            # over their absolute values as uint64, where |-2**63| fits.
-            ints_gcd = int(np.gcd.reduce(np.abs(values).view(np.uint64)))
-            g = den // _over_den((ints_gcd,), True, den)[1]
-            # A g past int64 divides only 0 and -2**63 (then g = 2**63):
-            # the shift floors both as // g does.
-            values, den = (values // g if g < 2**63 else values >> 63), den // g
-        self._value_array, self._count_array = values.copy(), counts.copy()
-        self.den = den
-
     def _init_fold(self, values: range, counts, den: int) -> None:
         if len(values) != len(counts):
             raise InputError("values/counts length mismatch")
@@ -433,8 +410,7 @@ class SparseCounts:
             offsets_gcd = int(np.gcd.reduce(np.flatnonzero(counts)))
             g = den // _over_den((lo, offsets_gcd), True, den)[1]
             counts, lo, den = counts[:: min(g, len(counts))], lo // g, den // g
-        self._value_array = range(lo, lo + len(counts))
-        self._count_array, self.den = counts, den
+        self._lo, self._count_array, self.den = lo, counts, den
 
     def _sort_mapping(self) -> None:
         mapping = self._mapping
@@ -444,18 +420,16 @@ class SparseCounts:
         self._mapping = None
 
     def _build_tuples(self) -> None:
-        """Sort a kept dict, or convert the arrays, into the tuples: of a
-        range, the ints and counts of the nonzero cells."""
+        """Sort a kept dict, or gather a count array's nonzero cells, into
+        the tuples."""
         if self._mapping is not None:
             self._sort_mapping()
             return
-        values, counts = self._value_array, self._count_array
-        if type(values) is range:
-            import numpy as np
+        import numpy as np
 
-            nonzero = np.flatnonzero(counts)
-            values, counts = nonzero + values.start, counts[nonzero]
-        self._ints, self._counts = tuple(values.tolist()), tuple(counts.tolist())
+        nonzero = np.flatnonzero(self._count_array)
+        self._ints = tuple((nonzero + self._lo).tolist())
+        self._counts = tuple(self._count_array[nonzero].tolist())
 
     @property
     def ints(self) -> tuple:
@@ -477,10 +451,14 @@ class SparseCounts:
 
     def unordered_counts(self) -> Iterable[int]:
         """The counts in no particular order, each once: a kept dict's
-        counts as they are, else :attr:`counts`.  For reductions that do
-        not depend on order, which then never sort a kept dict."""
+        counts as they are, a kept count array's nonzero cells as Python
+        ints, else :attr:`counts`.  For reductions that do not depend on
+        order, which then never sort a kept dict nor gather the ints."""
         if self._mapping is not None:
             return self._mapping.values()
+        c = self._count_array
+        if c is not None:
+            return c[c != 0].tolist()
         return self.counts
 
     @classmethod

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 from .convexity import eval_fn, parse_function
-from .core import OrderedSet, Scalar, canon, format_element
+from .core import OrderedSet, Scalar, canon, conversion_error, format_element
 from .errors import InputError
 
 _MASK64 = (1 << 64) - 1
@@ -256,7 +256,8 @@ def instantiate(template: str, n: int | None, default_seed: int = 0) -> FamilySp
             try:
                 params[key] = kind.parse(raw[key])
             except (ValueError, ZeroDivisionError) as exc:
-                raise InputError(f"parameter {key} must be {kind.wording}") from exc
+                wording = f"parameter {key} must be {kind.wording}"
+                raise conversion_error(exc, wording) from None
         elif default is not None:
             params[key] = default
         elif key != "seed":

@@ -179,6 +179,43 @@ class TestGen:
         assert re.fullmatch(r"error: Exceeds the limit \(4300 digits\)[^\n]*\n", err)
         assert not out.exists()
 
+    @DIGIT_LIMIT
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "power:n={big},m=2"],
+            ["fit", "{big}:1", "2:3", "3:4"],
+            ["verify", "--bound", "KG_energy", "--family", "power:m=2",
+             "--grid", "8,{big}"],
+        ],
+        ids=["gen", "fit", "verify"],
+    )
+    def test_parameters_past_the_digit_limit_name_it(self, capsys, argv):
+        # A valid integer past the caller's limit is not malformed: the one
+        # error line names the limit and does not echo the digits.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, stdout, err = _run(capsys, *(a.format(big="1" * 5001) for a in argv))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, stdout) == (2, "")
+        assert re.fullmatch(r"error: Exceeds the limit \(4300 digits\)[^\n]*\n", err)
+        assert "1" * 5001 not in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gen", "power:n=1x,m=2"], "parameter n must be an integer"),
+            (["fit", "1x:1", "2:3"], "bad point '1x:1', expected N:Q"),
+            (["verify", "--bound", "KG_energy", "--family", "power:m=2",
+              "--grid", "8,1x"], "bad --grid '8,1x', expected comma-separated integers"),
+        ],
+        ids=["gen", "fit", "verify"],
+    )
+    def test_malformed_integer_parameters(self, capsys, argv, message):
+        assert _run(capsys, *argv) == (2, "", f"error: {message}\n")
+
     def test_bad_family_exits_2(self, capsys):
         code, _, err = _run(capsys, "gen", "power:n=5")
         assert code == 2

@@ -178,6 +178,11 @@ COMMANDS = [
     ["--algo", "dense", "energy", "--k", "70", "--family", "interval:n=2"],
     ["--algo", "dense", "spectrum", "--k", "4",
      "--family", "composed:f=poly:0,1/2,inner=rsc:n=96,s=1,seed=7,gap=4"],
+    # analyze reading the moments and the popular class of a dense r_{A-A}.
+    *(
+        ["--algo", "dense", "analyze", "--family", family]
+        for family in ("rsc:n=24,s=2,seed=3,gap=8", RAT_SET)
+    ),
 ]
 
 
