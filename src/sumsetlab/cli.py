@@ -41,6 +41,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, fields
+from fractions import Fraction
 from operator import attrgetter
 from typing import Callable
 
@@ -105,27 +106,32 @@ def _cmd_analyze(args) -> tuple[dict, None]:
             "min": A[0],
             "max": A[-1],
         }
-        for pattern in ("+-", "++", "++-"):
+        for pattern in ("++", "++-"):
             rep = asdict(engine.doubling(A, pattern, mem_budget=args.mem))
             del rep["pattern"]  # named by the key instead
             entry.update({f"{name}[{pattern}]": value for name, value in rep.items()})
-        # engine.check_popular_bound; E and E3_diff are read from the same
-        # r_{A-A}.
+        # One r_{A-A} gives the rest: its support is A-A, and E, E3_diff
+        # and the popular class (as in engine.check_popular_bound) are read
+        # from its counts unsorted.  Built after the two sizes, it is not
+        # held while they run.
         diff = engine.representation(
             [A, A], signs="+-", algo=args.algo, mem_budget=args.mem
         )
-        pop = engine.popular_class_of(diff)
+        entry["size[+-]"] = len(diff)
+        entry["K[+-]"] = Fraction(len(diff), len(A))
+        delta, class_size, score = engine.popular_class_size(diff)
         e = engine.energy_of(diff, [A, A])
-        bound = engine.popular_bound_factor(len(A)) * pop.score
+        bound = engine.popular_bound_factor(len(A)) * score
         entry["E"] = e
         entry["popular"] = {
-            "delta": pop.delta,
-            "class_size": len(pop.differences),
-            "score": pop.score,
+            "delta": delta,
+            "class_size": class_size,
+            "score": score,
             "energy_bound": bound,
             "bound_holds": e <= bound,
         }
         entry["E3_diff"] = moment_sum(diff, 3)
+        del diff  # freed before the next set's sumsets are computed
         reports.append(entry)
     return {"reports": reports}, None
 
@@ -286,6 +292,18 @@ class _Parser(argparse.ArgumentParser):
         raise SumsetLabError(message)
 
 
+def _integer(text: str) -> int:
+    """``type=`` of the integer options.  argparse names the option in
+    either error: malformed text in its own wording, and a valid integer
+    past the caller's int/str digit limit by that limit, without its
+    digits."""
+    try:
+        return int(text)
+    except ValueError as exc:
+        message = f"invalid int value: {text!r}"
+        raise argparse.ArgumentTypeError(str(conversion_error(exc, message))) from None
+
+
 def _add_common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     """Global flags, accepted both before and after the subcommand.
 
@@ -297,7 +315,7 @@ def _add_common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
         return argparse.SUPPRESS if suppress else value
 
     parser.add_argument(
-        "--mem", type=int, default=dflt(DEFAULT_MEMORY_BUDGET),
+        "--mem", type=_integer, default=dflt(DEFAULT_MEMORY_BUDGET),
         help="memory budget in bytes",
     )
     parser.add_argument(
@@ -311,7 +329,7 @@ def _add_common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
         "--out", default=dflt(None), help="output path (default stdout)"
     )
     parser.add_argument(
-        "--seed", type=int, default=dflt(0), help="default RNG seed"
+        "--seed", type=_integer, default=dflt(0), help="default RNG seed"
     )
     parser.add_argument(
         "--timings",
@@ -357,7 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = add_sub(name, helptext, handler)
         add_set_args(p)
-        p.add_argument("--k", type=int, default=None, help="replicate one set k times")
+        p.add_argument(
+            "--k", type=_integer, default=None, help="replicate one set k times"
+        )
         p.add_argument("--signs", default=None, help="sign pattern like ++-")
         if name == "sumset":
             p.add_argument(
@@ -370,9 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lucky = add_sub("lucky", "lucky-pair census for a richness class", _cmd_lucky)
     add_set_args(p_lucky)
-    p_lucky.add_argument("--k", type=int, default=2)
-    p_lucky.add_argument("--r", type=int, required=True, help="dyadic class floor")
-    p_lucky.add_argument("--c", type=int, default=4, help="partition constant")
+    p_lucky.add_argument("--k", type=_integer, default=2)
+    p_lucky.add_argument("--r", type=_integer, required=True, help="dyadic class floor")
+    p_lucky.add_argument("--c", type=_integer, default=4, help="partition constant")
     p_lucky.add_argument("--g", default=None, help="monotone map (default identity)")
 
     p_fit = add_sub("fit", "log-log slope of N:Q points", _cmd_fit)
@@ -382,8 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--bound", required=True)
     p_ver.add_argument("--family", required=True)
     p_ver.add_argument("--grid", required=True, help="comma-separated N values")
-    p_ver.add_argument("--s", type=int, default=None)
-    p_ver.add_argument("--k", type=int, default=None)
+    p_ver.add_argument("--s", type=_integer, default=None)
+    p_ver.add_argument("--k", type=_integer, default=None)
     p_ver.add_argument("--signs", default=None)
 
     return parser
@@ -408,8 +428,9 @@ def run(argv=None) -> int:
         if env is not None:
             try:
                 args.mem = int(env)
-            except ValueError:
-                raise SumsetLabError(f"SUMSETLAB_MEM must be an integer, got {env!r}")
+            except ValueError as exc:
+                expected = f"SUMSETLAB_MEM must be an integer, got {env!r}"
+                raise conversion_error(exc, expected) from None
         if args.mem <= 0:
             raise SumsetLabError("memory budget must be positive")
         # "-" is stdout for every command, gen's set file included.

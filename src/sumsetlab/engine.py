@@ -76,11 +76,14 @@ rational result's values are built only when a caller reads them.
 tuples: its bit classes (``SparseCounts.dyadic_classes``) and sum of
 squares (``core.mass_of_squares``) read the count array in ``core``,
 with integer operations only, and return Python ints.  ``energy_of``
-and ``popular_class_of`` are the other reductions of a given result:
+and ``popular_class_size`` are the other reductions of a given result:
 the sum of squares with the universal-bounds check, and the popular
-dyadic class, picked from the bit classes of r_{A-A}.  The energy
+dyadic class's Delta, size and score, picked from the bit classes of
+r_{A-A}, which are read unsorted.  ``popular_class_of`` adds the class's
+differences, sorted, for callers that read them.  The energy
 E(A) = sum r_{A-A}(d)**2 and the popular-class bound
-(``check_popular_bound``) are both read from one r_{A-A}.
+(``check_popular_bound``) are both read from one r_{A-A}, and the bound
+builds no set.
 
 Sumsets and their sizes (``signed_sumset``, ``sumset_size``,
 ``doubling``) need no counts and take no algorithm: they come from the
@@ -697,19 +700,27 @@ def popular_dyadic_class(
     return popular_class_of(diff)
 
 
-def popular_class_of(diff: SparseCounts) -> PopularClass:
-    """The dyadic class of the difference representation ``diff`` =
-    r_{A-A} (zero and both signs included) with maximal |D| * Delta**2;
-    ties go to the larger Delta.
+def popular_class_size(diff: SparseCounts) -> tuple[int, int, int]:
+    """(Delta, |D|, |D| * Delta**2) of the dyadic class D of the
+    difference representation ``diff`` = r_{A-A} (zero and both signs
+    included) with maximal |D| * Delta**2, ties going to the larger
+    Delta: read from its bit classes, so ``diff`` is neither sorted nor
+    gathered and D is not built.
     """
     # r_{A-A} has mass |A|**2.
     if diff.mass < 4:
         raise InputError("popular class needs at least 2 elements")
     j, size = max(diff.dyadic_classes(), key=lambda js: (js[1] * 4 ** js[0], js[0]))
-    lo, hi = 2**j, 2 ** (j + 1)
+    return 2**j, size, size * 4**j
+
+
+def popular_class_of(diff: SparseCounts) -> PopularClass:
+    """The popular class of ``diff`` (:func:`popular_class_size`) with
+    its differences D."""
+    delta, _, score = popular_class_size(diff)
     # diff.ints run in increasing order.
-    ints = [x for x, c in zip(diff.ints, diff.counts) if lo <= c < hi]
-    return PopularClass(OrderedSet(ints, den=diff.den), lo, size * lo**2)
+    ints = [x for x, c in zip(diff.ints, diff.counts) if delta <= c < 2 * delta]
+    return PopularClass(OrderedSet(ints, den=diff.den), delta, score)
 
 
 def popular_bound_factor(n: int) -> int:
@@ -722,8 +733,9 @@ def check_popular_bound(
     A: OrderedSet, *, algo: str = "auto", mem_budget: int | None = None
 ) -> tuple[int, int, bool]:
     """Return (E(A), bound, E <= bound) for the popular-class bound, both
-    read from one r_{A-A}: E(A) is the sum of its squared counts."""
+    read from one r_{A-A}: E(A) is the sum of its squared counts, and
+    no set of differences is built."""
     diff = representation([A, A], signs=(1, -1), algo=algo, mem_budget=mem_budget)
-    bound = popular_bound_factor(len(A)) * popular_class_of(diff).score
+    bound = popular_bound_factor(len(A)) * popular_class_size(diff)[2]
     e = energy_of(diff, [A, A])
     return e, bound, e <= bound

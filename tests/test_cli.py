@@ -28,8 +28,9 @@ from sumsetlab import (
     read_set,
 )
 from sumsetlab.cli import run
-from sumsetlab.core import format_element
-from sumsetlab.reporting import file_digest, rows_csv
+from sumsetlab.core import OrderedSet, SparseCounts, format_element, moment_sum
+from sumsetlab.families import generate, parse_family
+from sumsetlab.reporting import file_digest, render_json, rows_csv
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -38,6 +39,11 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 DIGIT_LIMIT = pytest.mark.skipif(
     not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit"
 )
+
+# The shapes of analyze's benchmark inputs, smaller: an integer set and a
+# rational image of one.
+ANALYZE_INT = "rsc:n=24,s=2,seed=3,gap=8"
+ANALYZE_RAT = "composed:f=poly:0,1/2,inner=interval:n=12"
 
 
 def _run(capsys, *argv):
@@ -181,27 +187,38 @@ class TestGen:
 
     @DIGIT_LIMIT
     @pytest.mark.parametrize(
-        "argv",
+        "argv, env, option",
         [
-            ["gen", "power:n={big},m=2"],
-            ["fit", "{big}:1", "2:3", "3:4"],
-            ["verify", "--bound", "KG_energy", "--family", "power:m=2",
-             "--grid", "8,{big}"],
+            (["gen", "power:n={big},m=2"], {}, ""),
+            (["fit", "{big}:1", "2:3", "3:4"], {}, ""),
+            (["verify", "--bound", "KG_energy", "--family", "power:m=2",
+              "--grid", "8,{big}"], {}, ""),
+            (["energy", "--family", "interval:n=3"], {"SUMSETLAB_MEM": "{big}"}, ""),
+            (["energy", "--k", "{big}", "--family", "interval:n=3"], {},
+             "argument --k: "),
+            (["--mem", "{big}", "energy", "--family", "interval:n=3"], {},
+             "argument --mem: "),
         ],
-        ids=["gen", "fit", "verify"],
+        ids=["gen", "fit", "verify", "SUMSETLAB_MEM", "k", "mem"],
     )
-    def test_parameters_past_the_digit_limit_name_it(self, capsys, argv):
+    def test_parameters_past_the_digit_limit_name_it(self, capsys, monkeypatch,
+                                                       argv, env, option):
         # A valid integer past the caller's limit is not malformed: the one
-        # error line names the limit and does not echo the digits.
+        # error line names the limit (after the option argparse names) and
+        # does not echo the digits.
+        big = "1" * 5001
+        for name, value in env.items():
+            monkeypatch.setenv(name, value.format(big=big))
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(4300)
         try:
-            code, stdout, err = _run(capsys, *(a.format(big="1" * 5001) for a in argv))
+            code, stdout, err = _run(capsys, *(a.format(big=big) for a in argv))
         finally:
             sys.set_int_max_str_digits(limit)
         assert (code, stdout) == (2, "")
-        assert re.fullmatch(r"error: Exceeds the limit \(4300 digits\)[^\n]*\n", err)
-        assert "1" * 5001 not in err
+        pattern = rf"error: {option}Exceeds the limit \(4300 digits\)[^\n]*\n"
+        assert re.fullmatch(pattern, err)
+        assert big not in err
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -445,6 +462,71 @@ class TestSumsetDoubling:
         monkeypatch.undo()
         for (sets, _), report in zip(keys, json.loads(out)["reports"]):
             assert report["E3_diff"] == str(engine.moment(sets, 3, signs="+-"))
+
+    @pytest.mark.parametrize("algo", ["auto", "naive", "mitm", "dense"])
+    @pytest.mark.parametrize(
+        "family", [ANALYZE_INT, ANALYZE_RAT, "power:n=2,m=3"], ids=["int", "rat", "two"]
+    )
+    def test_analyze_equals_its_old_sources(self, capsys, algo, family):
+        # |A-A| from the support kernel and the popular class with its
+        # differences built, as analyze read them before it read both from
+        # its one r_{A-A}.
+        A = generate(parse_family(family, 0))
+        want = {}
+        for pattern in ("+-", "++", "++-"):
+            rep = engine.doubling(A, pattern)
+            want.update({f"size[{pattern}]": rep.size, f"K[{pattern}]": rep.K})
+        diff = engine.representation([A, A], signs="+-", algo=algo)
+        pop = engine.popular_class_of(diff)
+        e = engine.energy_of(diff, [A, A])
+        bound = engine.popular_bound_factor(len(A)) * pop.score
+        want["E"], want["E3_diff"] = e, moment_sum(diff, 3)
+        want["popular"] = {
+            "delta": pop.delta,
+            "class_size": len(pop.differences),
+            "score": pop.score,
+            "energy_bound": bound,
+            "bound_holds": e <= bound,
+        }
+        code, out, _ = _run(capsys, "--algo", algo, "analyze", "--family", family)
+        assert code == 0
+        report = json.loads(out)["reports"][0]
+        assert {key: report[key] for key in want} == json.loads(render_json(want))
+
+    @pytest.mark.parametrize("algo", ["auto", "dense"])
+    def test_analyze_builds_only_what_it_prints(self, capsys, monkeypatch, algo):
+        # Per set, the support kernel runs for A+A and A+A-A only, r_{A-A}
+        # is neither sorted nor gathered, and no set is built beyond the
+        # inputs: neither the class's differences nor A-A.
+        families = [ANALYZE_INT, ANALYZE_RAT]
+        built, tuples, support = [], [], []
+        init, build_tuples = OrderedSet.__init__, SparseCounts._build_tuples
+
+        def spy_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(OrderedSet, "__init__", spy_init)
+        monkeypatch.setattr(
+            SparseCounts, "_build_tuples",
+            lambda self: tuples.append(self) or build_tuples(self),
+        )
+        size = kernels.support_size
+        monkeypatch.setattr(
+            kernels, "support_size", lambda *a: support.append(a) or size(*a)
+        )
+        sets = [generate(parse_family(family, 0)) for family in families]
+        inputs = list(built)  # the sets and what generating them built
+        built.clear()
+        argv = ["--algo", algo, "analyze"]
+        code, _, _ = _run(capsys, *argv, *(x for f in families for x in ("--family", f)))
+        assert code == 0
+        assert built == inputs
+        assert (tuples, len(support)) == ([], 2 * len(families))
+        built.clear()
+        for A in sets:
+            engine.check_popular_bound(A, algo=algo)
+        assert (built, tuples) == ([], [])
 
     @pytest.mark.parametrize("squares", [8, 28])
     def test_energy_outside_universal_bounds(self, capsys, monkeypatch, squares):

@@ -958,6 +958,18 @@ class TestPopularClass:
         assert pop.differences.elements == (0,)
         assert pop.score == 4
 
+    def test_one_element_has_no_class(self):
+        A = OrderedSet([7])
+        diff = representation([A, A], signs="+-")
+        for call in (
+            lambda: engine.popular_class_size(diff),
+            lambda: engine.popular_class_of(diff),
+            lambda: popular_dyadic_class(A),
+            lambda: check_popular_bound(A),
+        ):
+            with pytest.raises(InputError, match="popular class needs at least 2"):
+                call()
+
     def test_bound_on_interval_four(self):
         e, bound, ok = check_popular_bound(gen_interval(4))
         assert e == 44

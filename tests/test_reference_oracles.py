@@ -935,6 +935,9 @@ def check_popular_class(A, want):
         pop = popular_dyadic_class(A, algo=algo)
         got = (typed(pop.differences.elements), pop.delta, pop.score)
         assert got == (typed(want[0]), *want[1:]), algo
+        diff = representation([A, A], signs="+-", algo=algo)
+        size = (pop.delta, len(pop.differences), pop.score)
+        assert engine.popular_class_size(diff) == size, algo
         e, bound, ok = check_popular_bound(A, algo=algo)
         # E read from r_{A-A} against E built from r_{A+A}.
         assert e == energy_T([A, A], algo=algo) == brute_force_T([A, A]), algo

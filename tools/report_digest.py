@@ -34,6 +34,8 @@ RAT_FAMILY = "composed:f=poly:0,1/2,inner=power:m=2"
 RAT_SET = "composed:f=poly:0,1/2,inner=power:n=8,m=2"
 GRID = ["--grid", "8,16,32"]
 DENSE_SET = "rsc:n=192,s=1,seed=7,gap=4"
+ANALYZE_INT = "rsc:n=72,s=2,seed=1,gap=8"
+ANALYZE_RAT = "composed:f=poly:0,1/3,1/7,inner=rsc:n=32,s=2,seed=1,gap=8"
 
 #: The parameter each s- or k-indexed bound reads, as verify flags.
 BOUND_PARAMS = {
@@ -183,6 +185,11 @@ COMMANDS = [
         ["--algo", "dense", "analyze", "--family", family]
         for family in ("rsc:n=24,s=2,seed=3,gap=8", RAT_SET)
     ),
+    # analyze at the benchmark's shape: the bitset A+A-A row and a popular
+    # class of about 5,000 differences; then a budget that the support
+    # rows fit and r_{A-A} does not.
+    ["analyze", "--family", ANALYZE_INT, "--family", ANALYZE_RAT],
+    ["--mem", "100000", "analyze", "--family", ANALYZE_INT],
 ]
 
 
