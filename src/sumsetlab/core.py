@@ -24,15 +24,20 @@ change; an integer set's ints are that same tuple.  A container built
 from ints over ``den > 1`` (an engine result) builds its elements, each
 the int x // den or ``Fraction(x, den)``, only when they are first read.
 
-A ``SparseCounts`` takes one of three forms, one per producer: value
-and count sequences (callers, and the dense fold past int64), a count
-dict (the sparse kernels) or a range with a count array (the dense
-fold within int64).
+``SparseCounts(values, counts)`` is the one checked constructor: it
+takes value and count sequences, or a dict value -> count (``counts``
+None), which it sorts into sequences at once, and checks them.  Engine
+results skip those checks: ``engine.representation`` and
+:func:`convolve` hand their result to ``SparseCounts._result``, which
+keeps it as produced, reduces ``den`` and sums the mass, nothing else.
+The kernels guarantee the rest by construction, and
+``engine.representation`` checks every result's mass.  A kept result
+takes one of two forms.
 
-Built from a range of consecutive ints and a numpy count array of any
+Kept from a range of consecutive ints and a numpy count array of any
 integer width, zeros meaning absent (the dense fold of
-``engine.representation`` hands over its array this way, as it stands),
-a ``SparseCounts`` keeps that array and the range's first int.  Only
+``engine.representation`` within int64, as it stands), a
+``SparseCounts`` holds that array and the range's first int.  Only
 this class, :func:`rich_tail` and :func:`mass_of_squares` read a count
 array: ``len`` counts its nonzero cells,
 ``SparseCounts.dyadic_classes`` compares it against each power of two
@@ -44,13 +49,13 @@ Only the first read of the ints or counts gathers the nonzero cells
 with their values.  numpy is imported only in these array branches,
 which nothing but a numpy array reaches.
 
-A ``SparseCounts`` built from a dict int -> count (a sparse kernel's
-result, which ``engine.representation`` and :func:`convolve` hand over
-whole) keeps the dict and sorts it into tuples only when one is read:
-it is the one place that sorts a kernel's output.  The order-free
-reductions (``mass_of_squares``, ``moment_sum``, ``dyadic_classes``,
-``max_count``, ``rich_tail``, and in ``engine`` ``fractional_moment``)
-read :meth:`SparseCounts.unordered_counts`, so they never sort it.
+Kept from a dict int -> count (a sparse kernel's result), a
+``SparseCounts`` holds the dict and sorts it into tuples only when one
+is read: it is the one place that sorts a kernel's output.  The
+order-free reductions (``mass_of_squares``, ``moment_sum``,
+``dyadic_classes``, ``max_count``, ``rich_tail``, and in ``engine``
+``fractional_moment``) read :meth:`SparseCounts.unordered_counts`, so
+they never sort it.
 """
 
 from __future__ import annotations
@@ -76,12 +81,6 @@ DEFAULT_MEMORY_BUDGET = 2**32
 # Rough per-entry cost of a Python dict holding scalar keys and counts,
 # used only for pre-allocation estimates.
 DICT_ENTRY_BYTES = 120
-
-
-def _is_int_vector(x) -> bool:
-    """True for a 1-d numpy array of any integer width, found without
-    importing numpy."""
-    return getattr(getattr(x, "dtype", None), "kind", None) in ("i", "u") and x.ndim == 1
 
 
 def _array_mass(c) -> int:
@@ -322,27 +321,20 @@ class SparseCounts:
     or numpy integer scalars, taken through ``operator.index``; floats,
     strings and Fractions are rejected, never truncated), counts >= 1.
     A failure raises InputError.  Values given over ``den`` 1 (the
-    default) are kept as ``values``; ints over ``den`` > 1 (the engine's
-    results) are reduced, and ``values`` is built when first read.
+    default) are kept as ``values``; ints over ``den`` > 1 are reduced,
+    and ``values`` is built when first read.  A dict value -> count in
+    any order, given as ``values`` with no ``counts``, is canonicalised
+    and sorted into the sequences, which then take the same checks.  A
+    numpy array or a range of values is a sequence like any other; an
+    array's numpy scalars are rejected.
 
-    Given a ``range`` of consecutive ints within int64 as ``values`` and
-    a 1-d numpy array of any integer width as ``counts``, each value
-    paired with the count at its offset, the counts may hold zeros,
-    which mark values that are absent.  The checks are equal lengths,
-    step 1 within int64, counts >= 0, and a positive mass (non-empty).
+    ``_result`` keeps an engine result without these checks: a kernel's
+    count dict of plain ints, sorted into the tuples when either is first
+    read, or the dense fold's range and count array, whose nonzero cells
+    are gathered on first read.  Neither is copied (the producer no longer
+    changes it).  Over ``den`` > 1 a dict's keys are reduced; a fold's
     ``den`` is reduced against the range's first int and the offsets of
-    the nonzero counts, keeping every g-th count; the array is kept, not
-    copied (the dense fold hands over an array it no longer changes),
-    and its nonzero cells are gathered into the tuples on first read.
-    A numpy array of values in any other form takes the sequence
-    checks, which reject its numpy scalars.
-
-    Given a dict value -> count in any order as ``values``, and no
-    ``counts``, the same checks run on its keys and counts (a dict holds
-    each value once).  A dict of plain int keys and counts is kept, not
-    copied: callers hand over a dict they no longer change
-    (:meth:`from_dict` copies).  It is sorted into the tuples when either
-    is first read.  Any other dict is sorted at once.
+    the nonzero counts, keeping every g-th count.
     """
 
     __slots__ = (
@@ -354,15 +346,9 @@ class SparseCounts:
         self, values: Union[Sequence[Scalar], dict], counts=None, *, den: int = 1
     ) -> None:
         self._mapping = self._count_array = None
-        self._ints = self._values = self._counts = None
-        if type(values) is range and _is_int_vector(counts):
-            self._init_fold(values, counts, den)
-            return
         if counts is None and isinstance(values, dict):
-            lists = self._init_mapping(values, den)
-            if lists is None:
-                return
-            values, counts = lists
+            mapping, values = values, sorted(_canonical(values)[0])
+            counts = list(map(mapping.__getitem__, values))
         if len(values) != len(counts):
             raise InputError("values/counts length mismatch")
         if not len(values):
@@ -373,34 +359,26 @@ class SparseCounts:
         self._ints, self.den = _over_den(vals, is_integer, den)
         self._values = vals if den == 1 else None
 
-    def _init_mapping(self, mapping: dict, den: int) -> tuple[list, list] | None:
-        """Keep ``mapping``, or, when some key or count is not a plain int,
-        return it sorted as (values, counts) lists for the list checks."""
-        if not mapping:
-            raise InputError("SparseCounts must be non-empty")
-        keys = _canonical(mapping)[0]
-        if keys is not mapping or not set(map(type, mapping.values())) <= {int}:
-            values = sorted(keys)
-            return values, list(map(mapping.__getitem__, values))
-        if min(mapping.values()) < 1:
-            raise InputError("SparseCounts counts must be positive")
-        keys, self.den = _over_den(mapping, True, den)
-        if keys is not mapping:
-            mapping = dict(zip(keys, mapping.values()))
-        self._mapping = mapping
-        self._mass = sum(mapping.values())
-
-    def _init_fold(self, values: range, counts, den: int) -> None:
-        if len(values) != len(counts):
-            raise InputError("values/counts length mismatch")
+    @classmethod
+    def _result(cls, values, counts, den: int) -> "SparseCounts":
+        """An engine result in a kept form, unchecked: only ``den`` is
+        reduced and the mass summed, which ``engine.representation``
+        checks.  Any other form (the fold's lists past int64) takes the
+        checked constructor."""
+        if counts is not None and type(values) is not range:
+            return cls(values, counts, den=den)
+        self = cls.__new__(cls)
+        self._ints = self._values = self._counts = None
+        self._mapping = self._count_array = None
+        if counts is None:
+            self._mass = sum(values.values())
+            keys, self.den = _over_den(values, True, den)
+            if keys is not values:
+                values = dict(zip(keys, values.values()))
+            self._mapping = values
+            return self
         lo = values.start
-        if values.step != 1 or lo < -(2**63) or values.stop > 2**63:
-            raise InputError("SparseCounts range values must step by 1 within int64")
-        if counts.min(initial=0) < 0:
-            raise InputError("SparseCounts counts must be non-negative")
         self._mass = _array_mass(counts)
-        if not self._mass:
-            raise InputError("SparseCounts must be non-empty")
         if den != 1:
             import numpy as np
 
@@ -411,6 +389,7 @@ class SparseCounts:
             g = den // _over_den((lo, offsets_gcd), True, den)[1]
             counts, lo, den = counts[:: min(g, len(counts))], lo // g, den // g
         self._lo, self._count_array, self.den = lo, counts, den
+        return self
 
     def _sort_mapping(self) -> None:
         mapping = self._mapping
@@ -463,7 +442,7 @@ class SparseCounts:
 
     @classmethod
     def from_dict(cls, mapping: dict) -> "SparseCounts":
-        return cls(dict(mapping))
+        return cls(mapping)
 
     @classmethod
     def from_set(cls, A: OrderedSet) -> "SparseCounts":
@@ -552,7 +531,7 @@ def convolve(p: SparseCounts, q: SparseCounts) -> SparseCounts:
     """
     (av, bv), den = common_ints([p, q])
     acc = kernels.convolve_integer(dict(zip(av, p.counts)), dict(zip(bv, q.counts)))
-    return SparseCounts(acc, den=den)
+    return SparseCounts._result(acc, None, den)
 
 
 def mass_of_squares(p: SparseCounts) -> int:

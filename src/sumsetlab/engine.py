@@ -14,8 +14,8 @@ distinct int sequence is negated once, so they share one tuple per sign;
 beyond those they hold only the references that ``check_copies``
 charges.  The planner and three
 interchangeable algorithms run on those int sequences, and the result's
-ints are handed with that denominator to one ``SparseCounts``, which
-reduces it:
+ints are handed with that denominator to ``SparseCounts._result``, which
+keeps them as produced, unchecked, in one container and reduces it:
 
 * ``naive`` -- enumerate all tuples (the N**k expansion) into one
   ``Counter``;
@@ -37,18 +37,19 @@ reduces it:
   uint16, uint32 and int64 that holds this bound, so no add can wrap,
   and in Python ints (``dtype=object``) beyond, where the fold then
   stays.  A fixed-width fold whose values fit int64 hands its count
-  array to ``SparseCounts`` as it stands, with the range of its values
-  and ``den``: at its last width, zeros included, neither gathered,
-  widened nor copied.  The container keeps it, every reduction reads it
-  in place, and the nonzero cells are gathered into tuples only when a
-  caller reads them.
+  array to ``SparseCounts._result`` as it stands, with the range of its
+  values and ``den``: at its last width, zeros included, neither
+  gathered, widened nor copied.  The container keeps it, every
+  reduction reads it in place, and the nonzero cells are gathered into
+  tuples only when a caller reads them.  Past int64 the fold hands over
+  lists, which take the checked constructor.
 
 Every budgeted path is one row, ``(bytes, cost, run)``, from a
 ``_plan_*`` function: its estimate, made before anything is allocated,
 and the zero-argument call that executes the path and returns the
-result's (values, counts) as ``SparseCounts`` takes them.  A table
-holds only the rows that can run: ``representation`` lists mitm and
-dense always, and naive only when it is asked for by name.  One rule
+result's (values, counts) as ``SparseCounts._result`` takes them.  A
+table holds only the rows that can run: ``representation`` lists mitm
+and dense always, and naive only when it is asked for by name.  One rule
 picks the row, in ``choose``, which reads only the estimates: ``auto``
 takes the cheapest candidate whose bytes fit the memory budget (default
 4 GiB), ties going to the candidate listed first, an explicit algorithm
@@ -59,16 +60,19 @@ paths; the lucky census table (``luckypairs``) and ``check_copies``,
 which ``cli`` and ``bounds`` call before they build k copies of a set,
 hand ``choose`` a bare (bytes, cost).  One set (k = 1)
 is planned and checked against the budget like several.  All modes
-agree exactly and are cross-checked in the test suite.  Every result's
-mass is checked against the product of the set sizes, in every run
-(VerificationError).
+agree exactly and are cross-checked in the test suite.  A kept result
+skips the container's input checks, which the kernels meet by
+construction; its mass is checked against the product of the set
+sizes instead, in every run (VerificationError), and ``verification()``
+adds the spectrum sandwich.
 
 The sparse algorithms (``naive`` and ``mitm``) hand the count dict of
-their result to ``SparseCounts`` whole, as its values with no counts:
-it is sorted only when read in order.  The order-free reductions
-(``energy_of``, ``moment``, ``spectrum_of``, ``rich_tail``,
-``fractional_moment``) read its counts unsorted, so ``energy`` never
-sorts a sparse r_{kA}, whether its root is a multiset node or a join.
+their result to ``SparseCounts._result`` whole, with no counts: it is
+neither scanned nor copied, and sorted only when read in order.  The
+order-free reductions (``energy_of``, ``moment``, ``spectrum_of``,
+``rich_tail``, ``fractional_moment``) read its counts unsorted, so
+``energy`` never sorts a sparse r_{kA}, whether its root is a multiset
+node or a join.
 Neither ``representation`` nor the support path builds a Fraction: a
 rational result's values are built only when a caller reads them.
 
@@ -486,7 +490,7 @@ def representation(
     if algo == "naive":
         plans["naive"] = _plan_naive(lists)
     values, counts = plans[choose(plans, algo, mem_budget, "representation")][2]()
-    rep = SparseCounts(values, counts, den=den)
+    rep = SparseCounts._result(values, counts, den)
     mass = math.prod(map(len, lists))
     if rep.mass != mass:
         raise VerificationError(

@@ -31,7 +31,7 @@ from sumsetlab import (
     spectrum,
     verification,
 )
-from sumsetlab import engine, kernels
+from sumsetlab import core, engine, kernels
 from sumsetlab.bounds import verify_bound
 from sumsetlab.core import DEFAULT_MEMORY_BUDGET, common_ints, mass_of_squares, moment_sum
 from sumsetlab.engine import check_popular_bound, rich_tail, spectrum_of
@@ -125,14 +125,21 @@ class TestRepresentation:
 
     @pytest.mark.parametrize("algo", ["auto", "naive", "mitm", "dense"])
     def test_builds_one_container(self, monkeypatch, algo):
-        built = []
-        real = SparseCounts.__init__
+        # Each result is kept through SparseCounts._result, which never
+        # calls the checked constructor within int64.
+        built, checked = [], []
+        keep, init = SparseCounts._result, SparseCounts.__init__
 
-        def counting(self, values, counts, **kwargs):
-            built.append(self)
-            real(self, values, counts, **kwargs)
+        def counting(cls, values, counts, den):
+            built.append(keep(values, counts, den))
+            return built[-1]
 
-        monkeypatch.setattr(SparseCounts, "__init__", counting)
+        def checking(self, *args, **kwargs):
+            checked.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SparseCounts, "_result", classmethod(counting))
+        monkeypatch.setattr(SparseCounts, "__init__", checking)
         A = gen_interval(5)
         R = OrderedSet([Fraction(-1, 3), Fraction(1, 2), 2])
         cases = [([A] * k, "+" * k) for k in (2, 3, 4, 5)]
@@ -142,6 +149,39 @@ class TestRepresentation:
             built.clear()
             rep = representation(sets, signs=signs, algo=algo)
             assert len(built) == 1 and built[0] is rep, (sets, signs)
+        assert checked == []
+
+    def test_results_skip_the_constructor_checks(self, monkeypatch):
+        # Kernel and fold results are kept as produced: with the
+        # constructor's checks raising, every algorithm still returns the
+        # same result, on integer and rational sets, and so does convolve.
+        # The fold's lists past int64 and public construction still check.
+        A = gen_interval(5)
+        R = OrderedSet([Fraction(-1, 3), Fraction(1, 2), 2])
+        B = OrderedSet([2**62 + Fraction(1, 3), 2**62 + Fraction(2, 3)])
+        cases = [[A] * 3, [A, R, A], [R] * 4]
+        algos = ("auto", "naive", "mitm", "dense")
+        want = [representation(sets, algo=a) for sets in cases for a in algos]
+        p, q = representation([A, R]), representation([R] * 3, algo="mitm")
+        want_pq = core.convolve(p, q)
+
+        class Checked(Exception):
+            pass
+
+        def raising(*args):
+            raise Checked
+
+        for name in ("_canonical", "_increasing_canon", "_integer_counts"):
+            monkeypatch.setattr(core, name, raising)
+        got = [representation(sets, algo=a) for sets in cases for a in algos]
+        assert got == want
+        assert core.convolve(p, q) == want_pq
+        with pytest.raises(Checked):
+            representation([B, B], algo="dense")
+        with pytest.raises(Checked):
+            SparseCounts([1], [1])
+        with pytest.raises(Checked):
+            SparseCounts({1: 1})
 
     def test_mitm_estimate_caps_integer_subtrees(self):
         # [Z, Z] is integer-valued: its 100 * 100 pairs give at most the
@@ -153,24 +193,34 @@ class TestRepresentation:
             representation([Z, Z, Q], algo="mitm", mem_budget=1000)
         assert exc.value.estimated_bytes == 199 * 20 * 120
 
-    @pytest.mark.parametrize("kernel", ["self_sum_counts", "convolve_integer"])
+    @pytest.mark.parametrize(
+        "kernel", ["self_sum_counts", "convolve_integer", "_rep_naive", "_rep_dense"]
+    )
     def test_mass_is_checked_outside_verification(self, monkeypatch, kernel):
-        # The kernel's count dict loses one entry; representation raises
-        # in a normal run, without verification().
-        real = getattr(kernels, kernel)
+        # The result loses one entry: a kernel's or naive's count dict drops
+        # it, the dense fold's count array zeroes its cell.  The mass is the
+        # only check on a kept result, and representation raises in a normal
+        # run, without verification().
+        module = engine if kernel.startswith("_rep") else kernels
+        real = getattr(module, kernel)
         calls = []
 
-        def drop_first_entry(*args):
+        def lose_first_entry(*args):
             calls.append(kernel)
-            acc = real(*args)
-            del acc[next(iter(acc))]
-            return acc
+            result = real(*args)
+            if kernel == "_rep_dense":
+                counts = result[1]
+                counts[np.flatnonzero(counts)[0]] = 0
+            else:
+                del result[next(iter(result))]
+            return result
 
-        monkeypatch.setattr(kernels, kernel, drop_first_entry)
+        monkeypatch.setattr(module, kernel, lose_first_entry)
         A = gen_random_s_convex(12, 3, 1, 64)
         sets = [A] * 4 if kernel == "self_sum_counts" else [A, gen_power(9, 2)]
+        algo = {"_rep_naive": "naive", "_rep_dense": "dense"}.get(kernel, "mitm")
         with pytest.raises(VerificationError, match="representation mass"):
-            representation(sets, algo="mitm")
+            representation(sets, algo=algo)
         assert calls == [kernel]
 
     @pytest.mark.parametrize("k", [62, 63, 64, 70])
@@ -871,14 +921,20 @@ class TestSupportPath:
 
     @pytest.fixture
     def sparse_counts_built(self, monkeypatch):
+        # Checked and kept containers alike.
         built = []
-        real = SparseCounts.__init__
+        init, keep = SparseCounts.__init__, SparseCounts._result
 
-        def counting(self, values, counts, **kwargs):
+        def checking(self, values, counts, **kwargs):
             built.append(len(values))
-            real(self, values, counts, **kwargs)
+            init(self, values, counts, **kwargs)
 
-        monkeypatch.setattr(SparseCounts, "__init__", counting)
+        def keeping(cls, values, counts, den):
+            built.append(len(values))
+            return keep(values, counts, den)
+
+        monkeypatch.setattr(SparseCounts, "__init__", checking)
+        monkeypatch.setattr(SparseCounts, "_result", classmethod(keeping))
         return built
 
     def test_auto_builds_no_sparse_counts(self, sparse_counts_built):

@@ -630,11 +630,11 @@ def test_from_dict_copies():
 
 # -- dense results kept as count arrays, against mitm -----------------------
 #
-# ``algo="dense"`` hands ``SparseCounts`` the range of its values and its
-# count array when the values fit int64; ``spectrum_of``,
-# ``mass_of_squares``, the moments and the tails then read the count
-# array.  Everything a caller can read must equal the tuple-backed
-# ``mitm`` result, as Python ints.
+# ``algo="dense"`` hands ``SparseCounts._result`` the range of its values
+# and its count array when the values fit int64, and the container keeps
+# them unchecked but for their mass; ``spectrum_of``, ``mass_of_squares``,
+# the moments and the tails then read the count array.  Everything a
+# caller can read must equal the ``mitm`` result, as Python ints.
 
 
 def readings(rep):
@@ -783,7 +783,7 @@ def test_count_array_reductions_are_exact(dtype, bits, top):
     # Python's, down the int64 dot (narrow, and full up to uint16) and
     # down the Python sum (full uint32 and int64).
     c = _count_array(dtype, bits, bits if top == "full" else 7)
-    rep = SparseCounts(range(-5, -5 + len(c)), c)
+    rep = SparseCounts._result(range(-5, -5 + len(c)), c, 1)
     nonzero = [int(x) for x in c if x]
     assert (max(nonzero) * sum(nonzero) < 2**63) == (top == "narrow" or bits <= 16)
     sizes = Counter(map(int.bit_length, nonzero))
@@ -795,23 +795,6 @@ def test_count_array_reductions_are_exact(dtype, bits, top):
     with engine.verification() as stats:
         engine._verify_representation(rep)
     assert stats.sandwich_checks == 1
-
-
-BAD_FOLDS = {
-    "lengths": (range(3), [1, 2]),
-    "step": (range(0, 4, 2), [1, 1]),
-    "below_int64": (range(-(2**63) - 1, -(2**63) + 1), [1, 1]),
-    "above_int64": (range(2**63 - 1, 2**63 + 1), [1, 1]),
-    "negative": (range(2), [2, -1]),
-    "all_zero": (range(2), [0, 0]),
-    "empty": (range(0), []),
-}
-
-
-@pytest.mark.parametrize("values, counts", BAD_FOLDS.values(), ids=BAD_FOLDS)
-def test_fold_checks(values, counts):
-    with pytest.raises(InputError, match="SparseCounts|values/counts"):
-        SparseCounts(values, np.array(counts, dtype=np.int64))
 
 
 @pytest.mark.parametrize(
@@ -835,7 +818,7 @@ def test_fold_over_a_denominator_equals_lists(values, den):
     counts = list(range(1, len(values) + 1))
     cells = np.zeros(values[-1] - values[0] + 1, dtype=np.uint8)
     cells[[v - values[0] for v in values]] = counts
-    fold = SparseCounts(range(values[0], values[-1] + 1), cells, den=den)
+    fold = SparseCounts._result(range(values[0], values[-1] + 1), cells, den)
     listed = SparseCounts(values, counts, den=den)
     assert fold._count_array is not None
     for name in ("den", "ints", "counts"):
@@ -846,7 +829,7 @@ def test_fold_over_a_denominator_equals_lists(values, den):
 
 def test_dense_past_int64_over_a_denominator(monkeypatch):
     # Over den 3 the sums of A + A are about 3 * 2**63: the fold hands
-    # them over as lists, which SparseCounts reduces as it does any lists.
+    # them over as lists, which the checked constructor takes as any lists.
     A = OrderedSet([2**62 + Fraction(1, 3), 2**62 + Fraction(2, 3)])
     handed = []
     fold = engine._rep_dense
@@ -879,8 +862,8 @@ def test_dense_over_a_denominator_past_int64(b, total):
 
 @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint64, np.float64])
 def test_other_arrays_take_the_list_checks(dtype):
-    # Only a range with a count array is kept; arrays of values are
-    # checked element by element, so their numpy scalars are rejected.
+    # The constructor keeps no array: arrays of values are checked element
+    # by element like any sequence, so their numpy scalars are rejected.
     values = np.array([1, 2], dtype=dtype)
     with pytest.raises(InputError) as arrays:
         SparseCounts(values, np.array([1, 1]))
@@ -892,7 +875,7 @@ def test_other_arrays_take_the_list_checks(dtype):
 
 def test_array_mass_past_int64():
     # Counts that fit int64 whose sum does not: the mass is a Python sum.
-    p = SparseCounts(range(2), np.array([2**62, 2**62]))
+    p = SparseCounts._result(range(2), np.array([2**62, 2**62]), 1)
     assert p.mass == 2**63 and type(p.mass) is int
     assert mass_of_squares(p) == 2**125
     assert p == SparseCounts([0, 1], [2**62, 2**62])
