@@ -27,7 +27,11 @@ missing directory), found by ``reporting.check_destination``.  So is a
 closed stdout: one closed at start fails that check with
 ``error: cannot write to stdout: Bad file descriptor``, and
 ``main`` turns a pipe whose reader has gone into ``error: cannot write
-to stdout: Broken pipe``.  --out - writes to stdout, for gen too.
+to stdout: Broken pipe``.  ``main`` also turns Ctrl-C (SIGINT) into
+``error: interrupted``; ``run`` lets it through, so that a program
+that calls ``run`` still sees the interrupt.  ``run`` turns a
+MemoryError, a process limit below the planned allocations, into one
+line that names --mem.  --out - writes to stdout, for gen too.
 Reports are byte-identical across identical invocations; --timings adds
 a wall-clock field and is off by default for that reason.
 """
@@ -458,6 +462,11 @@ def run(argv=None) -> int:
     except SumsetLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        # The plan fit --mem, but a limit on the process may be lower.
+        print("error: out of memory below the --mem budget: pass a smaller --mem",
+              file=sys.stderr)
+        return 2
 
 
 def main() -> None:
@@ -475,6 +484,9 @@ def main() -> None:
         # at interpreter exit cannot raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {cannot_write(None, exc)}", file=sys.stderr)
+        code = 2
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
         code = 2
     sys.exit(code)
 

@@ -25,19 +25,20 @@ from ints over ``den > 1`` (an engine result) builds its elements, each
 the int x // den or ``Fraction(x, den)``, only when they are first read.
 
 ``SparseCounts(values, counts)`` is the one checked constructor: it
-takes value and count sequences, or a dict value -> count (``counts``
-None), which it sorts into sequences at once, and checks them.  Engine
-results skip those checks: ``engine.representation`` and
+takes a caller's value and count sequences, or a dict value -> count
+(``counts`` None), which it sorts into sequences at once, and checks
+them.  Engine results never take it: ``engine.representation`` and
 :func:`convolve` hand their result to ``SparseCounts._result``, which
 keeps it as produced, reduces ``den`` and sums the mass, nothing else.
 The kernels guarantee the rest by construction, and
-``engine.representation`` checks every result's mass.  A kept result
-takes one of two forms.
+``engine.representation`` checks every result's mass.  Each producer
+hands over one form, so a kept result takes one of two.
 
-Kept from a range of consecutive ints and a numpy count array of any
-integer width, zeros meaning absent (the dense fold of
-``engine.representation`` within int64, as it stands), a
-``SparseCounts`` holds that array and the range's first int.  Only
+Kept from a range of consecutive ints and a numpy count array, zeros
+meaning absent (the dense fold of ``engine.representation``, as it
+stands: at a fixed integer width, or of Python ints, ``dtype=object``,
+past int64, wherever its values lie), a ``SparseCounts`` holds that
+array and the range's first int.  Only
 this class, :func:`rich_tail` and :func:`mass_of_squares` read a count
 array: ``len`` counts its nonzero cells,
 ``SparseCounts.dyadic_classes`` compares it against each power of two
@@ -46,8 +47,9 @@ up to its maximum, :func:`rich_tail` against the clamped threshold,
 ``max(c) * mass < 2**63``, which bounds every partial sum, and a Python
 int sum otherwise, and ``unordered_counts`` takes its nonzero cells.
 Only the first read of the ints or counts gathers the nonzero cells
-with their values.  numpy is imported only in these array branches,
-which nothing but a numpy array reaches.
+with their values: numpy adds the first int to their offsets when the
+range fits int64, else Python adds it to each.  numpy is imported only
+in these array branches, which nothing but a numpy array reaches.
 
 Kept from a dict int -> count (a sparse kernel's result), a
 ``SparseCounts`` holds the dict and sorts it into tuples only when one
@@ -320,21 +322,21 @@ class SparseCounts:
     :class:`OrderedSet` and strictly increasing, counts integers (Python
     or numpy integer scalars, taken through ``operator.index``; floats,
     strings and Fractions are rejected, never truncated), counts >= 1.
-    A failure raises InputError.  Values given over ``den`` 1 (the
-    default) are kept as ``values``; ints over ``den`` > 1 are reduced,
-    and ``values`` is built when first read.  A dict value -> count in
-    any order, given as ``values`` with no ``counts``, is canonicalised
-    and sorted into the sequences, which then take the same checks.  A
-    numpy array or a range of values is a sequence like any other; an
-    array's numpy scalars are rejected.
+    A failure raises InputError.  The canonical values are kept as
+    ``values``, over ``den`` the lcm of their denominators.  A dict
+    value -> count in any order, given as ``values`` with no ``counts``,
+    is canonicalised and sorted into the sequences, which then take the
+    same checks.  A numpy array or a range of values is a sequence like
+    any other; an array's numpy scalars are rejected.
 
-    ``_result`` keeps an engine result without these checks: a kernel's
-    count dict of plain ints, sorted into the tuples when either is first
-    read, or the dense fold's range and count array, whose nonzero cells
-    are gathered on first read.  Neither is copied (the producer no longer
-    changes it).  Over ``den`` > 1 a dict's keys are reduced; a fold's
-    ``den`` is reduced against the range's first int and the offsets of
-    the nonzero counts, keeping every g-th count.
+    ``_result`` keeps an engine result without these checks, in one of
+    two forms: a kernel's count dict of plain ints, sorted into the
+    tuples when either is first read, or the dense fold's range and
+    count array, whose nonzero cells are gathered on first read.
+    Neither is copied (the producer no longer changes it).  Over ``den``
+    > 1 a dict's keys are reduced; a fold's ``den`` is reduced against
+    the range's first int and the offsets of the nonzero counts, keeping
+    every g-th count.
     """
 
     __slots__ = (
@@ -342,9 +344,7 @@ class SparseCounts:
         "_mass",
     )
 
-    def __init__(
-        self, values: Union[Sequence[Scalar], dict], counts=None, *, den: int = 1
-    ) -> None:
+    def __init__(self, values: Union[Sequence[Scalar], dict], counts=None) -> None:
         self._mapping = self._count_array = None
         if counts is None and isinstance(values, dict):
             mapping, values = values, sorted(_canonical(values)[0])
@@ -356,17 +356,15 @@ class SparseCounts:
         vals, is_integer = _increasing_canon(values, "SparseCounts values")
         self._counts = _integer_counts(counts)
         self._mass = sum(self._counts)
-        self._ints, self.den = _over_den(vals, is_integer, den)
-        self._values = vals if den == 1 else None
+        self._ints, self.den = _over_den(vals, is_integer, 1)
+        self._values = vals
 
     @classmethod
     def _result(cls, values, counts, den: int) -> "SparseCounts":
-        """An engine result in a kept form, unchecked: only ``den`` is
+        """An engine result, unchecked: a kernel's count dict (``counts``
+        None) or the dense fold's range and count array.  Only ``den`` is
         reduced and the mass summed, which ``engine.representation``
-        checks.  Any other form (the fold's lists past int64) takes the
-        checked constructor."""
-        if counts is not None and type(values) is not range:
-            return cls(values, counts, den=den)
+        checks."""
         self = cls.__new__(cls)
         self._ints = self._values = self._counts = None
         self._mapping = self._count_array = None
@@ -406,9 +404,13 @@ class SparseCounts:
             return
         import numpy as np
 
-        nonzero = np.flatnonzero(self._count_array)
-        self._ints = tuple((nonzero + self._lo).tolist())
-        self._counts = tuple(self._count_array[nonzero].tolist())
+        c, lo = self._count_array, self._lo
+        nonzero = np.flatnonzero(c)
+        if -(2**63) <= lo and lo + len(c) <= 2**63:
+            self._ints = tuple((nonzero + lo).tolist())
+        else:
+            self._ints = tuple([lo + i for i in nonzero.tolist()])
+        self._counts = tuple(c[nonzero].tolist())
 
     @property
     def ints(self) -> tuple:
@@ -439,15 +441,6 @@ class SparseCounts:
         if c is not None:
             return c[c != 0].tolist()
         return self.counts
-
-    @classmethod
-    def from_dict(cls, mapping: dict) -> "SparseCounts":
-        return cls(mapping)
-
-    @classmethod
-    def from_set(cls, A: OrderedSet) -> "SparseCounts":
-        """Representation function of a single set: every count is 1."""
-        return cls(A.elements, [1] * len(A))
 
     @property
     def mass(self) -> int:

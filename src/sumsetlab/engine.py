@@ -12,10 +12,10 @@ denominators differ from it), negated and reversed where its sign is
 -1.  The k copies of ``[A] * k`` share A's stored ints, and each
 distinct int sequence is negated once, so they share one tuple per sign;
 beyond those they hold only the references that ``check_copies``
-charges.  The planner and three
-interchangeable algorithms run on those int sequences, and the result's
-ints are handed with that denominator to ``SparseCounts._result``, which
-keeps them as produced, unchecked, in one container and reduces it:
+charges.  The planner and three interchangeable algorithms run on those
+int sequences, and each algorithm hands its result in its one form, with
+that denominator, to ``SparseCounts._result``, which keeps it as
+produced, unchecked, in one container and reduces it:
 
 * ``naive`` -- enumerate all tuples (the N**k expansion) into one
   ``Counter``;
@@ -36,13 +36,12 @@ keeps them as produced, unchecked, in one container and reduces it:
   count times that set's size: the step runs in the narrowest of uint8,
   uint16, uint32 and int64 that holds this bound, so no add can wrap,
   and in Python ints (``dtype=object``) beyond, where the fold then
-  stays.  A fixed-width fold whose values fit int64 hands its count
-  array to ``SparseCounts._result`` as it stands, with the range of its
-  values and ``den``: at its last width, zeros included, neither
-  gathered, widened nor copied.  The container keeps it, every
+  stays.  The fold hands its count array to ``SparseCounts._result`` as
+  it stands, with the range of its values and ``den``, whatever its
+  width and wherever its values lie: at its last width, zeros included,
+  neither gathered, widened nor copied.  The container keeps it, every
   reduction reads it in place, and the nonzero cells are gathered into
-  tuples only when a caller reads them.  Past int64 the fold hands over
-  lists, which take the checked constructor.
+  tuples only when a caller reads them.
 
 Every budgeted path is one row, ``(bytes, cost, run)``, from a
 ``_plan_*`` function: its estimate, made before anything is allocated,
@@ -83,8 +82,8 @@ with integer operations only, and return Python ints.  ``energy_of``
 and ``popular_class_size`` are the other reductions of a given result:
 the sum of squares with the universal-bounds check, and the popular
 dyadic class's Delta, size and score, picked from the bit classes of
-r_{A-A}, which are read unsorted.  ``popular_class_of`` adds the class's
-differences, sorted, for callers that read them.  The energy
+r_{A-A}, which are read unsorted; ``popular_dyadic_class`` adds the
+class's differences, sorted.  The energy
 E(A) = sum r_{A-A}(d)**2 and the popular-class bound
 (``check_popular_bound``) are both read from one r_{A-A}, and the bound
 builds no set.
@@ -404,7 +403,7 @@ def check_copies(k: int, lists: int, mem_budget: int | None) -> None:
 
 # The sparse algorithms return the result's count dict {int: count}, in
 # no order; dense returns the range of its values and its count array,
-# zeros included, or, past int64, its nonzero values and counts.
+# zeros included.
 
 
 def _rep_naive(lists: Sequence[Sequence[int]]) -> Counter:
@@ -425,11 +424,10 @@ def _rep_mitm(lists: Sequence[Sequence[int]], plan: _MitmNode) -> dict:
     return kernels.self_sum_counts(lists[0], plan.k)
 
 
-def _rep_dense(lists: Sequence[Sequence[int]]) -> tuple[Sequence[int], Sequence[int]]:
-    """The fold as ``SparseCounts`` takes it: the range of its values and
-    its count array, zeros and width as they stand, when the values fit
-    int64 and the width is fixed; else the nonzero entries as two lists
-    of Python ints.
+def _rep_dense(lists: Sequence[Sequence[int]]) -> tuple[range, Any]:
+    """The fold as ``SparseCounts._result`` keeps it: the range of its
+    values and its count array, zeros and width as they stand, whatever
+    the width and wherever the values lie.
 
     A step adds one shifted copy of the counts per value of the next
     set, all non-negative, so the current maximum count times that
@@ -458,10 +456,7 @@ def _rep_dense(lists: Sequence[Sequence[int]]) -> tuple[Sequence[int], Sequence[
         # Only cur names the fold, so that the next step's widening frees
         # the array it copies before that step allocates its own.
         cur, cur_lo, new = new, cur_lo + vals[0], None
-    if cur.dtype != object and -(2**63) <= cur_lo and cur_lo + cur.shape[0] <= 2**63:
-        return range(cur_lo, cur_lo + cur.shape[0]), cur
-    nz = np.flatnonzero(cur)
-    return [cur_lo + i for i in nz.tolist()], cur[nz].tolist()
+    return range(cur_lo, cur_lo + cur.shape[0]), cur
 
 
 def representation(
@@ -699,9 +694,13 @@ class PopularClass:
 def popular_dyadic_class(
     A: OrderedSet, *, algo: str = "auto", mem_budget: int | None = None
 ) -> PopularClass:
-    """The popular dyadic class of r_{A-A} (:func:`popular_class_of`)."""
+    """The popular dyadic class of r_{A-A} (:func:`popular_class_size`)
+    with its differences D."""
     diff = representation([A, A], signs=(1, -1), algo=algo, mem_budget=mem_budget)
-    return popular_class_of(diff)
+    delta, _, score = popular_class_size(diff)
+    # diff.ints run in increasing order.
+    ints = [x for x, c in zip(diff.ints, diff.counts) if delta <= c < 2 * delta]
+    return PopularClass(OrderedSet(ints, den=diff.den), delta, score)
 
 
 def popular_class_size(diff: SparseCounts) -> tuple[int, int, int]:
@@ -716,15 +715,6 @@ def popular_class_size(diff: SparseCounts) -> tuple[int, int, int]:
         raise InputError("popular class needs at least 2 elements")
     j, size = max(diff.dyadic_classes(), key=lambda js: (js[1] * 4 ** js[0], js[0]))
     return 2**j, size, size * 4**j
-
-
-def popular_class_of(diff: SparseCounts) -> PopularClass:
-    """The popular class of ``diff`` (:func:`popular_class_size`) with
-    its differences D."""
-    delta, _, score = popular_class_size(diff)
-    # diff.ints run in increasing order.
-    ints = [x for x, c in zip(diff.ints, diff.counts) if delta <= c < 2 * delta]
-    return PopularClass(OrderedSet(ints, den=diff.den), delta, score)
 
 
 def popular_bound_factor(n: int) -> int:

@@ -31,12 +31,12 @@ of the entries the result can hold (its multisets, or the span of jA
 where that is smaller), so that the kept lists stay a small share of
 the bytes the plan charges for the result; past that, the remaining
 parts of each composition are summed whole on their index tuples, and
-each such sum is added to the kept list's prefix past its last index.  Where all of A is used, the last part lies on
-index 0 and meets one tuple, which is set directly.  Every other
-composition is merged into one accumulator, a ``Counter``, in one
-``dict.update`` over its sums paired with their new counts
-(``itertools.tee``), each key read just before it is set.  The result is
-that accumulator.
+each such sum is added to the kept list's prefix past its last index.
+Where all of A is used, the last part lies on index 0 and meets one
+tuple, which is set directly.  Every other composition is merged into
+one accumulator, a ``Counter``, in one ``dict.update`` over its sums
+paired with their new counts (``itertools.tee``), each key read just
+before it is set.  The result is that accumulator.
 
 The support kernel (:func:`support_size`, :func:`support_values`)
 computes the set A_1 + ... + A_k of signed lists without any counts.

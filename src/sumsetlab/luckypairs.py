@@ -401,14 +401,3 @@ def diagonal_cover(k: int, r: int) -> list[list[tuple[int, ...]]]:
             [tuple(e + a for e in start) for a in range(length)]
         )
     return diagonals
-
-
-# ---------------------------------------------------------------------------
-# The few-values property of nearby pairs in small-doubling sets: if at
-# most Z elements of B+B-B lie in (b', b], then b - b' is one of the Z
-# smallest positive differences of B.
-
-
-def smallest_positive_differences(B: OrderedSet, limit: int | None = None) -> list:
-    diffs = sorted({b - a for a in B for b in B if b > a})
-    return diffs if limit is None else diffs[:limit]

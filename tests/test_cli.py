@@ -9,9 +9,12 @@ import json
 import math
 import os
 import re
+import resource
+import signal
 import subprocess
 import sys
 import textwrap
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -52,17 +55,23 @@ def _run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def _cli_subprocess(argv, unbuffered, **kwargs):
-    """Run the CLI in a child process with stderr captured; ``kwargs``
-    set up its stdout."""
+def _cli_command(argv, unbuffered=""):
+    """The command line and environment that run the CLI in a child
+    process."""
     src = os.path.dirname(os.path.dirname(sumsetlab.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = unbuffered
+    return [sys.executable, "-m", "sumsetlab.cli", *argv], env
+
+
+def _cli_subprocess(argv, unbuffered, **kwargs):
+    """Run the CLI in a child process with stderr captured; ``kwargs``
+    set up its stdout."""
+    command, env = _cli_command(argv, unbuffered)
     return subprocess.run(
-        [sys.executable, "-m", "sumsetlab.cli", *argv],
-        stderr=subprocess.PIPE, env=env, text=True, timeout=120, **kwargs,
+        command, stderr=subprocess.PIPE, env=env, text=True, timeout=120, **kwargs
     )
 
 
@@ -477,7 +486,7 @@ class TestSumsetDoubling:
             rep = engine.doubling(A, pattern)
             want.update({f"size[{pattern}]": rep.size, f"K[{pattern}]": rep.K})
         diff = engine.representation([A, A], signs="+-", algo=algo)
-        pop = engine.popular_class_of(diff)
+        pop = engine.popular_dyadic_class(A, algo=algo)
         e = engine.energy_of(diff, [A, A])
         bound = engine.popular_bound_factor(len(A)) * pop.score
         want["E"], want["E3_diff"] = e, moment_sum(diff, 3)
@@ -1172,6 +1181,47 @@ class TestUserErrors:
         )
         assert (done.returncode, done.stderr) == (0, "")
         assert json.loads(path.read_text())["T"] == "44"
+
+    def test_interrupt_exits_2_with_one_line(self):
+        # SIGINT to this test's own child, 1.5 s into a Python-level loop
+        # that runs for a minute: one line, well within the timeout.
+        argv = ["energy", "--k", "20000", "--family", "interval:n=2"]
+        command, env = _cli_command(argv)
+        child = subprocess.Popen(
+            command, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            time.sleep(1.5)
+            assert child.poll() is None
+            child.send_signal(signal.SIGINT)
+            _, stderr = child.communicate(timeout=5)
+        finally:
+            child.kill()
+            child.wait()
+        done = subprocess.CompletedProcess(command, child.returncode, None, stderr)
+        _assert_one_error(done, "error: interrupted")
+
+    def test_run_lets_an_interrupt_through(self, monkeypatch):
+        # In process, the caller of run sees the interrupt itself.
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(engine, "representation", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run(["energy", "--k", "2", "--family", "interval:n=4"])
+
+    def test_memory_limit_exits_2_with_one_line(self):
+        # A 300 MiB address-space limit on the child, far below the default
+        # 4 GiB budget: the planned r_{4A} does not fit the process.
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (300 * 2**20, 300 * 2**20))
+
+        argv = ["energy", "--k", "4", "--family", "rsc:n=100,s=3,seed=0,gap=64"]
+        done = _cli_subprocess(argv, "", stdout=subprocess.PIPE, preexec_fn=limit)
+        _assert_one_error(
+            done, "error: out of memory below the --mem budget: pass a smaller --mem"
+        )
 
     def test_digest_of_unreadable_path(self, tmp_path):
         with pytest.raises(InputError, match="missing.set"):

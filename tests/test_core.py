@@ -25,6 +25,11 @@ from sumsetlab.core import format_element, parse_element
 from conftest import brute_force_representation, random_integer_set
 
 
+def ones(A: OrderedSet) -> SparseCounts:
+    """The representation function of the one set A: every count 1."""
+    return SparseCounts(A.elements, [1] * len(A))
+
+
 class TestMakeSet:
     def test_sorts(self):
         assert make_set([3, 1, 2]).elements == (1, 2, 3)
@@ -91,7 +96,7 @@ class TestConvolve:
         for _ in range(20):
             a = random_integer_set(rng, rng.next_in(1, 8))
             b = random_integer_set(rng, rng.next_in(1, 8))
-            p, q = SparseCounts.from_set(a), SparseCounts.from_set(b)
+            p, q = ones(a), ones(b)
             assert convolve(p, q).mass == p.mass * q.mass
 
     def test_rational_values(self):
@@ -103,14 +108,14 @@ class TestConvolve:
         for _ in range(25):
             a = random_integer_set(rng, rng.next_in(1, 9), spread=60)
             b = random_integer_set(rng, rng.next_in(1, 9), spread=60)
-            got = convolve(SparseCounts.from_set(a), SparseCounts.from_set(b))
+            got = convolve(ones(a), ones(b))
             want = brute_force_representation([a, b])
             assert dict(got.items()) == want
 
     def test_commutative_associative(self, rng):
         for _ in range(10):
             ps = [
-                SparseCounts.from_dict(
+                SparseCounts(
                     {
                         rng.next_in(-30, 30): rng.next_in(1, 5)
                         for _ in range(rng.next_in(1, 6))
@@ -141,7 +146,7 @@ class TestMassOfSquares:
 
         for _ in range(10):
             a = random_integer_set(rng, rng.next_in(1, 10), spread=40)
-            p = SparseCounts.from_set(a)
+            p = ones(a)
             assert mass_of_squares(convolve(p, p)) == brute_force_T_literal([a, a])
 
 

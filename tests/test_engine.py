@@ -126,7 +126,8 @@ class TestRepresentation:
     @pytest.mark.parametrize("algo", ["auto", "naive", "mitm", "dense"])
     def test_builds_one_container(self, monkeypatch, algo):
         # Each result is kept through SparseCounts._result, which never
-        # calls the checked constructor within int64.
+        # calls the checked constructor: past int64 and at the object
+        # width neither.
         built, checked = [], []
         keep, init = SparseCounts._result, SparseCounts.__init__
 
@@ -145,6 +146,10 @@ class TestRepresentation:
         cases = [([A] * k, "+" * k) for k in (2, 3, 4, 5)]
         cases += [([A, A, A], "-+-"), ([A, A, A, A], "+-+-")]
         cases += [([A, R, A], "+-+"), ([R] * 4, "----")]
+        B = OrderedSet([2**62 + Fraction(1, 3), 2**62 + Fraction(2, 3)])
+        cases += [([B, B], "++")]
+        if algo != "naive":  # 2**67 tuples
+            cases += [([OrderedSet([0, 1])] * 67, "+" * 67)]
         for sets, signs in cases:
             built.clear()
             rep = representation(sets, signs=signs, algo=algo)
@@ -154,14 +159,15 @@ class TestRepresentation:
     def test_results_skip_the_constructor_checks(self, monkeypatch):
         # Kernel and fold results are kept as produced: with the
         # constructor's checks raising, every algorithm still returns the
-        # same result, on integer and rational sets, and so does convolve.
-        # The fold's lists past int64 and public construction still check.
+        # same result, on integer and rational sets and past int64, and so
+        # does convolve.  Public construction still checks.
         A = gen_interval(5)
         R = OrderedSet([Fraction(-1, 3), Fraction(1, 2), 2])
         B = OrderedSet([2**62 + Fraction(1, 3), 2**62 + Fraction(2, 3)])
         cases = [[A] * 3, [A, R, A], [R] * 4]
         algos = ("auto", "naive", "mitm", "dense")
         want = [representation(sets, algo=a) for sets in cases for a in algos]
+        want_past = representation([B, B], algo="mitm")
         p, q = representation([A, R]), representation([R] * 3, algo="mitm")
         want_pq = core.convolve(p, q)
 
@@ -176,8 +182,7 @@ class TestRepresentation:
         got = [representation(sets, algo=a) for sets in cases for a in algos]
         assert got == want
         assert core.convolve(p, q) == want_pq
-        with pytest.raises(Checked):
-            representation([B, B], algo="dense")
+        assert representation([B, B], algo="dense") == want_past
         with pytest.raises(Checked):
             SparseCounts([1], [1])
         with pytest.raises(Checked):
@@ -275,11 +280,9 @@ class TestDenseWidths:
         assert len(widths) == k and widths[-1] == width
         assert rep == representation(sets, algo="mitm")
         assert rep.counts == _interval_counts(m, k)
-        # The container keeps the fold's array at its last width.
-        if width == "object":
-            assert rep._count_array is None
-        else:
-            assert rep._count_array.dtype == width
+        # The container keeps the fold's array at its last width, Python
+        # ints included.
+        assert rep._count_array.dtype == width
 
 
     @pytest.mark.parametrize(
@@ -1019,7 +1022,7 @@ class TestPopularClass:
         diff = representation([A, A], signs="+-")
         for call in (
             lambda: engine.popular_class_size(diff),
-            lambda: engine.popular_class_of(diff),
+            lambda: popular_dyadic_class(A, algo="dense"),
             lambda: popular_dyadic_class(A),
             lambda: check_popular_bound(A),
         ):

@@ -30,7 +30,6 @@ from sumsetlab.luckypairs import (
     LuckyCensusRow,
     TripleSumset,
     cells_per_axis,
-    smallest_positive_differences,
     solution_tuples,
     witness_cap,
 )
@@ -455,7 +454,7 @@ class TestFewValuesProperty:
         for _ in range(12):
             B = random_integer_set(rng, rng.next_in(2, 12), spread=50)
             triple = TripleSumset(B)
-            diffs = smallest_positive_differences(B)
+            diffs = sorted({b - a for a in B for b in B if b > a})
             for i, bp in enumerate(B):
                 for b in B.elements[i + 1 :]:
                     z = triple.count_between(bp, b)

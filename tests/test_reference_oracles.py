@@ -356,7 +356,8 @@ def test_core_convolve_of_equal_operands(a):
     want = SparseCounts(*oracle_convolve(p.values, p.counts, p.values, p.counts))
     assert convolve(p, p) == convolve(p, q) == want
     A = OrderedSet(p.values)
-    neg, twin = SparseCounts.from_set(A.negate()), SparseCounts.from_set(A.negate())
+    neg = SparseCounts(A.negate().elements, [1] * len(A))
+    twin = SparseCounts(A.negate().elements, [1] * len(A))
     assert convolve(neg, twin) == SparseCounts(
         *oracle_convolve(neg.values, neg.counts, neg.values, neg.counts)
     )
@@ -623,7 +624,7 @@ def test_mapping_values_are_canonicalised():
 
 def test_from_dict_copies():
     mapping = {3: 1, 1: 2}
-    rep = SparseCounts.from_dict(mapping)
+    rep = SparseCounts(mapping)
     mapping[2] = 5
     assert dict(rep.items()) == {1: 2, 3: 1} and rep.mass == 3
 
@@ -631,10 +632,11 @@ def test_from_dict_copies():
 # -- dense results kept as count arrays, against mitm -----------------------
 #
 # ``algo="dense"`` hands ``SparseCounts._result`` the range of its values
-# and its count array when the values fit int64, and the container keeps
-# them unchecked but for their mass; ``spectrum_of``, ``mass_of_squares``,
-# the moments and the tails then read the count array.  Everything a
-# caller can read must equal the ``mitm`` result, as Python ints.
+# and its count array, wherever the values lie and at any width, and the
+# container keeps them unchecked but for their mass; ``spectrum_of``,
+# ``mass_of_squares``, the moments and the tails then read the count
+# array.  Everything a caller can read must equal the ``mitm`` result, as
+# Python ints.
 
 
 def readings(rep):
@@ -665,8 +667,9 @@ def python_ints(x):
     return type(x) in (int, str)
 
 
-# Values at small offsets, near the edge of int64 and beyond it: k-fold
-# sums past +/-2**63 keep the list path, the rest keep the arrays.
+# Values at small offsets, near the edge of int64 and beyond it: the ints
+# of k-fold sums past +/-2**63 are gathered by Python adds, the rest by
+# numpy's.
 dense_bases = st.sampled_from([0, 2**61, -(2**61), 2**62 - 40, -(2**63) + 40])
 dense_sets = st.sets(st.integers(-30, 30), min_size=1, max_size=6)
 
@@ -697,13 +700,13 @@ def test_dense_reductions_at_the_int64_limits(k, storage):
     # C(2k, k).  max(c) * mass is just below 2**63 at k = 32 and just
     # above at k = 33; at k = 34 the sum of squares itself passes 2**63.
     # The fold stays in int64 while 2 * C(k - 1, (k - 1) // 2) < 2**63,
-    # up to k = 66; from k = 67 on it runs over Python ints and keeps no
-    # array.
+    # up to k = 66; from k = 67 on it runs over Python ints, and that
+    # array is kept.
     sets = [OrderedSet([0, 1])] * k
     dense = representation(sets, algo="dense")
     c = dense._count_array
     if storage == "object fold":
-        assert c is None
+        assert c.dtype == object
     else:
         assert (int(c.max()) * dense.mass < 2**63) == (storage == "int64 dot")
     got = readings(dense)
@@ -814,12 +817,13 @@ def test_count_array_reductions_are_exact(dtype, bits, top):
 )
 def test_fold_over_a_denominator_equals_lists(values, den):
     # The fold's den reduction (gcd over its first int and the nonzero
-    # offsets, keeping every g-th cell) is the lists' reduction.
+    # offsets, keeping every g-th cell) equals the checked constructor's
+    # on the same values as Fractions.
     counts = list(range(1, len(values) + 1))
     cells = np.zeros(values[-1] - values[0] + 1, dtype=np.uint8)
     cells[[v - values[0] for v in values]] = counts
     fold = SparseCounts._result(range(values[0], values[-1] + 1), cells, den)
-    listed = SparseCounts(values, counts, den=den)
+    listed = SparseCounts([Fraction(v, den) for v in values], counts)
     assert fold._count_array is not None
     for name in ("den", "ints", "counts"):
         assert getattr(fold, name) == getattr(listed, name), name
@@ -828,8 +832,8 @@ def test_fold_over_a_denominator_equals_lists(values, den):
 
 
 def test_dense_past_int64_over_a_denominator(monkeypatch):
-    # Over den 3 the sums of A + A are about 3 * 2**63: the fold hands
-    # them over as lists, which the checked constructor takes as any lists.
+    # Over den 3 the sums of A + A are about 3 * 2**63: the fold still
+    # hands over its range and count array, which the container keeps.
     A = OrderedSet([2**62 + Fraction(1, 3), 2**62 + Fraction(2, 3)])
     handed = []
     fold = engine._rep_dense
@@ -841,7 +845,7 @@ def test_dense_past_int64_over_a_denominator(monkeypatch):
     monkeypatch.setattr(engine, "_rep_dense", spy)
     rep = representation([A, A], algo="dense")
     ((values, counts),) = handed
-    assert type(values) is list and rep._count_array is None
+    assert type(values) is range and np.shares_memory(rep._count_array, counts)
     assert rep.den == 3 and rep == representation([A, A], algo="mitm")
     sums = [2**63 + Fraction(2, 3), 2**63 + 1, 2**63 + Fraction(4, 3)]
     assert dict(rep.items()) == dict(zip(sums, [1, 2, 1]))
@@ -883,7 +887,7 @@ def test_array_mass_past_int64():
 
 # -- popular class against the dict-of-lists scan ----------------------------
 #
-# ``engine.popular_class_of`` picks the class from
+# ``popular_dyadic_class`` picks the class from
 # ``SparseCounts.dyadic_classes`` and gathers its values in one pass.  The
 # oracle is the scan it replaced: every difference appended to the list of
 # its bit class, on the brute-force r_{A-A}.
@@ -1009,7 +1013,7 @@ def test_every_path_gives_one_canonical_form(sets, data):
     for a, b in itertools.product(A.elements, repeat=2):
         diff[a - b] = diff.get(a - b, 0) + 1
     if len(A) >= 2:
-        pop = engine.popular_class_of(representation([A, A], signs="+-"))
+        pop = popular_dyadic_class(A)
         check_canonical(pop.differences, oracle_popular_class(diff)[0])
 
 
@@ -1039,7 +1043,7 @@ def test_rational_results_build_no_values_until_read(monkeypatch):
         rep = representation([A, B, A], signs="+-+")
         diff = representation([A, A], signs="+-")
         S = signed_sumset([A, B], "+-")
-        pop = engine.popular_class_of(diff)
+        pop = popular_dyadic_class(A)
         read = (len(rep), rep.mass, spectrum_of(rep), len(S), S.is_integer,
                 len(pop.differences), engine.energy_of(diff, [A, A]),
                 doubling(B, "++-").size, convexity_order(B).level)
