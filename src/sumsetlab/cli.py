@@ -52,7 +52,7 @@ from typing import Callable
 from . import bounds, engine, luckypairs
 from .convexity import IDENTITY, convexity_order, parse_function
 from .core import (
-    DEFAULT_MEMORY_BUDGET, OrderedSet, conversion_error, moment_sum, read_set, write_set,
+    DEFAULT_MEMORY_BUDGET, OrderedSet, conversion_error, read_set, write_set,
 )
 from .errors import SumsetLabError
 from .families import format_family, generate, parse_family
@@ -110,21 +110,20 @@ def _cmd_analyze(args) -> tuple[dict, None]:
             "min": A[0],
             "max": A[-1],
         }
-        for pattern in ("++", "++-"):
-            rep = asdict(engine.doubling(A, pattern, mem_budget=args.mem))
-            del rep["pattern"]  # named by the key instead
+        # One support run gives |A+A| and |A+A-A|, and one r_{A-A} the
+        # rest: its support is A-A, and E, E3_diff and the popular class
+        # (as in engine.check_popular_bound) come from one pass over its
+        # counts.  Built after the sizes, it is not held while they run.
+        for rep in engine.doublings(A, "++-", mem_budget=args.mem):
+            rep = asdict(rep)
+            pattern = rep.pop("pattern")  # named by the key instead
             entry.update({f"{name}[{pattern}]": value for name, value in rep.items()})
-        # One r_{A-A} gives the rest: its support is A-A, and E, E3_diff
-        # and the popular class (as in engine.check_popular_bound) are read
-        # from its counts unsorted.  Built after the two sizes, it is not
-        # held while they run.
         diff = engine.representation(
             [A, A], signs="+-", algo=args.algo, mem_budget=args.mem
         )
         entry["size[+-]"] = len(diff)
         entry["K[+-]"] = Fraction(len(diff), len(A))
-        delta, class_size, score = engine.popular_class_size(diff)
-        e = engine.energy_of(diff, [A, A])
+        e, e3, (delta, class_size, score) = engine.difference_profile(diff, A)
         bound = engine.popular_bound_factor(len(A)) * score
         entry["E"] = e
         entry["popular"] = {
@@ -134,7 +133,7 @@ def _cmd_analyze(args) -> tuple[dict, None]:
             "energy_bound": bound,
             "bound_holds": e <= bound,
         }
-        entry["E3_diff"] = moment_sum(diff, 3)
+        entry["E3_diff"] = e3
         del diff  # freed before the next set's sumsets are computed
         reports.append(entry)
     return {"reports": reports}, None

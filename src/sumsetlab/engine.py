@@ -18,7 +18,8 @@ that denominator, to ``SparseCounts._result``, which keeps it as
 produced, unchecked, in one container and reduces it:
 
 * ``naive`` -- enumerate all tuples (the N**k expansion) into one
-  ``Counter``;
+  ``Counter``, in bounded chunks of sums so that Ctrl-C lands between
+  them;
 * ``mitm``  -- run the plan tree that ``_mitm_tree`` builds and prices
   in one recursion.  Each node is a count dict {int: count}: a leaf
   (each int once), a join of its two halves (``kernels.convolve_integer``
@@ -54,8 +55,8 @@ takes the cheapest candidate whose bytes fit the memory budget (default
 4 GiB), ties going to the candidate listed first, an explicit algorithm
 is the only candidate, and ResourceError is raised when nothing fits.
 The caller then runs the row it names.
-Rows serve the representation algorithms and the support kernel's two
-paths; the lucky census table (``luckypairs``) and ``check_copies``,
+Rows serve the representation algorithms and the support kernel's
+switch points; the lucky census table (``luckypairs``) and ``check_copies``,
 which ``cli`` and ``bounds`` call before they build k copies of a set,
 hand ``choose`` a bare (bytes, cost).  One set (k = 1)
 is planned and checked against the budget like several.  All modes
@@ -83,19 +84,28 @@ and ``popular_class_size`` are the other reductions of a given result:
 the sum of squares with the universal-bounds check, and the popular
 dyadic class's Delta, size and score, picked from the bit classes of
 r_{A-A}, which are read unsorted; ``popular_dyadic_class`` adds the
-class's differences, sorted.  The energy
-E(A) = sum r_{A-A}(d)**2 and the popular-class bound
-(``check_popular_bound``) are both read from one r_{A-A}, and the bound
-builds no set.
+class's differences, sorted.  ``difference_profile`` reads E(A) =
+sum r_{A-A}(d)**2, with the same check, sum r_{A-A}(d)**3 and the
+popular class from r_{A-A} in one pass over its counts: they are at most
+|A|, so one ``Counter`` of their values holds at most |A| entries, and
+each reduction walks those.  ``analyze`` and the popular-class bound
+(``check_popular_bound``) read r_{A-A} through it, and build no set.
+Every other reduction reads the counts directly: a histogram does not
+pay on counts with many distinct values, such as an r_{4A}.
 
 Sumsets and their sizes (``signed_sumset``, ``sumset_size``,
-``doubling``) need no counts and take no algorithm: they come from the
-support kernel (``kernels.support_size`` / ``support_values``) on the
-same signed ints, down its int-set fold or its bitset path: the
-``_plan_support`` row that ``choose`` picks.  A size is counted without
-building any element; a sumset is the kernel's ints with their
-denominator in one ``OrderedSet``.  The tests cross-check it against
-the support of ``representation``.
+``doubling``, ``doublings``) need no counts and take no algorithm: they
+come from the support kernel (``kernels.support_sizes`` /
+``support_values``) on the same signed ints, at the switch point from
+its int-set fold to its bitset that is the ``_plan_support`` row
+``choose`` picks.  A size is counted without building any element, and
+one run can give the size of each prefix A_1 +/- ... +/- A_j:
+``doublings`` reports every prefix of two signs or more of a sign
+pattern from one run, so ``analyze`` reads |A+A| and |A+A-A| from one
+run, while ``doubling`` and ``sumset_size`` count the whole only, since
+counting a mask costs as much as one more shift and OR.  A sumset is the
+kernel's ints with their denominator in one ``OrderedSet``.  The tests
+cross-check it against the support of ``representation``.
 
 Everything here is pure and deterministic; independent computations can
 run concurrently with bit-identical results.
@@ -111,7 +121,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterator, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Sequence, Union
 
 from . import kernels
 from .core import (
@@ -135,6 +145,8 @@ Cost = Union[int, Fraction]
 Row = tuple[int, Cost, Callable[[], Any]]
 
 _ALGOS = ("auto", "naive", "mitm", "dense")
+# The sums _rep_naive counts between two returns to the interpreter.
+_NAIVE_CHUNK = 10**5
 
 # Relative per-operation cost units used by the auto planner: a Python
 # dict update is the unit; a numpy element op of the dense fold
@@ -154,15 +166,43 @@ _COMPILED_OP = Fraction(1, 50)
 # same points.  The constant is left for the planner refit.
 _MULTISET_ITEM = Fraction(12, 5)
 
-# Sumset support (_plan_support): the bitset path is taken when the bits
-# it shifts and ORs number fewer than _BITS_PER_PAIR times the pairs the
-# int-set fold would add.  Measured on a 2-core Xeon, Python 3.11 (best
-# of 3, random sets with N = 16..128, gaps 2..4096, k = 2..4): once a
-# span passes 10**6 bits, the fold costs 20-230 ns per pair, the bitset
-# 40-130 ns per 1000 bits, and they break even at 400 to 4,900 bits per
-# pair (3,450 for |B+B-B| of the analyze int set, rsc n=72).  Below
-# 10**5 bits both take well under 1 ms.
+# Sumset support (_plan_support): each row folds int sets up to its switch
+# point and ORs shifted bitsets past it, at _BITS_PER_PAIR per pair the
+# fold adds against one per bit the bitset shifts and ORs.  Measured on
+# a 2-core Xeon, Python 3.11 (best of 3, random sets with N = 16..128,
+# gaps 2..4096, k = 2..4): once a span passes 10**6 bits, the fold costs
+# 20-230 ns per pair, the bitset 40-130 ns per 1000 bits, and they break
+# even at 400 to 4,900 bits per pair (3,450 for |B+B-B| of the analyze
+# int set, rsc n=72).  Below 10**5 bits both take well under 1 ms.
 _BITS_PER_PAIR = 2000
+# The other terms of a support row, in the same units (bits ORed on a
+# mask under _WIDE_MASK bits); best of 3 on the same machine.
+# - Converting the fold's sums into one mask (kernels._partial_sums):
+#   _PAIRS_PER_SUM pairs per sum the plan estimates.  53 rsc, power,
+#   interval and composed sets, N = 12..300, the sums of the first two of
+#   3 or 4 lists: median 1.53 charged pairs, quartiles 1.39 and 2.89.
+# - ORing where the new mask spans _WIDE_MASK bits or more: _WIDE_BIT per
+#   bit.  One list of 8 shifts on random masks took 40-55 ns per 1000
+#   bits at 2**14-2**19 bits and 75-110 ns at 2**20-2**27.
+# - Counting a prefix's size, int.bit_count: one pass per bit, 0.45 times
+#   one shift and OR at 2**20 bits and 1.1 times at 15 * 10**6.
+# - Decoding the elements from the mask: _DECODE_BIT per bit of span.
+#   It took 22-28 ns per bit at density 0.01 and 32-56 ns at 0.5
+#   (2**14-2**26 bits), 200 to 1,400 bits ORed; of 100, 200, 300, 500
+#   and 800, 300 gave the fastest picks on the elements timings below.
+# Every row was then timed on 5,448 inputs with k >= 2: every third of
+# tools/plan_digest.py's 20,000, and 60 of the sizes that the benchmark
+# and tests use, leaving out rows planned past 32 MB or 4 * 10**9 units.
+# On the size path (the whole sumset's size) these picks took 3.63 s in
+# all, the fastest row of each 3.35 s, and the pick of the fold-or-bitset
+# rule that these rows replaced 5.35 s.  On the elements path (755
+# inputs: every sixth of the first 6,000 and the 60, rows past 24 MB left
+# out), where that rule priced no decoding, they took 0.293 s, 0.288 s
+# and 1.436 s.
+_PAIRS_PER_SUM = Fraction(3, 2)
+_WIDE_MASK = 2**20
+_WIDE_BIT = 2
+_DECODE_BIT = 300
 
 
 def parse_signs(signs: Signs, k: int) -> tuple[int, ...]:
@@ -330,41 +370,70 @@ def _plan_dense(lists: Sequence[Sequence[int]]) -> Row:
     return span * 16, fold_elems * _COMPILED_OP, lambda: _rep_dense(lists)
 
 
-def _plan_support(lists: Sequence[Sequence[int]], elements: bool) -> dict[str, Row]:
-    """The support kernel's two paths for the sets whose ints over one
-    denominator are ``lists``, as a ``choose`` table: the row of the
-    int-set fold, listed first, and of the bitset, each running
-    ``kernels.support_values`` when ``elements``, else
-    ``kernels.support_size``, down its path.  The fold costs
-    ``_BITS_PER_PAIR`` per pair it adds and the bitset one per bit it
-    shifts and ORs, so a tie goes to the fold.
+def _plan_support(
+    lists: Sequence[Sequence[int]], elements: bool, first: int
+) -> dict[int, Row]:
+    """The support kernel's rows for the sets whose ints over one
+    denominator are ``lists``, as a ``choose`` table: one per switch point
+    s, from k down to 1, each running ``kernels.support_values`` when
+    ``elements``, else ``kernels.support_sizes`` of the prefixes from
+    ``first`` on, with that switch.  Row s folds the first s lists as int
+    sets at ``_BITS_PER_PAIR`` per pair it adds; for s < k it then
+    converts their sums into a mask at ``_PAIRS_PER_SUM`` pairs each and
+    ORs in each later list at one per bit of each shifted copy: the mask
+    so far, shifted by the element's offset from the list's least
+    (``_WIDE_BIT`` per bit where the new mask spans ``_WIDE_MASK`` bits or
+    more).  The size of each such prefix from ``first`` costs one more
+    pass over its mask (``int.bit_count``, about as slow as one shift and
+    OR), and decoding the elements ``_DECODE_BIT`` per bit of span.  A tie
+    goes to the longer fold.
 
-    The partial sumsets are walked as the kernel folds them: each one
-    spans the scaled spans added so far and holds at most
-    min(product of sizes, span) sums.  Decoding the elements adds two
-    bytes per bit of span and one output entry per sum to the bitset.
+    The partial sumsets are walked as the kernel builds them: each one
+    spans the scaled spans added so far and holds at most min(product of
+    sizes, span) sums, and at most C(n + m - 1, m) from the m copies of
+    each n-element list in it (its m-multisets).  Row s < k holds the
+    larger of its last int set (none for s = 1, whose sums are the input)
+    and the mask; decoding the elements adds two bytes per bit of span and
+    one output entry per sum.
     """
     span = lists[0][-1] - lists[0][0] + 1
-    out = len(lists[0])
-    pairs = bits = 0
+    # Per prefix of j lists: its span, its sum count and the pairs folding
+    # it adds; the copies of each list so far, by identity.
+    spans, outs, pairs = [span], [len(lists[0])], [0]
+    copies = {id(lists[0]): [len(lists[0]), 1]}
     for ints in lists[1:]:
-        pairs += out * len(ints)
         span += ints[-1] - ints[0]
-        bits += len(ints) * span
-        out = min(out * len(ints), span)
-    fold_bytes = out * DICT_ENTRY_BYTES
-    bitset_bytes = span // 8
-    if elements:
-        bitset_bytes += 2 * span + fold_bytes
-    kernel = kernels.support_values if elements else kernels.support_size
-    return {
-        "fold": (fold_bytes, _BITS_PER_PAIR * pairs, lambda: kernel(lists, False)),
-        "bitset": (bitset_bytes, bits, lambda: kernel(lists, True)),
-    }
+        copies.setdefault(id(ints), [len(ints), 0])[1] += 1
+        multisets = math.prod(math.comb(n + m - 1, m) for n, m in copies.values())
+        spans.append(span)
+        pairs.append(pairs[-1] + outs[-1] * len(ints))
+        outs.append(min(outs[-1] * len(ints), span, multisets))
+    k, kept = len(lists), outs[-1] * DICT_ENTRY_BYTES
+
+    def run(s: int) -> Callable[[], Any]:
+        if elements:
+            return lambda: kernels.support_values(lists, s)
+        return lambda: kernels.support_sizes(lists, s, first)
+
+    rows = {k: (kept, _BITS_PER_PAIR * pairs[-1], run(k))}
+    decode_bytes = 2 * span + kept if elements else 0
+    bits = _DECODE_BIT * span if elements else 0
+    for s in range(k - 1, 0, -1):
+        # The bits of the shifted copies that lists[s] ORs, and of the
+        # mask that counts prefix s + 1 when its size is asked for.
+        ints = lists[s]
+        passed = len(ints) * spans[s - 1] + sum(ints) - len(ints) * ints[0]
+        if not elements and s + 1 >= first:
+            passed += spans[s]
+        bits += passed * (_WIDE_BIT if spans[s] >= _WIDE_MASK else 1)
+        held = max(outs[s - 1] * DICT_ENTRY_BYTES if s > 1 else 0, span // 8)
+        cost = _BITS_PER_PAIR * (pairs[s - 1] + _PAIRS_PER_SUM * outs[s - 1]) + bits
+        rows[s] = (held + decode_bytes, cost, run(s))
+    return rows
 
 
 def choose(
-    plans: dict[str, Row | tuple[int, Cost]],
+    plans: dict[Any, Row | tuple[int, Cost]],
     algo: str,
     mem_budget: int | None,
     what: str,
@@ -407,7 +476,14 @@ def check_copies(k: int, lists: int, mem_budget: int | None) -> None:
 
 
 def _rep_naive(lists: Sequence[Sequence[int]]) -> Counter:
-    return Counter(map(sum, itertools.product(*lists)))
+    # Fed in chunks of _NAIVE_CHUNK sums, so that a signal handler (Ctrl-C)
+    # runs between them: one Counter call over all the sums would not
+    # return to the interpreter until it is done.
+    acc: Counter = Counter()
+    sums = map(sum, itertools.product(*lists))
+    for _ in range(0, math.prod(map(len, lists)), _NAIVE_CHUNK):
+        acc.update(itertools.islice(sums, _NAIVE_CHUNK))
+    return acc
 
 
 def _rep_mitm(lists: Sequence[Sequence[int]], plan: _MitmNode) -> dict:
@@ -515,7 +591,12 @@ def energy_of(rep: SparseCounts, sets: Sequence[OrderedSet]) -> int:
     """Sum of r(x)**2 over the representation ``rep`` of ``sets`` under
     any signs; checked against the universal bounds when the sets are
     equal."""
-    total = mass_of_squares(rep)
+    return _checked_energy(mass_of_squares(rep), sets)
+
+
+def _checked_energy(total: int, sets: Sequence[OrderedSet]) -> int:
+    """``total``, the energy of ``sets`` under some signs, checked against
+    the universal bounds when the sets are equal."""
     if sets and all(A == sets[0] for A in sets):
         n, k = len(sets[0]), len(sets)
         if not n**k <= total <= n ** (2 * k - 1):
@@ -621,19 +702,27 @@ def _support(
     eps: tuple[int, ...],
     mem_budget: int | None,
     elements: bool,
-) -> Union[int, OrderedSet]:
+    first: int | None = None,
+) -> Union[list[int], OrderedSet]:
     """The support of A_1 +/- ... +/- A_k from the support kernel, never
-    counted: the set when ``elements``, else its size.
+    counted: the set when ``elements``, else the size of each prefix
+    A_1 +/- ... +/- A_j for j = ``first``..k (default: k alone), each
+    checked in verify mode.
 
-    ``choose`` picks the fold or the bitset row of ``_plan_support``: the
-    cheaper one that fits the budget, the fold on a tie.  Raises
-    ResourceError (before allocating) when neither fits.
+    ``choose`` picks the switch point, the row of ``_plan_support``: the
+    cheapest that fits the budget, the longest fold on a tie.  Raises
+    ResourceError (before allocating) when none fits.
     """
+    first = len(sets) if first is None else first
     lists, den = _signed_ints(sets, eps)
-    plans = _plan_support(lists, elements)
+    plans = _plan_support(lists, elements, first)
     out = plans[choose(plans, "auto", mem_budget, "sumset support")][2]()
-    _verify_support(len(out) if elements else out, sets)
-    return OrderedSet(out, den=den) if elements else out
+    if elements:
+        _verify_support(len(out), sets)
+        return OrderedSet(out, den=den)
+    for j, size in enumerate(out, first):
+        _verify_support(size, sets[:j])
+    return out
 
 
 def _sumset_signs(sets: Sequence[OrderedSet], signs: Signs) -> tuple[int, ...]:
@@ -659,7 +748,7 @@ def sumset_size(
 ) -> int:
     """|{e_1 a_1 + ... + e_k a_k}|, as :func:`signed_sumset` checks it,
     from the size-only support path: no element is built."""
-    return _support(sets, _sumset_signs(sets, signs), mem_budget, elements=False)
+    return _support(sets, _sumset_signs(sets, signs), mem_budget, elements=False)[-1]
 
 
 @dataclass(frozen=True)
@@ -671,15 +760,37 @@ class DoublingReport:
     K: Fraction
 
 
-def doubling(
+def doublings(
     B: OrderedSet, pattern: str, *, mem_budget: int | None = None
-) -> DoublingReport:
-    """Exact |B +/- B +/- ... +/- B| and K = size / |B| for a sign string."""
+) -> list[DoublingReport]:
+    """Exact |B +/- B +/- ... +/- B| and K = size / |B| for each prefix of
+    the sign string ``pattern`` of length at least 2 (the pattern itself
+    when it has one sign), all from one run of the support kernel."""
+    return _doublings(B, pattern, mem_budget, 2)
+
+
+def _doublings(
+    B: OrderedSet, pattern: str, mem_budget: int | None, first: int
+) -> list[DoublingReport]:
+    """The reports of :func:`doublings` for the prefixes of ``pattern``
+    from ``first`` signs on, or of the pattern itself when it is shorter."""
     if not pattern:
         raise InputError("pattern must have length >= 1")
     eps = parse_signs(pattern, len(pattern))
-    size = _support([B] * len(eps), eps, mem_budget, elements=False)
-    return DoublingReport(pattern, size, Fraction(size, len(B)))
+    first = min(first, len(eps))
+    sizes = _support([B] * len(eps), eps, mem_budget, False, first)
+    return [
+        DoublingReport(pattern[:j], size, Fraction(size, len(B)))
+        for j, size in enumerate(sizes, first)
+    ]
+
+
+def doubling(
+    B: OrderedSet, pattern: str, *, mem_budget: int | None = None
+) -> DoublingReport:
+    """Exact |B +/- B +/- ... +/- B| and K = size / |B| for a sign string:
+    the last report of :func:`doublings`, the one size the kernel counts."""
+    return _doublings(B, pattern, mem_budget, len(pattern))[0]
 
 
 @dataclass(frozen=True)
@@ -710,11 +821,36 @@ def popular_class_size(diff: SparseCounts) -> tuple[int, int, int]:
     Delta: read from its bit classes, so ``diff`` is neither sorted nor
     gathered and D is not built.
     """
+    return _popular_class(diff, diff.dyadic_classes())
+
+
+def _popular_class(
+    diff: SparseCounts, classes: Iterable[tuple[int, int]]
+) -> tuple[int, int, int]:
+    """:func:`popular_class_size` of ``diff`` from ``classes``, its
+    (j, size) bit classes in any order."""
     # r_{A-A} has mass |A|**2.
     if diff.mass < 4:
         raise InputError("popular class needs at least 2 elements")
-    j, size = max(diff.dyadic_classes(), key=lambda js: (js[1] * 4 ** js[0], js[0]))
+    j, size = max(classes, key=lambda js: (js[1] * 4 ** js[0], js[0]))
     return 2**j, size, size * 4**j
+
+
+def difference_profile(
+    diff: SparseCounts, A: OrderedSet
+) -> tuple[int, int, tuple[int, int, int]]:
+    """(E(A), sum of r**3, :func:`popular_class_size`) of ``diff`` =
+    r_{A-A}, all read from one pass over its counts: r_{A-A}(d) <= |A|,
+    so they take at most |A| distinct values, and each reduction walks
+    those with their multiplicities.  E is checked as :func:`energy_of`
+    checks it."""
+    hist = Counter(diff.unordered_counts())
+    e = _checked_energy(sum(c * c * m for c, m in hist.items()), [A, A])
+    e3 = sum(c**3 * m for c, m in hist.items())
+    classes: Counter = Counter()
+    for c, m in hist.items():
+        classes[c.bit_length() - 1] += m
+    return e, e3, _popular_class(diff, classes.items())
 
 
 def popular_bound_factor(n: int) -> int:
@@ -727,9 +863,9 @@ def check_popular_bound(
     A: OrderedSet, *, algo: str = "auto", mem_budget: int | None = None
 ) -> tuple[int, int, bool]:
     """Return (E(A), bound, E <= bound) for the popular-class bound, both
-    read from one r_{A-A}: E(A) is the sum of its squared counts, and
-    no set of differences is built."""
+    read from one r_{A-A} in one pass over its counts
+    (:func:`difference_profile`): no set of differences is built."""
     diff = representation([A, A], signs=(1, -1), algo=algo, mem_budget=mem_budget)
-    bound = popular_bound_factor(len(A)) * popular_class_size(diff)[2]
-    e = energy_of(diff, [A, A])
+    e, _, (_, _, score) = difference_profile(diff, A)
+    bound = popular_bound_factor(len(A)) * score
     return e, bound, e <= bound

@@ -38,18 +38,26 @@ one accumulator, a ``Counter``, in one ``dict.update`` over its sums
 paired with their new counts (``itertools.tee``), each key read just
 before it is set.  The result is that accumulator.
 
-The support kernel (:func:`support_size`, :func:`support_values`)
-computes the set A_1 + ... + A_k of signed lists without any counts.
-It takes one of two paths, named by its ``bitset`` argument: each is one
-row of ``engine._plan_support``, and the row that ``engine.choose``
-picks makes the call.
+The support kernel (:func:`support_sizes`, :func:`support_values`)
+computes the set A_1 + ... + A_k of signed lists without any counts, or
+the sizes of the prefixes A_1 + ... + A_j from a given j on.  It has one
+path with a switch point s, 1 <= s <= k: each value of s is one row of
+``engine._plan_support``, and the row that ``engine.choose`` picks makes
+the call.
 
-* Bitset.  Each partial sumset is one big int whose bit i stands for
-  the value lo + i; adding a set ORs the mask shifted by each element.
-  The size is ``int.bit_count``; the elements are decoded in one pass
-  over the binary digits.  Time and memory grow with the scaled span.
-* Int-set fold.  Each partial sumset is a set of ints; adding a set
-  unions its translates.  Time grows with the number of pairs.
+* The first s lists are folded as int sets: each partial sumset is a set
+  of ints, and adding a list unions its translates.  Time grows with the
+  number of pairs.
+* For s < k, the partial sumset is then turned into one big int, once:
+  bit i stands for the value lo + i, set through a ``bytearray`` of flag
+  bits and ``int.from_bytes``.  Each later list ORs in the mask shifted
+  by each of its elements.  Time and memory grow with the scaled span.
+
+s = k is the fold throughout, and s = 1 the bitset throughout.  A
+prefix size is the length of the set or the mask's ``int.bit_count``,
+which costs as much as a shift and OR, so only the prefixes asked for
+are counted; the elements are the sorted set, or decoded in one pass
+over the mask's binary digits.
 
 (The ``dense`` algorithm of ``engine`` folds whole sets over a count
 array instead and does not convolve sparse counts.)
@@ -61,7 +69,7 @@ from collections import Counter
 from itertools import chain, combinations, compress, repeat, tee
 from math import comb
 from operator import add, mul
-from typing import Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -183,40 +191,63 @@ class _Compositions:
 # bytes.translate table turning binary digits into 0/1 bytes, so that a
 # digit string can drive itertools.compress.
 _DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+# Bit j of a byte, looked up faster than shifted.
+_BIT = tuple(1 << j for j in range(8))
 
 
-def _bitset(lists: Sequence[Sequence[int]]) -> tuple[int, int]:
-    """(lo, mask): bit i of ``mask`` is set iff lo + i is a sum."""
-    lo, mask = 0, 1  # the sumset of no sets: {0}
-    for vals in lists:
+def _partial_sums(lists: Sequence[Sequence[int]], switch: int) -> Iterator[Any]:
+    """Each partial sumset A_1 + ... + A_j, j = 1..k, as it is built: a
+    collection of its ints for j <= ``switch``, else (lo, mask), bit i of
+    ``mask`` set iff lo + i is a sum.
+
+    The first ``switch`` lists are folded as int sets; their sums then
+    become one mask, through one flag bit each in a ``bytearray``, and
+    every later list ORs in the mask shifted by each of its elements.
+    """
+    sums = lists[0]
+    yield sums
+    for vals in lists[1:switch]:
+        sums = {s + v for s in sums for v in vals}
+        yield sums
+    if switch == len(lists):
+        return
+    # The least and greatest sums are the sums of the lists' ends.
+    lo = sum(vals[0] for vals in lists[:switch])
+    flags = bytearray((sum(vals[-1] for vals in lists[:switch]) - lo) // 8 + 1)
+    for x in sums:
+        i = x - lo
+        flags[i >> 3] |= _BIT[i & 7]
+    mask = int.from_bytes(flags, "little")
+    del sums, flags  # the set goes once the caller leaves it too
+    for vals in lists[switch:]:
         base = vals[0]
         acc = 0
         for a in vals:
             acc |= mask << (a - base)
         mask, lo = acc, lo + base
-    return lo, mask
+        yield lo, mask
 
 
-def _fold(lists: Sequence[Sequence[int]]) -> set[int]:
-    """The set of sums, one translate of the partial sumset per element."""
-    sums = set(lists[0])
-    for vals in lists[1:]:
-        sums = {s + v for s in sums for v in vals}
-    return sums
+def support_sizes(lists: Sequence[Sequence[int]], switch: int, first: int) -> list[int]:
+    """|A_1 + ... + A_j| for j = first..k, the increasing int sequences
+    ``lists`` folded as int sets through the first ``switch``, 1 <= switch
+    <= k, and as a bitset past them: the length of a set, or one
+    ``int.bit_count`` of a mask, which costs as much as a shift and OR and
+    so is taken only from ``first`` on."""
+    return [
+        len(sums) if j <= switch else sums[1].bit_count()
+        for j, sums in enumerate(_partial_sums(lists, switch), 1)
+        if j >= first
+    ]
 
 
-def support_size(lists: Sequence[Sequence[int]], bitset: bool) -> int:
-    """|A_1 + ... + A_k| for the increasing int sequences ``lists``;
-    ``bitset`` picks the path."""
-    if bitset:
-        return _bitset(lists)[1].bit_count()
-    return len(_fold(lists))
-
-
-def support_values(lists: Sequence[Sequence[int]], bitset: bool) -> list[int]:
-    """The sorted elements of A_1 + ... + A_k, as in :func:`support_size`."""
-    if bitset:
-        lo, mask = _bitset(lists)
-        digits = bin(mask)[:1:-1].encode().translate(_DIGIT_FLAGS)
-        return list(compress(range(lo, lo + len(digits)), digits))
-    return sorted(_fold(lists))
+def support_values(lists: Sequence[Sequence[int]], switch: int) -> list[int]:
+    """The sorted elements of A_1 + ... + A_k, built as in
+    :func:`support_sizes`."""
+    for sums in _partial_sums(lists, switch):
+        pass
+    if switch == len(lists):
+        return sorted(sums)
+    lo, mask = sums
+    digits = bin(mask)[:1:-1].encode().translate(_DIGIT_FLAGS)
+    return list(compress(range(lo, lo + len(digits)), digits))

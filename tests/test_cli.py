@@ -504,9 +504,9 @@ class TestSumsetDoubling:
 
     @pytest.mark.parametrize("algo", ["auto", "dense"])
     def test_analyze_builds_only_what_it_prints(self, capsys, monkeypatch, algo):
-        # Per set, the support kernel runs for A+A and A+A-A only, r_{A-A}
-        # is neither sorted nor gathered, and no set is built beyond the
-        # inputs: neither the class's differences nor A-A.
+        # Per set, the support kernel runs once, for A+A-A and its prefix
+        # A+A, r_{A-A} is neither sorted nor gathered, and no set is built
+        # beyond the inputs: neither the class's differences nor A-A.
         families = [ANALYZE_INT, ANALYZE_RAT]
         built, tuples, support = [], [], []
         init, build_tuples = OrderedSet.__init__, SparseCounts._build_tuples
@@ -520,9 +520,9 @@ class TestSumsetDoubling:
             SparseCounts, "_build_tuples",
             lambda self: tuples.append(self) or build_tuples(self),
         )
-        size = kernels.support_size
+        sizes = kernels.support_sizes
         monkeypatch.setattr(
-            kernels, "support_size", lambda *a: support.append(a) or size(*a)
+            kernels, "support_sizes", lambda *a: support.append(a) or sizes(*a)
         )
         sets = [generate(parse_family(family, 0)) for family in families]
         inputs = list(built)  # the sets and what generating them built
@@ -531,7 +531,7 @@ class TestSumsetDoubling:
         code, _, _ = _run(capsys, *argv, *(x for f in families for x in ("--family", f)))
         assert code == 0
         assert built == inputs
-        assert (tuples, len(support)) == ([], 2 * len(families))
+        assert (tuples, len(support)) == ([], len(families))
         built.clear()
         for A in sets:
             engine.check_popular_bound(A, algo=algo)
@@ -539,8 +539,12 @@ class TestSumsetDoubling:
 
     @pytest.mark.parametrize("squares", [8, 28])
     def test_energy_outside_universal_bounds(self, capsys, monkeypatch, squares):
-        # E of a 3-element set lies in [3**2, 3**3] = [9, 27].
-        monkeypatch.setattr(engine, "mass_of_squares", lambda rep: squares)
+        # E of a 3-element set lies in [3**2, 3**3] = [9, 27].  Both energy
+        # and analyze's count pass hand E to the one check.
+        check = engine._checked_energy
+        monkeypatch.setattr(
+            engine, "_checked_energy", lambda total, sets: check(squares, sets)
+        )
         A = sumsetlab.gen_interval(3)
         with pytest.raises(VerificationError, match="outside the universal bounds"):
             engine.energy_T([A, A])
@@ -573,9 +577,9 @@ class TestPlannedRows:
             monkeypatch.setattr(engine, name, spy)
         real_support = kernels.support_values
 
-        def support(lists, bitset):
-            rows.append("bitset" if bitset else "fold")
-            return real_support(lists, bitset)
+        def support(lists, switch):
+            rows.append(f"support {switch} of {len(lists)}")
+            return real_support(lists, switch)
 
         monkeypatch.setattr(kernels, "support_values", support)
         code, _, err = _run(capsys, *argv)
@@ -594,21 +598,24 @@ class TestPlannedRows:
              "representation: estimated 16777168 bytes exceeds budget 1000"),
             (["--algo", "mitm", "--mem", "1000", "energy", "--k", "3", *CUBES], [],
              "representation[mitm]: estimated 5491200 bytes exceeds budget 1000"),
-            # The size path's least estimate is its bitset; the elements
-            # add two bytes per bit of span and one entry per sum.
+            # The size path's least estimate is its bitset throughout
+            # (switch point 1); the elements add two bytes per bit of span
+            # and one entry per sum, so theirs is the fold's set: at most
+            # C(66, 3) sums of three of the 64 cubes, 120 bytes each.
             (["--mem", "1000", "sumset", "--k", "3", *CUBES], [],
              "sumset support: estimated 98303 bytes exceeds budget 1000"),
             (["--mem", "1000", "sumset", "--k", "3", "--elements", *CUBES], [],
-             "sumset support: estimated 31457280 bytes exceeds budget 1000"),
+             "sumset support: estimated 5491200 bytes exceeds budget 1000"),
             # The census representation and the partition's triple sumset
-            # fit; the census table does not.
+            # (the bitset throughout: switch point 1) fit; the census table
+            # does not.
             (["--mem", "5000", "lucky", "--k", "3", "--r", "2", "--g", "pow:2",
-              "--family", "interval:n=10"], ["dense", "bitset"],
+              "--family", "interval:n=10"], ["dense", "support 1 of 3"],
              "lucky census table: estimated 12000 bytes exceeds budget 5000"),
             (["sumset", "--k", "2", "--elements", "--family", "power:n=10,m=8"],
-             ["fold"], ""),
+             ["support 2 of 2"], ""),
             (["sumset", "--k", "3", "--elements", "--family", "interval:n=40"],
-             ["bitset"], ""),
+             ["support 1 of 3"], ""),
         ],
         ids=["naive", "mitm", "dense", "dense_rational", "mem_auto", "mem_mitm",
              "mem_support", "mem_support_elements", "mem_census_table",
@@ -1182,10 +1189,10 @@ class TestUserErrors:
         assert (done.returncode, done.stderr) == (0, "")
         assert json.loads(path.read_text())["T"] == "44"
 
-    def test_interrupt_exits_2_with_one_line(self):
-        # SIGINT to this test's own child, 1.5 s into a Python-level loop
-        # that runs for a minute: one line, well within the timeout.
-        argv = ["energy", "--k", "20000", "--family", "interval:n=2"]
+    @staticmethod
+    def _interrupted(argv):
+        """SIGINT to this test's own child, 1.5 s into ``argv``, which runs
+        for a minute or more: one line, well within the timeout."""
         command, env = _cli_command(argv)
         child = subprocess.Popen(
             command, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
@@ -1201,6 +1208,17 @@ class TestUserErrors:
             child.wait()
         done = subprocess.CompletedProcess(command, child.returncode, None, stderr)
         _assert_one_error(done, "error: interrupted")
+
+    def test_interrupt_exits_2_with_one_line(self):
+        # A Python-level loop.
+        self._interrupted(["energy", "--k", "20000", "--family", "interval:n=2"])
+
+    def test_interrupt_reaches_the_naive_enumeration(self):
+        # 2**60 tuples, counted in bounded chunks between which the signal
+        # handler runs.
+        self._interrupted(
+            ["--algo", "naive", "energy", "--k", "60", "--family", "interval:n=2"]
+        )
 
     def test_run_lets_an_interrupt_through(self, monkeypatch):
         # In process, the caller of run sees the interrupt itself.

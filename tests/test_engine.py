@@ -188,7 +188,7 @@ class TestRepresentation:
         with pytest.raises(Checked):
             SparseCounts({1: 1})
 
-    def test_mitm_estimate_caps_integer_subtrees(self):
+    def test_mitm_tree_caps_integer_subtrees(self):
         # [Z, Z] is integer-valued: its 100 * 100 pairs give at most the
         # 199 sums 0..198.  With Q the tree is rational, so the final join
         # is charged all 199 * 20 pairs: 120 bytes each.
@@ -965,9 +965,10 @@ class TestSupportPath:
         rng = SplitMix64(5)
         B = random_integer_set(rng, 30, spread=2**15)
         lists = [list(B.elements)] * 2
-        plans = engine._plan_support(lists, False)
-        bitset_bytes, fold_bytes = plans["bitset"][0], plans["fold"][0]
-        assert engine.choose(plans, "auto", None, "") == "fold"
+        plans = engine._plan_support(lists, False, 2)
+        # Switch point 1 is the bitset throughout, 2 the fold.
+        bitset_bytes, fold_bytes = plans[1][0], plans[2][0]
+        assert engine.choose(plans, "auto", None, "") == 2
         assert bitset_bytes < fold_bytes
         want = len(representation([B, B], signs="+-", algo="mitm").support())
         assert doubling(B, "+-", mem_budget=bitset_bytes).size == want
@@ -993,10 +994,28 @@ class TestSupportPath:
         assert stats.support_checks == 2
         assert stats.mass_checks == 0
 
+    def test_verify_mode_checks_every_prefix_of_doublings(self, monkeypatch):
+        # One run gives |B+B| and |B+B-B|; each is checked, so a corrupted
+        # |B+B| (in [2 * 6 - 1, 6**2] for 6 elements) raises.
+        B = gen_power(6, 2)
+        with verification() as stats:
+            engine.doublings(B, "++-")
+        assert stats.support_checks == 2
+        real = engine.kernels.support_sizes
+        monkeypatch.setattr(
+            engine.kernels, "support_sizes", lambda *args: [0] + real(*args)[1:]
+        )
+        with verification():
+            with pytest.raises(VerificationError, match="sumset size 0 outside"):
+                engine.doublings(B, "++-")
+
     @pytest.mark.parametrize("size", [0, 3 * 6 - 3, 6**3 + 1])
     def test_corrupted_size_raises(self, monkeypatch, size):
         # |B+B-B| of 6 elements lies in [3 * 6 - 2, 6**3].
-        monkeypatch.setattr(engine.kernels, "support_size", lambda *args: size)
+        real = engine.kernels.support_sizes
+        monkeypatch.setattr(
+            engine.kernels, "support_sizes", lambda *args: real(*args)[:-1] + [size]
+        )
         B = gen_power(6, 2)
         assert doubling(B, "++-").size == size  # checked only in verify mode
         with verification():
@@ -1022,6 +1041,7 @@ class TestPopularClass:
         diff = representation([A, A], signs="+-")
         for call in (
             lambda: engine.popular_class_size(diff),
+            lambda: engine.difference_profile(diff, A),
             lambda: popular_dyadic_class(A, algo="dense"),
             lambda: popular_dyadic_class(A),
             lambda: check_popular_bound(A),

@@ -8,8 +8,8 @@ scalar), where the loop used to truncate it with ``int()``.  Every input
 must get the same acceptance, the same InputError message and the same
 result from both.  ``core.convolve`` (the kernel's self-convolution, and
 operands over different denominators) is checked against the plain
-all-pairs loop ``oracle_convolve``, and both paths of the support kernel
-against the counted representation.
+all-pairs loop ``oracle_convolve``, and the support kernel at every
+switch point against the counted representation.
 The popular dyadic class, read from the bit classes of r_{A-A}, is
 checked against the dict-of-lists scan it replaced.
 """
@@ -44,9 +44,12 @@ from sumsetlab.convexity import convexity_order
 from sumsetlab.core import convolve, mass_of_squares, moment_sum
 from sumsetlab.engine import (
     check_popular_bound,
+    doublings,
+    energy_of,
     popular_bound_factor,
     rich_tail,
     spectrum_of,
+    sumset_size,
 )
 
 from conftest import brute_force_T, brute_force_representation
@@ -410,15 +413,20 @@ support_elements = st.one_of(
 support_sets = st.sets(support_elements, min_size=1, max_size=5).map(
     lambda xs: OrderedSet(sorted(xs))
 )
-# Scaled spans below 2**12 bits: both kernel paths are cheap.
-narrow_sets = st.sets(
-    st.one_of(
-        st.integers(-60, 60),
-        st.builds(Fraction, st.integers(-200, 200), st.sampled_from([2, 3, 5, 7])),
+# Scaled spans below 2**12 bits, so that every switch point is cheap,
+# each set translated to 0 or near +/-2**63 or +/-2**64.
+narrow_sets = st.builds(
+    lambda xs, shift: OrderedSet(sorted(x + shift for x in xs)),
+    st.sets(
+        st.one_of(
+            st.integers(-60, 60),
+            st.builds(Fraction, st.integers(-200, 200), st.sampled_from([2, 3, 5, 7])),
+        ),
+        min_size=1,
+        max_size=5,
     ),
-    min_size=1,
-    max_size=5,
-).map(lambda xs: OrderedSet(sorted(xs)))
+    st.sampled_from([0, 2**63, -(2**63), 2**64, -(2**64)]),
+)
 
 
 def support_by_representation(sets, signs):
@@ -428,10 +436,20 @@ def support_by_representation(sets, signs):
 @given(B=support_sets)
 @settings(max_examples=60, deadline=None)
 def test_doubling_matches_representation_on_every_pattern(B):
+    # ALL_PATTERNS holds every prefix of each pattern, in order.
+    want = {}
     for pattern in ALL_PATTERNS:
+        want[pattern] = len(support_by_representation([B] * len(pattern), pattern))
         got = doubling(B, pattern)
-        want = len(support_by_representation([B] * len(pattern), pattern))
-        assert (got.pattern, got.size, got.K) == (pattern, want, Fraction(want, len(B)))
+        size = want[pattern]
+        assert (got.pattern, got.size, got.K) == (pattern, size, Fraction(size, len(B)))
+        if pattern[0] == "+":
+            assert sumset_size([B] * len(pattern), pattern) == size
+        # One support run gives every prefix of length 2 or more.
+        prefixes = [pattern[:j] for j in range(min(2, len(pattern)), len(pattern) + 1)]
+        assert [(r.pattern, r.size) for r in doublings(B, pattern)] == [
+            (p, want[p]) for p in prefixes
+        ]
 
 
 @given(sets=st.lists(support_sets, min_size=1, max_size=4), data=st.data())
@@ -446,27 +464,33 @@ def test_signed_sumset_matches_representation(sets, data):
 
 @given(sets=st.lists(narrow_sets, min_size=1, max_size=4), data=st.data())
 @settings(max_examples=150, deadline=None)
-def test_both_kernel_paths_match_representation(sets, data):
+def test_every_switch_point_matches_representation(sets, data):
     signs = [data.draw(st.sampled_from([1, -1])) for _ in sets]
     lists, den = scaled_lists(sets, signs)
     want = [int(x * den) for x in support_by_representation(sets, signs)]
-    for bitset in (True, False):
-        assert kernels.support_values(lists, bitset) == want
-        assert kernels.support_size(lists, bitset) == len(want)
+    sizes = [
+        len(support_by_representation(sets[:j], signs[:j]))
+        for j in range(1, len(sets) + 1)
+    ]
+    for switch in range(1, len(sets) + 1):
+        assert kernels.support_values(lists, switch) == want
+        for first in range(1, len(sets) + 1):
+            assert kernels.support_sizes(lists, switch, first) == sizes[first - 1 :]
 
 
 def _preferred_path(lists, elements):
-    """The support path the planner prefers by cost, under a budget that
-    both paths fit."""
-    return engine.choose(engine._plan_support(lists, elements), "auto", 2**300, "")
+    """The switch point the planner prefers by cost, under a budget that
+    every row fits: 1 is the bitset throughout, len(lists) the fold."""
+    plans = engine._plan_support(lists, elements, len(lists))
+    return engine.choose(plans, "auto", 2**300, "")
 
 
 def test_planner_takes_the_bitset_on_an_interval():
     B = OrderedSet(range(-(2**70), -(2**70) + 60))
     sets, signs = [B, B, B], (1, 1, -1)
     lists, _ = scaled_lists(sets, signs)
-    assert _preferred_path(lists, False) == "bitset"
-    assert _preferred_path(lists, True) == "bitset"
+    assert _preferred_path(lists, False) == 1
+    assert _preferred_path(lists, True) == 1
     assert doubling(B, "++-").size == len(support_by_representation(sets, signs))
     assert signed_sumset(sets, signs).elements == support_by_representation(
         sets, signs
@@ -486,7 +510,7 @@ def test_planner_takes_the_bitset_on_an_interval():
 def test_planner_takes_the_fold_on_wide_spans(B):
     for pattern in ("+-", "++-", "+-+-"):
         sets = [B] * len(pattern)
-        assert _preferred_path(scaled_lists(sets, pattern)[0], True) == "fold"
+        assert _preferred_path(scaled_lists(sets, pattern)[0], True) == len(sets)
         want = support_by_representation(sets, pattern)
         assert doubling(B, pattern).size == len(want)
         assert signed_sumset(sets, pattern).elements == want
@@ -925,6 +949,9 @@ def check_popular_class(A, want):
         diff = representation([A, A], signs="+-", algo=algo)
         size = (pop.delta, len(pop.differences), pop.score)
         assert engine.popular_class_size(diff) == size, algo
+        # The count pass reads E, E3 and the class from one histogram.
+        want_profile = (energy_of(diff, [A, A]), moment_sum(diff, 3), size)
+        assert engine.difference_profile(diff, A) == want_profile, algo
         e, bound, ok = check_popular_bound(A, algo=algo)
         # E read from r_{A-A} against E built from r_{A+A}.
         assert e == energy_T([A, A], algo=algo) == brute_force_T([A, A]), algo

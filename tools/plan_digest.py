@@ -2,8 +2,8 @@
 
 For each input, ``engine.representation`` is called under ``auto``,
 ``mitm``, ``dense`` and ``naive``, and the support path
-(``engine._support``, for the size and for the elements) once, each
-under the budgets None, 10**4 and 10**6.  ``engine.choose`` is replaced
+(``engine._support``, for the prefix sizes and for the elements) once,
+each under the budgets None, 10**4 and 10**6.  ``engine.choose`` is replaced
 by a spy: it records the table the caller hands it and the path it
 picks, or its ResourceError, then stops the call, so nothing runs.  An
 InputError raised before choosing is recorded in place of the pick:
@@ -16,8 +16,10 @@ of all parts:
     mitm     the mitm row's (bytes, cost)
     dense    the dense row's (bytes, cost)
     naive    the naive row's bytes (no choice reads its cost)
-    support  both support tables' rows
-    picks    every pick, ResourceError and InputError
+    support  both support tables' rows, one per switch point (the number
+             of lists folded as int sets before the bitset takes over)
+    picks    every pick (a support pick is its switch point),
+             ResourceError and InputError
 
 A row with negative bytes cannot run and is left out, so a tree whose
 tables still list such rows compares too; only the first two entries of
@@ -93,7 +95,7 @@ def _spy(real):
     def choose(plans, algo, mem_budget, what):
         table = {name: tuple(row[:2]) for name, row in plans.items()}
         try:
-            pick = real(plans, algo, mem_budget, what)
+            pick = str(real(plans, algo, mem_budget, what))
         except ResourceError as exc:
             pick = str(exc)
         raise Chosen(table, pick)
