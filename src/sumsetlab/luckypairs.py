@@ -21,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from typing import Sequence
 
 from .convexity import FunctionSpec, evaluate
@@ -242,77 +242,156 @@ def lucky_census(
 ) -> list[LuckyCensusRow]:
     """Census over every sum in the dyadic richness class [r, 2r), in one pass.
 
-    Each g_i is evaluated once on B_i, and each element's interval index
-    is looked up once.  The first k-1 axes are folded into one table
-    mapping each partial sum to {cell prefix: multiplicity}; each rich
-    sum x then walks the last axis and looks up x - g_k(b_k) in it, so
-    no solution tuple is ever listed.  The multiplicities found for x
-    must add up to r_x from ``representation``, or VerificationError is
-    raised (always on).  The table's memory, prod_{i<k} |B_i| entries,
-    is estimated against the budget before it is built (ResourceError).
+    Each distinct g_i is evaluated once on each distinct B_i, as an int
+    over the images' common denominator less the least image, and each
+    element's interval index is looked up once.  The first k-1 axes are
+    folded into one dict table of multiplicities keyed by (partial sum,
+    cell prefix), an independent count of the solutions.  Sorted into
+    arrays, each partial sum's entries are one run: a sparse row of its
+    counts per cell prefix.  For each interval of the last axis, every
+    rich sum x minus every g_k(b_k) in that interval is ranked among the
+    partial sums with one ``searchsorted``; the runs that hit are
+    expanded entry by entry, and one sort by (x, cell) adds up x's
+    multiplicity in each cell it occupies.  No solution tuple is ever
+    listed, and the work follows the entries found, not the number of
+    cells.  The arrays are int64 while every offset fits, Python ints
+    (``dtype=object``) past that, and their size does not depend on the
+    span.  The multiplicities found for x must add up to r_x from
+    ``representation``, or VerificationError is raised (always on).  The
+    table, its arrays, the walk of the widest interval and the rows are
+    estimated against the budget before any is built (ResourceError).
 
     The lower bound column is r_x - k * t**(k-1), the hyperplane-based
     guarantee (may be negative for thin sums; found pairs always meet it).
     ``algo`` selects the algorithm of the representation; ``mem_budget``
-    covers it, the triple sumsets and the table.
+    covers it, the triple sumsets and the census.
     """
     if len(B_list) != len(g_list):
         raise InputError("need one function per set")
     _check_grid(len(B_list), r, c)
-    images = [_injective_image(g, B) for g, B in zip(g_list, B_list)]
+    # Axes of one map on one set share its image, image set and offsets.
+    pairs = list(zip(g_list, B_list))
+    images = {pair: _injective_image(*pair) for pair in dict.fromkeys(pairs)}
+    image_sets = {pair: OrderedSet(sorted(image)) for pair, image in images.items()}
     rep = representation(
-        [OrderedSet(sorted(image)) for image in images],
-        algo=algo,
-        mem_budget=mem_budget,
+        [image_sets[pair] for pair in pairs], algo=algo, mem_budget=mem_budget
     )
     partition = build_partition(B_list, r, c, mem_budget=mem_budget)
     rich = [(x, count) for x, count in rep.items() if r <= count < 2 * r]
     if not rich:
         return []
-    table_bytes = prod(len(B) for B in B_list[:-1]) * DICT_ENTRY_BYTES
-    choose({"table": (table_bytes, 0)}, "auto", mem_budget, "lucky census table")
+    values, wanted = zip(*rich)
 
-    # Per axis: (g_i(b), interval index of b) for every b in B_i.
-    axes = [
-        list(zip(image, map(ax.interval_index, B)))
-        for image, ax, B in zip(images, partition.axes, B_list)
-    ]
-    # A cell is encoded as the mixed-radix integer of its interval indices.
-    table: dict = {0: {0: 1}}
+    # Per axis: (g_i(b) as an int over the common denominator, less the
+    # axis's least image, interval index of b) for every b in B_i.
+    den = lcm(*(s.den for s in image_sets.values()))
+    lows = {pair: s.ints[0] * (den // s.den) for pair, s in image_sets.items()}
+    axis_of = dict(zip(B_list, partition.axes))
+    offsets = {}
+    for (g, B), image in images.items():
+        low, index = lows[g, B], axis_of[B].interval_index
+        offsets[g, B] = [
+            ((v * den).numerator - low, j) for v, j in zip(image, map(index, B))
+        ]
+    axes = [offsets[pair] for pair in pairs]
+    by_interval: dict[int, list] = {}
+    for v, j in axes[-1]:
+        by_interval.setdefault(j, []).append(v)
+    span = sum(max(v for v, _ in axis) for axis in axes)
+    prefix_cells = prod(ax.t for ax in partition.axes[:-1])
+    # Every code, query and key below lies in
+    # [-span * prefix_cells, (span + 1) * prefix_cells].
+    offsets_fit = (span + 1) * prefix_cells < 2**63
+    # The table has at most one entry per tuple of the first k-1 axes and
+    # is held beside the level it folds from; as arrays it is a code, a
+    # cell, a key and a count per entry, and a sort.  The widest
+    # last-axis interval's walk holds per rich sum and element a query, a
+    # rank and a hit.  It visits each table entry at most once per
+    # element, and each entry it visits counts at least one of the rich
+    # sums' solutions; per visit it holds a few arrays.  Each rich sum's
+    # row takes about 320 bytes.  An offset past int64 is a Python int of
+    # about 40 bytes behind its 8-byte reference.
+    tuples = prod(len(B) for B in B_list[:-1])
+    item = 8 if offsets_fit else 48
+    widest = max(map(len, by_interval.values()))
+    visits = min(widest * tuples, sum(wanted))
+    census_bytes = (
+        (tuples + tuples // len(B_list[-2])) * DICT_ENTRY_BYTES
+        + tuples * (3 * item + 24)
+        + len(rich) * (widest * (2 * item + 24) + 320)
+        + visits * (2 * item + 64)
+    )
+    choose({"table": (census_bytes, 0)}, "auto", mem_budget, "lucky census table")
+
+    # The table maps partial sum * cells + cell to its multiplicity, where
+    # a cell is the mixed-radix integer of its interval indices on the axes
+    # folded so far, and cells is their count.
+    table: dict = {0: 1}
+    cells = 1
     for axis, ax in zip(axes[:-1], partition.axes):
+        cells *= ax.t
+        steps = [v * cells + j for v, j in axis]
         folded: dict = {}
-        for s, cells in table.items():
-            for v, j in axis:
-                bucket = folded.setdefault(s + v, {})
-                for cell, m in cells.items():
-                    key = cell * ax.t + j
-                    bucket[key] = bucket.get(key, 0) + m
+        for code, m in table.items():
+            head = code * ax.t
+            for step in steps:
+                key = head + step
+                folded[key] = folded.get(key, 0) + m
         table = folded
 
-    k = len(B_list)
-    t_last = partition.axes[-1].t
-    guarantee_cells = k * partition.t ** (k - 1)
-    rows = []
-    for x, count in rich:
-        groups: dict[int, int] = {}
-        for v, j in axes[-1]:
-            cells = table.get(x - v)
-            if cells is None:
-                continue
-            for cell, m in cells.items():
-                key = cell * t_last + j
-                groups[key] = groups.get(key, 0) + m
-        total = sum(groups.values())
-        if total != count:
-            raise VerificationError(
-                f"lucky census found {total} solutions for {x}, "
-                f"representation counts {count}"
-            )
-        found = sum(m * (m - 1) // 2 for m in groups.values())
-        rows.append(
-            LuckyCensusRow(x, count, found, count - guarantee_cells, len(groups))
+    import numpy as np
+
+    offset = np.int64 if offsets_fit else object
+    # Sorted, the codes of one partial sum s are a run in
+    # [s * cells, (s + 1) * cells): a sparse row of its counts per cell.
+    codes = np.array(list(table), offset)
+    order = np.argsort(codes)
+    codes = codes[order]
+    counts = np.array(list(table.values()), np.int64)[order]
+    cell_of = codes % cells
+    keys, first = np.unique(codes // cells, return_index=True)
+    # The last key again, so that a rank past the end compares unequal.
+    keys = np.append(keys, keys[-1:])
+    first = np.append(first, len(codes))
+    base = sum(lows[pair] for pair in pairs)
+    xs = np.array([(x * den).numerator - base for x in values], offset)
+    totals, found, occupied = np.zeros((3, len(rich)), np.int64)
+    for last in by_interval.values():
+        # A row per element b, each ascending, as searchsorted runs
+        # fastest; transposed, a row per rich sum x.
+        queries = xs - np.array(last, offset)[:, None]
+        rank = np.searchsorted(keys[:-1], queries).T
+        hit = keys[rank] == queries.T
+        rank = rank[hit]
+        start = first[rank]
+        lengths = first[rank + 1] - start
+        # Every table entry of every (x, b) that hits, x by x.
+        entry = np.repeat(start + lengths - lengths.cumsum(), lengths)
+        entry += np.arange(len(entry))
+        owner = np.repeat(hit.nonzero()[0], lengths)
+        # Entries of one x in one cell add up to its multiplicity there.
+        group = owner.astype(offset) * cells + cell_of[entry]
+        order = np.argsort(group, kind="stable")
+        head = np.flatnonzero(np.diff(group[order], prepend=-1))
+        m = np.add.reduceat(counts[entry[order]], head)
+        owner = owner[order[head]]
+        np.add.at(totals, owner, m)
+        np.add.at(found, owner, m * (m - 1) // 2)
+        np.add.at(occupied, owner, 1)
+    totals = totals.tolist()
+
+    if totals != list(wanted):
+        x, total, n = next(t for t in zip(values, totals, wanted) if t[1] != t[2])
+        raise VerificationError(
+            f"lucky census found {total} solutions for {x}, "
+            f"representation counts {n}"
         )
-    return rows
+    k = len(B_list)
+    guarantee_cells = k * partition.t ** (k - 1)
+    lower = [n - guarantee_cells for n in wanted]
+    return list(
+        map(LuckyCensusRow, values, wanted, found.tolist(), lower, occupied.tolist())
+    )
 
 
 def _injective_image(g: FunctionSpec, B: OrderedSet) -> list:

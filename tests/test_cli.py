@@ -607,11 +607,12 @@ class TestPlannedRows:
             (["--mem", "1000", "sumset", "--k", "3", "--elements", *CUBES], [],
              "sumset support: estimated 5491200 bytes exceeds budget 1000"),
             # The census representation and the partition's triple sumset
-            # (the bitset throughout: switch point 1) fit; the census table
-            # does not.
+            # (the bitset throughout: switch point 1) fit; the census does
+            # not: its table, its sorted arrays, and the walk and rows of 45
+            # rich sums.
             (["--mem", "5000", "lucky", "--k", "3", "--r", "2", "--g", "pow:2",
               "--family", "interval:n=10"], ["dense", "support 1 of 3"],
-             "lucky census table: estimated 12000 bytes exceeds budget 5000"),
+             "lucky census table: estimated 61200 bytes exceeds budget 5000"),
             (["sumset", "--k", "2", "--elements", "--family", "power:n=10,m=8"],
              ["support 2 of 2"], ""),
             (["sumset", "--k", "3", "--elements", "--family", "interval:n=40"],

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -253,13 +254,16 @@ def _census_by_tuples(B_list, g_list, r, c):
 
 
 # (map, base family, k values): integer, rational-image, decreasing,
-# rational-domain and root maps.
+# rational-domain and root maps, and images past int64: shifted by
+# 2**63 - 1, whose offsets fit in int64, and scaled by it, whose do not.
 _CENSUS_CASES = [
     ("pow:1", "rsc:n=10,s=1,seed=3,gap=3", (2, 3, 4)),
     ("poly:0,1/3,1/7", "rsc:n=7,s=1,seed=5,gap=2", (2, 3, 4)),
     ("poly:0,-1", "rsc:n=10,s=2,seed=7,gap=2", (2, 3, 4)),
     ("pow:2", "ap:n=8,base=1/2,step=1/2", (2, 3, 4)),
     ("root:2", "power:n=12,m=2", (2, 3)),
+    ("poly:9223372036854775807,1", "rsc:n=10,s=1,seed=3,gap=3", (2, 3, 4)),
+    ("poly:0,9223372036854775807", "rsc:n=10,s=1,seed=3,gap=3", (2, 3, 4)),
 ]
 
 
@@ -305,8 +309,9 @@ class TestCensusDifferential:
             )
 
     def test_budget_covers_table(self):
-        # Representation and triple sumset need a few kB; the table of
-        # 6**3 partial sums needs 216 * DICT_ENTRY_BYTES.
+        # Representation and triple sumset need a few kB; the census of
+        # 6**3 partial sums charges 252 * DICT_ENTRY_BYTES for its table
+        # (and the level it folds from) and about 13 kB for the rest.
         B = gen_interval(6)
         assert lucky_census([B] * 4, [IDENTITY] * 4, 8, mem_budget=200000)
         with pytest.raises(ResourceError, match="lucky census table"):
@@ -350,6 +355,61 @@ class TestCensusDifferential:
         with pytest.raises(DomainError) as info:
             lucky_census([B, B], [parse_function("poly:0,0,1")] * 2, 2)
         assert "poly:0,0,1 is not injective" in str(info.value)
+
+
+class TestCensusLargeGrid:
+    # Many cells per axis: each partial sum sits in one of t**(k-1) cell
+    # prefixes, and most last-axis intervals hold one or two elements.
+    @pytest.mark.parametrize(
+        "g_text, family, k, r",
+        [
+            ("pow:1", "interval:n=200", 2, 100),  # t = 100
+            ("poly:0,9223372036854775807", "interval:n=200", 2, 100),
+            ("poly:1/2,1/3", "interval:n=120", 2, 48),  # t = 48
+            ("pow:1", "interval:n=30", 3, 256),  # t = 16
+        ],
+    )
+    def test_matches_per_sum_enumeration(self, g_text, family, k, r):
+        B = generate(parse_family(family, 0))
+        g = parse_function(g_text)
+        want = _census_by_tuples([B] * k, [g] * k, r, 1)
+        assert want and lucky_census([B] * k, [g] * k, r, 1) == want
+
+
+class TestCensusMemory:
+    @pytest.mark.parametrize(
+        "family, k, r, c",
+        [
+            ("rsc:n=34,s=3,seed=0,gap=64", 3, 4, 4),  # t = 1
+            ("rsc:n=34,s=1,seed=0,gap=4", 3, 16, 4),  # t = 1
+            ("rsc:n=34,s=1,seed=0,gap=4", 3, 17, 4),  # t = 2
+            ("interval:n=400", 2, 200, 1),  # t = 200
+        ],
+    )
+    def test_peak_within_table_charge(self, monkeypatch, family, k, r, c):
+        # What the census allocates after its budget row is charged (the
+        # table, the count matrix, the walk and the rows) stays within it.
+        import numpy  # noqa: F401  (imported before tracing starts)
+
+        real_choose = luckypairs.choose
+        charged = []
+
+        def charge(plans, algo, mem_budget, what):
+            if what == "lucky census table":
+                charged.append((plans["table"][0], tracemalloc.get_traced_memory()[0]))
+                tracemalloc.reset_peak()
+            return real_choose(plans, algo, mem_budget, what)
+
+        monkeypatch.setattr(luckypairs, "choose", charge)
+        B = generate(parse_family(family, 0))
+        tracemalloc.start()
+        try:
+            rows = lucky_census([B] * k, [IDENTITY] * k, r, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ((estimate, held),) = charged
+        assert rows and peak - held <= estimate, (peak - held, estimate)
 
 
 def _enumerate_cells(boundaries, C):

@@ -68,6 +68,12 @@ COMMANDS = [
     ["lucky", "--r", "4", "--family", "rsc:n=24,s=1,seed=3,gap=4", *CSV],
     ["lucky", "--k", "3", "--r", "2", "--g", "pow:2",
      "--family", "interval:n=10", *CSV],
+    # Censuses over grids of t >= 2 cells per axis: t = 2 at k = 3,
+    # t = 16 at k = 2, and t = 3 at k = 4 over rational images.
+    ["lucky", "--k", "3", "--r", "17", *CSV, "--family", "rsc:n=34,s=1,seed=0,gap=4"],
+    ["lucky", "--k", "2", "--r", "16", "--c", "1", *CSV, "--family", "interval:n=40"],
+    ["lucky", "--k", "4", "--r", "16", "--c", "1", "--g", "poly:0,1/3,1/7", *CSV,
+     "--family", "rsc:n=10,s=1,seed=1,gap=2"],
     ["fit", "16:25666", "32:219902", "64:1895554"],
     *(
         ["verify", "--bound", bound, *BOUND_PARAMS.get(bound, []),
