@@ -44,9 +44,8 @@ import io
 import os
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from fractions import Fraction
-from operator import attrgetter
 from typing import Callable
 
 from . import bounds, engine, luckypairs
@@ -112,8 +111,8 @@ def _cmd_analyze(args) -> tuple[dict, None]:
         }
         # One support run gives |A+A| and |A+A-A|, and one r_{A-A} the
         # rest: its support is A-A, and E, E3_diff and the popular class
-        # (as in engine.check_popular_bound) come from one pass over its
-        # counts.  Built after the sizes, it is not held while they run.
+        # with its energy bound come from one pass over its counts.
+        # Built after the sizes, it is not held while they run.
         for rep in engine.doublings(A, "++-", mem_budget=args.mem):
             rep = asdict(rep)
             pattern = rep.pop("pattern")  # named by the key instead
@@ -123,17 +122,8 @@ def _cmd_analyze(args) -> tuple[dict, None]:
         )
         entry["size[+-]"] = len(diff)
         entry["K[+-]"] = Fraction(len(diff), len(A))
-        e, e3, (delta, class_size, score) = engine.difference_profile(diff, A)
-        bound = engine.popular_bound_factor(len(A)) * score
-        entry["E"] = e
-        entry["popular"] = {
-            "delta": delta,
-            "class_size": class_size,
-            "score": score,
-            "energy_bound": bound,
-            "bound_holds": e <= bound,
-        }
-        entry["E3_diff"] = e3
+        e, e3, popular = engine.difference_profile(diff, A)
+        entry.update({"E": e, "E3_diff": e3, "popular": popular})
         del diff  # freed before the next set's sumsets are computed
         reports.append(entry)
     return {"reports": reports}, None
@@ -218,9 +208,7 @@ def _cmd_lucky(args) -> tuple[dict, Callable[[], str]]:
         "c": args.c,
         "rows": rows,
     }
-    columns = [f.name for f in fields(luckypairs.LuckyCensusRow)]
-    cells = attrgetter(*columns)
-    return payload, lambda: rows_csv(columns, [cells(row) for row in rows])
+    return payload, lambda: rows_csv(luckypairs.LuckyCensusRow._fields, rows)
 
 
 def _cmd_fit(args) -> tuple[dict, None]:

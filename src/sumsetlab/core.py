@@ -560,10 +560,15 @@ def rich_tail(p: SparseCounts, r: int) -> int:
     return int(np.count_nonzero(c >= r)) if r <= int(c.max()) else 0
 
 
-def moment_sum(p: SparseCounts, m: int) -> int:
-    """sum of count(v)**m (exact, integer m >= 1)."""
+def check_moment_order(m: int) -> None:
+    """Raise InputError unless the moment order m is at least 1."""
     if m < 1:
         raise InputError("moment order must be >= 1")
+
+
+def moment_sum(p: SparseCounts, m: int) -> int:
+    """sum of count(v)**m (exact, integer m >= 1)."""
+    check_moment_order(m)
     return sum(map(pow, p.unordered_counts(), repeat(m)))
 
 

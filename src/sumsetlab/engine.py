@@ -80,16 +80,17 @@ rational result's values are built only when a caller reads them.
 tuples: its bit classes (``SparseCounts.dyadic_classes``) and sum of
 squares (``core.mass_of_squares``) read the count array in ``core``,
 with integer operations only, and return Python ints.  ``energy_of``
-and ``popular_class_size`` are the other reductions of a given result:
-the sum of squares with the universal-bounds check, and the popular
-dyadic class's Delta, size and score, picked from the bit classes of
-r_{A-A}, which are read unsorted; ``popular_dyadic_class`` adds the
-class's differences, sorted.  ``difference_profile`` reads E(A) =
-sum r_{A-A}(d)**2, with the same check, sum r_{A-A}(d)**3 and the
-popular class from r_{A-A} in one pass over its counts: they are at most
-|A|, so one ``Counter`` of their values holds at most |A| entries, and
-each reduction walks those.  ``analyze`` and the popular-class bound
-(``check_popular_bound``) read r_{A-A} through it, and build no set.
+is the other reduction of a given result: the sum of squares with the
+universal-bounds check.  ``popular_dyadic_class`` picks the popular
+dyadic class's Delta and score from the bit classes of r_{A-A}, which
+are read unsorted, and adds the class's differences, sorted.
+``difference_profile`` reads E(A) = sum r_{A-A}(d)**2, with the same
+check, sum r_{A-A}(d)**3 and the popular class with its energy bound
+(``PopularBound``) from r_{A-A} in one pass over its counts: they are
+at most |A|, so one ``Counter`` of their values holds at most |A|
+entries, and each reduction walks those.  ``analyze`` and
+``check_popular_bound`` read r_{A-A} through it, and build no set: the
+bound and whether E meets it are computed here only.
 Every other reduction reads the counts directly: a histogram does not
 pay on counts with many distinct values, such as an r_{4A}.
 
@@ -129,6 +130,7 @@ from .core import (
     DICT_ENTRY_BYTES,
     OrderedSet,
     SparseCounts,
+    check_moment_order,
     common_ints,
     mass_of_squares,
     moment_sum,
@@ -634,7 +636,9 @@ def moment(
     algo: str = "auto",
     mem_budget: int | None = None,
 ) -> int:
-    """Integer moment: sum of r(x)**m (m = 2 recovers the energy)."""
+    """Integer moment: sum of r(x)**m (m = 2 recovers the energy).  The
+    order is checked before r is built."""
+    check_moment_order(m)
     rep = representation(sets, signs=signs, algo=algo, mem_budget=mem_budget)
     return moment_sum(rep, m)
 
@@ -805,30 +809,22 @@ class PopularClass:
 def popular_dyadic_class(
     A: OrderedSet, *, algo: str = "auto", mem_budget: int | None = None
 ) -> PopularClass:
-    """The popular dyadic class of r_{A-A} (:func:`popular_class_size`)
-    with its differences D."""
+    """The dyadic class D of r_{A-A} (zero and both signs included) with
+    maximal |D| * Delta**2, ties going to the larger Delta, with its
+    differences D."""
     diff = representation([A, A], signs=(1, -1), algo=algo, mem_budget=mem_budget)
-    delta, _, score = popular_class_size(diff)
+    delta, _, score = _popular_class(diff, diff.dyadic_classes())
     # diff.ints run in increasing order.
     ints = [x for x, c in zip(diff.ints, diff.counts) if delta <= c < 2 * delta]
     return PopularClass(OrderedSet(ints, den=diff.den), delta, score)
 
 
-def popular_class_size(diff: SparseCounts) -> tuple[int, int, int]:
-    """(Delta, |D|, |D| * Delta**2) of the dyadic class D of the
-    difference representation ``diff`` = r_{A-A} (zero and both signs
-    included) with maximal |D| * Delta**2, ties going to the larger
-    Delta: read from its bit classes, so ``diff`` is neither sorted nor
-    gathered and D is not built.
-    """
-    return _popular_class(diff, diff.dyadic_classes())
-
-
 def _popular_class(
     diff: SparseCounts, classes: Iterable[tuple[int, int]]
 ) -> tuple[int, int, int]:
-    """:func:`popular_class_size` of ``diff`` from ``classes``, its
-    (j, size) bit classes in any order."""
+    """(Delta, |D|, |D| * Delta**2) of the popular dyadic class D of
+    ``diff`` = r_{A-A}, from ``classes``, its (j, size) bit classes in
+    any order: neither sorted nor gathered, and D is not built."""
     # r_{A-A} has mass |A|**2.
     if diff.mass < 4:
         raise InputError("popular class needs at least 2 elements")
@@ -836,21 +832,36 @@ def _popular_class(
     return 2**j, size, size * 4**j
 
 
+@dataclass(frozen=True)
+class PopularBound:
+    """The popular dyadic class of r_{A-A} and the energy bound it gives,
+    E(A) <= energy_bound, which is :func:`popular_bound_factor` of |A|
+    times the score."""
+
+    delta: int
+    class_size: int
+    score: int
+    energy_bound: int
+    bound_holds: bool
+
+
 def difference_profile(
     diff: SparseCounts, A: OrderedSet
-) -> tuple[int, int, tuple[int, int, int]]:
-    """(E(A), sum of r**3, :func:`popular_class_size`) of ``diff`` =
-    r_{A-A}, all read from one pass over its counts: r_{A-A}(d) <= |A|,
-    so they take at most |A| distinct values, and each reduction walks
-    those with their multiplicities.  E is checked as :func:`energy_of`
-    checks it."""
+) -> tuple[int, int, PopularBound]:
+    """(E(A), sum of r**3, :class:`PopularBound`) of ``diff`` = r_{A-A},
+    all read from one pass over its counts: r_{A-A}(d) <= |A|, so they
+    take at most |A| distinct values, and each reduction walks those
+    with their multiplicities.  E is checked as :func:`energy_of` checks
+    it, and the bound holds when E is at most ``energy_bound``."""
     hist = Counter(diff.unordered_counts())
     e = _checked_energy(sum(c * c * m for c, m in hist.items()), [A, A])
     e3 = sum(c**3 * m for c, m in hist.items())
     classes: Counter = Counter()
     for c, m in hist.items():
         classes[c.bit_length() - 1] += m
-    return e, e3, _popular_class(diff, classes.items())
+    delta, size, score = _popular_class(diff, classes.items())
+    bound = popular_bound_factor(len(A)) * score
+    return e, e3, PopularBound(delta, size, score, bound, e <= bound)
 
 
 def popular_bound_factor(n: int) -> int:
@@ -862,10 +873,10 @@ def popular_bound_factor(n: int) -> int:
 def check_popular_bound(
     A: OrderedSet, *, algo: str = "auto", mem_budget: int | None = None
 ) -> tuple[int, int, bool]:
-    """Return (E(A), bound, E <= bound) for the popular-class bound, both
-    read from one r_{A-A} in one pass over its counts
-    (:func:`difference_profile`): no set of differences is built."""
+    """Return (E(A), bound, E <= bound) for the popular-class bound: the
+    E and :class:`PopularBound` that :func:`difference_profile` reads
+    from one r_{A-A} in one pass over its counts; no set of differences
+    is built."""
     diff = representation([A, A], signs=(1, -1), algo=algo, mem_budget=mem_budget)
-    e, _, (_, _, score) = difference_profile(diff, A)
-    bound = popular_bound_factor(len(A)) * score
-    return e, bound, e <= bound
+    e, _, p = difference_profile(diff, A)
+    return e, p.energy_bound, p.bound_holds

@@ -22,7 +22,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .convexity import FunctionSpec, evaluate
 from .core import DICT_ENTRY_BYTES, OrderedSet, Scalar, canon
@@ -102,13 +102,14 @@ def build_partition(
 
     Axes over equal sets share one AxisPartition, so each distinct
     triple sumset is built once.  For r < c**(k-1) the partition
-    degenerates to a single cell per axis and is returned with the
-    ``degenerate`` flag set instead of raising.
+    degenerates to a single cell per axis (t = 1: ceil(r**(1/(k-1))) is
+    then at most c) and is returned with the ``degenerate`` flag set
+    instead of raising.
     """
     k = len(B_list)
     _check_grid(k, r, c)
     degenerate = r < c ** (k - 1)
-    t = 1 if degenerate else cells_per_axis(r, k, c)
+    t = cells_per_axis(r, k, c)
     by_set: dict[OrderedSet, AxisPartition] = {}
     for B in B_list:
         if B in by_set:
@@ -220,9 +221,9 @@ def lucky_pairs_for_sum(
     return pairs
 
 
-@dataclass(frozen=True)
-class LuckyCensusRow:
-    """Per-sum census: found pairs vs. the pigeonhole guarantee."""
+class LuckyCensusRow(NamedTuple):
+    """Per-sum census: found pairs vs. the pigeonhole guarantee.  A row
+    is its own CSV row: its cells are its fields, in order."""
 
     x: Scalar
     r_x: int

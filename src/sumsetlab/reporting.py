@@ -39,6 +39,8 @@ def jsonable(value: Any) -> Any:
         return [jsonable(x) for x in value]
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
+    if isinstance(value, tuple) and hasattr(value, "_fields"):  # a NamedTuple
+        return jsonable(value._asdict())
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
     if hasattr(value, "__dataclass_fields__"):

@@ -17,6 +17,7 @@ import textwrap
 import time
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -1360,6 +1361,16 @@ class TestReportFields:
                     *map(format_element, ints), "True"]
         text = rows_csv([f"c{i}" for i in range(len(row))], [row, row])
         assert text.splitlines()[1:] == [",".join(expected)] * 2
+
+    def test_named_tuple_renders_as_its_fields(self):
+        # A NamedTuple, such as a census row, is the object of its fields,
+        # as a dataclass is; any other tuple is a list.
+        class Row(NamedTuple):
+            x: Fraction
+            n: int
+
+        text = render_json({"rows": [Row(Fraction(1, 2), 3)], "pair": (1, 2)})
+        assert json.loads(text) == {"rows": [{"x": "1/2", "n": "3"}], "pair": ["1", "2"]}
 
 
 def test_sparse_path_never_imports_numpy(tmp_path):

@@ -828,6 +828,15 @@ class TestMoments:
         with pytest.raises(InputError, match="moment order must be >= 1"):
             moment_sum(representation([A, A]), 0)
 
+    def test_order_checked_before_any_work(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("r_{kA} built for an invalid order")
+
+        monkeypatch.setattr(engine, "representation", no_work)
+        A = gen_interval(2)
+        with pytest.raises(InputError, match="moment order must be >= 1"):
+            moment([A, A], 0)
+
     def test_m2_equals_energy(self, rng):
         A = random_integer_set(rng, 8)
         assert moment([A, A], 2) == energy_T([A, A])
@@ -1040,7 +1049,6 @@ class TestPopularClass:
         A = OrderedSet([7])
         diff = representation([A, A], signs="+-")
         for call in (
-            lambda: engine.popular_class_size(diff),
             lambda: engine.difference_profile(diff, A),
             lambda: popular_dyadic_class(A, algo="dense"),
             lambda: popular_dyadic_class(A),

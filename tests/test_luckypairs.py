@@ -101,6 +101,13 @@ class TestBuildPartition:
         part = build_partition([B, B], 2, 4)
         assert part.degenerate and part.t == 1
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_degenerate_grid_has_one_cell_per_axis(self, k):
+        # For r < c**(k-1), ceil(r**(1/(k-1))) <= c, so t = 1 with no
+        # special case for the degenerate partition.
+        for c in range(1, 9):
+            assert all(cells_per_axis(r, k, c) == 1 for r in range(1, c ** (k - 1)))
+
     def test_capacity_invariant(self):
         B = gen_random_s_convex(24, 1, 3, 5)
         for r in (4, 8, 16, 32):

@@ -43,6 +43,7 @@ from sumsetlab import core
 from sumsetlab.convexity import convexity_order
 from sumsetlab.core import convolve, mass_of_squares, moment_sum
 from sumsetlab.engine import (
+    PopularBound,
     check_popular_bound,
     doublings,
     energy_of,
@@ -912,9 +913,11 @@ def test_array_mass_past_int64():
 # -- popular class against the dict-of-lists scan ----------------------------
 #
 # ``popular_dyadic_class`` picks the class from
-# ``SparseCounts.dyadic_classes`` and gathers its values in one pass.  The
-# oracle is the scan it replaced: every difference appended to the list of
-# its bit class, on the brute-force r_{A-A}.
+# ``SparseCounts.dyadic_classes`` and gathers its values in one pass, and
+# ``difference_profile`` picks it, with its energy bound, from one
+# histogram of r_{A-A}'s counts.  The oracle for both is the scan they
+# replaced: every difference appended to the list of its bit class, on
+# the brute-force r_{A-A}.
 
 
 def oracle_popular_class(diff):
@@ -947,15 +950,15 @@ def check_popular_class(A, want):
         got = (typed(pop.differences.elements), pop.delta, pop.score)
         assert got == (typed(want[0]), *want[1:]), algo
         diff = representation([A, A], signs="+-", algo=algo)
-        size = (pop.delta, len(pop.differences), pop.score)
-        assert engine.popular_class_size(diff) == size, algo
-        # The count pass reads E, E3 and the class from one histogram.
-        want_profile = (energy_of(diff, [A, A]), moment_sum(diff, 3), size)
-        assert engine.difference_profile(diff, A) == want_profile, algo
-        e, bound, ok = check_popular_bound(A, algo=algo)
-        # E read from r_{A-A} against E built from r_{A+A}.
+        # The count pass reads E, E3 and the class with its bound from one
+        # histogram; E read from r_{A-A} against E built from r_{A+A}.
+        e = energy_of(diff, [A, A])
         assert e == energy_T([A, A], algo=algo) == brute_force_T([A, A]), algo
-        assert (bound, ok) == (popular_bound_factor(len(A)) * pop.score, e <= bound)
+        bound = popular_bound_factor(len(A)) * want[2]
+        popular = PopularBound(want[1], len(want[0]), want[2], bound, e <= bound)
+        profile = (e, moment_sum(diff, 3), popular)
+        assert engine.difference_profile(diff, A) == profile, algo
+        assert check_popular_bound(A, algo=algo) == (e, bound, e <= bound), algo
 
 
 @given(A=popular_sets())

@@ -74,6 +74,8 @@ COMMANDS = [
     ["lucky", "--k", "2", "--r", "16", "--c", "1", *CSV, "--family", "interval:n=40"],
     ["lucky", "--k", "4", "--r", "16", "--c", "1", "--g", "poly:0,1/3,1/7", *CSV,
      "--family", "rsc:n=10,s=1,seed=1,gap=2"],
+    # The benchmark's census shape in JSON: 872 rows, each its fields' object.
+    ["lucky", "--k", "3", "--r", "16", "--family", "rsc:n=34,s=1,seed=0,gap=4"],
     ["fit", "16:25666", "32:219902", "64:1895554"],
     *(
         ["verify", "--bound", bound, *BOUND_PARAMS.get(bound, []),
