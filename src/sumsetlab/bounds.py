@@ -310,7 +310,8 @@ def _measure_row(
         q = energy_cross(A, A, algo=algo, mem_budget=mem_budget)
     elif q_kind == "xr_tail3":
         sp = spectrum([A] * 3, algo=algo, mem_budget=mem_budget)
-        q = max(size * float(2**j) ** 2.5 for j, size in sp.classes)
+        e = float(-bound.r_exponent)
+        q = max(size * float(2**j) ** e for j, size in sp.classes)
     else:
         raise InputError(f"unknown quantity {q_kind!r}")
 

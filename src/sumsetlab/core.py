@@ -346,7 +346,9 @@ class SparseCounts:
 
     def __init__(self, values: Union[Sequence[Scalar], dict], counts=None) -> None:
         self._mapping = self._count_array = None
-        if counts is None and isinstance(values, dict):
+        if counts is None:
+            if not isinstance(values, dict):
+                raise InputError("SparseCounts needs counts unless values is a dict")
             mapping, values = values, sorted(_canonical(values)[0])
             counts = list(map(mapping.__getitem__, values))
         if len(values) != len(counts):

@@ -3,10 +3,12 @@
 Setting: sets B_1..B_k with monotone maps g_i, image sets A_i = g_i(B_i),
 and a richness level r.  Each axis partitions its triple sumset
 B_i + B_i - B_i into t = ceil(r**(1/(k-1)) / c) intervals of near-equal
-element count; the product boxes are the *cells*.  Two distinct solution
-tuples of g_1(b_1) + ... + g_k(b_k) = x form a *lucky pair* when they
-produce the same sum x and, on every axis, few triple-sumset elements
-separate them: n_{B_i}(b_i, b_i') <= ceil(c * |B_i+B_i-B_i| / r**(1/(k-1))).
+element count: runs of consecutive ranks, so an element's interval is
+its rank in the sorted sumset over the run length.  The product boxes
+are the *cells*.  Two distinct solution tuples of g_1(b_1) + ... +
+g_k(b_k) = x form a *lucky pair* when they produce the same sum x and,
+on every axis, few triple-sumset elements separate them:
+n_{B_i}(b_i, b_i') <= ceil(c * |B_i+B_i-B_i| / r**(1/(k-1))).
 Tuples sharing a cell always qualify, and a sum with r_x solutions yields
 at least r_x minus the number of occupied cells such pairs — at least
 r_x - k * t**(k-1), because the solution hyperplane meets at most
@@ -21,11 +23,12 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, product
 from math import lcm, prod
 from typing import NamedTuple, Sequence
 
 from .convexity import FunctionSpec, evaluate
-from .core import DICT_ENTRY_BYTES, OrderedSet, Scalar, canon
+from .core import DICT_ENTRY_BYTES, OrderedSet, Scalar
 from .engine import choose, representation, signed_sumset
 from .errors import DomainError, InputError, VerificationError
 from .intmath import ceil_div, ceil_root
@@ -66,19 +69,21 @@ def witness_cap(sumset_size: int, r: int, k: int, c: int) -> int:
 
 @dataclass(frozen=True)
 class AxisPartition:
-    """One axis of a grid: its triple sumset and t interval cut points.
+    """One axis of a grid: its triple sumset cut into t intervals of
+    ``chunk`` consecutive ranks (the last may hold fewer).
 
-    The t intervals are (cut[j-1], cut[j]] with implicit infinite outer
-    cuts; interior cuts sit strictly between consecutive sumset elements
-    so no element ever lies on a boundary.
+    Interval j holds the sumset's elements of rank j*chunk to
+    (j+1)*chunk - 1.  Every b in B is an element (b + b - b), and the
+    lab looks up no other value.
     """
 
     sumset: TripleSumset
-    cuts: tuple
+    chunk: int
     t: int
 
     def interval_index(self, value: Scalar) -> int:
-        return bisect_left(self.cuts, value)
+        """The interval of ``value``, an element of the triple sumset."""
+        return bisect_left(self.sumset.values, value) // self.chunk
 
 
 @dataclass(frozen=True)
@@ -98,7 +103,9 @@ def build_partition(
     *,
     mem_budget: int | None = None,
 ) -> GridPartition:
-    """Partition each B_i + B_i - B_i into t near-equal chunks.
+    """Partition each B_i + B_i - B_i into min(t, m) runs of
+    ceil(m / min(t, m)) consecutive ranks, m its size (fewer runs when
+    the last would be empty).
 
     Axes over equal sets share one AxisPartition, so each distinct
     triple sumset is built once.  For r < c**(k-1) the partition
@@ -115,15 +122,9 @@ def build_partition(
         if B in by_set:
             continue
         triple = TripleSumset(B, mem_budget=mem_budget)
-        values = triple.values
-        m = len(values)
-        tt = min(t, m)
-        chunk = ceil_div(m, tt)
-        cuts = []
-        for j in range(chunk, m, chunk):
-            prev, nxt = values[j - 1], values[j]
-            cuts.append(canon(Fraction(prev + nxt, 2)))
-        by_set[B] = AxisPartition(triple, tuple(cuts), len(cuts) + 1)
+        m = len(triple)
+        chunk = ceil_div(m, min(t, m))
+        by_set[B] = AxisPartition(triple, chunk, ceil_div(m, chunk))
     axes = tuple(by_set[B] for B in B_list)
     return GridPartition(axes, t, degenerate)
 
@@ -210,14 +211,12 @@ def lucky_pairs_for_sum(
         groups.setdefault(partition.cell_of(sol), []).append(sol)
     pairs: list[LuckyPair] = []
     for members in groups.values():
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                left, right = members[i], members[j]
-                witnesses = tuple(
-                    ax.sumset.count_between(a, b)
-                    for ax, a, b in zip(partition.axes, left, right)
-                )
-                pairs.append(LuckyPair(left, right, witnesses))
+        for left, right in combinations(members, 2):
+            witnesses = tuple(
+                ax.sumset.count_between(a, b)
+                for ax, a, b in zip(partition.axes, left, right)
+            )
+            pairs.append(LuckyPair(left, right, witnesses))
     return pairs
 
 
@@ -470,10 +469,8 @@ def diagonal_cover(k: int, r: int) -> list[list[tuple[int, ...]]]:
     """
     if k < 2 or r < 1:
         raise InputError("need k >= 2 and r >= 1")
-    import itertools
-
     diagonals = []
-    for start in itertools.product(range(1, r + 1), repeat=k):
+    for start in product(range(1, r + 1), repeat=k):
         if min(start) != 1:
             continue
         length = r - max(start) + 1

@@ -9,6 +9,7 @@ identical bytes.
 
 from __future__ import annotations
 
+import csv
 import errno
 import hashlib
 import io
@@ -69,12 +70,14 @@ def spectrum_csv(sp: Spectrum) -> str:
 def rows_csv(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     """One CSV line per row, each cell its ``str``: for a Fraction that is
     ``format_element``'s "p/q" (an int when the denominator is 1), for a
-    float its shortest round-trip repr."""
+    float its shortest round-trip repr.  No report cell holds a comma, a
+    quote or a newline, so the writer quotes none, and none is None,
+    which it would write as empty."""
     out = io.StringIO()
-    out.write(",".join(header) + "\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
     try:
-        for row in rows:
-            out.write(",".join(map(str, row)) + "\n")
+        writer.writerows(rows)
     except ValueError as exc:  # an int past the caller's int/str digit limit
         raise InputError(str(exc)) from None
     return out.getvalue()

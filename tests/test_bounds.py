@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -299,6 +300,24 @@ class TestVerifyBound:
         report = verify_bound("power:m=3", "tail_14_3", [8, 16])
         assert all(row.ratio > 0 for row in report.rows)
         assert report.slope is None  # not a pure-N integer quantity
+
+    def test_tail_quantity_reads_its_exponent_from_the_catalogue(self, monkeypatch):
+        from sumsetlab import bounds
+        from sumsetlab.engine import spectrum
+
+        entry = bounds._CATALOGUE["tail_14_3"]
+        monkeypatch.setitem(
+            bounds._CATALOGUE,
+            "tail_14_3",
+            dataclasses.replace(entry, r_exponent=Fraction(-3)),
+        )
+        grid = [8, 16]
+        report = verify_bound("power:m=3", "tail_14_3", grid)
+        want = []
+        for n in grid:
+            sp = spectrum([gen_power(n, 3)] * 3)
+            want.append(max(size * float(2**j) ** 3 for j, size in sp.classes))
+        assert [row.q for row in report.rows] == want
 
     @pytest.mark.parametrize(
         "bound, s, pattern",

@@ -163,6 +163,12 @@ class TestSparseCountsValidation:
         with pytest.raises(InputError):
             SparseCounts([1, 2], [1])
 
+    def test_counts_needed_unless_values_is_a_dict(self):
+        with pytest.raises(
+            InputError, match="^SparseCounts needs counts unless values is a dict$"
+        ):
+            SparseCounts([1, 2])
+
     def test_count_of(self):
         p = SparseCounts([2, 4], [3, 5])
         assert p.count_of(2) == 3 and p.count_of(3) == 0

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import itertools
 import tracemalloc
+from bisect import bisect_left
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -36,7 +38,7 @@ from sumsetlab.luckypairs import (
 )
 from sumsetlab.families import SplitMix64, generate, parse_family
 
-from conftest import random_integer_set
+from conftest import random_integer_set, random_rational_set
 
 
 class TestIntMath:
@@ -107,6 +109,36 @@ class TestBuildPartition:
         # special case for the degenerate partition.
         for c in range(1, 9):
             assert all(cells_per_axis(r, k, c) == 1 for r in range(1, c ** (k - 1)))
+
+    def test_intervals_match_the_midpoint_cuts(self, rng):
+        # The intervals were once found by bisecting the midpoints between
+        # chunk boundaries of B+B-B; every element of B+B-B, which is all
+        # the lab looks up, keeps its interval under the rank rule.  The
+        # oracle compares 2 * den * v with the sum of the boundary pair
+        # over den, the exact midpoint rule in integers.
+        sets = [
+            random_integer_set(rng, rng.next_in(1, 30), spread=50) for _ in range(6)
+        ]
+        for _ in range(4):
+            # Rationals over one denominator, shifted off the integers.
+            ints = random_integer_set(rng, rng.next_in(1, 30), spread=30)
+            sets.append(OrderedSet([Fraction(v, 3) + Fraction(1, 7) for v in ints]))
+        sets += [
+            random_rational_set(rng, rng.next_in(1, 6), spread=20) for _ in range(4)
+        ]
+        for B in sets:
+            values = TripleSumset(B).values
+            den = lcm(*(Fraction(v).denominator for v in values))
+            scaled = [int(v * den) for v in values]
+            m = len(values)
+            for t in range(1, m + 3):
+                axis = build_partition([B, B], t, 1).axes[0]
+                chunk = ceil_div(m, min(t, m))
+                cuts = [scaled[j - 1] + scaled[j] for j in range(chunk, m, chunk)]
+                assert axis.t == len(cuts) + 1
+                assert [axis.interval_index(v) for v in values] == [
+                    bisect_left(cuts, 2 * v) for v in scaled
+                ]
 
     def test_capacity_invariant(self):
         B = gen_random_s_convex(24, 1, 3, 5)

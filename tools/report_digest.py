@@ -69,11 +69,14 @@ COMMANDS = [
     ["lucky", "--k", "3", "--r", "2", "--g", "pow:2",
      "--family", "interval:n=10", *CSV],
     # Censuses over grids of t >= 2 cells per axis: t = 2 at k = 3,
-    # t = 16 at k = 2, and t = 3 at k = 4 over rational images.
+    # t = 16 at k = 2, t = 3 at k = 4 over rational images, and t = 8 at
+    # k = 2 over a rational base set.
     ["lucky", "--k", "3", "--r", "17", *CSV, "--family", "rsc:n=34,s=1,seed=0,gap=4"],
     ["lucky", "--k", "2", "--r", "16", "--c", "1", *CSV, "--family", "interval:n=40"],
     ["lucky", "--k", "4", "--r", "16", "--c", "1", "--g", "poly:0,1/3,1/7", *CSV,
      "--family", "rsc:n=10,s=1,seed=1,gap=2"],
+    ["lucky", "--k", "2", "--r", "8", "--c", "1", *CSV,
+     "--family", "ap:n=24,base=1/2,step=1/3"],
     # The benchmark's census shape in JSON: 872 rows, each its fields' object.
     ["lucky", "--k", "3", "--r", "16", "--family", "rsc:n=34,s=1,seed=0,gap=4"],
     ["fit", "16:25666", "32:219902", "64:1895554"],
