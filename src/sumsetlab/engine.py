@@ -70,9 +70,14 @@ The sparse algorithms (``naive`` and ``mitm``) hand the count dict of
 their result to ``SparseCounts._result`` whole, with no counts: it is
 neither scanned nor copied, and sorted only when read in order.  The
 order-free reductions (``energy_of``, ``moment``, ``spectrum_of``,
-``rich_tail``, ``fractional_moment``) read its counts unsorted, so
-``energy`` never sorts a sparse r_{kA}, whether its root is a multiset
-node or a join.
+``rich_tail``, ``fractional_moment``) read its counts unsorted.
+``energy_T`` plans as ``representation`` does, under that name, with
+the mitm row asked for as (count dict, weight) pairs: where that row is
+picked, ``kernels.class_moments`` reduces them, so ``energy`` never
+builds r_{kA} for a multiset root (``kernels.self_sum_classes``, whose
+class dicts the row charges) and never sorts one for a join; its
+mass is checked as ``representation`` checks a result's.  Any other
+row runs through ``representation``.
 Neither ``representation`` nor the support path builds a Fraction: a
 rational result's values are built only when a caller reads them.
 
@@ -147,8 +152,6 @@ Cost = Union[int, Fraction]
 Row = tuple[int, Cost, Callable[[], Any]]
 
 _ALGOS = ("auto", "naive", "mitm", "dense")
-# The sums _rep_naive counts between two returns to the interpreter.
-_NAIVE_CHUNK = 10**5
 
 # Relative per-operation cost units used by the auto planner: a Python
 # dict update is the unit; a numpy element op of the dense fold
@@ -351,9 +354,20 @@ def _mitm_tree(lists: Sequence[Sequence[int]], den: int) -> _MitmNode:
     return _MitmNode(k, entries, span, peak, cost, (left, right))
 
 
-def _plan_mitm(lists: Sequence[Sequence[int]], den: int) -> Row:
+def _plan_mitm(lists: Sequence[Sequence[int]], den: int, classes: bool = False) -> Row:
+    """The mitm row; with ``classes``, its call returns the result as
+    (count dict, weight) pairs (``_rep_mitm``), and a root that is one
+    multiset node is charged for the dicts of ``kernels.self_sum_classes``:
+    each at most its multisets (``kernels.class_multisets``), and at most
+    the span."""
     plan = _mitm_tree(lists, den)
-    return plan.bytes, plan.cost, lambda: (_rep_mitm(lists, plan), None)
+    if not classes:
+        return plan.bytes, plan.cost, lambda: (_rep_mitm(lists, plan), None)
+    bytes_ = plan.bytes
+    if plan.k > 1 and not plan.halves:
+        dicts = kernels.class_multisets(len(lists[0]), plan.k)
+        bytes_ = sum(min(m, plan.span) for _, m in dicts) * DICT_ENTRY_BYTES
+    return bytes_, plan.cost, lambda: _rep_mitm(lists, plan, True)
 
 
 def _span(lists: Sequence[Sequence[int]]) -> int:
@@ -478,28 +492,37 @@ def check_copies(k: int, lists: int, mem_budget: int | None) -> None:
 
 
 def _rep_naive(lists: Sequence[Sequence[int]]) -> Counter:
-    # Fed in chunks of _NAIVE_CHUNK sums, so that a signal handler (Ctrl-C)
+    # Fed in chunks of kernels.CHUNK sums, so that a signal handler (Ctrl-C)
     # runs between them: one Counter call over all the sums would not
     # return to the interpreter until it is done.
     acc: Counter = Counter()
     sums = map(sum, itertools.product(*lists))
-    for _ in range(0, math.prod(map(len, lists)), _NAIVE_CHUNK):
-        acc.update(itertools.islice(sums, _NAIVE_CHUNK))
+    for _ in range(0, math.prod(map(len, lists)), kernels.CHUNK):
+        acc.update(itertools.islice(sums, kernels.CHUNK))
     return acc
 
 
-def _rep_mitm(lists: Sequence[Sequence[int]], plan: _MitmNode) -> dict:
-    """Run the mitm plan of ``lists`` (``_mitm_tree``) as it stands."""
+def _rep_mitm(
+    lists: Sequence[Sequence[int]], plan: _MitmNode, classes: bool = False
+) -> Any:
+    """Run the mitm plan of ``lists`` (``_mitm_tree``) as it stands: the
+    result's count dict, or with ``classes`` the (count dict, weight) pairs
+    whose weighted sum it is, which a multiset root returns without
+    building the result (``kernels.self_sum_classes``)."""
     if plan.halves:
         left, right = plan.halves
         a = _rep_mitm(lists[: left.k], left)
         # A shared half is computed once; the kernel walks the pairs i <= j
         # of any two equal operands.
         b = a if right is left else _rep_mitm(lists[left.k :], right)
-        return kernels.convolve_integer(a, b)
-    if plan.k == 1:
-        return dict.fromkeys(lists[0], 1)
-    return kernels.self_sum_counts(lists[0], plan.k)
+        out = kernels.convolve_integer(a, b)
+    elif plan.k == 1:
+        out = dict.fromkeys(lists[0], 1)
+    elif classes:
+        return kernels.self_sum_classes(lists[0], plan.k)
+    else:
+        out = kernels.self_sum_counts(lists[0], plan.k)
+    return ((out, 1),) if classes else out
 
 
 def _rep_dense(lists: Sequence[Sequence[int]]) -> tuple[range, Any]:
@@ -554,23 +577,42 @@ def representation(
     row then runs.  Raises ResourceError (before allocating) when none
     fits.
     """
+    lists, den, plans, name = _planned(sets, signs, algo, mem_budget)
+    values, counts = plans[name][2]()
+    rep = SparseCounts._result(values, counts, den)
+    _check_mass(rep.mass, lists)
+    _verify_representation(rep)
+    return rep
+
+
+def _planned(
+    sets: Sequence[OrderedSet],
+    signs: Signs,
+    algo: str,
+    mem_budget: int | None,
+    classes: bool = False,
+) -> tuple[list[Sequence[int]], int, dict[str, Row], str]:
+    """The signed int lists of ``sets``, their denominator, the rows of
+    :func:`representation`, the mitm row asked for with ``classes``
+    (``_plan_mitm``), and the one ``choose`` picks under that name."""
     if not sets:
         raise InputError("need at least one set")
     if algo not in _ALGOS:
         raise InputError(f"unknown algorithm {algo!r}")
     lists, den = _signed_ints(sets, parse_signs(signs, len(sets)))
-    plans = {"mitm": _plan_mitm(lists, den), "dense": _plan_dense(lists)}
+    plans = {"mitm": _plan_mitm(lists, den, classes), "dense": _plan_dense(lists)}
     if algo == "naive":
         plans["naive"] = _plan_naive(lists)
-    values, counts = plans[choose(plans, algo, mem_budget, "representation")][2]()
-    rep = SparseCounts._result(values, counts, den)
-    mass = math.prod(map(len, lists))
-    if rep.mass != mass:
+    return lists, den, plans, choose(plans, algo, mem_budget, "representation")
+
+
+def _check_mass(mass: int, lists: Sequence[Sequence[int]]) -> None:
+    """The check on every result: its mass is the product of the sizes."""
+    want = math.prod(map(len, lists))
+    if mass != want:
         raise VerificationError(
-            f"representation mass {rep.mass} != product of sizes {mass}"
+            f"representation mass {mass} != product of sizes {want}"
         )
-    _verify_representation(rep)
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -584,9 +626,27 @@ def energy_T(
     algo: str = "auto",
     mem_budget: int | None = None,
 ) -> int:
-    """Number of 2k-tuples with equal k-fold sums (exact)."""
-    rep = representation(sets, signs=signs, algo=algo, mem_budget=mem_budget)
-    return energy_of(rep, sets)
+    """Number of 2k-tuples with equal k-fold sums (exact).
+
+    Planned as :func:`representation` plans, with the mitm row as
+    ``_plan_mitm`` gives it with classes.  Where that row is picked, its
+    (count dict, weight) pairs are reduced by ``kernels.class_moments``,
+    so a multiset root never builds r_{kA}; the mass is checked as
+    ``representation`` checks it, and under ``verification()`` the
+    representation is built too and its energy compared.  Any other row
+    runs through ``representation``, named as its algorithm."""
+    lists, _, plans, name = _planned(sets, signs, algo, mem_budget, classes=True)
+    if name != "mitm":
+        rep = representation(sets, signs=signs, algo=name, mem_budget=mem_budget)
+        return energy_of(rep, sets)
+    mass, total = kernels.class_moments(plans[name][2]())
+    _check_mass(mass, lists)
+    if _verify_ctx.get() is not None:
+        rep = representation(sets, signs=signs, algo=name, mem_budget=mem_budget)
+        want = mass_of_squares(rep)
+        if total != want:
+            raise VerificationError(f"energy {total} != {want} from the representation")
+    return _checked_energy(total, sets)
 
 
 def energy_of(rep: SparseCounts, sets: Sequence[OrderedSet]) -> int:

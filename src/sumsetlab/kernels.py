@@ -33,10 +33,27 @@ the bytes the plan charges for the result; past that, the remaining
 parts of each composition are summed whole on their index tuples, and
 each such sum is added to the kept list's prefix past its last index.
 Where all of A is used, the last part lies on index 0 and meets one
-tuple, which is set directly.  Every other composition is merged into
-one accumulator, a ``Counter``, in one ``dict.update`` over its sums
-paired with their new counts (``itertools.tee``), each key read just
-before it is set.  The result is that accumulator.
+tuple, whose one sum is merged alone.  Every composition is merged into
+one accumulator, a ``Counter``, by ``dict.update`` over its sums paired
+with their new counts (``itertools.tee``), each key read just before it
+is set.  The result is that accumulator.  A merge of more than
+``CHUNK`` sums is fed in ``islice`` chunks of that many, as ``engine``'s
+naive enumeration is, so that a signal handler (Ctrl-C) runs between two
+C-level calls however large the composition; a smaller one skips
+``islice``, which costs a step per sum.
+
+:func:`self_sum_classes` is the same walk for an energy, which never
+needs r_{jA} itself.  Only the j ones weigh j!, and only one 2 with the
+rest ones weighs j!/2: the sums of each of those two compositions are
+counted by unit into a ``Counter`` of their own through
+``Counter.update`` (counting in C, in the same chunks) where they hold
+at least twice the multisets of the compositions merged with weights
+(:func:`class_multisets`), and every other composition is merged with
+its weight into the accumulator.
+:func:`class_moments` reduces such (count dict, weight) pairs: the mass
+and the sum of squares of their weighted sum, from each dict's sum and
+squares and the dot product of each pair over their shared keys, so its
+cost is linear in their entries.
 
 The support kernel (:func:`support_sizes`, :func:`support_values`)
 computes the set A_1 + ... + A_k of signed lists without any counts, or
@@ -66,10 +83,14 @@ array instead and does not convolve sparse counts.)
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, combinations, compress, repeat, tee
-from math import comb
+from itertools import chain, combinations, compress, islice, repeat, tee
+from math import comb, factorial
 from operator import add, mul
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
+
+# The sums that one C-level merge or count takes between two returns to the
+# interpreter, so that a signal handler (Ctrl-C) runs between them.
+CHUNK = 10**5
 
 
 # ---------------------------------------------------------------------------
@@ -122,13 +143,52 @@ def self_sum_counts(values: Sequence[int], j: int) -> Counter:
     return walk.acc
 
 
+def self_sum_classes(values: Sequence[int], j: int) -> tuple[tuple[dict, int], ...]:
+    """r_{jA} of the distinct ints A = ``values``, |A| >= 1 and j >= 2, as
+    the (count dict, weight) pairs whose weighted sum it is, never summed,
+    one per entry of :func:`class_multisets`: the sums of the j-subsets of
+    A (weight j!) and of the j-multisets with one element twice and the
+    rest once (weight j!/2), each counted once, where that class is kept
+    apart; then the weighted counts of every other composition, with
+    weight 1.  :func:`class_moments` reduces them."""
+    *apart, _ = class_multisets(len(values), j)
+    walk = _Compositions(values, j, [w for w, _ in apart])
+    walk.place([0], 0, (), 0, 1)
+    return (*((c, w) for w, c in walk.counted.items()), (walk.acc, 1))
+
+
+def class_multisets(n: int, j: int) -> list[tuple[int, int]]:
+    """(weight, multisets) of each dict of :func:`self_sum_classes` for n
+    elements, in its order: the multisets with one element twice (j!/2)
+    and the j-subsets (j!), each where it is kept apart, then the rest,
+    merged with their weights (listed as weight 1).  A class is kept
+    apart, in that order, only where it holds at least twice the
+    multisets merged so far: its dot product with the merged dict then
+    walks the merged entries, which counting it by unit more than pays
+    for, while a smaller class costs more there, in probes of the larger
+    dict, than it saves."""
+    unit = factorial(j)
+    units, halves = comb(n, j), n * comb(n - 1, j - 2)
+    merged, apart = comb(n + j - 1, j) - units - halves, []
+    for w, m in ((unit // 2, halves), (unit, units)):
+        if m >= 2 * merged:
+            apart.append((w, m))
+        else:
+            merged += m
+    return [*apart, (1, merged)]
+
+
 class _Compositions:
     """The depth-first walk of :func:`self_sum_counts` over the
-    compositions of j, each merged into ``acc``.  It recurses through
-    ``self``, not through a closure that refers to itself, so that no
-    reference cycle holds ``acc`` once the caller drops it."""
+    compositions of j, each merged into ``acc``, except that those of a
+    weight in ``counted`` are counted by unit into that weight's
+    ``Counter`` through ``Counter.update``, which counts in C.  It recurses
+    through ``self``, not through a closure that refers to itself, so that
+    no reference cycle holds ``acc`` once the caller drops it."""
 
-    def __init__(self, values: Sequence[int], j: int) -> None:
+    def __init__(
+        self, values: Sequence[int], j: int, counted: Sequence[int] = ()
+    ) -> None:
         self.values, self.j, self.n = values, j, len(values)
         self.backwards = values[::-1]
         # The sums of c parts are kept while they number at most an eighth
@@ -137,6 +197,7 @@ class _Compositions:
         span = j * (values[-1] - values[0]) + 1
         self.keep = min(comb(self.n + j - 1, j), span) // 8
         self.acc: Counter = Counter()
+        self.counted = {w: Counter() for w in counted}
 
     def ahead(self, head: Sequence[int], tail: list, c: int) -> Iterator[int]:
         """The sums of the parts ``head`` on each increasing index tuple,
@@ -154,6 +215,22 @@ class _Compositions:
             pasts = chain.from_iterable(map(repeat, pasts, groups))
         return chain.from_iterable(map(map, repeat(add), map(repeat, firsts), pasts))
 
+    def merge(self, sums: Iterable[int], size: int, w: int) -> None:
+        """Add ``w`` at each of the ``size`` sums of one composition, or 1
+        in the Counter of ``w`` if it is counted, at most ``CHUNK`` sums a
+        call.  In ``acc`` each key is read just before it is set, so a sum
+        that repeats within the composition is counted each time."""
+        counter = self.counted.get(w) if self.counted else None
+        if counter is not None:
+            sums = iter(sums)
+            for _ in range(0, size, CHUNK):
+                counter.update(islice(sums, CHUNK) if size > CHUNK else sums)
+            return
+        keys, again = tee(sums)
+        pairs = zip(keys, map(add, map(self.acc.get, again, repeat(0)), repeat(w)))
+        for _ in range(0, size, CHUNK):
+            dict.update(self.acc, islice(pairs, CHUNK) if size > CHUNK else pairs)
+
     def place(self, tail: list, c: int, head: tuple, s: int, weight: int) -> None:
         """Merge every composition of j that ends in the parts placed so
         far, which total s.  The last c of them are summed in ``tail`` over
@@ -165,7 +242,7 @@ class _Compositions:
         if room == 1 and not head:
             # The last part can go only on index 0, before (1, ..., n - 1).
             x = rest * self.values[0] + tail[0]
-            self.acc[x] = self.acc.get(x, 0) + weight * comb(self.j, rest)
+            self.merge((x,), 1, weight * comb(self.j, rest))
             return
         deeper = not head and comb(self.n, c + 1) <= self.keep
         # With one index left for the parts still to place, the next is
@@ -173,16 +250,32 @@ class _Compositions:
         for m in range(rest if room == 1 else 1, rest + 1):
             w = weight * comb(s + m, m)
             if m == rest:
-                # One dict.update merges the composition: each key is read
-                # just before it is set, so a sum that repeats within it
-                # is counted each time.
-                keys, again = tee(self.ahead((m, *head), tail, c))
-                get = self.acc.get
-                dict.update(self.acc, zip(keys, map(add, map(get, again, repeat(0)), repeat(w))))
+                # One sum per increasing index tuple of its c + |head| + 1
+                # parts.
+                size = comb(self.n, c + len(head) + 1)
+                self.merge(self.ahead((m, *head), tail, c), size, w)
             elif not deeper:
                 self.place(tail, c, (m, *head), s + m, w)
             else:
                 self.place(list(self.ahead((m,), tail, c)), c + 1, (), s + m, w)
+
+
+def class_moments(classes: Sequence[tuple[dict, int]]) -> tuple[int, int]:
+    """(mass, sum of squares) of the count dict that is the sum of w * d
+    over the (count dict d, weight w) pairs ``classes``, without building
+    it: each dict's mass and squares, and the dot product of each pair of
+    dicts over the keys they share, which the key views' intersection finds
+    by walking the smaller dict, so the cost is linear in their entries."""
+    mass = squares = 0
+    for i, (d, w) in enumerate(classes):
+        counts = d.values()
+        mass += w * sum(counts)
+        squares += w * w * sum(map(mul, counts, counts))
+        for e, v in classes[:i]:
+            shared = d.keys() & e.keys()
+            dot = sum(map(mul, map(d.__getitem__, shared), map(e.__getitem__, shared)))
+            squares += 2 * w * v * dot
+    return mass, squares
 
 
 # ---------------------------------------------------------------------------

@@ -1192,13 +1192,13 @@ class TestUserErrors:
         assert json.loads(path.read_text())["T"] == "44"
 
     @staticmethod
-    def _interrupted(argv):
+    def _interrupted(argv, preexec_fn=None):
         """SIGINT to this test's own child, 1.5 s into ``argv``, which runs
         for a minute or more: one line, well within the timeout."""
         command, env = _cli_command(argv)
         child = subprocess.Popen(
             command, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-            text=True,
+            text=True, preexec_fn=preexec_fn,
         )
         try:
             time.sleep(1.5)
@@ -1220,6 +1220,23 @@ class TestUserErrors:
         # handler runs.
         self._interrupted(
             ["--algo", "naive", "energy", "--k", "60", "--family", "interval:n=2"]
+        )
+
+    @staticmethod
+    def _limit_3gib():
+        resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+
+    def test_interrupt_reaches_the_energy_walk(self):
+        # T8 of 64 cubes: one multiset node, whose class walk feeds each
+        # composition's sums to C in bounded chunks.
+        self._interrupted(
+            ["--algo", "mitm", "energy", "--k", "8", *CUBES], self._limit_3gib
+        )
+
+    def test_interrupt_reaches_the_counts_walk(self):
+        # The same node built as r_{8A}, each composition merged in chunks.
+        self._interrupted(
+            ["--algo", "mitm", "spectrum", "--k", "8", *CUBES], self._limit_3gib
         )
 
     def test_run_lets_an_interrupt_through(self, monkeypatch):

@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumsetlab import (
     InputError,
@@ -199,13 +201,16 @@ class TestRepresentation:
         assert exc.value.estimated_bytes == 199 * 20 * 120
 
     @pytest.mark.parametrize(
-        "kernel", ["self_sum_counts", "convolve_integer", "_rep_naive", "_rep_dense"]
+        "kernel",
+        ["self_sum_counts", "convolve_integer", "_rep_naive", "_rep_dense",
+         "self_sum_classes"],
     )
     def test_mass_is_checked_outside_verification(self, monkeypatch, kernel):
         # The result loses one entry: a kernel's or naive's count dict drops
-        # it, the dense fold's count array zeroes its cell.  The mass is the
-        # only check on a kept result, and representation raises in a normal
-        # run, without verification().
+        # it, the dense fold's count array zeroes its cell, the energy walk
+        # drops it from its first class dict.  The mass is the only check on
+        # a kept result, and representation (energy_T for the energy walk)
+        # raises in a normal run, without verification().
         module = engine if kernel.startswith("_rep") else kernels
         real = getattr(module, kernel)
         calls = []
@@ -217,15 +222,17 @@ class TestRepresentation:
                 counts = result[1]
                 counts[np.flatnonzero(counts)[0]] = 0
             else:
-                del result[next(iter(result))]
+                counts = result[0][0] if kernel == "self_sum_classes" else result
+                del counts[next(iter(counts))]
             return result
 
         monkeypatch.setattr(module, kernel, lose_first_entry)
         A = gen_random_s_convex(12, 3, 1, 64)
-        sets = [A] * 4 if kernel == "self_sum_counts" else [A, gen_power(9, 2)]
+        sets = [A] * 4 if kernel.startswith("self_sum") else [A, gen_power(9, 2)]
         algo = {"_rep_naive": "naive", "_rep_dense": "dense"}.get(kernel, "mitm")
+        run = energy_T if kernel == "self_sum_classes" else representation
         with pytest.raises(VerificationError, match="representation mass"):
-            representation(sets, algo=algo)
+            run(sets, algo=algo)
         assert calls == [kernel]
 
     @pytest.mark.parametrize("k", [62, 63, 64, 70])
@@ -750,6 +757,109 @@ class TestSelfSumCounts:
         assert peak <= plan.bytes
 
 
+def _spread_set(xs, rational):
+    """A set of the distinct ints ``xs`` scaled by 10**5, over 3 when
+    ``rational``: its span passes every count of multisets drawn here, so
+    the mitm plan of its copies depends on their number alone."""
+    den = 3 if rational else 1
+    return OrderedSet(sorted(Fraction(x * 10**5 + den - 1, den) for x in xs))
+
+
+@st.composite
+def _walked_cases(draw):
+    """(A, j, signs) with |A| = 1..40 and j = 2..7, at most 12,000
+    j-multisets, and one sign for every copy: a multiset root under mitm
+    for every j >= 3 but (|A|, j) = (1, 3), and a join of two leaves at
+    j = 2."""
+    j = draw(st.integers(2, 7))
+    n = draw(
+        st.integers(1, 40).filter(
+            lambda n: math.comb(n + j - 1, j) <= 12_000 and (n, j) != (1, 3)
+        )
+    )
+    xs = draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n, unique=True))
+    A = _spread_set(xs, draw(st.booleans()))
+    return A, j, draw(st.sampled_from(["+" * j, "-" * j]))
+
+
+class TestEnergyWalk:
+    """energy_T of a mitm root: a multiset node's classes from
+    ``kernels.self_sum_classes``, reduced by ``kernels.class_moments``
+    without building r_{jA}."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_walked_cases())
+    def test_matches_the_energy_of_the_representation(self, case):
+        A, j, signs = case
+        sets = [A] * j
+        lists, den = engine._signed_ints(sets, engine.parse_signs(signs, j))
+        assert (engine._mitm_tree(lists, den).halves is None) == (j > 2)
+        want = engine.energy_of(representation(sets, signs=signs, algo="mitm"), sets)
+        assert energy_T(sets, signs=signs, algo="mitm") == want
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 12])
+    @pytest.mark.parametrize("j", [2, 3, 4, 5, 6, 7])
+    def test_classes_sum_to_the_counts(self, n, j):
+        # n < j - 1: no subset and no multiset with one element twice;
+        # n = j - 1: no subset; n >= j: all three classes.  A class kept
+        # apart counts each of its multisets once.
+        values = [x * x * x for x in range(n)]
+        classes = kernels.self_sum_classes(values, j)
+        total = Counter()
+        for counts, w in classes:
+            for x, c in counts.items():
+                total[x] += w * c
+        assert total == kernels.self_sum_counts(values, j)
+        planned = kernels.class_multisets(n, j)
+        kept = [(w, sum(counts.values())) for counts, w in classes]
+        assert kept[:-1] == planned[:-1] and classes[-1][1] == planned[-1][0] == 1
+        assert sum(m for _, m in planned) == math.comb(n + j - 1, j)
+        counts = total.values()
+        mass, squares = kernels.class_moments(classes)
+        assert (mass, squares) == (n**j, sum(c * c for c in counts))
+
+    def test_a_class_is_apart_where_it_outnumbers_the_merged_twice(self):
+        # T4 of 38 elements: 25,308 multisets with one element twice and
+        # 73,815 subsets, each in its own dict, and 2,147 others.  T4 of
+        # 10: the 210 subsets are fewer than twice the 145 others and the
+        # 360 with one element twice merged with them.  T7 of 16: 11,440
+        # subsets and 48,048 with one element twice, all merged.
+        half, unit = 12, 24
+        assert kernels.class_multisets(38, 4) == [
+            (half, 25_308), (unit, 73_815), (1, 2_147)
+        ]
+        assert kernels.class_multisets(10, 4) == [(half, 360), (1, 145 + 210)]
+        assert kernels.class_multisets(16, 7) == [(1, math.comb(22, 7))]
+
+    @pytest.mark.parametrize("j", [2, 3, 4, 7, 100, 999, 2000])
+    def test_two_elements_give_the_central_binomial(self, j):
+        # About j/2 distinct weights, none of them j! or j!/2 for j >= 4.
+        assert energy_T([OrderedSet([0, 1])] * j, algo="mitm") == math.comb(2 * j, j)
+
+    @pytest.mark.parametrize(
+        "n, m, k, entries",
+        # 8 copies of 16 cubes: one merged dict, at most the span of 8A.
+        # 4 copies of 24 squares: the two unit classes, each capped by the
+        # span of 4A, 2,301, and 852 others, held together: past the one
+        # dict of r_{4A} that the counts row charges.
+        [(16, 3, 8, 32_761), (24, 2, 4, 2 * 2_301 + 852)],
+    )
+    def test_walk_peaks_within_its_row(self, n, m, k, entries):
+        import tracemalloc
+
+        A = gen_power(n, m)
+        lists, den = engine._signed_ints([A] * k, (1,) * k)
+        row_bytes = engine._plan_mitm(lists, den, True)[0]
+        assert row_bytes == entries * 120
+        tracemalloc.start()
+        try:
+            energy_T([A] * k, algo="mitm")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= row_bytes
+
+
 class TestEnergy:
     def test_k1_is_size(self):
         A = OrderedSet([3, 7, 20])
@@ -1079,6 +1189,25 @@ class TestVerifyMode:
         assert stats.mass_checks >= 2
         assert stats.sandwich_checks >= 2
         assert stats.cauchy_schwarz_checks == 1
+
+    def test_energy_walk_is_checked_against_the_representation(self, monkeypatch):
+        # Under verification(), energy_T of a multiset root also builds
+        # r_{4A}: one mass and one sandwich check, and the two energies
+        # must agree.
+        A = gen_random_s_convex(38, 3, 0, 64)
+        with verification() as stats:
+            assert energy_T([A] * 4) == 47002410
+        assert (stats.mass_checks, stats.sandwich_checks) == (1, 1)
+        real = kernels.class_moments
+
+        def one_more(classes):
+            mass, squares = real(classes)
+            return mass, squares + 1
+
+        monkeypatch.setattr(kernels, "class_moments", one_more)
+        with verification(), pytest.raises(VerificationError, match="representation"):
+            energy_T([A] * 4)
+        assert energy_T([A] * 4) == 47002411
 
     def test_disabled_outside_context(self, rng):
         A = random_integer_set(rng, 6)

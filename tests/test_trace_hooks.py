@@ -76,3 +76,27 @@ def test_every_dense_result_goes_through_the_traced_fold(monkeypatch, read):
     # The cell counter read its arguments without error.
     assert metrics["trace.missing_hooks"] == 0
     assert metrics["engine.dense.cells"] > 0
+
+
+def test_energy_of_a_multiset_root_goes_through_the_traced_mitm_row(monkeypatch):
+    """The tracer counts ``engine.algo.mitm`` from calls to
+    ``engine._rep_mitm``: energy of the benchmark's sparse T4 shape, one
+    multiset root, must reach its class walk through one such call, and
+    never build r_{4A} (``kernels.self_sum_counts``)."""
+    from sumsetlab import energy_T, engine, gen_random_s_convex, kernels
+
+    layer, _, _, counter = next(t for t in TARGETS if t[2] == "_rep_mitm")
+    tracer = _tracer["Tracer"]()
+    traced = tracer.wrap(layer, engine._rep_mitm, counter)
+    monkeypatch.setattr(engine, "_rep_mitm", traced)
+
+    def counts(*args):
+        raise AssertionError("r_{4A} was built")
+
+    monkeypatch.setattr(kernels, "self_sum_counts", counts)
+    A = gen_random_s_convex(38, 3, 0, 64)
+    assert energy_T([A] * 4) == 47002410
+    metrics = tracer.metrics()
+    assert metrics["engine.algo.mitm"] == 1
+    assert metrics["engine.representation.calls"] == 0
+    assert metrics["trace.missing_hooks"] == 0

@@ -178,6 +178,16 @@ COMMANDS = [
     ),
     ["--algo", "mitm", "energy", "--k", "12", "--family", "rsc:n=8,s=3,seed=0,gap=64"],
     ["energy", "--k", "4", "--signs=----", "--family", "rsc:n=38,s=3,seed=0,gap=64"],
+    # The energy walk's classes: no j-subset at n = j - 1, one at n = j
+    # (both with every class merged), only the one-2 class kept apart,
+    # and both unit classes kept apart for a rational set under all minus
+    # signs.
+    *(
+        ["energy", "--k", k, "--family", f"rsc:n={n},s=3,seed=0,gap=64"]
+        for k, n in (("6", "5"), ("5", "5"), ("4", "10"))
+    ),
+    ["energy", "--k", "3", "--signs=---",
+     "--family", "composed:f=poly:0,1/3,1/7,inner=rsc:n=20,s=2,seed=1,gap=8"],
     # --format csv on commands without a CSV form.
     ["--format", "csv", "energy", "--k", "4", "--family", "rsc:n=38,s=3,seed=0,gap=64"],
     ["--format", "csv", "analyze", "--family", "rsc:n=24,s=2,seed=3,gap=8"],
