@@ -38,18 +38,19 @@ Kept from a range of consecutive ints and a numpy count array, zeros
 meaning absent (the dense fold of ``engine.representation``, as it
 stands: at a fixed integer width, or of Python ints, ``dtype=object``,
 past int64, wherever its values lie), a ``SparseCounts`` holds that
-array and the range's first int.  Only
-this class, :func:`rich_tail` and :func:`mass_of_squares` read a count
-array: ``len`` counts its nonzero cells,
-``SparseCounts.dyadic_classes`` compares it against each power of two
-up to its maximum, :func:`rich_tail` against the clamped threshold,
-:func:`mass_of_squares` takes an int64 dot product only while
-``max(c) * mass < 2**63``, which bounds every partial sum, and a Python
-int sum otherwise, and ``unordered_counts`` takes its nonzero cells.
-Only the first read of the ints or counts gathers the nonzero cells
-with their values: numpy adds the first int to their offsets when the
-range fits int64, else Python adds it to each.  numpy is imported only
-in these array branches, which nothing but a numpy array reaches.
+array and the range's first int.  Only this class, :func:`rich_tail`
+and :func:`mass_of_squares` read a count array: ``len`` counts its
+nonzero cells, ``SparseCounts.dyadic_classes`` compares it against each
+power of two up to its maximum, ``SparseCounts.count_class`` against
+the bounds of one class, :func:`rich_tail` against the clamped
+threshold, :func:`mass_of_squares` takes an int64 dot product only
+while ``max(c) * mass < 2**63``, which bounds every partial sum, and a
+Python int sum otherwise, and ``unordered_counts`` takes its nonzero
+cells.  Only the first read of the ints or counts gathers the nonzero
+cells with their values (``count_class`` gathers only its own): numpy
+adds the first int to their offsets when the range fits int64, else
+Python adds it to each.  numpy is imported only in these array
+branches, which nothing but a numpy array reaches.
 
 Kept from a dict int -> count (a sparse kernel's result), a
 ``SparseCounts`` holds the dict and sorts it into tuples only when one
@@ -57,7 +58,8 @@ is read: it is the one place that sorts a kernel's output.  The
 order-free reductions (``mass_of_squares``, ``moment_sum``,
 ``dyadic_classes``, ``max_count``, ``rich_tail``, and in ``engine``
 ``fractional_moment``) read :meth:`SparseCounts.unordered_counts`, so
-they never sort it.
+they never sort it; ``SparseCounts.count_class`` sorts only the entries
+of its class.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ import re
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import compress, islice, repeat
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence, TextIO, Union
 
@@ -406,13 +408,19 @@ class SparseCounts:
             return
         import numpy as np
 
+        ints, counts = self._gather(np.flatnonzero(self._count_array))
+        self._ints, self._counts = tuple(ints), tuple(counts)
+
+    def _gather(self, cells) -> tuple[list, list]:
+        """The ints and counts of the count array's ``cells``, an
+        increasing index array, as lists of Python ints: numpy adds the
+        range's first int while the range fits int64, else Python does."""
         c, lo = self._count_array, self._lo
-        nonzero = np.flatnonzero(c)
         if -(2**63) <= lo and lo + len(c) <= 2**63:
-            self._ints = tuple((nonzero + lo).tolist())
+            ints = (cells + lo).tolist()
         else:
-            self._ints = tuple([lo + i for i in nonzero.tolist()])
-        self._counts = tuple(c[nonzero].tolist())
+            ints = [lo + i for i in cells.tolist()]
+        return ints, c[cells].tolist()
 
     @property
     def ints(self) -> tuple:
@@ -475,6 +483,32 @@ class SparseCounts:
     def max_count(self) -> int:
         c = self._count_array
         return max(self.unordered_counts()) if c is None else int(c.max())
+
+    def count_class(self, low: int, high: int) -> tuple[list, list]:
+        """The ints, increasing, and the counts of the values whose count
+        lies in [low, high), for 1 <= low: one pass per kept form.  A
+        count array's cells are found by comparison, each bound compared
+        only when it is at most the maximum, so within the array's width;
+        a kept dict's entries are filtered and only those kept are
+        sorted; the tuples are filtered."""
+        c = self._count_array
+        if c is not None:
+            import numpy as np
+
+            top = int(c.max())
+            if low > top:
+                return [], []
+            hit = c >= low
+            if high <= top:
+                hit &= c < high
+            return self._gather(np.flatnonzero(hit))
+        mapping = self._mapping
+        if mapping is None:
+            ints, counts = self._ints, self._counts
+            keep = [low <= n < high for n in counts]
+            return list(compress(ints, keep)), list(compress(counts, keep))
+        ints = sorted([x for x, n in mapping.items() if low <= n < high])
+        return ints, list(map(mapping.__getitem__, ints))
 
     def dyadic_classes(self) -> tuple[tuple[int, int], ...]:
         """(j, |{v : 2**j <= count(v) < 2**(j+1)}|) for each non-empty

@@ -88,7 +88,8 @@ with integer operations only, and return Python ints.  ``energy_of``
 is the other reduction of a given result: the sum of squares with the
 universal-bounds check.  ``popular_dyadic_class`` picks the popular
 dyadic class's Delta and score from the bit classes of r_{A-A}, which
-are read unsorted, and adds the class's differences, sorted.
+are read unsorted, and adds the class's differences from
+``SparseCounts.count_class``, which sorts only those.
 ``difference_profile`` reads E(A) = sum r_{A-A}(d)**2, with the same
 check, sum r_{A-A}(d)**3 and the popular class with its energy bound
 (``PopularBound``) from r_{A-A} in one pass over its counts: they are
@@ -874,8 +875,7 @@ def popular_dyadic_class(
     differences D."""
     diff = representation([A, A], signs=(1, -1), algo=algo, mem_budget=mem_budget)
     delta, _, score = _popular_class(diff, diff.dyadic_classes())
-    # diff.ints run in increasing order.
-    ints = [x for x, c in zip(diff.ints, diff.counts) if delta <= c < 2 * delta]
+    ints, _ = diff.count_class(delta, 2 * delta)
     return PopularClass(OrderedSet(ints, den=diff.den), delta, score)
 
 

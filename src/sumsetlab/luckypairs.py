@@ -14,6 +14,13 @@ at least r_x minus the number of occupied cells such pairs — at least
 r_x - k * t**(k-1), because the solution hyperplane meets at most
 k * t**(k-1) cells of a t x ... x t grid.
 
+The census (``lucky_census``) counts, for every sum x of one dyadic
+class of r_{kA}, its solutions per cell without listing them: the first
+k-1 axes fold into a table of partial sums, and each x - g_k(b_k) is
+ranked among the partial sums, through an index table over their span
+where that span is small against the queries and int64 holds every
+offset, by ``searchsorted`` elsewhere.
+
 All index arithmetic (t, the witness cap) uses exact integer roots,
 never floating point, so results reproduce across platforms.
 """
@@ -23,12 +30,13 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 from math import lcm, prod
+from operator import sub
 from typing import NamedTuple, Sequence
 
 from .convexity import FunctionSpec, evaluate
-from .core import DICT_ENTRY_BYTES, OrderedSet, Scalar
+from .core import DICT_ENTRY_BYTES, OrderedSet, Scalar, canon
 from .engine import choose, representation, signed_sumset
 from .errors import DomainError, InputError, VerificationError
 from .intmath import ceil_div, ceil_root
@@ -242,24 +250,31 @@ def lucky_census(
 ) -> list[LuckyCensusRow]:
     """Census over every sum in the dyadic richness class [r, 2r), in one pass.
 
-    Each distinct g_i is evaluated once on each distinct B_i, as an int
-    over the images' common denominator less the least image, and each
-    element's interval index is looked up once.  The first k-1 axes are
-    folded into one dict table of multiplicities keyed by (partial sum,
-    cell prefix), an independent count of the solutions.  Sorted into
-    arrays, each partial sum's entries are one run: a sparse row of its
-    counts per cell prefix.  For each interval of the last axis, every
-    rich sum x minus every g_k(b_k) in that interval is ranked among the
-    partial sums with one ``searchsorted``; the runs that hit are
-    expanded entry by entry, and one sort by (x, cell) adds up x's
-    multiplicity in each cell it occupies.  No solution tuple is ever
-    listed, and the work follows the entries found, not the number of
-    cells.  The arrays are int64 while every offset fits, Python ints
-    (``dtype=object``) past that, and their size does not depend on the
-    span.  The multiplicities found for x must add up to r_x from
+    The rich sums and their r_x are taken from ``representation`` with
+    ``SparseCounts.count_class``.  Each distinct g_i is evaluated once on
+    each distinct B_i, as an int over the images' common denominator
+    less the least image, and each element's interval index is looked
+    up once.  The first k-1 axes are folded into one dict table of
+    multiplicities keyed by (partial sum, cell prefix), an independent
+    count of the solutions.  Sorted into arrays, each partial sum's
+    entries are one run: a sparse row of its counts per cell prefix.
+    For each interval of the last axis, every rich sum x minus every
+    g_k(b_k) in that interval is ranked among the partial sums; the runs
+    that hit are expanded entry by entry, and one sort by (x, cell) adds
+    up x's multiplicity in each cell it occupies.  No solution tuple is
+    ever listed, and the work follows the entries found, not the number
+    of cells.  The arrays are int64 while every offset fits, Python ints
+    (``dtype=object``) past that.  A query is ranked through an int32
+    index table over the span of the partial sums, -1 where there is
+    none, when the offsets are int64 and that span is at most 6 times
+    the widest interval's queries plus the partial sums (the rule of
+    numpy's ``isin`` for its table); elsewhere by one ``searchsorted``
+    per interval, whose arrays do not depend on the span.  The
+    multiplicities found for x must add up to r_x from
     ``representation``, or VerificationError is raised (always on).  The
     table, its arrays, the walk of the widest interval and the rows are
-    estimated against the budget before any is built (ResourceError).
+    estimated against the budget before any is built (ResourceError);
+    the index table fits in what the walk's charge per query spares.
 
     The lower bound column is r_x - k * t**(k-1), the hyperplane-based
     guarantee (may be negative for thin sums; found pairs always meet it).
@@ -277,10 +292,9 @@ def lucky_census(
         [image_sets[pair] for pair in pairs], algo=algo, mem_budget=mem_budget
     )
     partition = build_partition(B_list, r, c, mem_budget=mem_budget)
-    rich = [(x, count) for x, count in rep.items() if r <= count < 2 * r]
+    rich, wanted = rep.count_class(r, 2 * r)
     if not rich:
         return []
-    values, wanted = zip(*rich)
 
     # Per axis: (g_i(b) as an int over the common denominator, less the
     # axis's least image, interval index of b) for every b in B_i.
@@ -297,7 +311,10 @@ def lucky_census(
     by_interval: dict[int, list] = {}
     for v, j in axes[-1]:
         by_interval.setdefault(j, []).append(v)
-    span = sum(max(v for v, _ in axis) for axis in axes)
+    # Each axis's least offset is 0, so the partial sums of the first k-1
+    # axes run from 0 to key_top, both taken.
+    key_top = sum(max(v for v, _ in axis) for axis in axes[:-1])
+    span = key_top + max(v for v, _ in axes[-1])
     prefix_cells = prod(ax.t for ax in partition.axes[:-1])
     # Every code, query and key below lies in
     # [-span * prefix_cells, (span + 1) * prefix_cells].
@@ -318,7 +335,7 @@ def lucky_census(
     census_bytes = (
         (tuples + tuples // len(B_list[-2])) * DICT_ENTRY_BYTES
         + tuples * (3 * item + 24)
-        + len(rich) * (widest * (2 * item + 24) + 320)
+        + len(wanted) * (widest * (2 * item + 24) + 320)
         + visits * (2 * item + 64)
     )
     choose({"table": (census_bytes, 0)}, "auto", mem_budget, "lucky census table")
@@ -350,18 +367,42 @@ def lucky_census(
     counts = np.array(list(table.values()), np.int64)[order]
     cell_of = codes % cells
     keys, first = np.unique(codes // cells, return_index=True)
-    # The last key again, so that a rank past the end compares unequal.
-    keys = np.append(keys, keys[-1:])
     first = np.append(first, len(codes))
     base = sum(lows[pair] for pair in pairs)
-    xs = np.array([(x * den).numerator - base for x in values], offset)
-    totals, found, occupied = np.zeros((3, len(rich)), np.int64)
+    scale = den // rep.den
+    xs = np.array([x * scale - base for x in rich], offset)
+    # A query x - b is ranked through an index table over the keys' span
+    # where that span is small against the widest interval's queries and
+    # the keys (the rule of numpy's isin for its table).  It holds each
+    # key's rank at index key + 1, the queries shifted by 1 to match, and
+    # -1 at every other index, one past each end included, which clipping
+    # gives every query outside.  At 4 bytes per index that is at most
+    # 24 bytes per query and per key, within their charges above: this
+    # walk holds 13 bytes per query (a query, a rank and a hit) of the
+    # 2 * item + 24 charged, and each key stands for at least one table
+    # entry.  Elsewhere, and on Python-int offsets, each query is ranked
+    # by searchsorted and compared with the key it lands on.
+    rank_of = None
+    if offsets_fit and key_top <= 6 * (len(wanted) * widest + len(keys)):
+        rank_of = np.full(key_top + 3, -1, np.int32)
+        rank_of[keys + 1] = np.arange(len(keys), dtype=np.int32)
+        xs += 1
+    else:
+        # The last key again, so that a rank past the end compares unequal.
+        keys = np.append(keys, keys[-1:])
+    totals, found, occupied = np.zeros((3, len(wanted)), np.int64)
     for last in by_interval.values():
-        # A row per element b, each ascending, as searchsorted runs
-        # fastest; transposed, a row per rich sum x.
-        queries = xs - np.array(last, offset)[:, None]
-        rank = np.searchsorted(keys[:-1], queries).T
-        hit = keys[rank] == queries.T
+        last = np.array(last, offset)
+        if rank_of is not None:
+            # A row per rich sum x: the rank of x - b per element b.
+            rank = rank_of.take(xs[:, None] - last, mode="clip")
+            hit = rank >= 0
+        else:
+            # A row per element b, each ascending, as searchsorted runs
+            # fastest; transposed, a row per rich sum x.
+            queries = xs - last[:, None]
+            rank = np.searchsorted(keys[:-1], queries).T
+            hit = keys[rank] == queries.T
         rank = rank[hit]
         start = first[rank]
         lengths = first[rank + 1] - start
@@ -380,18 +421,20 @@ def lucky_census(
         np.add.at(occupied, owner, 1)
     totals = totals.tolist()
 
-    if totals != list(wanted):
+    values = rich
+    if rep.den > 1:
+        values = [canon(Fraction(x, rep.den)) for x in rich]
+    if totals != wanted:
         x, total, n = next(t for t in zip(values, totals, wanted) if t[1] != t[2])
         raise VerificationError(
             f"lucky census found {total} solutions for {x}, "
             f"representation counts {n}"
         )
     k = len(B_list)
-    guarantee_cells = k * partition.t ** (k - 1)
-    lower = [n - guarantee_cells for n in wanted]
-    return list(
-        map(LuckyCensusRow, values, wanted, found.tolist(), lower, occupied.tolist())
-    )
+    lower = map(sub, wanted, repeat(k * partition.t ** (k - 1)))
+    # Rows are built in C: tuple.__new__ of the row class on each tuple.
+    rows = zip(values, wanted, found.tolist(), lower, occupied.tolist())
+    return list(map(tuple.__new__, repeat(LuckyCensusRow), rows))
 
 
 def _injective_image(g: FunctionSpec, B: OrderedSet) -> list:

@@ -309,6 +309,12 @@ _CENSUS_CASES = [
 class TestCensusDifferential:
     @pytest.mark.parametrize("g_text,family,ks", _CENSUS_CASES)
     def test_matches_per_sum_enumeration(self, g_text, family, ks):
+        # Under dense the census reads its rich class from a count array,
+        # under mitm from a kept dict.  Images scaled past int64 span more
+        # than any dense fold's budget.
+        algos = ["auto", "mitm"]
+        if g_text != "poly:0,9223372036854775807":
+            algos.append("dense")
         B = generate(parse_family(family, 0))
         g = parse_function(g_text)
         for k in ks:
@@ -318,8 +324,12 @@ class TestCensusDifferential:
             for c in (1, 4):
                 for r in (1, 2, 4, 8, 16, 10**6):
                     want = _census_by_tuples([B] * k, [g] * k, r, c)
-                    got = lucky_census([B] * k, [g] * k, r, c)
-                    assert got == want, (k, c, r)
+                    for algo in algos:
+                        got = lucky_census([B] * k, [g] * k, r, c, algo=algo)
+                        assert got == want, (k, c, r, algo)
+                        # A plain tuple equals its row, but would render
+                        # as a JSON list.
+                        assert all(type(row) is LuckyCensusRow for row in got)
                     rows_seen += len(got)
             assert rows_seen > 0
 
@@ -394,6 +404,40 @@ class TestCensusDifferential:
         with pytest.raises(DomainError) as info:
             lucky_census([B, B], [parse_function("poly:0,0,1")] * 2, 2)
         assert "poly:0,0,1 is not injective" in str(info.value)
+
+
+class TestCensusRankPath:
+    # Each query x - b is ranked through an index table over the partial
+    # sums' span where that span is small against the queries and int64
+    # holds every offset, and by searchsorted elsewhere.
+    @pytest.mark.parametrize(
+        "g_text, family, k, r, c, searches",
+        [
+            ("pow:1", "rsc:n=34,s=1,seed=0,gap=4", 3, 16, 4, False),
+            ("pow:1", "interval:n=200", 2, 100, 1, False),  # t = 100
+            # Offsets past int64: Python ints.
+            ("poly:0,9223372036854775807", "rsc:n=10,s=1,seed=3,gap=3", 3, 4, 4, True),
+            # A key span of 22,828 against 12 keys and 66 rich sums.
+            ("pow:1", "rsc:n=12,s=3,seed=0,gap=64", 2, 2, 1, True),
+        ],
+        ids=["lucky_k3", "many_cells", "python_ints", "wide_span"],
+    )
+    def test_path_taken(self, monkeypatch, g_text, family, k, r, c, searches):
+        import numpy as np
+
+        calls = []
+        real = np.searchsorted
+
+        def spy(*args, **kwargs):
+            calls.append(len(args[1]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "searchsorted", spy)
+        B = generate(parse_family(family, 0))
+        g = parse_function(g_text)
+        rows = lucky_census([B] * k, [g] * k, r, c)
+        assert rows and bool(calls) is searches
+        assert rows == _census_by_tuples([B] * k, [g] * k, r, c)
 
 
 class TestCensusLargeGrid:

@@ -667,7 +667,10 @@ def test_from_dict_copies():
 def readings(rep):
     """Everything a caller reads from a representation function."""
     top = rep.max_count()
+    # The count classes first, while a kept dict is not yet sorted.
+    bounds = [(1, 2), (2, 4), (max(top // 2, 1), top), (top, 2 * top), (top + 1, 2**70)]
     return {
+        "classes": [rep.count_class(low, high) for low, high in bounds],
         "items": list(rep.items()),
         "len": len(rep),
         "hash": hash(rep),
