@@ -72,10 +72,6 @@ class ConvexityOrder:
     def is_exactly(self, s: int) -> bool:
         return not self.saturated and self.level == s
 
-    def could_be_at_least(self, s: int) -> bool:
-        """Not refuted below s: verified, or saturated before a refutation."""
-        return self.level >= s or self.saturated
-
     def __str__(self) -> str:
         return f"saturated({self.level})" if self.saturated else str(self.level)
 

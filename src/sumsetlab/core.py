@@ -56,10 +56,9 @@ Kept from a dict int -> count (a sparse kernel's result), a
 ``SparseCounts`` holds the dict and sorts it into tuples only when one
 is read: it is the one place that sorts a kernel's output.  The
 order-free reductions (``mass_of_squares``, ``moment_sum``,
-``dyadic_classes``, ``max_count``, ``rich_tail``, and in ``engine``
-``fractional_moment``) read :meth:`SparseCounts.unordered_counts`, so
-they never sort it; ``SparseCounts.count_class`` sorts only the entries
-of its class.
+``dyadic_classes``, ``max_count``, ``rich_tail``) read
+:meth:`SparseCounts.unordered_counts`, so they never sort it;
+``SparseCounts.count_class`` sorts only the entries of its class.
 """
 
 from __future__ import annotations
@@ -486,11 +485,13 @@ class SparseCounts:
 
     def count_class(self, low: int, high: int) -> tuple[list, list]:
         """The ints, increasing, and the counts of the values whose count
-        lies in [low, high), for 1 <= low: one pass per kept form.  A
-        count array's cells are found by comparison, each bound compared
+        lies in [low, high): one pass per kept form.  ``low`` is first
+        clamped to at least 1, so that a count array's zeros never count.
+        A count array's cells are found by comparison, each bound compared
         only when it is at most the maximum, so within the array's width;
         a kept dict's entries are filtered and only those kept are
         sorted; the tuples are filtered."""
+        low = max(low, 1)
         c = self._count_array
         if c is not None:
             import numpy as np
@@ -596,15 +597,12 @@ def rich_tail(p: SparseCounts, r: int) -> int:
     return int(np.count_nonzero(c >= r)) if r <= int(c.max()) else 0
 
 
-def check_moment_order(m: int) -> None:
-    """Raise InputError unless the moment order m is at least 1."""
-    if m < 1:
-        raise InputError("moment order must be >= 1")
-
-
 def moment_sum(p: SparseCounts, m: int) -> int:
     """sum of count(v)**m (exact, integer m >= 1)."""
-    check_moment_order(m)
+    if not isinstance(m, int):
+        raise InputError(f"moment order must be an integer, got {m!r}")
+    if m < 1:
+        raise InputError("moment order must be >= 1")
     return sum(map(pow, p.unordered_counts(), repeat(m)))
 
 

@@ -69,8 +69,8 @@ adds the spectrum sandwich.
 The sparse algorithms (``naive`` and ``mitm``) hand the count dict of
 their result to ``SparseCounts._result`` whole, with no counts: it is
 neither scanned nor copied, and sorted only when read in order.  The
-order-free reductions (``energy_of``, ``moment``, ``spectrum_of``,
-``rich_tail``, ``fractional_moment``) read its counts unsorted.
+order-free reductions (``energy_of``, ``spectrum_of``) read its counts
+unsorted.
 ``energy_T`` plans as ``representation`` does, under that name, with
 the mitm row asked for as (count dict, weight) pairs: where that row is
 picked, ``kernels.class_moments`` reduces them, so ``energy`` never
@@ -136,10 +136,8 @@ from .core import (
     DICT_ENTRY_BYTES,
     OrderedSet,
     SparseCounts,
-    check_moment_order,
     common_ints,
     mass_of_squares,
-    moment_sum,
     rich_tail,
 )
 from .errors import InputError, ResourceError, VerificationError
@@ -617,7 +615,7 @@ def _check_mass(mass: int, lists: Sequence[Sequence[int]]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Energies and moments.
+# Energies.
 
 
 def energy_T(
@@ -687,44 +685,6 @@ def energy_cross(
             raise VerificationError("Cauchy-Schwarz cross bound violated")
         stats.cauchy_schwarz_checks += 1
     return total
-
-
-def moment(
-    sets: Sequence[OrderedSet],
-    m: int,
-    *,
-    signs: Signs = None,
-    algo: str = "auto",
-    mem_budget: int | None = None,
-) -> int:
-    """Integer moment: sum of r(x)**m (m = 2 recovers the energy).  The
-    order is checked before r is built."""
-    check_moment_order(m)
-    rep = representation(sets, signs=signs, algo=algo, mem_budget=mem_budget)
-    return moment_sum(rep, m)
-
-
-def fractional_moment(
-    sets: Sequence[OrderedSet],
-    p: Union[int, float, Fraction],
-    *,
-    signs: Signs = None,
-    algo: str = "auto",
-    mem_budget: int | None = None,
-) -> float:
-    """sum of r(x)**(1+p) for 0 < p < 2, in floating point.
-
-    The only non-exact computation in the engine: counts are exact
-    integers, exponentiation is IEEE double (counts stay below 2**53 at
-    desk scale, so each term is correct to ~1 ulp and the compensated
-    sum keeps the relative error within 1e-12).
-    """
-    pf = float(p)
-    if not 0 < pf < 2:
-        raise InputError("fractional moment exponent p must lie in (0, 2)")
-    rep = representation(sets, signs=signs, algo=algo, mem_budget=mem_budget)
-    # fsum is correctly rounded, so the order of the counts cannot matter.
-    return math.fsum(float(c) ** (1.0 + pf) for c in rep.unordered_counts())
 
 
 # ---------------------------------------------------------------------------

@@ -471,7 +471,8 @@ class TestSumsetDoubling:
         assert len(keys) == 2 == len(set(keys))
         monkeypatch.undo()
         for (sets, _), report in zip(keys, json.loads(out)["reports"]):
-            assert report["E3_diff"] == str(engine.moment(sets, 3, signs="+-"))
+            rep = engine.representation(sets, signs="+-")
+            assert report["E3_diff"] == str(moment_sum(rep, 3))
 
     @pytest.mark.parametrize("algo", ["auto", "naive", "mitm", "dense"])
     @pytest.mark.parametrize(

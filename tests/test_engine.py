@@ -22,11 +22,9 @@ from sumsetlab import (
     doubling,
     energy_T,
     energy_cross,
-    fractional_moment,
     gen_interval,
     gen_power,
     gen_random_s_convex,
-    moment,
     popular_dyadic_class,
     representation,
     signed_sumset,
@@ -934,38 +932,20 @@ class TestEnergyCross:
 class TestMoments:
     def test_third_moment(self):
         A = gen_interval(2)  # r_{A+A} = {2:1, 3:2, 4:1}
-        assert moment([A, A], 3) == 10
+        rep = representation([A, A])
+        assert moment_sum(rep, 3) == 10
         with pytest.raises(InputError, match="moment order must be >= 1"):
-            moment_sum(representation([A, A]), 0)
-
-    def test_order_checked_before_any_work(self, monkeypatch):
-        def no_work(*args, **kwargs):
-            raise AssertionError("r_{kA} built for an invalid order")
-
-        monkeypatch.setattr(engine, "representation", no_work)
-        A = gen_interval(2)
-        with pytest.raises(InputError, match="moment order must be >= 1"):
-            moment([A, A], 0)
+            moment_sum(rep, 0)
+        with pytest.raises(InputError, match="moment order must be an integer"):
+            moment_sum(rep, 2.5)
 
     def test_m2_equals_energy(self, rng):
         A = random_integer_set(rng, 8)
-        assert moment([A, A], 2) == energy_T([A, A])
-
-    def test_fractional_p1_equals_m2(self, rng):
-        A = random_integer_set(rng, 9)
-        exact = moment([A, A], 2)
-        approx = fractional_moment([A, A], 1)
-        assert abs(approx - exact) <= 1e-9 * exact
-
-    def test_fractional_range(self):
-        A = gen_interval(4)
-        for bad in (0, 2, -1, Fraction(5, 2)):
-            with pytest.raises(InputError):
-                fractional_moment([A, A], bad)
+        assert moment_sum(representation([A, A]), 2) == energy_T([A, A])
 
     def test_sign_pattern(self):
         A = gen_interval(3)
-        assert moment([A, A], 3, signs="+-") == 1 + 8 + 27 + 8 + 1
+        assert moment_sum(representation([A, A], signs="+-"), 3) == 1 + 8 + 27 + 8 + 1
 
 
 class TestSpectrum:
