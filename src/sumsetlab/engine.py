@@ -101,17 +101,22 @@ Every other reduction reads the counts directly: a histogram does not
 pay on counts with many distinct values, such as an r_{4A}.
 
 Sumsets and their sizes (``signed_sumset``, ``sumset_size``,
-``doubling``, ``doublings``) need no counts and take no algorithm: they
-come from the support kernel (``kernels.support_sizes`` /
-``support_values``) on the same signed ints, at the switch point from
-its int-set fold to its bitset that is the ``_plan_support`` row
-``choose`` picks.  A size is counted without building any element, and
-one run can give the size of each prefix A_1 +/- ... +/- A_j:
-``doublings`` reports every prefix of two signs or more of a sign
-pattern from one run, so ``analyze`` reads |A+A| and |A+A-A| from one
-run, while ``doubling`` and ``sumset_size`` count the whole only, since
-counting a mask costs as much as one more shift and OR.  A sumset is the
-kernel's ints with their denominator in one ``OrderedSet``.  The tests
+``sumset_ranks``, ``doubling``, ``doublings``) need no counts and take
+no algorithm: they come from the support kernel on the same signed
+ints, at the switch point from its int-set fold to its bitset that is
+the ``_plan_support`` row ``choose`` picks.  A size is counted without
+building any element, and one run can give the size of each prefix
+A_1 +/- ... +/- A_j: ``doublings`` reports every prefix of two signs or
+more of a sign pattern from one run, so ``analyze`` reads |A+A| and
+|A+A-A| from one run, while ``doubling`` and ``sumset_size`` count the
+whole only, since counting a mask costs as much as one more shift and
+OR.  ``sumset_ranks`` runs the size path's rows too, each with its
+ranks' bytes added (``kernels.support_ranks``): |S| and the rank in S
+of each element of a set of sums, such as B in B + B - B, read from the
+mask or the fold's set without building S.  Those ranks must strictly
+increase below |S|, or VerificationError is raised, in every run.  A
+sumset is the kernel's ints with their denominator in one
+``OrderedSet``.  The tests
 cross-check it against the support of ``representation``.
 
 Everything here is pure and deterministic; independent computations can
@@ -207,6 +212,8 @@ _PAIRS_PER_SUM = Fraction(3, 2)
 _WIDE_MASK = 2**20
 _WIDE_BIT = 2
 _DECODE_BIT = 300
+# One rank of kernels.support_ranks: a list reference and its int object.
+_RANK_BYTES = 40
 
 
 def parse_signs(signs: Signs, k: int) -> tuple[int, ...]:
@@ -386,14 +393,19 @@ def _plan_dense(lists: Sequence[Sequence[int]]) -> Row:
 
 
 def _plan_support(
-    lists: Sequence[Sequence[int]], elements: bool, first: int
+    lists: Sequence[Sequence[int]],
+    elements: bool,
+    first: int,
+    queries: Sequence[int] | None = None,
 ) -> dict[int, Row]:
     """The support kernel's rows for the sets whose ints over one
     denominator are ``lists``, as a ``choose`` table: one per switch point
     s, from k down to 1, each running ``kernels.support_values`` when
     ``elements``, else ``kernels.support_sizes`` of the prefixes from
-    ``first`` on, with that switch.  Row s folds the first s lists as int
-    sets at ``_BITS_PER_PAIR`` per pair it adds; for s < k it then
+    ``first`` on, or with ``queries`` (and ``first`` = k)
+    ``kernels.support_ranks`` of them, with that switch.  Row s folds the
+    first s lists as int sets at ``_BITS_PER_PAIR`` per pair it adds; for
+    s < k it then
     converts their sums into a mask at ``_PAIRS_PER_SUM`` pairs each and
     ORs in each later list at one per bit of each shifted copy: the mask
     so far, shifted by the element's offset from the list's least
@@ -409,7 +421,10 @@ def _plan_support(
     each n-element list in it (its m-multisets).  Row s < k holds the
     larger of its last int set (none for s = 1, whose sums are the input)
     and the mask; decoding the elements adds two bytes per bit of span and
-    one output entry per sum.
+    one output entry per sum.  Ranks are priced as the whole size is, one
+    more pass over the last mask (the rank pass reads its bytes in a few
+    times that, small beside the ORs that built it), and add
+    ``_RANK_BYTES`` per query to every row.
     """
     span = lists[0][-1] - lists[0][0] + 1
     # Per prefix of j lists: its span, its sum count and the pairs folding
@@ -428,10 +443,13 @@ def _plan_support(
     def run(s: int) -> Callable[[], Any]:
         if elements:
             return lambda: kernels.support_values(lists, s)
+        if queries is not None:
+            return lambda: kernels.support_ranks(lists, s, queries)
         return lambda: kernels.support_sizes(lists, s, first)
 
-    rows = {k: (kept, _BITS_PER_PAIR * pairs[-1], run(k))}
-    decode_bytes = 2 * span + kept if elements else 0
+    ranks = 0 if queries is None else len(queries) * _RANK_BYTES
+    rows = {k: (kept + ranks, _BITS_PER_PAIR * pairs[-1], run(k))}
+    decode_bytes = 2 * span + kept if elements else ranks
     bits = _DECODE_BIT * span if elements else 0
     for s in range(k - 1, 0, -1):
         # The bits of the shifted copies that lists[s] ORs, and of the
@@ -445,6 +463,26 @@ def _plan_support(
         cost = _BITS_PER_PAIR * (pairs[s - 1] + _PAIRS_PER_SUM * outs[s - 1]) + bits
         rows[s] = (held + decode_bytes, cost, run(s))
     return rows
+
+
+# Bytes that a caller allocates once a computation has freed its own, the
+# report that renders its result, and their name (``charged_after``).
+_after_ctx: ContextVar[tuple[int, str] | None] = ContextVar(
+    "sumsetlab_after", default=None
+)
+
+
+@contextmanager
+def charged_after(bytes_: int, what: str) -> Iterator[None]:
+    """Charge ``bytes_``, named ``what``, in every ``choose`` of the
+    enclosed computations, once it has found a row that fits: they are
+    held after the computation, not beside it, so each is checked against
+    the budget alone, and a row that does not fit is reported first."""
+    token = _after_ctx.set((bytes_, what))
+    try:
+        yield
+    finally:
+        _after_ctx.reset(token)
 
 
 def choose(
@@ -461,7 +499,8 @@ def choose(
     (default ``DEFAULT_MEMORY_BUDGET``) is returned, ties going to the
     one listed first; otherwise ``algo`` is the only candidate, named
     ``what[algo]`` in an error.  Raises ResourceError with the least
-    estimate, before anything is allocated, when no candidate fits.
+    estimate, before anything is allocated, when no candidate fits, and
+    then with the bytes charged by ``charged_after`` when they do not.
     """
     budget = DEFAULT_MEMORY_BUDGET if mem_budget is None else mem_budget
     if algo != "auto":
@@ -469,6 +508,9 @@ def choose(
     fits = [name for name, (bytes_, *_) in plans.items() if bytes_ <= budget]
     if not fits:
         raise ResourceError(min(bytes_ for bytes_, *_ in plans.values()), budget, what)
+    after = _after_ctx.get()
+    if after is not None and after[0] > budget:
+        raise ResourceError(after[0], budget, after[1])
     return min(fits, key=lambda name: plans[name][1])
 
 
@@ -728,11 +770,14 @@ def _support(
     mem_budget: int | None,
     elements: bool,
     first: int | None = None,
-) -> Union[list[int], OrderedSet]:
-    """The support of A_1 +/- ... +/- A_k from the support kernel, never
-    counted: the set when ``elements``, else the size of each prefix
-    A_1 +/- ... +/- A_j for j = ``first``..k (default: k alone), each
-    checked in verify mode.
+    queries: OrderedSet | None = None,
+) -> Union[list[int], OrderedSet, tuple[int, list[int]]]:
+    """The support S of A_1 +/- ... +/- A_k from the support kernel, never
+    counted: the set when ``elements``; else, with ``queries``, elements
+    of S, |S| and the rank in S of each of them; else the size of each
+    prefix A_1 +/- ... +/- A_j for j = ``first``..k (default: k alone).
+    Each size is checked in verify mode.  Ranks are always checked: those
+    of the increasing ``queries`` must strictly increase below |S|.
 
     ``choose`` picks the switch point, the row of ``_plan_support``: the
     cheapest that fits the budget, the longest fold on a tie.  Raises
@@ -740,13 +785,24 @@ def _support(
     """
     first = len(sets) if first is None else first
     lists, den = _signed_ints(sets, eps)
-    plans = _plan_support(lists, elements, first)
+    if queries is not None and queries.den != den:
+        raise InputError("queries must lie over the sets' common denominator")
+    ints = None if queries is None else queries.ints
+    plans = _plan_support(lists, elements, first, ints)
     out = plans[choose(plans, "auto", mem_budget, "sumset support")][2]()
     if elements:
         _verify_support(len(out), sets)
         return OrderedSet(out, den=den)
-    for j, size in enumerate(out, first):
-        _verify_support(size, sets[:j])
+    if queries is None:
+        for j, size in enumerate(out, first):
+            _verify_support(size, sets[:j])
+        return out
+    size, ranks = out
+    _verify_support(size, sets)
+    if not all(map(operator.lt, ranks, itertools.chain(ranks[1:], (size,)))):
+        raise VerificationError(
+            f"ranks of {len(ranks)} sums do not increase below the size {size}"
+        )
     return out
 
 
@@ -774,6 +830,22 @@ def sumset_size(
     """|{e_1 a_1 + ... + e_k a_k}|, as :func:`signed_sumset` checks it,
     from the size-only support path: no element is built."""
     return _support(sets, _sumset_signs(sets, signs), mem_budget, elements=False)[-1]
+
+
+def sumset_ranks(
+    sets: Sequence[OrderedSet],
+    signs: Signs,
+    queries: OrderedSet,
+    *,
+    mem_budget: int | None = None,
+) -> tuple[int, list[int]]:
+    """|S| for S = {e_1 a_1 + ... + e_k a_k} and the rank in S (its
+    elements below) of each element of ``queries``, all of which must be
+    elements of S over the sets' common denominator, as B is in
+    B + B - B.  From the size path: no element of S is built, and the
+    ranks are read from its mask (or its fold's set)."""
+    eps = _sumset_signs(sets, signs)
+    return _support(sets, eps, mem_budget, elements=False, queries=queries)
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,12 @@ Setting: sets B_1..B_k with monotone maps g_i, image sets A_i = g_i(B_i),
 and a richness level r.  Each axis partitions its triple sumset
 B_i + B_i - B_i into t = ceil(r**(1/(k-1)) / c) intervals of near-equal
 element count: runs of consecutive ranks, so an element's interval is
-its rank in the sorted sumset over the run length.  The product boxes
-are the *cells*.  Two distinct solution tuples of g_1(b_1) + ... +
-g_k(b_k) = x form a *lucky pair* when they produce the same sum x and,
-on every axis, few triple-sumset elements separate them:
+its rank in the sorted sumset over the run length.  The ranks of B_i's
+own elements, the only values the lab looks up, are read with the
+sumset's size from the support kernel, which does not decode it.  The
+product boxes are the *cells*.  Two distinct solution tuples of
+g_1(b_1) + ... + g_k(b_k) = x form a *lucky pair* when they produce the
+same sum x and, on every axis, few triple-sumset elements separate them:
 n_{B_i}(b_i, b_i') <= ceil(c * |B_i+B_i-B_i| / r**(1/(k-1))).
 Tuples sharing a cell always qualify, and a sum with r_x solutions yields
 at least r_x minus the number of occupied cells such pairs — at least
@@ -37,29 +39,54 @@ from typing import NamedTuple, Sequence
 
 from .convexity import FunctionSpec, evaluate
 from .core import DICT_ENTRY_BYTES, OrderedSet, Scalar, canon
-from .engine import choose, representation, signed_sumset
+from .engine import choose, representation, signed_sumset, sumset_ranks
 from .errors import DomainError, InputError, VerificationError
 from .intmath import ceil_div, ceil_root
 
 
 class TripleSumset:
-    """B + B - B with half-open interval counting by binary search."""
+    """B + B - B: its size and the rank of each element of B in it (the
+    elements below), from one rank query of the support kernel's size
+    path (``engine.sumset_ranks``), which never builds the sumset.  Every
+    b in B is an element (b + b - b), and these ranks answer every lookup
+    of the census and of ``lucky_pairs_for_sum``.  ``values``, the sorted
+    elements, are decoded when first read, under the budget given here,
+    and so is any lookup of a value outside B."""
 
-    __slots__ = ("values",)
+    __slots__ = ("_B", "_mem_budget", "_size", "_rank", "_values")
 
     def __init__(self, B: OrderedSet, *, mem_budget: int | None = None) -> None:
-        triple = signed_sumset([B, B, B], (1, 1, -1), mem_budget=mem_budget)
-        self.values = triple.elements
+        self._B, self._mem_budget = B, mem_budget
+        self._size, ranks = sumset_ranks([B] * 3, (1, 1, -1), B, mem_budget=mem_budget)
+        self._rank = dict(zip(B, ranks))
+        self._values: tuple | None = None
+
+    @property
+    def values(self) -> tuple:
+        if self._values is None:
+            B, budget = self._B, self._mem_budget
+            self._values = signed_sumset([B] * 3, (1, 1, -1), mem_budget=budget).elements
+        return self._values
 
     def __len__(self) -> int:
-        return len(self.values)
+        return self._size
+
+    def rank(self, value: Scalar) -> int:
+        """The elements of B+B-B below ``value``."""
+        rank = self._rank.get(value)
+        return bisect_left(self.values, value) if rank is None else rank
 
     def count_between(self, b: Scalar, b_prime: Scalar) -> int:
         """Elements of B+B-B in the half-open interval (lo, hi], where lo
         and hi are the smaller and the larger endpoint: the order of the
         endpoints does not matter, and equal endpoints count 0."""
         lo, hi = min(b, b_prime), max(b, b_prime)
-        return bisect_right(self.values, hi) - bisect_right(self.values, lo)
+        return self._up_to(hi) - self._up_to(lo)
+
+    def _up_to(self, value: Scalar) -> int:
+        """The elements of B+B-B at most ``value``."""
+        rank = self._rank.get(value)
+        return bisect_right(self.values, value) if rank is None else rank + 1
 
 
 def cells_per_axis(r: int, k: int, c: int) -> int:
@@ -82,7 +109,7 @@ class AxisPartition:
 
     Interval j holds the sumset's elements of rank j*chunk to
     (j+1)*chunk - 1.  Every b in B is an element (b + b - b), and the
-    lab looks up no other value.
+    lab looks up no other value: its rank was read with the size.
     """
 
     sumset: TripleSumset
@@ -91,7 +118,7 @@ class AxisPartition:
 
     def interval_index(self, value: Scalar) -> int:
         """The interval of ``value``, an element of the triple sumset."""
-        return bisect_left(self.sumset.values, value) // self.chunk
+        return self.sumset.rank(value) // self.chunk
 
 
 @dataclass(frozen=True)
@@ -116,10 +143,13 @@ def build_partition(
     the last would be empty).
 
     Axes over equal sets share one AxisPartition, so each distinct
-    triple sumset is built once.  For r < c**(k-1) the partition
-    degenerates to a single cell per axis (t = 1: ceil(r**(1/(k-1))) is
-    then at most c) and is returned with the ``degenerate`` flag set
-    instead of raising.
+    triple sumset is ranked once: m and the ranks of B_i's elements come
+    from one ``TripleSumset``, charged to ``mem_budget`` as the size path
+    of the support kernel and a rank per element, and the sumset itself
+    is never decoded unless a caller reads it.  For r < c**(k-1) the
+    partition degenerates to a single cell per axis (t = 1:
+    ceil(r**(1/(k-1))) is then at most c) and is returned with the
+    ``degenerate`` flag set instead of raising.
     """
     k = len(B_list)
     _check_grid(k, r, c)

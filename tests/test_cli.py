@@ -15,6 +15,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
@@ -578,12 +579,18 @@ class TestPlannedRows:
 
             monkeypatch.setattr(engine, name, spy)
         real_support = kernels.support_values
+        real_ranks = kernels.support_ranks
 
         def support(lists, switch):
             rows.append(f"support {switch} of {len(lists)}")
             return real_support(lists, switch)
 
+        def ranks(lists, switch, queries):
+            rows.append(f"ranks {switch} of {len(lists)}")
+            return real_ranks(lists, switch, queries)
+
         monkeypatch.setattr(kernels, "support_values", support)
+        monkeypatch.setattr(kernels, "support_ranks", ranks)
         code, _, err = _run(capsys, *argv)
         return code, err, rows
 
@@ -608,12 +615,12 @@ class TestPlannedRows:
              "sumset support: estimated 98303 bytes exceeds budget 1000"),
             (["--mem", "1000", "sumset", "--k", "3", "--elements", *CUBES], [],
              "sumset support: estimated 5491200 bytes exceeds budget 1000"),
-            # The census representation and the partition's triple sumset
-            # (the bitset throughout: switch point 1) fit; the census does
-            # not: its table, its sorted arrays, and the walk and rows of 45
-            # rich sums.
+            # The census representation and the ranks of B in the partition's
+            # triple sumset (the bitset throughout: switch point 1) fit; the
+            # census does not: its table, its sorted arrays, and the walk
+            # and rows of 45 rich sums.
             (["--mem", "5000", "lucky", "--k", "3", "--r", "2", "--g", "pow:2",
-              "--family", "interval:n=10"], ["dense", "support 1 of 3"],
+              "--family", "interval:n=10"], ["dense", "ranks 1 of 3"],
              "lucky census table: estimated 61200 bytes exceeds budget 5000"),
             (["sumset", "--k", "2", "--elements", "--family", "power:n=10,m=8"],
              ["support 2 of 2"], ""),
@@ -996,6 +1003,55 @@ class TestUserErrors:
             2, "", f"{message} exceeds budget 1000\n"
         )
         assert read == []
+
+    @pytest.mark.parametrize("command", ["energy", "spectrum", "sumset"])
+    @pytest.mark.parametrize("source", ["family", "set"])
+    def test_rendered_inputs_are_charged_before_any_work(
+        self, capsys, monkeypatch, tmp_path, command, source
+    ):
+        # 2,000 copies of {1} render one provenance dict each into the
+        # inputs field, about 1 MB at the peak of render_json, and little
+        # else.  Under a budget just
+        # below that peak, which the copies' references and the computation
+        # fit, the command exits 2 before any row runs.
+        monkeypatch.delenv("SUMSETLAB_MEM", raising=False)
+        path = tmp_path / "one.set"
+        path.write_text("1\n")
+        given = {"family": ["--family", "interval:n=1"], "set": ["--set", str(path)]}
+        argv = [command, "--k", "2000", *given[source]]
+        real_render, peaks = cli.render_json, []
+
+        def traced(payload):
+            tracemalloc.start()
+            try:
+                return real_render(payload)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        monkeypatch.setattr(cli, "render_json", traced)
+        assert _run(capsys, *argv)[0] == 0
+        peak = max(peaks)
+        provenance = (
+            {"family": "interval:n=1"} if source == "family"
+            else {"file": str(path), "sha256": file_digest(str(path))}
+        )
+        charge = cli._rendered_copies(2000, provenance)
+        assert peak <= charge <= 1.1 * peak
+        ran = []
+        for name in ("_rep_mitm", "_rep_dense", "_rep_naive"):
+            monkeypatch.setattr(engine, name, lambda *a, name=name: ran.append(name))
+        for name in ("support_sizes", "support_values"):
+            monkeypatch.setattr(kernels, name, lambda *a, name=name: ran.append(name))
+        message = f"inputs field of 2000 copies: estimated {charge} bytes"
+        assert _run(capsys, "--mem", str(peak - 1), *argv) == (
+            2, "", f"error: {message} exceeds budget {peak - 1}\n"
+        )
+        assert ran == []
+        monkeypatch.undo()
+        assert _run(capsys, "--mem", str(charge), *argv)[0] == 0
+        if command == "spectrum":  # its CSV renders no inputs field
+            assert _run(capsys, "--format", "csv", "--mem", str(peak - 1), *argv)[0] == 0
 
     def test_bad_memory_variable_fits_on_one_line(self, capsys, monkeypatch):
         monkeypatch.setenv("SUMSETLAB_MEM", "abc")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 
@@ -35,7 +36,10 @@ from sumsetlab import core, engine, kernels
 from sumsetlab.bounds import verify_bound
 from sumsetlab.core import DEFAULT_MEMORY_BUDGET, common_ints, mass_of_squares, moment_sum
 from sumsetlab.engine import check_popular_bound, rich_tail, spectrum_of
-from sumsetlab.luckypairs import TripleSumset, build_partition
+from sumsetlab.convexity import IDENTITY
+from sumsetlab.families import generate, parse_family
+from sumsetlab.luckypairs import TripleSumset, build_partition, lucky_pairs_for_sum
+from sumsetlab import lucky_census
 
 from conftest import (
     brute_force_T,
@@ -1120,6 +1124,149 @@ class TestSupportPath:
         with verification():
             with pytest.raises(VerificationError, match="sumset size"):
                 doubling(B, "++-")
+
+
+def _rank_sets() -> dict[str, OrderedSet]:
+    """B for the rank path: integer sets, rational images under
+    poly:0,1/3,1/7 (den 21, the map of the analyze workload's rational
+    set, on inner sets narrow enough that the bitset rows stay small),
+    and sets of 12 ints based near +-2**63 and +-2**64."""
+    rng = SplitMix64(7)
+    poly = "composed:f=poly:0,1/3,1/7,inner="
+    sets = {
+        "interval": gen_interval(9),
+        "random_wide": random_integer_set(rng, 30, spread=2**12),
+        "rsc": gen_random_s_convex(34, 1, 0, 4),
+        "poly_interval": generate(parse_family(poly + "interval:n=10")),
+        "poly_rsc": generate(parse_family(poly + "rsc:n=12,s=1,seed=1,gap=2")),
+    }
+    for name, base in (
+        ("2_63", 2**63 - 100), ("minus_2_63", -(2**63) - 100),
+        ("2_64", 2**64 - 100), ("minus_2_64", -(2**64) - 100),
+    ):
+        near = random_integer_set(rng, 12, spread=100).ints
+        sets[f"near_{name}"] = OrderedSet([base + x for x in near])
+    return sets
+
+
+RANK_SETS = _rank_sets()
+
+
+class TestRankPath:
+    """``sumset_ranks`` and ``TripleSumset`` read |S| and the ranks of B's
+    elements in S = B + B - B from the size path's rows, never decoding S."""
+
+    @staticmethod
+    def forced(monkeypatch, s):
+        """Make ``choose`` run row s of the support table: the one row it
+        is handed, under a budget of exactly its bytes."""
+        real = engine.choose
+
+        def choose(plans, algo, mem_budget, what):
+            assert what == "sumset support"
+            return real({s: plans[s]}, algo, plans[s][0], what)
+
+        monkeypatch.setattr(engine, "choose", choose)
+
+    @pytest.mark.parametrize("name", RANK_SETS)
+    def test_every_row_ranks_as_bisect_on_the_decoded_sumset(self, monkeypatch, name):
+        B = RANK_SETS[name]
+        lists, den = engine._signed_ints([B] * 3, (1, 1, -1))
+        assert den == B.den
+        S = kernels.support_values(lists, 3)
+        # Queries around every byte of every row's mask (offsets from the
+        # least sum 8m - 1, 8m and 8m + 1), and past both ends.
+        lo, hi = S[0], S[-1]
+        edges = {lo + 8 * m + d for m in range((hi - lo) // 8 + 2) for d in (-1, 0, 1)}
+        queries = sorted({*S, *edges, lo - 2**70, hi + 2**70})
+        want = [bisect_left(S, q) for q in queries]
+        for s in (1, 2, 3):
+            assert kernels.support_ranks(lists, s, queries) == (len(S), want)
+            self.forced(monkeypatch, s)
+            ranks = [bisect_left(S, q) for q in B.ints]
+            assert engine.sumset_ranks([B] * 3, "++-", B) == (len(S), ranks)
+            triple = TripleSumset(B)
+            assert len(triple) == len(S)
+            assert [triple.rank(b) for b in B] == ranks
+            monkeypatch.undo()
+
+    def test_ranks_of_one_list(self):
+        # k = 1 is the fold alone: the list itself.
+        assert kernels.support_ranks([(3, 9, 17)], 1, [2, 3, 9, 10, 17, 18]) == (
+            3, [0, 0, 1, 2, 2, 3]
+        )
+
+    def test_census_never_decodes_the_triple_sumset(self, monkeypatch):
+        decoded = []
+        real = kernels.support_values
+        monkeypatch.setattr(
+            kernels, "support_values", lambda *a: decoded.append(a) or real(*a)
+        )
+        B = gen_random_s_convex(34, 1, 0, 4)
+        g = [IDENTITY] * 3
+        rows = lucky_census([B] * 3, g, 16)
+        assert rows and lucky_pairs_for_sum([B] * 3, g, rows[0].x, 16)
+        assert decoded == []
+        triple = build_partition([B] * 3, 16).axes[0].sumset
+        between = triple.rank(B[-1]) - triple.rank(B[0])
+        assert triple.count_between(B[0], B[-1]) == between
+        assert decoded == []
+        # A value outside B decodes the sumset, once.
+        assert triple.count_between(B[0] - 10**6, B[-1]) == triple.rank(B[-1]) + 1
+        assert triple.values == triple.values and len(decoded) == 1
+        assert triple.values == signed_sumset([B] * 3, "++-").elements
+
+    def test_ranks_that_do_not_increase_raise(self, monkeypatch):
+        real = kernels.support_ranks
+
+        def swapped(*args):
+            size, ranks = real(*args)
+            return size, [ranks[1], ranks[0], *ranks[2:]]
+
+        monkeypatch.setattr(kernels, "support_ranks", swapped)
+        with pytest.raises(VerificationError, match="do not increase below"):
+            TripleSumset(gen_interval(5))
+        monkeypatch.setattr(
+            kernels, "support_ranks", lambda *args: (real(*args)[1][-1], real(*args)[1])
+        )
+        with pytest.raises(VerificationError, match="do not increase below"):
+            TripleSumset(gen_interval(5))
+
+    def test_verify_mode_checks_the_size(self):
+        with verification() as stats:
+            TripleSumset(gen_power(12, 2))
+        assert stats.support_checks == 1
+
+    def test_budget_is_the_size_path_and_the_ranks(self, monkeypatch):
+        # The lucky_k3 shape: its bitset row (switch point 1) is the least,
+        # span // 8 bytes of mask and 40 bytes a rank, 560 + 34 * 40.
+        B = generate(parse_family("rsc:n=34,s=1,seed=0,gap=4"))
+        lists, _ = engine._signed_ints([B] * 3, (1, 1, -1))
+        assert engine._span(lists) // 8 == 560
+        sizes = engine._plan_support(lists, False, 3)
+        plans = engine._plan_support(lists, False, 3, B.ints)
+        assert {s: row[:2] for s, row in plans.items()} == {
+            s: (bytes_ + 34 * 40, cost) for s, (bytes_, cost, _) in sizes.items()
+        }
+        least = min(bytes_ for bytes_, *_ in plans.values())
+        assert least == plans[1][0] == 560 + 34 * 40
+        ran = []
+        real = kernels.support_ranks
+        monkeypatch.setattr(
+            kernels, "support_ranks", lambda *a: ran.append(a[1]) or real(*a)
+        )
+        message = f"^sumset support: estimated {least} bytes exceeds budget {least - 1}"
+        with pytest.raises(ResourceError, match=message):
+            TripleSumset(B, mem_budget=least - 1)
+        assert ran == []
+        size = len(signed_sumset([B] * 3, "++-"))
+        assert len(TripleSumset(B, mem_budget=least)) == size
+        assert ran == [1]
+
+    def test_queries_over_another_denominator(self):
+        R = OrderedSet([Fraction(1, 2), 1, 3])
+        with pytest.raises(InputError, match="common denominator"):
+            engine.sumset_ranks([R] * 3, "++-", OrderedSet([1, 3]))
 
 
 class TestPopularClass:

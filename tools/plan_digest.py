@@ -32,7 +32,11 @@ keep every estimate and choice can be checked against its parent:
 
 With ``--each`` it prints instead one line per input, its index and a
 short digest of each part, so that ``diff`` of two trees' outputs names
-the inputs that differ and where.
+the inputs that differ and where.  ``tests/plan_digest.txt`` holds these
+lines for the first 2,000 inputs, which ``tests/test_plan_digest.py``
+compares; a change meant to move them regenerates the file with
+
+    python3 tools/plan_digest.py 2000 --each > tests/plan_digest.txt
 
 Inputs have k = 1..9 summands, integer and rational sets of 1..12
 elements, the same set repeated, a few sets alternating (some equal by
@@ -47,6 +51,7 @@ import random
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterator
 
 # Last on the path, so that a tree named in PYTHONPATH comes first.
 sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
@@ -137,19 +142,34 @@ def planned(sets: list[OrderedSet], signs: tuple[int, ...]) -> dict[str, str]:
     return parts
 
 
+def each_input(n: int) -> Iterator[dict[str, str]]:
+    """The parts of each of the first ``n`` inputs, with the spy in place
+    of ``engine.choose`` meanwhile."""
+    rng = random.Random(20261018)
+    real = engine.choose
+    engine.choose = _spy(real)
+    try:
+        for _ in range(n):
+            yield planned(*random_input(rng))
+    finally:
+        engine.choose = real
+
+
+def each_line(i: int, parts: dict[str, str]) -> str:
+    """The ``--each`` line of input ``i``."""
+    short = (hashlib.sha256(parts[name].encode()).hexdigest()[:8] for name in PARTS)
+    return " ".join([str(i), *short])
+
+
 def main() -> int:
     args = sys.argv[1:]
     each = "--each" in args
     args = [a for a in args if a != "--each"]
     n = int(args[0]) if args else 20_000
-    rng = random.Random(20261018)
     digests = {name: hashlib.sha256() for name in PARTS}
-    engine.choose = _spy(engine.choose)
-    for i in range(n):
-        parts = planned(*random_input(rng))
+    for i, parts in enumerate(each_input(n)):
         if each:
-            short = (hashlib.sha256(parts[name].encode()).hexdigest()[:8] for name in PARTS)
-            print(i, *short)
+            print(each_line(i, parts))
         for name in PARTS:
             digests[name].update(parts[name].encode() + b"\0")
     if not each:
