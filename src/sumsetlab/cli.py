@@ -39,7 +39,6 @@ a wall-clock field and is off by default for that reason.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import io
 import os
@@ -54,7 +53,7 @@ from .convexity import IDENTITY, convexity_order, parse_function
 from .core import (
     DEFAULT_MEMORY_BUDGET, OrderedSet, conversion_error, read_set, write_set,
 )
-from .errors import SumsetLabError
+from .errors import ResourceError, SumsetLabError
 from .families import format_family, generate, parse_family
 from .reporting import (
     cannot_write,
@@ -62,6 +61,7 @@ from .reporting import (
     emit,
     file_digest,
     render_json,
+    rendered_copies,
     rows_csv,
     spectrum_csv,
 )
@@ -130,54 +130,35 @@ def _cmd_analyze(args) -> tuple[dict, None]:
     return {"reports": reports}, None
 
 
-def _rendered_copies(k: int, provenance: dict) -> int:
-    """The bytes that rendering k copies of ``provenance`` in a report's
-    ``inputs`` field allocates.  Fitted to the peak of tracemalloc around
-    ``render_json`` (Python 3.11), per copy: 535 bytes for
-    {"family": "interval:n=1"}, 30 bytes of indented JSON, 894 for a file
-    and its sha256, 115 bytes; within 300 bytes, 190 per key and 2 per
-    byte of the one dict's indented JSON, and over them by at most 20."""
-    return k * (300 + 190 * len(provenance) + 2 * len(render_json(provenance)))
-
-
 def _sets_for_energy(args):
-    """The input sets, replicated under --k, the report fields that name
-    them, ``inputs`` and ``signs``, and the context that charges
-    rendering the copies' inputs (``engine.charged_after``)."""
+    """The input sets, replicated under --k, and the report fields that
+    name them: ``inputs`` and ``signs``."""
     loaded = _load_inputs(args)
-    rendered = contextlib.nullcontext()
     if args.k is not None:
         if len(loaded) != 1:
             raise SumsetLabError("--k replicates a single input set")
         # Held at once: sets, inputs, and representation's signs and two
         # int lists.
         engine.check_copies(args.k, 5, args.mem)
-        if args.format == "json":  # CSV renders no inputs field
-            rendered = engine.charged_after(
-                _rendered_copies(args.k, loaded[0][1]),
-                f"inputs field of {args.k} copies",
-            )
         loaded = loaded * args.k
     sets = [A for A, _ in loaded]
     header = {"inputs": [p for _, p in loaded], "signs": args.signs or "+" * len(sets)}
-    return sets, header, rendered
+    return sets, header
 
 
 def _cmd_energy(args) -> tuple[dict, None]:
-    sets, header, rendered = _sets_for_energy(args)
-    with rendered:
-        total = engine.energy_T(
-            sets, signs=args.signs, algo=args.algo, mem_budget=args.mem
-        )
+    sets, header = _sets_for_energy(args)
+    total = engine.energy_T(
+        sets, signs=args.signs, algo=args.algo, mem_budget=args.mem
+    )
     return {**header, "k": len(sets), "algo": args.algo, "T": total}, None
 
 
 def _cmd_spectrum(args) -> tuple[dict, Callable[[], str]]:
-    sets, header, rendered = _sets_for_energy(args)
-    with rendered:
-        sp = engine.spectrum(
-            sets, signs=args.signs, algo=args.algo, mem_budget=args.mem
-        )
+    sets, header = _sets_for_energy(args)
+    sp = engine.spectrum(
+        sets, signs=args.signs, algo=args.algo, mem_budget=args.mem
+    )
     payload = {
         **header,
         "k": len(sets),
@@ -190,12 +171,11 @@ def _cmd_spectrum(args) -> tuple[dict, Callable[[], str]]:
 
 
 def _cmd_sumset(args) -> tuple[dict, None]:
-    sets, header, rendered = _sets_for_energy(args)
-    with rendered:
-        if not args.elements:
-            size = engine.sumset_size(sets, header["signs"], mem_budget=args.mem)
-            return {**header, "size": size}, None
-        result = engine.signed_sumset(sets, header["signs"], mem_budget=args.mem)
+    sets, header = _sets_for_energy(args)
+    if not args.elements:
+        size = engine.sumset_size(sets, header["signs"], mem_budget=args.mem)
+        return {**header, "size": size}, None
+    result = engine.signed_sumset(sets, header["signs"], mem_budget=args.mem)
     return {**header, "size": len(result), "elements": result}, None
 
 
@@ -462,6 +442,13 @@ def run(argv=None) -> int:
         if args.format == "json":
             if args.timings:
                 payload["timing_ms"] = round((time.monotonic() - started) * 1000.0, 3)
+            if getattr(args, "k", None) is not None and "inputs" in payload:
+                # One provenance dict per copy of the set, charged once the
+                # copies' computation has freed its own bytes.
+                held = rendered_copies(args.k, payload["inputs"][0])
+                if held > args.mem:
+                    what = f"inputs field of {args.k} copies"
+                    raise ResourceError(held, args.mem, what)
             text = render_json(payload)
         else:
             text = csv()

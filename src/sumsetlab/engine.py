@@ -110,10 +110,11 @@ A_1 +/- ... +/- A_j: ``doublings`` reports every prefix of two signs or
 more of a sign pattern from one run, so ``analyze`` reads |A+A| and
 |A+A-A| from one run, while ``doubling`` and ``sumset_size`` count the
 whole only, since counting a mask costs as much as one more shift and
-OR.  ``sumset_ranks`` runs the size path's rows too, each with its
-ranks' bytes added (``kernels.support_ranks``): |S| and the rank in S
-of each element of a set of sums, such as B in B + B - B, read from the
-mask or the fold's set without building S.  Those ranks must strictly
+OR.  ``sumset_ranks`` runs the size path's rows too, at the same costs,
+each with its ranks' bytes added and its bitset held as four masks
+(``kernels.support_ranks``): |S| and the rank in S of each element of a
+set of sums, such as B in B + B - B, read from the mask or the fold's
+set without building S.  Those ranks must strictly
 increase below |S|, or VerificationError is raised, in every run.  A
 sumset is the kernel's ints with their denominator in one
 ``OrderedSet``.  The tests
@@ -214,6 +215,9 @@ _WIDE_BIT = 2
 _DECODE_BIT = 300
 # One rank of kernels.support_ranks: a list reference and its int object.
 _RANK_BYTES = 40
+# The masks that a rank row's last OR holds at once: the mask so far, the
+# accumulator, its shifted copy and their OR.
+_RANK_MASKS = 4
 
 
 def parse_signs(signs: Signs, k: int) -> tuple[int, ...]:
@@ -424,7 +428,9 @@ def _plan_support(
     one output entry per sum.  Ranks are priced as the whole size is, one
     more pass over the last mask (the rank pass reads its bytes in a few
     times that, small beside the ORs that built it), and add
-    ``_RANK_BYTES`` per query to every row.
+    ``_RANK_BYTES`` per query to every row; a rank row s < k holds its
+    last int set and ``_RANK_MASKS`` masks at once, where the other rows
+    hold the larger of the set and one mask.
     """
     span = lists[0][-1] - lists[0][0] + 1
     # Per prefix of j lists: its span, its sum count and the pairs folding
@@ -459,30 +465,14 @@ def _plan_support(
         if not elements and s + 1 >= first:
             passed += spans[s]
         bits += passed * (_WIDE_BIT if spans[s] >= _WIDE_MASK else 1)
-        held = max(outs[s - 1] * DICT_ENTRY_BYTES if s > 1 else 0, span // 8)
+        folded = outs[s - 1] * DICT_ENTRY_BYTES if s > 1 else 0
+        if queries is None:
+            held = max(folded, span // 8)
+        else:  # the caller keeps the fold's set through the first ORs
+            held = folded + _RANK_MASKS * (span // 8)
         cost = _BITS_PER_PAIR * (pairs[s - 1] + _PAIRS_PER_SUM * outs[s - 1]) + bits
         rows[s] = (held + decode_bytes, cost, run(s))
     return rows
-
-
-# Bytes that a caller allocates once a computation has freed its own, the
-# report that renders its result, and their name (``charged_after``).
-_after_ctx: ContextVar[tuple[int, str] | None] = ContextVar(
-    "sumsetlab_after", default=None
-)
-
-
-@contextmanager
-def charged_after(bytes_: int, what: str) -> Iterator[None]:
-    """Charge ``bytes_``, named ``what``, in every ``choose`` of the
-    enclosed computations, once it has found a row that fits: they are
-    held after the computation, not beside it, so each is checked against
-    the budget alone, and a row that does not fit is reported first."""
-    token = _after_ctx.set((bytes_, what))
-    try:
-        yield
-    finally:
-        _after_ctx.reset(token)
 
 
 def choose(
@@ -499,8 +489,7 @@ def choose(
     (default ``DEFAULT_MEMORY_BUDGET``) is returned, ties going to the
     one listed first; otherwise ``algo`` is the only candidate, named
     ``what[algo]`` in an error.  Raises ResourceError with the least
-    estimate, before anything is allocated, when no candidate fits, and
-    then with the bytes charged by ``charged_after`` when they do not.
+    estimate, before anything is allocated, when no candidate fits.
     """
     budget = DEFAULT_MEMORY_BUDGET if mem_budget is None else mem_budget
     if algo != "auto":
@@ -508,9 +497,6 @@ def choose(
     fits = [name for name, (bytes_, *_) in plans.items() if bytes_ <= budget]
     if not fits:
         raise ResourceError(min(bytes_ for bytes_, *_ in plans.values()), budget, what)
-    after = _after_ctx.get()
-    if after is not None and after[0] > budget:
-        raise ResourceError(after[0], budget, after[1])
     return min(fits, key=lambda name: plans[name][1])
 
 

@@ -144,8 +144,8 @@ def build_partition(
 
     Axes over equal sets share one AxisPartition, so each distinct
     triple sumset is ranked once: m and the ranks of B_i's elements come
-    from one ``TripleSumset``, charged to ``mem_budget`` as the size path
-    of the support kernel and a rank per element, and the sumset itself
+    from one ``TripleSumset``, charged to ``mem_budget`` as the support
+    kernel's rank rows (``engine.sumset_ranks``), and the sumset itself
     is never decoded unless a caller reads it.  For r < c**(k-1) the
     partition degenerates to a single cell per axis (t = 1:
     ceil(r**(1/(k-1))) is then at most c) and is returned with the

@@ -52,11 +52,39 @@ def jsonable(value: Any) -> Any:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
+# render_json's encoder.  Given an indent, ``json`` encodes in Python and
+# holds every chunk it yields until it joins them.
+_ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
+
+
 def render_json(payload: dict) -> str:
     try:
-        return json.dumps(jsonable(payload), sort_keys=True, indent=2) + "\n"
+        return _ENCODER.encode(jsonable(payload)) + "\n"
     except ValueError as exc:  # an int past the caller's int/str digit limit
         raise InputError(str(exc)) from None
+
+
+def rendered_copies(k: int, item: dict) -> int:
+    """An upper bound on the bytes that k copies of the flat dict ``item``
+    in a list field of a report add to the peak of :func:`render_json`,
+    sized on this interpreter.  The peak comes as ``json`` joins its
+    chunks, holding the ``jsonable`` tree and every chunk at once.  Per
+    copy: its ``jsonable`` dict and the strings made for it, the chunks
+    it encodes to that other copies do not share, a slot for each of them
+    and for the copy in their lists (8 bytes and at most an eighth more
+    as a list grows) and its characters in the joined text, one byte each
+    (``json`` escapes any other as ASCII)."""
+
+    def held(n: int) -> tuple[int, int]:
+        tree = jsonable({"copies": [item] * n})
+        chunks = list(_ENCODER.iterencode(tree))
+        made = {id(x): x for copy in tree["copies"] for x in (copy, *copy.values())}
+        made.update((id(x), x) for x in chunks)
+        text = sum(map(len, chunks))
+        return sum(map(sys.getsizeof, made.values())) + text, len(chunks)
+
+    (two, two_chunks), (three, three_chunks) = held(2), held(3)
+    return k * (three - two + 9 * (three_chunks - two_chunks + 1))
 
 
 def spectrum_csv(sp: Spectrum) -> str:

@@ -35,7 +35,7 @@ from sumsetlab import (
 from sumsetlab.cli import run
 from sumsetlab.core import OrderedSet, SparseCounts, format_element, moment_sum
 from sumsetlab.families import generate, parse_family
-from sumsetlab.reporting import file_digest, render_json, rows_csv
+from sumsetlab.reporting import file_digest, render_json, rendered_copies, rows_csv
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -1006,14 +1006,15 @@ class TestUserErrors:
 
     @pytest.mark.parametrize("command", ["energy", "spectrum", "sumset"])
     @pytest.mark.parametrize("source", ["family", "set"])
-    def test_rendered_inputs_are_charged_before_any_work(
+    def test_rendered_inputs_are_charged_before_rendering(
         self, capsys, monkeypatch, tmp_path, command, source
     ):
         # 2,000 copies of {1} render one provenance dict each into the
         # inputs field, about 1 MB at the peak of render_json, and little
-        # else.  Under a budget just
-        # below that peak, which the copies' references and the computation
-        # fit, the command exits 2 before any row runs.
+        # else.  The charge, sized on the running interpreter, covers that
+        # peak within 10 %.  Under a budget just below the peak, which the
+        # copies' references and the computation fit, the command exits 2
+        # once the computation is done, before anything is rendered.
         monkeypatch.delenv("SUMSETLAB_MEM", raising=False)
         path = tmp_path / "one.set"
         path.write_text("1\n")
@@ -1036,19 +1037,14 @@ class TestUserErrors:
             {"family": "interval:n=1"} if source == "family"
             else {"file": str(path), "sha256": file_digest(str(path))}
         )
-        charge = cli._rendered_copies(2000, provenance)
+        charge = rendered_copies(2000, provenance)
         assert peak <= charge <= 1.1 * peak
-        ran = []
-        for name in ("_rep_mitm", "_rep_dense", "_rep_naive"):
-            monkeypatch.setattr(engine, name, lambda *a, name=name: ran.append(name))
-        for name in ("support_sizes", "support_values"):
-            monkeypatch.setattr(kernels, name, lambda *a, name=name: ran.append(name))
+        peaks.clear()
         message = f"inputs field of 2000 copies: estimated {charge} bytes"
         assert _run(capsys, "--mem", str(peak - 1), *argv) == (
             2, "", f"error: {message} exceeds budget {peak - 1}\n"
         )
-        assert ran == []
-        monkeypatch.undo()
+        assert peaks == []
         assert _run(capsys, "--mem", str(charge), *argv)[0] == 0
         if command == "spectrum":  # its CSV renders no inputs field
             assert _run(capsys, "--format", "csv", "--mem", str(peak - 1), *argv)[0] == 0

@@ -1237,19 +1237,21 @@ class TestRankPath:
             TripleSumset(gen_power(12, 2))
         assert stats.support_checks == 1
 
-    def test_budget_is_the_size_path_and_the_ranks(self, monkeypatch):
-        # The lucky_k3 shape: its bitset row (switch point 1) is the least,
-        # span // 8 bytes of mask and 40 bytes a rank, 560 + 34 * 40.
+    def test_budget_is_the_size_path_the_masks_and_the_ranks(self, monkeypatch):
+        # The lucky_k3 shape.  Each rank row costs what the size row costs;
+        # its bitset row (switch point 1), the least, holds four masks of
+        # span // 8 bytes at once and 40 bytes a rank, 4 * 560 + 34 * 40.
         B = generate(parse_family("rsc:n=34,s=1,seed=0,gap=4"))
         lists, _ = engine._signed_ints([B] * 3, (1, 1, -1))
         assert engine._span(lists) // 8 == 560
         sizes = engine._plan_support(lists, False, 3)
         plans = engine._plan_support(lists, False, 3, B.ints)
-        assert {s: row[:2] for s, row in plans.items()} == {
-            s: (bytes_ + 34 * 40, cost) for s, (bytes_, cost, _) in sizes.items()
+        assert {s: row[1] for s, row in plans.items()} == {
+            s: row[1] for s, row in sizes.items()
         }
+        assert plans[3][0] == sizes[3][0] + 34 * 40
         least = min(bytes_ for bytes_, *_ in plans.values())
-        assert least == plans[1][0] == 560 + 34 * 40
+        assert least == plans[1][0] == 4 * 560 + 34 * 40
         ran = []
         real = kernels.support_ranks
         monkeypatch.setattr(
@@ -1262,6 +1264,28 @@ class TestRankPath:
         size = len(signed_sumset([B] * 3, "++-"))
         assert len(TripleSumset(B, mem_budget=least)) == size
         assert ran == [1]
+
+    @pytest.mark.parametrize("n,spread", [(30, 2**10), (30, 2**18), (12, 2**21), (60, 2**12)])
+    def test_every_rank_row_covers_its_peak(self, n, spread):
+        # tracemalloc's peak of each row, run alone, is within its bytes.
+        # Where the masks dominate, the bitset row peaks past the one mask
+        # and the ranks that a size row would charge.
+        import tracemalloc
+
+        B = random_integer_set(SplitMix64(n), n, spread=spread)
+        lists, _ = engine._signed_ints([B] * 3, (1, 1, -1))
+        plans = engine._plan_support(lists, False, 3, B.ints)
+        peaks = {}
+        for s in plans:
+            tracemalloc.start()
+            try:
+                kernels.support_ranks(lists, s, B.ints)
+                peaks[s] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert all(peaks[s] <= plans[s][0] for s in plans), (peaks, plans)
+        if spread >= 2**18:
+            assert peaks[1] > 2 * (engine._span(lists) // 8) + n * 40
 
     def test_queries_over_another_denominator(self):
         R = OrderedSet([Fraction(1, 2), 1, 3])
