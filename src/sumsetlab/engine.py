@@ -48,7 +48,7 @@ Every budgeted path is one row, ``(bytes, cost, run)``, from a
 ``_plan_*`` function: its estimate, made before anything is allocated,
 and the zero-argument call that executes the path and returns the
 result's (values, counts) as ``SparseCounts._result`` takes them.  A
-table holds only the rows that can run: ``representation`` lists mitm
+table holds only the rows that can run: the planned entry lists mitm
 and dense always, and naive only when it is asked for by name.  One rule
 picks the row, in ``choose``, which reads only the estimates: ``auto``
 takes the cheapest candidate whose bytes fit the memory budget (default
@@ -71,13 +71,16 @@ their result to ``SparseCounts._result`` whole, with no counts: it is
 neither scanned nor copied, and sorted only when read in order.  The
 order-free reductions (``energy_of``, ``spectrum_of``) read its counts
 unsorted.
-``energy_T`` plans as ``representation`` does, under that name, with
-the mitm row asked for as (count dict, weight) pairs: where that row is
-picked, ``kernels.class_moments`` reduces them, so ``energy`` never
-builds r_{kA} for a multiset root (``kernels.self_sum_classes``, whose
-class dicts the row charges) and never sorts one for a join; its
-mass is checked as ``representation`` checks a result's.  Any other
-row runs through ``representation``.
+``representation`` and ``energy_T`` are two answers of one planned
+entry, which validates the input, reads the signed ints, hands
+``choose`` one table, runs the row picked, checks the mass and runs the
+``verification()`` checks, each once.  For an energy its mitm row
+returns (count dict, weight) pairs, which ``kernels.class_moments``
+reduces, so ``energy`` never builds r_{kA} for a multiset root
+(``kernels.self_sum_classes``, whose class dicts the row charges) and
+never sorts one for a join; any other row's result is reduced by
+``energy_of``.  Under ``verification()`` a mitm energy is compared with
+the result of the counts form of its plan, which charges no more bytes.
 Neither ``representation`` nor the support path builds a Fraction: a
 rational result's values are built only when a caller reads them.
 
@@ -282,14 +285,22 @@ def verification() -> Iterator[VerifyStats]:
         _verify_ctx.reset(token)
 
 
-def _verify_representation(rep: SparseCounts) -> None:
+def _verify_representation(
+    rep: SparseCounts, moments: tuple[int, int] | None = None
+) -> None:
+    """The verify-mode checks of ``rep``, whose mass is checked in every
+    run: the spectrum sandwich, and that ``moments``, the (mass, sum of
+    squares) of the same sum read apart from ``rep``, are its own."""
     stats = _verify_ctx.get()
     if stats is None:
         return
-    # representation has already checked the mass, in every run.
     stats.mass_checks += 1
     sp = spectrum_of(rep)
     total, weighted = sp.total_T, sp.weighted_sum()
+    if moments not in (None, (rep.mass, total)):
+        raise VerificationError(
+            f"(mass, energy) {moments} != {(rep.mass, total)} from the representation"
+        )
     if not weighted <= total < 4 * weighted:
         raise VerificationError("dyadic spectrum sandwich violated")
     stats.sandwich_checks += 1
@@ -596,20 +607,15 @@ def representation(
 ) -> SparseCounts:
     """Exact representation function of A_1 +/- ... +/- A_k.
 
-    The algorithm is picked by ``choose`` from the rows that can run:
-    mitm, then dense, so that a tie in cost goes to mitm, and naive only
-    when requested; each runs on the sets' ints over their common
-    denominator, rational sets included.  Under ``"auto"`` the
-    cheapest that fits the budget is taken, else the one requested; its
-    row then runs.  Raises ResourceError (before allocating) when none
-    fits.
+    The counts answer of the planned entry (``_planned``): the algorithm
+    is picked by ``choose`` from the rows that can run, mitm, then dense,
+    so that a tie in cost goes to mitm, and naive only when requested;
+    each runs on the sets' ints over their common denominator, rational
+    sets included.  Under ``"auto"`` the cheapest that fits the budget is
+    taken, else the one requested; its row then runs.  Raises
+    ResourceError (before allocating) when none fits.
     """
-    lists, den, plans, name = _planned(sets, signs, algo, mem_budget)
-    values, counts = plans[name][2]()
-    rep = SparseCounts._result(values, counts, den)
-    _check_mass(rep.mass, lists)
-    _verify_representation(rep)
-    return rep
+    return _planned(sets, signs, algo, mem_budget, energy=False)
 
 
 def _planned(
@@ -617,29 +623,45 @@ def _planned(
     signs: Signs,
     algo: str,
     mem_budget: int | None,
-    classes: bool = False,
-) -> tuple[list[Sequence[int]], int, dict[str, Row], str]:
-    """The signed int lists of ``sets``, their denominator, the rows of
-    :func:`representation`, the mitm row asked for with ``classes``
-    (``_plan_mitm``), and the one ``choose`` picks under that name."""
+    energy: bool,
+) -> Union[SparseCounts, int]:
+    """The one planned entry of :func:`representation` and, with
+    ``energy``, :func:`energy_T`.  It validates the sets and ``algo``,
+    reads the signed ints once, hands ``choose`` one table (the mitm row
+    in its classes form for an energy, ``_plan_mitm``), runs the row
+    picked and checks the result's mass against the product of the
+    sizes.  A mitm energy is the (mass, sum of squares) that
+    ``kernels.class_moments`` reads from the classes; any other row's
+    result is built and reduced by :func:`energy_of`.  Under
+    ``verification()`` the result is checked by
+    ``_verify_representation``, a mitm energy on the counts form of the
+    same plan, which charges no more bytes than the classes form that
+    fit."""
     if not sets:
         raise InputError("need at least one set")
     if algo not in _ALGOS:
         raise InputError(f"unknown algorithm {algo!r}")
     lists, den = _signed_ints(sets, parse_signs(signs, len(sets)))
-    plans = {"mitm": _plan_mitm(lists, den, classes), "dense": _plan_dense(lists)}
+    plans = {"mitm": _plan_mitm(lists, den, energy), "dense": _plan_dense(lists)}
     if algo == "naive":
         plans["naive"] = _plan_naive(lists)
-    return lists, den, plans, choose(plans, algo, mem_budget, "representation")
-
-
-def _check_mass(mass: int, lists: Sequence[Sequence[int]]) -> None:
-    """The check on every result: its mass is the product of the sizes."""
+    name = choose(plans, algo, mem_budget, "representation")
+    run = plans[name][2]
+    moments = kernels.class_moments(run()) if energy and name == "mitm" else None
+    rep = SparseCounts._result(*run(), den) if moments is None else None
+    if moments is not None and _verify_ctx.get() is not None:
+        rep = SparseCounts._result(*_plan_mitm(lists, den)[2](), den)
+    mass, total = moments or (rep.mass, None)
     want = math.prod(map(len, lists))
     if mass != want:
         raise VerificationError(
             f"representation mass {mass} != product of sizes {want}"
         )
+    if rep is not None:
+        _verify_representation(rep, moments)
+    if not energy:
+        return rep
+    return energy_of(rep, sets) if total is None else _checked_energy(total, sets)
 
 
 # ---------------------------------------------------------------------------
@@ -655,25 +677,15 @@ def energy_T(
 ) -> int:
     """Number of 2k-tuples with equal k-fold sums (exact).
 
-    Planned as :func:`representation` plans, with the mitm row as
-    ``_plan_mitm`` gives it with classes.  Where that row is picked, its
-    (count dict, weight) pairs are reduced by ``kernels.class_moments``,
-    so a multiset root never builds r_{kA}; the mass is checked as
-    ``representation`` checks it, and under ``verification()`` the
-    representation is built too and its energy compared.  Any other row
-    runs through ``representation``, named as its algorithm."""
-    lists, _, plans, name = _planned(sets, signs, algo, mem_budget, classes=True)
-    if name != "mitm":
-        rep = representation(sets, signs=signs, algo=name, mem_budget=mem_budget)
-        return energy_of(rep, sets)
-    mass, total = kernels.class_moments(plans[name][2]())
-    _check_mass(mass, lists)
-    if _verify_ctx.get() is not None:
-        rep = representation(sets, signs=signs, algo=name, mem_budget=mem_budget)
-        want = mass_of_squares(rep)
-        if total != want:
-            raise VerificationError(f"energy {total} != {want} from the representation")
-    return _checked_energy(total, sets)
+    The energy answer of the planned entry that :func:`representation`
+    shares (``_planned``): one table, whose mitm row is the classes form
+    of ``_plan_mitm``, and one pick.  Where mitm is picked, its (count
+    dict, weight) pairs are reduced by ``kernels.class_moments``, so a
+    multiset root never builds r_{kA}; any other row's result is reduced
+    by :func:`energy_of`.  Either way the mass is checked, in every run,
+    and under ``verification()`` a mitm energy is compared with the
+    representation from the counts form of its plan."""
+    return _planned(sets, signs, algo, mem_budget, energy=True)
 
 
 def energy_of(rep: SparseCounts, sets: Sequence[OrderedSet]) -> int:

@@ -1297,7 +1297,7 @@ class TestUserErrors:
         def interrupted(*args, **kwargs):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(engine, "representation", interrupted)
+        monkeypatch.setattr(engine, "energy_T", interrupted)
         with pytest.raises(KeyboardInterrupt):
             run(["energy", "--k", "2", "--family", "interval:n=4"])
 

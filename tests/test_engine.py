@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from bisect import bisect_left
@@ -601,6 +602,45 @@ class TestPlanTable:
         monkeypatch.undo()
         assert rep == representation(sets, signs="+-++-", algo="naive")
         assert dict(rep.items()) == {Fraction(1, 3): 1}
+
+
+class TestOnePlanPerCall:
+    """``representation``, ``spectrum`` and ``energy_T`` each read the
+    signed ints once and hand ``choose`` one table, whatever the row
+    picked and under ``verification()`` too; ``energy_T`` never enters
+    ``representation``."""
+
+    A = gen_random_s_convex(12, 3, 1, 64)
+    R = OrderedSet([Fraction(-1, 3), Fraction(1, 2), 2])
+    CASES = {
+        "multiset": ([A] * 4, None),
+        "join": ([A, gen_power(6, 2), A], "+-+"),
+        "rational": ([R, A, R], "+-+"),
+    }
+
+    @pytest.mark.parametrize("verify", [False, True])
+    @pytest.mark.parametrize("algo", ["auto", "mitm", "dense", "naive"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_one_table_and_one_read_of_the_ints(self, monkeypatch, case, algo, verify):
+        sets, signs = self.CASES[case]
+        calls = Counter()
+        for name in ("choose", "_signed_ints", "representation"):
+            real = getattr(engine, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(engine, name, counted)
+        outs = []
+        for call, entries in (("representation", 1), ("spectrum", 1), ("energy_T", 0)):
+            calls.clear()
+            with verification() if verify else contextlib.nullcontext():
+                outs.append(getattr(engine, call)(sets, signs=signs, algo=algo))
+            assert [calls[name] for name in ("choose", "_signed_ints")] == [1, 1]
+            assert calls["representation"] == entries
+        rep, sp, total = outs
+        assert mass_of_squares(rep) == sp.total_T == total
 
 
 class TestInputConversion:

@@ -1,14 +1,14 @@
 """Digest the planner's tables and choices on seeded random inputs.
 
-For each input, ``engine.representation`` is called under ``auto``,
-``mitm``, ``dense`` and ``naive``, and the support path
-(``engine._support``, for the prefix sizes and for the elements) once,
-each under the budgets None, 10**4 and 10**6.  ``engine.choose`` is replaced
-by a spy: it records the table the caller hands it and the path it
-picks, or its ResourceError, then stops the call, so nothing runs.  An
-InputError raised before choosing is recorded in place of the pick:
-none is raised on these inputs, but trees before dense ran on rational
-sets refused it there, and their digests compare too.
+For each input, ``engine.representation`` and ``engine.energy_T`` are
+called under ``auto``, ``mitm``, ``dense`` and ``naive``, and the support
+path (``engine._support``, for the prefix sizes and for the elements)
+once, each under the budgets None, 10**4 and 10**6.  ``engine.choose``
+is replaced by a spy: it records the table the caller hands it and the
+path it picks, or its ResourceError, then stops the call, so nothing
+runs.  An InputError raised before choosing is recorded in place of the
+pick: none is raised on these inputs, but trees before dense ran on
+rational sets refused it there, and their digests compare too.
 
 It prints one digest per part, then the number of inputs and a digest
 of all parts:
@@ -20,12 +20,16 @@ of all parts:
              of lists folded as int sets before the bitset takes over)
     picks    every pick (a support pick is its switch point),
              ResourceError and InputError
+    energy   energy_T's table, its mitm row in the classes form, and its
+             pick, ResourceError or InputError, under each budget and
+             algorithm
 
-A row with negative bytes cannot run and is left out, so a tree whose
-tables still list such rows compares too; only the first two entries of
-a row are read, so do trees whose rows are bare (bytes, cost) pairs.
-Two trees that print the same lines plan alike, so a change meant to
-keep every estimate and choice can be checked against its parent:
+In the first four parts a row with negative bytes cannot run and is left
+out, so a tree whose tables still list such rows compares too; only the
+first two entries of a row are read, so do trees whose rows are bare
+(bytes, cost) pairs.  Two trees that print the same lines plan alike, so
+a change meant to keep every estimate and choice can be checked against
+its parent:
 
     python3 tools/plan_digest.py [N] [--each]                  # this tree
     PYTHONPATH=<other tree>/src python3 tools/plan_digest.py [N] [--each]
@@ -61,7 +65,7 @@ from sumsetlab.errors import InputError, ResourceError  # noqa: E402
 
 BUDGETS = (None, 10**4, 10**6)
 ALGOS = ("auto", "mitm", "dense", "naive")
-PARTS = ("mitm", "dense", "naive", "support", "picks")
+PARTS = ("mitm", "dense", "naive", "support", "picks", "energy")
 
 
 def random_set(rng: random.Random) -> OrderedSet:
@@ -122,23 +126,24 @@ def handed(call, *args, **kwargs) -> tuple[dict, str]:
 
 def planned(sets: list[OrderedSet], signs: tuple[int, ...]) -> dict[str, str]:
     """Each part's text for one input."""
-    rows: dict[str, set] = {name: set() for name in PARTS[:-1]}
-    picks = []
+    rows: dict[str, set] = {name: set() for name in PARTS[:-2]}
+    picks, energy = [], []
     for budget in BUDGETS:
         for algo in ALGOS:
-            table, pick = handed(
-                engine.representation, sets, signs=signs, algo=algo, mem_budget=budget
-            )
+            kwargs = {"signs": signs, "algo": algo, "mem_budget": budget}
+            table, pick = handed(engine.representation, sets, **kwargs)
             picks.append(pick)
             for name, (bytes_, cost) in table.items():
                 if bytes_ >= 0:
                     rows[name].add(repr(bytes_ if name == "naive" else (bytes_, cost)))
+            energy.append(repr(handed(engine.energy_T, sets, **kwargs)))
         for elements in (False, True):
             table, pick = handed(engine._support, sets, signs, budget, elements)
             picks.append(pick)
             rows["support"].add(repr((elements, table)))
     parts = {name: "\n".join(sorted(seen)) for name, seen in rows.items()}
     parts["picks"] = "\n".join(picks)
+    parts["energy"] = "\n".join(energy)
     return parts
 
 
