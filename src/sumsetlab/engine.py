@@ -80,7 +80,9 @@ reduces, so ``energy`` never builds r_{kA} for a multiset root
 (``kernels.self_sum_classes``, whose class dicts the row charges) and
 never sorts one for a join; any other row's result is reduced by
 ``energy_of``.  Under ``verification()`` a mitm energy is compared with
-the result of the counts form of its plan, which charges no more bytes.
+the result of the counts form of the same plan tree, which charges no
+more bytes, and any other energy is the sum of squares that the check
+of its result read.
 Neither ``representation`` nor the support path builds a Fraction: a
 rational result's values are built only when a caller reads them.
 
@@ -113,15 +115,16 @@ A_1 +/- ... +/- A_j: ``doublings`` reports every prefix of two signs or
 more of a sign pattern from one run, so ``analyze`` reads |A+A| and
 |A+A-A| from one run, while ``doubling`` and ``sumset_size`` count the
 whole only, since counting a mask costs as much as one more shift and
-OR.  ``sumset_ranks`` runs the size path's rows too, at the same costs,
-each with its ranks' bytes added and its bitset held as four masks
-(``kernels.support_ranks``): |S| and the rank in S of each element of a
-set of sums, such as B in B + B - B, read from the mask or the fold's
-set without building S.  Those ranks must strictly
-increase below |S|, or VerificationError is raised, in every run.  A
-sumset is the kernel's ints with their denominator in one
-``OrderedSet``.  The tests
-cross-check it against the support of ``representation``.
+OR.  Every bitset row is charged the masks its last OR holds at once,
+each at CPython's size of an int of the span's bits.  ``sumset_ranks``
+runs the size path's rows too, at the same costs and bytes, each with
+its ranks' bytes added (``kernels.support_ranks``): |S| and the rank in
+S of each element of a set of sums, such as B in B + B - B, read from
+the mask or the fold's set without building S.  Those ranks must
+strictly increase below |S|, or VerificationError is raised, in every
+run.  A sumset is the kernel's ints with their denominator in one
+``OrderedSet``.  The tests cross-check it against the support of
+``representation``.
 
 Everything here is pure and deterministic; independent computations can
 run concurrently with bit-identical results.
@@ -132,6 +135,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from collections import Counter
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -218,9 +222,10 @@ _WIDE_BIT = 2
 _DECODE_BIT = 300
 # One rank of kernels.support_ranks: a list reference and its int object.
 _RANK_BYTES = 40
-# The masks that a rank row's last OR holds at once: the mask so far, the
-# accumulator, its shifted copy and their OR.
-_RANK_MASKS = 4
+# The masks that a bitset row's last OR holds at once: the mask so far, the
+# accumulator, its shifted copy and their OR.  Each is charged as CPython
+# stores an int of the span's bits, in digits of sys.int_info.
+_HELD_MASKS = 4
 
 
 def parse_signs(signs: Signs, k: int) -> tuple[int, ...]:
@@ -287,13 +292,14 @@ def verification() -> Iterator[VerifyStats]:
 
 def _verify_representation(
     rep: SparseCounts, moments: tuple[int, int] | None = None
-) -> None:
+) -> int | None:
     """The verify-mode checks of ``rep``, whose mass is checked in every
     run: the spectrum sandwich, and that ``moments``, the (mass, sum of
-    squares) of the same sum read apart from ``rep``, are its own."""
+    squares) of the same sum read apart from ``rep``, are its own.
+    Returns the sum of squares it read, None outside verify mode."""
     stats = _verify_ctx.get()
     if stats is None:
-        return
+        return None
     stats.mass_checks += 1
     sp = spectrum_of(rep)
     total, weighted = sp.total_T, sp.weighted_sum()
@@ -304,6 +310,7 @@ def _verify_representation(
     if not weighted <= total < 4 * weighted:
         raise VerificationError("dyadic spectrum sandwich violated")
     stats.sandwich_checks += 1
+    return total
 
 
 def _verify_support(size: int, sets: Sequence[OrderedSet]) -> None:
@@ -377,10 +384,10 @@ def _mitm_tree(lists: Sequence[Sequence[int]], den: int) -> _MitmNode:
 
 def _plan_mitm(lists: Sequence[Sequence[int]], den: int, classes: bool = False) -> Row:
     """The mitm row; with ``classes``, its call returns the result as
-    (count dict, weight) pairs (``_rep_mitm``), and a root that is one
-    multiset node is charged for the dicts of ``kernels.self_sum_classes``:
-    each at most its multisets (``kernels.class_multisets``), and at most
-    the span."""
+    (count dict, weight) pairs (``_rep_mitm``), or called with False the
+    count dict of the same plan, and a root that is one multiset node is
+    charged for the dicts of ``kernels.self_sum_classes``: each at most
+    its multisets (``kernels.class_multisets``), and at most the span."""
     plan = _mitm_tree(lists, den)
     if not classes:
         return plan.bytes, plan.cost, lambda: (_rep_mitm(lists, plan), None)
@@ -388,7 +395,7 @@ def _plan_mitm(lists: Sequence[Sequence[int]], den: int, classes: bool = False) 
     if plan.k > 1 and not plan.halves:
         dicts = kernels.class_multisets(len(lists[0]), plan.k)
         bytes_ = sum(min(m, plan.span) for _, m in dicts) * DICT_ENTRY_BYTES
-    return bytes_, plan.cost, lambda: _rep_mitm(lists, plan, True)
+    return bytes_, plan.cost, lambda classes=True: _rep_mitm(lists, plan, classes)
 
 
 def _span(lists: Sequence[Sequence[int]]) -> int:
@@ -433,15 +440,15 @@ def _plan_support(
     The partial sumsets are walked as the kernel builds them: each one
     spans the scaled spans added so far and holds at most min(product of
     sizes, span) sums, and at most C(n + m - 1, m) from the m copies of
-    each n-element list in it (its m-multisets).  Row s < k holds the
-    larger of its last int set (none for s = 1, whose sums are the input)
-    and the mask; decoding the elements adds two bytes per bit of span and
-    one output entry per sum.  Ranks are priced as the whole size is, one
-    more pass over the last mask (the rank pass reads its bytes in a few
-    times that, small beside the ORs that built it), and add
-    ``_RANK_BYTES`` per query to every row; a rank row s < k holds its
-    last int set and ``_RANK_MASKS`` masks at once, where the other rows
-    hold the larger of the set and one mask.
+    each n-element list in it (its m-multisets).  Every row s < k holds
+    its last int set (none for s = 1, whose sums are the input) and
+    ``_HELD_MASKS`` masks of the whole span at once, each charged at
+    CPython's size of an int of that many bits.  An answer adds what its
+    own read holds: decoding the elements two bytes per bit of span and
+    one output entry per sum, ranks ``_RANK_BYTES`` per query, on every
+    row.  Ranks are priced as the whole size is, one more pass over the
+    last mask (the rank pass reads its bytes in a few times that, small
+    beside the ORs that built it).
     """
     span = lists[0][-1] - lists[0][0] + 1
     # Per prefix of j lists: its span, its sum count and the pairs folding
@@ -466,7 +473,9 @@ def _plan_support(
 
     ranks = 0 if queries is None else len(queries) * _RANK_BYTES
     rows = {k: (kept + ranks, _BITS_PER_PAIR * pairs[-1], run(k))}
-    decode_bytes = 2 * span + kept if elements else ranks
+    read = 2 * span + kept if elements else ranks
+    digits = -(-span // sys.int_info.bits_per_digit)
+    masks = _HELD_MASKS * digits * sys.int_info.sizeof_digit
     bits = _DECODE_BIT * span if elements else 0
     for s in range(k - 1, 0, -1):
         # The bits of the shifted copies that lists[s] ORs, and of the
@@ -476,13 +485,10 @@ def _plan_support(
         if not elements and s + 1 >= first:
             passed += spans[s]
         bits += passed * (_WIDE_BIT if spans[s] >= _WIDE_MASK else 1)
-        folded = outs[s - 1] * DICT_ENTRY_BYTES if s > 1 else 0
-        if queries is None:
-            held = max(folded, span // 8)
-        else:  # the caller keeps the fold's set through the first ORs
-            held = folded + _RANK_MASKS * (span // 8)
+        # The caller keeps the fold's set through the first ORs.
+        held = outs[s - 1] * DICT_ENTRY_BYTES if s > 1 else 0
         cost = _BITS_PER_PAIR * (pairs[s - 1] + _PAIRS_PER_SUM * outs[s - 1]) + bits
-        rows[s] = (held + decode_bytes, cost, run(s))
+        rows[s] = (held + masks + read, cost, run(s))
     return rows
 
 
@@ -635,8 +641,9 @@ def _planned(
     result is built and reduced by :func:`energy_of`.  Under
     ``verification()`` the result is checked by
     ``_verify_representation``, a mitm energy on the counts form of the
-    same plan, which charges no more bytes than the classes form that
-    fit."""
+    same plan tree, which charges no more bytes than the classes form
+    that fit, and any other energy is the sum of squares that check
+    read."""
     if not sets:
         raise InputError("need at least one set")
     if algo not in _ALGOS:
@@ -650,7 +657,7 @@ def _planned(
     moments = kernels.class_moments(run()) if energy and name == "mitm" else None
     rep = SparseCounts._result(*run(), den) if moments is None else None
     if moments is not None and _verify_ctx.get() is not None:
-        rep = SparseCounts._result(*_plan_mitm(lists, den)[2](), den)
+        rep = SparseCounts._result(run(False), None, den)
     mass, total = moments or (rep.mass, None)
     want = math.prod(map(len, lists))
     if mass != want:
@@ -658,7 +665,7 @@ def _planned(
             f"representation mass {mass} != product of sizes {want}"
         )
     if rep is not None:
-        _verify_representation(rep, moments)
+        total = _verify_representation(rep, moments)
     if not energy:
         return rep
     return energy_of(rep, sets) if total is None else _checked_energy(total, sets)

@@ -47,8 +47,10 @@ from .intmath import ceil_div, ceil_root
 class TripleSumset:
     """B + B - B: its size and the rank of each element of B in it (the
     elements below), from one rank query of the support kernel's size
-    path (``engine.sumset_ranks``), which never builds the sumset.  Every
-    b in B is an element (b + b - b), and these ranks answer every lookup
+    path (``engine.sumset_ranks``), which never builds the sumset and is
+    charged what that path's rows hold, four masks on a bitset row, plus
+    40 bytes a rank.  Every b in B is an element (b + b - b), and these
+    ranks answer every lookup
     of the census and of ``lucky_pairs_for_sum``.  ``values``, the sorted
     elements, are decoded when first read, under the budget given here,
     and so is any lookup of a value outside B."""
@@ -145,7 +147,8 @@ def build_partition(
     Axes over equal sets share one AxisPartition, so each distinct
     triple sumset is ranked once: m and the ranks of B_i's elements come
     from one ``TripleSumset``, charged to ``mem_budget`` as the support
-    kernel's rank rows (``engine.sumset_ranks``), and the sumset itself
+    kernel's rank rows (``engine.sumset_ranks``: the size path's rows
+    and the ranks' bytes), and the sumset itself
     is never decoded unless a caller reads it.  For r < c**(k-1) the
     partition degenerates to a single cell per axis (t = 1:
     ceil(r**(1/(k-1))) is then at most c) and is returned with the

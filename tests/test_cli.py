@@ -608,11 +608,13 @@ class TestPlannedRows:
             (["--algo", "mitm", "--mem", "1000", "energy", "--k", "3", *CUBES], [],
              "representation[mitm]: estimated 5491200 bytes exceeds budget 1000"),
             # The size path's least estimate is its bitset throughout
-            # (switch point 1); the elements add two bytes per bit of span
-            # and one entry per sum, so theirs is the fold's set: at most
-            # C(66, 3) sums of three of the 64 cubes, 120 bytes each.
+            # (switch point 1): four masks of the 786,433-bit span, 26,215
+            # int digits of 4 bytes each.  The elements add two bytes per
+            # bit of span and one entry per sum, so theirs is the fold's
+            # set: at most C(66, 3) sums of three of the 64 cubes, 120
+            # bytes each.
             (["--mem", "1000", "sumset", "--k", "3", *CUBES], [],
-             "sumset support: estimated 98303 bytes exceeds budget 1000"),
+             "sumset support: estimated 419440 bytes exceeds budget 1000"),
             (["--mem", "1000", "sumset", "--k", "3", "--elements", *CUBES], [],
              "sumset support: estimated 5491200 bytes exceeds budget 1000"),
             # The census representation and the ranks of B in the partition's
@@ -837,12 +839,19 @@ class TestVerify:
 
     def test_card_rows_are_budgeted_as_sizes(self, capsys):
         # The size-only support path fits a budget that the sumset's
-        # elements would not.
+        # elements would not, at the grid's largest N.
+        A = generate(parse_family("power:n=32,m=2"))
+        lists, _ = engine._signed_ints([A, A], (1, -1))
+        sizes, values = (
+            min(bytes_ for bytes_, *_ in engine._plan_support(lists, elements, 2).values())
+            for elements in (False, True)
+        )
+        assert sizes <= 2000 < values
         argv = ("verify", "--bound", "S66_diff", "--family", "power:m=2",
                 "--grid", "8,16,32")
         want = _run(capsys, *argv)
         assert want[0] == 0
-        assert _run(capsys, "--mem", "1000", *argv) == want
+        assert _run(capsys, "--mem", "2000", *argv) == want
 
     def test_parameters_the_bound_reads_are_accepted(self, capsys):
         for argv in (["--bound", "T_main", "--s", "1"],

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import sys
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
@@ -642,6 +643,27 @@ class TestOnePlanPerCall:
         rep, sp, total = outs
         assert mass_of_squares(rep) == sp.total_T == total
 
+    @pytest.mark.parametrize("algo, spied, want", [
+        ("auto", "_mitm_tree", 3), ("dense", "mass_of_squares", 1),
+    ])
+    def test_verify_mode_does_each_piece_of_work_once(self, monkeypatch, algo, spied,
+                                                       want):
+        # A verified mitm energy runs its counts form on the plan tree
+        # already priced (three nodes: 4, 2 and a shared leaf), and a
+        # verified dense energy is the sum of squares that the sandwich
+        # check read.
+        A = gen_random_s_convex(38, 3, 0, 64)
+        calls = []
+        real = getattr(engine, spied)
+        monkeypatch.setattr(engine, spied, lambda *args: calls.append(1) or real(*args))
+        seen = []
+        for verify in (False, True):
+            calls.clear()
+            with verification() if verify else contextlib.nullcontext():
+                assert energy_T([A] * 4, algo=algo) == 47002410
+            seen.append(len(calls))
+        assert seen == [want, want]
+
 
 class TestInputConversion:
     """Each distinct int sequence is negated once, however many copies
@@ -1106,8 +1128,8 @@ class TestSupportPath:
 
     def test_takes_the_other_path_when_the_planned_one_does_not_fit(self):
         rng = SplitMix64(5)
-        B = random_integer_set(rng, 30, spread=2**15)
-        lists = [list(B.elements)] * 2
+        B = random_integer_set(rng, 40, spread=2**15)
+        lists, _ = engine._signed_ints([B, B], (1, -1))
         plans = engine._plan_support(lists, False, 2)
         # Switch point 1 is the bitset throughout, 2 the fold.
         bitset_bytes, fold_bytes = plans[1][0], plans[2][0]
@@ -1191,6 +1213,17 @@ def _rank_sets() -> dict[str, OrderedSet]:
 
 RANK_SETS = _rank_sets()
 
+# (n, spread, answer) of test_every_rank_row_covers_its_peak.  The elements
+# run on the narrow sets only: their decode makes one int per bit of span,
+# which tracemalloc slows to about 0.8 us each, 10 s a row at 2**21.
+_PEAK_SETS = [(30, 2**10), (30, 2**18), (12, 2**21), (60, 2**12)]
+_PEAK_CASES = [
+    pytest.param(n, spread, answer, id=f"{n}-{spread}" + f"-{answer}" * (answer != "ranks"))
+    for answer in ("ranks", "sizes_from_2", "size", "values")
+    for n, spread in _PEAK_SETS
+    if answer != "values" or spread <= 2**12
+]
+
 
 class TestRankPath:
     """``sumset_ranks`` and ``TripleSumset`` read |S| and the ranks of B's
@@ -1228,6 +1261,27 @@ class TestRankPath:
             triple = TripleSumset(B)
             assert len(triple) == len(S)
             assert [triple.rank(b) for b in B] == ranks
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("name", RANK_SETS)
+    def test_every_row_sizes_and_decodes_as_the_sums(self, monkeypatch, name):
+        # The size and element paths at every switch point, each forced
+        # under a budget of exactly its bytes, give the sums of B's ints
+        # over its denominator: S = B + B - B and B + B.
+        B = RANK_SETS[name]
+        x = B.ints
+        S = OrderedSet(sorted({a + b - c for a in x for b in x for c in x}), den=B.den)
+        pair = OrderedSet(sorted({a + b for a in x for b in x}), den=B.den)
+        for s in (1, 2, 3):
+            self.forced(monkeypatch, s)
+            assert engine.sumset_size([B] * 3, "++-") == len(S)
+            reports = engine.doublings(B, "++-")
+            assert [(r.pattern, r.size) for r in reports] == [
+                ("++", len(pair)), ("++-", len(S))
+            ]
+            assert signed_sumset([B] * 3, "++-") == S
+            if s < 3:
+                assert signed_sumset([B, B], "++") == pair
             monkeypatch.undo()
 
     def test_ranks_of_one_list(self):
@@ -1278,20 +1332,24 @@ class TestRankPath:
         assert stats.support_checks == 1
 
     def test_budget_is_the_size_path_the_masks_and_the_ranks(self, monkeypatch):
-        # The lucky_k3 shape.  Each rank row costs what the size row costs;
-        # its bitset row (switch point 1), the least, holds four masks of
-        # span // 8 bytes at once and 40 bytes a rank, 4 * 560 + 34 * 40.
+        # The lucky_k3 shape.  Each rank row costs what the size row costs
+        # and holds its bytes and 40 bytes a rank; its bitset row (switch
+        # point 1), the least, holds four masks of the span at once, each
+        # an int of its 4,480-odd bits: 4 * 600 + 34 * 40 with 30-bit digits.
         B = generate(parse_family("rsc:n=34,s=1,seed=0,gap=4"))
         lists, _ = engine._signed_ints([B] * 3, (1, 1, -1))
-        assert engine._span(lists) // 8 == 560
+        digits = -(-engine._span(lists) // sys.int_info.bits_per_digit)
+        mask = digits * sys.int_info.sizeof_digit
         sizes = engine._plan_support(lists, False, 3)
         plans = engine._plan_support(lists, False, 3, B.ints)
         assert {s: row[1] for s, row in plans.items()} == {
             s: row[1] for s, row in sizes.items()
         }
-        assert plans[3][0] == sizes[3][0] + 34 * 40
+        assert {s: row[0] for s, row in plans.items()} == {
+            s: row[0] + 34 * 40 for s, row in sizes.items()
+        }
         least = min(bytes_ for bytes_, *_ in plans.values())
-        assert least == plans[1][0] == 4 * 560 + 34 * 40
+        assert least == plans[1][0] == 4 * mask + 34 * 40
         ran = []
         real = kernels.support_ranks
         monkeypatch.setattr(
@@ -1305,27 +1363,33 @@ class TestRankPath:
         assert len(TripleSumset(B, mem_budget=least)) == size
         assert ran == [1]
 
-    @pytest.mark.parametrize("n,spread", [(30, 2**10), (30, 2**18), (12, 2**21), (60, 2**12)])
-    def test_every_rank_row_covers_its_peak(self, n, spread):
-        # tracemalloc's peak of each row, run alone, is within its bytes.
-        # Where the masks dominate, the bitset row peaks past the one mask
-        # and the ranks that a size row would charge.
+    @pytest.mark.parametrize("n,spread,answer", _PEAK_CASES)
+    def test_every_rank_row_covers_its_peak(self, n, spread, answer):
+        # tracemalloc's peak of each row of each answer, run alone, is
+        # within its bytes.  Where the masks dominate, the bitset row
+        # peaks past two masks.  A size row charges nothing per answer, so
+        # a row of a few kB may peak past it by the interpreter's fixed
+        # part (the generator, its frame, the ints' headers, the result
+        # list): the 3,072-byte bitset row of the 2**10 set peaks at 3,756.
         import tracemalloc
 
         B = random_integer_set(SplitMix64(n), n, spread=spread)
         lists, _ = engine._signed_ints([B] * 3, (1, 1, -1))
-        plans = engine._plan_support(lists, False, 3, B.ints)
+        queries = B.ints if answer == "ranks" else None
+        first = 2 if answer == "sizes_from_2" else 3
+        plans = engine._plan_support(lists, answer == "values", first, queries)
+        fixed = 0 if answer == "ranks" else 1024
         peaks = {}
         for s in plans:
             tracemalloc.start()
             try:
-                kernels.support_ranks(lists, s, B.ints)
+                plans[s][2]()
                 peaks[s] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert all(peaks[s] <= plans[s][0] for s in plans), (peaks, plans)
+        assert all(peaks[s] <= plans[s][0] + fixed for s in plans), (peaks, plans)
         if spread >= 2**18:
-            assert peaks[1] > 2 * (engine._span(lists) // 8) + n * 40
+            assert peaks[1] > 2 * (engine._span(lists) // 8) + len(queries or ()) * 40
 
     def test_queries_over_another_denominator(self):
         R = OrderedSet([Fraction(1, 2), 1, 3])

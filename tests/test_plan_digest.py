@@ -6,8 +6,9 @@
 
 one line per input of the first 2,000 that ``tools/plan_digest.py``
 draws: its index and a short digest of each part (the mitm, dense and
-naive rows, both support tables, every pick under three budgets, and
-``energy_T``'s tables and picks).
+naive rows, both support tables and the rank table with its picks,
+every other pick under three budgets, and ``energy_T``'s tables and
+picks).
 The test plans the same inputs in this process and names every index
 whose line moved.  A change meant to move estimates or choices
 regenerates the file with the command above and lists the moved indices

@@ -2,8 +2,9 @@
 
 For each input, ``engine.representation`` and ``engine.energy_T`` are
 called under ``auto``, ``mitm``, ``dense`` and ``naive``, and the support
-path (``engine._support``, for the prefix sizes and for the elements)
-once, each under the budgets None, 10**4 and 10**6.  ``engine.choose``
+path (``engine._support``, for the prefix sizes, for the elements and
+for the ranks of some queries) once, each under the budgets None, 10**4
+and 10**6.  ``engine.choose``
 is replaced by a spy: it records the table the caller hands it and the
 path it picks, or its ResourceError, then stops the call, so nothing
 runs.  An InputError raised before choosing is recorded in place of the
@@ -17,8 +18,11 @@ of all parts:
     dense    the dense row's (bytes, cost)
     naive    the naive row's bytes (no choice reads its cost)
     support  both support tables' rows, one per switch point (the number
-             of lists folded as int sets before the bitset takes over)
-    picks    every pick (a support pick is its switch point),
+             of lists folded as int sets before the bitset takes over),
+             and the rank table's rows with its pick under each budget:
+             the ranks of 1..|A_1| over the sets' common denominator,
+             as the lucky census asks them of B + B - B
+    picks    every other pick (a support pick is its switch point),
              ResourceError and InputError
     energy   energy_T's table, its mitm row in the classes form, and its
              pick, ResourceError or InputError, under each budget and
@@ -51,6 +55,7 @@ defaults to 20,000.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 import sys
 from fractions import Fraction
@@ -127,6 +132,8 @@ def handed(call, *args, **kwargs) -> tuple[dict, str]:
 def planned(sets: list[OrderedSet], signs: tuple[int, ...]) -> dict[str, str]:
     """Each part's text for one input."""
     rows: dict[str, set] = {name: set() for name in PARTS[:-2]}
+    den = math.lcm(*(A.den for A in sets))
+    queries = OrderedSet(range(1, len(sets[0]) + 1), den=den)
     picks, energy = [], []
     for budget in BUDGETS:
         for algo in ALGOS:
@@ -141,6 +148,10 @@ def planned(sets: list[OrderedSet], signs: tuple[int, ...]) -> dict[str, str]:
             table, pick = handed(engine._support, sets, signs, budget, elements)
             picks.append(pick)
             rows["support"].add(repr((elements, table)))
+        table, pick = handed(
+            engine._support, sets, signs, budget, False, len(sets), queries
+        )
+        rows["support"].add(repr(("ranks", budget, table, pick)))
     parts = {name: "\n".join(sorted(seen)) for name, seen in rows.items()}
     parts["picks"] = "\n".join(picks)
     parts["energy"] = "\n".join(energy)
