@@ -116,7 +116,8 @@ more of a sign pattern from one run, so ``analyze`` reads |A+A| and
 |A+A-A| from one run, while ``doubling`` and ``sumset_size`` count the
 whole only, since counting a mask costs as much as one more shift and
 OR.  Every bitset row is charged the masks its last OR holds at once,
-each at CPython's size of an int of the span's bits.  ``sumset_ranks``
+each at CPython's size of an int of the span's bits, and every fold the
+largest two of its int sets that it holds at once.  ``sumset_ranks``
 runs the size path's rows too, at the same costs and bytes, each with
 its ranks' bytes added (``kernels.support_ranks``): |S| and the rank in
 S of each element of a set of sums, such as B in B + B - B, read from
@@ -226,6 +227,15 @@ _RANK_BYTES = 40
 # accumulator, its shifted copy and their OR.  Each is charged as CPython
 # stores an int of the span's bits, in digits of sys.int_info.
 _HELD_MASKS = 4
+# An int set of the fold, per sum, at its table's resize (3/5 full): the
+# old table of 16-byte slots and the new one four times its size, 133 bytes
+# a sum, and the sum's int.  Once built it holds at most the new table, 107
+# bytes a sum, and the ints.
+_SET_SUM_BYTES = 168
+# What every support row holds whatever its inputs: the kernel's generator
+# and frame, the result list and a few ints (about 700 bytes measured on
+# Python 3.11).
+_SUPPORT_ROW_BYTES = 1024
 
 
 def parse_signs(signs: Signs, k: int) -> tuple[int, ...]:
@@ -440,20 +450,26 @@ def _plan_support(
     The partial sumsets are walked as the kernel builds them: each one
     spans the scaled spans added so far and holds at most min(product of
     sizes, span) sums, and at most C(n + m - 1, m) from the m copies of
-    each n-element list in it (its m-multisets).  Every row s < k holds
-    its last int set (none for s = 1, whose sums are the input) and
-    ``_HELD_MASKS`` masks of the whole span at once, each charged at
-    CPython's size of an int of that many bits.  An answer adds what its
-    own read holds: decoding the elements two bytes per bit of span and
-    one output entry per sum, ranks ``_RANK_BYTES`` per query, on every
-    row.  Ranks are priced as the whole size is, one more pass over the
-    last mask (the rank pass reads its bytes in a few times that, small
-    beside the ORs that built it).
+    each n-element list in it (its m-multisets).  The fold holds two
+    sets at once as it builds each one: the one before it (none for the
+    first, whose sums are the input) and the new one with its table's
+    resize; a row is charged the largest such pair.  Every row s < k
+    then holds its last int set (none for s = 1) and ``_HELD_MASKS``
+    masks of the whole span at once, each charged at CPython's size of
+    an int of that many bits, and is charged the larger of that and its
+    fold's pair.  Each int set is charged ``_SET_SUM_BYTES`` per sum.
+    Every row adds ``_SUPPORT_ROW_BYTES``, and an answer what its own
+    read holds: decoding the elements two bytes per bit of span and one
+    output entry per sum, ranks ``_RANK_BYTES`` per query, on every row.
+    Ranks are priced as the whole size is, one more pass over the last
+    mask (the rank pass reads its bytes in a few times that, small beside
+    the ORs that built it).
     """
     span = lists[0][-1] - lists[0][0] + 1
-    # Per prefix of j lists: its span, its sum count and the pairs folding
-    # it adds; the copies of each list so far, by identity.
-    spans, outs, pairs = [span], [len(lists[0])], [0]
+    # Per prefix of j lists: its span, its sum count, the pairs folding
+    # it adds and the most sums that two of the fold's sets hold at once;
+    # the copies of each list so far, by identity.
+    spans, outs, pairs, pair = [span], [len(lists[0])], [0], [0]
     copies = {id(lists[0]): [len(lists[0]), 1]}
     for ints in lists[1:]:
         span += ints[-1] - ints[0]
@@ -462,6 +478,7 @@ def _plan_support(
         spans.append(span)
         pairs.append(pairs[-1] + outs[-1] * len(ints))
         outs.append(min(outs[-1] * len(ints), span, multisets))
+        pair.append(max(pair[-1], outs[-1] + (outs[-2] if len(outs) > 2 else 0)))
     k, kept = len(lists), outs[-1] * DICT_ENTRY_BYTES
 
     def run(s: int) -> Callable[[], Any]:
@@ -472,8 +489,9 @@ def _plan_support(
         return lambda: kernels.support_sizes(lists, s, first)
 
     ranks = 0 if queries is None else len(queries) * _RANK_BYTES
-    rows = {k: (kept + ranks, _BITS_PER_PAIR * pairs[-1], run(k))}
-    read = 2 * span + kept if elements else ranks
+    fold = pair[-1] * _SET_SUM_BYTES + ranks + _SUPPORT_ROW_BYTES
+    rows = {k: (fold, _BITS_PER_PAIR * pairs[-1], run(k))}
+    read = (2 * span + kept if elements else ranks) + _SUPPORT_ROW_BYTES
     digits = -(-span // sys.int_info.bits_per_digit)
     masks = _HELD_MASKS * digits * sys.int_info.sizeof_digit
     bits = _DECODE_BIT * span if elements else 0
@@ -486,9 +504,10 @@ def _plan_support(
             passed += spans[s]
         bits += passed * (_WIDE_BIT if spans[s] >= _WIDE_MASK else 1)
         # The caller keeps the fold's set through the first ORs.
-        held = outs[s - 1] * DICT_ENTRY_BYTES if s > 1 else 0
+        held = outs[s - 1] * _SET_SUM_BYTES if s > 1 else 0
+        fold = max(pair[s - 1] * _SET_SUM_BYTES, held + masks)
         cost = _BITS_PER_PAIR * (pairs[s - 1] + _PAIRS_PER_SUM * outs[s - 1]) + bits
-        rows[s] = (held + masks + read, cost, run(s))
+        rows[s] = (fold + read, cost, run(s))
     return rows
 
 

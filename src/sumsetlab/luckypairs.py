@@ -43,6 +43,10 @@ from .engine import choose, representation, signed_sumset, sumset_ranks
 from .errors import DomainError, InputError, VerificationError
 from .intmath import ceil_div, ceil_root
 
+# What a census holds whatever its shape: numpy's temporaries and the
+# arrays' headers (about 10 kB measured on numpy 2, Python 3.11).
+_CENSUS_BYTES = 16384
+
 
 class TripleSumset:
     """B + B - B: its size and the rank of each element of B in it (the
@@ -305,9 +309,11 @@ def lucky_census(
     per interval, whose arrays do not depend on the span.  The
     multiplicities found for x must add up to r_x from
     ``representation``, or VerificationError is raised (always on).  The
-    table, its arrays, the walk of the widest interval and the rows are
-    estimated against the budget before any is built (ResourceError);
-    the index table fits in what the walk's charge per query spares.
+    table, its arrays, the queries of the widest interval and the rows
+    are estimated against the budget before any is built, and the table
+    entries that each interval visits, which its ranked queries count,
+    before they are expanded (ResourceError); the index table fits in
+    what the walk's charge per query spares.
 
     The lower bound column is r_x - k * t**(k-1), the hyperplane-based
     guarantee (may be negative for thin sums; found pairs always meet it).
@@ -353,25 +359,27 @@ def lucky_census(
     # [-span * prefix_cells, (span + 1) * prefix_cells].
     offsets_fit = (span + 1) * prefix_cells < 2**63
     # The table has at most one entry per tuple of the first k-1 axes and
-    # is held beside the level it folds from; as arrays it is a code, a
-    # cell, a key and a count per entry, and a sort.  The widest
-    # last-axis interval's walk holds per rich sum and element a query, a
-    # rank and a hit.  It visits each table entry at most once per
-    # element, and each entry it visits counts at least one of the rich
-    # sums' solutions; per visit it holds a few arrays.  Each rich sum's
+    # per partial sum and cell prefix, and is held beside the level it
+    # folds from; as arrays it is a code, a cell, a key and a count per
+    # entry, and a sort.  The widest last-axis interval's walk holds per
+    # rich sum and element a query, a rank and a hit.  Each rich sum's
     # row takes about 320 bytes.  An offset past int64 is a Python int of
-    # about 40 bytes behind its 8-byte reference.
+    # about 40 bytes behind its 8-byte reference.  Each table entry that
+    # an interval's walk visits holds a few arrays; their number is known
+    # once the walk has ranked its queries, and charged then.
     tuples = prod(len(B) for B in B_list[:-1])
     item = 8 if offsets_fit else 48
     widest = max(map(len, by_interval.values()))
-    visits = min(widest * tuples, sum(wanted))
-    census_bytes = (
-        (tuples + tuples // len(B_list[-2])) * DICT_ENTRY_BYTES
-        + tuples * (3 * item + 24)
-        + len(wanted) * (widest * (2 * item + 24) + 320)
-        + visits * (2 * item + 64)
+    entries = min(tuples, (key_top + 1) * prefix_cells)
+    folded_from = min(
+        tuples // len(B_list[-2]),
+        (key_top - max(v for v, _ in axes[-2]) + 1) * (prefix_cells // partition.axes[-2].t),
     )
-    choose({"table": (census_bytes, 0)}, "auto", mem_budget, "lucky census table")
+    walk_bytes = len(wanted) * (widest * (2 * item + 24) + 320) + _CENSUS_BYTES
+    table_bytes = (entries + folded_from) * DICT_ENTRY_BYTES + entries * (3 * item + 24)
+    choose(
+        {"table": (table_bytes + walk_bytes, 0)}, "auto", mem_budget, "lucky census table"
+    )
 
     # The table maps partial sum * cells + cell to its multiplicity, where
     # a cell is the mixed-radix integer of its interval indices on the axes
@@ -424,6 +432,7 @@ def lucky_census(
         # The last key again, so that a rank past the end compares unequal.
         keys = np.append(keys, keys[-1:])
     totals, found, occupied = np.zeros((3, len(wanted)), np.int64)
+    held = len(table) * (DICT_ENTRY_BYTES + 3 * item + 24) + walk_bytes
     for last in by_interval.values():
         last = np.array(last, offset)
         if rank_of is not None:
@@ -439,6 +448,10 @@ def lucky_census(
         rank = rank[hit]
         start = first[rank]
         lengths = first[rank + 1] - start
+        visits = int(lengths.sum())
+        choose(
+            {"walk": (held + visits * (2 * item + 64), 0)}, "auto", mem_budget, "lucky census walk"
+        )
         # Every table entry of every (x, b) that hits, x by x.
         entry = np.repeat(start + lengths - lengths.cumsum(), lengths)
         entry += np.arange(len(entry))

@@ -846,10 +846,54 @@ def _walked_cases(draw):
     return A, j, draw(st.sampled_from(["+" * j, "-" * j]))
 
 
+@st.composite
+def _weighted_dicts(draw):
+    """(count dict, weight) lists as ``kernels.class_moments`` takes them,
+    each dict of one kind: every count 1; a few distinct counts; a
+    sample's worth of ones, then more distinct counts than the runs
+    that are bisected; or a few counts past 2**63.  Dicts run from empty
+    to three times the sample, and their keys overlap."""
+    sample, runs = kernels._SAMPLE, kernels._RUNS
+    classes = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["ones", "few", "tail", "huge"]))
+        size = draw(st.integers(0, 3 * sample))
+        if kind == "ones":
+            counts = [1] * size
+        elif kind == "tail":
+            tail = st.lists(st.integers(2, 10**6), min_size=runs + 1, max_size=40, unique=True)
+            counts = [1] * sample + draw(tail)
+        else:
+            values = st.integers(1, 60) if kind == "few" else st.integers(2**63 - 2, 2**70)
+            pool = draw(st.lists(values, min_size=1, max_size=3))
+            counts = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+        start = draw(st.integers(-100, 100))
+        keys = draw(st.permutations(range(start, start + len(counts))))
+        classes.append((dict(zip(keys, counts)), draw(st.integers(1, 5040))))
+    return classes
+
+
 class TestEnergyWalk:
     """energy_T of a mitm root: a multiset node's classes from
     ``kernels.self_sum_classes``, reduced by ``kernels.class_moments``
     without building r_{jA}."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_weighted_dicts())
+    def test_moments_are_those_of_the_weighted_sum(self, classes):
+        total = Counter()
+        for counts, w in classes:
+            for x, c in counts.items():
+                total[x] += w * c
+        mass = sum(w * sum(counts.values()) for counts, w in classes)
+        assert kernels.class_moments(classes) == (mass, sum(c * c for c in total.values()))
+
+    def test_classes_of_many_distinct_counts(self):
+        # Six copies of 12 consecutive ints: one merged dict of 67 sums
+        # whose counts take 34 values, past the sample's few.
+        A = gen_interval(12)
+        want = engine.energy_of(representation([A] * 6, algo="mitm"), [A] * 6)
+        assert energy_T([A] * 6, algo="mitm") == want
 
     @settings(max_examples=150, deadline=None)
     @given(_walked_cases())
@@ -1213,15 +1257,22 @@ def _rank_sets() -> dict[str, OrderedSet]:
 
 RANK_SETS = _rank_sets()
 
-# (n, spread, answer) of test_every_rank_row_covers_its_peak.  The elements
-# run on the narrow sets only: their decode makes one int per bit of span,
-# which tracemalloc slows to about 0.8 us each, 10 s a row at 2**21.
+# (seed, size, spread, signs, answer) of test_every_rank_row_covers_its_peak,
+# one random set's copies under the signs.  The elements run on the narrow
+# sets only: their decode makes one int per bit of span, which tracemalloc
+# slows to about 0.8 us each, 10 s a row at 2**21.  The 50-element sets are
+# folds whose sets, not masks, make the peak: under +--- row 4 builds a set
+# of 7,558 sums beside one of 5,431.
 _PEAK_SETS = [(30, 2**10), (30, 2**18), (12, 2**21), (60, 2**12)]
 _PEAK_CASES = [
-    pytest.param(n, spread, answer, id=f"{n}-{spread}" + f"-{answer}" * (answer != "ranks"))
+    pytest.param(n, n, spread, "++-", answer, id=f"{n}-{spread}" + f"-{answer}" * (answer != "ranks"))
     for answer in ("ranks", "sizes_from_2", "size", "values")
     for n, spread in _PEAK_SETS
     if answer != "values" or spread <= 2**12
+] + [
+    pytest.param(1, 50, 2**10, signs, answer, id=f"50-1024-{signs}-{answer}")
+    for signs in ("+---", "++-")
+    for answer in ("sizes_from_2", "size")
 ]
 
 
@@ -1335,7 +1386,8 @@ class TestRankPath:
         # The lucky_k3 shape.  Each rank row costs what the size row costs
         # and holds its bytes and 40 bytes a rank; its bitset row (switch
         # point 1), the least, holds four masks of the span at once, each
-        # an int of its 4,480-odd bits: 4 * 600 + 34 * 40 with 30-bit digits.
+        # an int of its 4,480-odd bits, and the row's fixed part:
+        # 4 * 600 + 1024 + 34 * 40 with 30-bit digits.
         B = generate(parse_family("rsc:n=34,s=1,seed=0,gap=4"))
         lists, _ = engine._signed_ints([B] * 3, (1, 1, -1))
         digits = -(-engine._span(lists) // sys.int_info.bits_per_digit)
@@ -1349,7 +1401,7 @@ class TestRankPath:
             s: row[0] + 34 * 40 for s, row in sizes.items()
         }
         least = min(bytes_ for bytes_, *_ in plans.values())
-        assert least == plans[1][0] == 4 * mask + 34 * 40
+        assert least == plans[1][0] == 4 * mask + engine._SUPPORT_ROW_BYTES + 34 * 40
         ran = []
         real = kernels.support_ranks
         monkeypatch.setattr(
@@ -1363,22 +1415,24 @@ class TestRankPath:
         assert len(TripleSumset(B, mem_budget=least)) == size
         assert ran == [1]
 
-    @pytest.mark.parametrize("n,spread,answer", _PEAK_CASES)
-    def test_every_rank_row_covers_its_peak(self, n, spread, answer):
+    @pytest.mark.parametrize("seed,n,spread,signs,answer", _PEAK_CASES)
+    def test_every_rank_row_covers_its_peak(self, seed, n, spread, signs, answer):
         # tracemalloc's peak of each row of each answer, run alone, is
-        # within its bytes.  Where the masks dominate, the bitset row
-        # peaks past two masks.  A size row charges nothing per answer, so
-        # a row of a few kB may peak past it by the interpreter's fixed
-        # part (the generator, its frame, the ints' headers, the result
-        # list): the 3,072-byte bitset row of the 2**10 set peaks at 3,756.
+        # within its bytes, the interpreter's fixed part included (the
+        # generator, its frame, the ints' headers, the result list): the
+        # bitset row of the 2**10 set holds 3,072 bytes of masks and
+        # peaks at about 3,800.  Where the masks dominate, the bitset row
+        # peaks past two masks; where the fold's sets do, the fold row
+        # peaks past its last set, as it builds that set beside the one
+        # before it.
         import tracemalloc
 
-        B = random_integer_set(SplitMix64(n), n, spread=spread)
-        lists, _ = engine._signed_ints([B] * 3, (1, 1, -1))
+        B = random_integer_set(SplitMix64(seed), n, spread=spread)
+        k = len(signs)
+        lists, _ = engine._signed_ints([B] * k, engine.parse_signs(signs, k))
         queries = B.ints if answer == "ranks" else None
-        first = 2 if answer == "sizes_from_2" else 3
+        first = 2 if answer == "sizes_from_2" else k
         plans = engine._plan_support(lists, answer == "values", first, queries)
-        fixed = 0 if answer == "ranks" else 1024
         peaks = {}
         for s in plans:
             tracemalloc.start()
@@ -1387,7 +1441,11 @@ class TestRankPath:
                 peaks[s] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert all(peaks[s] <= plans[s][0] + fixed for s in plans), (peaks, plans)
+        assert all(peaks[s] <= plans[s][0] for s in plans), (peaks, plans)
+        if n == 50:
+            # The fold row peaks past its last set alone.
+            last = len(kernels.support_values(lists, k)) * core.DICT_ENTRY_BYTES
+            assert peaks[k] > 1.2 * last
         if spread >= 2**18:
             assert peaks[1] > 2 * (engine._span(lists) // 8) + len(queries or ()) * 40
 
