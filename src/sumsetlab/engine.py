@@ -458,7 +458,9 @@ def _plan_support(
     masks of the whole span at once, each charged at CPython's size of
     an int of that many bits, and is charged the larger of that and its
     fold's pair.  Each int set is charged ``_SET_SUM_BYTES`` per sum.
-    Every row adds ``_SUPPORT_ROW_BYTES``, and an answer what its own
+    Row k is charged at least ``DICT_ENTRY_BYTES`` per sum of the whole,
+    for the sorted list that elements and ranks read: at k = 1 that list,
+    a copy of the input, is all that the row builds.  Every row adds ``_SUPPORT_ROW_BYTES``, and an answer what its own
     read holds: decoding the elements two bytes per bit of span and one
     output entry per sum, ranks ``_RANK_BYTES`` per query, on every row.
     Ranks are priced as the whole size is, one more pass over the last
@@ -489,7 +491,7 @@ def _plan_support(
         return lambda: kernels.support_sizes(lists, s, first)
 
     ranks = 0 if queries is None else len(queries) * _RANK_BYTES
-    fold = pair[-1] * _SET_SUM_BYTES + ranks + _SUPPORT_ROW_BYTES
+    fold = max(pair[-1] * _SET_SUM_BYTES, kept) + ranks + _SUPPORT_ROW_BYTES
     rows = {k: (fold, _BITS_PER_PAIR * pairs[-1], run(k))}
     read = (2 * span + kept if elements else ranks) + _SUPPORT_ROW_BYTES
     digits = -(-span // sys.int_info.bits_per_digit)

@@ -53,13 +53,11 @@ its weight into the accumulator.
 :func:`class_moments` reduces such (count dict, weight) pairs: the mass
 and the sum of squares of their weighted sum, from each dict's sum and
 squares and the dot product of each pair over their shared keys, so its
-cost is linear in their entries.  A dict whose first 64 counts take at
-most two values, as the unit classes do where nearly every count is 1,
-is sorted once in C and read as runs of equal counts: each of its first
-four runs, found by one ``bisect_right``, adds its count and its square
-times its length, and what lies past them is summed one count at a
-time.  Any other dict, whose sort would cost more than it saves, is
-summed one count at a time: its sum, then its squares.
+cost is linear in their entries.  Each dict's counts are sorted once in
+C and read as runs of equal counts, as the unit classes take few values
+with nearly every count 1: each of the first four runs, found by one
+``bisect_right``, adds its count and its square times its length, and
+whatever lies past them is summed one count at a time.
 
 The support kernel (:func:`support_sizes`, :func:`support_values`,
 :func:`support_ranks`) computes the set S = A_1 + ... + A_k of signed
@@ -99,7 +97,7 @@ from collections import Counter
 from itertools import chain, combinations, compress, islice, repeat, tee
 from math import comb, factorial
 from operator import add, mul
-from typing import Any, Collection, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 # The sums that one C-level merge or count takes between two returns to the
 # interpreter, so that a signal handler (Ctrl-C) runs between them.
@@ -273,18 +271,15 @@ class _Compositions:
                 self.place(list(self.ahead((m,), tail, c)), c + 1, (), s + m, w)
 
 
-# _count_moments sorts counts whose first _SAMPLE (in insertion order) take
-# at most _FEW values, and bisects at most _RUNS runs of equal counts.
-_SAMPLE, _FEW, _RUNS = 64, 2, 4
+# _count_moments bisects at most _RUNS runs of equal counts.
+_RUNS = 4
 
 
-def _count_moments(counts: Collection[int]) -> tuple[int, int]:
-    """(sum, sum of squares) of ``counts``.  Where a sample says that they
-    take few values, they are sorted once and each of the first ``_RUNS``
-    runs of equal counts c, of length m, adds c * m and c * c * m; what
-    is left past those runs is summed one count at a time."""
-    if len(set(islice(counts, _SAMPLE))) > _FEW:
-        return sum(counts), sum(map(mul, counts, counts))
+def _count_moments(counts: Iterable[int]) -> tuple[int, int]:
+    """(sum, sum of squares) of ``counts``: sorted once, each of the first
+    ``_RUNS`` runs of equal counts c, of length m, adds c * m and
+    c * c * m, and what is left past those runs is summed one count at a
+    time."""
     ordered = sorted(counts)
     total = square = i = 0
     for _ in range(_RUNS):
@@ -303,12 +298,10 @@ def class_moments(classes: Sequence[tuple[dict, int]]) -> tuple[int, int]:
     """(mass, sum of squares) of the count dict that is the sum of w * d
     over the (count dict d, weight w) pairs ``classes``, without building
     it: each dict's sum and squares of counts (:func:`_count_moments`, by
-    runs of equal counts after one sort where a sample of its counts
-    takes at most two values, else one count at a time), and the dot
-    product of each pair of dicts over the keys they share, which the key
-    views' intersection finds by walking the smaller dict.  Either way the
-    mass is summed from the counts, so the caller's mass check reads
-    them."""
+    runs of equal counts after one sort), and the dot product of each
+    pair of dicts over the keys they share, which the key views'
+    intersection finds by walking the smaller dict.  The mass is summed
+    from the counts, so the caller's mass check reads them."""
     mass = squares = 0
     for i, (d, w) in enumerate(classes):
         total, square = _count_moments(d.values())

@@ -849,20 +849,20 @@ def _walked_cases(draw):
 @st.composite
 def _weighted_dicts(draw):
     """(count dict, weight) lists as ``kernels.class_moments`` takes them,
-    each dict of one kind: every count 1; a few distinct counts; a
-    sample's worth of ones, then more distinct counts than the runs
-    that are bisected; or a few counts past 2**63.  Dicts run from empty
-    to three times the sample, and their keys overlap."""
-    sample, runs = kernels._SAMPLE, kernels._RUNS
+    each dict of one kind: every count 1; a few distinct counts; many
+    ones, then more distinct counts than the runs that are bisected, so
+    that the remainder pass runs; or a few counts past 2**63.  Dicts run
+    from empty to 192 entries, and their keys overlap."""
+    runs = kernels._RUNS
     classes = []
     for _ in range(draw(st.integers(0, 4))):
         kind = draw(st.sampled_from(["ones", "few", "tail", "huge"]))
-        size = draw(st.integers(0, 3 * sample))
+        size = draw(st.integers(0, 192))
         if kind == "ones":
             counts = [1] * size
         elif kind == "tail":
             tail = st.lists(st.integers(2, 10**6), min_size=runs + 1, max_size=40, unique=True)
-            counts = [1] * sample + draw(tail)
+            counts = [1] * size + draw(tail)
         else:
             values = st.integers(1, 60) if kind == "few" else st.integers(2**63 - 2, 2**70)
             pool = draw(st.lists(values, min_size=1, max_size=3))
@@ -890,7 +890,7 @@ class TestEnergyWalk:
 
     def test_classes_of_many_distinct_counts(self):
         # Six copies of 12 consecutive ints: one merged dict of 67 sums
-        # whose counts take 34 values, past the sample's few.
+        # whose counts take 34 values, most of them past the bisected runs.
         A = gen_interval(12)
         want = engine.energy_of(representation([A] * 6, algo="mitm"), [A] * 6)
         assert energy_T([A] * 6, algo="mitm") == want
@@ -1273,6 +1273,10 @@ _PEAK_CASES = [
     pytest.param(1, 50, 2**10, signs, answer, id=f"50-1024-{signs}-{answer}")
     for signs in ("+---", "++-")
     for answer in ("sizes_from_2", "size")
+] + [
+    # k = 1: the one row sorts a copy of the input, its only allocation.
+    pytest.param(1, 2000, 2**16, "+", answer, id=f"2000-65536-+-{answer}")
+    for answer in ("ranks", "values")
 ]
 
 

@@ -473,22 +473,26 @@ class TestCensusMemory:
         ],
     )
     def test_peak_within_table_charge(self, monkeypatch, family, k, r, c):
-        # What the census allocates from its first budget row on (the
-        # table, the count matrix, the walk and the rows) stays within
-        # the largest of its rows: the table's, and each interval's walk,
-        # charged once its visits are counted.  That charge is at most
-        # four times the peak.
+        # What the census allocates from each budget row to the next (or
+        # to its end) stays within that row's bytes: the table's row
+        # covers the table's build and the first interval's queries, and
+        # each interval's walk row, charged once its visits are counted,
+        # covers that walk.  The largest charge is at most four times the
+        # census's peak.
         import numpy  # noqa: F401  (imported before tracing starts)
 
         real_choose = luckypairs.choose
-        charged = []
+        charged, peaks = [], []
 
         def charge(plans, algo, mem_budget, what):
             if what.startswith("lucky census"):
                 ((bytes_, _),) = plans.values()
-                charged.append((bytes_, tracemalloc.get_traced_memory()[0]))
-                if len(charged) == 1:
-                    tracemalloc.reset_peak()
+                # What the census holds at its first row, then each
+                # row's peak as the next one comes.
+                current, peak = tracemalloc.get_traced_memory()
+                peaks.append(peak if charged else current)
+                charged.append(bytes_)
+                tracemalloc.reset_peak()
             return real_choose(plans, algo, mem_budget, what)
 
         monkeypatch.setattr(luckypairs, "choose", charge)
@@ -496,11 +500,13 @@ class TestCensusMemory:
         tracemalloc.start()
         try:
             rows = lucky_census([B] * k, [IDENTITY] * k, r, c)
-            peak = tracemalloc.get_traced_memory()[1]
+            peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        estimate, held = max(bytes_ for bytes_, _ in charged), charged[0][1]
-        assert rows and peak - held <= estimate <= 4 * (peak - held), (peak - held, charged)
+        held, peaks = peaks[0], [peak - peaks[0] for peak in peaks[1:]]
+        assert rows and len(charged) >= 2, charged
+        assert all(p <= c for p, c in zip(peaks, charged)), (peaks, charged, held)
+        assert max(charged) <= 4 * max(peaks), (peaks, charged)
 
 
 def _enumerate_cells(boundaries, C):
