@@ -51,9 +51,9 @@ from typing import Callable
 from . import bounds, engine, luckypairs
 from .convexity import IDENTITY, convexity_order, parse_function
 from .core import (
-    DEFAULT_MEMORY_BUDGET, OrderedSet, conversion_error, read_set, write_set,
+    DEFAULT_MEMORY_BUDGET, OrderedSet, charge, conversion_error, read_set, write_set,
 )
-from .errors import ResourceError, SumsetLabError
+from .errors import SumsetLabError
 from .families import format_family, generate, parse_family
 from .reporting import (
     cannot_write,
@@ -446,9 +446,7 @@ def run(argv=None) -> int:
                 # One provenance dict per copy of the set, charged once the
                 # copies' computation has freed its own bytes.
                 held = rendered_copies(args.k, payload["inputs"][0])
-                if held > args.mem:
-                    what = f"inputs field of {args.k} copies"
-                    raise ResourceError(held, args.mem, what)
+                charge(held, args.mem, f"inputs field of {args.k} copies")
             text = render_json(payload)
         else:
             text = csv()

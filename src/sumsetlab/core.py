@@ -73,7 +73,7 @@ from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence, TextIO, Union
 
 from . import kernels
-from .errors import InputError
+from .errors import InputError, ResourceError
 
 Rational = Fraction
 Scalar = Union[int, Fraction]
@@ -84,6 +84,18 @@ DEFAULT_MEMORY_BUDGET = 2**32
 # Rough per-entry cost of a Python dict holding scalar keys and counts,
 # used only for pre-allocation estimates.
 DICT_ENTRY_BYTES = 120
+
+
+def charge(bytes_: int, mem_budget: int | None, what: str) -> int:
+    """Charge an estimate of ``bytes_``, made before anything is
+    allocated, to ``mem_budget`` (``DEFAULT_MEMORY_BUDGET`` when None),
+    and return that budget.  An estimate equal to the budget fits; a
+    larger one raises ResourceError, naming ``what``: the only place
+    that raises it."""
+    budget = DEFAULT_MEMORY_BUDGET if mem_budget is None else mem_budget
+    if bytes_ > budget:
+        raise ResourceError(bytes_, budget, what)
+    return budget
 
 
 def _array_mass(c) -> int:

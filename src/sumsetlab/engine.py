@@ -52,14 +52,15 @@ table holds only the rows that can run: the planned entry lists mitm
 and dense always, and naive only when it is asked for by name.  One rule
 picks the row, in ``choose``, which reads only the estimates: ``auto``
 takes the cheapest candidate whose bytes fit the memory budget (default
-4 GiB), ties going to the candidate listed first, an explicit algorithm
-is the only candidate, and ResourceError is raised when nothing fits.
-The caller then runs the row it names.
-Rows serve the representation algorithms and the support kernel's
-switch points; the lucky census table (``luckypairs``) and ``check_copies``,
-which ``cli`` and ``bounds`` call before they build k copies of a set,
-hand ``choose`` a bare (bytes, cost).  One set (k = 1)
-is planned and checked against the budget like several.  All modes
+4 GiB), ties going to the candidate listed first, and an explicit
+algorithm is the only candidate.  The least estimate is charged first
+(``core.charge``, the one place that raises ResourceError), so nothing
+runs when nothing fits.  The caller then runs the row it names.  Rows
+serve the representation algorithms and the support kernel's switch
+points; ``check_copies``, which ``cli`` and ``bounds`` call before they
+build k copies of a set, and the lucky census (``luckypairs``) charge
+their estimates directly.  One set (k = 1) is planned and checked
+against the budget like several.  All modes
 agree exactly and are cross-checked in the test suite.  A kept result
 skips the container's input checks, which the kernels meet by
 construction; its mass is checked against the product of the set
@@ -146,15 +147,15 @@ from typing import Any, Callable, Iterable, Iterator, Sequence, Union
 
 from . import kernels
 from .core import (
-    DEFAULT_MEMORY_BUDGET,
     DICT_ENTRY_BYTES,
     OrderedSet,
     SparseCounts,
+    charge,
     common_ints,
     mass_of_squares,
     rich_tail,
 )
-from .errors import InputError, ResourceError, VerificationError
+from .errors import InputError, VerificationError
 
 Signs = Union[str, Sequence[int], None]
 # A planner cost, exact.
@@ -513,38 +514,30 @@ def _plan_support(
     return rows
 
 
-def choose(
-    plans: dict[Any, Row | tuple[int, Cost]],
-    algo: str,
-    mem_budget: int | None,
-    what: str,
-) -> str:
+def choose(plans: dict[Any, Row], algo: str, mem_budget: int | None, what: str) -> str:
     """The path a budgeted computation runs, picked from ``plans``, which
-    maps each candidate that can run to its row or its bare (bytes,
-    cost); only the estimate is read.
+    maps each candidate that can run to its row; only the estimate is
+    read.
 
     Under ``"auto"`` the cheapest candidate whose bytes fit the budget
     (default ``DEFAULT_MEMORY_BUDGET``) is returned, ties going to the
     one listed first; otherwise ``algo`` is the only candidate, named
-    ``what[algo]`` in an error.  Raises ResourceError with the least
-    estimate, before anything is allocated, when no candidate fits.
+    ``what[algo]`` in an error.  The least estimate is charged first
+    (``charge``), so ResourceError is raised, before anything is
+    allocated, when no candidate fits.
     """
-    budget = DEFAULT_MEMORY_BUDGET if mem_budget is None else mem_budget
     if algo != "auto":
         plans, what = {algo: plans[algo]}, f"{what}[{algo}]"
+    budget = charge(min(bytes_ for bytes_, *_ in plans.values()), mem_budget, what)
     fits = [name for name, (bytes_, *_) in plans.items() if bytes_ <= budget]
-    if not fits:
-        raise ResourceError(min(bytes_ for bytes_, *_ in plans.values()), budget, what)
     return min(fits, key=lambda name: plans[name][1])
 
 
 def check_copies(k: int, lists: int, mem_budget: int | None) -> None:
-    """Charge the budget, before any is built, for ``lists`` lists of
-    ``k`` references each held at once, 8 bytes a reference: the k
-    copies of one set that a k-fold computation passes down.  Raises
-    ResourceError when they do not fit."""
-    bytes_ = 8 * lists * max(k, 0)
-    choose({"copies": (bytes_, 0)}, "auto", mem_budget, f"{k} copies of the set")
+    """Charge the budget (``charge``), before any is built, for ``lists``
+    lists of ``k`` references each held at once, 8 bytes a reference:
+    the k copies of one set that a k-fold computation passes down."""
+    charge(8 * lists * max(k, 0), mem_budget, f"{k} copies of the set")
 
 
 # ---------------------------------------------------------------------------

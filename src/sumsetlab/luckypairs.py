@@ -38,8 +38,8 @@ from operator import sub
 from typing import NamedTuple, Sequence
 
 from .convexity import FunctionSpec, evaluate
-from .core import DICT_ENTRY_BYTES, OrderedSet, Scalar, canon
-from .engine import choose, representation, signed_sumset, sumset_ranks
+from .core import DICT_ENTRY_BYTES, OrderedSet, Scalar, canon, charge
+from .engine import representation, signed_sumset, sumset_ranks
 from .errors import DomainError, InputError, VerificationError
 from .intmath import ceil_div, ceil_root
 
@@ -308,12 +308,13 @@ def lucky_census(
     numpy's ``isin`` for its table); elsewhere by one ``searchsorted``
     per interval, whose arrays do not depend on the span.  The
     multiplicities found for x must add up to r_x from
-    ``representation``, or VerificationError is raised (always on).  The
-    table, its arrays, the queries of the widest interval and the rows
-    are estimated against the budget before any is built, and the table
+    ``representation``, or VerificationError is raised (always on).  Each
+    level of the table is charged (``charge``) before it is built, once
+    the level it folds from is known: both levels, the new one's arrays,
+    the queries of the widest interval and the rows; and the table
     entries that each interval visits, which its ranked queries count,
-    before they are expanded (ResourceError); the index table fits in
-    what the walk's charge per query spares.
+    before they are expanded.  The index table fits in what the walk's
+    charge per query spares.
 
     The lower bound column is r_x - k * t**(k-1), the hyperplane-based
     guarantee (may be negative for thin sums; found pairs always meet it).
@@ -358,36 +359,33 @@ def lucky_census(
     # Every code, query and key below lies in
     # [-span * prefix_cells, (span + 1) * prefix_cells].
     offsets_fit = (span + 1) * prefix_cells < 2**63
-    # The table has at most one entry per tuple of the first k-1 axes and
-    # per partial sum and cell prefix, and is held beside the level it
-    # folds from; as arrays it is a code, a cell, a key and a count per
-    # entry, and a sort.  The widest last-axis interval's walk holds per
-    # rich sum and element a query, a rank and a hit.  Each rich sum's
+    # Each level of the table has at most one entry per tuple of the axes
+    # folded into it and per partial sum and cell prefix, and is built
+    # beside the level it folds from, whose size is known by then: each is
+    # charged before it is built.  As arrays the table is a code, a cell, a
+    # key and a count per entry, and a sort; every level is charged them
+    # as if it were the last.  The widest last-axis interval's walk holds
+    # per rich sum and element a query, a rank and a hit.  Each rich sum's
     # row takes about 320 bytes.  An offset past int64 is a Python int of
     # about 40 bytes behind its 8-byte reference.  Each table entry that
     # an interval's walk visits holds a few arrays; their number is known
     # once the walk has ranked its queries, and charged then.
-    tuples = prod(len(B) for B in B_list[:-1])
     item = 8 if offsets_fit else 48
     widest = max(map(len, by_interval.values()))
-    entries = min(tuples, (key_top + 1) * prefix_cells)
-    folded_from = min(
-        tuples // len(B_list[-2]),
-        (key_top - max(v for v, _ in axes[-2]) + 1) * (prefix_cells // partition.axes[-2].t),
-    )
     walk_bytes = len(wanted) * (widest * (2 * item + 24) + 320) + _CENSUS_BYTES
-    table_bytes = (entries + folded_from) * DICT_ENTRY_BYTES + entries * (3 * item + 24)
-    choose(
-        {"table": (table_bytes + walk_bytes, 0)}, "auto", mem_budget, "lucky census table"
-    )
 
     # The table maps partial sum * cells + cell to its multiplicity, where
     # a cell is the mixed-radix integer of its interval indices on the axes
-    # folded so far, and cells is their count.
+    # folded so far, and cells is their count; top is the largest partial
+    # sum so far.
     table: dict = {0: 1}
-    cells = 1
+    cells, top = 1, 0
     for axis, ax in zip(axes[:-1], partition.axes):
         cells *= ax.t
+        top += max(v for v, _ in axis)
+        new = min(len(table) * len(axis), (top + 1) * cells)
+        level_bytes = (len(table) + new) * DICT_ENTRY_BYTES + new * (3 * item + 24)
+        charge(level_bytes + walk_bytes, mem_budget, "lucky census table")
         steps = [v * cells + j for v, j in axis]
         folded: dict = {}
         for code, m in table.items():
@@ -449,9 +447,7 @@ def lucky_census(
         start = first[rank]
         lengths = first[rank + 1] - start
         visits = int(lengths.sum())
-        choose(
-            {"walk": (held + visits * (2 * item + 64), 0)}, "auto", mem_budget, "lucky census walk"
-        )
+        charge(held + visits * (2 * item + 64), mem_budget, "lucky census walk")
         # Every table entry of every (x, b) that hits, x by x.
         entry = np.repeat(start + lengths - lengths.cumsum(), lengths)
         entry += np.arange(len(entry))

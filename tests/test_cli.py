@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -21,6 +22,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sumsetlab
 from sumsetlab import (
@@ -32,6 +35,7 @@ from sumsetlab import (
     kernels,
     read_set,
 )
+from sumsetlab.bounds import BOUND_IDS
 from sumsetlab.cli import run
 from sumsetlab.core import OrderedSet, SparseCounts, format_element, moment_sum
 from sumsetlab.families import generate, parse_family
@@ -620,11 +624,12 @@ class TestPlannedRows:
              "sumset support: estimated 7484524 bytes exceeds budget 1000"),
             # The census representation and the ranks of B in the partition's
             # triple sumset (the bitset throughout: switch point 1) fit; the
-            # census does not: its table, its sorted arrays, the queries
-            # and rows of 45 rich sums, and a census's fixed 16 kB.
+            # census's first table level does not: its 10 entries beside the
+            # level of 1 it folds from, their sorted arrays, the queries and
+            # rows of 45 rich sums, and a census's fixed 16 kB.
             (["--mem", "5000", "lucky", "--k", "3", "--r", "2", "--g", "pow:2",
               "--family", "interval:n=10"], ["dense", "ranks 1 of 3"],
-             "lucky census table: estimated 66784 bytes exceeds budget 5000"),
+             "lucky census table: estimated 50584 bytes exceeds budget 5000"),
             (["sumset", "--k", "2", "--elements", "--family", "power:n=10,m=8"],
              ["support 2 of 2"], ""),
             (["sumset", "--k", "3", "--elements", "--family", "interval:n=40"],
@@ -668,6 +673,17 @@ class TestLucky:
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith("error: ") and "exceeds budget" in err
+
+    def test_table_charged_level_by_level_fits_a_tight_budget(self, capsys):
+        # Each table level is charged once the level it folds from is
+        # built, at that level's size: 1 MB holds this k = 5 census, which
+        # a bound on the whole table up front (1,536,496 bytes) refused.
+        argv = ["lucky", "--k", "5", "--r", "256", "--c", "2", "--format", "csv",
+                "--family", "rsc:n=10,s=1,seed=0,gap=4"]
+        code, out, err = _run(capsys, "--mem", "1000000", *argv)
+        assert (code, err) == (0, "")
+        assert out.count("\n") > 1
+        assert (code, out, err) == _run(capsys, *argv)
 
     def test_map_not_injective_exits_2(self, capsys):
         code, _, err = _run(
@@ -1504,3 +1520,95 @@ def test_no_command_prints_help(capsys):
     code, out, _ = _run(capsys)
     assert code == 2
     assert "usage:" in out
+
+
+# The CLI fuzz below draws, per option, how many times it is given (a
+# required one mostly once, --family and --set up to twice, any other
+# mostly not at all) and each value from its usual values three times in
+# four, else from its odd ones.  Inputs are small, so an argv that parses
+# runs in milliseconds, and a huge --k comes with a --mem far below its
+# copies.
+_OFTEN, _SELDOM = [1, 1, 1, 0], [0, 0, 1]
+_ODD_INTS = ["0", "-1", "-7", "x", "", "1.5", "0x10"]
+_FUZZ_OPTIONS = {
+    "--mem": (_SELDOM, ["1000000", str(10**40)], ["0", "-5", "x", "", "1e6", "1000"]),
+    "--algo": (_SELDOM, ["auto", "naive", "mitm", "dense"], ["fft"]),
+    "--format": (_SELDOM, ["json", "csv"], ["xml"]),
+    "--out": (_SELDOM, ["-"], ["no-such-directory/report.json"]),
+    "--seed": (_SELDOM, ["0", "7", str(2**70)], ["x", "1.5"]),
+    "--timings": (_SELDOM, None, None),
+    "--family": (
+        [1, 1, 1, 2, 0],
+        ["interval:n=6", "ap:n=5,base=-2", "power:n=6,m=2", "rsc:n=8,s=1,seed=0,gap=2",
+         "composed:f=poly:0,1/2,inner=interval:n=5"],
+        ["composed:f=root:2,inner=ap:n=5,base=-2", "power:m=2", "nosuch:n=3", "interval:n=-1",
+         "interval:n=0", "interval:n=x", "interval:n=3,n=4", "", ":"],
+    ),
+    "--set": ([0, 0, 0, 0, 1, 2], [], ["no-such-file.set", str(README)]),
+    "--k": (_SELDOM, ["1", "2", "3"], _ODD_INTS),
+    "--s": (_SELDOM, ["1", "2"], _ODD_INTS),
+    "--r": (_OFTEN, ["1", "2", "4"], [*_ODD_INTS, str(10**30)]),
+    "--c": (_SELDOM, ["1", "2"], [*_ODD_INTS, str(10**30)]),
+    "--signs": (_SELDOM, ["+-", "++-", "+"], ["-+", "", "+x", "+" * 9, "--", "+ -"]),
+    "--pattern": (_SELDOM, ["++-", "+-"], ["", "+x", "-+", "+" * 9]),
+    "--g": (_SELDOM, ["pow:2", "poly:0,1/2"], ["root:2", "poly:0,0,1", "bogus:1", ""]),
+    "--bound": (_OFTEN, list(BOUND_IDS), ["nosuch", ""]),
+    "--grid": (_OFTEN, ["4,8", "6"], ["", "a", "4,,8", "-4", "0", "3.5", "8,4"]),
+    "--elements": (_SELDOM, None, None),
+}
+_GLOBAL = ["--mem", "--algo", "--format", "--out", "--seed", "--timings"]
+_SUBCOMMANDS = {
+    "gen": [],
+    "analyze": ["--family", "--set"],
+    "energy": ["--family", "--set", "--k", "--signs"],
+    "spectrum": ["--family", "--set", "--k", "--signs"],
+    "sumset": ["--family", "--set", "--k", "--signs", "--elements"],
+    "doubling": ["--family", "--set", "--pattern"],
+    "lucky": ["--family", "--set", "--k", "--r", "--c", "--g"],
+    "fit": [],
+    "verify": ["--bound", "--family", "--grid", "--s", "--k", "--signs"],
+}
+_POINTS = ["8:512", "16:4096", "32:32768", "x:1", "8", "0:0", "-1:5", "8:512:1"]
+
+
+@st.composite
+def _odd_argv(draw):
+    """An argv of one subcommand and the global flags, each global flag
+    before or after the subcommand."""
+
+    def value(flag):
+        _, usual, odd = _FUZZ_OPTIONS[flag]
+        pool = draw(st.sampled_from([usual, usual, usual, odd])) if usual else odd
+        return draw(st.sampled_from(pool))
+
+    command = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    before, after = [], []
+    for flag in _GLOBAL + _SUBCOMMANDS[command]:
+        for _ in range(draw(st.sampled_from(_FUZZ_OPTIONS[flag][0]))):
+            place = before if flag in _GLOBAL and draw(st.booleans()) else after
+            place += [flag, value(flag)] if _FUZZ_OPTIONS[flag][2] else [flag]
+    if command == "gen":
+        after.append(value("--family"))
+    if command == "fit":
+        odd = st.lists(st.sampled_from(_POINTS), max_size=4)
+        after += draw(st.sampled_from([_POINTS[:3], _POINTS[:3], draw(odd)]))
+    if "--k" in _SUBCOMMANDS[command] and not draw(st.integers(0, 5)):
+        # Given last, these win over any --k and --mem above.
+        after += ["--k", str(10**12), "--mem", draw(st.sampled_from(["1000", "100000"]))]
+    return before + [command] + after
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(argv=_odd_argv())
+def test_cli_fuzz_exits_cleanly(argv):
+    # Every argv, however odd, exits 0, 1 or 2 without a traceback, and an
+    # exit 2 prints one error line and nothing else on stderr.
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("SUMSETLAB_MEM", raising=False)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+    assert code in (0, 1, 2), (argv, code)
+    if code == 2:
+        assert err.getvalue().startswith("error: "), (argv, err.getvalue())
+        assert err.getvalue().count("\n") == 1, (argv, err.getvalue())

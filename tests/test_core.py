@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from sumsetlab import (
     InputError,
     OrderedSet,
+    ResourceError,
     SparseCounts,
     convolve,
     make_set,
@@ -20,7 +21,7 @@ from sumsetlab import (
     read_set,
     write_set,
 )
-from sumsetlab.core import format_element, parse_element
+from sumsetlab.core import DEFAULT_MEMORY_BUDGET, charge, format_element, parse_element
 
 from conftest import brute_force_representation, random_integer_set
 
@@ -249,3 +250,20 @@ class TestSetFiles:
             fh.write("# nothing\n")
         with pytest.raises(InputError):
             read_set(path)
+
+
+class TestCharge:
+    def test_none_is_the_default_budget(self):
+        assert charge(DEFAULT_MEMORY_BUDGET, None, "x") == DEFAULT_MEMORY_BUDGET
+        with pytest.raises(ResourceError) as exc:
+            charge(DEFAULT_MEMORY_BUDGET + 1, None, "x")
+        assert exc.value.budget_bytes == DEFAULT_MEMORY_BUDGET
+
+    def test_equal_fits_and_one_byte_over_raises(self):
+        assert charge(1000, 1000, "table") == 1000
+        with pytest.raises(ResourceError) as exc:
+            charge(1001, 1000, "table")
+        assert str(exc.value) == "table: estimated 1001 bytes exceeds budget 1000"
+        assert (exc.value.estimated_bytes, exc.value.budget_bytes) == (1001, 1000)
+        with pytest.raises(ResourceError, match="^estimated 2 bytes exceeds budget 1$"):
+            charge(2, 1, "")
