@@ -11,11 +11,10 @@ failed; the first one is named), ``survived`` (every test passed) or
 ``error`` (pytest could not run the files), with the seconds taken; the
 last line gives the totals.  The copy is removed afterwards.
 
-    python3 tools/mutants.py            # every row
-    python3 tools/mutants.py census     # the rows whose name contains "census"
+    python3 tools/mutants.py
 
 Exits 1 when a mutant survives or pytest errs, and 2, running nothing,
-when a row is refused or no row is chosen.
+when a row is refused.
 """
 
 from __future__ import annotations
@@ -115,22 +114,21 @@ def run(m: Mutant) -> tuple[str, float]:
     return verdict, time.monotonic() - started
 
 
-def main(argv: list[str]) -> int:
-    chosen = [m for m in MUTANTS if not argv or any(a in m.name for a in argv)]
-    refused = check(chosen) if chosen else [f"no row's name contains any of {argv}"]
+def main() -> int:
+    refused = check(MUTANTS)
     if refused:
         for line in refused:
             print(f"refused: {line}", file=sys.stderr)
         return 2
     killed, total = 0, 0.0
-    for m in chosen:
+    for m in MUTANTS:
         verdict, seconds = run(m)
         killed += verdict.startswith("killed")
         total += seconds
         print(f"{seconds:6.1f} s  {verdict:<70}  {m.name}", flush=True)
-    print(f"{killed} of {len(chosen)} mutants killed in {total:.1f} s")
-    return 0 if killed == len(chosen) else 1
+    print(f"{killed} of {len(MUTANTS)} mutants killed in {total:.1f} s")
+    return 0 if killed == len(MUTANTS) else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
