@@ -366,9 +366,14 @@ def verify_bound(
     InputError (``expected 4 signs, got 2``, ``sign patterns are
     normalized to start with +``).
     """
+    entry = _CATALOGUE.get(bound_id)
+    reads = entry[0] if isinstance(entry, tuple) else None
+    # An s-indexed bound measures 2**s copies of a set, charged before
+    # ``predicted`` works out its exponents, whose time grows as s**2.
+    # Every s past 62 is refused alike, as 2**63 copies are.
+    if reads == "s" and s is not None and s >= 0:
+        check_copies(2 ** min(s, 63), 5, mem_budget)
     bound = predicted(bound_id, s=s, k=k)
-    entry = _CATALOGUE[bound_id]
-    reads = None if isinstance(entry, BoundSpec) else entry[0]
     for name, value in (("s", s), ("k", k)):
         if value is not None and name != reads:
             raise InputError(f"bound {bound_id} takes no parameter {name}")

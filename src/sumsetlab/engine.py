@@ -536,7 +536,11 @@ def choose(plans: dict[Any, Row], algo: str, mem_budget: int | None, what: str) 
 def check_copies(k: int, lists: int, mem_budget: int | None) -> None:
     """Charge the budget (``charge``), before any is built, for ``lists``
     lists of ``k`` references each held at once, 8 bytes a reference:
-    the k copies of one set that a k-fold computation passes down."""
+    the k copies of one set that a k-fold computation passes down.  A
+    count past ``sys.maxsize``, which no list can hold, is an InputError
+    that does not print it: it may be past the int/str digit limit."""
+    if k > sys.maxsize:
+        raise InputError(f"at most {sys.maxsize} copies of a set can be held")
     charge(8 * lists * max(k, 0), mem_budget, f"{k} copies of the set")
 
 

@@ -296,9 +296,11 @@ def lucky_census(
     count of the solutions.  Sorted into arrays, each partial sum's
     entries are one run: a sparse row of its counts per cell prefix.
     For each interval of the last axis, every rich sum x minus every
-    g_k(b_k) in that interval is ranked among the partial sums; the runs
-    that hit are expanded entry by entry, and one sort by (x, cell) adds
-    up x's multiplicity in each cell it occupies.  No solution tuple is
+    g_k(b_k) in that interval is ranked among the partial sums.  The
+    hits are taken once, by row-major position in the (x, b) matrix,
+    which gives each hit's rank and its x; the runs that hit are
+    expanded entry by entry, and one sort by (x, cell) adds up x's
+    multiplicity in each cell it occupies.  No solution tuple is
     ever listed, and the work follows the entries found, not the number
     of cells.  The arrays are int64 while every offset fits, Python ints
     (``dtype=object``) past that.  A query is ranked through an int32
@@ -436,14 +438,18 @@ def lucky_census(
         if rank_of is not None:
             # A row per rich sum x: the rank of x - b per element b.
             rank = rank_of.take(xs[:, None] - last, mode="clip")
-            hit = rank >= 0
+            hits = np.flatnonzero(rank >= 0)
         else:
             # A row per element b, each ascending, as searchsorted runs
             # fastest; transposed, a row per rich sum x.
             queries = xs - last[:, None]
             rank = np.searchsorted(keys[:-1], queries).T
-            hit = keys[rank] == queries.T
-        rank = rank[hit]
+            hits = np.flatnonzero(keys[rank] == queries.T)
+        # hits holds each hit's row-major position in the (x, b) matrix:
+        # its rank is read there, and its rich sum is the row, position //
+        # len(last).  Read by position, the transposed ranks are copied
+        # once.
+        rank = rank.take(hits)
         start = first[rank]
         lengths = first[rank + 1] - start
         visits = int(lengths.sum())
@@ -451,7 +457,7 @@ def lucky_census(
         # Every table entry of every (x, b) that hits, x by x.
         entry = np.repeat(start + lengths - lengths.cumsum(), lengths)
         entry += np.arange(len(entry))
-        owner = np.repeat(hit.nonzero()[0], lengths)
+        owner = np.repeat(hits // len(last), lengths)
         # Entries of one x in one cell add up to its multiplicity there.
         group = owner.astype(offset) * cells + cell_of[entry]
         order = np.argsort(group, kind="stable")

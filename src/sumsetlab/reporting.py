@@ -4,15 +4,14 @@ Energies overflow IEEE doubles long before they stop being interesting,
 so every integer in a JSON report is rendered as a decimal string.
 Rationals become "p/q" strings.  Keys are sorted and the byte stream
 carries no volatile content (timing is opt-in), so identical runs emit
-identical bytes.
+identical bytes.  A CSV row is one format string of its cells' ``str``,
+none quoted.
 """
 
 from __future__ import annotations
 
-import csv
 import errno
 import hashlib
-import io
 import json
 import os
 import sys
@@ -98,17 +97,14 @@ def spectrum_csv(sp: Spectrum) -> str:
 def rows_csv(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     """One CSV line per row, each cell its ``str``: for a Fraction that is
     ``format_element``'s "p/q" (an int when the denominator is 1), for a
-    float its shortest round-trip repr.  No report cell holds a comma, a
-    quote or a newline, so the writer quotes none, and none is None,
-    which it would write as empty."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
+    float its shortest round-trip repr.  Each row, a list or any tuple, is
+    rendered by one ``%s`` format string, not by ``csv.writer``: no report
+    cell holds a comma, a quote or a newline, so no cell is quoted."""
+    line = ",".join(["%s"] * len(header)) + "\n"
     try:
-        writer.writerows(rows)
+        return "".join([line % tuple(header), *[line % tuple(row) for row in rows]])
     except ValueError as exc:  # an int past the caller's int/str digit limit
         raise InputError(str(exc)) from None
-    return out.getvalue()
 
 
 def file_digest(path: str) -> str:

@@ -1030,6 +1030,30 @@ class TestUserErrors:
         )
         assert read == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--bound", "T_main", "--s", "20000", "--family", "interval:n=4",
+             "--grid", "4,8"],
+            ["--mem", str(10**30), "energy", "--k", str(2**70), "--family", "interval:n=4"],
+            ["--mem", str(10**30), "verify", "--bound", "T_main", "--s", "70",
+             "--family", "interval:n=4", "--grid", "4,8"],
+            ["--mem", str(10**30), "lucky", "--k", str(2**80), "--r", "4",
+             "--family", "interval:n=3"],
+        ],
+        ids=["verify_s_20000", "energy_k_2_70", "verify_s_70", "lucky_k_2_80"],
+    )
+    def test_copy_counts_no_list_can_hold_exit_at_once(self, capsys, argv):
+        # Copies past sys.maxsize are refused before anything is built,
+        # 2**s copies before the bound's exponents, with a line that does
+        # not print the count (2**20000 is past the int/str digit limit).
+        started = time.perf_counter()
+        result = _run(capsys, *argv)
+        assert time.perf_counter() - started < 0.1
+        assert result == (
+            2, "", f"error: at most {sys.maxsize} copies of a set can be held\n"
+        )
+
     @pytest.mark.parametrize("command", ["energy", "spectrum", "sumset"])
     @pytest.mark.parametrize("source", ["family", "set"])
     def test_rendered_inputs_are_charged_before_rendering(
@@ -1448,15 +1472,18 @@ class TestReportFields:
 
     def test_csv_cells_keep_their_report_forms(self):
         # Every cell is written as its str: a Fraction as format_element
-        # writes it, a float as its repr.
+        # writes it, a float as its repr.  A row is a list, a plain tuple
+        # or a NamedTuple such as a census row.
         fractions = [Fraction(1, 2), Fraction(4, 2), Fraction(-7, 3), Fraction(0)]
         floats = [0.1, 1e300, -0.0, 2.5e-7, float("inf")]
         ints = [2**70, -(2**63), 0]
         row = [*fractions, *floats, *ints, True]
         expected = [*map(format_element, fractions), *map(repr, floats),
                     *map(format_element, ints), "True"]
-        text = rows_csv([f"c{i}" for i in range(len(row))], [row, row])
-        assert text.splitlines()[1:] == [",".join(expected)] * 2
+        header = [f"c{i}" for i in range(len(row))]
+        Row = NamedTuple("Row", [(name, object) for name in header])
+        text = rows_csv(header, [row, row, tuple(row), Row(*row)])
+        assert text.splitlines() == [",".join(header), *[",".join(expected)] * 4]
 
     def test_named_tuple_renders_as_its_fields(self):
         # A NamedTuple, such as a census row, is the object of its fields,
@@ -1526,8 +1553,8 @@ def test_no_command_prints_help(capsys):
 # required one mostly once, --family and --set up to twice, any other
 # mostly not at all) and each value from its usual values three times in
 # four, else from its odd ones.  Inputs are small, so an argv that parses
-# runs in milliseconds, and a huge --k comes with a --mem far below its
-# copies.
+# runs in milliseconds, and a huge --k or --s comes with a --mem far
+# below its copies or with more copies than a list can hold.
 _OFTEN, _SELDOM = [1, 1, 1, 0], [0, 0, 1]
 _ODD_INTS = ["0", "-1", "-7", "x", "", "1.5", "0x10"]
 _FUZZ_OPTIONS = {
@@ -1546,7 +1573,7 @@ _FUZZ_OPTIONS = {
     ),
     "--set": ([0, 0, 0, 0, 1, 2], [], ["no-such-file.set", str(README)]),
     "--k": (_SELDOM, ["1", "2", "3"], _ODD_INTS),
-    "--s": (_SELDOM, ["1", "2"], _ODD_INTS),
+    "--s": (_SELDOM, ["1", "2"], [*_ODD_INTS, "63", "70", "20000", str(10**6)]),
     "--r": (_OFTEN, ["1", "2", "4"], [*_ODD_INTS, str(10**30)]),
     "--c": (_SELDOM, ["1", "2"], [*_ODD_INTS, str(10**30)]),
     "--signs": (_SELDOM, ["+-", "++-", "+"], ["-+", "", "+x", "+" * 9, "--", "+ -"]),
@@ -1593,8 +1620,12 @@ def _odd_argv(draw):
         odd = st.lists(st.sampled_from(_POINTS), max_size=4)
         after += draw(st.sampled_from([_POINTS[:3], _POINTS[:3], draw(odd)]))
     if "--k" in _SUBCOMMANDS[command] and not draw(st.integers(0, 5)):
-        # Given last, these win over any --k and --mem above.
-        after += ["--k", str(10**12), "--mem", draw(st.sampled_from(["1000", "100000"]))]
+        # Given last, these win over any --k and --mem above: copies far
+        # past --mem, or past sys.maxsize under a --mem they would fit.
+        k, mem = draw(st.sampled_from(
+            [(10**12, 1000), (10**12, 100000), (2**70, 10**30), (2**80, 10**30)]
+        ))
+        after += ["--k", str(k), "--mem", str(mem)]
     return before + [command] + after
 
 

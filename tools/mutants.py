@@ -66,6 +66,15 @@ MUTANTS = (
            "square += c * c * (j - i)", "square += c * (j - i)", MOMENT_TESTS),
     Mutant("_count_moments: a run's count added once", "src/sumsetlab/kernels.py",
            "total += c * (j - i)", "total += c", MOMENT_TESTS),
+    # The census walk reads each hit's rich sum from its row-major position.
+    Mutant("census walk: rich sum by the widest interval's length",
+           "src/sumsetlab/luckypairs.py",
+           "owner = np.repeat(hits // len(last), lengths)",
+           "owner = np.repeat(hits // widest, lengths)", CENSUS_TESTS),
+    # A CSV row formatted by repr in place of str.
+    Mutant("rows_csv: %r in place of %s", "src/sumsetlab/reporting.py",
+           '",".join(["%s"] * len(header))', '",".join(["%r"] * len(header))',
+           ("tests/test_cli.py", "tests/test_report_bytes.py")),
     # A bitset support row charged one mask where its last OR holds four.
     Mutant("_HELD_MASKS = 1", "src/sumsetlab/engine.py",
            "_HELD_MASKS = 4\n", "_HELD_MASKS = 1\n",
