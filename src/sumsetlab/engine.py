@@ -32,17 +32,17 @@ produced, unchecked, in one container and reduces it:
 * ``dense`` -- one fold over a numpy count array keyed by int offset,
   for every input: a rational set is its ints over ``den`` here, as for
   the other two, and the fold costs their scaled span.  Each step adds
-  one shifted copy of the counts per value of the next set, so every
-  count and partial sum of the step is at most the current maximum
-  count times that set's size: the step runs in the narrowest of uint8,
-  uint16, uint32 and int64 that holds this bound, so no add can wrap,
-  and in Python ints (``dtype=object``) beyond, where the fold then
-  stays.  The fold hands its count array to ``SparseCounts._result`` as
-  it stands, with the range of its values and ``den``, whatever its
-  width and wherever its values lie: at its last width, zeros included,
-  neither gathered, widened nor copied.  The container keeps it, every
-  reduction reads it in place, and the nonzero cells are gathered into
-  tuples only when a caller reads them.
+  one shifted copy of the counts per value of the next set.  It runs in
+  the narrowest of uint8, uint16, uint32 and int64 that holds its
+  counts where its exact mass certifies that no count wrapped, else in
+  the width of the current maximum count times that set's size, where
+  no add can wrap, and in Python ints (``dtype=object``) beyond, where
+  the fold then stays.  The fold hands its count array to
+  ``SparseCounts._result`` as it stands, with the range of its values
+  and ``den``, whatever its width and wherever its values lie: at its
+  last width, zeros included, neither gathered, widened nor copied.
+  The container keeps it, every reduction reads it in place, and the
+  nonzero cells are gathered into tuples only when a caller reads them.
 
 Every budgeted path is one row, ``(bytes, cost, run)``, from a
 ``_plan_*`` function: its estimate, made before anything is allocated,
@@ -138,6 +138,7 @@ import itertools
 import math
 import operator
 import sys
+from bisect import bisect_right
 from collections import Counter
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -594,28 +595,74 @@ def _rep_dense(lists: Sequence[Sequence[int]]) -> tuple[range, Any]:
 
     A step adds one shifted copy of the counts per value of the next
     set, all non-negative, so the current maximum count times that
-    set's size bounds every partial sum and every new count.  The step
-    runs in the narrowest of uint8, uint16, uint32 and int64 whose
-    maximum is at least that bound, so no add can wrap, and in Python
-    ints (``dtype=object``) past int64, where the fold stays.
+    set's size bounds every partial sum and every new count: in the
+    narrowest of uint8, uint16, uint32 and int64 whose maximum is at
+    least that bound, the safe width, no add can wrap.  Past int64 the
+    step runs in Python ints (``dtype=object``), where the fold stays.
+
+    The step's exact mass, the current mass times the set's size, is
+    known in advance.  A step run in w unsigned bits keeps each count
+    modulo 2**w, that is the count less a non-negative multiple of
+    2**w, so the array's sum is the mass less such a multiple, and
+    equals the mass exactly when no cell wrapped.  So each step first
+    tries the narrowest width that holds a lower bound on its new
+    maximum: the larger of the current maximum, the mass over the cells
+    rounded up, and the exact count at one probe cell.  The try runs
+    when that width is narrower than the safe one and the mass is below
+    2**63.  The bound is at most the mass, so the safe width is then at
+    most int64 and the try's at most uint32, and the try's sum, at most
+    the mass, cannot wrap in uint64.  The try is kept only when its sum
+    equals the mass; otherwise it is dropped and the step runs in the
+    safe width.  The current counts fit the try's width, which holds
+    their maximum, so a step holds at most two arrays at once, at most
+    its two widest, whichever way it goes.
     """
     import numpy as np
 
+    def width(bound: int) -> Any:
+        widths = ("uint8", "uint16", "uint32", "int64")
+        return next((w for w in widths if np.iinfo(w).max >= bound), object)
+
+    def count_at(cur: Any, vals: Sequence[int], at: int) -> int:
+        # The step's new count at the cell of value ``at`` + cur's least
+        # value, exactly: cur[at - a] summed over the values a of the set
+        # for which at - a is a cell.  Its arrays are freed on return,
+        # before the step allocates its own.
+        lo, hi = bisect_right(vals, at - cur.shape[0]), bisect_right(vals, at)
+        hits = np.fromiter((at - a for a in vals[lo:hi]), np.intp, hi - lo)
+        return int(cur[hits].sum(dtype=np.uint64))
+
+    def step(cur: Any, vals: Sequence[int], cells: int) -> Any:
+        new = np.zeros(cells, dtype=cur.dtype)
+        for a in vals:
+            off = a - vals[0]
+            new[off : off + cur.shape[0]] += cur
+        return new
+
     first = lists[0]
-    cur_lo = first[0]
+    cur_lo, mass = first[0], len(first)
     cur = np.zeros(first[-1] - cur_lo + 1, dtype=np.uint8)
     for a in first:
         cur[a - cur_lo] = 1
     for vals in lists[1:]:
+        cells, mass = cur.shape[0] + (vals[-1] - vals[0]), mass * len(vals)
+        new = None
         if cur.dtype != object:
-            bound = int(cur.max()) * len(vals)
-            widths = ("uint8", "uint16", "uint32", "int64")
-            fits = (w for w in widths if np.iinfo(w).max >= bound)
-            cur = cur.astype(next(fits, object), copy=False)
-        new = np.zeros(cur.shape[0] + (vals[-1] - vals[0]), dtype=cur.dtype)
-        for a in vals:
-            off = a - vals[0]
-            new[off : off + cur.shape[0]] += cur
+            peak = int(cur.argmax())
+            top = int(cur[peak])
+            safe, low = width(top * len(vals)), max(top, -(-mass // cells))
+            if mass < 2**63 and width(low) != safe:
+                # Probe the cell where the peak meets the set's middle value.
+                low = max(low, count_at(cur, vals, peak + vals[len(vals) // 2]))
+                if width(low) != safe:
+                    cur = cur.astype(width(low), copy=False)
+                    new = step(cur, vals, cells)
+                    if int(new.sum(dtype=np.uint64)) != mass:
+                        new = None
+            if new is None:
+                cur = cur.astype(safe, copy=False)
+        if new is None:
+            new = step(cur, vals, cells)
         # Only cur names the fold, so that the next step's widening frees
         # the array it copies before that step allocates its own.
         cur, cur_lo, new = new, cur_lo + vals[0], None

@@ -263,43 +263,156 @@ def _interval_counts(m: int, k: int) -> tuple[int, ...]:
     )
 
 
+def _width(bound: int) -> str:
+    """The narrowest width of the dense fold that holds ``bound``."""
+    widths = ("uint8", "uint16", "uint32", "int64")
+    return next((w for w in widths if np.iinfo(w).max >= bound), "object")
+
+
+def _fold_steps(made: list) -> list[list[str]]:
+    """The dtypes that the dense fold allocated at each step, in order,
+    from the (shape, dtype) of each ``np.zeros`` call: its first array,
+    then one per step, or two where the step's try failed.  Every step
+    of sets of two or more elements grows the array, so a step's arrays
+    are those of one shape."""
+    steps: dict = {}
+    for shape, dtype in made[1:]:
+        steps.setdefault(shape, []).append(dtype)
+    return list(steps.values())
+
+
+def _spy_zeros(monkeypatch) -> list:
+    """The (shape, dtype name) of each ``np.zeros`` call, recorded until
+    ``monkeypatch`` is undone."""
+    zeros, made = np.zeros, []
+
+    def spy(shape, dtype):
+        made.append((shape, np.dtype(dtype).name))
+        return zeros(shape, dtype=dtype)
+
+    monkeypatch.setattr(np, "zeros", spy)
+    return made
+
+
+@st.composite
+def _fold_cases(draw):
+    """2 to 5 sets, each of n = 2 to 60 ints within a window of at most
+    8 n, and a sign pattern starting with +."""
+    k = draw(st.integers(2, 5))
+    sets = []
+    for _ in range(k):
+        n, lo = draw(st.integers(2, 60)), draw(st.integers(-50, 50))
+        ints = st.integers(lo, lo + draw(st.integers(n, 8 * n)) - 1)
+        sets.append(OrderedSet(sorted(draw(st.sets(ints, min_size=n, max_size=n)))))
+    return sets, (1,) + tuple(draw(st.sampled_from((1, -1))) for _ in range(k - 1))
+
+
 class TestDenseWidths:
     """The dense fold on both sides of each switch of its count width.
-    The last step of [1, m] * k has the bound m for k = 2, m * m for
-    k = 3, and 2 * C(k - 1, (k - 1) // 2) for m = 2."""
+    Each step is kept in the narrowest width that holds its actual
+    counts, certified by its exact mass, unless its try of that width
+    failed or its mass reaches 2**63: then it runs in its safe width, the
+    one that holds the current maximum times the next set's size.  Over
+    [1, m] the maximum of r_{jI} is m for j = 2, the ceiling of
+    3 m**2 / 4 for j = 3 (49,152 at m = 256, and first past 65,535 at
+    m = 296) and C(j, j // 2) for m = 2."""
 
+    # Each id names m, k and the width of the last step's bound.
     @pytest.mark.parametrize(
-        "m, k, width",
+        "m, k, bound, width, failed",
         [
-            (255, 2, "uint8"), (256, 2, "uint16"),
-            (255, 3, "uint16"), (256, 3, "uint32"),
-            (2, 34, "uint32"), (2, 35, "int64"),
-            (2, 66, "int64"), (2, 67, "object"),
+            pytest.param(m, k, bound, width, failed, id=f"{m}-{k}-{bound}")
+            for m, k, bound, width, failed in [
+                (255, 2, "uint8", "uint8", ()), (256, 2, "uint16", "uint16", (2,)),
+                (255, 3, "uint16", "uint16", ()), (256, 3, "uint32", "uint16", (2,)),
+                (295, 3, "uint32", "uint16", (2,)), (296, 3, "uint32", "uint32", (2,)),
+                (2, 34, "uint32", "uint32", ()), (2, 35, "int64", "int64", ()),
+                (2, 66, "int64", "int64", ()), (2, 67, "object", "object", ()),
+            ]
         ],
     )
-    def test_fold_is_exact_at_each_width_switch(self, monkeypatch, m, k, width):
-        zeros, widths = np.zeros, []
-
-        def spy(shape, dtype):
-            widths.append(np.dtype(dtype).name)
-            return zeros(shape, dtype=dtype)
-
+    def test_fold_is_exact_at_each_width_switch(
+        self, monkeypatch, m, k, bound, width, failed
+    ):
         sets = [gen_interval(m)] * k
-        monkeypatch.setattr(np, "zeros", spy)
+        made = _spy_zeros(monkeypatch)
         rep = representation(sets, algo="dense")
         monkeypatch.undo()
-        assert len(widths) == k and widths[-1] == width
+        steps = _fold_steps(made)
+        # Step j - 1 makes r_{jI}: two arrays where its try failed.
+        assert [j for j, step in enumerate(steps, 2) if len(step) == 2] == list(failed)
+        assert len(steps) == k - 1 and all(len(step) <= 2 for step in steps)
+        for j, step in enumerate(steps, 2):
+            top = max(_interval_counts(m, j))
+            safe = _width(max(_interval_counts(m, j - 1)) * m)
+            assert step[-1] == (safe if j in failed or m**j >= 2**63 else _width(top))
+        assert safe == bound and steps[-1][-1] == width
         assert rep == representation(sets, algo="mitm")
         assert rep.counts == _interval_counts(m, k)
         # The container keeps the fold's array at its last width, Python
         # ints included.
         assert rep._count_array.dtype == width
 
+    def test_failed_try_falls_back_to_the_safe_width(self, monkeypatch):
+        # r_{3A} peaks at 258 over a mean of 52: the step to it tries
+        # uint8, wraps, fails its mass check and runs in uint16.
+        A = gen_random_s_convex(192, 1, 4, 4)
+        made = _spy_zeros(monkeypatch)
+        rep = representation([A] * 4, algo="dense")
+        monkeypatch.undo()
+        assert _fold_steps(made) == [["uint8"], ["uint8", "uint16"], ["uint16"]]
+        assert representation([A] * 3, algo="mitm").max_count() == 258
+        # The same fold, in int64 throughout.
+        ints = A.ints
+        fold = np.zeros(ints[-1] - ints[0] + 1, dtype=np.int64)
+        fold[[a - ints[0] for a in ints]] = 1
+        for _ in range(3):
+            new = np.zeros(fold.shape[0] + ints[-1] - ints[0], dtype=np.int64)
+            for a in ints:
+                new[a - ints[0] : a - ints[0] + fold.shape[0]] += fold
+            fold = new
+        want = {4 * ints[0] + x: int(c) for x, c in enumerate(fold) if c}
+        assert dict(rep.items()) == want
+        assert rep._count_array.dtype == "uint16"
+
+    def test_fold_matches_mitm(self, monkeypatch):
+        # Each step ends in the width of its actual counts, or where its
+        # try failed in its safe width; over the examples, some steps keep
+        # their try and some fall back.
+        seen = Counter()
+
+        @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        @given(_fold_cases())
+        def check(case):
+            sets, signs = case
+            with monkeypatch.context() as patched:
+                made = _spy_zeros(patched)
+                rep = representation(sets, signs=signs, algo="dense")
+            assert rep == representation(sets, signs=signs, algo="mitm")
+            tops = [
+                representation(sets[:j], signs=signs[:j], algo="mitm").max_count()
+                for j in range(1, len(sets) + 1)
+            ]
+            for j, step in enumerate(_fold_steps(made), 1):
+                safe = _width(tops[j - 1] * len(sets[j]))
+                if len(step) == 2:
+                    assert step[0] != step[1] == safe
+                    seen["failed"] += 1
+                else:
+                    assert step == [_width(tops[j])]
+                    seen["kept"] += step[0] != safe
+
+        check()
+        assert seen["kept"] and seen["failed"], seen
 
     @pytest.mark.parametrize(
         "A, width",
-        [(gen_random_s_convex(192, 1, 7, 4), "uint16"), (gen_interval(2000), "int64")],
-        ids=["rsc192", "interval2000"],
+        [
+            (gen_random_s_convex(192, 1, 7, 4), "uint16"),
+            (gen_random_s_convex(192, 1, 4, 4), "uint16"),
+            (gen_interval(2000), "int64"),
+        ],
+        ids=["rsc192", "rsc192_failed_try", "interval2000"],
     )
     def test_fold_peaks_within_its_plan(self, A, width):
         # numpy is imported with this module, so the peak is the fold's:

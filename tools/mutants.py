@@ -75,6 +75,9 @@ MUTANTS = (
     Mutant("rows_csv: %r in place of %s", "src/sumsetlab/reporting.py",
            '",".join(["%s"] * len(header))', '",".join(["%r"] * len(header))',
            ("tests/test_cli.py", "tests/test_report_bytes.py")),
+    # A dense fold step tried in a narrower width, kept without its mass check.
+    Mutant("dense fold: narrowed step kept unchecked", "src/sumsetlab/engine.py",
+           "if int(new.sum(dtype=np.uint64)) != mass:", "if False:", ("tests/test_engine.py",)),
     # A bitset support row charged one mask where its last OR holds four.
     Mutant("_HELD_MASKS = 1", "src/sumsetlab/engine.py",
            "_HELD_MASKS = 4\n", "_HELD_MASKS = 1\n",
